@@ -200,7 +200,7 @@ def cmd_verify(args) -> int:
     )
     corpus = vf.Corpus(spec)
     ids = None if args.claim == "all" else [args.claim]
-    reports = vf.run_suite(corpus, ids, jobs=args.jobs)
+    reports = vf.run_suite(corpus, ids)
     text = vf.suite_to_json(reports, spec, include_timing=args.timings)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -264,7 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--r", type=int, help="restrict odd-odd claims to one r")
     p_verify.add_argument("--t", type=int, help="restrict odd-odd claims to one t")
     p_verify.add_argument("--node-budget", type=int, default=cov.DEFAULT_NODE_BUDGET)
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--timings", action="store_true",
                           help="include elapsed_ms in the JSON report")
     p_verify.add_argument("--out", help="write the JSON report to a file")
@@ -278,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except cov.BudgetExhausted as exc:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, bits, complement, induced_subgraph
+from .graph import Graph, bits, complement, component_masks, induced_subgraph
 
 __all__ = [
     "CoverResult",
@@ -220,24 +220,6 @@ class _CoverSearch:
                 adj[idx] = old
 
 
-def _component_masks(g: Graph) -> list[int]:
-    comps = []
-    remaining = (1 << g.n) - 1 if g.n else 0
-    while remaining:
-        seed = remaining & -remaining
-        seen = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & remaining & ~seen
-            seen |= frontier
-        comps.append(seen)
-        remaining &= ~seen
-    return comps
-
-
 def min_vertex_cover(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverResult:
     """Exact minimum vertex cover (disconnected and edgeless inputs allowed).
 
@@ -247,9 +229,9 @@ def min_vertex_cover(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverR
     search = _CoverSearch(list(g.adj), node_budget)
     cover_mask = 0
     proven = True
-    for comp in _component_masks(g):
-        if all((g.adj[u] & comp) == 0 for u in bits(comp)):
-            continue  # isolated vertices need no cover
+    for comp in component_masks(g):
+        if comp & (comp - 1) == 0:
+            continue  # an isolated vertex needs no cover
         try:
             greedy = search.greedy_cover(comp)
             limit = greedy.bit_count() + 1

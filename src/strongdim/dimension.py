@@ -141,13 +141,8 @@ def general_lower(n1: int, n2: int, dim_g: int, dim_h: int) -> int:
 
 
 def general_upper(n1: int, n2: int, dim_g: int, dim_h: int) -> int:
+    """Upper bound; exact when either factor's SR graph partitions into beta cliques."""
     return n2 * dim_g + n1 * dim_h - dim_g * dim_h
-
-
-def cgraph_exact(n1: int, n2: int, dim_g: int, dim_h: int) -> int:
-    """Exact value when the first factor's SR graph partitions into
-    beta cliques; numerically the general upper bound."""
-    return general_upper(n1, n2, dim_g, dim_h)
 
 
 def complete_factor(n1: int, n2: int, dim_h: int) -> int:
@@ -212,7 +207,6 @@ def c3_exact(t: int) -> int:
 FORMULA_KINDS = {
     "general_lower": general_lower,
     "general_upper": general_upper,
-    "cgraph_exact": cgraph_exact,
     "complete_factor": complete_factor,
     "kpartite_factor": kpartite_factor,
     "generalized_tree_factor": generalized_tree_factor,

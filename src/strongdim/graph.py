@@ -31,6 +31,7 @@ __all__ = [
     "to_graph6",
     "to_dot",
     "bits",
+    "component_masks",
 ]
 
 RANDOM_CONNECTED_RETRY_CAP = 10_000
@@ -61,10 +62,6 @@ class Graph:
 
     def neighbors(self, u: int) -> Iterator[int]:
         return bits(self.adj[u])
-
-    def closed_neighborhood(self, u: int) -> int:
-        """Bitmask of N[u] = N(u) plus u itself."""
-        return self.adj[u] | (1 << u)
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u] >> v) & 1 == 1
@@ -106,6 +103,24 @@ def _validated(n: int, adj: list[int]) -> Graph:
             if not (adj[v] >> u) & 1:
                 raise ValueError(f"asymmetric adjacency between {u} and {v}")
     return Graph(n, adj)
+
+
+def component_masks(g: Graph) -> list[int]:
+    """Vertex bitmasks of the connected components, ordered by lowest vertex id."""
+    adj = g.adj
+    comps = []
+    remaining = (1 << g.n) - 1
+    while remaining:
+        seen = frontier = remaining & -remaining
+        while frontier:
+            nxt = 0
+            for u in bits(frontier):
+                nxt |= adj[u]
+            frontier = nxt & ~seen
+            seen |= frontier
+        comps.append(seen)
+        remaining &= ~seen
+    return comps
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -211,8 +226,9 @@ def random_connected(n: int, p: float, seed: int) -> Graph:
                 if rng.random() < p:
                     adj[u] |= 1 << v
                     adj[v] |= 1 << u
-        if _connected_masks(n, adj):
-            return Graph(n, adj)
+        g = Graph(n, adj)
+        if len(component_masks(g)) == 1:
+            return g
     raise ValueError(
         f"no connected graph found in {RANDOM_CONNECTED_RETRY_CAP} draws "
         f"(n={n}, p={p})"
@@ -240,20 +256,6 @@ def generalized_tree(block_sizes: Sequence[int], seed: int) -> Graph:
             (block[i], block[j]) for i in range(s) for j in range(i + 1, s)
         )
     return make_graph(n, edges)
-
-
-def _connected_masks(n: int, adj: Sequence[int]) -> bool:
-    if n == 0:
-        return False
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for u in bits(frontier):
-            nxt |= adj[u]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
 
 
 def generate(spec: str) -> Graph:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graph import Graph, bits
+from .graph import Graph, bits, component_masks
 
 __all__ = [
     "DistanceMatrix",
@@ -90,10 +90,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    _, levels = _bfs(g.adj, g.n, 0)
-    return levels[-1] == (1 << g.n) - 1
+    return len(component_masks(g)) == 1
 
 
 def _require_connected(g: Graph) -> None:

@@ -278,14 +278,6 @@ def claim_ids() -> list[str]:
 # -- instance iterators ------------------------------------------------------
 
 
-def _pairs_product(corpus: Corpus):
-    return [(g, h) for g, h in corpus.product_pairs()]
-
-
-def _pairs_solver(corpus: Corpus):
-    return [(g, h) for g, h in corpus.solver_pairs()]
-
-
 def _singleton_with_partners(factors: Callable[[Corpus], list[Graph]]):
     def gen(corpus: Corpus):
         partners = corpus.dimension_partners()
@@ -325,7 +317,7 @@ def _odd_cycle_instances(corpus: Corpus):
 @_claim(
     "lemma-mmd",
     "factor-level prediction of MMD pairs matches the strong product's SR graph",
-    _pairs_product,
+    lambda corpus: corpus.product_pairs(),
 )
 def _check_lemma_mmd(env: Env, g: Graph, h: Graph) -> dict:
     if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
@@ -350,7 +342,7 @@ def _check_lemma_mmd(env: Env, g: Graph, h: Graph) -> dict:
 @_claim(
     "thm-boundary",
     "boundary of a strong product is (bd(G) x V(H)) union (V(G) x bd(H))",
-    _pairs_product,
+    lambda corpus: corpus.product_pairs(),
 )
 def _check_thm_boundary(env: Env, g: Graph, h: Graph) -> dict:
     if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
@@ -373,7 +365,7 @@ def _check_thm_boundary(env: Env, g: Graph, h: Graph) -> dict:
 @_claim(
     "thm-sandwich",
     "SR(G) x SR(H) is a subgraph of SR(G x H), itself a subgraph of SR(G) (+) SR(H)",
-    _pairs_product,
+    lambda corpus: corpus.product_pairs(),
 )
 def _check_thm_sandwich(env: Env, g: Graph, h: Graph) -> dict:
     if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
@@ -393,7 +385,7 @@ def _check_thm_sandwich(env: Env, g: Graph, h: Graph) -> dict:
 @_claim(
     "cor-beta-chain",
     "beta(SR(G) x SR(H)) >= beta(SR(G x H)) >= beta(SR(G) (+) SR(H))",
-    _pairs_solver,
+    lambda corpus: corpus.solver_pairs(),
 )
 def _check_cor_beta_chain(env: Env, g: Graph, h: Graph) -> dict:
     if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
@@ -410,7 +402,7 @@ def _check_cor_beta_chain(env: Env, g: Graph, h: Graph) -> dict:
 @_claim(
     "thm-ind-sandwich",
     "beta(G) * beta(H) <= beta(G x H) <= beta(G box H)",
-    _pairs_solver,
+    lambda corpus: corpus.solver_pairs(),
 )
 def _check_thm_ind_sandwich(env: Env, g: Graph, h: Graph) -> dict:
     lo = env.beta(g) * env.beta(h)
@@ -423,7 +415,7 @@ def _check_thm_ind_sandwich(env: Env, g: Graph, h: Graph) -> dict:
 @_claim(
     "thm-vizing",
     "beta(G box H) <= min(beta(G) * |V(H)|, beta(H) * |V(G)|)",
-    _pairs_solver,
+    lambda corpus: corpus.solver_pairs(),
 )
 def _check_thm_vizing(env: Env, g: Graph, h: Graph) -> dict:
     actual = env.beta(env.product("cartesian", g, h))
@@ -435,7 +427,7 @@ def _check_thm_vizing(env: Env, g: Graph, h: Graph) -> dict:
 @_claim(
     "thm-lex",
     "beta(G o H) = beta(G) * beta(H) for the lexicographic product",
-    _pairs_solver,
+    lambda corpus: corpus.solver_pairs(),
 )
 def _check_thm_lex(env: Env, g: Graph, h: Graph) -> dict:
     expected = env.beta(g) * env.beta(h)
@@ -446,7 +438,7 @@ def _check_thm_lex(env: Env, g: Graph, h: Graph) -> dict:
 @_claim(
     "lemma-cartesian-sum",
     "beta(G (+) H) = beta(G) * beta(H) for the Cartesian sum",
-    _pairs_solver,
+    lambda corpus: corpus.solver_pairs(),
 )
 def _check_lemma_cartesian_sum(env: Env, g: Graph, h: Graph) -> dict:
     expected = env.beta(g) * env.beta(h)
@@ -459,7 +451,7 @@ def _check_lemma_cartesian_sum(env: Env, g: Graph, h: Graph) -> dict:
     "dim_s(G x H) lies between max(n2 dim_s(G), n1 dim_s(H)) and "
     "n2 dim_s(G) + n1 dim_s(H) - dim_s(G) dim_s(H); equality at the top "
     "whenever a factor's SR graph partitions into beta cliques",
-    _pairs_solver,
+    lambda corpus: corpus.solver_pairs(),
 )
 def _check_thm_bounds(env: Env, g: Graph, h: Graph) -> dict:
     if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
@@ -485,7 +477,7 @@ def _check_thm_bounds(env: Env, g: Graph, h: Graph) -> dict:
 @_claim(
     "lemma-cgraph",
     "if V(G) partitions into beta(G) cliques then beta(G x H) = beta(G) beta(H)",
-    _pairs_solver,
+    lambda corpus: corpus.solver_pairs(),
 )
 def _check_lemma_cgraph(env: Env, g: Graph, h: Graph) -> dict:
     if g.n > env.spec.recognition_cap:
@@ -500,9 +492,9 @@ def _check_lemma_cgraph(env: Env, g: Graph, h: Graph) -> dict:
 @_claim(
     "thm-cgraph-exact",
     "if SR(G) partitions into beta cliques then dim_s(G x H) equals the upper bound",
-    _pairs_solver,
+    lambda corpus: corpus.solver_pairs(),
 )
-def _check_thm_cgraph_exact(env: Env, g: Graph, h: Graph) -> dict:
+def _check_thm_cgraph(env: Env, g: Graph, h: Graph) -> dict:
     if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
         return _skip(g, h, "factors must be connected and nontrivial")
     sr_g = env.sr(g).sr
@@ -510,7 +502,7 @@ def _check_thm_cgraph_exact(env: Env, g: Graph, h: Graph) -> dict:
         return _skip(g, h, "SR graph exceeds the recognition cap")
     if not cov.is_c_graph(sr_g, env.spec.recognition_cap):
         return _skip(g, h, "SR(G) is not a C-graph")
-    expected = dim.cgraph_exact(g.n, h.n, env.dim_s(g), env.dim_s(h))
+    expected = dim.general_upper(g.n, h.n, env.dim_s(g), env.dim_s(h))
     actual = env.dim_s(env.product("strong", g, h))
     return _record(g, h, "pass" if actual == expected else "fail", expected, actual)
 
@@ -519,7 +511,7 @@ def _check_thm_cgraph_exact(env: Env, g: Graph, h: Graph) -> dict:
     "lemma-c1graph",
     "if V(G) partitions into beta(G) cliques plus one singleton then "
     "beta(G x H) <= beta(G) (beta(H) + 1)",
-    _pairs_solver,
+    lambda corpus: corpus.solver_pairs(),
 )
 def _check_lemma_c1graph(env: Env, g: Graph, h: Graph) -> dict:
     if g.n > env.spec.recognition_cap:
@@ -535,7 +527,7 @@ def _check_lemma_c1graph(env: Env, g: Graph, h: Graph) -> dict:
     "thm-c1-lower",
     "if SR(G) is a C1-graph then dim_s(G x H) >= "
     "n1 (dim_s(H) - 1) + dim_s(G) (n2 - dim_s(H) + 1)",
-    _pairs_solver,
+    lambda corpus: corpus.solver_pairs(),
 )
 def _check_thm_c1_lower(env: Env, g: Graph, h: Graph) -> dict:
     if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
@@ -607,20 +599,11 @@ def _check_cor_ii(env: Env, g: Graph, h: Graph) -> dict:
 def _multipartite_parts(g: Graph) -> list[int] | None:
     """Part sizes if g is complete multipartite (complement is a clique union)."""
     comp = gr.complement(g)
-    comps = []
-    remaining = set(range(g.n))
-    while remaining:
-        v = min(remaining)
-        part = {v} | set(comp.neighbors(v))
-        for u in part:
-            for w in part:
-                if u < w and not comp.has_edge(u, w):
-                    return None
-            if set(comp.neighbors(u)) - (part - {u}):
-                return None
-        comps.append(len(part))
-        remaining -= part
-    return sorted(comps) if len(comps) >= 2 else None
+    parts = gr.component_masks(comp)
+    for part in parts:
+        if any(comp.adj[u] | (1 << u) != part for u in gr.bits(part)):
+            return None
+    return sorted(p.bit_count() for p in parts) if len(parts) >= 2 else None
 
 
 def _gtree_factors(corpus: Corpus) -> list[Graph]:
@@ -802,24 +785,14 @@ def verify_claim(
 
 
 def run_suite(
-    corpus: Corpus, claim_ids_filter: list[str] | None = None, jobs: int = 1
+    corpus: Corpus, claim_ids_filter: list[str] | None = None
 ) -> list[ClaimReport]:
     ids = claim_ids_filter or claim_ids()
     for cid in ids:
         if cid not in CLAIMS:
             raise ValueError(f"unknown claim id {cid!r}")
-    if jobs <= 1:
-        env = Env(corpus.spec)
-        return [verify_claim(cid, corpus, env) for cid in ids]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_run_one, corpus.spec, cid) for cid in ids]
-        return [f.result() for f in futures]
-
-
-def _run_one(spec: CorpusSpec, claim_id: str) -> ClaimReport:
-    return verify_claim(claim_id, Corpus(spec))
+    env = Env(corpus.spec)
+    return [verify_claim(cid, corpus, env) for cid in ids]
 
 
 def replay_instance(claim_id: str, record: dict, spec: CorpusSpec | None = None) -> dict:

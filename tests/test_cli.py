@@ -149,15 +149,6 @@ def test_verify_unknown_claim(capsys):
     assert err.startswith("error:")
 
 
-def test_verify_jobs_flag(capsys, tmp_path):
-    serial = tmp_path / "serial.json"
-    parallel = tmp_path / "parallel.json"
-    run_cli(capsys, "verify", "remark-c3", "--t-max", "2", "--out", str(serial))
-    run_cli(capsys, "verify", "remark-c3", "--t-max", "2", "--jobs", "2",
-            "--out", str(parallel))
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 def test_verify_csv_summary(capsys, tmp_path):
     out_file = tmp_path / "r.json"
     csv_file = tmp_path / "r.csv"
@@ -181,6 +172,23 @@ def test_verify_timings_flag_controls_json(capsys, tmp_path):
 
 def test_bad_generator_spec_single_line_error(capsys):
     code, _, err = run_cli(capsys, "compute", "dim-s", "--gen", "octahedron:4")
+    assert code == 1
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_missing_graph_file_single_line_error(capsys, tmp_path):
+    missing = tmp_path / "missing.g6"
+    code, _, err = run_cli(capsys, "compute", "dim-s", f"@{missing}")
+    assert code == 1
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_unwritable_report_path_single_line_error(capsys, tmp_path):
+    out_file = tmp_path / "no-such-dir" / "r.json"
+    code, _, err = run_cli(capsys, "verify", "remark-c3", "--t-max", "1",
+                           "--out", str(out_file))
     assert code == 1
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1

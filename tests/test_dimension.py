@@ -9,7 +9,6 @@ from strongdim.dimension import (
     brute_force_dimension,
     c1_lower,
     c3_exact,
-    cgraph_exact,
     formula,
     general_lower,
     general_upper,
@@ -173,7 +172,7 @@ def test_dimension_two_routes_agree():
 def test_formula_spot_values():
     assert c3_exact(2) == 13
     assert odd_odd_lower(1, 1) == odd_odd_upper(1, 1) == 8
-    assert cgraph_exact(2, 3, 1, 1) == 4
+    assert general_upper(2, 3, 1, 1) == 4
     assert general_lower(3, 5, 2, 1) == 10
     assert general_upper(3, 5, 2, 1) == 11
     assert formula("tree_factor", n1=4, n2=3, leaves=2, dim_h=1) == 6

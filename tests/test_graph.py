@@ -6,6 +6,7 @@ from strongdim.graph import (
     Graph,
     complement,
     complete,
+    component_masks,
     complete_multipartite,
     cycle,
     disjoint_union,
@@ -21,7 +22,7 @@ from strongdim.graph import (
     to_dot,
     to_graph6,
 )
-from strongdim.metrics import blocks, cut_vertices, is_connected
+from strongdim.metrics import all_pairs_distances, blocks, cut_vertices, is_connected
 
 
 def random_graph_strategy(max_n=10):
@@ -111,6 +112,38 @@ def test_random_connected_is_connected_and_reproducible():
 def test_random_connected_retry_cap():
     with pytest.raises(ValueError):
         random_connected(30, 0.0001, seed=1)
+
+
+# -- connected components ------------------------------------------------------
+
+
+@given(random_graph_strategy())
+def test_component_masks_partition_by_lowest_vertex(g):
+    comps = component_masks(g)
+    union = 0
+    for comp in comps:
+        assert comp and union & comp == 0
+        union |= comp
+    assert union == (1 << g.n) - 1
+    lowest = [(comp & -comp).bit_length() - 1 for comp in comps]
+    assert lowest == sorted(lowest)
+    balls = all_pairs_distances(g).balls
+    for comp in comps:
+        for v in range(g.n):
+            if (comp >> v) & 1:
+                assert balls[v][-1] == comp
+    assert is_connected(g) == (len(comps) == 1)
+
+
+def test_component_masks_fixed_cases():
+    assert component_masks(make_graph(0, [])) == []
+    assert not is_connected(make_graph(0, []))
+    assert component_masks(make_graph(3, [])) == [0b001, 0b010, 0b100]
+    g = make_graph(5, [(1, 3), (3, 4)])
+    assert component_masks(g) == [0b00001, 0b11010, 0b00100]
+    assert not is_connected(g)
+    assert component_masks(complete(1)) == [1]
+    assert is_connected(complete(1))
 
 
 def test_generate_mini_language():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -176,10 +177,16 @@ def test_csv_shape(small_reports):
     assert len(lines) == 23
 
 
-def test_parallel_jobs_match_serial(small_corpus):
-    serial = suite_to_json(run_suite(small_corpus), SMALL)
-    parallel = suite_to_json(run_suite(small_corpus, jobs=2), SMALL)
-    assert serial == parallel
+GOLDEN_REPORT = Path(__file__).resolve().parents[1] / "bench" / "expected" / "verify-all-seed42.json"
+
+
+def test_golden_report_seed42():
+    # the default corpus must reproduce the committed report byte for byte;
+    # an intended change replaces the file and says why in CHANGES.md
+    spec = CorpusSpec(seed=42)
+    reports = run_suite(Corpus(spec))
+    assert suite_to_json(reports, spec) == GOLDEN_REPORT.read_text(encoding="ascii")
+    assert suite_exit_code(reports) == 2
 
 
 def test_env_cache_consistency(small_corpus):
