@@ -24,6 +24,7 @@ from .dimension import (
     formula,
     is_strong_generator,
     strong_metric_dimension,
+    strong_product_dimension,
     strongly_resolves,
 )
 from .graph import (
@@ -56,7 +57,13 @@ from .metrics import (
     is_two_antipodal,
     leaf_count,
 )
-from .products import PRODUCT_KINDS, ProductSpec, product, project
+from .products import (
+    PRODUCT_KINDS,
+    ProductSpec,
+    product,
+    project,
+    strong_product_distances,
+)
 from .resolving import (
     PredictedSR,
     SRGraph,
@@ -64,6 +71,7 @@ from .resolving import (
     is_maximally_distant,
     mutually_maximally_distant,
     predicted_mmd_edges,
+    strong_product_sr,
     strong_resolving_graph,
 )
 from .verify import (

@@ -157,13 +157,18 @@ def cmd_product(args) -> int:
         "graph6": gr.to_graph6(prod),
     }
     if args.sr or args.dim_s:
-        srg = rs.strong_resolving_graph(prod)
-        out["sr_graph6"] = gr.to_graph6(srg.sr)
-        out["sr_edges"] = [
-            [labels[u], labels[v]] for u, v in srg.sr.edges()
-        ]
+        # strong products are computed from their factors; the others on the product
+        if kind == "strong":
+            sr = rs.strong_product_sr(g, h)
+        else:
+            sr = rs.strong_resolving_graph(prod).sr
+        out["sr_graph6"] = gr.to_graph6(sr)
+        out["sr_edges"] = [[labels[u], labels[v]] for u, v in sr.edges()]
     if args.dim_s:
-        res = dim.strong_metric_dimension(prod, args.node_budget)
+        if kind == "strong":
+            res = dim.strong_product_dimension(g, h, args.node_budget, sr)
+        else:
+            res = dim.strong_metric_dimension(prod, args.node_budget)
         out["dim_s"] = res.dim
         out["basis"] = [labels[v] for v in sorted(res.basis)]
     if args.format == "json":

@@ -14,13 +14,15 @@ from itertools import combinations
 from .cover import DEFAULT_NODE_BUDGET, BudgetExhausted, min_vertex_cover
 from .graph import Graph
 from .metrics import DistanceMatrix, all_pairs_distances, is_connected
-from .resolving import strong_resolving_graph
+from .products import product, strong_product_distances
+from .resolving import strong_product_sr, strong_resolving_graph
 
 __all__ = [
     "DimensionResult",
     "strongly_resolves",
     "is_strong_generator",
     "strong_metric_dimension",
+    "strong_product_dimension",
     "brute_force_dimension",
     "formula",
     "FORMULA_KINDS",
@@ -49,40 +51,63 @@ def strongly_resolves(dm: DistanceMatrix, w: int, u: int, v: int) -> bool:
 def is_strong_generator(
     g: Graph, members, dm: DistanceMatrix | None = None
 ) -> bool:
-    """True iff every vertex pair is strongly resolved by some member."""
+    """True iff every vertex pair is strongly resolved by some member.
+
+    A pair with an endpoint in S is resolved by that endpoint.  For u, v
+    outside S, a member w resolves them iff v lies on a shortest u-w path or
+    u on a shortest v-w path; so S generates iff v is in H_u or u is in H_v,
+    where H_u is the union of the intervals I[u, w] over w in S.  One reverse
+    sweep over u's distance layers finds H_u: a vertex at distance k from u
+    is in H_u iff it is in S or has a neighbour in H_u at distance k + 1.
+    Only ``dm.balls`` is read.
+    """
     if not is_connected(g):
         raise ValueError("strong generators are defined for connected graphs")
     dm = dm or all_pairs_distances(g)
-    rows = dm.rows
-    S = sorted(set(members))
-    for u in range(g.n):
-        ru = rows[u]
-        for v in range(u + 1, g.n):
-            rv = rows[v]
-            duv = ru[v]
-            for w in S:
-                if rows[w][u] == rows[w][v] + duv or rows[w][v] == rows[w][u] + duv:
-                    break
-            else:
+    adj = g.adj
+    balls = dm.balls
+    smask = 0
+    for w in members:
+        smask |= 1 << w
+    if smask >> g.n:
+        raise ValueError("member id outside the vertex range")
+    outside = ((1 << g.n) - 1) & ~smask
+    hulls = [0] * g.n
+    rest = outside
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
+        levels = balls[u]
+        hull = reach = 0  # reach: H_u on the layer above the current one
+        for k in range(len(levels) - 1, 0, -1):
+            nbrs = 0
+            m = reach
+            while m:
+                b = m & -m
+                nbrs |= adj[b.bit_length() - 1]
+                m ^= b
+            reach = levels[k] & ~levels[k - 1] & (smask | nbrs)
+            hull |= reach
+        hulls[u] = hull
+        # pairs {v, u} with v < u, both outside S: v in H_u or u in H_v
+        missed = outside & (low - 1) & ~hull
+        while missed:
+            b = missed & -missed
+            if not hulls[b.bit_length() - 1] >> u & 1:
                 return False
+            missed ^= b
     return True
 
 
-def strong_metric_dimension(
-    g: Graph, node_budget: int = DEFAULT_NODE_BUDGET
+def _sr_cover(
+    g: Graph, sr: Graph, dm: DistanceMatrix, node_budget: int
 ) -> DimensionResult:
-    """dim_s via the SR-graph vertex cover pipeline.
+    """Minimum vertex cover of ``sr``, re-validated definitionally on ``g``.
 
-    The returned basis is re-validated definitionally before returning, which
-    turns the covering characterization into a runtime assertion.
+    The check turns the covering characterization into a runtime assertion.
     """
-    if g.n < 2:
-        raise ValueError("strong metric dimension needs n >= 2")
-    if not is_connected(g):
-        raise ValueError("strong metric dimension needs a connected graph")
-    dm = all_pairs_distances(g)
-    srg = strong_resolving_graph(g, dm)
-    res = min_vertex_cover(srg.sr, node_budget)
+    res = min_vertex_cover(sr, node_budget)
     if not res.proven_optimal:
         raise BudgetExhausted(
             f"SR cover search exhausted its node budget ({res.nodes_explored} nodes)"
@@ -90,6 +115,35 @@ def strong_metric_dimension(
     if not is_strong_generator(g, res.witness, dm):
         raise AssertionError("SR cover failed the definitional generator check")
     return DimensionResult(res.size, res.witness, "sr_cover")
+
+
+def strong_metric_dimension(
+    g: Graph, node_budget: int = DEFAULT_NODE_BUDGET
+) -> DimensionResult:
+    """dim_s via the SR-graph vertex cover pipeline, on BFS distances."""
+    if g.n < 2:
+        raise ValueError("strong metric dimension needs n >= 2")
+    if not is_connected(g):
+        raise ValueError("strong metric dimension needs a connected graph")
+    dm = all_pairs_distances(g)
+    return _sr_cover(g, strong_resolving_graph(g, dm).sr, dm, node_budget)
+
+
+def strong_product_dimension(
+    g: Graph, h: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
+    sr: Graph | None = None,
+) -> DimensionResult:
+    """dim_s of the strong product of g and h, computed from the factors.
+
+    The SR graph comes from ``strong_product_sr`` (pass it as ``sr`` if it is
+    already built) and the product's distance balls from the factors' balls;
+    nothing runs a BFS or an SR build on the product.  The witness is still
+    checked definitionally against the product graph.
+    """
+    if sr is None:
+        sr = strong_product_sr(g, h)
+    dm = strong_product_distances(all_pairs_distances(g), all_pairs_distances(h))
+    return _sr_cover(product("strong", g, h), sr, dm, node_budget)
 
 
 def brute_force_dimension(

@@ -7,6 +7,7 @@ edge.  Graphs are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import binascii
 import random
 from typing import Iterable, Iterator, Sequence
 
@@ -268,32 +269,36 @@ def generate(spec: str) -> Graph:
     family, sep, arg = spec.partition(":")
     if not sep:
         raise ValueError(f"generator spec {spec!r} is missing ':'")
+    # parse apart from building, so that only malformed parameters get the
+    # spec-naming message and the constructors' own ValueErrors pass unchanged
     try:
-        if family == "path":
-            return path(int(arg))
-        if family == "cycle":
-            return cycle(int(arg))
-        if family == "complete":
-            return complete(int(arg))
-        if family == "kpartite":
-            return complete_multipartite([int(s) for s in arg.split(",")])
-        if family == "grid":
-            a, b = arg.split("x")
-            return grid(int(a), int(b))
-        if family == "star":
-            return star(int(arg))
-        if family == "random":
-            n_s, p_s, seed_s = arg.split(",")
-            return random_connected(int(n_s), float(p_s), int(seed_s))
-        if family == "gtree":
-            sizes_s, _, seed_s = arg.partition("@")
-            sizes = [int(s) for s in sizes_s.split(",")]
-            return generalized_tree(sizes, int(seed_s) if seed_s else 0)
-    except ValueError:
-        raise
-    except Exception as exc:  # int()/split() failures on malformed params
+        parsed = _parse_spec(family, arg)
+    except ValueError as exc:  # int()/float() or unpacking on malformed params
         raise ValueError(f"bad parameters in generator spec {spec!r}: {exc}") from exc
-    raise ValueError(f"unknown graph family {family!r}")
+    if parsed is None:
+        raise ValueError(f"unknown graph family {family!r}")
+    build, params = parsed
+    return build(*params)
+
+
+def _parse_spec(family: str, arg: str):
+    """(constructor, arguments) for one generator spec; None for an unknown family."""
+    single = {"path": path, "cycle": cycle, "complete": complete, "star": star}
+    if family in single:
+        return single[family], (int(arg),)
+    if family == "kpartite":
+        return complete_multipartite, ([int(s) for s in arg.split(",")],)
+    if family == "grid":
+        a, b = arg.split("x")
+        return grid, (int(a), int(b))
+    if family == "random":
+        n_s, p_s, seed_s = arg.split(",")
+        return random_connected, (int(n_s), float(p_s), int(seed_s))
+    if family == "gtree":
+        sizes_s, _, seed_s = arg.partition("@")
+        sizes = [int(s) for s in sizes_s.split(",")]
+        return generalized_tree, (sizes, int(seed_s) if seed_s else 0)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -422,20 +427,24 @@ def to_graph6(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    acc = 0
-    nbits = 0
-    out = [head]
-    for v in range(1, n):
-        col = g.adj[v]
-        for u in range(v):
-            acc = (acc << 1) | ((col >> u) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc, nbits = 0, 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(out)
+    # upper triangle, column-major: column v lists the bits of u = 0..v-1
+    adj = g.adj
+    body = "".join([f"{adj[v] & ((1 << v) - 1):0{v}b}"[::-1] for v in range(1, n)])
+    if not body:
+        return head
+    # base64 turns each 6 bits into one character: pad to whole 3-byte groups,
+    # keep the characters the body needs, and map base64's alphabet onto 63..126
+    pad = -len(body) % 24
+    data = int(body + "0" * pad, 2).to_bytes((len(body) + pad) // 8, "big")
+    sextets = -(-len(body) // 6)
+    b64 = binascii.b2a_base64(data, newline=False)
+    return head + b64[:sextets].translate(_G6_FROM_B64).decode("ascii")
+
+
+_G6_FROM_B64 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)),
+)
 
 
 def from_graph6(text: str) -> Graph:

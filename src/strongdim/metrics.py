@@ -25,19 +25,35 @@ __all__ = [
 
 
 class DistanceMatrix:
-    """All-pairs hop distances plus per-source distance balls as bitmasks.
+    """All-pairs hop distances, kept as per-source distance balls (bitmasks).
 
     ``balls[v][k]`` is the bitmask of vertices within distance k of v; the
     last entry is v's whole reachable set.  The balls power the O(1)
-    maximal-distance tests in the strong resolving machinery.
+    maximal-distance tests in the strong resolving machinery.  The distance
+    rows behind ``dist`` are derived from the balls on first use.
     """
 
-    __slots__ = ("n", "rows", "balls")
+    __slots__ = ("n", "balls", "_rows")
 
-    def __init__(self, n: int, rows: Sequence[Sequence[int | None]], balls):
+    def __init__(self, n: int, balls: Sequence[Sequence[int]]):
         self.n = n
-        self.rows = rows
         self.balls = balls
+        self._rows = None
+
+    @property
+    def rows(self) -> list[list[int | None]]:
+        if self._rows is None:
+            rows = []
+            for levels in self.balls:
+                row: list[int | None] = [None] * self.n
+                prev = 0
+                for d, ball in enumerate(levels):
+                    for u in bits(ball & ~prev):
+                        row[u] = d
+                    prev = ball
+                rows.append(row)
+            self._rows = rows
+        return self._rows
 
     def dist(self, u: int, v: int) -> int | None:
         return self.rows[u][v]
@@ -57,36 +73,22 @@ class DistanceMatrix:
         return max(self.eccentricity(v) for v in range(self.n))
 
 
-def _bfs(adj: Sequence[int], n: int, src: int) -> tuple[list[int | None], list[int]]:
-    row: list[int | None] = [None] * n
-    row[src] = 0
-    seen = 1 << src
+def _bfs_balls(adj: Sequence[int], src: int) -> list[int]:
+    seen = frontier = 1 << src
     levels = [seen]
-    frontier = seen
-    d = 0
     while True:
         nxt = 0
         for u in bits(frontier):
             nxt |= adj[u]
-        nxt &= ~seen
-        if not nxt:
-            return row, levels
-        d += 1
-        for u in bits(nxt):
-            row[u] = d
-        seen |= nxt
+        frontier = nxt & ~seen
+        if not frontier:
+            return levels
+        seen |= frontier
         levels.append(seen)
-        frontier = nxt
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    rows = []
-    balls = []
-    for v in range(g.n):
-        row, levels = _bfs(g.adj, g.n, v)
-        rows.append(row)
-        balls.append(levels)
-    return DistanceMatrix(g.n, rows, balls)
+    return DistanceMatrix(g.n, [_bfs_balls(g.adj, v) for v in range(g.n)])
 
 
 def is_connected(g: Graph) -> bool:

@@ -11,8 +11,16 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import Graph, bits
+from .metrics import DistanceMatrix
 
-__all__ = ["PRODUCT_KINDS", "ProductSpec", "product", "project", "coordinate_labels"]
+__all__ = [
+    "PRODUCT_KINDS",
+    "ProductSpec",
+    "product",
+    "strong_product_distances",
+    "project",
+    "coordinate_labels",
+]
 
 PRODUCT_KINDS = ("strong", "cartesian", "lexicographic", "cartesian_sum")
 
@@ -46,6 +54,14 @@ class ProductSpec:
         return divmod(p, self.n2)
 
 
+def _stride(mask: int, n2: int) -> int:
+    """Sum of 2^(u*n2) over the set bits u of a G-side mask."""
+    out = 0
+    for u in bits(mask):
+        out |= 1 << (u * n2)
+    return out
+
+
 def product(kind: str, g: Graph, h: Graph) -> Graph:
     """Product graph of g and h under the row-major index convention."""
     if g.n == 0 or h.n == 0:
@@ -54,15 +70,8 @@ def product(kind: str, g: Graph, h: Graph) -> Graph:
         raise ValueError(f"unknown product kind {kind!r}")
     n1, n2 = g.n, h.n
     full_h = (1 << n2) - 1
-    # stride masks: sum of 2^(u'*n2) over u' in the given G-side set
-    def stride(mask: int) -> int:
-        out = 0
-        for u in bits(mask):
-            out |= 1 << (u * n2)
-        return out
-
-    stride_open = [stride(g.adj[u]) for u in range(n1)]
-    ones_all = stride((1 << n1) - 1)
+    stride_open = [_stride(g.adj[u], n2) for u in range(n1)]
+    ones_all = _stride((1 << n1) - 1, n2)
 
     adj = [0] * (n1 * n2)
     if kind == "strong":
@@ -94,6 +103,26 @@ def product(kind: str, g: Graph, h: Graph) -> Graph:
             for v in range(n2):
                 adj[base + v] = layer | (h.adj[v] * ones_all)
     return Graph(n1 * n2, adj)
+
+
+def strong_product_distances(dm_g: DistanceMatrix, dm_h: DistanceMatrix) -> DistanceMatrix:
+    """Distance balls of the strong product from the factors' balls.
+
+    d((u,v),(x,y)) = max(d_G(u,x), d_H(v,y)), so ball k of (u,v) is
+    B_G(u,k) x B_H(v,k): one stride multiply per ball and no BFS on the
+    product.
+    """
+    n1, n2 = dm_g.n, dm_h.n
+    balls = []
+    for u in range(n1):
+        g_levels = [_stride(ball, n2) for ball in dm_g.balls[u]]
+        for v in range(n2):
+            h_levels = dm_h.balls[v]
+            pad = len(g_levels) - len(h_levels)
+            gl = g_levels + [g_levels[-1]] * -pad
+            hl = h_levels + [h_levels[-1]] * pad
+            balls.append([a * b for a, b in zip(gl, hl)])
+    return DistanceMatrix(n1 * n2, balls)
 
 
 def project(spec: ProductSpec, vertices: Iterable[int], side: str) -> frozenset[int]:

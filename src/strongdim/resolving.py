@@ -22,6 +22,7 @@ __all__ = [
     "strong_resolving_graph",
     "boundary",
     "predicted_mmd_edges",
+    "strong_product_sr",
     "sr_to_dot",
     "sr_to_json",
 ]
@@ -193,6 +194,20 @@ def predicted_mmd_edges(g: Graph, h: Graph) -> PredictedSR:
 
     spec = ProductSpec("strong", n1, n2)
     return PredictedSR(spec, Graph(n1 * n2, pred), sr_g, sr_h, dm_g, dm_h)
+
+
+def strong_product_sr(g: Graph, h: Graph) -> Graph:
+    """SR graph of the strong product of g and h, from the factors alone.
+
+    Nontrivial factors go through the MMD lemma.  A K1 factor leaves the other
+    factor unchanged, ids included (g x K1 has id u*1 + 0 = u), so its SR graph
+    is the other factor's own.
+    """
+    if h.n == 1:
+        return strong_resolving_graph(g).sr
+    if g.n == 1:
+        return strong_resolving_graph(h).sr
+    return predicted_mmd_edges(g, h).graph
 
 
 # ---------------------------------------------------------------------------

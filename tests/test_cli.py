@@ -3,7 +3,18 @@ import json
 import pytest
 
 from strongdim.cli import main
-from strongdim.graph import cycle, from_graph6, graphs_isomorphic, complete, to_graph6
+from strongdim.dimension import strong_metric_dimension
+from strongdim.graph import (
+    complete,
+    cycle,
+    disjoint_union,
+    from_graph6,
+    generate,
+    graphs_isomorphic,
+    to_graph6,
+)
+from strongdim.products import ProductSpec, coordinate_labels, product
+from strongdim.resolving import strong_resolving_graph
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +112,64 @@ def test_product_strong_c3_c5_dim(capsys):
     assert all("," in label for label in doc["basis"])
 
 
+def _generic_product_payload(g_spec, h_spec, with_dim):
+    """The product fields as the BFS + direct-SR route on the product gives them."""
+    g, h = generate(g_spec), generate(h_spec)
+    prod = product("strong", g, h)
+    labels = coordinate_labels(ProductSpec("strong", g.n, h.n))
+    sr = strong_resolving_graph(prod).sr
+    out = {
+        "n": prod.n,
+        "m": prod.num_edges,
+        "graph6": to_graph6(prod),
+        "sr_graph6": to_graph6(sr),
+        "sr_edges": [[labels[u], labels[v]] for u, v in sr.edges()],
+    }
+    if with_dim:
+        res = strong_metric_dimension(prod)
+        out["dim_s"] = res.dim
+        out["basis"] = [labels[v] for v in sorted(res.basis)]
+    return out
+
+
+FACTOR_ROUTE_CASES = [
+    ("complete:1", "path:5"),
+    ("path:5", "complete:1"),
+    ("cycle:5", "complete:3"),
+    ("grid:2x3", "path:4"),
+    ("cycle:3", "cycle:5"),
+]
+
+
+@pytest.mark.parametrize("g_spec,h_spec", FACTOR_ROUTE_CASES)
+@pytest.mark.parametrize("flag", ["--dim-s", "--sr"])
+def test_product_strong_factor_route_matches_generic(capsys, g_spec, h_spec, flag):
+    code, out, _ = run_cli(capsys, "product", "strong", g_spec, h_spec, flag,
+                           "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    expected = _generic_product_payload(g_spec, h_spec, flag == "--dim-s")
+    assert {key: doc.get(key) for key in expected} == expected
+    assert ("dim_s" in doc) == (flag == "--dim-s")
+
+
+def test_product_strong_trivial_factor_dim(capsys):
+    code, out, _ = run_cli(capsys, "product", "strong", "complete:1", "path:5",
+                           "--dim-s", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["dim_s"] == 1
+
+
+@pytest.mark.parametrize("first_trivial", [False, True])
+def test_product_strong_disconnected_factor_single_line_error(capsys, first_trivial):
+    g6 = to_graph6(disjoint_union([complete(2)] * 2))
+    g_arg = "complete:1" if first_trivial else g6
+    code, _, err = run_cli(capsys, "product", "strong", g_arg, g6, "--dim-s")
+    assert code == 1
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_product_cartesian_p2_p2_is_c4(capsys):
     code, out, _ = run_cli(capsys, "product", "cartesian", "path:2", "path:2",
                            "--format", "json")
@@ -175,6 +244,20 @@ def test_bad_generator_spec_single_line_error(capsys):
     assert code == 1
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("spec", ["path:abc", "grid:3", "kpartite:"])
+def test_malformed_generator_params_name_the_spec(capsys, spec):
+    code, _, err = run_cli(capsys, "compute", "dim-s", "--gen", spec)
+    assert code == 1
+    assert err.startswith(f"error: bad parameters in generator spec '{spec}': ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_family_constructor_error_passes_unchanged(capsys):
+    code, _, err = run_cli(capsys, "compute", "dim-s", "--gen", "cycle:2")
+    assert code == 1
+    assert err.strip() == "error: cycle needs n >= 3"
 
 
 def test_missing_graph_file_single_line_error(capsys, tmp_path):

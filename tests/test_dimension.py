@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strongdim.cover import max_clique
 from strongdim.dimension import (
@@ -16,6 +17,7 @@ from strongdim.dimension import (
     odd_odd_lower,
     odd_odd_upper,
     strong_metric_dimension,
+    strong_product_dimension,
     strongly_resolves,
 )
 from strongdim.graph import (
@@ -29,7 +31,7 @@ from strongdim.graph import (
 )
 from strongdim.metrics import all_pairs_distances, is_connected
 from strongdim.products import product
-from strongdim.resolving import strong_resolving_graph
+from strongdim.resolving import strong_product_sr, strong_resolving_graph
 
 from test_graph import random_graph_strategy
 
@@ -106,6 +108,71 @@ def test_basis_is_validated_generator():
     assert is_strong_generator(cycle(7), res.basis)
     assert res.method == "sr_cover"
     assert len(res.basis) == res.dim
+
+
+def _generates_by_definition(g, members):
+    dm = all_pairs_distances(g)
+    return all(
+        any(strongly_resolves(dm, w, u, v) for w in members)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+    )
+
+
+@given(random_graph_strategy(max_n=9), st.data())
+@settings(max_examples=150, deadline=None)
+def test_generator_check_matches_definition(g, data):
+    if g.n == 0 or not is_connected(g):
+        return
+    drawn = data.draw(st.sets(st.integers(0, g.n - 1)))
+    candidates = [drawn, set(), set(range(g.n))]
+    if g.n >= 2:
+        basis = set(strong_metric_dimension(g).basis)
+        candidates += [basis] + [basis - {w} for w in basis]
+    for members in candidates:
+        assert is_strong_generator(g, members) == _generates_by_definition(g, members)
+
+
+def test_generator_check_product_basis_minus_one():
+    g = product("strong", path(6), cycle(5))
+    basis = sorted(strong_metric_dimension(g).basis)
+    assert is_strong_generator(g, basis)
+    short = basis[1:]
+    assert not is_strong_generator(g, short)
+    assert not _generates_by_definition(g, short)
+
+
+def test_generator_check_rejects_bad_input():
+    with pytest.raises(ValueError):
+        is_strong_generator(disjoint_union([complete(2)] * 2), [0, 2])
+    with pytest.raises(ValueError):
+        is_strong_generator(path(4), [0, 4])
+    with pytest.raises(ValueError):
+        is_strong_generator(path(4), [-1])
+
+
+# -- the factor route for strong products --------------------------------------
+
+
+@given(random_graph_strategy(max_n=5), random_graph_strategy(max_n=5))
+@settings(max_examples=80, deadline=None)
+def test_factor_route_matches_generic_route(g, h):
+    if g.n == 0 or h.n == 0 or g.n * h.n < 2:
+        return
+    if not (is_connected(g) and is_connected(h)):
+        return
+    prod = product("strong", g, h)
+    assert strong_product_sr(g, h) == strong_resolving_graph(prod).sr
+    assert strong_product_dimension(g, h) == strong_metric_dimension(prod)
+
+
+def test_factor_route_rejects_bad_factors():
+    with pytest.raises(ValueError):
+        strong_product_dimension(complete(1), complete(1))
+    with pytest.raises(ValueError):
+        strong_product_dimension(disjoint_union([complete(2)] * 2), path(3))
+    with pytest.raises(ValueError):
+        strong_product_dimension(complete(1), disjoint_union([complete(2)] * 2))
 
 
 # -- brute force oracle -----------------------------------------------------------

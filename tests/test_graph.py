@@ -256,6 +256,24 @@ def test_graph6_round_trip(g):
     assert from_graph6(to_graph6(g)) == g
 
 
+def _graph6_bitwise(g):
+    """Reference encoder: one bit at a time, upper triangle column-major."""
+    n = g.n
+    head = chr(n + 63) if n <= 62 else "~" + "".join(
+        chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    stream = [int(g.has_edge(u, v)) for v in range(1, n) for u in range(v)]
+    stream += [0] * (-len(stream) % 6)
+    return head + "".join(
+        chr(int("".join(map(str, stream[i:i + 6])), 2) + 63)
+        for i in range(0, len(stream), 6))
+
+
+@given(random_graph_strategy(max_n=70))
+@settings(max_examples=80)
+def test_graph6_matches_bitwise_reference(g):
+    assert to_graph6(g) == _graph6_bitwise(g)
+
+
 def test_graph6_round_trip_large_header():
     g = path(100)
     assert from_graph6(to_graph6(g)) == g

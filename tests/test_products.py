@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from strongdim.cover import max_independent_set
 from strongdim.graph import complete, cycle, graphs_isomorphic, grid, path
 from strongdim.metrics import all_pairs_distances, is_connected
-from strongdim.products import PRODUCT_KINDS, ProductSpec, coordinate_labels, product, project
+from strongdim.products import (
+    PRODUCT_KINDS,
+    ProductSpec,
+    coordinate_labels,
+    product,
+    project,
+    strong_product_distances,
+)
 
 from test_graph import random_graph_strategy
 
@@ -116,6 +123,25 @@ def test_strong_distance_law(g, h):
                 for y in range(h.n):
                     q = spec.index(x, y)
                     assert dm_p.dist(p, q) == max(dm_g.dist(u, x), dm_h.dist(v, y))
+
+
+@given(random_graph_strategy(max_n=6), random_graph_strategy(max_n=6))
+@settings(max_examples=150, deadline=None)
+def test_factor_balls_equal_bfs_balls(g, h):
+    # K1 and disconnected factors included: the ball law holds per component
+    if g.n == 0 or h.n == 0:
+        return
+    bfs = all_pairs_distances(product("strong", g, h))
+    derived = strong_product_distances(all_pairs_distances(g), all_pairs_distances(h))
+    assert derived.n == bfs.n
+    assert derived.balls == bfs.balls
+
+
+def test_factor_balls_with_k1_and_large_factors():
+    for g, h in ((complete(1), path(7)), (cycle(9), complete(1)), (path(20), cycle(15))):
+        bfs = all_pairs_distances(product("strong", g, h))
+        derived = strong_product_distances(all_pairs_distances(g), all_pairs_distances(h))
+        assert derived.balls == bfs.balls
 
 
 @given(connected_pair())
