@@ -166,7 +166,7 @@ def cmd_product(args) -> int:
         out["sr_edges"] = [[labels[u], labels[v]] for u, v in sr.edges()]
     if args.dim_s:
         if kind == "strong":
-            res = dim.strong_product_dimension(g, h, args.node_budget, sr)
+            res = dim.strong_product_dimension(g, h, args.node_budget)
         else:
             res = dim.strong_metric_dimension(prod, args.node_budget)
         out["dim_s"] = res.dim

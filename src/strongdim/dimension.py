@@ -15,7 +15,7 @@ from .cover import DEFAULT_NODE_BUDGET, BudgetExhausted, min_vertex_cover
 from .graph import Graph
 from .metrics import DistanceMatrix, all_pairs_distances, is_connected
 from .products import product, strong_product_distances
-from .resolving import strong_product_sr, strong_resolving_graph
+from .resolving import predicted_mmd_edges, strong_resolving_graph
 
 __all__ = [
     "DimensionResult",
@@ -130,20 +130,22 @@ def strong_metric_dimension(
 
 
 def strong_product_dimension(
-    g: Graph, h: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
-    sr: Graph | None = None,
+    g: Graph, h: Graph, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> DimensionResult:
     """dim_s of the strong product of g and h, computed from the factors.
 
-    The SR graph comes from ``strong_product_sr`` (pass it as ``sr`` if it is
-    already built) and the product's distance balls from the factors' balls;
-    nothing runs a BFS or an SR build on the product.  The witness is still
-    checked definitionally against the product graph.
+    The SR graph comes from the MMD lemma (``predicted_mmd_edges``) and the
+    product's distance balls from the factors' balls, so no all-pairs BFS and
+    no direct SR build runs on the product.  The witness is still checked
+    definitionally against the product graph.  A K1 factor leaves the other
+    factor unchanged, ids included (u*1 + 0 = u), so that factor is solved
+    as it is.
     """
-    if sr is None:
-        sr = strong_product_sr(g, h)
-    dm = strong_product_distances(all_pairs_distances(g), all_pairs_distances(h))
-    return _sr_cover(product("strong", g, h), sr, dm, node_budget)
+    if g.n == 1 or h.n == 1:
+        return strong_metric_dimension(h if g.n == 1 else g, node_budget)
+    pred = predicted_mmd_edges(g, h)
+    dm = strong_product_distances(pred.dm_g, pred.dm_h)
+    return _sr_cover(product("strong", g, h), pred.graph, dm, node_budget)
 
 
 def brute_force_dimension(

@@ -278,7 +278,10 @@ def generate(spec: str) -> Graph:
     if parsed is None:
         raise ValueError(f"unknown graph family {family!r}")
     build, params = parsed
-    return build(*params)
+    try:
+        return build(*params)
+    except (OverflowError, MemoryError) as exc:  # e.g. 1 << n for a huge n
+        raise ValueError(f"generator spec {spec!r} is too large to build") from exc
 
 
 def _parse_spec(family: str, arg: str):

@@ -104,18 +104,19 @@ class PredictedSR:
     """Predicted strong resolving graph of a strong product.
 
     Edges come from five factor-level conditions; ``condition(p, q)`` reports
-    the first condition (1..5) that fires for a predicted edge.
+    the first condition (1..5) that fires for a predicted edge.  ``dm_g`` and
+    ``dm_h`` are the factors' distance matrices the prediction was built on.
     """
 
-    __slots__ = ("spec", "graph", "_sr_g", "_sr_h", "_dm_g", "_dm_h")
+    __slots__ = ("spec", "graph", "_sr_g", "_sr_h", "dm_g", "dm_h")
 
     def __init__(self, spec, graph, sr_g, sr_h, dm_g, dm_h):
         self.spec = spec
         self.graph = graph
         self._sr_g = sr_g
         self._sr_h = sr_h
-        self._dm_g = dm_g
-        self._dm_h = dm_h
+        self.dm_g = dm_g
+        self.dm_h = dm_h
 
     def condition(self, p: int, q: int) -> int:
         if not self.graph.has_edge(p, q):
@@ -124,8 +125,8 @@ class PredictedSR:
         x, y = self.spec.decode(q)
         mmd_g = u != x and self._sr_g.has_edge(u, x)
         mmd_h = v != y and self._sr_h.has_edge(v, y)
-        dg = self._dm_g.dist(u, x)
-        dh = self._dm_h.dist(v, y)
+        dg = self.dm_g.dist(u, x)
+        dh = self.dm_h.dist(v, y)
         if mmd_g and mmd_h:
             return 1
         if mmd_g and v == y:

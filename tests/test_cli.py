@@ -260,6 +260,14 @@ def test_family_constructor_error_passes_unchanged(capsys):
     assert err.strip() == "error: cycle needs n >= 3"
 
 
+def test_oversized_generator_param_single_line_error(capsys):
+    # 1 << n overflows at once for this n, before anything is allocated
+    spec = "complete:99999999999999999999"
+    code, _, err = run_cli(capsys, "compute", "dim-s", "--gen", spec)
+    assert code == 1
+    assert err.strip() == f"error: generator spec '{spec}' is too large to build"
+
+
 def test_missing_graph_file_single_line_error(capsys, tmp_path):
     missing = tmp_path / "missing.g6"
     code, _, err = run_cli(capsys, "compute", "dim-s", f"@{missing}")
