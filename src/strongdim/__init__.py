@@ -71,7 +71,6 @@ from .resolving import (
     is_maximally_distant,
     mutually_maximally_distant,
     predicted_mmd_edges,
-    strong_product_sr,
     strong_resolving_graph,
 )
 from .verify import (

@@ -99,16 +99,10 @@ def _compute_one(what: str, g: Graph, budget: int) -> dict:
     return out
 
 
-def _emit_compute(args, results: list[dict], graphs: list[Graph]) -> None:
+def _emit_compute(args, results: list[dict]) -> None:
     if args.format == "json":
         payload = results[0] if len(results) == 1 else results
         print(json.dumps(payload, indent=2))
-    elif args.format == "dot":
-        if args.what != "sr-graph":
-            raise CliError("dot output is only available for sr-graph")
-        for g in graphs:
-            srg = rs.strong_resolving_graph(g)
-            sys.stdout.write(rs.sr_to_dot(srg))
     else:
         for res in results:
             value = res["value"]
@@ -119,9 +113,16 @@ def _emit_compute(args, results: list[dict], graphs: list[Graph]) -> None:
 
 
 def cmd_compute(args) -> int:
+    if args.format == "dot" and args.what != "sr-graph":
+        raise CliError("dot output is only available for sr-graph")
     graphs = _load_graphs(args.gen or args.graph or "-")
+    if args.format == "dot":
+        srgs = [rs.strong_resolving_graph(g) for g in graphs]
+        for srg in srgs:
+            sys.stdout.write(rs.sr_to_dot(srg))
+        return 0
     results = [_compute_one(args.what, g, args.node_budget) for g in graphs]
-    _emit_compute(args, results, graphs)
+    _emit_compute(args, results)
     return 0
 
 
@@ -145,6 +146,8 @@ def cmd_product(args) -> int:
     kind = _KIND_ALIASES.get(args.kind)
     if kind is None:
         raise CliError(f"unknown product kind {args.kind!r}")
+    if args.dim_s and args.format == "dot":
+        raise CliError("dot output is not available with --dim-s")
     g = _load_one(args.g)
     h = _load_one(args.h)
     prod = pr.product(kind, g, h)
@@ -156,19 +159,23 @@ def cmd_product(args) -> int:
         "m": prod.num_edges,
         "graph6": gr.to_graph6(prod),
     }
-    if args.sr or args.dim_s:
-        # strong products are computed from their factors; the others on the product
-        if kind == "strong":
-            sr = rs.strong_product_sr(g, h)
-        else:
-            sr = rs.strong_resolving_graph(prod).sr
-        out["sr_graph6"] = gr.to_graph6(sr)
-        out["sr_edges"] = [[labels[u], labels[v]] for u, v in sr.edges()]
     if args.dim_s:
         if kind == "strong":
             res = dim.strong_product_dimension(g, h, args.node_budget)
         else:
             res = dim.strong_metric_dimension(prod, args.node_budget)
+        sr = res.sr
+    elif args.sr:
+        # strong products with two nontrivial factors come from the MMD lemma;
+        # G x K1 is G with its own ids, so it goes the direct way like the rest
+        if kind == "strong" and g.n > 1 and h.n > 1:
+            sr = rs.predicted_mmd_edges(g, h).graph
+        else:
+            sr = rs.strong_resolving_graph(prod).sr
+    if args.sr or args.dim_s:
+        out["sr_graph6"] = gr.to_graph6(sr)
+        out["sr_edges"] = [[labels[u], labels[v]] for u, v in sr.edges()]
+    if args.dim_s:
         out["dim_s"] = res.dim
         out["basis"] = [labels[v] for v in sorted(res.basis)]
     if args.format == "json":

@@ -36,6 +36,7 @@ class DimensionResult:
     dim: int
     basis: frozenset[int]
     method: str  # "sr_cover" or "brute_force"
+    sr: Graph | None  # the SR graph the basis covers; None from brute force
 
 
 def strongly_resolves(dm: DistanceMatrix, w: int, u: int, v: int) -> bool:
@@ -106,6 +107,7 @@ def _sr_cover(
     """Minimum vertex cover of ``sr``, re-validated definitionally on ``g``.
 
     The check turns the covering characterization into a runtime assertion.
+    The result carries ``sr``, so callers that print it need not rebuild it.
     """
     res = min_vertex_cover(sr, node_budget)
     if not res.proven_optimal:
@@ -114,7 +116,7 @@ def _sr_cover(
         )
     if not is_strong_generator(g, res.witness, dm):
         raise AssertionError("SR cover failed the definitional generator check")
-    return DimensionResult(res.size, res.witness, "sr_cover")
+    return DimensionResult(res.size, res.witness, "sr_cover", sr)
 
 
 def strong_metric_dimension(
@@ -160,7 +162,7 @@ def brute_force_dimension(
     if not is_connected(g):
         raise ValueError("strong metric dimension needs a connected graph")
     dm = all_pairs_distances(g)
-    rows = dm.rows
+    rows = [[dm.dist(u, v) for v in range(g.n)] for u in range(g.n)]
     # resolver mask per vertex pair; a generator must hit every one
     pair_masks = []
     for u in range(g.n):
@@ -178,7 +180,7 @@ def brute_force_dimension(
             for w in subset:
                 smask |= 1 << w
             if all(smask & m for m in pair_masks):
-                return DimensionResult(k, frozenset(subset), "brute_force")
+                return DimensionResult(k, frozenset(subset), "brute_force", None)
     raise AssertionError("the full vertex set must be a strong generator")
 
 

@@ -29,34 +29,21 @@ class DistanceMatrix:
 
     ``balls[v][k]`` is the bitmask of vertices within distance k of v; the
     last entry is v's whole reachable set.  The balls power the O(1)
-    maximal-distance tests in the strong resolving machinery.  The distance
-    rows behind ``dist`` are derived from the balls on first use.
+    maximal-distance tests in the strong resolving machinery.
     """
 
-    __slots__ = ("n", "balls", "_rows")
+    __slots__ = ("n", "balls")
 
     def __init__(self, n: int, balls: Sequence[Sequence[int]]):
         self.n = n
         self.balls = balls
-        self._rows = None
-
-    @property
-    def rows(self) -> list[list[int | None]]:
-        if self._rows is None:
-            rows = []
-            for levels in self.balls:
-                row: list[int | None] = [None] * self.n
-                prev = 0
-                for d, ball in enumerate(levels):
-                    for u in bits(ball & ~prev):
-                        row[u] = d
-                    prev = ball
-                rows.append(row)
-            self._rows = rows
-        return self._rows
 
     def dist(self, u: int, v: int) -> int | None:
-        return self.rows[u][v]
+        """The first ball level of u that contains v; ``None`` if none does."""
+        for d, ball in enumerate(self.balls[u]):
+            if ball >> v & 1:
+                return d
+        return None
 
     def ball(self, v: int, radius: int) -> int:
         """Bitmask of vertices within ``radius`` of v (clamped to reachability)."""

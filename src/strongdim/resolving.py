@@ -22,7 +22,6 @@ __all__ = [
     "strong_resolving_graph",
     "boundary",
     "predicted_mmd_edges",
-    "strong_product_sr",
     "sr_to_dot",
     "sr_to_json",
 ]
@@ -44,12 +43,11 @@ def mutually_maximally_distant(dm: DistanceMatrix, g: Graph, u: int, v: int) -> 
 
 
 class SRGraph:
-    """A graph together with its strong resolving graph on the same ids."""
+    """The strong resolving graph of a graph, on the graph's own ids."""
 
-    __slots__ = ("base", "sr")
+    __slots__ = ("sr",)
 
-    def __init__(self, base: Graph, sr: Graph):
-        self.base = base
+    def __init__(self, sr: Graph):
         self.sr = sr
 
     @property
@@ -58,7 +56,7 @@ class SRGraph:
         return frozenset(u for u in range(self.sr.n) if self.sr.adj[u])
 
     def __repr__(self) -> str:
-        return f"SRGraph(n={self.base.n}, sr_edges={self.sr.num_edges})"
+        return f"SRGraph(n={self.sr.n}, sr_edges={self.sr.num_edges})"
 
 
 def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> SRGraph:
@@ -88,7 +86,7 @@ def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> SRGrap
         for u in bits(md_to[v]):
             md_from[u] |= 1 << v
     sr_adj = [md_to[u] & md_from[u] for u in range(n)]
-    return SRGraph(g, Graph(n, sr_adj))
+    return SRGraph(Graph(n, sr_adj))
 
 
 def boundary(g: Graph, dm: DistanceMatrix | None = None) -> frozenset[int]:
@@ -195,20 +193,6 @@ def predicted_mmd_edges(g: Graph, h: Graph) -> PredictedSR:
 
     spec = ProductSpec("strong", n1, n2)
     return PredictedSR(spec, Graph(n1 * n2, pred), sr_g, sr_h, dm_g, dm_h)
-
-
-def strong_product_sr(g: Graph, h: Graph) -> Graph:
-    """SR graph of the strong product of g and h, from the factors alone.
-
-    Nontrivial factors go through the MMD lemma.  A K1 factor leaves the other
-    factor unchanged, ids included (g x K1 has id u*1 + 0 = u), so its SR graph
-    is the other factor's own.
-    """
-    if h.n == 1:
-        return strong_resolving_graph(g).sr
-    if g.n == 1:
-        return strong_resolving_graph(h).sr
-    return predicted_mmd_edges(g, h).graph
 
 
 # ---------------------------------------------------------------------------

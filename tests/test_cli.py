@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from strongdim import cover, metrics, resolving
 from strongdim.cli import main
 from strongdim.dimension import strong_metric_dimension
 from strongdim.graph import (
@@ -190,6 +192,57 @@ def test_product_dot_labels(capsys):
                            "--format", "dot")
     assert code == 0
     assert '[label="0,0"]' in out
+
+
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Swap ``original`` for ``replacement`` in every strongdim namespace."""
+    name = original.__name__
+    for key, mod in list(sys.modules.items()):
+        if key == "strongdim" or key.startswith("strongdim."):
+            if vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, replacement)
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "dim-s", "--gen", "cycle:7", "--format", "dot"),
+    ("product", "strong", "cycle:5", "path:4", "--dim-s", "--format", "dot"),
+    ("product", "cartesian", "path:3", "path:4", "--dim-s", "--format", "dot"),
+])
+def test_dot_format_rejected_before_any_cover(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cover search ran before the format was checked")
+
+    _patch_everywhere(monkeypatch, cover.min_vertex_cover, refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+LAYERS = (metrics.all_pairs_distances, resolving.strong_resolving_graph,
+          resolving.predicted_mmd_edges)
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("product", "strong", "path:30", "path:30", "--dim-s"),
+     {"all_pairs_distances": 2, "strong_resolving_graph": 2, "predicted_mmd_edges": 1}),
+    (("product", "cartesian", "path:3", "path:4", "--dim-s"),
+     {"all_pairs_distances": 1, "strong_resolving_graph": 1, "predicted_mmd_edges": 0}),
+    (("compute", "sr-graph", "--gen", "cycle:7", "--format", "dot"),
+     {"all_pairs_distances": 1, "strong_resolving_graph": 1, "predicted_mmd_edges": 0}),
+])
+def test_each_layer_built_once_per_request(capsys, monkeypatch, argv, expected):
+    calls = dict.fromkeys(expected, 0)
+    for fn in LAYERS:
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        _patch_everywhere(monkeypatch, fn, counted)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert calls == expected
 
 
 def test_verify_remark_c3(capsys, tmp_path):

@@ -31,7 +31,7 @@ from strongdim.graph import (
 )
 from strongdim.metrics import all_pairs_distances, is_connected
 from strongdim.products import product
-from strongdim.resolving import strong_product_sr, strong_resolving_graph
+from strongdim.resolving import strong_resolving_graph
 
 from test_graph import random_graph_strategy
 
@@ -162,8 +162,9 @@ def test_factor_route_matches_generic_route(g, h):
     if not (is_connected(g) and is_connected(h)):
         return
     prod = product("strong", g, h)
-    assert strong_product_sr(g, h) == strong_resolving_graph(prod).sr
-    assert strong_product_dimension(g, h) == strong_metric_dimension(prod)
+    res = strong_product_dimension(g, h)
+    assert res.sr == strong_resolving_graph(prod).sr
+    assert res == strong_metric_dimension(prod)
 
 
 def test_factor_route_rejects_bad_factors():

@@ -67,6 +67,26 @@ def test_distance_matrix_invariants(g):
                     assert duw is not None and duw <= duv + dvw
 
 
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+@given(random_graph_strategy(max_n=7), random_graph_strategy(max_n=7))
+@settings(max_examples=80)
+def test_dist_matches_networkx(nx, g, h):
+    # the disjoint union is disconnected whenever both parts are nonempty
+    for graph in (g, disjoint_union([g, h])):
+        dm = all_pairs_distances(graph)
+        ref = nx.Graph()
+        ref.add_nodes_from(range(graph.n))
+        ref.add_edges_from(graph.edges())
+        for u in range(graph.n):
+            lengths = nx.single_source_shortest_path_length(ref, u)
+            for v in range(graph.n):
+                assert dm.dist(u, v) == lengths.get(v)
+
+
 def test_distance_balls():
     dm = all_pairs_distances(path(4))
     assert dm.ball(0, 0) == 0b0001
