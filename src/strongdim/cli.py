@@ -159,20 +159,21 @@ def cmd_product(args) -> int:
         "m": prod.num_edges,
         "graph6": gr.to_graph6(prod),
     }
+    sr = None
     if args.dim_s:
         if kind == "strong":
-            res = dim.strong_product_dimension(g, h, args.node_budget)
+            res = dim.strong_product_dimension(g, h, args.node_budget, prod=prod)
         else:
             res = dim.strong_metric_dimension(prod, args.node_budget)
         sr = res.sr
-    elif args.sr:
+    elif args.sr and args.format != "dot":  # DOT output shows the product alone
         # strong products with two nontrivial factors come from the MMD lemma;
         # G x K1 is G with its own ids, so it goes the direct way like the rest
         if kind == "strong" and g.n > 1 and h.n > 1:
             sr = rs.predicted_mmd_edges(g, h).graph
         else:
             sr = rs.strong_resolving_graph(prod).sr
-    if args.sr or args.dim_s:
+    if sr is not None:
         out["sr_graph6"] = gr.to_graph6(sr)
         out["sr_edges"] = [[labels[u], labels[v]] for u, v in sr.edges()]
     if args.dim_s:

@@ -132,22 +132,28 @@ def strong_metric_dimension(
 
 
 def strong_product_dimension(
-    g: Graph, h: Graph, node_budget: int = DEFAULT_NODE_BUDGET
+    g: Graph,
+    h: Graph,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+    *,
+    prod: Graph | None = None,
 ) -> DimensionResult:
     """dim_s of the strong product of g and h, computed from the factors.
 
     The SR graph comes from the MMD lemma (``predicted_mmd_edges``) and the
     product's distance balls from the factors' balls, so no all-pairs BFS and
     no direct SR build runs on the product.  The witness is still checked
-    definitionally against the product graph.  A K1 factor leaves the other
-    factor unchanged, ids included (u*1 + 0 = u), so that factor is solved
-    as it is.
+    definitionally against the product graph, which a caller that already
+    built it passes as ``prod``.  A K1 factor leaves the other factor
+    unchanged, ids included (u*1 + 0 = u), so that factor is solved as it is.
     """
     if g.n == 1 or h.n == 1:
         return strong_metric_dimension(h if g.n == 1 else g, node_budget)
     pred = predicted_mmd_edges(g, h)
     dm = strong_product_distances(pred.dm_g, pred.dm_h)
-    return _sr_cover(product("strong", g, h), pred.graph, dm, node_budget)
+    if prod is None:
+        prod = product("strong", g, h)
+    return _sr_cover(prod, pred.graph, dm, node_budget)
 
 
 def brute_force_dimension(

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from strongdim import cover, metrics, resolving
+from strongdim import cover, metrics, products, resolving
 from strongdim.cli import main
 from strongdim.dimension import strong_metric_dimension
 from strongdim.graph import (
@@ -221,16 +221,23 @@ def test_dot_format_rejected_before_any_cover(capsys, monkeypatch, argv):
 
 
 LAYERS = (metrics.all_pairs_distances, resolving.strong_resolving_graph,
-          resolving.predicted_mmd_edges)
+          resolving.predicted_mmd_edges, products.product)
 
 
 @pytest.mark.parametrize("argv,expected", [
     (("product", "strong", "path:30", "path:30", "--dim-s"),
-     {"all_pairs_distances": 2, "strong_resolving_graph": 2, "predicted_mmd_edges": 1}),
+     {"all_pairs_distances": 2, "strong_resolving_graph": 2, "predicted_mmd_edges": 1,
+      "product": 1}),
     (("product", "cartesian", "path:3", "path:4", "--dim-s"),
-     {"all_pairs_distances": 1, "strong_resolving_graph": 1, "predicted_mmd_edges": 0}),
+     {"all_pairs_distances": 1, "strong_resolving_graph": 1, "predicted_mmd_edges": 0,
+      "product": 1}),
     (("compute", "sr-graph", "--gen", "cycle:7", "--format", "dot"),
-     {"all_pairs_distances": 1, "strong_resolving_graph": 1, "predicted_mmd_edges": 0}),
+     {"all_pairs_distances": 1, "strong_resolving_graph": 1, "predicted_mmd_edges": 0,
+      "product": 0}),
+    # DOT shows the product alone, so --sr builds no SR graph
+    (("product", "strong", "path:3", "path:4", "--sr", "--format", "dot"),
+     {"all_pairs_distances": 0, "strong_resolving_graph": 0, "predicted_mmd_edges": 0,
+      "product": 1}),
 ])
 def test_each_layer_built_once_per_request(capsys, monkeypatch, argv, expected):
     calls = dict.fromkeys(expected, 0)
@@ -243,6 +250,26 @@ def test_each_layer_built_once_per_request(capsys, monkeypatch, argv, expected):
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert calls == expected
+
+
+def test_product_dot_ignores_sr(capsys):
+    plain = run_cli(capsys, "product", "strong", "path:3", "path:4", "--format", "dot")
+    with_sr = run_cli(capsys, "product", "strong", "path:3", "path:4", "--sr",
+                      "--format", "dot")
+    assert plain[0] == with_sr[0] == 0
+    assert with_sr[1] == plain[1]
+
+
+@pytest.mark.parametrize("g", [
+    product("strong", cycle(9), cycle(9)),  # SR graph on the colour-engine side
+    product("strong", cycle(5), generate("path:12")),  # on the branch-and-reduce side
+])
+def test_compute_dim_s_budget_exhausted_exits_3(capsys, g):
+    code, out, err = run_cli(capsys, "compute", "dim-s", to_graph6(g), "--node-budget", "5")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: budget-exhausted")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_verify_remark_c3(capsys, tmp_path):

@@ -1,10 +1,16 @@
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 
+from strongdim import cover
 from strongdim.cover import (
+    COLOUR_ENGINE_MAX_SHARE,
+    COLOUR_ENGINE_MAX_THETA,
+    DEFAULT_NODE_BUDGET,
     BudgetExhausted,
     CliquePartition,
     chromatic_number,
@@ -17,9 +23,10 @@ from strongdim.cover import (
     min_vertex_cover,
 )
 from strongdim.graph import (
-    complement,
+    bits,
     complete,
     complete_multipartite,
+    component_masks,
     cycle,
     disjoint_union,
     make_graph,
@@ -153,15 +160,71 @@ def test_cover_witness_and_gallai(g):
     assert independence_number(g) == g.n - res.size
 
 
+def sr_of(a, b):
+    return strong_resolving_graph(product("strong", a, b)).sr
+
+
+def colour_side(g):
+    """True iff the engine rule sends every component of g to the colour engine."""
+    adj = list(g.adj)
+    sides = set()
+    for comp in component_masks(g):
+        theta, order, _ = cover._colour_input(adj, comp)
+        sides.add(theta <= min(COLOUR_ENGINE_MAX_SHARE * len(order), COLOUR_ENGINE_MAX_THETA))
+    assert len(sides) == 1
+    return sides.pop()
+
+
+# one fixed SR instance per side of the engine rule, with its exact node count
+RULE_SIDES = [
+    ("SR(C9xC9)", lambda: sr_of(cycle(9), cycle(9)), True, 23, 65),
+    ("SR(C5xP12)", lambda: sr_of(cycle(5), path(12)), False, 117, 38),
+]
+
+
+@pytest.mark.parametrize("name,build,colour,nodes,size", RULE_SIDES)
+def test_node_counts_pinned_per_engine(name, build, colour, nodes, size):
+    g = build()
+    assert colour_side(g) is colour
+    res = min_vertex_cover(g)
+    assert res.proven_optimal
+    assert (res.nodes_explored, res.size) == (nodes, size)
+
+
 def test_budget_exhaustion_is_flagged_not_wrong():
-    g = product("strong", cycle(9), cycle(9))
-    res = min_vertex_cover(g, node_budget=5)
-    assert not res.proven_optimal
-    # the fallback witness is still a valid cover
-    for u, v in g.edges():
-        assert u in res.witness or v in res.witness
-    with pytest.raises(BudgetExhausted):
-        max_independent_set(g, node_budget=5)
+    for _, build, colour, _, size in RULE_SIDES:  # one graph per engine
+        g = build()
+        assert colour_side(g) is colour
+        res = min_vertex_cover(g, node_budget=5)
+        assert not res.proven_optimal
+        # the fallback witness is still a valid cover
+        for u, v in g.edges():
+            assert u in res.witness or v in res.witness
+        assert len(res.witness) == res.size >= size
+        with pytest.raises(BudgetExhausted):
+            max_independent_set(g, node_budget=5)
+
+
+def test_colour_side_never_exceeds_its_recursion_depth():
+    # a chain of triangles at the rule's cap: theta-hat = alpha = the cap, and
+    # the colour engine, started from an empty clique, dives to depth alpha
+    k = COLOUR_ENGINE_MAX_THETA
+    edges = [(3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (0, 2), (1, 2))]
+    edges += [(3 * i + 2, 3 * i + 3) for i in range(k - 1)]
+    g = make_graph(3 * k, edges)
+    assert colour_side(g)
+    theta, order, cadj = cover._colour_input(list(g.adj), (1 << g.n) - 1)
+    assert theta == k
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + k + 20)
+    try:
+        res = min_vertex_cover(g)
+        engine = cover._CliqueSearch(cadj, DEFAULT_NODE_BUDGET)
+        indep = engine.run((1 << g.n) - 1, 0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.proven_optimal and res.size == 2 * k
+    assert indep.bit_count() == k
 
 
 def test_deterministic_witness():
@@ -193,10 +256,39 @@ def test_independent_witness_spans_no_edge():
                 assert not g.has_edge(u, v)
 
 
+def engine_cover_sizes(g):
+    """Minimum cover size of g from each engine alone, component by component:
+    branch and reduce on the component, and the colour engine on its
+    complement started from a single vertex.  Both witnesses are checked."""
+    adj = list(g.adj)
+    reduce_size = colour_size = 0
+    for comp in component_masks(g):
+        search = cover._CoverSearch(adj, DEFAULT_NODE_BUDGET)
+        mask = search.cover(comp, cover._greedy_cover(adj, comp))
+        assert all(mask >> u & 1 or not adj[u] & comp & ~mask for u in bits(comp))
+        reduce_size += mask.bit_count()
+        _, order, cadj = cover._colour_input(adj, comp)
+        indep = cover._CliqueSearch(cadj, DEFAULT_NODE_BUDGET).run((1 << len(order)) - 1, 1)
+        members = [order[i] for i in bits(indep)]
+        assert not any(g.has_edge(u, v) for u, v in combinations(members, 2))
+        colour_size += comp.bit_count() - len(members)
+    return reduce_size, colour_size
+
+
 def test_beta_cross_checks_with_max_clique_engine():
-    # two independent exact engines: cover B&B vs clique B&B on the complement
-    for g in seeded_graphs(60, 2, 9, seed=77):
-        assert independence_number(g) == len(max_clique(complement(g)))
+    # the two exact engines share no search code; both must match subset
+    # enumeration, component by component, up to n = 14
+    graphs = seeded_graphs(60, 2, 9, seed=77) + seeded_graphs(8, 13, 14, seed=404)
+    graphs += [disjoint_union([cycle(5), complete(3), path(4)])]
+    for g in graphs:
+        want = brute_min_cover(g)
+        assert engine_cover_sizes(g) == (want, want)
+
+
+def test_engines_agree_on_sr_graphs():
+    for g in (sr_of(cycle(5), path(6)), sr_of(cycle(7), cycle(3)), sr_of(path(4), cycle(5))):
+        reduce_size, colour_size = engine_cover_sizes(g)
+        assert reduce_size == colour_size == min_vertex_cover(g).size
 
 
 # -- cliques / coloring -------------------------------------------------------------
