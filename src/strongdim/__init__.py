@@ -23,8 +23,9 @@ from .dimension import (
     brute_force_dimension,
     formula,
     is_strong_generator,
+    product_dimension,
+    product_sr_graph,
     strong_metric_dimension,
-    strong_product_dimension,
     strongly_resolves,
 )
 from .graph import (

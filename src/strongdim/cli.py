@@ -85,11 +85,6 @@ def _compute_one(what: str, g: Graph, budget: int) -> dict:
         members = rs.boundary(g)
         out["value"] = len(members)
         out["witness"] = sorted(members)
-    elif what == "mmd-pairs":
-        srg = rs.strong_resolving_graph(g)
-        pairs = [list(e) for e in srg.sr.edges()]
-        out["value"] = len(pairs)
-        out["pairs"] = pairs
     elif what == "theta":
         theta, partition = cov.clique_cover_number(g)
         out["value"] = theta
@@ -161,18 +156,10 @@ def cmd_product(args) -> int:
     }
     sr = None
     if args.dim_s:
-        if kind == "strong":
-            res = dim.strong_product_dimension(g, h, args.node_budget, prod=prod)
-        else:
-            res = dim.strong_metric_dimension(prod, args.node_budget)
+        res = dim.product_dimension(kind, g, h, args.node_budget, prod=prod)
         sr = res.sr
     elif args.sr and args.format != "dot":  # DOT output shows the product alone
-        # strong products with two nontrivial factors come from the MMD lemma;
-        # G x K1 is G with its own ids, so it goes the direct way like the rest
-        if kind == "strong" and g.n > 1 and h.n > 1:
-            sr = rs.predicted_mmd_edges(g, h).graph
-        else:
-            sr = rs.strong_resolving_graph(prod).sr
+        sr = dim.product_sr_graph(kind, g, h, prod=prod)
     if sr is not None:
         out["sr_graph6"] = gr.to_graph6(sr)
         out["sr_edges"] = [[labels[u], labels[v]] for u, v in sr.edges()]
@@ -247,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute = sub.add_parser("compute", help="compute an invariant of one graph")
     p_compute.add_argument(
         "what",
-        choices=["dim-s", "sr-graph", "alpha", "beta", "boundary", "mmd-pairs", "theta"],
+        choices=["dim-s", "sr-graph", "alpha", "beta", "boundary", "theta"],
     )
     p_compute.add_argument("graph", nargs="?", help="graph6, @file, '-' or family:params")
     p_compute.add_argument("--gen", help="generator spec, e.g. cycle:7")

@@ -15,14 +15,15 @@ from .cover import DEFAULT_NODE_BUDGET, BudgetExhausted, min_vertex_cover
 from .graph import Graph
 from .metrics import DistanceMatrix, all_pairs_distances, is_connected
 from .products import product, strong_product_distances
-from .resolving import predicted_mmd_edges, strong_resolving_graph
+from .resolving import PredictedSR, predicted_mmd_edges, strong_resolving_graph
 
 __all__ = [
     "DimensionResult",
     "strongly_resolves",
     "is_strong_generator",
     "strong_metric_dimension",
-    "strong_product_dimension",
+    "product_dimension",
+    "product_sr_graph",
     "brute_force_dimension",
     "formula",
     "FORMULA_KINDS",
@@ -131,29 +132,50 @@ def strong_metric_dimension(
     return _sr_cover(g, strong_resolving_graph(g, dm).sr, dm, node_budget)
 
 
-def strong_product_dimension(
+def _factor_prediction(kind: str, g: Graph, h: Graph) -> PredictedSR | None:
+    """The MMD-lemma prediction of the product's SR graph, where the factors give one.
+
+    That is a strong product of two nontrivial factors.  Every other product
+    is built and solved directly; G x K1 among them, since it is G with G's
+    own ids (u*1 + 0 = u).
+    """
+    if kind == "strong" and g.n > 1 and h.n > 1:
+        return predicted_mmd_edges(g, h)
+    return None
+
+
+def product_dimension(
+    kind: str,
     g: Graph,
     h: Graph,
     node_budget: int = DEFAULT_NODE_BUDGET,
     *,
     prod: Graph | None = None,
 ) -> DimensionResult:
-    """dim_s of the strong product of g and h, computed from the factors.
+    """dim_s of the ``kind`` product of g and h, from the factors where they allow it.
 
-    The SR graph comes from the MMD lemma (``predicted_mmd_edges``) and the
+    On the factor route the SR graph comes from the MMD lemma and the
     product's distance balls from the factors' balls, so no all-pairs BFS and
-    no direct SR build runs on the product.  The witness is still checked
-    definitionally against the product graph, which a caller that already
-    built it passes as ``prod``.  A K1 factor leaves the other factor
-    unchanged, ids included (u*1 + 0 = u), so that factor is solved as it is.
+    no direct SR build runs on the product.  Either way the witness is
+    checked definitionally against the product graph, which a caller that
+    already built it passes as ``prod``.
     """
-    if g.n == 1 or h.n == 1:
-        return strong_metric_dimension(h if g.n == 1 else g, node_budget)
-    pred = predicted_mmd_edges(g, h)
+    pred = _factor_prediction(kind, g, h)
+    prod = prod or product(kind, g, h)
+    if pred is None:
+        return strong_metric_dimension(prod, node_budget)
     dm = strong_product_distances(pred.dm_g, pred.dm_h)
-    if prod is None:
-        prod = product("strong", g, h)
     return _sr_cover(prod, pred.graph, dm, node_budget)
+
+
+def product_sr_graph(
+    kind: str, g: Graph, h: Graph, *, prod: Graph | None = None
+) -> Graph:
+    """SR graph of the ``kind`` product of g and h, on ``product_dimension``'s route."""
+    pred = _factor_prediction(kind, g, h)
+    if pred is not None:
+        return pred.graph
+    return strong_resolving_graph(prod or product(kind, g, h)).sr
 
 
 def brute_force_dimension(

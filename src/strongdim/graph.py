@@ -26,7 +26,6 @@ __all__ = [
     "disjoint_union",
     "complement",
     "induced_subgraph",
-    "relabel",
     "graphs_isomorphic",
     "from_graph6",
     "to_graph6",
@@ -92,18 +91,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
-
-
-def _validated(n: int, adj: list[int]) -> Graph:
-    for u in range(n):
-        if adj[u] >> n:
-            raise ValueError(f"neighbor id out of range for vertex {u}")
-        if (adj[u] >> u) & 1:
-            raise ValueError(f"loop edge at vertex {u}")
-        for v in bits(adj[u]):
-            if not (adj[v] >> u) & 1:
-                raise ValueError(f"asymmetric adjacency between {u} and {v}")
-    return Graph(n, adj)
 
 
 def component_masks(g: Graph) -> list[int]:
@@ -337,17 +324,6 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, list[int]]:
     return Graph(len(old_ids), adj), old_ids
 
 
-def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Apply the permutation ``perm`` (old id -> new id) to vertices."""
-    adj = [0] * g.n
-    for u in range(g.n):
-        row = 0
-        for w in bits(g.adj[u]):
-            row |= 1 << perm[w]
-        adj[perm[u]] = row
-    return Graph(g.n, adj)
-
-
 # ---------------------------------------------------------------------------
 # isomorphism (desk scale only)
 # ---------------------------------------------------------------------------
@@ -480,25 +456,19 @@ def from_graph6(text: str) -> Graph:
         raise ValueError("truncated graph6 bit stream")
     if len(body) > need:
         raise ValueError("trailing garbage after graph6 bit stream")
-    adj = [0] * n
-    idx = 0
-    stream = 0
-    have = 0
-    for ch in body:
-        stream = (stream << 6) | (ord(ch) - 63)
-        have += 6
-    # padding bits (beyond npairs) must be zero
-    pad = need * 6 - npairs
-    if pad and stream & ((1 << pad) - 1):
+    # the inverse of to_graph6: one bit string, then one slice per column v
+    stream = "".join([f"{ord(ch) - 63:06b}" for ch in body])
+    if "1" in stream[npairs:]:
         raise ValueError("nonzero padding bits in graph6 stream")
+    adj = [0] * n
+    start = 0
     for v in range(1, n):
-        for u in range(v):
-            bit = (stream >> (have - 1 - idx)) & 1
-            idx += 1
-            if bit:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return _validated(n, adj)
+        col = int(stream[start:start + v][::-1], 2)
+        start += v
+        adj[v] = col
+        for u in bits(col):
+            adj[u] |= 1 << v
+    return Graph(n, adj)
 
 
 # ---------------------------------------------------------------------------

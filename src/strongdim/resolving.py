@@ -8,8 +8,6 @@ computed strong resolving graph of the product is a genuine two-route check.
 
 from __future__ import annotations
 
-import json
-
 from .graph import Graph, bits, to_dot
 from .metrics import DistanceMatrix, all_pairs_distances, is_connected
 from .products import ProductSpec, coordinate_labels
@@ -23,7 +21,6 @@ __all__ = [
     "boundary",
     "predicted_mmd_edges",
     "sr_to_dot",
-    "sr_to_json",
 ]
 
 
@@ -137,13 +134,10 @@ class PredictedSR:
             return 5
         raise AssertionError("predicted edge matches no condition")
 
-    def conditions(self) -> dict[tuple[int, int], int]:
-        return {(p, q): self.condition(p, q) for p, q in self.graph.edges()}
-
     def condition_histogram(self) -> dict[int, int]:
         hist = {i: 0 for i in range(1, 6)}
-        for tag in self.conditions().values():
-            hist[tag] += 1
+        for p, q in self.graph.edges():
+            hist[self.condition(p, q)] += 1
         return hist
 
 
@@ -203,17 +197,3 @@ def predicted_mmd_edges(g: Graph, h: Graph) -> PredictedSR:
 def sr_to_dot(srg: SRGraph, spec: ProductSpec | None = None) -> str:
     labels = coordinate_labels(spec) if spec is not None else None
     return to_dot(srg.sr, labels=labels, name="SR")
-
-
-def sr_to_json(srg: SRGraph, predicted: PredictedSR | None = None) -> str:
-    """JSON dump of an SR graph, with condition tags when a prediction is given."""
-    payload: dict = {
-        "n": srg.sr.n,
-        "edges": [[u, v] for u, v in srg.sr.edges()],
-        "boundary": sorted(srg.boundary),
-    }
-    if predicted is not None:
-        payload["conditions"] = {
-            f"{p},{q}": tag for (p, q), tag in sorted(predicted.conditions().items())
-        }
-    return json.dumps(payload, indent=2)

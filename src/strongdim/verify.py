@@ -175,20 +175,14 @@ class Corpus:
 class Env:
     def __init__(self, spec: CorpusSpec):
         self.spec = spec
-        self._dm: dict[Graph, mt.DistanceMatrix] = {}
         self._sr: dict[Graph, rs.SRGraph] = {}
         self._alpha: dict[Graph, int] = {}
         self._dim: dict[Graph, int] = {}
         self._product: dict[tuple[str, Graph, Graph], Graph] = {}
 
-    def dm(self, g: Graph) -> mt.DistanceMatrix:
-        if g not in self._dm:
-            self._dm[g] = mt.all_pairs_distances(g)
-        return self._dm[g]
-
     def sr(self, g: Graph) -> rs.SRGraph:
         if g not in self._sr:
-            self._sr[g] = rs.strong_resolving_graph(g, self.dm(g))
+            self._sr[g] = rs.strong_resolving_graph(g)
         return self._sr[g]
 
     def alpha(self, g: Graph) -> int:
@@ -650,7 +644,7 @@ def _antipodal_factors(corpus: Corpus) -> list[Graph]:
     _singleton_with_partners(_antipodal_factors),
 )
 def _check_cor_iv(env: Env, g: Graph, h: Graph) -> dict:
-    if not mt.is_two_antipodal(g, env.dm(g)):
+    if not mt.is_two_antipodal(g):
         return _skip(g, h, "factor is not 2-antipodal")
     shape = gr.disjoint_union([gr.complete(2)] * (g.n // 2))
     expected = dim.antipodal_factor(g.n, h.n, env.dim_s(h))

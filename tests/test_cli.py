@@ -64,7 +64,7 @@ def test_compute_theta(capsys):
 
 
 def test_compute_from_graph6_argument(capsys):
-    code, out, _ = run_cli(capsys, "compute", "mmd-pairs", to_graph6(cycle(4)),
+    code, out, _ = run_cli(capsys, "compute", "sr-graph", to_graph6(cycle(4)),
                            "--format", "json")
     assert code == 0
     assert json.loads(out)["value"] == 2
@@ -237,6 +237,13 @@ LAYERS = (metrics.all_pairs_distances, resolving.strong_resolving_graph,
     # DOT shows the product alone, so --sr builds no SR graph
     (("product", "strong", "path:3", "path:4", "--sr", "--format", "dot"),
      {"all_pairs_distances": 0, "strong_resolving_graph": 0, "predicted_mmd_edges": 0,
+      "product": 1}),
+    (("product", "lex", "cycle:4", "path:3", "--dim-s"),
+     {"all_pairs_distances": 1, "strong_resolving_graph": 1, "predicted_mmd_edges": 0,
+      "product": 1}),
+    # G x K1 is G with its own ids, so it takes the direct route
+    (("product", "strong", "complete:1", "path:5", "--sr"),
+     {"all_pairs_distances": 1, "strong_resolving_graph": 1, "predicted_mmd_edges": 0,
       "product": 1}),
 ])
 def test_each_layer_built_once_per_request(capsys, monkeypatch, argv, expected):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from strongdim.cover import max_clique
@@ -16,8 +16,9 @@ from strongdim.dimension import (
     is_strong_generator,
     odd_odd_lower,
     odd_odd_upper,
+    product_dimension,
+    product_sr_graph,
     strong_metric_dimension,
-    strong_product_dimension,
     strongly_resolves,
 )
 from strongdim.graph import (
@@ -30,7 +31,7 @@ from strongdim.graph import (
     random_connected,
 )
 from strongdim.metrics import all_pairs_distances, is_connected
-from strongdim.products import product
+from strongdim.products import PRODUCT_KINDS, product
 from strongdim.resolving import strong_resolving_graph
 
 from test_graph import random_graph_strategy
@@ -151,29 +152,34 @@ def test_generator_check_rejects_bad_input():
         is_strong_generator(path(4), [-1])
 
 
-# -- the factor route for strong products --------------------------------------
+# -- the product route: factors for strong products, the product otherwise ------
 
 
-@given(random_graph_strategy(max_n=5), random_graph_strategy(max_n=5))
+@given(
+    st.sampled_from(PRODUCT_KINDS),
+    random_graph_strategy(max_n=5),
+    random_graph_strategy(max_n=5),
+)
 @settings(max_examples=80, deadline=None)
-def test_factor_route_matches_generic_route(g, h):
-    if g.n == 0 or h.n == 0 or g.n * h.n < 2:
-        return
-    if not (is_connected(g) and is_connected(h)):
-        return
-    prod = product("strong", g, h)
-    res = strong_product_dimension(g, h)
+def test_factor_route_matches_generic_route(kind, g, h):
+    assume(g.n > 0 and h.n > 0)
+    prod = product(kind, g, h)
+    assume(prod.n >= 2 and is_connected(prod))
+    res = product_dimension(kind, g, h)
     assert res.sr == strong_resolving_graph(prod).sr
     assert res == strong_metric_dimension(prod)
+    assert product_sr_graph(kind, g, h) == res.sr
 
 
 def test_factor_route_rejects_bad_factors():
     with pytest.raises(ValueError):
-        strong_product_dimension(complete(1), complete(1))
+        product_dimension("strong", complete(1), complete(1))
     with pytest.raises(ValueError):
-        strong_product_dimension(disjoint_union([complete(2)] * 2), path(3))
+        product_dimension("strong", disjoint_union([complete(2)] * 2), path(3))
     with pytest.raises(ValueError):
-        strong_product_dimension(complete(1), disjoint_union([complete(2)] * 2))
+        product_dimension("strong", complete(1), disjoint_union([complete(2)] * 2))
+    with pytest.raises(ValueError):
+        product_sr_graph("strong", disjoint_union([complete(2)] * 2), path(3))
 
 
 # -- brute force oracle -----------------------------------------------------------

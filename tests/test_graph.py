@@ -23,6 +23,7 @@ from strongdim.graph import (
     to_graph6,
 )
 from strongdim.metrics import all_pairs_distances, blocks, cut_vertices, is_connected
+from strongdim.products import product
 
 
 def random_graph_strategy(max_n=10):
@@ -229,10 +230,9 @@ def test_isomorphism_reflexive_and_permutation_invariant(g, rnd):
     assert graphs_isomorphic(g, g)
     perm = list(range(g.n))
     rnd.shuffle(perm)
-    from strongdim.graph import relabel
-
-    assert graphs_isomorphic(g, relabel(g, perm))
-    assert graphs_isomorphic(relabel(g, perm), g)
+    permuted = make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert graphs_isomorphic(g, permuted)
+    assert graphs_isomorphic(permuted, g)
 
 
 # -- graph6 -----------------------------------------------------------------
@@ -275,8 +275,8 @@ def test_graph6_matches_bitwise_reference(g):
 
 
 def test_graph6_round_trip_large_header():
-    g = path(100)
-    assert from_graph6(to_graph6(g)) == g
+    for g in (path(100), product("strong", path(30), path(30))):
+        assert from_graph6(to_graph6(g)) == g
 
 
 def test_graph6_empty_graph():
@@ -304,6 +304,9 @@ def test_graph6_nonzero_padding_rejected():
     # K2 needs one pair bit; the remaining 5 bits must be zero padding
     with pytest.raises(ValueError):
         from_graph6("A" + chr(63 + 0b111111))
+    for pad in (0b10000, 0b01000, 0b00100, 0b00010, 0b00001):
+        with pytest.raises(ValueError):
+            from_graph6("A" + chr(63 + 0b100000 + pad))
 
 
 @given(st.text(st.characters(min_codepoint=33, max_codepoint=126), max_size=12))

@@ -19,7 +19,6 @@ from strongdim.resolving import (
     is_maximally_distant,
     mutually_maximally_distant,
     predicted_mmd_edges,
-    sr_to_json,
     strong_resolving_graph,
 )
 
@@ -216,16 +215,3 @@ def test_sr_dot_export_with_coordinates():
     assert 'label="0,0"' in text
     assert "graph SR {" in text
 
-
-def test_sr_json_export():
-    import json
-
-    g = path(3)
-    srg = strong_resolving_graph(g)
-    doc = json.loads(sr_to_json(srg))
-    assert doc["n"] == 3
-    assert doc["edges"] == [[0, 2]]
-    assert doc["boundary"] == [0, 2]
-    pred = predicted_mmd_edges(path(3), complete(2))
-    doc = json.loads(sr_to_json(strong_resolving_graph(product("strong", path(3), complete(2))), pred))
-    assert all(tag in (1, 2, 3, 4, 5) for tag in doc["conditions"].values())
