@@ -12,6 +12,7 @@ single-line ``error: ...`` message.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -224,6 +225,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strongdim",

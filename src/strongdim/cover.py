@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .graph import Graph, bits, complement, component_masks, induced_subgraph
 
@@ -355,18 +356,18 @@ class _CliqueSearch:
 
 
 def _renumbered(adj: list[int], order: list[int]) -> list[int]:
-    """Adjacency of the component holding ``order`` in new ids (i for order[i])."""
-    pos = {u: i for i, u in enumerate(order)}
-    out = []
-    for u in order:
-        a = adj[u]
-        m = 0
-        while a:
-            low = a & -a
-            m |= 1 << pos[low.bit_length() - 1]
-            a ^= low
-        out.append(m)
-    return out
+    """Adjacency of the component holding ``order`` in new ids (i for order[i]).
+
+    A row with more than a seventh of ``order`` as neighbours is read by one
+    C-level gather over its bit string, a sparser one bit by bit: stepping
+    over one bit costs about as much as gathering seven digits."""
+    top = len(adj) - 1  # bit u of a row is digit top - u of its bit string
+    gather = itemgetter(*[top - u for u in reversed(order)])  # new ids, high to low
+    width = f"0{len(adj)}b"
+    new_bit = {u: 1 << i for i, u in enumerate(order)}
+    return [int("".join(gather(format(a, width))), 2) if 7 * a.bit_count() > len(order)
+            else sum(map(new_bit.__getitem__, bits(a)))
+            for a in map(adj.__getitem__, order)]
 
 
 def _min_width_order(adj: list[int], comp: int) -> list[int]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graph import Graph, bits, component_masks
+from .graph import Graph, component_masks
 
 __all__ = [
     "DistanceMatrix",
@@ -65,8 +65,11 @@ def _bfs_balls(adj: Sequence[int], src: int) -> list[int]:
     levels = [seen]
     while True:
         nxt = 0
-        for u in bits(frontier):
-            nxt |= adj[u]
+        f = frontier
+        while f:
+            low = f & -f
+            nxt |= adj[low.bit_length() - 1]
+            f ^= low
         frontier = nxt & ~seen
         if not frontier:
             return levels

@@ -8,6 +8,8 @@ computed strong resolving graph of the product is a genuine two-route check.
 
 from __future__ import annotations
 
+from operator import and_, xor
+
 from .graph import Graph, bits, to_dot
 from .metrics import DistanceMatrix, all_pairs_distances, is_connected
 from .products import ProductSpec, coordinate_labels
@@ -57,33 +59,44 @@ class SRGraph:
 
 
 def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> SRGraph:
-    """Graph on V(g) whose edges are exactly the MMD pairs of g."""
+    """Graph on V(g) whose edges are exactly the MMD pairs of g.
+
+    v is maximally distant from u iff every neighbour w of v lies within
+    d(u, v) of u.  Read from v's side, that is
+
+        F[v] = union over k of  layer_k(v) & AND over w in N(v) of B(w, k),
+
+    the set of all u from which v is maximally distant, and the SR graph is
+    F & transpose(F).  B(w, k) is every vertex once k >= ecc(w), so those
+    balls are skipped; v's own last layer is intersected like the others.
+    """
     if g.n < 2:
         raise ValueError("strong resolving graph needs n >= 2")
     if not is_connected(g):
         raise ValueError("strong resolving graph needs a connected graph")
     dm = dm or all_pairs_distances(g)
     n = g.n
-    adj = g.adj
-    # md_to[v] = {u : u is maximally distant from v}
-    md_to = [0] * n
+    balls = dm.balls
+    inner = [levels[1:-1] for levels in balls]  # B(w, k) for 1 <= k < ecc(w)
+    far = []
     for v in range(n):
-        acc = 0
-        prev = 0
-        for ball in dm.balls[v]:
-            layer = ball & ~prev
-            prev = ball
-            for u in bits(layer):
-                if u != v and adj[u] & ~ball == 0:
-                    acc |= 1 << u
-        md_to[v] = acc
-    # transpose to get md_from[u] = {v : u is maximally distant from v}
-    md_from = [0] * n
-    for v in range(n):
-        for u in bits(md_to[v]):
-            md_from[u] |= 1 << v
-    sr_adj = [md_to[u] & md_from[u] for u in range(n)]
-    return SRGraph(Graph(n, sr_adj))
+        levels = balls[v]
+        layers = list(map(xor, levels[1:], levels))  # layer_k(v) for k >= 1
+        for w in bits(g.adj[v]):
+            iw = inner[w]
+            layers[:len(iw)] = map(and_, layers, iw)  # the map is read out before the store
+        far.append(sum(layers))  # the layers are disjoint, so sum is union
+    return SRGraph(Graph(n, list(map(and_, far, _transpose(far, n)))))
+
+
+def _transpose(rows: list[int], n: int) -> list[int]:
+    """Bit-matrix transpose of n rows of n bits: bit v of row u of the result
+    is bit u of rows[v].  Each row becomes an n-digit bit string, ``zip``
+    reads off the columns and one ``int(..., 2)`` parses each, all in C."""
+    width = f"0{n}b"
+    cols = [int("".join(col), 2) for col in zip(*[format(r, width) for r in reversed(rows)])]
+    cols.reverse()
+    return cols
 
 
 def boundary(g: Graph, dm: DistanceMatrix | None = None) -> frozenset[int]:

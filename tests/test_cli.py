@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from strongdim import cover, metrics, products, resolving
+from strongdim import cli, cover, metrics, products, resolving
 from strongdim.cli import main
 from strongdim.dimension import strong_metric_dimension
 from strongdim.graph import (
@@ -277,6 +277,22 @@ def test_compute_dim_s_budget_exhausted_exits_3(capsys, g):
     assert out == ""
     assert err.startswith("error: budget-exhausted")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_consecutive_calls_share_no_flags_or_defaults(capsys):
+    # one parser serves every call in a process; no call may see another's flags
+    assert cli._build_parser() is cli._build_parser()
+    with_dim = run_cli(capsys, "product", "strong", "path:3", "path:4", "--dim-s",
+                       "--format", "json")
+    plain = run_cli(capsys, "product", "strong", "path:3", "path:4", "--format", "json")
+    assert with_dim[0] == plain[0] == 0
+    assert json.loads(with_dim[1])["dim_s"] == 6
+    assert set(json.loads(plain[1])) == {"kind", "n", "m", "graph6"}
+    g6 = to_graph6(product("strong", cycle(9), cycle(9)))
+    assert run_cli(capsys, "compute", "dim-s", g6, "--node-budget", "5")[0] == 3
+    code, out, _ = run_cli(capsys, "compute", "dim-s", g6, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["value"] == 81 - 16
 
 
 def test_verify_remark_c3(capsys, tmp_path):

@@ -31,6 +31,7 @@ from strongdim.graph import (
     disjoint_union,
     make_graph,
     path,
+    random_connected,
     star,
 )
 from strongdim.products import product
@@ -158,6 +159,27 @@ def test_cover_witness_and_gallai(g):
         assert u in res.witness or v in res.witness
     assert len(res.witness) == res.size
     assert independence_number(g) == g.n - res.size
+
+
+def _renumbered_by_dict(adj, order):
+    pos = {u: i for i, u in enumerate(order)}
+    return [sum(1 << pos[w] for w in bits(adj[u])) for u in order]
+
+
+def test_renumbered_matches_dict_loop():
+    rng = random.Random(3)
+    g = disjoint_union([complete(1), cycle(7), random_connected(140, 0.05, 11), path(5),
+                        complete(1)])
+    adj = list(g.adj)
+    comps = component_masks(g)
+    assert [comp.bit_count() for comp in comps] == [1, 7, 140, 5, 1]
+    # every component but the first lies off the prefix of the ids; the rows of
+    # C7 and P5 are dense enough for the gather, those of the G(140, .05) not
+    for comp in comps:
+        order = list(bits(comp))
+        rng.shuffle(order)
+        for o in (list(bits(comp)), order, cover._min_width_order(adj, comp)):
+            assert cover._renumbered(adj, o) == _renumbered_by_dict(adj, o)
 
 
 def sr_of(a, b):

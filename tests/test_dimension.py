@@ -34,7 +34,7 @@ from strongdim.metrics import all_pairs_distances, is_connected
 from strongdim.products import PRODUCT_KINDS, product
 from strongdim.resolving import strong_resolving_graph
 
-from test_graph import random_graph_strategy
+from test_graph import connected_graph_strategy, random_graph_strategy
 
 
 # -- strongly_resolves -------------------------------------------------------
@@ -120,11 +120,9 @@ def _generates_by_definition(g, members):
     )
 
 
-@given(random_graph_strategy(max_n=9), st.data())
+@given(connected_graph_strategy(1, 9), st.data())
 @settings(max_examples=150, deadline=None)
 def test_generator_check_matches_definition(g, data):
-    if g.n == 0 or not is_connected(g):
-        return
     drawn = data.draw(st.sets(st.integers(0, g.n - 1)))
     candidates = [drawn, set(), set(range(g.n))]
     if g.n >= 2:
@@ -211,19 +209,15 @@ def test_oracle_equivalence_seeded():
         assert strong_metric_dimension(g).dim == brute_force_dimension(g).dim
 
 
-@given(random_graph_strategy(max_n=7))
+@given(connected_graph_strategy(2, 7))
 @settings(max_examples=60, deadline=None)
 def test_oracle_equivalence_property(g):
-    if g.n < 2 or not is_connected(g):
-        return
     assert strong_metric_dimension(g).dim == brute_force_dimension(g).dim
 
 
-@given(random_graph_strategy(max_n=8))
+@given(connected_graph_strategy(2, 8))
 @settings(max_examples=60, deadline=None)
 def test_dim_range_and_completeness_characterization(g):
-    if g.n < 2 or not is_connected(g):
-        return
     res = strong_metric_dimension(g)
     assert 1 <= res.dim <= g.n - 1
     sr = strong_resolving_graph(g).sr

@@ -26,16 +26,39 @@ from strongdim.metrics import all_pairs_distances, blocks, cut_vertices, is_conn
 from strongdim.products import product
 
 
-def random_graph_strategy(max_n=10):
+def random_graph_strategy(max_n=10, min_n=0):
     @st.composite
     def build(draw):
-        n = draw(st.integers(min_value=0, max_value=max_n))
+        n = draw(st.integers(min_value=min_n, max_value=max_n))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
         edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
         return make_graph(n, edges)
 
     return build()
+
+
+def connected_graph_strategy(min_n, max_n):
+    """Connected graphs with min_n <= n <= max_n: a random tree in which each
+    vertex attaches to an earlier one, plus drawn extra edges, with the ids
+    shuffled by a drawn permutation."""
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(min_value=min_n, max_value=max_n))
+        edges = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        mask = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
+        edges += [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
+        perm = draw(st.permutations(range(n)))
+        return make_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+    return build()
+
+
+@given(connected_graph_strategy(1, 8))
+def test_connected_graph_strategy_draws_connected_graphs(g):
+    assert 1 <= g.n <= 8
+    assert is_connected(g)
 
 
 # -- construction -----------------------------------------------------------

@@ -24,7 +24,7 @@ from strongdim.metrics import (
 )
 from strongdim.products import product
 
-from test_graph import random_graph_strategy
+from test_graph import connected_graph_strategy, random_graph_strategy
 
 
 def hypercube_q3():
@@ -144,11 +144,9 @@ def test_single_vertex_block():
     assert cut_vertices(complete(1)) == frozenset()
 
 
-@given(random_graph_strategy(max_n=9))
+@given(connected_graph_strategy(1, 9))
 @settings(max_examples=60)
 def test_cut_vertex_iff_in_two_blocks(g):
-    if g.n == 0 or not is_connected(g):
-        return
     cuts = cut_vertices(g)
     bl = blocks(g)
     assert len(bl) >= 1

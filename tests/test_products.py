@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strongdim.cover import max_independent_set
 from strongdim.graph import complete, cycle, graphs_isomorphic, grid, path
@@ -13,21 +14,11 @@ from strongdim.products import (
     strong_product_distances,
 )
 
-from test_graph import random_graph_strategy
+from test_graph import connected_graph_strategy, random_graph_strategy
 
 
 def connected_pair():
-    from hypothesis import strategies as st
-
-    @st.composite
-    def build(draw):
-        g = draw(random_graph_strategy(max_n=5))
-        h = draw(random_graph_strategy(max_n=5))
-        if g.n == 0 or h.n == 0:
-            return None
-        return (g, h)
-
-    return build()
+    return st.tuples(connected_graph_strategy(1, 5), connected_graph_strategy(1, 5))
 
 
 # -- definitions ---------------------------------------------------------------
@@ -71,12 +62,9 @@ def test_empty_factor_rejected():
         product("tensor", complete(2), complete(2))
 
 
-@given(connected_pair())
+@given(random_graph_strategy(max_n=5, min_n=1), random_graph_strategy(max_n=5, min_n=1))
 @settings(max_examples=100)
-def test_edge_containment_chain(pair):
-    if pair is None:
-        return
-    g, h = pair
+def test_edge_containment_chain(g, h):
     box = product("cartesian", g, h)
     strong = product("strong", g, h)
     lex = product("lexicographic", g, h)
@@ -90,11 +78,7 @@ def test_edge_containment_chain(pair):
 @given(connected_pair())
 @settings(max_examples=60)
 def test_products_of_connected_are_connected(pair):
-    if pair is None:
-        return
     g, h = pair
-    if not (is_connected(g) and is_connected(h)):
-        return
     for kind in PRODUCT_KINDS:
         assert is_connected(product(kind, g, h))
 
@@ -125,12 +109,10 @@ def test_strong_distance_law(g, h):
                     assert dm_p.dist(p, q) == max(dm_g.dist(u, x), dm_h.dist(v, y))
 
 
-@given(random_graph_strategy(max_n=6), random_graph_strategy(max_n=6))
+@given(random_graph_strategy(max_n=6, min_n=1), random_graph_strategy(max_n=6, min_n=1))
 @settings(max_examples=150, deadline=None)
 def test_factor_balls_equal_bfs_balls(g, h):
     # K1 and disconnected factors included: the ball law holds per component
-    if g.n == 0 or h.n == 0:
-        return
     bfs = all_pairs_distances(product("strong", g, h))
     derived = strong_product_distances(all_pairs_distances(g), all_pairs_distances(h))
     assert derived.n == bfs.n
@@ -144,12 +126,9 @@ def test_factor_balls_with_k1_and_large_factors():
         assert derived.balls == bfs.balls
 
 
-@given(connected_pair())
+@given(random_graph_strategy(max_n=5, min_n=1), random_graph_strategy(max_n=5, min_n=1))
 @settings(max_examples=60)
-def test_closed_neighborhood_law(pair):
-    if pair is None:
-        return
-    g, h = pair
+def test_closed_neighborhood_law(g, h):
     prod = product("strong", g, h)
     spec = ProductSpec("strong", g.n, h.n)
     for u in range(g.n):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,7 +14,7 @@ from strongdim.graph import (
     path,
     star,
 )
-from strongdim.metrics import all_pairs_distances, is_connected
+from strongdim.metrics import all_pairs_distances
 from strongdim.products import ProductSpec, product
 from strongdim.resolving import (
     boundary,
@@ -20,9 +22,10 @@ from strongdim.resolving import (
     mutually_maximally_distant,
     predicted_mmd_edges,
     strong_resolving_graph,
+    _transpose,
 )
 
-from test_graph import random_graph_strategy
+from test_graph import connected_graph_strategy
 
 
 # -- maximal distance ----------------------------------------------------------
@@ -113,11 +116,62 @@ def test_sr_rejects_trivial_and_disconnected():
         strong_resolving_graph(disjoint_union([complete(2), complete(2)]))
 
 
-@given(random_graph_strategy(max_n=8))
+def _mmd_graph(g):
+    """The SR graph by its definition: every pair put to the MMD test."""
+    dm = all_pairs_distances(g)
+    return make_graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                            if mutually_maximally_distant(dm, g, u, v)])
+
+
+@given(connected_graph_strategy(2, 10))
+@settings(max_examples=200, deadline=None)
+def test_sr_graph_is_the_mmd_relation(g):
+    assert strong_resolving_graph(g).sr == _mmd_graph(g)
+
+
+@pytest.mark.parametrize("g", [
+    path(3),
+    path(4),
+    path(7),
+    star(5),
+    make_graph(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)]),  # legs 1, 2, 3
+    product("strong", path(3), path(5)),
+], ids=["P3", "P4", "P7", "K1,4", "spider", "P3xP5"])
+def test_sr_graph_where_a_neighbour_is_more_central(g):
+    # some v has a neighbour w with ecc(w) < ecc(v): B(w, k) is clamped at
+    # k = ecc(w), below v's last layer, which must still be intersected
+    dm = all_pairs_distances(g)
+    ecc = [dm.eccentricity(v) for v in range(g.n)]
+    assert any(ecc[w] < ecc[v] for v in range(g.n) for w in g.neighbors(v))
+    assert strong_resolving_graph(g, dm).sr == _mmd_graph(g)
+
+
+def _transpose_by_bits(rows, n):
+    out = [0] * n
+    for v, row in enumerate(rows):
+        for u in range(n):
+            if row >> u & 1:
+                out[u] |= 1 << v
+    return out
+
+
+def test_transpose_matches_per_bit_loop_on_every_2x2():
+    for a in range(4):
+        for b in range(4):
+            assert _transpose([a, b], 2) == _transpose_by_bits([a, b], 2)
+
+
+@pytest.mark.parametrize("n", [130, 257])
+def test_transpose_matches_per_bit_loop(n):
+    rng = random.Random(n)
+    rows = [0, 0, 0] + [rng.getrandbits(n) for _ in range(n - 4)] + [1 << (n - 1)]
+    assert _transpose(rows, n) == _transpose_by_bits(rows, n)
+    assert _transpose(_transpose(rows, n), n) == rows
+
+
+@given(connected_graph_strategy(2, 8))
 @settings(max_examples=80)
 def test_diametral_pairs_are_mmd(g):
-    if g.n < 2 or not is_connected(g):
-        return
     dm = all_pairs_distances(g)
     srg = strong_resolving_graph(g, dm)
     assert srg.sr.num_edges >= 1
@@ -155,11 +209,9 @@ def test_predicted_histogram_counts_every_edge():
     assert sum(hist.values()) == pred.graph.num_edges
 
 
-@given(random_graph_strategy(max_n=6), random_graph_strategy(max_n=6))
+@given(connected_graph_strategy(2, 6), connected_graph_strategy(2, 6))
 @settings(max_examples=60, deadline=None)
 def test_prediction_matches_direct_sr(g, h):
-    if g.n < 2 or h.n < 2 or not (is_connected(g) and is_connected(h)):
-        return
     prod = product("strong", g, h)
     direct = strong_resolving_graph(prod).sr
     assert predicted_mmd_edges(g, h).graph == direct
