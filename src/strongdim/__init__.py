@@ -50,7 +50,6 @@ from .graph import (
 from .metrics import (
     DistanceMatrix,
     all_pairs_distances,
-    blocks,
     cut_vertices,
     diameter,
     is_connected,
@@ -62,7 +61,6 @@ from .products import (
     PRODUCT_KINDS,
     ProductSpec,
     product,
-    project,
     strong_product_distances,
 )
 from .resolving import (

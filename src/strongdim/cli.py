@@ -29,21 +29,21 @@ class CliError(Exception):
     pass
 
 
+def _graph6_lines(text: str, empty: str) -> list[Graph]:
+    """One graph per nonblank line of ``text``; ``empty`` is the error for none."""
+    graphs = [gr.from_graph6(ln) for ln in map(str.strip, text.splitlines()) if ln]
+    if not graphs:
+        raise CliError(empty)
+    return graphs
+
+
 def _load_graphs(source: str) -> list[Graph]:
     """Resolve a graph source argument to one or more graphs."""
     if source == "-":
-        lines = [ln.strip() for ln in sys.stdin.read().splitlines()]
-        graphs = [gr.from_graph6(ln) for ln in lines if ln]
-        if not graphs:
-            raise CliError("no graph6 input on stdin")
-        return graphs
+        return _graph6_lines(sys.stdin.read(), "no graph6 input on stdin")
     if source.startswith("@"):
         with open(source[1:], "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh.read().splitlines()]
-        graphs = [gr.from_graph6(ln) for ln in lines if ln]
-        if not graphs:
-            raise CliError(f"no graph6 lines in {source[1:]}")
-        return graphs
+            return _graph6_lines(fh.read(), f"no graph6 lines in {source[1:]}")
     if ":" in source:
         return [gr.generate(source)]
     return [gr.from_graph6(source)]

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .graph import Graph, bits, complement, component_masks, induced_subgraph
+from .graph import Graph, bits, component_masks
 
 __all__ = [
     "CoverResult",
@@ -48,7 +48,6 @@ __all__ = [
     "independence_number",
     "max_independent_set",
     "max_clique",
-    "chromatic_number",
     "clique_cover_number",
     "is_c_graph",
     "is_c1_graph",
@@ -480,7 +479,7 @@ def max_independent_set(
 
 
 # ---------------------------------------------------------------------------
-# cliques, coloring, clique covers
+# cliques and clique partitions
 # ---------------------------------------------------------------------------
 
 
@@ -494,87 +493,6 @@ def max_clique(g: Graph) -> frozenset[int]:
         return frozenset()
     search = _CliqueSearch(list(g.adj), math.inf)
     return frozenset(bits(search.run((1 << g.n) - 1, 1)))
-
-
-def _greedy_coloring(g: Graph) -> list[int]:
-    """Largest-degree-first greedy coloring (upper bound seed)."""
-    order = sorted(range(g.n), key=lambda u: (-g.degree(u), u))
-    color = [-1] * g.n
-    for u in order:
-        used = {color[w] for w in g.neighbors(u) if color[w] >= 0}
-        c = 0
-        while c in used:
-            c += 1
-        color[u] = c
-    return color
-
-
-def chromatic_number(g: Graph) -> tuple[int, list[int]]:
-    """Exact chromatic number and a witness coloring (desk-scale backtracking)."""
-    n = g.n
-    if n == 0:
-        return 0, []
-    if g.num_edges == 0:
-        return 1, [0] * n
-    clique = sorted(max_clique(g))
-    lb = len(clique)
-    greedy = _greedy_coloring(g)
-    ub = max(greedy) + 1
-    if lb == ub:
-        return ub, greedy
-    for k in range(lb, ub):
-        colors = _try_coloring(g, k, clique)
-        if colors is not None:
-            return k, colors
-    return ub, greedy
-
-
-def _try_coloring(g: Graph, k: int, clique: list[int]) -> list[int] | None:
-    """Backtracking k-coloring; the max clique is preassigned to break symmetry."""
-    n = g.n
-    if len(clique) > k:
-        return None
-    color = [-1] * n
-    for i, v in enumerate(clique):
-        color[v] = i
-
-    full = (1 << k) - 1
-
-    def feasible(u: int) -> int:
-        used = 0
-        for w in bits(g.adj[u]):
-            c = color[w]
-            if c >= 0:
-                used |= 1 << c
-        return full & ~used
-
-    def backtrack(ncolored: int, max_used: int) -> bool:
-        if ncolored == n:
-            return True
-        # most-constrained uncolored vertex, ties by id
-        pick = -1
-        pick_avail = 0
-        pick_count = k + 1
-        for u in range(n):
-            if color[u] >= 0:
-                continue
-            av = feasible(u)
-            c = av.bit_count()
-            if c == 0:
-                return False
-            if c < pick_count:
-                pick, pick_avail, pick_count = u, av, c
-        # never open more than one fresh color index (color symmetry)
-        cap = min(k - 1, max_used + 1)
-        for c in bits(pick_avail & ((1 << (cap + 1)) - 1)):
-            color[pick] = c
-            if backtrack(ncolored + 1, max(max_used, c)):
-                return True
-            color[pick] = -1
-        return False
-
-    ok = backtrack(len(clique), len(clique) - 1)
-    return color[:] if ok else None
 
 
 @dataclass
@@ -597,22 +515,69 @@ class CliquePartition:
             raise AssertionError("clique parts do not cover the vertex set")
 
 
+def _clique_partition(adj: list[int], active: int, k: int, seeds: int) -> list[int] | None:
+    """A partition of ``active`` into at most k cliques, as masks, or None.
+
+    ``seeds`` is an independent set, so each seed opens its own clique.  The
+    search places the most constrained vertex first (fewest cliques it can
+    join, plus one if a clique may still open; lowest id on ties), and opens
+    at most one new clique per step, so no two branches differ only in the
+    order of their cliques.
+    """
+    cliques = [1 << s for s in bits(seeds)]
+    if len(cliques) > k:
+        return None
+
+    def place(rem: int) -> bool:
+        if not rem:
+            return True
+        pick, pick_opts, fewest = -1, [], k + 2
+        for u in bits(rem):
+            out = ~adj[u]
+            opts = [i for i, c in enumerate(cliques) if not c & out]
+            count = len(opts) + (len(cliques) < k)
+            if count == 0:
+                return False
+            if count < fewest:
+                pick, pick_opts, fewest = u, opts, count
+        bit = 1 << pick
+        for i in pick_opts:
+            cliques[i] |= bit
+            if place(rem ^ bit):
+                return True
+            cliques[i] ^= bit
+        if len(cliques) < k:
+            cliques.append(bit)
+            if place(rem ^ bit):
+                return True
+            cliques.pop()
+        return False
+
+    return cliques if place(active & ~seeds) else None
+
+
+def _recognition_input(g: Graph, cap: int, what: str) -> tuple[list[int], int, int]:
+    """Adjacency, vertex mask and a maximum independent set (as a mask) of g."""
+    if g.n > cap:
+        raise ValueError(f"{what} recognition capped at {cap} vertices")
+    seeds = 0
+    for v in max_independent_set(g):
+        seeds |= 1 << v
+    return list(g.adj), (1 << g.n) - 1, seeds
+
+
 def clique_cover_number(
     g: Graph, cap: int = DEFAULT_RECOGNITION_CAP
 ) -> tuple[int, CliquePartition]:
-    """Minimum number of cliques partitioning V(g) = chromatic number of the
-    complement, with a witness partition."""
-    if g.n > cap:
-        raise ValueError(f"clique cover recognition capped at {cap} vertices")
-    if g.n == 0:
-        return 0, CliquePartition(())
-    k, colors = chromatic_number(complement(g))
-    groups: dict[int, set[int]] = {}
-    for u, c in enumerate(colors):
-        groups.setdefault(c, set()).add(u)
-    parts = tuple(
-        frozenset(groups[c]) for c in sorted(groups, key=lambda c: min(groups[c]))
-    )
+    """Minimum number of cliques partitioning V(g), with a witness partition.
+
+    Counts k up from beta(g), which every clique partition reaches: the
+    cliques hold the vertices of an independent set one each."""
+    adj, full, seeds = _recognition_input(g, cap, "clique cover")
+    k = seeds.bit_count()
+    while (cliques := _clique_partition(adj, full, k, seeds)) is None:
+        k += 1
+    parts = tuple(frozenset(bits(c)) for c in sorted(cliques, key=lambda c: c & -c))
     partition = CliquePartition(parts)
     partition.validate(g)
     return k, partition
@@ -620,23 +585,19 @@ def clique_cover_number(
 
 def is_c_graph(g: Graph, cap: int = DEFAULT_RECOGNITION_CAP) -> bool:
     """True iff V(g) partitions into exactly beta(g) cliques."""
-    theta, _ = clique_cover_number(g, cap)
-    return theta == independence_number(g)
+    adj, full, seeds = _recognition_input(g, cap, "clique cover")
+    return _clique_partition(adj, full, seeds.bit_count(), seeds) is not None
 
 
 def is_c1_graph(g: Graph, cap: int = DEFAULT_RECOGNITION_CAP) -> bool:
-    """True iff g is not a C-graph but V(g) minus one vertex partitions into
-    beta(g) cliques (the removed vertex is the partition's singleton)."""
-    if g.n > cap:
-        raise ValueError(f"C1-graph recognition capped at {cap} vertices")
-    if g.n < 2:
+    """True iff g is not a C-graph but V(g) minus one vertex b partitions into
+    beta(g) cliques (b is then the partition's singleton).
+
+    When g is not a C-graph, theta(g - b) >= theta(g) - 1 >= beta(g), so "at
+    most beta cliques" is "exactly beta cliques"."""
+    adj, full, seeds = _recognition_input(g, cap, "C1-graph")
+    beta = seeds.bit_count()
+    if _clique_partition(adj, full, beta, seeds) is not None:
         return False
-    beta = independence_number(g)
-    theta, _ = clique_cover_number(g, cap)
-    if theta == beta:
-        return False
-    for b in range(g.n):
-        sub, _ = induced_subgraph(g, set(range(g.n)) - {b})
-        if chromatic_number(complement(sub))[0] == beta:
-            return True
-    return False
+    return any(_clique_partition(adj, full ^ (1 << b), beta, seeds & ~(1 << b)) is not None
+               for b in range(g.n))

@@ -25,7 +25,6 @@ __all__ = [
     "generate",
     "disjoint_union",
     "complement",
-    "induced_subgraph",
     "graphs_isomorphic",
     "from_graph6",
     "to_graph6",
@@ -310,18 +309,6 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     return Graph(g.n, [full ^ mask ^ (1 << u) for u, mask in enumerate(g.adj)])
-
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, list[int]]:
-    """Subgraph induced by ``keep``; returns the graph and old ids in new order."""
-    old_ids = sorted(set(keep))
-    index = {old: new for new, old in enumerate(old_ids)}
-    adj = [0] * len(old_ids)
-    for new, old in enumerate(old_ids):
-        for w in bits(g.adj[old]):
-            if w in index:
-                adj[new] |= 1 << index[w]
-    return Graph(len(old_ids), adj), old_ids
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Shortest-path metric and structural classifiers (antipodality, blocks).
+"""Shortest-path metric and structural classifiers (antipodality, block graphs).
 
 Distances are exact BFS hop counts.  Unreachable pairs carry ``None`` --- a
 dedicated sentinel that fails fast in arithmetic instead of corrupting
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .graph import Graph, component_masks
+from .graph import Graph, bits, component_masks
 
 __all__ = [
     "DistanceMatrix",
@@ -18,7 +18,6 @@ __all__ = [
     "diameter",
     "is_two_antipodal",
     "cut_vertices",
-    "blocks",
     "is_generalized_tree",
     "leaf_count",
 ]
@@ -112,90 +111,48 @@ def is_two_antipodal(g: Graph, dm: DistanceMatrix | None = None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# blocks and cut vertices (iterative Hopcroft-Tarjan)
+# cut vertices and block graphs
 # ---------------------------------------------------------------------------
 
 
-def _block_structure(g: Graph) -> tuple[frozenset[int], list[frozenset[int]]]:
-    _require_connected(g)
-    n = g.n
-    if n == 1:
-        return frozenset(), [frozenset({0})]
-
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    cut = set()
-    comp_edges: list[list[tuple[int, int]]] = []
-    edge_stack: list[tuple[int, int]] = []
-    timer = 0
-
-    # stack entries: (vertex, iterator over neighbors)
-    stack = [(0, iter(list(g.neighbors(0))))]
-    disc[0] = low[0] = timer
-    timer += 1
-    root_children = 0
-
-    while stack:
-        u, it = stack[-1]
-        advanced = False
-        for v in it:
-            if disc[v] == -1:
-                parent[v] = u
-                if u == 0:
-                    root_children += 1
-                edge_stack.append((u, v))
-                disc[v] = low[v] = timer
-                timer += 1
-                stack.append((v, iter(list(g.neighbors(v)))))
-                advanced = True
-                break
-            elif v != parent[u] and disc[v] < disc[u]:
-                edge_stack.append((u, v))
-                low[u] = min(low[u], disc[v])
-        if advanced:
-            continue
-        stack.pop()
-        if stack:
-            p = stack[-1][0]
-            low[p] = min(low[p], low[u])
-            if low[u] >= disc[p]:
-                comp = []
-                while edge_stack and edge_stack[-1] != (p, u):
-                    comp.append(edge_stack.pop())
-                comp.append(edge_stack.pop())
-                comp_edges.append(comp)
-                if p != 0:
-                    cut.add(p)
-    if root_children >= 2:
-        cut.add(0)
-
-    blocks_out = [
-        frozenset(x for edge in comp for x in edge) for comp in comp_edges
-    ]
-    return frozenset(cut), blocks_out
-
-
 def cut_vertices(g: Graph) -> frozenset[int]:
-    """Articulation points of a connected graph."""
-    return _block_structure(g)[0]
-
-
-def blocks(g: Graph) -> list[frozenset[int]]:
-    """Vertex sets of the maximal biconnected subgraphs, in discovery order."""
-    return _block_structure(g)[1]
+    """Articulation points of a connected graph: the vertices v that leave
+    more than two components (v alone and at least two others) once v's row
+    and bit are cleared."""
+    _require_connected(g)
+    cuts = []
+    for v in range(g.n):
+        keep = ~(1 << v)
+        rest = [a & keep for a in g.adj]
+        rest[v] = 0
+        if len(component_masks(Graph(g.n, rest))) > 2:
+            cuts.append(v)
+    return frozenset(cuts)
 
 
 def is_generalized_tree(g: Graph) -> bool:
-    """Block-graph test: every block induces a complete subgraph."""
+    """Block-graph test: every block induces a complete subgraph.
+
+    Block graphs are exactly the chordal, diamond-free graphs.  No diamond:
+    the common neighbourhood of every edge is a clique.  Chordal: simplicial
+    vertices (whose neighbourhood is a clique) peel off until none are left.
+    """
     _require_connected(g)
-    for block in blocks(g):
-        mask = 0
-        for v in block:
-            mask |= 1 << v
-        for v in block:
-            if g.adj[v] & mask != mask ^ (1 << v):
+    adj = g.adj
+
+    def is_clique(mask: int) -> bool:
+        return all(mask & ~adj[w] == 1 << w for w in bits(mask))
+
+    for u in range(g.n):
+        for v in bits(adj[u] >> u << u):  # each edge once, as u < v
+            if not is_clique(adj[u] & adj[v]):
                 return False
+    left = (1 << g.n) - 1
+    while left:
+        simplicial = next((v for v in bits(left) if is_clique(adj[v] & left)), None)
+        if simplicial is None:
+            return False
+        left ^= 1 << simplicial
     return True
 
 

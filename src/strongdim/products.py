@@ -8,7 +8,6 @@ O(n1 * n2) big-int operations rather than a Python loop over vertex pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .graph import Graph, bits
 from .metrics import DistanceMatrix
@@ -18,7 +17,6 @@ __all__ = [
     "ProductSpec",
     "product",
     "strong_product_distances",
-    "project",
     "coordinate_labels",
 ]
 
@@ -123,20 +121,6 @@ def strong_product_distances(dm_g: DistanceMatrix, dm_h: DistanceMatrix) -> Dist
             hl = h_levels + [h_levels[-1]] * pad
             balls.append([a * b for a, b in zip(gl, hl)])
     return DistanceMatrix(n1 * n2, balls)
-
-
-def project(spec: ProductSpec, vertices: Iterable[int], side: str) -> frozenset[int]:
-    """Coordinate projection of a product vertex set onto one factor."""
-    if spec is None:
-        raise ValueError("vertex set is not associated with a product")
-    if side not in ("G", "H", "g", "h"):
-        raise ValueError("side must be 'G' or 'H'")
-    first = side in ("G", "g")
-    out = set()
-    for p in vertices:
-        u, v = spec.decode(p)
-        out.add(u if first else v)
-    return frozenset(out)
 
 
 def coordinate_labels(spec: ProductSpec) -> dict[int, str]:

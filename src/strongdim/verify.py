@@ -10,6 +10,7 @@ as passed, and no claim passes on zero checked instances.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import random
@@ -62,8 +63,11 @@ class CorpusSpec:
     node_budget: int = cov.DEFAULT_NODE_BUDGET
 
 
-def _all_connected_upto(n_max: int) -> list[Graph]:
-    """All connected graphs with 2 <= n <= n_max, one per isomorphism class."""
+@functools.cache
+def _all_connected_upto(n_max: int) -> tuple[Graph, ...]:
+    """All connected graphs with 2 <= n <= n_max, one per isomorphism class.
+
+    Cached per process: it depends on n_max alone, not on the corpus seed."""
     out: list[Graph] = []
     for n in range(2, n_max + 1):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -80,7 +84,7 @@ def _all_connected_upto(n_max: int) -> list[Graph]:
         found = [g for bucket in reps.values() for g in bucket]
         found.sort(key=gr.to_graph6)
         out.extend(found)
-    return out
+    return tuple(out)
 
 
 class Corpus:
@@ -88,15 +92,12 @@ class Corpus:
 
     def __init__(self, spec: CorpusSpec):
         self.spec = spec
-        self._exhaustive: list[Graph] | None = None
 
     def _rng(self, tag: str) -> random.Random:
         return random.Random(f"{self.spec.seed}:{tag}")
 
-    def exhaustive_small(self) -> list[Graph]:
-        if self._exhaustive is None:
-            self._exhaustive = _all_connected_upto(self.spec.exhaustive_n)
-        return self._exhaustive
+    def exhaustive_small(self) -> tuple[Graph, ...]:
+        return _all_connected_upto(self.spec.exhaustive_n)
 
     def sampled(self, n: int, count: int, tag: str) -> list[Graph]:
         rng = self._rng(f"sample:{n}:{tag}")

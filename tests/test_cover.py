@@ -13,7 +13,6 @@ from strongdim.cover import (
     DEFAULT_NODE_BUDGET,
     BudgetExhausted,
     CliquePartition,
-    chromatic_number,
     clique_cover_number,
     independence_number,
     is_c1_graph,
@@ -24,11 +23,13 @@ from strongdim.cover import (
 )
 from strongdim.graph import (
     bits,
+    complement,
     complete,
     complete_multipartite,
     component_masks,
     cycle,
     disjoint_union,
+    grid,
     make_graph,
     path,
     random_connected,
@@ -323,23 +324,20 @@ def test_max_clique_known_values():
     assert max_clique(make_graph(1, [])) == frozenset({0})
 
 
-def test_chromatic_known_values():
-    assert chromatic_number(complete(5))[0] == 5
-    assert chromatic_number(cycle(6))[0] == 2
-    assert chromatic_number(cycle(7))[0] == 3
-    assert chromatic_number(complete_multipartite([2, 2, 2]))[0] == 3
-    k, colors = chromatic_number(cycle(5))
-    assert k == 3
-    for u, v in cycle(5).edges():
-        assert colors[u] != colors[v]
-
-
 def test_clique_cover_known_values():
     assert clique_cover_number(complete(5))[0] == 1
     theta_c6, part = clique_cover_number(cycle(6))
     assert theta_c6 == 3 == independence_number(cycle(6))
     part.validate(cycle(6))
     assert clique_cover_number(cycle(5))[0] == 3 > independence_number(cycle(5))
+    # chromatic numbers, as theta of the complement
+    assert clique_cover_number(complement(complete(5)))[0] == 5
+    assert clique_cover_number(complement(cycle(6)))[0] == 2
+    assert clique_cover_number(complement(cycle(7)))[0] == 3
+    assert clique_cover_number(complement(complete_multipartite([2, 2, 2])))[0] == 3
+    k, part = clique_cover_number(complement(cycle(5)))
+    assert k == 3
+    part.validate(complement(cycle(5)))
 
 
 def test_clique_cover_matches_brute_partition_search():
@@ -382,6 +380,48 @@ def test_c1_graph_families():
     assert is_c1_graph(cycle(9))
     assert not is_c1_graph(cycle(6))  # already a C-graph
     assert not is_c1_graph(complete(4))
+
+
+def _without(g, b):
+    """g - b, with the ids above b shifted down by one."""
+    keep = [u for u in range(g.n) if u != b]
+    return make_graph(len(keep), [(keep.index(u), keep.index(v))
+                                  for u, v in g.edges() if b not in (u, v)])
+
+
+def odd_hole_graphs(count, seed):
+    """Seeded graphs with n <= 8 around an induced C5 or C7, half of them
+    complemented: the odd hole or antihole keeps most of them off C-graphs."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        k = rng.choice([5, 7])
+        n = rng.randrange(k, 9)
+        p = rng.choice([0.2, 0.35, 0.5, 0.7])
+        edges = [(i, (i + 1) % k) for i in range(k)]
+        edges += [(u, v) for v in range(k, n) for u in range(v) if rng.random() < p]
+        g = make_graph(n, edges)
+        out.append(complement(g) if rng.random() < 0.5 else g)
+    return out
+
+
+def test_recognition_matches_definitions():
+    # C-graph: V splits into beta cliques.  C1-graph: not a C-graph, and V - b
+    # splits into beta cliques for some b.  Both from subset enumeration.
+    graphs = seeded_graphs(60, 1, 8, seed=31) + odd_hole_graphs(60, seed=31)
+    graphs += [strong_resolving_graph(f).sr
+               for f in [path(n) for n in range(2, 8)] + [cycle(n) for n in range(3, 10)]
+               + [grid(2, 3), grid(3, 3), grid(2, 4), grid(3, 4)]]
+    graphs.append(disjoint_union([cycle(5), cycle(5)]))  # neither kind
+    seen = set()
+    for g in graphs:
+        beta = g.n - brute_min_cover(g)
+        c_graph = brute_clique_cover(g) == beta
+        c1_graph = not c_graph and any(
+            brute_clique_cover(_without(g, b)) <= beta for b in range(g.n))
+        assert (is_c_graph(g), is_c1_graph(g)) == (c_graph, c1_graph)
+        seen.add((c_graph, c1_graph))
+    assert seen == {(True, False), (False, True), (False, False)}
 
 
 def test_sr_of_p4_is_c_graph():

@@ -22,7 +22,12 @@ from strongdim.graph import (
     to_dot,
     to_graph6,
 )
-from strongdim.metrics import all_pairs_distances, blocks, cut_vertices, is_connected
+from strongdim.metrics import (
+    all_pairs_distances,
+    cut_vertices,
+    is_connected,
+    is_generalized_tree,
+)
 from strongdim.products import product
 
 
@@ -116,9 +121,9 @@ def test_kpartite_2_2_is_c4():
 def test_generalized_tree_two_triangles():
     g = generalized_tree([3, 3], seed=7)
     assert g.n == 5
+    assert g.num_edges == 6
     assert len(cut_vertices(g)) == 1
-    bl = blocks(g)
-    assert len(bl) == 2 and all(len(b) == 3 for b in bl)
+    assert is_generalized_tree(g)
 
 
 def test_generalized_tree_rejects_small_blocks():

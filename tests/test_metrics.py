@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strongdim.graph import (
     complete,
@@ -14,7 +15,6 @@ from strongdim.graph import (
 )
 from strongdim.metrics import (
     all_pairs_distances,
-    blocks,
     cut_vertices,
     diameter,
     is_connected,
@@ -125,35 +125,45 @@ def test_two_antipodal_classification():
 
 def test_path_blocks():
     assert cut_vertices(path(4)) == frozenset({1, 2})
-    assert sorted(sorted(b) for b in blocks(path(4))) == [[0, 1], [1, 2], [2, 3]]
+    assert is_generalized_tree(path(4))
 
 
 def test_complete_single_block():
     assert cut_vertices(complete(4)) == frozenset()
-    assert blocks(complete(4)) == [frozenset({0, 1, 2, 3})]
+    assert is_generalized_tree(complete(4))
 
 
 def test_generalized_tree_block_structure():
     g = generalized_tree([3, 3], seed=3)
+    assert g.n == 5 and g.num_edges == 6
     assert len(cut_vertices(g)) == 1
-    assert all(len(b) == 3 for b in blocks(g))
+    assert is_generalized_tree(g)
 
 
 def test_single_vertex_block():
-    assert blocks(complete(1)) == [frozenset({0})]
+    assert is_generalized_tree(complete(1))
     assert cut_vertices(complete(1)) == frozenset()
 
 
-@given(connected_graph_strategy(1, 9))
+def _blocks_match_networkx(nx, g):
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges())
+    assert cut_vertices(g) == frozenset(nx.articulation_points(ref))
+    blocks_are_cliques = all(
+        ref.subgraph(block).number_of_edges() == len(block) * (len(block) - 1) // 2
+        for block in nx.biconnected_components(ref))
+    assert is_generalized_tree(g) == blocks_are_cliques
+    return blocks_are_cliques
+
+
+@given(connected_graph_strategy(1, 9),
+       st.lists(st.integers(min_value=2, max_value=4), min_size=1, max_size=4),
+       st.integers(min_value=0, max_value=1000))
 @settings(max_examples=60)
-def test_cut_vertex_iff_in_two_blocks(g):
-    cuts = cut_vertices(g)
-    bl = blocks(g)
-    assert len(bl) >= 1
-    assert frozenset().union(*bl) == frozenset(range(g.n))
-    for v in range(g.n):
-        in_blocks = sum(1 for b in bl if v in b)
-        assert (in_blocks >= 2) == (v in cuts)
+def test_blocks_match_networkx(nx, g, block_sizes, seed):
+    _blocks_match_networkx(nx, g)
+    assert _blocks_match_networkx(nx, generalized_tree(block_sizes, seed))
 
 
 # -- generalized trees ----------------------------------------------------------
@@ -168,7 +178,9 @@ def test_trees_are_generalized_trees():
 
 
 def test_c4_is_not_generalized_tree():
-    assert not is_generalized_tree(cycle(4))
+    assert not is_generalized_tree(cycle(4))  # a hole: not chordal
+    diamond = make_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    assert not is_generalized_tree(diamond)  # chordal, one block, not a clique
 
 
 def test_constructed_gtree_recognized():

@@ -10,7 +10,6 @@ from strongdim.products import (
     ProductSpec,
     coordinate_labels,
     product,
-    project,
     strong_product_distances,
 )
 
@@ -160,19 +159,6 @@ def test_index_decode_bijection():
         spec.decode(28)
 
 
-def test_project_examples():
-    spec = ProductSpec("strong", 2, 2)
-    x = {spec.index(0, 0), spec.index(0, 1)}
-    assert project(spec, x, "G") == frozenset({0})
-    assert project(spec, x, "H") == frozenset({0, 1})
-    everything = range(spec.size)
-    assert project(spec, everything, "G") == frozenset(range(2))
-    with pytest.raises(ValueError):
-        project(None, x, "G")
-    with pytest.raises(ValueError):
-        project(spec, {99}, "G")
-
-
 def test_clique_strip_projection_argument():
     # partition C5 into two edge-cliques and a singleton; restricted to each
     # strip A_i x V(H), a maximum independent set of C5 x C5 projects onto H
@@ -184,7 +170,7 @@ def test_clique_strip_projection_argument():
     assert len(indep) == 5
     for part in ({0, 1}, {2, 3}, {4}):
         strip = [p for p in indep if spec.decode(p)[0] in part]
-        assert len(project(spec, strip, "H")) == len(strip)
+        assert len({spec.decode(p)[1] for p in strip}) == len(strip)
 
 
 def test_coordinate_labels():
