@@ -330,7 +330,11 @@ def test_clique_cover_known_values():
     assert theta_c6 == 3 == independence_number(cycle(6))
     part.validate(cycle(6))
     assert clique_cover_number(cycle(5))[0] == 3 > independence_number(cycle(5))
-    # chromatic numbers, as theta of the complement
+
+
+def test_chromatic_known_values():
+    """chi(G) = theta(complement of G): a clique partition of the complement
+    is a proper colouring of G."""
     assert clique_cover_number(complement(complete(5)))[0] == 5
     assert clique_cover_number(complement(cycle(6)))[0] == 2
     assert clique_cover_number(complement(cycle(7)))[0] == 3
@@ -338,6 +342,9 @@ def test_clique_cover_known_values():
     k, part = clique_cover_number(complement(cycle(5)))
     assert k == 3
     part.validate(complement(cycle(5)))
+    colour = {v: i for i, p in enumerate(part.parts) for v in p}
+    for u, v in cycle(5).edges():
+        assert colour[u] != colour[v]
 
 
 def test_clique_cover_matches_brute_partition_search():
