@@ -21,7 +21,6 @@ from .cover import (
 from .dimension import (
     DimensionResult,
     brute_force_dimension,
-    formula,
     is_strong_generator,
     product_dimension,
     product_sr_graph,

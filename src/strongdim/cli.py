@@ -73,11 +73,9 @@ def _compute_one(what: str, g: Graph, budget: int) -> dict:
         out["graph6"] = gr.to_graph6(srg.sr)
         out["edges"] = [list(e) for e in srg.sr.edges()]
     elif what == "alpha":
-        res = cov.min_vertex_cover(g, budget)
-        if not res.proven_optimal:
-            raise cov.BudgetExhausted("cover budget exhausted")
-        out["value"] = res.size
-        out["witness"] = sorted(res.witness)
+        witness = frozenset(range(g.n)) - cov.max_independent_set(g, budget)
+        out["value"] = len(witness)
+        out["witness"] = sorted(witness)
     elif what == "beta":
         witness = cov.max_independent_set(g, budget)
         out["value"] = len(witness)

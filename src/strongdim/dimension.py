@@ -25,8 +25,6 @@ __all__ = [
     "product_dimension",
     "product_sr_graph",
     "brute_force_dimension",
-    "formula",
-    "FORMULA_KINDS",
 ]
 
 BRUTE_FORCE_SIZE_CAP = 15
@@ -288,30 +286,3 @@ def odd_odd_upper(r: int, t: int) -> int:
 def c3_exact(t: int) -> int:
     _check(t >= 1, "c3_exact needs t >= 1")
     return 5 * t + 3
-
-
-FORMULA_KINDS = {
-    "general_lower": general_lower,
-    "general_upper": general_upper,
-    "complete_factor": complete_factor,
-    "kpartite_factor": kpartite_factor,
-    "generalized_tree_factor": generalized_tree_factor,
-    "tree_factor": tree_factor,
-    "antipodal_factor": antipodal_factor,
-    "grid_factor": grid_factor,
-    "c1_lower": c1_lower,
-    "odd_cycle_lower": odd_cycle_lower,
-    "odd_cycle_upper": odd_cycle_upper,
-    "odd_odd_lower": odd_odd_lower,
-    "odd_odd_upper": odd_odd_upper,
-    "c3_exact": c3_exact,
-}
-
-
-def formula(kind: str, **params: int) -> int:
-    """Evaluate one of the named closed forms; pure arithmetic."""
-    try:
-        fn = FORMULA_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown formula kind {kind!r}") from None
-    return fn(**params)

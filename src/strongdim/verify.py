@@ -15,6 +15,7 @@ import io
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, asdict
 from typing import Callable, Iterable
 
@@ -24,6 +25,7 @@ from . import graph as gr
 from . import metrics as mt
 from . import products as pr
 from . import resolving as rs
+from .cover import is_c1_graph, is_c_graph
 from .graph import Graph
 
 __all__ = [
@@ -46,6 +48,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+EXHAUSTIVE_N_CAP = 7
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
     """Knobs for the default desk-scale corpus; the seed fixes everything."""
@@ -59,8 +64,14 @@ class CorpusSpec:
     odd_odd_max: int = 4         # thm-odd-odd-beta checks 1 <= r <= t <= odd_odd_max
     odd_odd_dim_max: int = 3     # thm-odd-odd-bounds range
     odd_odd_fixed: tuple[int, int] | None = None  # restrict odd-odd claims to one (r, t)
-    recognition_cap: int = 20    # C-graph / clique-cover recognition cap
+    recognition_cap: int = cov.DEFAULT_RECOGNITION_CAP  # C-graph / C1-graph recognition cap
     node_budget: int = cov.DEFAULT_NODE_BUDGET
+
+    def __post_init__(self):
+        # order n enumerates 2^(n choose 2) edge masks: 2^21 at 7, 2^28 at 8
+        if self.exhaustive_n > EXHAUSTIVE_N_CAP:
+            raise ValueError(f"exhaustive_n {self.exhaustive_n} exceeds the cap of "
+                             f"{EXHAUSTIVE_N_CAP}")
 
 
 @functools.cache
@@ -174,39 +185,41 @@ class Corpus:
 
 
 class Env:
+    """One memo per run: each layer of each graph is built once, keyed by
+    the layer's name and its arguments."""
+
     def __init__(self, spec: CorpusSpec):
         self.spec = spec
-        self._sr: dict[Graph, rs.SRGraph] = {}
-        self._alpha: dict[Graph, int] = {}
-        self._dim: dict[Graph, int] = {}
-        self._product: dict[tuple[str, Graph, Graph], Graph] = {}
+        self._memo: dict[tuple, object] = {}
 
-    def sr(self, g: Graph) -> rs.SRGraph:
-        if g not in self._sr:
-            self._sr[g] = rs.strong_resolving_graph(g)
-        return self._sr[g]
-
-    def alpha(self, g: Graph) -> int:
-        if g not in self._alpha:
-            res = cov.min_vertex_cover(g, self.spec.node_budget)
-            if not res.proven_optimal:
-                raise cov.BudgetExhausted("cover budget exhausted")
-            self._alpha[g] = res.size
-        return self._alpha[g]
-
-    def beta(self, g: Graph) -> int:
-        return g.n - self.alpha(g)
-
-    def dim_s(self, g: Graph) -> int:
-        if g not in self._dim:
-            self._dim[g] = dim.strong_metric_dimension(g, self.spec.node_budget).dim
-        return self._dim[g]
+    def _cached(self, key: tuple, build: Callable[[], object]):
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     def product(self, kind: str, g: Graph, h: Graph) -> Graph:
-        key = (kind, g, h)
-        if key not in self._product:
-            self._product[key] = pr.product(kind, g, h)
-        return self._product[key]
+        return self._cached(("product", kind, g, h), lambda: pr.product(kind, g, h))
+
+    def sr(self, g: Graph) -> rs.SRGraph:
+        return self._cached(("sr", g), lambda: rs.strong_resolving_graph(g))
+
+    def beta(self, g: Graph) -> int:
+        return self._cached(
+            ("beta", g), lambda: cov.independence_number(g, self.spec.node_budget))
+
+    def dim_s(self, g: Graph) -> int:
+        return self._cached(
+            ("dim_s", g), lambda: dim.strong_metric_dimension(g, self.spec.node_budget).dim)
+
+    def c_graph(self, g: Graph) -> bool:
+        return self._cached(
+            ("c_graph", g), lambda: is_c_graph(g, self.spec.recognition_cap))
+
+    def c1_graph(self, g: Graph) -> bool:
+        return self._cached(
+            ("c1_graph", g), lambda: is_c1_graph(g, self.spec.recognition_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +269,10 @@ def _connected_nontrivial(g: Graph) -> bool:
     return g.n >= 2 and mt.is_connected(g)
 
 
+def _is_odd_cycle(g: Graph) -> bool:
+    return g.n >= 3 and g.n % 2 == 1 and g == gr.cycle(g.n)
+
+
 CLAIMS: dict[str, Claim] = {}
 
 
@@ -276,10 +293,7 @@ def claim_ids() -> list[str]:
 def _singleton_with_partners(factors: Callable[[Corpus], list[Graph]]):
     def gen(corpus: Corpus):
         partners = corpus.dimension_partners()
-        out = []
-        for i, g in enumerate(factors(corpus)):
-            out.append((g, partners[i % len(partners)]))
-        return out
+        return [(g, partners[i % len(partners)]) for i, g in enumerate(factors(corpus))]
     return gen
 
 
@@ -367,8 +381,8 @@ def _check_thm_sandwich(env: Env, g: Graph, h: Graph) -> dict:
         return _skip(g, h, "factors must be connected and nontrivial")
     prod_sr = env.sr(env.product("strong", g, h)).sr
     sr_g, sr_h = env.sr(g).sr, env.sr(h).sr
-    lower = pr.product("strong", sr_g, sr_h)
-    upper = pr.product("cartesian_sum", sr_g, sr_h)
+    lower = env.product("strong", sr_g, sr_h)
+    upper = env.product("cartesian_sum", sr_g, sr_h)
     ok_low = all(lower.adj[p] & ~prod_sr.adj[p] == 0 for p in range(prod_sr.n))
     ok_up = all(prod_sr.adj[p] & ~upper.adj[p] == 0 for p in range(prod_sr.n))
     return _record(
@@ -386,9 +400,9 @@ def _check_cor_beta_chain(env: Env, g: Graph, h: Graph) -> dict:
     if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
         return _skip(g, h, "factors must be connected and nontrivial")
     sr_g, sr_h = env.sr(g).sr, env.sr(h).sr
-    b_strong = env.beta(pr.product("strong", sr_g, sr_h))
+    b_strong = env.beta(env.product("strong", sr_g, sr_h))
     b_mid = env.beta(env.sr(env.product("strong", g, h)).sr)
-    b_sum = env.beta(pr.product("cartesian_sum", sr_g, sr_h))
+    b_sum = env.beta(env.product("cartesian_sum", sr_g, sr_h))
     ok = b_strong >= b_mid >= b_sum
     return _record(g, h, "pass" if ok else "fail",
                    "non-increasing chain", [b_strong, b_mid, b_sum])
@@ -459,10 +473,10 @@ def _check_thm_bounds(env: Env, g: Graph, h: Graph) -> dict:
     note = ""
     cap = env.spec.recognition_cap
     sr_g, sr_h = env.sr(g).sr, env.sr(h).sr
-    if sr_g.n <= cap and cov.is_c_graph(sr_g, cap):
+    if sr_g.n <= cap and env.c_graph(sr_g):
         ok = ok and actual == hi
         note = "upper bound must be attained (SR(G) is a C-graph)"
-    elif sr_h.n <= cap and cov.is_c_graph(sr_h, cap):
+    elif sr_h.n <= cap and env.c_graph(sr_h):
         ok = ok and actual == hi
         note = "upper bound must be attained (SR(H) is a C-graph)"
     return _record(g, h, "pass" if ok else "fail", [lo, hi], actual,
@@ -477,7 +491,7 @@ def _check_thm_bounds(env: Env, g: Graph, h: Graph) -> dict:
 def _check_lemma_cgraph(env: Env, g: Graph, h: Graph) -> dict:
     if g.n > env.spec.recognition_cap:
         return _skip(g, h, "factor exceeds the recognition cap")
-    if not cov.is_c_graph(g, env.spec.recognition_cap):
+    if not env.c_graph(g):
         return _skip(g, h, "G is not a C-graph")
     expected = env.beta(g) * env.beta(h)
     actual = env.beta(env.product("strong", g, h))
@@ -495,7 +509,7 @@ def _check_thm_cgraph(env: Env, g: Graph, h: Graph) -> dict:
     sr_g = env.sr(g).sr
     if sr_g.n > env.spec.recognition_cap:
         return _skip(g, h, "SR graph exceeds the recognition cap")
-    if not cov.is_c_graph(sr_g, env.spec.recognition_cap):
+    if not env.c_graph(sr_g):
         return _skip(g, h, "SR(G) is not a C-graph")
     expected = dim.general_upper(g.n, h.n, env.dim_s(g), env.dim_s(h))
     actual = env.dim_s(env.product("strong", g, h))
@@ -511,7 +525,7 @@ def _check_thm_cgraph(env: Env, g: Graph, h: Graph) -> dict:
 def _check_lemma_c1graph(env: Env, g: Graph, h: Graph) -> dict:
     if g.n > env.spec.recognition_cap:
         return _skip(g, h, "factor exceeds the recognition cap")
-    if not cov.is_c1_graph(g, env.spec.recognition_cap):
+    if not env.c1_graph(g):
         return _skip(g, h, "G is not a C1-graph")
     bound = env.beta(g) * (env.beta(h) + 1)
     actual = env.beta(env.product("strong", g, h))
@@ -530,7 +544,7 @@ def _check_thm_c1_lower(env: Env, g: Graph, h: Graph) -> dict:
     sr_g = env.sr(g).sr
     if sr_g.n > env.spec.recognition_cap:
         return _skip(g, h, "SR graph exceeds the recognition cap")
-    if not cov.is_c1_graph(sr_g, env.spec.recognition_cap):
+    if not env.c1_graph(sr_g):
         return _skip(g, h, "SR(G) is not a C1-graph")
     bound = dim.c1_lower(g.n, h.n, env.dim_s(g), env.dim_s(h))
     actual = env.dim_s(env.product("strong", g, h))
@@ -679,9 +693,9 @@ def _check_cor_v(env: Env, g: Graph, h: Graph) -> dict:
     _odd_cycle_instances,
 )
 def _check_oddcycle_bounds(env: Env, g: Graph, h: Graph) -> dict:
-    r = (g.n - 1) // 2
-    if g.n != 2 * r + 1 or g != gr.cycle(g.n):
+    if not _is_odd_cycle(g):
         return _skip(g, h, "factor is not an odd cycle")
+    r = (g.n - 1) // 2
     dh = env.dim_s(h)
     lo = dim.odd_cycle_lower(r, h.n, dh)
     hi = dim.odd_cycle_upper(r, h.n, dh)
@@ -697,7 +711,7 @@ def _check_oddcycle_bounds(env: Env, g: Graph, h: Graph) -> dict:
 )
 def _check_odd_odd_beta(env: Env, g: Graph, h: Graph) -> dict:
     r, t = (g.n - 1) // 2, (h.n - 1) // 2
-    if g != gr.cycle(g.n) or h != gr.cycle(h.n) or g.n % 2 == 0 or h.n % 2 == 0 or r > t:
+    if not (_is_odd_cycle(g) and _is_odd_cycle(h)) or r > t:
         return _skip(g, h, "needs odd cycles with r <= t")
     expected = r * t + r // 2
     actual = env.beta(env.product("strong", g, h))
@@ -711,7 +725,7 @@ def _check_odd_odd_beta(env: Env, g: Graph, h: Graph) -> dict:
 )
 def _check_odd_odd_bounds(env: Env, g: Graph, h: Graph) -> dict:
     r, t = (g.n - 1) // 2, (h.n - 1) // 2
-    if g != gr.cycle(g.n) or h != gr.cycle(h.n) or g.n % 2 == 0 or h.n % 2 == 0 or r > t:
+    if not (_is_odd_cycle(g) and _is_odd_cycle(h)) or r > t:
         return _skip(g, h, "needs odd cycles with r <= t")
     lo, hi = dim.odd_odd_lower(r, t), dim.odd_odd_upper(r, t)
     actual = env.dim_s(env.product("strong", g, h))
@@ -726,7 +740,7 @@ def _check_odd_odd_bounds(env: Env, g: Graph, h: Graph) -> dict:
 )
 def _check_remark_c3(env: Env, g: Graph, h: Graph) -> dict:
     t = (h.n - 1) // 2
-    if g != gr.cycle(3) or h != gr.cycle(h.n) or h.n % 2 == 0:
+    if g != gr.cycle(3) or not _is_odd_cycle(h):
         return _skip(g, h, "needs C_3 and an odd cycle")
     expected = dim.c3_exact(t)
     actual = env.dim_s(env.product("strong", g, h))
@@ -747,23 +761,15 @@ def verify_claim(
     env = env or Env(corpus.spec)
     t0 = time.perf_counter()
     records = []
-    checked = skipped = inconclusive = failures = 0
     for g, h in claim.instances(corpus):
         try:
-            rec = claim.check(env, g, h)
+            records.append(claim.check(env, g, h))
         except cov.BudgetExhausted as exc:
-            rec = _record(g, h, "inconclusive", None, None, note=str(exc))
-        records.append(rec)
-        outcome = rec["outcome"]
-        if outcome == "pass":
-            checked += 1
-        elif outcome == "fail":
-            checked += 1
-            failures += 1
-        elif outcome == "inconclusive":
-            inconclusive += 1
-        else:
-            skipped += 1
+            records.append(_record(g, h, "inconclusive", None, None, note=str(exc)))
+    tally = Counter(rec["outcome"] for rec in records)
+    failures, inconclusive = tally["fail"], tally["inconclusive"]
+    checked = tally["pass"] + failures
+    skipped = len(records) - checked - inconclusive
     if failures:
         status = "counterexample"
     elif inconclusive:

@@ -272,11 +272,12 @@ def test_product_dot_ignores_sr(capsys):
     product("strong", cycle(5), generate("path:12")),  # on the branch-and-reduce side
 ])
 def test_compute_dim_s_budget_exhausted_exits_3(capsys, g):
-    code, out, err = run_cli(capsys, "compute", "dim-s", to_graph6(g), "--node-budget", "5")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: budget-exhausted")
-    assert len(err.strip().splitlines()) == 1
+    for what in ("dim-s", "alpha"):
+        code, out, err = run_cli(capsys, "compute", what, to_graph6(g), "--node-budget", "5")
+        assert code == 3, what
+        assert out == ""
+        assert err.startswith("error: budget-exhausted")
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_consecutive_calls_share_no_flags_or_defaults(capsys):
@@ -319,6 +320,15 @@ def test_verify_unknown_claim(capsys):
     code, _, err = run_cli(capsys, "verify", "thm-flat-earth")
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_verify_exhaustive_n_above_cap_refused(capsys):
+    # order 8 would enumerate 2^28 edge masks; the corpus spec refuses it up front
+    code, out, err = run_cli(capsys, "verify", "all", "--exhaustive-n", "8")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "cap of 7" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_verify_csv_summary(capsys, tmp_path):

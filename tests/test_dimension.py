@@ -7,19 +7,26 @@ from hypothesis import strategies as st
 from strongdim.cover import max_clique
 from strongdim.dimension import (
     DimensionResult,
+    antipodal_factor,
     brute_force_dimension,
     c1_lower,
     c3_exact,
-    formula,
+    complete_factor,
     general_lower,
     general_upper,
+    generalized_tree_factor,
+    grid_factor,
     is_strong_generator,
+    kpartite_factor,
+    odd_cycle_lower,
+    odd_cycle_upper,
     odd_odd_lower,
     odd_odd_upper,
     product_dimension,
     product_sr_graph,
     strong_metric_dimension,
     strongly_resolves,
+    tree_factor,
 )
 from strongdim.graph import (
     complement,
@@ -239,18 +246,20 @@ def test_dimension_two_routes_agree():
 
 def test_formula_spot_values():
     assert c3_exact(2) == 13
+    assert c3_exact(1) == 8
     assert odd_odd_lower(1, 1) == odd_odd_upper(1, 1) == 8
+    assert odd_odd_upper(2, 3) == 29
     assert general_upper(2, 3, 1, 1) == 4
     assert general_lower(3, 5, 2, 1) == 10
     assert general_upper(3, 5, 2, 1) == 11
-    assert formula("tree_factor", n1=4, n2=3, leaves=2, dim_h=1) == 6
-    assert formula("antipodal_factor", n1=6, n2=3, dim_h=1) == 12
-    assert formula("grid_factor", n1=9, n2=2, dim_h=1) == 12
-    assert formula("complete_factor", n1=4, n2=3, dim_h=1) == 10
-    assert formula("kpartite_factor", n1=5, n2=3, k=2, dim_h=1) == 11
-    assert formula("generalized_tree_factor", n1=5, n2=3, c=1, dim_h=1) == 11
-    assert formula("odd_cycle_lower", r=2, n=4, dim_h=1) == 12
-    assert formula("odd_cycle_upper", r=2, n=4, dim_h=1) == 14
+    assert tree_factor(4, 3, 2, 1) == 6
+    assert antipodal_factor(6, 3, 1) == 12
+    assert grid_factor(9, 2, 1) == 12
+    assert complete_factor(4, 3, 1) == 10
+    assert kpartite_factor(5, 3, 2, 1) == 11
+    assert generalized_tree_factor(5, 3, 1, 1) == 11
+    assert odd_cycle_lower(2, 4, 1) == 12
+    assert odd_cycle_upper(2, 4, 1) == 14
     assert c1_lower(5, 5, 3, 3) == 19
 
 
@@ -265,13 +274,6 @@ def test_formula_domain_errors():
     with pytest.raises(ValueError):
         odd_odd_lower(3, 2)
     with pytest.raises(ValueError):
-        formula("antipodal_factor", n1=5, n2=3, dim_h=1)
+        antipodal_factor(5, 3, 1)
     with pytest.raises(ValueError):
-        formula("no_such_formula", n1=1)
-    with pytest.raises(ValueError):
-        formula("c3_exact", t=0)
-
-
-def test_formula_registry_is_callable():
-    assert formula("c3_exact", t=1) == 8
-    assert formula("odd_odd_upper", r=2, t=3) == 29
+        c3_exact(0)

@@ -1,9 +1,11 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from strongdim.graph import cycle, to_graph6
+from strongdim import cover, dimension, products
+from strongdim.graph import complete, cycle, path, to_graph6
 from strongdim.verify import (
     CLAIMS,
     Corpus,
@@ -17,6 +19,8 @@ from strongdim.verify import (
     suite_to_json,
     verify_claim,
 )
+
+from test_cli import _patch_everywhere
 
 SMALL = CorpusSpec(
     seed=7,
@@ -159,6 +163,19 @@ def test_replay_flags_tampered_record():
     assert replayed != record
 
 
+@pytest.mark.parametrize("claim_id,g,h", [
+    ("thm-odd-odd-beta", complete(2), complete(2)),
+    ("thm-odd-odd-beta", cycle(3), path(2)),
+    ("thm-odd-odd-bounds", complete(2), complete(2)),
+    ("thm-odd-odd-bounds", cycle(3), path(2)),
+    ("remark-c3", cycle(3), path(2)),
+    ("thm-oddcycle-bounds", complete(1), cycle(5)),
+])
+def test_replay_skips_factors_too_small_for_a_cycle(claim_id, g, h):
+    record = {"g6_g": to_graph6(g), "g6_h": to_graph6(h)}
+    assert replay_instance(claim_id, record)["outcome"] == "skip"
+
+
 def test_json_shape(small_reports):
     doc = json.loads(suite_to_json(small_reports, SMALL))
     assert doc["seed"] == 7
@@ -196,6 +213,23 @@ def test_env_cache_consistency(small_corpus):
     assert env.beta(g) == 2
     assert env.dim_s(g) == 3  # cached path
     assert env.sr(g).sr.num_edges == 5
+
+
+def test_each_layer_built_once_per_run(monkeypatch):
+    # Env memoises every layer a claim reads, so no call repeats its arguments
+    calls = []
+    for fn in (cover.is_c_graph, cover.is_c1_graph,
+               dimension.strong_metric_dimension, products.product):
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append((_fn.__name__, args, tuple(sorted(kwargs.items()))))
+            return _fn(*args, **kwargs)
+
+        _patch_everywhere(monkeypatch, fn, counted)
+    run_suite(Corpus(SMALL))
+    repeated = [call[0] for call, count in Counter(calls).items() if count > 1]
+    assert {call[0] for call in calls} == {
+        "is_c_graph", "is_c1_graph", "strong_metric_dimension", "product"}
+    assert not repeated
 
 
 class TreesOnlyCorpus(Corpus):
