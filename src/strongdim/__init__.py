@@ -11,7 +11,6 @@ from .cover import (
     CliquePartition,
     CoverResult,
     clique_cover_number,
-    independence_number,
     is_c1_graph,
     is_c_graph,
     max_clique,

@@ -45,7 +45,6 @@ __all__ = [
     "BudgetExhausted",
     "DEFAULT_NODE_BUDGET",
     "min_vertex_cover",
-    "independence_number",
     "max_independent_set",
     "max_clique",
     "clique_cover_number",
@@ -72,6 +71,13 @@ class CoverResult:
     witness: frozenset[int]
     nodes_explored: int
     proven_optimal: bool
+
+    def exact(self) -> CoverResult:
+        """This result if the search proved it minimum; ``BudgetExhausted`` otherwise."""
+        if not self.proven_optimal:
+            raise BudgetExhausted(
+                f"cover search exhausted its node budget ({self.nodes_explored} nodes)")
+        return self
 
 
 class _Budget(Exception):
@@ -416,7 +422,7 @@ def min_vertex_cover(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverR
     and <= ``COLOUR_ENGINE_MAX_THETA`` cliques, and to branch and reduce
     otherwise.  When the node budget runs out the component keeps its greedy
     cover and the result has ``proven_optimal=False``; callers that need
-    exactness must raise.
+    exactness read it through ``CoverResult.exact``.
     """
     adj = list(g.adj)
     nodes = 0
@@ -455,27 +461,14 @@ def min_vertex_cover(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverR
     return CoverResult(len(witness), witness, nodes, proven)
 
 
-def independence_number(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-    return len(max_independent_set(g, node_budget))
-
-
 def max_independent_set(
     g: Graph, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> frozenset[int]:
-    """Maximum independent set as the complement of an exact minimum cover."""
-    res = min_vertex_cover(g, node_budget)
-    if not res.proven_optimal:
-        raise BudgetExhausted(
-            f"cover search exhausted its node budget ({res.nodes_explored} nodes)"
-        )
-    indep = frozenset(range(g.n)) - res.witness
-    mask = 0
-    for v in indep:
-        mask |= 1 << v
-    for u in indep:
-        if g.adj[u] & mask:
-            raise AssertionError("independent-set witness spans an edge")
-    return indep
+    """Maximum independent set as the complement of an exact minimum cover.
+
+    ``min_vertex_cover`` has checked that no edge joins two vertices outside
+    its cover, so the complement is independent."""
+    return frozenset(range(g.n)) - min_vertex_cover(g, node_budget).exact().witness
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +578,7 @@ def clique_cover_number(
 
 def is_c_graph(g: Graph, cap: int = DEFAULT_RECOGNITION_CAP) -> bool:
     """True iff V(g) partitions into exactly beta(g) cliques."""
-    adj, full, seeds = _recognition_input(g, cap, "clique cover")
+    adj, full, seeds = _recognition_input(g, cap, "C-graph")
     return _clique_partition(adj, full, seeds.bit_count(), seeds) is not None
 
 

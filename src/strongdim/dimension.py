@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cover import DEFAULT_NODE_BUDGET, BudgetExhausted, min_vertex_cover
+from .cover import DEFAULT_NODE_BUDGET, CoverResult, min_vertex_cover
 from .graph import Graph
 from .metrics import DistanceMatrix, all_pairs_distances, is_connected
 from .products import product, strong_product_distances
@@ -21,6 +21,7 @@ __all__ = [
     "DimensionResult",
     "strongly_resolves",
     "is_strong_generator",
+    "sr_cover_dimension",
     "strong_metric_dimension",
     "product_dimension",
     "product_sr_graph",
@@ -100,22 +101,20 @@ def is_strong_generator(
     return True
 
 
-def _sr_cover(
-    g: Graph, sr: Graph, dm: DistanceMatrix, node_budget: int
+def sr_cover_dimension(
+    g: Graph, sr: Graph, dm: DistanceMatrix, cover: CoverResult
 ) -> DimensionResult:
-    """Minimum vertex cover of ``sr``, re-validated definitionally on ``g``.
+    """dim_s of g from ``cover``, a minimum vertex cover of g's SR graph ``sr``.
 
-    The check turns the covering characterization into a runtime assertion.
-    The result carries ``sr``, so callers that print it need not rebuild it.
+    The covering characterization becomes two runtime checks: an unproven
+    cover raises ``BudgetExhausted``, and a cover that fails the definitional
+    generator check on ``dm``'s balls raises ``AssertionError``.  The result
+    carries ``sr``, so callers that print it need not rebuild it.
     """
-    res = min_vertex_cover(sr, node_budget)
-    if not res.proven_optimal:
-        raise BudgetExhausted(
-            f"SR cover search exhausted its node budget ({res.nodes_explored} nodes)"
-        )
-    if not is_strong_generator(g, res.witness, dm):
+    basis = cover.exact().witness
+    if not is_strong_generator(g, basis, dm):
         raise AssertionError("SR cover failed the definitional generator check")
-    return DimensionResult(res.size, res.witness, "sr_cover", sr)
+    return DimensionResult(cover.size, basis, "sr_cover", sr)
 
 
 def strong_metric_dimension(
@@ -127,7 +126,8 @@ def strong_metric_dimension(
     if not is_connected(g):
         raise ValueError("strong metric dimension needs a connected graph")
     dm = all_pairs_distances(g)
-    return _sr_cover(g, strong_resolving_graph(g, dm).sr, dm, node_budget)
+    sr = strong_resolving_graph(g, dm).sr
+    return sr_cover_dimension(g, sr, dm, min_vertex_cover(sr, node_budget))
 
 
 def _factor_prediction(kind: str, g: Graph, h: Graph) -> PredictedSR | None:
@@ -163,7 +163,7 @@ def product_dimension(
     if pred is None:
         return strong_metric_dimension(prod, node_budget)
     dm = strong_product_distances(pred.dm_g, pred.dm_h)
-    return _sr_cover(prod, pred.graph, dm, node_budget)
+    return sr_cover_dimension(prod, pred.graph, dm, min_vertex_cover(pred.graph, node_budget))
 
 
 def product_sr_graph(

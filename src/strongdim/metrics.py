@@ -89,16 +89,15 @@ def _require_connected(g: Graph) -> None:
         raise ValueError("graph must be connected")
 
 
-def diameter(g: Graph, dm: DistanceMatrix | None = None) -> int:
+def diameter(g: Graph) -> int:
     _require_connected(g)
-    dm = dm or all_pairs_distances(g)
-    return dm.finite_diameter()
+    return all_pairs_distances(g).finite_diameter()
 
 
-def is_two_antipodal(g: Graph, dm: DistanceMatrix | None = None) -> bool:
+def is_two_antipodal(g: Graph) -> bool:
     """True iff every vertex has exactly one vertex at distance diam(G)."""
     _require_connected(g)
-    dm = dm or all_pairs_distances(g)
+    dm = all_pairs_distances(g)
     d = dm.finite_diameter()
     for v in range(g.n):
         levels = dm.balls[v]

@@ -99,8 +99,8 @@ def _transpose(rows: list[int], n: int) -> list[int]:
     return cols
 
 
-def boundary(g: Graph, dm: DistanceMatrix | None = None) -> frozenset[int]:
-    return strong_resolving_graph(g, dm).boundary
+def boundary(g: Graph) -> frozenset[int]:
+    return strong_resolving_graph(g).boundary
 
 
 # ---------------------------------------------------------------------------

@@ -205,13 +205,22 @@ class Env:
     def sr(self, g: Graph) -> rs.SRGraph:
         return self._cached(("sr", g), lambda: rs.strong_resolving_graph(g))
 
-    def beta(self, g: Graph) -> int:
+    def cover(self, g: Graph) -> cov.CoverResult:
+        """Held even when unproven; ``beta`` and ``dim_s`` read it through ``exact``."""
         return self._cached(
-            ("beta", g), lambda: cov.independence_number(g, self.spec.node_budget))
+            ("cover", g), lambda: cov.min_vertex_cover(g, self.spec.node_budget))
+
+    def beta(self, g: Graph) -> int:
+        return g.n - self.cover(g).exact().size
 
     def dim_s(self, g: Graph) -> int:
-        return self._cached(
-            ("dim_s", g), lambda: dim.strong_metric_dimension(g, self.spec.node_budget).dim)
+        """beta(SR(g)), checked on BFS balls that an SR graph built here shares."""
+        def build() -> int:
+            dm = mt.all_pairs_distances(g)
+            sr = self._cached(("sr", g), lambda: rs.strong_resolving_graph(g, dm)).sr
+            return dim.sr_cover_dimension(g, sr, dm, self.cover(sr)).dim
+
+        return self._cached(("dim_s", g), build)
 
     def c_graph(self, g: Graph) -> bool:
         return self._cached(

@@ -14,7 +14,6 @@ from strongdim.cover import (
     BudgetExhausted,
     CliquePartition,
     clique_cover_number,
-    independence_number,
     is_c1_graph,
     is_c_graph,
     max_clique,
@@ -159,7 +158,7 @@ def test_cover_witness_and_gallai(g):
     for u, v in g.edges():
         assert u in res.witness or v in res.witness
     assert len(res.witness) == res.size
-    assert independence_number(g) == g.n - res.size
+    assert len(max_independent_set(g)) == g.n - res.size
 
 
 def _renumbered_by_dict(adj, order):
@@ -262,11 +261,11 @@ def test_deterministic_witness():
 
 def test_beta_of_complete_is_one():
     for n in range(1, 7):
-        assert independence_number(complete(n)) == 1
+        assert len(max_independent_set(complete(n))) == 1
 
 
 def test_beta_of_c5_strong_c5():
-    assert independence_number(product("strong", cycle(5), cycle(5))) == 5
+    assert len(max_independent_set(product("strong", cycle(5), cycle(5)))) == 5
 
 
 def test_independent_witness_spans_no_edge():
@@ -327,9 +326,9 @@ def test_max_clique_known_values():
 def test_clique_cover_known_values():
     assert clique_cover_number(complete(5))[0] == 1
     theta_c6, part = clique_cover_number(cycle(6))
-    assert theta_c6 == 3 == independence_number(cycle(6))
+    assert theta_c6 == 3 == len(max_independent_set(cycle(6)))
     part.validate(cycle(6))
-    assert clique_cover_number(cycle(5))[0] == 3 > independence_number(cycle(5))
+    assert clique_cover_number(cycle(5))[0] == 3 > len(max_independent_set(cycle(5)))
 
 
 def test_chromatic_known_values():
@@ -353,9 +352,11 @@ def test_clique_cover_matches_brute_partition_search():
 
 
 def test_clique_cover_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="clique cover recognition capped at 20"):
         clique_cover_number(complete(21))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="C-graph recognition capped at 20"):
+        is_c_graph(complete(25))
+    with pytest.raises(ValueError, match="C1-graph recognition capped at 20"):
         is_c1_graph(complete(25))
 
 
@@ -434,7 +435,7 @@ def test_recognition_matches_definitions():
 def test_sr_of_p4_is_c_graph():
     sr = strong_resolving_graph(path(4)).sr
     # one edge plus two isolated vertices: beta = 3 = theta
-    assert independence_number(sr) == 3
+    assert len(max_independent_set(sr)) == 3
     assert is_c_graph(sr)
 
 

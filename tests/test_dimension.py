@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from strongdim.cover import max_clique
+from strongdim.cover import BudgetExhausted, CoverResult, max_clique, min_vertex_cover
 from strongdim.dimension import (
     DimensionResult,
     antipodal_factor,
@@ -24,6 +24,7 @@ from strongdim.dimension import (
     odd_odd_upper,
     product_dimension,
     product_sr_graph,
+    sr_cover_dimension,
     strong_metric_dimension,
     strongly_resolves,
     tree_factor,
@@ -116,6 +117,27 @@ def test_basis_is_validated_generator():
     assert is_strong_generator(cycle(7), res.basis)
     assert res.method == "sr_cover"
     assert len(res.basis) == res.dim
+
+
+def test_sr_cover_dimension_refuses_an_unproven_cover():
+    g = cycle(7)
+    dm = all_pairs_distances(g)
+    sr = strong_resolving_graph(g, dm).sr
+    # the full vertex set generates, so only the missing proof can raise
+    unproven = CoverResult(g.n, frozenset(range(g.n)), 3, False)
+    with pytest.raises(BudgetExhausted):
+        sr_cover_dimension(g, sr, dm, unproven)
+    assert sr_cover_dimension(g, sr, dm, min_vertex_cover(sr)).dim == 4
+
+
+def test_sr_cover_dimension_checks_the_basis_definitionally():
+    # the proven cover of an edgeless graph is empty, and resolves nothing in g
+    g = path(4)
+    edgeless = make_graph(g.n, [])
+    cover = min_vertex_cover(edgeless)
+    assert cover.proven_optimal and cover.size == 0
+    with pytest.raises(AssertionError, match="definitional generator check"):
+        sr_cover_dimension(g, edgeless, all_pairs_distances(g), cover)
 
 
 def _generates_by_definition(g, members):

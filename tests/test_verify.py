@@ -1,10 +1,11 @@
 import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from strongdim import cover, dimension, products
+from strongdim import cover, dimension, products, resolving
 from strongdim.graph import complete, cycle, path, to_graph6
 from strongdim.verify import (
     CLAIMS,
@@ -215,21 +216,48 @@ def test_env_cache_consistency(small_corpus):
     assert env.sr(g).sr.num_edges == 5
 
 
+def test_env_never_reads_an_unproven_cover_as_a_number():
+    env = Env(replace(SMALL, node_budget=3))
+    g = products.product("strong", cycle(5), cycle(5))
+    sr = env.sr(g).sr
+    with pytest.raises(cover.BudgetExhausted):
+        env.beta(sr)
+    assert not env.cover(sr).proven_optimal  # held, unproven
+    with pytest.raises(cover.BudgetExhausted):
+        env.dim_s(g)
+    with pytest.raises(cover.BudgetExhausted):
+        env.beta(sr)
+
+
 def test_each_layer_built_once_per_run(monkeypatch):
-    # Env memoises every layer a claim reads, so no call repeats its arguments
+    # Env memoises every layer a claim reads, so no layer is built twice for
+    # one graph.  Recognition solves its own independent set, and lemma-mmd
+    # builds the factors' SR graphs inside predicted_mmd_edges, so covers and
+    # SR graphs are counted with both left out; recognition is counted on its
+    # own claims in a second run.
     calls = []
-    for fn in (cover.is_c_graph, cover.is_c1_graph,
-               dimension.strong_metric_dimension, products.product):
+    for fn in (cover.min_vertex_cover, resolving.strong_resolving_graph,
+               dimension.sr_cover_dimension, products.product,
+               cover.is_c_graph, cover.is_c1_graph):
         def counted(*args, _fn=fn, **kwargs):
-            calls.append((_fn.__name__, args, tuple(sorted(kwargs.items()))))
+            # the graph a layer is built for; a product is its kind and factors
+            graph = args[:3] if _fn.__name__ == "product" else args[0]
+            calls.append((_fn.__name__, graph))
             return _fn(*args, **kwargs)
 
         _patch_everywhere(monkeypatch, fn, counted)
-    run_suite(Corpus(SMALL))
-    repeated = [call[0] for call, count in Counter(calls).items() if count > 1]
+    ids = [cid for cid in claim_ids() if cid != "lemma-mmd"]
+    run_suite(Corpus(replace(SMALL, recognition_cap=0)), ids)
     assert {call[0] for call in calls} == {
-        "is_c_graph", "is_c1_graph", "strong_metric_dimension", "product"}
-    assert not repeated
+        "min_vertex_cover", "strong_resolving_graph", "sr_cover_dimension", "product"}
+    assert [call for call, count in Counter(calls).items() if count > 1] == []
+
+    calls.clear()
+    run_suite(Corpus(SMALL), ["thm-bounds", "lemma-cgraph", "thm-cgraph-exact",
+                              "lemma-c1graph", "thm-c1-lower"])
+    recognition = Counter(call for call in calls if call[0] in ("is_c_graph", "is_c1_graph"))
+    assert {call[0] for call in recognition} == {"is_c_graph", "is_c1_graph"}
+    assert max(recognition.values()) == 1
 
 
 class TreesOnlyCorpus(Corpus):
