@@ -5,8 +5,8 @@ Graphs come from the ``family:params`` mini-language (``cycle:7``,
 (``@path``), or from stdin (``-``, one graph6 per line).
 
 Exit codes for ``verify``: 0 all claims passed, 2 a counterexample was found,
-3 a solver budget left a claim inconclusive.  Other errors exit 1 with a
-single-line ``error: ...`` message.
+3 a solver budget left a claim inconclusive.  Other errors, usage errors
+among them, exit 1 with a single-line ``error: ...`` message.
 """
 
 from __future__ import annotations
@@ -27,6 +27,13 @@ from .graph import Graph
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like other errors, not 2, ``verify``'s counterexample code."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _graph6_lines(text: str, empty: str) -> list[Graph]:
@@ -225,7 +232,7 @@ def cmd_verify(args) -> int:
 
 @functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="strongdim",
         description="Exact strong metric dimension toolkit and claim verifier.",
     )
@@ -273,9 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from itertools import combinations
 from .cover import DEFAULT_NODE_BUDGET, CoverResult, min_vertex_cover
 from .graph import Graph
 from .metrics import DistanceMatrix, all_pairs_distances, is_connected
-from .products import product, strong_product_distances
+from .products import strong_product_distances
 from .resolving import PredictedSR, predicted_mmd_edges, strong_resolving_graph
 
 __all__ = [
@@ -35,7 +35,6 @@ BRUTE_FORCE_SIZE_CAP = 15
 class DimensionResult:
     dim: int
     basis: frozenset[int]
-    method: str  # "sr_cover" or "brute_force"
     sr: Graph | None  # the SR graph the basis covers; None from brute force
 
 
@@ -114,7 +113,7 @@ def sr_cover_dimension(
     basis = cover.exact().witness
     if not is_strong_generator(g, basis, dm):
         raise AssertionError("SR cover failed the definitional generator check")
-    return DimensionResult(cover.size, basis, "sr_cover", sr)
+    return DimensionResult(cover.size, basis, sr)
 
 
 def strong_metric_dimension(
@@ -143,37 +142,28 @@ def _factor_prediction(kind: str, g: Graph, h: Graph) -> PredictedSR | None:
 
 
 def product_dimension(
-    kind: str,
-    g: Graph,
-    h: Graph,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    *,
-    prod: Graph | None = None,
+    kind: str, g: Graph, h: Graph, node_budget: int = DEFAULT_NODE_BUDGET, *, prod: Graph
 ) -> DimensionResult:
     """dim_s of the ``kind`` product of g and h, from the factors where they allow it.
 
     On the factor route the SR graph comes from the MMD lemma and the
     product's distance balls from the factors' balls, so no all-pairs BFS and
     no direct SR build runs on the product.  Either way the witness is
-    checked definitionally against the product graph, which a caller that
-    already built it passes as ``prod``.
+    checked definitionally against ``prod``, the product graph itself.
     """
     pred = _factor_prediction(kind, g, h)
-    prod = prod or product(kind, g, h)
     if pred is None:
         return strong_metric_dimension(prod, node_budget)
     dm = strong_product_distances(pred.dm_g, pred.dm_h)
     return sr_cover_dimension(prod, pred.graph, dm, min_vertex_cover(pred.graph, node_budget))
 
 
-def product_sr_graph(
-    kind: str, g: Graph, h: Graph, *, prod: Graph | None = None
-) -> Graph:
+def product_sr_graph(kind: str, g: Graph, h: Graph, *, prod: Graph) -> Graph:
     """SR graph of the ``kind`` product of g and h, on ``product_dimension``'s route."""
     pred = _factor_prediction(kind, g, h)
     if pred is not None:
         return pred.graph
-    return strong_resolving_graph(prod or product(kind, g, h)).sr
+    return strong_resolving_graph(prod).sr
 
 
 def brute_force_dimension(
@@ -206,7 +196,7 @@ def brute_force_dimension(
             for w in subset:
                 smask |= 1 << w
             if all(smask & m for m in pair_masks):
-                return DimensionResult(k, frozenset(subset), "brute_force", None)
+                return DimensionResult(k, frozenset(subset), None)
     raise AssertionError("the full vertex set must be a strong generator")
 
 

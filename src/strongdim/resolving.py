@@ -8,11 +8,12 @@ computed strong resolving graph of the product is a genuine two-route check.
 
 from __future__ import annotations
 
-from operator import and_, xor
+from dataclasses import dataclass
+from operator import add, and_, xor
 
 from .graph import Graph, bits, to_dot
 from .metrics import DistanceMatrix, all_pairs_distances, is_connected
-from .products import ProductSpec, coordinate_labels
+from .products import ProductSpec, _stride, coordinate_labels
 
 __all__ = [
     "SRGraph",
@@ -108,74 +109,37 @@ def boundary(g: Graph) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class PredictedSR:
-    """Predicted strong resolving graph of a strong product.
+    """Predicted strong resolving graph of a strong product.  ``histogram[i]``
+    counts its edges whose first matching lemma condition is i (1..5);
+    ``dm_g`` and ``dm_h`` are the factor distances it was built on."""
 
-    Edges come from five factor-level conditions; ``condition(p, q)`` reports
-    the first condition (1..5) that fires for a predicted edge.  ``dm_g`` and
-    ``dm_h`` are the factors' distance matrices the prediction was built on.
-    """
-
-    __slots__ = ("spec", "graph", "_sr_g", "_sr_h", "dm_g", "dm_h")
-
-    def __init__(self, spec, graph, sr_g, sr_h, dm_g, dm_h):
-        self.spec = spec
-        self.graph = graph
-        self._sr_g = sr_g
-        self._sr_h = sr_h
-        self.dm_g = dm_g
-        self.dm_h = dm_h
-
-    def condition(self, p: int, q: int) -> int:
-        if not self.graph.has_edge(p, q):
-            raise ValueError(f"({p},{q}) is not a predicted MMD pair")
-        u, v = self.spec.decode(p)
-        x, y = self.spec.decode(q)
-        mmd_g = u != x and self._sr_g.has_edge(u, x)
-        mmd_h = v != y and self._sr_h.has_edge(v, y)
-        dg = self.dm_g.dist(u, x)
-        dh = self.dm_h.dist(v, y)
-        if mmd_g and mmd_h:
-            return 1
-        if mmd_g and v == y:
-            return 2
-        if mmd_h and u == x:
-            return 3
-        if mmd_g and dg > dh:
-            return 4
-        if mmd_h and dg < dh:
-            return 5
-        raise AssertionError("predicted edge matches no condition")
-
-    def condition_histogram(self) -> dict[int, int]:
-        hist = {i: 0 for i in range(1, 6)}
-        for p, q in self.graph.edges():
-            hist[self.condition(p, q)] += 1
-        return hist
+    graph: Graph
+    histogram: dict[int, int]
+    dm_g: DistanceMatrix
+    dm_h: DistanceMatrix
 
 
-def _one_sided_pred(n1: int, n2: int, sr_g: Graph, sr_h: Graph,
-                    dm_g: DistanceMatrix, dm_h: DistanceMatrix) -> list[int]:
-    """Pairs {(u,v),(x,y)} with u,x MMD in G and (v,y MMD in H, v=y, or d_H < d_G).
-
-    Returned as adjacency bitmasks over u*n2+v ids.
-    """
-    pred = [0] * (n1 * n2)
-    ball = dm_h.ball
-    sr_h_adj = sr_h.adj
-    for u in range(n1):
-        base = u * n2
-        for x in bits(sr_g.adj[u]):
-            dg = dm_g.dist(u, x)
-            shift = x * n2
-            for v in range(n2):
-                ymask = sr_h_adj[v] | ball(v, dg - 1)
-                pred[base + v] |= ymask << shift
-    return pred
+def _partners_at(dm: DistanceMatrix, sr: list[int]) -> dict[int, list[int]]:
+    """d -> [the MMD partners of w at distance exactly d, for each vertex w]."""
+    out: dict[int, list[int]] = {}
+    for w, partners in enumerate(sr):
+        for d, layer in enumerate(map(xor, dm.balls[w][1:], dm.balls[w]), 1):
+            if partners & layer:
+                out.setdefault(d, [0] * dm.n)[w] = partners & layer
+    return out
 
 
 def predicted_mmd_edges(g: Graph, h: Graph) -> PredictedSR:
-    """Predicted MMD edge set of the strong product, from factor data alone."""
+    """Predicted MMD edge set of the strong product, from factor data alone.
+
+    The lemma's conditions on (u,v), (x,y), in order: 1. u,x and v,y MMD;
+    2. u,x MMD, v = y; 3. v,y MMD, u = x; 4. u,x MMD, d_H(v,y) < d_G(u,x);
+    5. v,y MMD, d_G(u,x) < d_H(v,y).  Row (u,v) is the union of one disjoint
+    mask per condition over u*n2+v ids; ``_stride`` spreads a G-side mask to
+    them, and times an H-side mask (below 2^n2) places it with no carries.
+    """
     for name, f in (("g", g), ("h", h)):
         if f.n < 2:
             raise ValueError(f"factor {name} must be nontrivial (n >= 2)")
@@ -183,23 +147,34 @@ def predicted_mmd_edges(g: Graph, h: Graph) -> PredictedSR:
             raise ValueError(f"factor {name} must be connected")
     dm_g = all_pairs_distances(g)
     dm_h = all_pairs_distances(h)
-    sr_g = strong_resolving_graph(g, dm_g).sr
-    sr_h = strong_resolving_graph(h, dm_h).sr
+    sr_g = strong_resolving_graph(g, dm_g).sr.adj
+    sr_h = strong_resolving_graph(h, dm_h).sr.adj
     n1, n2 = g.n, h.n
-
-    pred = _one_sided_pred(n1, n2, sr_g, sr_h, dm_g, dm_h)
-    # mirror pass with the factor roles swapped, then transpose coordinates
-    swapped = _one_sided_pred(n2, n1, sr_h, sr_g, dm_h, dm_g)
-    for p2 in range(n2 * n1):
-        v, u = divmod(p2, n1)
-        row = swapped[p2]
-        base = u * n2 + v
-        for q2 in bits(row):
-            y, x = divmod(q2, n1)
-            pred[base] |= 1 << (x * n2 + y)
-
-    spec = ProductSpec("strong", n1, n2)
-    return PredictedSR(spec, Graph(n1 * n2, pred), sr_g, sr_h, dm_g, dm_h)
+    g_at = _partners_at(dm_g, sr_g)
+    h_at = _partners_at(dm_h, sr_h)
+    # d -> for each v, the vertices within d - 1 of v that are neither v nor its partners
+    h_near = {d: [dm_h.ball(v, d - 1) & ~(p | 1 << v) for v, p in enumerate(sr_h)]
+              for d in g_at}
+    counts = [0] * 5
+    pred = []
+    for u in range(n1):  # the rows (u, v) for every v, one list per condition
+        s_u = _stride(sr_g[u], n2)
+        g_rest = ~(sr_g[u] | 1 << u)
+        c4 = c5 = [0] * n2
+        for d, xs in g_at.items():  # x a partner of u at distance d, y nearer v than d
+            c4 = list(map(add, c4, map(_stride(xs[u], n2).__mul__, h_near[d])))
+        for d, ys in h_at.items():  # y a partner of v at distance d, x nearer u than d
+            x_near = _stride(dm_g.ball(u, d - 1) & g_rest, n2)
+            c5 = list(map(add, c5, map(x_near.__mul__, ys)))
+        c1 = [s_u * ys for ys in sr_h]
+        c2 = [s_u << v for v in range(n2)]
+        c3 = [ys << u * n2 for ys in sr_h]
+        block = (c1, c2, c3, c4, c5)
+        pred.extend(map(sum, zip(*block)))  # the masks are disjoint, so sum is union
+        counts = [c + sum(map(int.bit_count, col)) for c, col in zip(counts, block)]
+    # an edge lies in two rows, under the same condition in both
+    histogram = {i: c // 2 for i, c in enumerate(counts, 1)}
+    return PredictedSR(Graph(n1 * n2, pred), histogram, dm_g, dm_h)
 
 
 # ---------------------------------------------------------------------------

@@ -352,7 +352,7 @@ def _check_lemma_mmd(env: Env, g: Graph, h: Graph) -> dict:
     return _record(
         g, h, "pass" if ok else "fail",
         actual.num_edges, predicted.graph.num_edges,
-        condition_tags={str(k): v for k, v in predicted.condition_histogram().items()},
+        condition_tags={str(k): v for k, v in predicted.histogram.items()},
         **({"differing_pairs": diff} if diff else {}),
     )
 

@@ -402,3 +402,24 @@ def test_mismatched_r_t_flags(capsys):
     code, _, err = run_cli(capsys, "verify", "thm-odd-odd-beta", "--r", "2")
     assert code == 1
     assert "together" in err
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["verify", "all", "--seed", "abc"], "--seed"),
+    (["verify"], "claim"),
+    (["compute", "nope"], "nope"),
+])
+def test_usage_error_exits_1_not_the_counterexample_code(capsys, argv, names):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and names in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: strongdim")

@@ -115,7 +115,6 @@ def test_dim_rejects_trivial_and_disconnected():
 def test_basis_is_validated_generator():
     res = strong_metric_dimension(cycle(7))
     assert is_strong_generator(cycle(7), res.basis)
-    assert res.method == "sr_cover"
     assert len(res.basis) == res.dim
 
 
@@ -192,21 +191,20 @@ def test_factor_route_matches_generic_route(kind, g, h):
     assume(g.n > 0 and h.n > 0)
     prod = product(kind, g, h)
     assume(prod.n >= 2 and is_connected(prod))
-    res = product_dimension(kind, g, h)
+    res = product_dimension(kind, g, h, prod=prod)
     assert res.sr == strong_resolving_graph(prod).sr
     assert res == strong_metric_dimension(prod)
-    assert product_sr_graph(kind, g, h) == res.sr
+    assert product_sr_graph(kind, g, h, prod=prod) == res.sr
 
 
 def test_factor_route_rejects_bad_factors():
+    two_edges = disjoint_union([complete(2)] * 2)
+    for g, h in [(complete(1), complete(1)), (two_edges, path(3)), (complete(1), two_edges)]:
+        with pytest.raises(ValueError):
+            product_dimension("strong", g, h, prod=product("strong", g, h))
+    prod = product("strong", two_edges, path(3))
     with pytest.raises(ValueError):
-        product_dimension("strong", complete(1), complete(1))
-    with pytest.raises(ValueError):
-        product_dimension("strong", disjoint_union([complete(2)] * 2), path(3))
-    with pytest.raises(ValueError):
-        product_dimension("strong", complete(1), disjoint_union([complete(2)] * 2))
-    with pytest.raises(ValueError):
-        product_sr_graph("strong", disjoint_union([complete(2)] * 2), path(3))
+        product_sr_graph("strong", two_edges, path(3), prod=prod)
 
 
 # -- brute force oracle -----------------------------------------------------------

@@ -191,22 +191,35 @@ def test_predicted_k2_k2_complete():
 
 
 def test_predicted_condition_tags():
-    # (0,0)-(2,0): ends of P3 are MMD and the second coordinates agree
-    pred = predicted_mmd_edges(path(3), complete(2))
-    spec = pred.spec
-    assert pred.condition(spec.index(0, 0), spec.index(2, 0)) == 2
-    # (0,0)-(3,1): ends of P4 are MMD and the P4 distance dominates
-    pred = predicted_mmd_edges(path(4), path(3))
-    spec = pred.spec
-    assert pred.condition(spec.index(0, 0), spec.index(3, 1)) == 4
-    with pytest.raises(ValueError):
-        pred.condition(spec.index(0, 0), spec.index(0, 1))
+    # between them the three products meet every one of the five conditions
+    for g, h, hist in [
+        (path(3), complete(2), {1: 2, 2: 2, 3: 3, 4: 0, 5: 0}),
+        (path(4), path(3), {1: 2, 2: 3, 3: 4, 4: 4, 5: 6}),
+        (cycle(5), path(4), {1: 10, 2: 20, 3: 5, 4: 30, 5: 10}),
+    ]:
+        assert predicted_mmd_edges(g, h).histogram == hist
 
 
 def test_predicted_histogram_counts_every_edge():
     pred = predicted_mmd_edges(cycle(5), path(4))
-    hist = pred.condition_histogram()
-    assert sum(hist.values()) == pred.graph.num_edges
+    assert sum(pred.histogram.values()) == pred.graph.num_edges
+
+
+def _condition_tally(g, h, edges):
+    """Edges (p, q) of G x H tallied by the first lemma condition they meet,
+    read pair by pair off the factors' BFS distances and direct SR graphs;
+    an edge that meets none goes under 0."""
+    dm_g, dm_h = all_pairs_distances(g), all_pairs_distances(h)
+    sr_g, sr_h = strong_resolving_graph(g, dm_g).sr, strong_resolving_graph(h, dm_h).sr
+    tally = dict.fromkeys(range(6), 0)
+    for p, q in edges:
+        (u, v), (x, y) = divmod(p, h.n), divmod(q, h.n)
+        mmd_g, mmd_h = sr_g.has_edge(u, x), sr_h.has_edge(v, y)
+        dg, dh = dm_g.dist(u, x), dm_h.dist(v, y)
+        met = [mmd_g and mmd_h, mmd_g and v == y, mmd_h and u == x,
+               mmd_g and dh < dg, mmd_h and dg < dh]
+        tally[next((i for i, c in enumerate(met, 1) if c), 0)] += 1
+    return tally
 
 
 @given(connected_graph_strategy(2, 6), connected_graph_strategy(2, 6))
@@ -214,7 +227,9 @@ def test_predicted_histogram_counts_every_edge():
 def test_prediction_matches_direct_sr(g, h):
     prod = product("strong", g, h)
     direct = strong_resolving_graph(prod).sr
-    assert predicted_mmd_edges(g, h).graph == direct
+    pred = predicted_mmd_edges(g, h)
+    assert pred.graph == direct
+    assert _condition_tally(g, h, direct.edges()) == {0: 0, **pred.histogram}
 
 
 def test_prediction_matches_direct_sr_large():
