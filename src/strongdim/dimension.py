@@ -48,6 +48,32 @@ def strongly_resolves(dm: DistanceMatrix, w: int, u: int, v: int) -> bool:
     return dwu == dwv + duv or dwv == dwu + duv
 
 
+# is_strong_generator counts the edge-difference classes once ``reach`` holds
+# more vertices than this; up to it, every step dilates bit by bit
+_CLASS_MIN_REACH = 16
+
+
+def _difference_count(adj) -> int:
+    """The number of distinct id differences d over the edges {x, x + d}."""
+    diffs = 0
+    for x, row in enumerate(adj):
+        diffs |= row >> (x + 1)
+    return diffs.bit_count()
+
+
+def _difference_classes(adj) -> list[tuple[int, int, int]]:
+    """(d, A_d, A_d << d) per id difference d of an edge, A_d = {x : x ~ x + d}."""
+    classes: dict[int, int] = {}
+    for x, row in enumerate(adj):
+        m = row >> (x + 1)
+        while m:
+            b = m & -m
+            d = b.bit_length()
+            classes[d] = classes.get(d, 0) | 1 << x
+            m ^= b
+    return [(d, a, a << d) for d, a in classes.items()]
+
+
 def is_strong_generator(
     g: Graph, members, dm: DistanceMatrix | None = None
 ) -> bool:
@@ -60,6 +86,18 @@ def is_strong_generator(
     sweep over u's distance layers finds H_u: a vertex at distance k from u
     is in H_u iff it is in S or has a neighbour in H_u at distance k + 1.
     Only ``dm.balls`` is read.
+
+    Each layer's step needs N(reach), the neighbours of H_u on the layer
+    above.  It is dilated in one of two ways, chosen per step: bit by bit,
+    one adjacency row per vertex of ``reach``; or by edge-difference classes,
+    N(X) = the union over d of ((X & A_d) << d) | ((X & (A_d << d)) >> d),
+    where A_d is the set of x adjacent to x + d, read from ``g.adj``.  A step uses the classes
+    when ``reach`` has more vertices than there are classes.  They are
+    counted, in one shift per vertex, the first time ``reach`` holds more
+    than ``_CLASS_MIN_REACH`` vertices, and built, in one pass over the
+    edges, the first time a step uses them.  Products of paths and cycles in
+    row-major ids have a handful of classes; a random graph has about n, and
+    so stays bit by bit without building them.
     """
     if not is_connected(g):
         raise ValueError("strong generators are defined for connected graphs")
@@ -68,10 +106,11 @@ def is_strong_generator(
     balls = dm.balls
     smask = 0
     for w in members:
+        if not 0 <= w < g.n:
+            raise ValueError("member id outside the vertex range")
         smask |= 1 << w
-    if smask >> g.n:
-        raise ValueError("member id outside the vertex range")
     outside = ((1 << g.n) - 1) & ~smask
+    n_classes = classes = None
     hulls = [0] * g.n
     rest = outside
     while rest:
@@ -82,11 +121,20 @@ def is_strong_generator(
         hull = reach = 0  # reach: H_u on the layer above the current one
         for k in range(len(levels) - 1, 0, -1):
             nbrs = 0
-            m = reach
-            while m:
-                b = m & -m
-                nbrs |= adj[b.bit_length() - 1]
-                m ^= b
+            count = reach.bit_count()
+            if n_classes is None and count > _CLASS_MIN_REACH:
+                n_classes = _difference_count(adj)
+            if n_classes is not None and count > n_classes:
+                if classes is None:
+                    classes = _difference_classes(adj)
+                for d, a, ad in classes:
+                    nbrs |= (reach & a) << d | (reach & ad) >> d
+            else:
+                m = reach
+                while m:
+                    b = m & -m
+                    nbrs |= adj[b.bit_length() - 1]
+                    m ^= b
             reach = levels[k] & ~levels[k - 1] & (smask | nbrs)
             hull |= reach
         hulls[u] = hull

@@ -1,9 +1,11 @@
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from strongdim import dimension
 from strongdim.cover import BudgetExhausted, CoverResult, max_clique, min_vertex_cover
 from strongdim.dimension import (
     DimensionResult,
@@ -148,9 +150,7 @@ def _generates_by_definition(g, members):
     )
 
 
-@given(connected_graph_strategy(1, 9), st.data())
-@settings(max_examples=150, deadline=None)
-def test_generator_check_matches_definition(g, data):
+def _check_against_definition(g, data):
     drawn = data.draw(st.sets(st.integers(0, g.n - 1)))
     candidates = [drawn, set(), set(range(g.n))]
     if g.n >= 2:
@@ -158,6 +158,111 @@ def test_generator_check_matches_definition(g, data):
         candidates += [basis] + [basis - {w} for w in basis]
     for members in candidates:
         assert is_strong_generator(g, members) == _generates_by_definition(g, members)
+
+
+@given(connected_graph_strategy(1, 9), st.data())
+@settings(max_examples=150, deadline=None)
+def test_generator_check_matches_definition(g, data):
+    _check_against_definition(g, data)
+
+
+_small_factors = st.one_of(
+    st.integers(2, 7).map(path), st.integers(3, 7).map(cycle), st.integers(1, 4).map(complete)
+)
+_small_strong_products = st.builds(
+    lambda g, h: product("strong", g, h), _small_factors, _small_factors
+)
+
+
+@given(st.one_of(connected_graph_strategy(1, 9), _small_strong_products), st.data())
+@settings(max_examples=150, deadline=None)
+def test_generator_check_matches_definition_with_classes(g, data):
+    # threshold 0: the classes are counted at the first nonempty reach, so
+    # every step whose reach outnumbers them dilates by classes; strong
+    # products of paths, cycles and cliques, whose row-major ids give few
+    # classes, are drawn as well
+    with patch.object(dimension, "_CLASS_MIN_REACH", 0):
+        _check_against_definition(g, data)
+
+
+class _CountedClasses(list):
+    """The edge-difference classes, counting the steps that dilate by them."""
+
+    steps = 0
+
+    def __iter__(self):
+        self.steps += 1
+        return super().__iter__()
+
+
+def _record_classes(monkeypatch, threshold):
+    """Set the class threshold; the returned list collects each class list
+    the check builds, whose ``steps`` count the steps that used it."""
+    built = []
+    real = dimension._difference_classes
+
+    def counted(adj):
+        classes = _CountedClasses(real(adj))
+        built.append(classes)
+        return classes
+
+    monkeypatch.setattr(dimension, "_CLASS_MIN_REACH", threshold)
+    monkeypatch.setattr(dimension, "_difference_classes", counted)
+    return built
+
+
+@pytest.mark.parametrize(
+    "g, h, class_steps",
+    [
+        pytest.param(path(10), path(10), True, id="P10xP10"),
+        pytest.param(complete(4), path(12), False, id="K4xP12"),
+    ],
+)
+@pytest.mark.parametrize("threshold", [0, dimension._CLASS_MIN_REACH])
+def test_generator_check_mixed_modes_match_definition(
+    monkeypatch, g, h, class_steps, threshold
+):
+    # P10xP10 has 4 classes and layers of up to 19 vertices, so its checks
+    # switch between the two modes; K4xP12 has 10 classes and layers of at
+    # most 8 vertices, so it stays bit by bit
+    prod = product("strong", g, h)
+    basis = sorted(product_dimension("strong", g, h, prod=prod).basis)
+    built = _record_classes(monkeypatch, threshold)
+    assert is_strong_generator(prod, basis) and _generates_by_definition(prod, basis)
+    for i in range(len(basis)):
+        short = basis[:i] + basis[i + 1 :]
+        assert is_strong_generator(prod, short) == _generates_by_definition(prod, short)
+    assert any(c.steps for c in built) == class_steps
+
+
+def test_generator_check_modes_agree_on_k6_p60(monkeypatch):
+    # K6xP60 has 16 classes and layers of at most 12 vertices: under any
+    # threshold the classes may be counted, but no step builds or uses them
+    g, h = complete(6), path(60)
+    prod = product("strong", g, h)
+    basis = sorted(product_dimension("strong", g, h, prod=prod).basis)
+    sets = [basis] + [basis[:i] + basis[i + 1 :] for i in range(0, len(basis), 7)]
+    dm = all_pairs_distances(prod)
+    answers = {}
+    for threshold in (0, prod.n + 1):
+        built = _record_classes(monkeypatch, threshold)
+        answers[threshold] = [is_strong_generator(prod, s, dm) for s in sets]
+        assert built == []
+    assert answers[0] == answers[prod.n + 1] == [True] + [False] * (len(sets) - 1)
+    # the 16 classes themselves dilate as the adjacency rows do
+    classes = dimension._difference_classes(prod.adj)
+    assert len(classes) == dimension._difference_count(prod.adj) == 16
+    rng = random.Random(13)
+    for _ in range(40):
+        x = rng.getrandbits(prod.n)
+        by_rows = 0
+        for v in range(prod.n):
+            if x >> v & 1:
+                by_rows |= prod.adj[v]
+        by_classes = 0
+        for d, a, ad in classes:
+            by_classes |= (x & a) << d | (x & ad) >> d
+        assert by_classes == by_rows
 
 
 def test_generator_check_product_basis_minus_one():
@@ -172,10 +277,9 @@ def test_generator_check_product_basis_minus_one():
 def test_generator_check_rejects_bad_input():
     with pytest.raises(ValueError):
         is_strong_generator(disjoint_union([complete(2)] * 2), [0, 2])
-    with pytest.raises(ValueError):
-        is_strong_generator(path(4), [0, 4])
-    with pytest.raises(ValueError):
-        is_strong_generator(path(4), [-1])
+    for members in ([0, 4], [-1]):
+        with pytest.raises(ValueError, match="member id outside the vertex range"):
+            is_strong_generator(path(4), members)
 
 
 # -- the product route: factors for strong products, the product otherwise ------
@@ -205,6 +309,21 @@ def test_factor_route_rejects_bad_factors():
     prod = product("strong", two_edges, path(3))
     with pytest.raises(ValueError):
         product_sr_graph("strong", two_edges, path(3), prod=prod)
+
+
+def test_product_dimension_at_benchmark_scale():
+    # the benchmark's product ladder against the paper's closed forms
+    cases = [
+        (path(30), path(30), (tree_factor(30, 30, 2, 1),) * 2),
+        (path(18), path(48), (tree_factor(18, 48, 2, 1),) * 2),
+        (cycle(12), path(50), (antipodal_factor(12, 50, 1),) * 2),
+        (complete(6), path(60), (complete_factor(6, 60, 1),) * 2),
+        (cycle(21), path(8), (odd_cycle_lower(10, 8, 1), odd_cycle_upper(10, 8, 1))),
+    ]
+    for g, h, (lo, hi) in cases:
+        res = product_dimension("strong", g, h, prod=product("strong", g, h))
+        assert lo <= res.dim <= hi
+        assert len(res.basis) == res.dim
 
 
 # -- brute force oracle -----------------------------------------------------------
