@@ -80,7 +80,7 @@ def _compute_one(what: str, g: Graph, budget: int) -> dict:
         out["graph6"] = gr.to_graph6(srg.sr)
         out["edges"] = [list(e) for e in srg.sr.edges()]
     elif what == "alpha":
-        witness = frozenset(range(g.n)) - cov.max_independent_set(g, budget)
+        witness = cov.min_vertex_cover(g, budget).exact().witness
         out["value"] = len(witness)
         out["witness"] = sorted(witness)
     elif what == "beta":
@@ -261,13 +261,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run claim verification")
     p_verify.add_argument("claim", help="claim id or 'all'")
-    p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--exhaustive-n", type=int, default=5)
-    p_verify.add_argument("--samples", type=int, default=4)
-    p_verify.add_argument("--pair-samples", type=int, default=100)
-    p_verify.add_argument("--max-product", type=int, default=400)
-    p_verify.add_argument("--t-max", type=int, default=5)
-    p_verify.add_argument("--odd-odd-max", type=int, default=4)
+    p_verify.add_argument("--seed", type=int, default=vf.CorpusSpec.seed)
+    p_verify.add_argument("--exhaustive-n", type=int, default=vf.CorpusSpec.exhaustive_n)
+    p_verify.add_argument("--samples", type=int, default=vf.CorpusSpec.samples_per_n)
+    p_verify.add_argument("--pair-samples", type=int, default=vf.CorpusSpec.pair_samples)
+    p_verify.add_argument("--max-product", type=int, default=vf.CorpusSpec.max_product)
+    p_verify.add_argument("--t-max", type=int, default=vf.CorpusSpec.t_max)
+    p_verify.add_argument("--odd-odd-max", type=int, default=vf.CorpusSpec.odd_odd_max)
     p_verify.add_argument("--r", type=int, help="restrict odd-odd claims to one r")
     p_verify.add_argument("--t", type=int, help="restrict odd-odd claims to one t")
     p_verify.add_argument("--node-budget", type=int, default=cov.DEFAULT_NODE_BUDGET)

@@ -11,8 +11,8 @@ engines, chosen from a bound the component itself shows:
   2016) branches on a max-degree vertex (it joins the cover, or its whole
   neighbourhood does).  At each node a worklist of the vertices whose degree
   changed drives degree-0/1 eliminations and both degree-2 reductions
-  (triangle rule and vertex folding) to a fixpoint; greedy matching and
-  greedy clique-partition lower bounds prune.
+  (triangle rule and vertex folding) to a fixpoint; one lower bound prunes:
+  the vertices left minus the cliques of their greedy partition.
 
 The rule reads theta-hat, the size of a greedy clique partition of the
 component, taken in id order or in min-width order, whichever is smaller.
@@ -140,28 +140,6 @@ class _CoverSearch:
         assert mask is not None and mask.bit_count() == size
         return mask
 
-    def lower_bound(self, active: int) -> int:
-        """max(greedy matching, greedy clique partition) lower bound on the cover.
-
-        A clique on q vertices forces q - 1 cover vertices.  A matching never
-        exceeds |active| // 2, so it is skipped once the clique bound does.
-        """
-        adj = self.adj
-        size = active.bit_count()
-        cliques = size - _clique_partition_count(adj, active)
-        if cliques >= size // 2:
-            return cliques
-        rem = active
-        matching = 0
-        while rem:
-            low = rem & -rem
-            rem ^= low
-            nb = adj[low.bit_length() - 1] & rem
-            if nb:
-                rem ^= nb & -nb
-                matching += 1
-        return max(matching, cliques)
-
     def solve(self, active: int, limit: int, dirty: int) -> tuple[int, int | None]:
         """Exact minimum cover of adj|active if below ``limit``, else (limit, None).
 
@@ -250,7 +228,8 @@ class _CoverSearch:
                 return limit, None
             if active == 0:
                 return finish(0, 0)
-            if fixed + self.lower_bound(active) >= limit:
+            # a clique on q vertices forces q - 1 of them into the cover
+            if fixed + active.bit_count() - _clique_partition_count(adj, active) >= limit:
                 return limit, None
 
             # branch on the max-degree vertex (ties: lowest id); the worklist

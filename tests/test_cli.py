@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import sys
 
 import pytest
 
-from strongdim import cli, cover, metrics, products, resolving
+from strongdim import cli, cover, metrics, products, resolving, verify
 from strongdim.cli import main
 from strongdim.dimension import strong_metric_dimension
 from strongdim.graph import (
@@ -306,6 +307,13 @@ def test_verify_remark_c3(capsys, tmp_path):
     assert claim["status"] == "all_passed"
     assert [rec["actual"] for rec in claim["instances"]] == [8, 13, 18]
     assert "remark-c3: all_passed" in err
+
+
+def test_verify_defaults_are_the_corpus_spec_defaults(capsys, tmp_path):
+    out_file = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "verify", "remark-c3", "--out", str(out_file))
+    assert code == 0
+    assert json.loads(out_file.read_text())["corpus"] == dataclasses.asdict(verify.CorpusSpec())
 
 
 def test_verify_odd_odd_fixed_pair(capsys):

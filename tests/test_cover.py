@@ -201,6 +201,7 @@ def colour_side(g):
 RULE_SIDES = [
     ("SR(C9xC9)", lambda: sr_of(cycle(9), cycle(9)), True, 23, 65),
     ("SR(C5xP12)", lambda: sr_of(cycle(5), path(12)), False, 117, 38),
+    ("SR(C9xP20)", lambda: sr_of(cycle(9), path(20)), False, 955, 104),
 ]
 
 
@@ -214,7 +215,7 @@ def test_node_counts_pinned_per_engine(name, build, colour, nodes, size):
 
 
 def test_budget_exhaustion_is_flagged_not_wrong():
-    for _, build, colour, _, size in RULE_SIDES:  # one graph per engine
+    for _, build, colour, _, size in RULE_SIDES:  # graphs on both sides of the rule
         g = build()
         assert colour_side(g) is colour
         res = min_vertex_cover(g, node_budget=5)
