@@ -13,6 +13,17 @@ engines, chosen from a bound the component itself shows:
   changed drives degree-0/1 eliminations and both degree-2 reductions
   (triangle rule and vertex folding) to a fixpoint; one lower bound prunes:
   the vertices left minus the cliques of their greedy partition.
+- At the root of branch and reduce, a long, thin kernel goes to a frontier
+  DP instead of the branch (after Bodlaender's path-decomposition DP for
+  independent set).  It places the kernel in reverse Cuthill–McKee order
+  (Cuthill & McKee 1969) and keeps, per set of chosen vertices on the
+  frontier, the best independent set that leaves it: at most 2^width states
+  a step, with width the order's vertex separation.  The kernel's cover then
+  goes through the folds' undo like any other.  The gate: the clique bound
+  leaves a gap of at least ``FRONTIER_MIN_GAP`` below the greedy cover (a
+  kernel it already proves needs only its witness found), and the width is
+  at most ``FRONTIER_MAX_WIDTH`` and at most 1/``FRONTIER_MIN_STRETCH`` of
+  the kernel's order, since on short kernels the branch is cheaper.
 
 The rule reads theta-hat, the size of a greedy clique partition of the
 component, taken in id order or in min-width order, whichever is smaller.
@@ -22,18 +33,20 @@ of its order and theta-hat <= ``COLOUR_ENGINE_MAX_THETA`` goes to the colour
 engine: it partitions into few large cliques, so the complement's colour
 bound is tight, and the recursion depth (at most alpha + 1) stays small.  Any
 other component, typically long and sparse with many small cliques that the
-reductions take apart, goes to branch and reduce.  Both engines count nodes
-into one budget; when it runs out the component keeps its greedy cover and
-the result says ``proven_optimal=False``.
+reductions take apart, goes to branch and reduce.  Both engines count nodes,
+and the DP its states, into one budget; when it runs out the component keeps
+its greedy cover and the result says ``proven_optimal=False``.
 
 The two engines are each other's oracle: the tests run both on the same
-components, and both against subset enumeration.  Everything is
-deterministic: every tie breaks on vertex ids.
+components, and both against subset enumeration; with the frontier gate shut
+or forced open, both check the DP too.  Everything is deterministic: every
+tie breaks on vertex ids.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -59,6 +72,10 @@ DEFAULT_RECOGNITION_CAP = 20
 # recursion depth well inside Python's default limit of 1000 frames.
 COLOUR_ENGINE_MAX_SHARE = 0.42
 COLOUR_ENGINE_MAX_THETA = 300
+# The frontier gate (see the module docstring), fitted on the same ladder.
+FRONTIER_MAX_WIDTH = 20
+FRONTIER_MIN_STRETCH = 7
+FRONTIER_MIN_GAP = 1
 
 
 class BudgetExhausted(RuntimeError):
@@ -124,6 +141,74 @@ def _clique_partition_count(adj: list[int], active: int) -> int:
     return cliques
 
 
+def _frontier_order(adj: list[int], active: int, cap: int) -> tuple[list[int], list[int]] | None:
+    """Reverse Cuthill–McKee order of ``active`` for the frontier DP, or None
+    once its vertex separation exceeds ``cap``.
+
+    Each breadth-first search starts from a vertex of least degree and takes
+    new neighbours by (degree, id); it restarts on each piece of ``active``.
+    Read backwards, the search's queue is the frontier: after the vertices
+    behind position i in Cuthill–McKee order are placed, the placed vertices
+    with a neighbour still to come are those queued when i is dequeued.  So
+    the separation is the longest queue, and a vertex leaves the frontier
+    when the vertex that queued it is placed (a search's first vertex, which
+    none queued, when it is placed itself).  Returns the order and, for each
+    position, the mask of vertices that leave the frontier there.
+    """
+    deg = {u: (adj[u] & active).bit_count() for u in bits(active)}
+    key = deg.__getitem__  # min and sort keep id order on ties
+    order: list[int] = []
+    leave: list[int] = []
+    unseen = active
+    while unseen:
+        root = min(bits(unseen), key=key)
+        unseen ^= 1 << root
+        order.append(root)
+        gone = 1 << root
+        while len(leave) < len(order):
+            new = adj[order[len(leave)]] & unseen
+            unseen ^= new
+            order += sorted(bits(new), key=key)
+            leave.append(gone | new)
+            gone = 0
+            if len(order) - len(leave) > cap:
+                return None
+    return order[::-1], leave[::-1]
+
+
+def _frontier_mis(adj: list[int], order: list[int], leave: list[int],
+                  charge: Callable[[int], None]) -> int:
+    """Maximum independent set of the vertices of ``order``, as a mask.
+
+    The vertices are placed in order.  A state is the set of chosen vertices
+    still on the frontier; it maps to the size and the mask of the best
+    choice so far that leaves it.  A vertex may join when none of its
+    neighbours is in the state, since its placed neighbours are all still on
+    the frontier.  ``charge`` is told the number of states after each step.
+    On equal sizes the state reached first is kept.
+    """
+    states = {0: (0, 0)}
+    for v, gone in zip(order, leave):
+        bit = 1 << v
+        nbrs = adj[v]
+        keep = ~gone
+        nxt: dict[int, tuple[int, int]] = {}
+        get = nxt.get
+        for state, (size, chosen) in states.items():
+            k = state & keep
+            best = get(k)
+            if best is None or best[0] < size:
+                nxt[k] = (size, chosen)
+            if not state & nbrs:
+                k = (state | bit) & keep
+                best = get(k)
+                if best is None or best[0] <= size:
+                    nxt[k] = (size + 1, chosen | bit)
+        charge(len(nxt))
+        states = nxt
+    return states[0][1]
+
+
 class _CoverSearch:
     """Branch and reduce on one connected component (adjacency as bitmasks)."""
 
@@ -136,16 +221,25 @@ class _CoverSearch:
 
     def cover(self, comp: int, greedy: int) -> int:
         """Minimum cover of ``comp``; ``greedy`` is a cover to beat."""
-        size, mask = self.solve(comp, greedy.bit_count() + 1, comp)
+        size, mask = self.solve(comp, greedy.bit_count() + 1, comp, root=True)
         assert mask is not None and mask.bit_count() == size
         return mask
 
-    def solve(self, active: int, limit: int, dirty: int) -> tuple[int, int | None]:
+    def charge(self, count: int) -> None:
+        """Count frontier states into the node budget."""
+        self.nodes += count
+        if self.nodes > self.budget:
+            raise _Budget
+
+    def solve(self, active: int, limit: int, dirty: int,
+              root: bool = False) -> tuple[int, int | None]:
         """Exact minimum cover of adj|active if below ``limit``, else (limit, None).
 
         ``dirty`` holds the vertices whose degree may have changed since the
         parent's reduction fixpoint: every other active vertex had degree at
-        least 3 there and still has it, so no reduction can fire on it.
+        least 3 there and still has it, so no reduction can fire on it.  At
+        the ``root`` a kernel that passes the frontier gate is solved by the
+        frontier DP instead of the branch.
         """
         self.nodes += 1
         if self.nodes > self.budget:
@@ -229,8 +323,17 @@ class _CoverSearch:
             if active == 0:
                 return finish(0, 0)
             # a clique on q vertices forces q - 1 of them into the cover
-            if fixed + active.bit_count() - _clique_partition_count(adj, active) >= limit:
+            kernel = active.bit_count()
+            lower = fixed + kernel - _clique_partition_count(adj, active)
+            if lower >= limit:
                 return limit, None
+            # the root's limit is one above a cover, so the DP's optimum is below it
+            if root and limit - 1 - lower >= FRONTIER_MIN_GAP:
+                path = _frontier_order(
+                    adj, active, min(FRONTIER_MAX_WIDTH, kernel // FRONTIER_MIN_STRETCH))
+                if path is not None:
+                    indep = _frontier_mis(adj, *path, self.charge)
+                    return finish(kernel - indep.bit_count(), active ^ indep)
 
             # branch on the max-degree vertex (ties: lowest id); the worklist
             # left every active vertex at degree >= 3, so this is the only scan
@@ -399,7 +502,8 @@ def min_vertex_cover(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverR
     A component goes to the colour engine on its complement when its greedy
     clique partition has theta-hat <= ``COLOUR_ENGINE_MAX_SHARE`` of its order
     and <= ``COLOUR_ENGINE_MAX_THETA`` cliques, and to branch and reduce
-    otherwise.  When the node budget runs out the component keeps its greedy
+    otherwise, whose root kernel goes to the frontier DP when it passes the
+    frontier gate.  When the node budget runs out the component keeps its greedy
     cover and the result has ``proven_optimal=False``; callers that need
     exactness read it through ``CoverResult.exact``.
     """

@@ -197,25 +197,47 @@ def colour_side(g):
     return sides.pop()
 
 
-# one fixed SR instance per side of the engine rule, with its exact node count
+def counting_frontier(monkeypatch):
+    """Wrap the frontier DP; each run appends the kernel's adjacency, as it
+    stood when the DP ran, and the order."""
+    runs = []
+    dp = cover._frontier_mis
+
+    def counted(adj, order, *rest):
+        runs.append((list(adj), order))
+        return dp(adj, order, *rest)
+
+    monkeypatch.setattr(cover, "_frontier_mis", counted)
+    return runs
+
+
+# fixed SR instances on both sides of the engine rule and of the frontier
+# gate, with their exact node counts (frontier states count as nodes)
 RULE_SIDES = [
     ("SR(C9xC9)", lambda: sr_of(cycle(9), cycle(9)), True, 23, 65),
     ("SR(C5xP12)", lambda: sr_of(cycle(5), path(12)), False, 117, 38),
     ("SR(C9xP20)", lambda: sr_of(cycle(9), path(20)), False, 955, 104),
+    ("SR(C5xP60)", lambda: sr_of(cycle(5), path(60)), False, 73767, 182),
+    # width 8, but the clique bound already proves the greedy cover minimum
+    ("SR(C4xP60)", lambda: sr_of(cycle(4), path(60)), False, 7, 122),
 ]
+FRONTIER_SOLVED = {"SR(C5xP60)"}  # the rows whose root kernel passes the gate
 
 
 @pytest.mark.parametrize("name,build,colour,nodes,size", RULE_SIDES)
-def test_node_counts_pinned_per_engine(name, build, colour, nodes, size):
+def test_node_counts_pinned_per_engine(name, build, colour, nodes, size, monkeypatch):
     g = build()
     assert colour_side(g) is colour
+    runs = counting_frontier(monkeypatch)
     res = min_vertex_cover(g)
     assert res.proven_optimal
     assert (res.nodes_explored, res.size) == (nodes, size)
+    assert len(runs) == (name in FRONTIER_SOLVED)
 
 
 def test_budget_exhaustion_is_flagged_not_wrong():
-    for _, build, colour, _, size in RULE_SIDES:  # graphs on both sides of the rule
+    # graphs on both sides of the rule, and one the frontier DP solves
+    for _, build, colour, _, size in RULE_SIDES:
         g = build()
         assert colour_side(g) is colour
         res = min_vertex_cover(g, node_budget=5)
@@ -250,11 +272,97 @@ def test_colour_side_never_exceeds_its_recursion_depth():
     assert indep.bit_count() == k
 
 
-def test_deterministic_witness():
-    g = disjoint_union([cycle(7), path(5)])
-    a = min_vertex_cover(g)
-    b = min_vertex_cover(g)
-    assert a.witness == b.witness
+def test_deterministic_witness(monkeypatch):
+    runs = counting_frontier(monkeypatch)
+    for g in (disjoint_union([cycle(7), path(5)]), sr_of(cycle(5), path(60))):
+        a = min_vertex_cover(g)
+        b = min_vertex_cover(g)
+        assert a.witness == b.witness
+    assert len(runs) == 2  # SR(C5xP60) is solved by the frontier DP
+
+
+# -- frontier DP --------------------------------------------------------------------
+
+
+def open_frontier_gate(monkeypatch, n):
+    """Send every root kernel of an n-vertex graph to the frontier DP."""
+    monkeypatch.setattr(cover, "FRONTIER_MIN_STRETCH", 1)
+    monkeypatch.setattr(cover, "FRONTIER_MAX_WIDTH", n)
+    monkeypatch.setattr(cover, "FRONTIER_MIN_GAP", 0)
+    monkeypatch.setattr(cover, "COLOUR_ENGINE_MAX_THETA", -1)
+
+
+def pieces(adj, active):
+    """Number of connected pieces of adj|active."""
+    count = 0
+    while active:
+        count += 1
+        reach = active & -active
+        while True:
+            grown = reach
+            for u in bits(reach):
+                grown |= adj[u] & active
+            if grown == reach:
+                break
+            reach = grown
+        active &= ~reach
+    return count
+
+
+def core_with_attachments(rng, core, p, chains, pendants):
+    """A G(core, p) core with degree-2 chains between core vertices and
+    pendant paths hung off it: the reductions fold the chains and take the
+    pendants, and taking a pendant's anchor can split the kernel."""
+    edges = [(u, v) for u in range(core) for v in range(u + 1, core) if rng.random() < p]
+    n = core
+    for _ in range(chains):
+        a, b = rng.sample(range(core), 2)
+        length = rng.randrange(1, 4)
+        nodes = [a, *range(n, n + length), b]
+        edges += list(zip(nodes, nodes[1:]))
+        n += length
+    for _ in range(pendants):
+        length = rng.randrange(1, 3)
+        nodes = [rng.randrange(core), *range(n, n + length)]
+        edges += list(zip(nodes, nodes[1:]))
+        n += length
+    return make_graph(n, edges)
+
+
+def frontier_corpus():
+    rng = random.Random(8)
+    graphs = seeded_graphs(120, 1, 10, seed=2024) + seeded_graphs(8, 13, 14, seed=404)
+    graphs += [core_with_attachments(rng, rng.randrange(5, 10), rng.choice([0.5, 0.7, 0.9]),
+                                     rng.randrange(0, 3), rng.randrange(0, 3))
+               for _ in range(100)]
+    # two dense cores joined only through a hub that a pendant forces into
+    # the cover: the root kernel is the two cores, in two pieces
+    for a, b in ((4, 4), (4, 5), (5, 6)):
+        hub = a + b
+        edges = [(u, v) for u in range(a) for v in range(u + 1, a)]
+        edges += [(u, v) for u in range(a, hub) for v in range(u + 1, hub)]
+        edges += [(0, hub), (a, hub), (hub, hub + 1)]
+        graphs.append(make_graph(hub + 2, edges))
+    return graphs
+
+
+def test_frontier_dp_matches_brute_force(monkeypatch):
+    runs = counting_frontier(monkeypatch)
+    split = folded = 0
+    for g in frontier_corpus():
+        open_frontier_gate(monkeypatch, g.n)
+        before = len(runs)
+        res = min_vertex_cover(g)
+        assert res.proven_optimal
+        assert res.size == len(res.witness) == brute_min_cover(g)
+        for u, v in g.edges():
+            assert u in res.witness or v in res.witness
+        for adj, order in runs[before:]:
+            active = sum(1 << u for u in order)
+            split += pieces(adj, active) > 1
+            # a fold rewrites the rows of the kernel it leaves behind
+            folded += any(adj[u] & active != g.adj[u] & active for u in order)
+    assert len(runs) >= 60 and split >= 3 and folded >= 20
 
 
 # -- independence -----------------------------------------------------------------
@@ -282,12 +390,16 @@ def test_independent_witness_spans_no_edge():
 def engine_cover_sizes(g):
     """Minimum cover size of g from each engine alone, component by component:
     branch and reduce on the component, and the colour engine on its
-    complement started from a single vertex.  Both witnesses are checked."""
+    complement started from a single vertex.  Both witnesses are checked.
+    The frontier gate is shut, so branch and reduce never hands its kernel
+    to the frontier DP and stays an oracle for it."""
     adj = list(g.adj)
     reduce_size = colour_size = 0
     for comp in component_masks(g):
         search = cover._CoverSearch(adj, DEFAULT_NODE_BUDGET)
-        mask = search.cover(comp, cover._greedy_cover(adj, comp))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cover, "FRONTIER_MAX_WIDTH", 0)
+            mask = search.cover(comp, cover._greedy_cover(adj, comp))
         assert all(mask >> u & 1 or not adj[u] & comp & ~mask for u in bits(comp))
         reduce_size += mask.bit_count()
         _, order, cadj = cover._colour_input(adj, comp)
@@ -308,10 +420,21 @@ def test_beta_cross_checks_with_max_clique_engine():
         assert engine_cover_sizes(g) == (want, want)
 
 
-def test_engines_agree_on_sr_graphs():
+def test_engines_agree_on_sr_graphs(monkeypatch):
+    # both engines, run alone, also check the frontier DP with its gate open
+    runs = counting_frontier(monkeypatch)
     for g in (sr_of(cycle(5), path(6)), sr_of(cycle(7), cycle(3)), sr_of(path(4), cycle(5))):
         reduce_size, colour_size = engine_cover_sizes(g)
         assert reduce_size == colour_size == min_vertex_cover(g).size
+        assert not runs
+        with monkeypatch.context() as mp:
+            open_frontier_gate(mp, g.n)
+            res = min_vertex_cover(g)
+        assert len(runs) == 1
+        runs.clear()
+        assert res.proven_optimal and res.size == reduce_size
+        for u, v in g.edges():
+            assert u in res.witness or v in res.witness
 
 
 # -- cliques / coloring -------------------------------------------------------------

@@ -326,6 +326,15 @@ def test_product_dimension_at_benchmark_scale():
         assert len(res.basis) == res.dim
 
 
+def test_product_dimension_of_a_long_odd_cycle_strip():
+    # the SR cover of C5 x P200 is solved by the frontier DP; the value sits
+    # on the paper's upper bound for odd cycles
+    g, h = cycle(5), path(200)
+    res = product_dimension("strong", g, h, prod=product("strong", g, h))
+    assert res.dim == odd_cycle_upper(2, 200, 1) == 602
+    assert len(res.basis) == res.dim
+
+
 # -- brute force oracle -----------------------------------------------------------
 
 

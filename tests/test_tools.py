@@ -2,7 +2,7 @@ import importlib.util
 import os
 
 from strongdim import cover
-from strongdim.graph import cycle
+from strongdim.graph import cycle, path
 from strongdim.products import product
 from strongdim.resolving import strong_resolving_graph
 
@@ -17,13 +17,24 @@ def _load_cover_ladder():
 
 
 def test_cover_ladder_forces_each_engine_and_restores_the_gate():
-    # the node counts differ only if _solve really reaches each engine through
-    # the two gate constants; a renamed constant would time the portfolio twice
+    # the node counts differ only if _solve really reaches each route through
+    # the gate constants; a renamed constant would time the portfolio twice
     ladder = _load_cover_ladder()
-    gate = cover.COLOUR_ENGINE_MAX_SHARE, cover.COLOUR_ENGINE_MAX_THETA
+    assert set(ladder.GATES) == {name for name in vars(cover)
+                                 if name.startswith(("COLOUR_ENGINE_", "FRONTIER_"))}
+    gate = [getattr(cover, name) for name in ladder.GATES]
+    dp = cover._frontier_mis
     sr = strong_resolving_graph(product("strong", cycle(9), cycle(9))).sr
-    size, colour_nodes, _ = ladder._solve(sr, True, 20_000)
+    size, colour_nodes, *_ = ladder._solve(sr, "colour", 20_000)
     assert (size, colour_nodes) == (65, 23)
-    size, reduce_nodes, _ = ladder._solve(sr, False, 20_000)
+    size, reduce_nodes, *_ = ladder._solve(sr, "reduce", 20_000)
     assert (size, reduce_nodes) == (65, 127)
-    assert (cover.COLOUR_ENGINE_MAX_SHARE, cover.COLOUR_ENGINE_MAX_THETA) == gate
+    # SR(C5xP24) passes the frontier gate as it stands, so only a shut gate
+    # keeps the reduce route on branch and reduce
+    sr = strong_resolving_graph(product("strong", cycle(5), path(24))).sr
+    assert ladder._solve(sr, "reduce", 20_000)[:2] == (74, 513)
+    size, frontier_nodes, _, width, peak = ladder._solve(sr, "frontier", 50_000)
+    assert (size, frontier_nodes, width, peak) == (74, 32583, 17, 1152)
+    assert cover.min_vertex_cover(sr).nodes_explored == frontier_nodes
+    assert [getattr(cover, name) for name in ladder.GATES] == gate
+    assert cover._frontier_mis is dp

@@ -1,15 +1,20 @@
-"""Time both exact cover engines on a fixed ladder of SR graphs.
+"""Time the exact cover routes on a fixed ladder of SR graphs.
 
     PYTHONPATH=src python3 tools/cover_ladder.py [--cap NODES] [--only NAME ...]
 
 For each instance the script builds the strong resolving graph and solves it
-with ``min_vertex_cover`` twice: once with every component sent to the colour
-engine and once with every component sent to branch and reduce, each under a
-node cap.  It prints theta-hat (the largest greedy clique-partition count over
-the components, with its share of that component's order), the cover size,
-and each engine's nodes and seconds; ``>cap`` marks an engine that ran out of
-nodes.  ``COLOUR_ENGINE_MAX_THETA`` in ``strongdim.cover`` is fitted on this
-table.
+with ``min_vertex_cover`` three times, each under a node cap: once with every
+component sent to the colour engine, once with every component sent to
+branch and reduce with the frontier gate shut, and once with every root
+kernel sent to the frontier DP (the gate forced open).  It prints theta-hat
+(the largest greedy clique-partition count over the components, with its
+share of that component's order), the cover size, each route's nodes and
+seconds, and for the frontier route the width of its order and the most
+states it held after one step; ``>cap`` marks a route that ran out of nodes,
+and ``-`` a width where the reductions left no kernel.  The engine rule
+(``COLOUR_ENGINE_MAX_SHARE``, ``COLOUR_ENGINE_MAX_THETA``) and the frontier
+gate (``FRONTIER_MAX_WIDTH``, ``FRONTIER_MIN_STRETCH``, ``FRONTIER_MIN_GAP``)
+in ``strongdim.cover`` are fitted on this table.
 """
 
 from __future__ import annotations
@@ -46,10 +51,14 @@ LADDER = {
     "C21xC21": _strong(_cyc(21), _cyc(21)),
     "C11xC13": _strong(_cyc(11), _cyc(13)),
     "C5xP12": _strong(_cyc(5), _path(12)),
+    "C5xP20": _strong(_cyc(5), _path(20)),
+    "C5xP24": _strong(_cyc(5), _path(24)),
+    "C4xP60": _strong(_cyc(4), _path(60)),
     "P9xC9": _strong(_path(9), _cyc(9)),
     "C9xP20": _strong(_cyc(9), _path(20)),
     "C7xP30": _strong(_cyc(7), _path(30)),
     "C5xP60": _strong(_cyc(5), _path(60)),
+    "C5xP200": _strong(_cyc(5), _path(200)),
     **{f"G100/.08/s{s}": _gnp(100, 0.08, s) for s in (1, 2, 3, 4)},
     "G100/.05/s1": _gnp(100, 0.05, 1),
     **{f"G80/.15/s{s}": _gnp(80, 0.15, s) for s in (1, 2)},
@@ -61,19 +70,47 @@ LADDER = {
 }
 
 
-def _solve(sr, colour, cap):
-    """(cover size or None, nodes, seconds) with every component sent to the
-    colour engine (``colour`` true) or to branch and reduce."""
-    saved = cover.COLOUR_ENGINE_MAX_SHARE, cover.COLOUR_ENGINE_MAX_THETA
-    cover.COLOUR_ENGINE_MAX_SHARE, cover.COLOUR_ENGINE_MAX_THETA = (
-        (1, sr.n) if colour else (0, -1))
+GATES = ("COLOUR_ENGINE_MAX_SHARE", "COLOUR_ENGINE_MAX_THETA",
+         "FRONTIER_MAX_WIDTH", "FRONTIER_MIN_STRETCH", "FRONTIER_MIN_GAP")
+ROUTES = ("colour", "reduce", "frontier")
+
+
+def _solve(sr, route, cap):
+    """(cover size or None, nodes, seconds, width, peak states) with every
+    component sent to ``route``; width and peak are 0 unless the frontier DP
+    ran, and the largest over its runs if it ran more than once."""
+    settings = {"colour": (1, sr.n, 0, 1, 1), "reduce": (0, -1, 0, 1, 1),
+                "frontier": (0, -1, sr.n, 1, 0)}[route]
+    saved = [getattr(cover, name) for name in GATES]
+    dp = cover._frontier_mis
+    width = peak = 0
+
+    def traced(adj, order, leave, charge):
+        nonlocal width, peak
+        frontier = 0  # placed vertices with a neighbour still to come
+        for gone in leave:
+            frontier += 1 - gone.bit_count()
+            width = max(width, frontier)
+
+        def counted(states):
+            nonlocal peak
+            peak = max(peak, states)
+            charge(states)
+
+        return dp(adj, order, leave, counted)
+
+    for name, value in zip(GATES, settings):
+        setattr(cover, name, value)
+    cover._frontier_mis = traced
     try:
         t0 = time.perf_counter()
         res = cover.min_vertex_cover(sr, cap)
         secs = time.perf_counter() - t0
     finally:
-        cover.COLOUR_ENGINE_MAX_SHARE, cover.COLOUR_ENGINE_MAX_THETA = saved
-    return (res.size if res.proven_optimal else None), res.nodes_explored, secs
+        for name, value in zip(GATES, saved):
+            setattr(cover, name, value)
+        cover._frontier_mis = dp
+    return (res.size if res.proven_optimal else None), res.nodes_explored, secs, width, peak
 
 
 def measure(name, cap):
@@ -83,27 +120,28 @@ def measure(name, cap):
                        for c in component_masks(sr))
     row = [name, str(sr.n), str(sr.num_edges), f"{theta} ({theta / order:.2f})"]
     sizes = set()
-    for colour in (True, False):
-        size, nodes, secs = _solve(sr, colour, cap)
+    for route in ROUTES:
+        size, nodes, secs, width, peak = _solve(sr, route, cap)
         if size is None:
             row += [f">{cap}", f">{secs:.2f}"]
         else:
             sizes.add(size)
             row += [str(nodes), f"{secs:.3f}"]
+    row += [str(width) if width else "-", str(peak)]  # of the frontier route, run last
     if len(sizes) > 1:
-        raise AssertionError(f"{name}: the engines disagree, {sorted(sizes)}")
+        raise AssertionError(f"{name}: the routes disagree, {sorted(sizes)}")
     row.insert(4, str(sizes.pop()) if sizes else "?")
     return row
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--cap", type=int, default=300_000, help="node cap per engine")
+    parser.add_argument("--cap", type=int, default=300_000, help="node cap per route")
     parser.add_argument("--only", nargs="+", choices=list(LADDER), help="instances to run")
     args = parser.parse_args(argv)
     print("| instance | n | m | theta-hat (/order) | cover | colour nodes | colour s "
-          "| reduce nodes | reduce s |")
-    print("|---" * 9 + "|")
+          "| reduce nodes | reduce s | frontier nodes | frontier s | width | peak states |")
+    print("|---" * 13 + "|")
     for name in args.only or LADDER:
         print("| " + " | ".join(measure(name, args.cap)) + " |", flush=True)
 
