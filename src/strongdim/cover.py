@@ -37,15 +37,33 @@ reductions take apart, goes to branch and reduce.  Both engines count nodes,
 and the DP its states, into one budget; when it runs out the component keeps
 its greedy cover and the result says ``proven_optimal=False``.
 
+The colour engine polishes its incumbent once per search.  When the search
+reaches ``POLISH_AT`` nodes, an iterated local search (Andrade, Resende &
+Werneck, J. Heuristics 2012) starts from the best clique so far, taken as an
+independent set of the complement of the engine's graph (for a cover, of the
+component itself): free insertions and (1,2)-swaps to a local optimum, then
+one forced insertion a round, until ``POLISH_STALE`` rounds pass without a
+new best.  A larger set it finds is checked to be a clique and
+becomes the incumbent, and the same search goes on.  The colour bound prunes
+against any clique the search holds, so the search still proves optimality,
+and the budget still ends it unproven.  A search that ends under the
+checkpoint is untouched.  Most of a long search goes to finding the optimum,
+not to proving it: beta(C9xC9) = 18 took 47,398 nodes without the polish,
+which lifts the greedy 16 to 18 at the checkpoint, and 9,570 with it;
+beta(C9xC11) = 22 went from 214,881 to 40,529.  The local search costs about
+10 ms there, and as much on C7xC9, whose incumbent is already optimal.
+
 The two engines are each other's oracle: the tests run both on the same
 components, and both against subset enumeration; with the frontier gate shut
 or forced open, both check the DP too.  Everything is deterministic: every
-tie breaks on vertex ids.
+tie breaks on vertex ids, and the local search draws from a generator of its
+own with a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from operator import itemgetter
@@ -76,6 +94,10 @@ COLOUR_ENGINE_MAX_THETA = 300
 FRONTIER_MAX_WIDTH = 20
 FRONTIER_MIN_STRETCH = 7
 FRONTIER_MIN_GAP = 1
+# The incumbent polish (see the module docstring): the colour engine's node
+# count that triggers it, and the rounds without a new best that end it.
+POLISH_AT = 4096
+POLISH_STALE = 400
 
 
 class BudgetExhausted(RuntimeError):
@@ -375,6 +397,86 @@ class _CoverSearch:
                 adj[idx] = old
 
 
+def _iterated_local_search(nbr: dict[int, int], start: int) -> int:
+    """A large independent set of the graph ``nbr`` (vertex -> neighbours),
+    by iterated local search from the independent set ``start`` (after
+    Andrade, Resende & Werneck, J. Heuristics 2012).
+
+    The local search adds free vertices (no neighbour in the set) and takes
+    (1,2)-swaps (out one vertex x, in two non-adjacent vertices whose only
+    neighbour in the set is x) until neither is left.  Each round forces one
+    vertex outside the set into it, now and then a few, drops their
+    neighbours and runs the local search again.  A smaller result replaces
+    the current set with probability 1/(1 + d*d'), d and d' its deficits to
+    the current and the best set.  The search stops after ``POLISH_STALE``
+    rounds without a new best.  A fixed seed makes it deterministic.
+    """
+    rng = random.Random(0)
+    vertices = list(nbr)
+    everyone = sum(1 << v for v in vertices)
+
+    def local_optimum(s: int) -> int:
+        while True:
+            once = twice = 0  # vertices with at least one, two neighbours in s
+            m = s
+            while m:
+                low = m & -m
+                m ^= low
+                row = nbr[low.bit_length() - 1]
+                twice |= once & row
+                once |= row
+            free = everyone & ~(once | s)
+            if free:
+                while free:
+                    v = rng.choice(list(bits(free)))
+                    s |= 1 << v
+                    free &= ~nbr[v] ^ (1 << v)
+                continue
+            one = once & ~twice
+            m = s
+            while m:
+                low = m & -m
+                m ^= low
+                x = low.bit_length() - 1
+                tight = nbr[x] & one
+                if tight & (tight - 1):
+                    for u in bits(tight):
+                        pair = tight & ~nbr[u] ^ (1 << u)
+                        if pair:
+                            s ^= 1 << x | 1 << u | pair & -pair
+                            break
+                    else:
+                        continue
+                    break
+            else:
+                return s
+
+    cur = best = local_optimum(start)
+    if cur == everyone:
+        return cur  # no vertex is left to force in
+    stale = 0
+    while stale < POLISH_STALE:
+        s = cur
+        k = 1
+        if rng.random() * 2 * s.bit_count() < 1:
+            while rng.random() < 0.5:
+                k += 1
+        for _ in range(k):
+            v = rng.choice(vertices)
+            while s >> v & 1:
+                v = rng.choice(vertices)
+            s = s & ~nbr[v] | 1 << v
+        s = local_optimum(s)
+        size, cur_size, best_size = s.bit_count(), cur.bit_count(), best.bit_count()
+        if size >= cur_size or rng.random() * (1 + (cur_size - size) * (best_size - size)) < 1:
+            cur = s
+        if size > best_size:
+            best, stale = s, 0
+        else:
+            stale += 1
+    return best
+
+
 class _CliqueSearch:
     """Maximum clique by branch and bound with a greedy colouring bound (MCQ).
 
@@ -386,7 +488,7 @@ class _CliqueSearch:
     number plus one.
     """
 
-    __slots__ = ("adj", "nodes", "budget", "best_size", "best_mask")
+    __slots__ = ("adj", "nodes", "budget", "best_size", "best_mask", "cand")
 
     def __init__(self, adj: list[int], budget: float):
         self.adj = adj
@@ -394,18 +496,33 @@ class _CliqueSearch:
         self.budget = budget
         self.best_size = 0
         self.best_mask = 0
+        self.cand = 0
 
     def run(self, cand: int, start: int) -> int:
         """Maximum clique within ``cand``; ``start`` is a clique to beat."""
         self.best_mask = start
         self.best_size = start.bit_count()
+        self.cand = cand
         self._expand(0, 0, cand)
         return self.best_mask
+
+    def _polish(self) -> None:
+        """Raise the incumbent to the best clique an iterated local search finds."""
+        cand = self.cand
+        mask = _iterated_local_search(
+            {v: cand & ~self.adj[v] ^ (1 << v) for v in bits(cand)}, self.best_mask)
+        size = mask.bit_count()
+        if size > self.best_size:
+            if mask & ~cand or any(mask & ~self.adj[v] ^ (1 << v) for v in bits(mask)):
+                raise AssertionError("polished incumbent is not a clique")
+            self.best_size, self.best_mask = size, mask
 
     def _expand(self, r_mask: int, r_size: int, p: int) -> None:
         self.nodes += 1
         if self.nodes > self.budget:
             raise _Budget
+        if self.nodes == POLISH_AT:
+            self._polish()
         adj = self.adj
         # colour classes, keeping only colours above kmin: a vertex of colour
         # k <= kmin = best - |R| cannot lead to a clique larger than the best

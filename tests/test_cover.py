@@ -220,6 +220,9 @@ RULE_SIDES = [
     ("SR(C5xP60)", lambda: sr_of(cycle(5), path(60)), False, 73767, 182),
     # width 8, but the clique bound already proves the greedy cover minimum
     ("SR(C4xP60)", lambda: sr_of(cycle(4), path(60)), False, 7, 122),
+    # the product itself, beta = 18: the search passes POLISH_AT, and the
+    # polish lifts the greedy 16 to 18 there (47,398 nodes without it)
+    ("C9xC9", lambda: product("strong", cycle(9), cycle(9)), True, 9570, 63),
 ]
 FRONTIER_SOLVED = {"SR(C5xP60)"}  # the rows whose root kernel passes the gate
 
@@ -279,6 +282,52 @@ def test_deterministic_witness(monkeypatch):
         b = min_vertex_cover(g)
         assert a.witness == b.witness
     assert len(runs) == 2  # SR(C5xP60) is solved by the frontier DP
+
+
+def polish_results(monkeypatch):
+    """Wrap the colour engine's local search; each run appends the sizes of
+    its start and of what it returned."""
+    runs = []
+    search = cover._iterated_local_search
+
+    def traced(nbr, start):
+        found = search(nbr, start)
+        runs.append((start.bit_count(), found.bit_count()))
+        return found
+
+    monkeypatch.setattr(cover, "_iterated_local_search", traced)
+    return runs
+
+
+def test_budget_spent_just_after_the_polish_is_flagged(monkeypatch):
+    g = product("strong", cycle(9), cycle(9))
+    runs = polish_results(monkeypatch)
+    res = min_vertex_cover(g, node_budget=20_000)
+    assert res.proven_optimal and res.size == 81 - 18
+    # the optimum is in hand at the checkpoint, but not yet proven
+    res = min_vertex_cover(g, node_budget=cover.POLISH_AT + 1)
+    assert runs == [(16, 18), (16, 18)]
+    assert not res.proven_optimal
+    for u, v in g.edges():
+        assert u in res.witness or v in res.witness
+    assert len(res.witness) == res.size >= 81 - 18
+    with pytest.raises(BudgetExhausted):
+        max_independent_set(g, node_budget=cover.POLISH_AT + 1)
+
+
+def test_colour_engine_polished_at_its_root_stays_exact(monkeypatch):
+    # every colour search polishes its start before the first branch and
+    # goes on from whatever the local search found
+    monkeypatch.setattr(cover, "POLISH_AT", 1)
+    runs = polish_results(monkeypatch)
+    graphs = seeded_graphs(60, 2, 9, seed=77) + seeded_graphs(8, 13, 14, seed=404)
+    for g in graphs:
+        want = brute_min_cover(g)
+        assert engine_cover_sizes(g) == (want, want)
+        res = min_vertex_cover(g)
+        assert res.proven_optimal and res.size == want
+        assert len(max_clique(complement(g))) == g.n - want
+    assert sum(found > start for start, found in runs) >= 100
 
 
 # -- frontier DP --------------------------------------------------------------------

@@ -1,12 +1,15 @@
-"""Time the exact cover routes on a fixed ladder of SR graphs.
+"""Time the exact cover routes on a fixed ladder of graphs.
 
     PYTHONPATH=src python3 tools/cover_ladder.py [--cap NODES] [--only NAME ...]
 
-For each instance the script builds the strong resolving graph and solves it
-with ``min_vertex_cover`` three times, each under a node cap: once with every
-component sent to the colour engine, once with every component sent to
-branch and reduce with the frontier gate shut, and once with every root
-kernel sent to the frontier DP (the gate forced open).  It prints theta-hat
+An instance named ``beta:X`` is the graph X itself, solved as given (its
+cover is n - beta(X)); every other instance is the strong resolving graph of
+the graph its name gives.  The script solves each with ``min_vertex_cover``
+four times, each under a node cap: with every component sent to the colour
+engine, once with its incumbent polish at ``POLISH_AT`` and once with the
+polish shut; with every component sent to branch and reduce with the
+frontier gate shut; and with every root kernel sent to the frontier DP (the
+gate forced open).  It prints theta-hat
 (the largest greedy clique-partition count over the components, with its
 share of that component's order), the cover size, each route's nodes and
 seconds, and for the frontier route the width of its order and the most
@@ -14,7 +17,7 @@ states it held after one step; ``>cap`` marks a route that ran out of nodes,
 and ``-`` a width where the reductions left no kernel.  The engine rule
 (``COLOUR_ENGINE_MAX_SHARE``, ``COLOUR_ENGINE_MAX_THETA``) and the frontier
 gate (``FRONTIER_MAX_WIDTH``, ``FRONTIER_MIN_STRETCH``, ``FRONTIER_MIN_GAP``)
-in ``strongdim.cover`` are fitted on this table.
+in ``strongdim.cover`` are fitted on this table, and so is ``POLISH_AT``.
 """
 
 from __future__ import annotations
@@ -67,21 +70,28 @@ LADDER = {
     "G120/.12/s1": _gnp(120, 0.12, 1),
     **{f"G150/.1/s{s}": _gnp(150, 0.1, s) for s in (1, 2)},
     **{f"G200/.05/s{s}": _gnp(200, 0.05, s) for s in (1, 2)},
+    # beta of odd-odd products: long colour searches, where the polish fires
+    "beta:C7xC9": _strong(_cyc(7), _cyc(9)),
+    "beta:C9xC9": _strong(_cyc(9), _cyc(9)),
+    "beta:C9xC11": _strong(_cyc(9), _cyc(11)),
 }
 
 
 GATES = ("COLOUR_ENGINE_MAX_SHARE", "COLOUR_ENGINE_MAX_THETA",
-         "FRONTIER_MAX_WIDTH", "FRONTIER_MIN_STRETCH", "FRONTIER_MIN_GAP")
-ROUTES = ("colour", "reduce", "frontier")
+         "FRONTIER_MAX_WIDTH", "FRONTIER_MIN_STRETCH", "FRONTIER_MIN_GAP", "POLISH_AT")
+ROUTES = ("colour", "unpolished", "reduce", "frontier")
 
 
-def _solve(sr, route, cap):
+def _solve(g, route, cap):
     """(cover size or None, nodes, seconds, width, peak states) with every
     component sent to ``route``; width and peak are 0 unless the frontier DP
     ran, and the largest over its runs if it ran more than once."""
-    settings = {"colour": (1, sr.n, 0, 1, 1), "reduce": (0, -1, 0, 1, 1),
-                "frontier": (0, -1, sr.n, 1, 0)}[route]
     saved = [getattr(cover, name) for name in GATES]
+    polish = saved[GATES.index("POLISH_AT")]
+    # a search counts its nodes from 1, so POLISH_AT = 0 never fires
+    settings = {"colour": (1, g.n, 0, 1, 1, polish), "unpolished": (1, g.n, 0, 1, 1, 0),
+                "reduce": (0, -1, 0, 1, 1, polish),
+                "frontier": (0, -1, g.n, 1, 0, polish)}[route]
     dp = cover._frontier_mis
     width = peak = 0
 
@@ -104,7 +114,7 @@ def _solve(sr, route, cap):
     cover._frontier_mis = traced
     try:
         t0 = time.perf_counter()
-        res = cover.min_vertex_cover(sr, cap)
+        res = cover.min_vertex_cover(g, cap)
         secs = time.perf_counter() - t0
     finally:
         for name, value in zip(GATES, saved):
@@ -114,14 +124,16 @@ def _solve(sr, route, cap):
 
 
 def measure(name, cap):
-    sr = strong_resolving_graph(LADDER[name]()).sr
-    adj = list(sr.adj)
+    g = LADDER[name]()
+    if not name.startswith("beta:"):
+        g = strong_resolving_graph(g).sr
+    adj = list(g.adj)
     theta, order = max((cover._colour_input(adj, c)[0], c.bit_count())
-                       for c in component_masks(sr))
-    row = [name, str(sr.n), str(sr.num_edges), f"{theta} ({theta / order:.2f})"]
+                       for c in component_masks(g))
+    row = [name, str(g.n), str(g.num_edges), f"{theta} ({theta / order:.2f})"]
     sizes = set()
     for route in ROUTES:
-        size, nodes, secs, width, peak = _solve(sr, route, cap)
+        size, nodes, secs, width, peak = _solve(g, route, cap)
         if size is None:
             row += [f">{cap}", f">{secs:.2f}"]
         else:
@@ -140,8 +152,9 @@ def main(argv=None):
     parser.add_argument("--only", nargs="+", choices=list(LADDER), help="instances to run")
     args = parser.parse_args(argv)
     print("| instance | n | m | theta-hat (/order) | cover | colour nodes | colour s "
-          "| reduce nodes | reduce s | frontier nodes | frontier s | width | peak states |")
-    print("|---" * 13 + "|")
+          "| unpolished nodes | unpolished s | reduce nodes | reduce s "
+          "| frontier nodes | frontier s | width | peak states |")
+    print("|---" * 15 + "|")
     for name in args.only or LADDER:
         print("| " + " | ".join(measure(name, args.cap)) + " |", flush=True)
 
