@@ -99,9 +99,9 @@ def is_strong_generator(
     row-major ids have a handful of classes; a random graph has about n, and
     so stays bit by bit without building them.
     """
-    if not is_connected(g):
-        raise ValueError("strong generators are defined for connected graphs")
     dm = dm or all_pairs_distances(g)
+    if not dm.connected():
+        raise ValueError("strong generators are defined for connected graphs")
     adj = g.adj
     balls = dm.balls
     smask = 0
@@ -167,12 +167,12 @@ def sr_cover_dimension(
 def strong_metric_dimension(
     g: Graph, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> DimensionResult:
-    """dim_s via the SR-graph vertex cover pipeline, on BFS distances."""
+    """dim_s via the SR-graph vertex cover pipeline, on the graph's own distance balls."""
     if g.n < 2:
         raise ValueError("strong metric dimension needs n >= 2")
-    if not is_connected(g):
-        raise ValueError("strong metric dimension needs a connected graph")
     dm = all_pairs_distances(g)
+    if not dm.connected():
+        raise ValueError("strong metric dimension needs a connected graph")
     sr = strong_resolving_graph(g, dm).sr
     return sr_cover_dimension(g, sr, dm, min_vertex_cover(sr, node_budget))
 

@@ -1,8 +1,11 @@
 """Shortest-path metric and structural classifiers (antipodality, block graphs).
 
-Distances are exact BFS hop counts.  Unreachable pairs carry ``None`` --- a
-dedicated sentinel that fails fast in arithmetic instead of corrupting
-max/min comparisons.
+Distances are exact hop counts, kept as distance balls.
+``all_pairs_distances`` grows them for all sources at once, one radius at a
+time, each ball the union of its neighbours' balls one radius smaller: about
+edges times diameter whole-mask unions, not one bit-by-bit search per source.
+Unreachable pairs carry ``None`` --- a dedicated sentinel that fails fast in
+arithmetic instead of corrupting max/min comparisons.
 """
 
 from __future__ import annotations
@@ -58,26 +61,37 @@ class DistanceMatrix:
     def finite_diameter(self) -> int:
         return max(self.eccentricity(v) for v in range(self.n))
 
-
-def _bfs_balls(adj: Sequence[int], src: int) -> list[int]:
-    seen = frontier = 1 << src
-    levels = [seen]
-    while True:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= adj[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & ~seen
-        if not frontier:
-            return levels
-        seen |= frontier
-        levels.append(seen)
+    def connected(self) -> bool:
+        """True iff the graph is connected: vertex 0 reaches every vertex."""
+        return self.n > 0 and self.balls[0][-1] == (1 << self.n) - 1
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    return DistanceMatrix(g.n, [_bfs_balls(g.adj, v) for v in range(g.n)])
+    """Distance balls of every vertex: B(v, k + 1) = the union of B(w, k) over
+    the neighbours w of v, for k >= 1.  A source whose ball did not grow has
+    reached its whole component and keeps that ball from then on."""
+    n = g.n
+    # lists, not tuples: CPython keeps up to 2,000 freed tuples of each short
+    # length on free lists, so tuples here leave memory held after the call
+    nbrs = [list(bits(a)) for a in g.adj]
+    last = [a | 1 << v for v, a in enumerate(g.adj)]  # B(v, 1)
+    balls = [[1 << v] for v in range(n)]
+    growing = [v for v in range(n) if g.adj[v]]
+    for v in growing:
+        balls[v].append(last[v])
+    while growing:
+        prev = last[:]
+        still = []
+        for v in growing:
+            ball = 0
+            for w in nbrs[v]:
+                ball |= prev[w]
+            if ball != prev[v]:
+                last[v] = ball
+                balls[v].append(ball)
+                still.append(v)
+        growing = still
+    return DistanceMatrix(n, balls)
 
 
 def is_connected(g: Graph) -> bool:

@@ -73,9 +73,9 @@ def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> SRGrap
     """
     if g.n < 2:
         raise ValueError("strong resolving graph needs n >= 2")
-    if not is_connected(g):
-        raise ValueError("strong resolving graph needs a connected graph")
     dm = dm or all_pairs_distances(g)
+    if not dm.connected():
+        raise ValueError("strong resolving graph needs a connected graph")
     n = g.n
     balls = dm.balls
     inner = [levels[1:-1] for levels in balls]  # B(w, k) for 1 <= k < ecc(w)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 
 from strongdim import cover
 from strongdim.cover import (
-    COLOUR_ENGINE_MAX_SHARE,
     COLOUR_ENGINE_MAX_THETA,
     DEFAULT_NODE_BUDGET,
     BudgetExhausted,
@@ -186,13 +185,16 @@ def sr_of(a, b):
     return strong_resolving_graph(product("strong", a, b)).sr
 
 
+def theta_hat(adj, comp):
+    """theta-hat of a component and its renumbering, as ``min_vertex_cover`` reads them."""
+    return cover._theta_hat(adj, comp, cover._clique_partition_count(adj, comp))
+
+
 def colour_side(g):
     """True iff the engine rule sends every component of g to the colour engine."""
     adj = list(g.adj)
-    sides = set()
-    for comp in component_masks(g):
-        theta, order, _ = cover._colour_input(adj, comp)
-        sides.add(theta <= min(COLOUR_ENGINE_MAX_SHARE * len(order), COLOUR_ENGINE_MAX_THETA))
+    sides = {cover._colour_side(theta_hat(adj, comp)[0], comp.bit_count())
+             for comp in component_masks(g)}
     assert len(sides) == 1
     return sides.pop()
 
@@ -253,6 +255,88 @@ def test_budget_exhaustion_is_flagged_not_wrong():
             max_independent_set(g, node_budget=5)
 
 
+def uncertified_cover(g, node_budget):
+    """(size, witness, nodes, proven) of ``min_vertex_cover`` with no root
+    certificate: each component runs on the engine the rule picks, the colour
+    engine on its input from the greedy start, and keeps its greedy cover
+    when the budget runs out."""
+    adj = list(g.adj)
+    nodes, witness, proven = 0, 0, True
+    for comp in component_masks(g):
+        if comp & (comp - 1) == 0:
+            continue
+        greedy = cover._greedy_cover(adj, comp)
+        theta, renumbered = theta_hat(adj, comp)
+        colour = cover._colour_side(theta, comp.bit_count())
+        budget = node_budget - nodes
+        if colour:
+            order, cadj = cover._colour_input(adj, comp, renumbered)
+            engine = cover._CliqueSearch(cadj, budget)
+            start = sum(1 << i for i, u in enumerate(order) if not greedy >> u & 1)
+        else:
+            engine = cover._CoverSearch(adj, budget)
+        try:
+            if colour:
+                indep = engine.run((1 << len(order)) - 1, start)
+                witness |= comp & ~sum(1 << order[i] for i in bits(indep))
+            else:
+                witness |= engine.cover(comp, greedy)
+        except cover._Budget:
+            witness |= greedy
+            proven = False
+        nodes += engine.nodes
+    return witness.bit_count(), frozenset(bits(witness)), nodes, proven
+
+
+def certified_components(g):
+    """The components ``min_vertex_cover`` takes by the root certificate: the
+    rule sends them to the colour engine, and their id-order clique partition
+    is no larger than the greedy independent set."""
+    adj = list(g.adj)
+    return [comp for comp in component_masks(g)
+            if comp & (comp - 1)
+            and cover._colour_side(theta := cover._clique_partition_count(adj, comp),
+                                   comp.bit_count())
+            and theta == (comp & ~cover._greedy_cover(adj, comp)).bit_count()]
+
+
+def test_root_certificate_on_a_union_of_cliques():
+    # K2 goes to branch and reduce (theta-hat 1 is above 0.42 of 2 vertices);
+    # K3, K4 and K5 go to the colour engine, whose root each one's certificate
+    # stands for: one node per component, and each keeps its lowest vertex
+    g = disjoint_union([complete(k) for k in range(2, 6)])
+    assert len(certified_components(g)) == 3
+    res = min_vertex_cover(g)
+    assert res.proven_optimal and res.nodes_explored == 4
+    assert res.witness == frozenset(range(14)) - {0, 2, 5, 9}
+    assert uncertified_cover(g, DEFAULT_NODE_BUDGET) == (10, res.witness, 4, True)
+    # three nodes pay for K2, K3 and K4; K5's certificate finds none left
+    res = min_vertex_cover(g, node_budget=3)
+    assert not res.proven_optimal and res.nodes_explored == 4
+    assert res.witness == frozenset(range(14)) - {0, 2, 5, 9}
+    with pytest.raises(BudgetExhausted):
+        max_independent_set(g, node_budget=3)
+
+
+def test_root_certificate_matches_the_colour_engine():
+    graphs = seeded_graphs(150, 3, 12, seed=31)
+    graphs += [sr_of(a, b) for a in (cycle(3), cycle(5), path(3), complete(4))
+               for b in (path(4), cycle(4), cycle(5), path(5))]
+    graphs += [strong_resolving_graph(random_connected(n, 0.3, seed)).sr
+               for n in (8, 10, 12) for seed in range(6)]
+    hits = colour = 0
+    for g in graphs:
+        adj = list(g.adj)
+        hits += len(certified_components(g))
+        colour += sum(cover._colour_side(theta_hat(adj, c)[0], c.bit_count())
+                      for c in component_masks(g) if c & (c - 1))
+        for budget in (*range(6), DEFAULT_NODE_BUDGET):
+            res = min_vertex_cover(g, node_budget=budget)
+            got = (res.size, res.witness, res.nodes_explored, res.proven_optimal)
+            assert got == uncertified_cover(g, budget)
+    assert hits >= 50 and colour - hits >= 25
+
+
 def test_colour_side_never_exceeds_its_recursion_depth():
     # a chain of triangles at the rule's cap: theta-hat = alpha = the cap, and
     # the colour engine, started from an empty clique, dives to depth alpha
@@ -261,8 +345,10 @@ def test_colour_side_never_exceeds_its_recursion_depth():
     edges += [(3 * i + 2, 3 * i + 3) for i in range(k - 1)]
     g = make_graph(3 * k, edges)
     assert colour_side(g)
-    theta, order, cadj = cover._colour_input(list(g.adj), (1 << g.n) - 1)
+    adj, full = list(g.adj), (1 << g.n) - 1
+    theta, renumbered = theta_hat(adj, full)
     assert theta == k
+    _, cadj = cover._colour_input(adj, full, renumbered)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + k + 20)
     try:
@@ -451,7 +537,7 @@ def engine_cover_sizes(g):
             mask = search.cover(comp, cover._greedy_cover(adj, comp))
         assert all(mask >> u & 1 or not adj[u] & comp & ~mask for u in bits(comp))
         reduce_size += mask.bit_count()
-        _, order, cadj = cover._colour_input(adj, comp)
+        order, cadj = cover._colour_input(adj, comp, theta_hat(adj, comp)[1])
         indep = cover._CliqueSearch(cadj, DEFAULT_NODE_BUDGET).run((1 << len(order)) - 1, 1)
         members = [order[i] for i in bits(indep)]
         assert not any(g.has_edge(u, v) for u, v in combinations(members, 2))

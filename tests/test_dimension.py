@@ -110,8 +110,9 @@ def test_dim_of_cycles():
 def test_dim_rejects_trivial_and_disconnected():
     with pytest.raises(ValueError):
         strong_metric_dimension(complete(1))
-    with pytest.raises(ValueError):
-        strong_metric_dimension(disjoint_union([complete(2), complete(2)]))
+    for parts in ([complete(2), complete(2)], [complete(1), path(3)], [path(3), complete(1)]):
+        with pytest.raises(ValueError, match="strong metric dimension needs a connected graph"):
+            strong_metric_dimension(disjoint_union(parts))
 
 
 def test_basis_is_validated_generator():
@@ -275,8 +276,9 @@ def test_generator_check_product_basis_minus_one():
 
 
 def test_generator_check_rejects_bad_input():
-    with pytest.raises(ValueError):
-        is_strong_generator(disjoint_union([complete(2)] * 2), [0, 2])
+    for parts in ([complete(2)] * 2, [complete(1), path(3)], [path(3), complete(1)]):
+        with pytest.raises(ValueError, match="strong generators are defined for connected graphs"):
+            is_strong_generator(disjoint_union(parts), [0, 2])
     for members in ([0, 4], [-1]):
         with pytest.raises(ValueError, match="member id outside the vertex range"):
             is_strong_generator(path(4), members)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +96,49 @@ def test_distance_balls():
     assert dm.ball(0, 5) == 0b1111
     assert dm.ball(0, -1) == 0
     assert dm.eccentricity(0) == 3
+
+
+def bfs_balls(g, src):
+    """Per-source BFS oracle: the balls of src, one per radius, up to its
+    reachable set and with no repeat at the end."""
+    seen = frontier = 1 << src
+    levels = [seen]
+    while True:
+        nxt = 0
+        for u in range(g.n):
+            if frontier >> u & 1:
+                nxt |= g.adj[u]
+        frontier = nxt & ~seen
+        if not frontier:
+            return levels
+        seen |= frontier
+        levels.append(seen)
+
+
+def oracle_graphs():
+    rng = random.Random(17)
+    graphs = [make_graph(n, []) for n in range(4)] + [complete(1), path(60), cycle(41)]
+    for _ in range(120):
+        n = rng.randrange(1, 30)
+        p = rng.choice([0.03, 0.08, 0.15, 0.3, 0.6])
+        graphs.append(make_graph(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    graphs.append(disjoint_union([path(7), complete(1), cycle(9), complete(4)]))
+    return graphs
+
+
+def test_balls_match_per_source_bfs():
+    disconnected = 0
+    for g in oracle_graphs():
+        balls = all_pairs_distances(g).balls
+        assert [list(levels) for levels in balls] == [bfs_balls(g, v) for v in range(g.n)]
+        disconnected += g.n > 1 and not is_connected(g)
+    assert disconnected >= 30
+
+
+def test_connected_reads_the_first_ball():
+    for g in oracle_graphs():
+        assert all_pairs_distances(g).connected() == is_connected(g)
 
 
 # -- connectivity and diameter ------------------------------------------------

@@ -112,8 +112,9 @@ def test_sr_of_grid_is_two_diagonal_edges():
 def test_sr_rejects_trivial_and_disconnected():
     with pytest.raises(ValueError):
         strong_resolving_graph(complete(1))
-    with pytest.raises(ValueError):
-        strong_resolving_graph(disjoint_union([complete(2), complete(2)]))
+    for parts in ([complete(2), complete(2)], [complete(1), path(3)], [path(3), complete(1)]):
+        with pytest.raises(ValueError, match="strong resolving graph needs a connected graph"):
+            strong_resolving_graph(disjoint_union(parts))
 
 
 def _mmd_graph(g):

@@ -128,8 +128,9 @@ def measure(name, cap):
     if not name.startswith("beta:"):
         g = strong_resolving_graph(g).sr
     adj = list(g.adj)
-    theta, order = max((cover._colour_input(adj, c)[0], c.bit_count())
-                       for c in component_masks(g))
+    theta, order = max(
+        (cover._theta_hat(adj, c, cover._clique_partition_count(adj, c))[0], c.bit_count())
+        for c in component_masks(g))
     row = [name, str(g.n), str(g.num_edges), f"{theta} ({theta / order:.2f})"]
     sizes = set()
     for route in ROUTES:
