@@ -82,6 +82,7 @@ from .graph import Graph, bits, component_masks
 __all__ = [
     "CoverResult",
     "CliquePartition",
+    "greedy_clique_partition",
     "BudgetExhausted",
     "DEFAULT_NODE_BUDGET",
     "min_vertex_cover",
@@ -744,6 +745,26 @@ class CliquePartition:
             raise AssertionError("clique parts do not cover the vertex set")
 
 
+def greedy_clique_partition(g: Graph) -> CliquePartition:
+    """The greedy clique partition that theta-hat counts in id order: each
+    clique grown from the lowest vertex left by adding the lowest common
+    neighbour.  Its size bounds beta(g) from above."""
+    adj = g.adj
+    rem = (1 << g.n) - 1
+    parts = []
+    while rem:
+        low = rem & -rem
+        clique = low
+        cand = adj[low.bit_length() - 1] & rem
+        while cand:
+            tlow = cand & -cand
+            clique |= tlow
+            cand &= adj[tlow.bit_length() - 1]
+        rem &= ~clique
+        parts.append(frozenset(bits(clique)))
+    return CliquePartition(tuple(parts))
+
+
 def _clique_partition(adj: list[int], active: int, k: int, seeds: int) -> list[int] | None:
     """A partition of ``active`` into at most k cliques, as masks, or None.
 
@@ -813,9 +834,15 @@ def clique_cover_number(
 
 
 def is_c_graph(g: Graph, cap: int = DEFAULT_RECOGNITION_CAP) -> bool:
-    """True iff V(g) partitions into exactly beta(g) cliques."""
+    """True iff V(g) partitions into exactly beta(g) cliques.
+
+    No partition has fewer, so a greedy partition of beta(g) cliques decides
+    it before the exact search."""
     adj, full, seeds = _recognition_input(g, cap, "C-graph")
-    return _clique_partition(adj, full, seeds.bit_count(), seeds) is not None
+    beta = seeds.bit_count()
+    if _clique_partition_count(adj, full) == beta:
+        return True
+    return _clique_partition(adj, full, beta, seeds) is not None
 
 
 def is_c1_graph(g: Graph, cap: int = DEFAULT_RECOGNITION_CAP) -> bool:

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cover import DEFAULT_NODE_BUDGET, CoverResult, min_vertex_cover
-from .graph import Graph
+from .cover import DEFAULT_NODE_BUDGET, CoverResult, greedy_clique_partition, min_vertex_cover
+from .graph import Graph, bits
 from .metrics import DistanceMatrix, all_pairs_distances, is_connected
-from .products import strong_product_distances
+from .products import _stride, strong_product_distances
 from .resolving import PredictedSR, predicted_mmd_edges, strong_resolving_graph
 
 __all__ = [
@@ -189,6 +189,26 @@ def _factor_prediction(kind: str, g: Graph, h: Graph) -> PredictedSR | None:
     return None
 
 
+def _factor_certificate(sr: Graph, node_budget: int) -> tuple[int, int, bool]:
+    """(I, nodes, certified) for a factor's SR graph ``sr``: a maximum
+    independent set I, as a mask; the cover nodes spent; and whether its greedy
+    clique partition, checked part by part, has |I| cliques, so that
+    theta(sr) = beta(sr).
+
+    The cover is solved on the id-reversed graph and mapped back, which leaves
+    I at high ids and the product basis, the complement of a product of such
+    sets, at low ones; the generator check's masks are shorter there.
+    """
+    n = sr.n
+    width = f"0{n}b"
+    rev = Graph(n, [int(format(a, width)[::-1], 2) for a in reversed(sr.adj)])
+    cover = min_vertex_cover(rev, node_budget).exact()
+    independent = sum(1 << (n - 1 - v) for v in range(n) if v not in cover.witness)
+    partition = greedy_clique_partition(sr)
+    partition.validate(sr)
+    return independent, cover.nodes_explored, len(partition.parts) == n - cover.size
+
+
 def product_dimension(
     kind: str, g: Graph, h: Graph, node_budget: int = DEFAULT_NODE_BUDGET, *, prod: Graph
 ) -> DimensionResult:
@@ -196,14 +216,28 @@ def product_dimension(
 
     On the factor route the SR graph comes from the MMD lemma and the
     product's distance balls from the factors' balls, so no all-pairs BFS and
-    no direct SR build runs on the product.  Either way the witness is
-    checked definitionally against ``prod``, the product graph itself.
+    no direct SR build runs on the product.  Its minimum cover is certified
+    from the factors when either factor's SR graph partitions into beta
+    cliques (the C-graph theorem; see ``general_upper``): with I_G and I_H
+    maximum independent sets of the factors' SR graphs, the cover is the
+    complement of I_G x I_H.  Otherwise the cover is searched on the whole SR
+    graph, with the node budget the factor covers left.  Either way the
+    witness is checked definitionally against ``prod``, the product graph
+    itself.
     """
     pred = _factor_prediction(kind, g, h)
     if pred is None:
         return strong_metric_dimension(prod, node_budget)
     dm = strong_product_distances(pred.dm_g, pred.dm_h)
-    return sr_cover_dimension(prod, pred.graph, dm, min_vertex_cover(pred.graph, node_budget))
+    ind_g, spent, cert_g = _factor_certificate(pred.sr_g, node_budget)
+    ind_h, spent_h, cert_h = _factor_certificate(pred.sr_h, node_budget - spent)
+    spent += spent_h
+    if cert_g or cert_h:
+        cover_mask = ((1 << prod.n) - 1) & ~(_stride(ind_g, h.n) * ind_h)
+        cover = CoverResult(cover_mask.bit_count(), frozenset(bits(cover_mask)), spent, True)
+    else:
+        cover = min_vertex_cover(pred.graph, node_budget - spent)
+    return sr_cover_dimension(prod, pred.graph, dm, cover)
 
 
 def product_sr_graph(kind: str, g: Graph, h: Graph, *, prod: Graph) -> Graph:
@@ -263,7 +297,18 @@ def general_lower(n1: int, n2: int, dim_g: int, dim_h: int) -> int:
 
 
 def general_upper(n1: int, n2: int, dim_g: int, dim_h: int) -> int:
-    """Upper bound; exact when either factor's SR graph partitions into beta cliques."""
+    """Upper bound; exact when either factor's SR graph partitions into beta cliques.
+
+    It is n1*n2 - beta_G*beta_H, with beta_F = beta(SR(F)) = |F| - dim_s(F).
+    For maximum independent sets I_G, I_H of SR(G), SR(H), I_G x I_H is
+    independent in SR(G x H): each condition of the MMD lemma needs an MMD
+    pair in one coordinate.  For cliques Q of SR(G) and R of SR(H), Q x R is a
+    clique of SR(G x H) (conditions 1-3).  If SR(G) partitions into beta_G
+    cliques Q_i, an independent set meets each Q_i x V(H) in vertices with
+    distinct H-coordinates, pairwise not MMD in H, so in at most beta_H of
+    them; then beta(SR(G x H)) = beta_G*beta_H and the bound is dim_s.
+    ``product_dimension`` takes this as its certified route.
+    """
     return n2 * dim_g + n1 * dim_h - dim_g * dim_h
 
 

@@ -113,12 +113,15 @@ def boundary(g: Graph) -> frozenset[int]:
 class PredictedSR:
     """Predicted strong resolving graph of a strong product.  ``histogram[i]``
     counts its edges whose first matching lemma condition is i (1..5);
-    ``dm_g`` and ``dm_h`` are the factor distances it was built on."""
+    ``dm_g`` and ``dm_h`` are the factor distances it was built on, and
+    ``sr_g`` and ``sr_h`` the factors' SR graphs."""
 
     graph: Graph
     histogram: dict[int, int]
     dm_g: DistanceMatrix
     dm_h: DistanceMatrix
+    sr_g: Graph
+    sr_h: Graph
 
 
 def _partners_at(dm: DistanceMatrix, sr: list[int]) -> dict[int, list[int]]:
@@ -147,8 +150,8 @@ def predicted_mmd_edges(g: Graph, h: Graph) -> PredictedSR:
             raise ValueError(f"factor {name} must be connected")
     dm_g = all_pairs_distances(g)
     dm_h = all_pairs_distances(h)
-    sr_g = strong_resolving_graph(g, dm_g).sr.adj
-    sr_h = strong_resolving_graph(h, dm_h).sr.adj
+    sr_graphs = [strong_resolving_graph(f, dm).sr for f, dm in ((g, dm_g), (h, dm_h))]
+    sr_g, sr_h = (sr.adj for sr in sr_graphs)
     n1, n2 = g.n, h.n
     g_at = _partners_at(dm_g, sr_g)
     h_at = _partners_at(dm_h, sr_h)
@@ -174,7 +177,7 @@ def predicted_mmd_edges(g: Graph, h: Graph) -> PredictedSR:
         counts = [c + sum(map(int.bit_count, col)) for c, col in zip(counts, block)]
     # an edge lies in two rows, under the same condition in both
     histogram = {i: c // 2 for i, c in enumerate(counts, 1)}
-    return PredictedSR(Graph(n1 * n2, pred), histogram, dm_g, dm_h)
+    return PredictedSR(Graph(n1 * n2, pred), histogram, dm_g, dm_h, *sr_graphs)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from strongdim.graph import (
 from strongdim.products import ProductSpec, coordinate_labels, product
 from strongdim.resolving import strong_resolving_graph
 
+from test_dimension import assert_minimum_basis
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -115,11 +117,9 @@ def test_product_strong_c3_c5_dim(capsys):
     assert all("," in label for label in doc["basis"])
 
 
-def _generic_product_payload(g_spec, h_spec, with_dim):
-    """The product fields as the BFS + direct-SR route on the product gives them."""
-    g, h = generate(g_spec), generate(h_spec)
-    prod = product("strong", g, h)
-    labels = coordinate_labels(ProductSpec("strong", g.n, h.n))
+def _generic_product_payload(prod, labels, with_dim):
+    """The product fields as the BFS + direct-SR route on the product gives
+    them; the basis is left out, since another minimum one may be printed."""
     sr = strong_resolving_graph(prod).sr
     out = {
         "n": prod.n,
@@ -129,9 +129,7 @@ def _generic_product_payload(g_spec, h_spec, with_dim):
         "sr_edges": [[labels[u], labels[v]] for u, v in sr.edges()],
     }
     if with_dim:
-        res = strong_metric_dimension(prod)
-        out["dim_s"] = res.dim
-        out["basis"] = [labels[v] for v in sorted(res.basis)]
+        out["dim_s"] = strong_metric_dimension(prod).dim
     return out
 
 
@@ -151,9 +149,15 @@ def test_product_strong_factor_route_matches_generic(capsys, g_spec, h_spec, fla
                            "--format", "json")
     assert code == 0
     doc = json.loads(out)
-    expected = _generic_product_payload(g_spec, h_spec, flag == "--dim-s")
+    g, h = generate(g_spec), generate(h_spec)
+    prod = product("strong", g, h)
+    labels = coordinate_labels(ProductSpec("strong", g.n, h.n))
+    expected = _generic_product_payload(prod, labels, flag == "--dim-s")
     assert {key: doc.get(key) for key in expected} == expected
-    assert ("dim_s" in doc) == (flag == "--dim-s")
+    assert ("dim_s" in doc) == ("basis" in doc) == (flag == "--dim-s")
+    if flag == "--dim-s":
+        ids = {label: v for v, label in labels.items()}
+        assert_minimum_basis(prod, doc["dim_s"], {ids[x] for x in doc["basis"]})
 
 
 def test_product_strong_trivial_factor_dim(capsys):

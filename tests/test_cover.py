@@ -2,6 +2,7 @@ import inspect
 import random
 import sys
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -337,6 +338,37 @@ def test_root_certificate_matches_the_colour_engine():
     assert hits >= 50 and colour - hits >= 25
 
 
+# components whose id-order and min-width partitions tie, with the node count
+# and witness of the colour engine run in id order; min-width order would take
+# 5, 13 and 73 nodes
+TIED_ORDERS = [
+    ("P3xC5", lambda: product("strong", path(3), cycle(5)), 14, 11),
+    ("SR(C3xC7)", lambda: sr_of(cycle(3), cycle(7)), 4, 18),
+    ("C5xC7", lambda: product("strong", cycle(5), cycle(7)), 44, 28),
+]
+
+
+@pytest.mark.parametrize("name,build,nodes,size", TIED_ORDERS)
+def test_engine_rule_keeps_id_order_on_ties(name, build, nodes, size):
+    g = build()
+    adj, (comp,) = list(g.adj), component_masks(g)
+    theta_id = cover._clique_partition_count(adj, comp)
+    order = cover._min_width_order(adj, comp)
+    rows = cover._renumbered(adj, order)
+    assert cover._clique_partition_count(rows, (1 << len(order)) - 1) == theta_id
+    assert theta_hat(adj, comp) == (theta_id, None)
+    assert colour_side(g) and not certified_components(g)
+    res = min_vertex_cover(g)
+    assert res.proven_optimal and (res.nodes_explored, res.size) == (nodes, size)
+    # the colour engine in id order, from the greedy start, gives this witness
+    cadj = [((1 << g.n) - 1) ^ a ^ (1 << i) for i, a in enumerate(adj)]
+    greedy = cover._greedy_cover(adj, comp)
+    engine = cover._CliqueSearch(cadj, DEFAULT_NODE_BUDGET)
+    indep = engine.run((1 << g.n) - 1, comp & ~greedy)
+    assert frozenset(bits(comp & ~indep)) == res.witness and engine.nodes == nodes
+
+
+
 def test_colour_side_never_exceeds_its_recursion_depth():
     # a chain of triangles at the rule's cap: theta-hat = alpha = the cap, and
     # the colour engine, started from an empty clique, dives to depth alpha
@@ -639,6 +671,23 @@ def test_c_graph_families():
     assert is_c_graph(cycle(8))
     assert not is_c_graph(cycle(5))
     assert not is_c_graph(cycle(7))
+
+
+def test_c_graph_greedy_partition_decides_first():
+    # a greedy partition with beta cliques proves a C-graph without the exact
+    # search; otherwise the search decides, either way
+    def decided(g):
+        with patch.object(cover, "_clique_partition", wraps=cover._clique_partition) as search:
+            answer = is_c_graph(g)
+        return answer, search.called
+
+    for g in [path(n) for n in range(2, 9)] + [complete(n) for n in range(2, 7)] + [
+            grid(2, 3), grid(3, 4), grid(4, 4), cycle(6)]:
+        assert decided(g) == (True, False)
+    assert decided(cycle(5)) == (False, True)
+    # P4 as 2-0-1-3: the greedy partition {0, 1}, {2}, {3} has three cliques,
+    # but {0, 2}, {1, 3} has beta = 2
+    assert decided(make_graph(4, [(0, 2), (0, 1), (1, 3)])) == (True, True)
 
 
 def test_c1_graph_families():

@@ -5,9 +5,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from strongdim import dimension
-from strongdim.cover import BudgetExhausted, CoverResult, max_clique, min_vertex_cover
+from strongdim import cover, dimension
+from strongdim.cover import (
+    DEFAULT_NODE_BUDGET,
+    BudgetExhausted,
+    CliquePartition,
+    CoverResult,
+    is_c_graph,
+    max_clique,
+    min_vertex_cover,
+)
 from strongdim.dimension import (
+    BRUTE_FORCE_SIZE_CAP,
     DimensionResult,
     antipodal_factor,
     brute_force_dimension,
@@ -41,8 +50,8 @@ from strongdim.graph import (
     random_connected,
 )
 from strongdim.metrics import all_pairs_distances, is_connected
-from strongdim.products import PRODUCT_KINDS, product
-from strongdim.resolving import strong_resolving_graph
+from strongdim.products import PRODUCT_KINDS, product, strong_product_distances
+from strongdim.resolving import predicted_mmd_edges, strong_resolving_graph
 
 from test_graph import connected_graph_strategy, random_graph_strategy
 
@@ -287,6 +296,14 @@ def test_generator_check_rejects_bad_input():
 # -- the product route: factors for strong products, the product otherwise ------
 
 
+def assert_minimum_basis(g, dim, basis):
+    """A basis is checked, not compared: another minimum one may be returned."""
+    assert len(basis) == dim
+    assert _generates_by_definition(g, basis)
+    if g.n <= BRUTE_FORCE_SIZE_CAP:
+        assert brute_force_dimension(g).dim == dim
+
+
 @given(
     st.sampled_from(PRODUCT_KINDS),
     random_graph_strategy(max_n=5),
@@ -298,9 +315,83 @@ def test_factor_route_matches_generic_route(kind, g, h):
     prod = product(kind, g, h)
     assume(prod.n >= 2 and is_connected(prod))
     res = product_dimension(kind, g, h, prod=prod)
-    assert res.sr == strong_resolving_graph(prod).sr
-    assert res == strong_metric_dimension(prod)
+    direct = strong_metric_dimension(prod)
+    assert res.sr == direct.sr == strong_resolving_graph(prod).sr
+    assert res.dim == direct.dim
+    assert_minimum_basis(prod, res.dim, res.basis)
     assert product_sr_graph(kind, g, h, prod=prod) == res.sr
+
+
+def _covered_orders(g, h, node_budget=DEFAULT_NODE_BUDGET):
+    """product_dimension's strong result and the order of each graph it
+    handed to ``min_vertex_cover``."""
+    with patch.object(dimension, "min_vertex_cover", wraps=min_vertex_cover) as solve:
+        res = product_dimension("strong", g, h, node_budget, prod=product("strong", g, h))
+    return res, [call.args[0].n for call in solve.call_args_list]
+
+
+@given(connected_graph_strategy(2, 6), connected_graph_strategy(2, 6))
+@settings(max_examples=120, deadline=None)
+def test_certified_route_matches_the_product_cover(g, h):
+    # the certificate: a greedy clique partition of SR(G) or SR(H) with beta
+    # cliques; the oracle: the exact cover of the whole predicted SR graph, and
+    # exact C-graph recognition of the factors' SR graphs
+    res, orders = _covered_orders(g, h)
+    certified = orders == [g.n, h.n]
+    prod = product("strong", g, h)
+    pred = predicted_mmd_edges(g, h)
+    dm = strong_product_distances(pred.dm_g, pred.dm_h)
+    searched = sr_cover_dimension(prod, pred.graph, dm, min_vertex_cover(pred.graph))
+    assert res.dim == searched.dim
+    assert is_strong_generator(prod, res.basis) and len(res.basis) == res.dim
+    c_graph = is_c_graph(pred.sr_g) or is_c_graph(pred.sr_h)
+    if certified:
+        assert c_graph
+    else:
+        assert orders == [g.n, h.n, prod.n]
+    if c_graph:
+        dim_g = strong_metric_dimension(g).dim
+        dim_h = strong_metric_dimension(h).dim
+        assert res.dim == general_upper(g.n, h.n, dim_g, dim_h)
+
+
+def test_certified_basis_sits_at_low_ids():
+    # the factor covers are solved on id-reversed SR graphs, so P30 x P30's
+    # basis is row 0 and column 0, where the generator check's masks are short
+    res, orders = _covered_orders(path(30), path(30))
+    assert orders == [30, 30]
+    assert res.basis == frozenset(range(30)) | frozenset(range(0, 900, 30))
+
+
+@pytest.mark.parametrize("r, t, dim", [(2, 3, 29), (3, 4, 51)])
+def test_odd_odd_products_fall_back_to_the_product_cover(r, t, dim):
+    # SR(C_{2r+1}) is C_{2r+1}: beta = r, theta = r + 1, so neither factor
+    # certifies and the whole predicted SR graph is covered
+    g, h = cycle(2 * r + 1), cycle(2 * t + 1)
+    res, orders = _covered_orders(g, h)
+    assert orders == [g.n, h.n, g.n * h.n]
+    assert res.dim == dim == strong_metric_dimension(product("strong", g, h)).dim
+    assert odd_odd_lower(r, t) <= dim <= odd_odd_upper(r, t)
+
+
+def test_forged_factor_partition_raises(monkeypatch):
+    # two "cliques" for SR(C5) = C5, as many as beta: the check refuses them
+    # before the certificate could claim general_upper
+    forged = CliquePartition((frozenset({0, 1, 2}), frozenset({3, 4})))
+    monkeypatch.setattr(dimension, "greedy_clique_partition", lambda sr: forged)
+    g, h = cycle(5), cycle(7)
+    with pytest.raises(AssertionError, match="is not a clique"):
+        product_dimension("strong", g, h, prod=product("strong", g, h))
+
+
+def test_factor_covers_spend_the_node_budget():
+    # C5 x C7 takes one node per factor cover and 22 for the product cover,
+    # all from one budget: a budget short of any of them ends as
+    # BudgetExhausted, never as a number
+    for budget in (0, 1, 23):
+        with pytest.raises(BudgetExhausted):
+            _covered_orders(cycle(5), cycle(7), budget)
+    assert _covered_orders(cycle(5), cycle(7), 24)[0].dim == 29
 
 
 def test_factor_route_rejects_bad_factors():
@@ -314,7 +405,8 @@ def test_factor_route_rejects_bad_factors():
 
 
 def test_product_dimension_at_benchmark_scale():
-    # the benchmark's product ladder against the paper's closed forms
+    # the benchmark's product ladder against the paper's closed forms; every
+    # rung is certified from its factors, so no product-sized cover runs
     cases = [
         (path(30), path(30), (tree_factor(30, 30, 2, 1),) * 2),
         (path(18), path(48), (tree_factor(18, 48, 2, 1),) * 2),
@@ -323,18 +415,25 @@ def test_product_dimension_at_benchmark_scale():
         (cycle(21), path(8), (odd_cycle_lower(10, 8, 1), odd_cycle_upper(10, 8, 1))),
     ]
     for g, h, (lo, hi) in cases:
-        res = product_dimension("strong", g, h, prod=product("strong", g, h))
+        res, orders = _covered_orders(g, h)
+        assert orders == [g.n, h.n]
         assert lo <= res.dim <= hi
         assert len(res.basis) == res.dim
 
 
 def test_product_dimension_of_a_long_odd_cycle_strip():
-    # the SR cover of C5 x P200 is solved by the frontier DP; the value sits
-    # on the paper's upper bound for odd cycles
+    # the value sits on the paper's upper bound for odd cycles; the product
+    # route certifies it through SR(P200), while the cover of the whole
+    # predicted SR graph is solved by the frontier DP
     g, h = cycle(5), path(200)
-    res = product_dimension("strong", g, h, prod=product("strong", g, h))
+    res, orders = _covered_orders(g, h)
+    assert orders == [5, 200]
     assert res.dim == odd_cycle_upper(2, 200, 1) == 602
     assert len(res.basis) == res.dim
+    with patch.object(cover, "_frontier_mis", wraps=cover._frontier_mis) as dp:
+        searched = min_vertex_cover(predicted_mmd_edges(g, h).graph)
+    assert dp.called
+    assert (searched.size, searched.proven_optimal) == (602, True)
 
 
 # -- brute force oracle -----------------------------------------------------------
