@@ -10,9 +10,9 @@ from .cover import (
     BudgetExhausted,
     CliquePartition,
     CoverResult,
+    c_graph_partition,
     clique_cover_number,
     is_c1_graph,
-    is_c_graph,
     max_clique,
     max_independent_set,
     min_vertex_cover,

@@ -82,14 +82,13 @@ from .graph import Graph, bits, component_masks
 __all__ = [
     "CoverResult",
     "CliquePartition",
-    "greedy_clique_partition",
     "BudgetExhausted",
     "DEFAULT_NODE_BUDGET",
     "min_vertex_cover",
     "max_independent_set",
     "max_clique",
     "clique_cover_number",
-    "is_c_graph",
+    "c_graph_partition",
     "is_c1_graph",
 ]
 
@@ -155,11 +154,12 @@ def _greedy_cover(adj: list[int], active: int) -> int:
     return active & ~independent
 
 
-def _clique_partition_count(adj: list[int], active: int) -> int:
-    """theta-hat: the number of cliques in a greedy partition of ``active``,
-    each grown from its lowest vertex by adding the lowest common neighbour."""
+def _greedy_clique_partition(adj: list[int], active: int) -> list[int]:
+    """The greedy clique partition of ``active`` that theta-hat counts, as
+    masks: each clique grown from its lowest vertex left by adding the lowest
+    common neighbour.  Its size bounds beta from above."""
     rem = active
-    cliques = 0
+    cliques = []
     while rem:
         low = rem & -rem
         clique = low
@@ -169,7 +169,7 @@ def _clique_partition_count(adj: list[int], active: int) -> int:
             clique |= tlow
             cand &= adj[tlow.bit_length() - 1]
         rem &= ~clique
-        cliques += 1
+        cliques.append(clique)
     return cliques
 
 
@@ -356,7 +356,7 @@ class _CoverSearch:
                 return finish(0, 0)
             # a clique on q vertices forces q - 1 of them into the cover
             kernel = active.bit_count()
-            lower = fixed + kernel - _clique_partition_count(adj, active)
+            lower = fixed + kernel - len(_greedy_clique_partition(adj, active))
             if lower >= limit:
                 return limit, None
             # the root's limit is one above a cover, so the DP's optimum is below it
@@ -618,7 +618,7 @@ def _theta_hat(adj: list[int], comp: int,
     component's rows in it; else None."""
     order = _min_width_order(adj, comp)
     rows = _renumbered(adj, order)
-    theta = _clique_partition_count(rows, (1 << len(order)) - 1)
+    theta = len(_greedy_clique_partition(rows, (1 << len(order)) - 1))
     return (theta, (order, rows)) if theta < theta_id else (theta_id, None)
 
 
@@ -658,7 +658,7 @@ def min_vertex_cover(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverR
         greedy = _greedy_cover(adj, comp)
         size = comp.bit_count()
         budget = node_budget - nodes
-        theta = _clique_partition_count(adj, comp)
+        theta = len(_greedy_clique_partition(adj, comp))
         if theta <= size - greedy.bit_count() and _colour_side(theta, size):
             # alpha <= theta-hat: the greedy cover is minimum, as the colour
             # engine's root would find, at its one node
@@ -745,42 +745,27 @@ class CliquePartition:
             raise AssertionError("clique parts do not cover the vertex set")
 
 
-def greedy_clique_partition(g: Graph) -> CliquePartition:
-    """The greedy clique partition that theta-hat counts in id order: each
-    clique grown from the lowest vertex left by adding the lowest common
-    neighbour.  Its size bounds beta(g) from above."""
-    adj = g.adj
-    rem = (1 << g.n) - 1
-    parts = []
-    while rem:
-        low = rem & -rem
-        clique = low
-        cand = adj[low.bit_length() - 1] & rem
-        while cand:
-            tlow = cand & -cand
-            clique |= tlow
-            cand &= adj[tlow.bit_length() - 1]
-        rem &= ~clique
-        parts.append(frozenset(bits(clique)))
-    return CliquePartition(tuple(parts))
+def _clique_partition(adj: list[int], active: int, k: int, seeds: int,
+                      node_budget: int) -> list[int] | None:
+    """A partition of ``active`` into at most k cliques, as masks, or None;
+    ``BudgetExhausted`` once it would place more than ``node_budget`` vertices.
 
-
-def _clique_partition(adj: list[int], active: int, k: int, seeds: int) -> list[int] | None:
-    """A partition of ``active`` into at most k cliques, as masks, or None.
-
-    ``seeds`` is an independent set, so each seed opens its own clique.  The
-    search places the most constrained vertex first (fewest cliques it can
-    join, plus one if a clique may still open; lowest id on ties), and opens
-    at most one new clique per step, so no two branches differ only in the
-    order of their cliques.
+    ``seeds`` is an independent set of at most k vertices, so each seed opens
+    its own clique.  The search places the most constrained vertex first
+    (fewest cliques it can join, plus one if a clique may still open; lowest
+    id on ties), and opens at most one new clique per step, so no two
+    branches differ only in the order of their cliques.
     """
     cliques = [1 << s for s in bits(seeds)]
-    if len(cliques) > k:
-        return None
+    nodes = 0
 
     def place(rem: int) -> bool:
+        nonlocal nodes
         if not rem:
             return True
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetExhausted("clique partition search exhausted its node budget")
         pick, pick_opts, fewest = -1, [], k + 2
         for u in bits(rem):
             out = ~adj[u]
@@ -806,14 +791,12 @@ def _clique_partition(adj: list[int], active: int, k: int, seeds: int) -> list[i
     return cliques if place(active & ~seeds) else None
 
 
-def _recognition_input(g: Graph, cap: int, what: str) -> tuple[list[int], int, int]:
-    """Adjacency, vertex mask and a maximum independent set (as a mask) of g."""
-    if g.n > cap:
-        raise ValueError(f"{what} recognition capped at {cap} vertices")
-    seeds = 0
-    for v in max_independent_set(g):
-        seeds |= 1 << v
-    return list(g.adj), (1 << g.n) - 1, seeds
+def _checked_partition(g: Graph, cliques: list[int]) -> CliquePartition:
+    """``cliques`` as a partition of V(g), ordered by lowest vertex and checked."""
+    partition = CliquePartition(tuple(
+        frozenset(bits(c)) for c in sorted(cliques, key=lambda c: c & -c)))
+    partition.validate(g)
+    return partition
 
 
 def clique_cover_number(
@@ -823,37 +806,53 @@ def clique_cover_number(
 
     Counts k up from beta(g), which every clique partition reaches: the
     cliques hold the vertices of an independent set one each."""
-    adj, full, seeds = _recognition_input(g, cap, "clique cover")
+    if g.n > cap:
+        raise ValueError(f"clique cover recognition capped at {cap} vertices")
+    seeds = sum(1 << v for v in max_independent_set(g))
     k = seeds.bit_count()
-    while (cliques := _clique_partition(adj, full, k, seeds)) is None:
+    full = (1 << g.n) - 1
+    while (cliques := _clique_partition(g.adj, full, k, seeds, DEFAULT_NODE_BUDGET)) is None:
         k += 1
-    parts = tuple(frozenset(bits(c)) for c in sorted(cliques, key=lambda c: c & -c))
-    partition = CliquePartition(parts)
-    partition.validate(g)
-    return k, partition
+    return k, _checked_partition(g, cliques)
 
 
-def is_c_graph(g: Graph, cap: int = DEFAULT_RECOGNITION_CAP) -> bool:
-    """True iff V(g) partitions into exactly beta(g) cliques.
+def c_graph_partition(g: Graph, independent: frozenset[int], node_budget: int,
+                      cap: int = DEFAULT_RECOGNITION_CAP) -> CliquePartition | None:
+    """A partition of V(g) into |independent| cliques, or None, for a maximum
+    independent set that the caller holds; a partition proves theta = beta.
 
-    No partition has fewer, so a greedy partition of beta(g) cliques decides
-    it before the exact search."""
-    adj, full, seeds = _recognition_input(g, cap, "C-graph")
-    beta = seeds.bit_count()
-    if _clique_partition_count(adj, full) == beta:
-        return True
-    return _clique_partition(adj, full, beta, seeds) is not None
+    The id-order greedy partition decides first; if it has more cliques, the
+    exact search seeded with ``independent`` decides, within ``node_budget``
+    nodes, and only up to ``cap`` vertices (above it None means "not
+    shown").  A partition into beta cliques puts the vertices of any maximum
+    independent set in distinct cliques, so the seeds change no answer."""
+    seeds = sum(1 << v for v in independent)
+    if any(g.adj[v] & seeds for v in independent):
+        raise ValueError("C-graph recognition needs an independent set")
+    full = (1 << g.n) - 1
+    cliques = _greedy_clique_partition(g.adj, full)
+    if len(cliques) > len(independent):
+        cliques = (_clique_partition(g.adj, full, len(independent), seeds, node_budget)
+                   if g.n <= cap else None)
+    return None if cliques is None else _checked_partition(g, cliques)
 
 
-def is_c1_graph(g: Graph, cap: int = DEFAULT_RECOGNITION_CAP) -> bool:
+def is_c1_graph(g: Graph, independent: frozenset[int], node_budget: int,
+                cap: int = DEFAULT_RECOGNITION_CAP) -> bool:
     """True iff g is not a C-graph but V(g) minus one vertex b partitions into
-    beta(g) cliques (b is then the partition's singleton).
+    beta(g) cliques, for a maximum independent set that the caller holds and
+    ``node_budget`` nodes per exact search."""
+    if g.n > cap:
+        raise ValueError(f"C1-graph recognition capped at {cap} vertices")
+    return (c_graph_partition(g, independent, node_budget, cap) is None
+            and _splits_less_a_vertex(g, independent, node_budget))
 
-    When g is not a C-graph, theta(g - b) >= theta(g) - 1 >= beta(g), so "at
-    most beta cliques" is "exactly beta cliques"."""
-    adj, full, seeds = _recognition_input(g, cap, "C1-graph")
-    beta = seeds.bit_count()
-    if _clique_partition(adj, full, beta, seeds) is not None:
-        return False
-    return any(_clique_partition(adj, full ^ (1 << b), beta, seeds & ~(1 << b)) is not None
-               for b in range(g.n))
+
+def _splits_less_a_vertex(g: Graph, independent: frozenset[int], node_budget: int) -> bool:
+    """The C1-graph test once g is known not to be a C-graph: some V(g) - b
+    partitions into at most beta cliques, which then means exactly beta, as
+    theta(g - b) >= theta(g) - 1 >= beta(g)."""
+    seeds = sum(1 << v for v in independent)
+    full = (1 << g.n) - 1
+    return any(_clique_partition(g.adj, full ^ (1 << b), len(independent), seeds & ~(1 << b),
+                                 node_budget) is not None for b in range(g.n))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cover import DEFAULT_NODE_BUDGET, CoverResult, greedy_clique_partition, min_vertex_cover
+from .cover import DEFAULT_NODE_BUDGET, CoverResult, c_graph_partition, min_vertex_cover
 from .graph import Graph, bits
 from .metrics import DistanceMatrix, all_pairs_distances, is_connected
 from .products import _stride, strong_product_distances
@@ -191,22 +191,20 @@ def _factor_prediction(kind: str, g: Graph, h: Graph) -> PredictedSR | None:
 
 def _factor_certificate(sr: Graph, node_budget: int) -> tuple[int, int, bool]:
     """(I, nodes, certified) for a factor's SR graph ``sr``: a maximum
-    independent set I, as a mask; the cover nodes spent; and whether its greedy
-    clique partition, checked part by part, has |I| cliques, so that
-    theta(sr) = beta(sr).
+    independent set I, as a mask; the cover nodes spent; and whether
+    ``c_graph_partition``, within the nodes the cover leaves, partitions
+    ``sr`` into |I| cliques, so that theta(sr) = beta(sr).
 
     The cover is solved on the id-reversed graph and mapped back, which leaves
     I at high ids and the product basis, the complement of a product of such
     sets, at low ones; the generator check's masks are shorter there.
     """
     n = sr.n
-    width = f"0{n}b"
-    rev = Graph(n, [int(format(a, width)[::-1], 2) for a in reversed(sr.adj)])
+    rev = Graph(n, [int(format(a, f"0{n}b")[::-1], 2) for a in reversed(sr.adj)])
     cover = min_vertex_cover(rev, node_budget).exact()
-    independent = sum(1 << (n - 1 - v) for v in range(n) if v not in cover.witness)
-    partition = greedy_clique_partition(sr)
-    partition.validate(sr)
-    return independent, cover.nodes_explored, len(partition.parts) == n - cover.size
+    independent = frozenset(n - 1 - v for v in range(n) if v not in cover.witness)
+    certified = c_graph_partition(sr, independent, node_budget - cover.nodes_explored) is not None
+    return sum(1 << v for v in independent), cover.nodes_explored, certified
 
 
 def product_dimension(
@@ -217,13 +215,13 @@ def product_dimension(
     On the factor route the SR graph comes from the MMD lemma and the
     product's distance balls from the factors' balls, so no all-pairs BFS and
     no direct SR build runs on the product.  Its minimum cover is certified
-    from the factors when either factor's SR graph partitions into beta
-    cliques (the C-graph theorem; see ``general_upper``): with I_G and I_H
-    maximum independent sets of the factors' SR graphs, the cover is the
-    complement of I_G x I_H.  Otherwise the cover is searched on the whole SR
-    graph, with the node budget the factor covers left.  Either way the
-    witness is checked definitionally against ``prod``, the product graph
-    itself.
+    from the factors when ``c_graph_partition`` splits either factor's SR
+    graph into beta cliques (the C-graph theorem; see ``general_upper``):
+    with I_G and I_H maximum independent sets of the factors' SR graphs, the
+    cover is the complement of I_G x I_H.  Otherwise the cover is searched on
+    the whole SR graph, with the node budget the factor covers left, which
+    also bounds each factor's partition search.  Either way the witness is
+    checked definitionally against ``prod``, the product graph itself.
     """
     pred = _factor_prediction(kind, g, h)
     if pred is None:

@@ -25,7 +25,6 @@ from . import graph as gr
 from . import metrics as mt
 from . import products as pr
 from . import resolving as rs
-from .cover import is_c1_graph, is_c_graph
 from .graph import Graph
 
 __all__ = [
@@ -222,13 +221,16 @@ class Env:
 
         return self._cached(("dim_s", g), build)
 
+    def _independent(self, g: Graph) -> frozenset[int]:
+        return frozenset(range(g.n)) - self.cover(g).exact().witness
+
     def c_graph(self, g: Graph) -> bool:
-        return self._cached(
-            ("c_graph", g), lambda: is_c_graph(g, self.spec.recognition_cap))
+        return self._cached(("c_graph", g), lambda: cov.c_graph_partition(
+            g, self._independent(g), self.spec.node_budget, self.spec.recognition_cap) is not None)
 
     def c1_graph(self, g: Graph) -> bool:
-        return self._cached(
-            ("c1_graph", g), lambda: is_c1_graph(g, self.spec.recognition_cap))
+        return self._cached(("c1_graph", g), lambda: not self.c_graph(g) and (
+            cov._splits_less_a_vertex(g, self._independent(g), self.spec.node_budget)))
 
 
 # ---------------------------------------------------------------------------

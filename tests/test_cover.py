@@ -13,9 +13,9 @@ from strongdim.cover import (
     DEFAULT_NODE_BUDGET,
     BudgetExhausted,
     CliquePartition,
+    c_graph_partition,
     clique_cover_number,
     is_c1_graph,
-    is_c_graph,
     max_clique,
     max_independent_set,
     min_vertex_cover,
@@ -188,7 +188,7 @@ def sr_of(a, b):
 
 def theta_hat(adj, comp):
     """theta-hat of a component and its renumbering, as ``min_vertex_cover`` reads them."""
-    return cover._theta_hat(adj, comp, cover._clique_partition_count(adj, comp))
+    return cover._theta_hat(adj, comp, len(cover._greedy_clique_partition(adj, comp)))
 
 
 def colour_side(g):
@@ -296,7 +296,7 @@ def certified_components(g):
     adj = list(g.adj)
     return [comp for comp in component_masks(g)
             if comp & (comp - 1)
-            and cover._colour_side(theta := cover._clique_partition_count(adj, comp),
+            and cover._colour_side(theta := len(cover._greedy_clique_partition(adj, comp)),
                                    comp.bit_count())
             and theta == (comp & ~cover._greedy_cover(adj, comp)).bit_count()]
 
@@ -352,10 +352,10 @@ TIED_ORDERS = [
 def test_engine_rule_keeps_id_order_on_ties(name, build, nodes, size):
     g = build()
     adj, (comp,) = list(g.adj), component_masks(g)
-    theta_id = cover._clique_partition_count(adj, comp)
+    theta_id = len(cover._greedy_clique_partition(adj, comp))
     order = cover._min_width_order(adj, comp)
     rows = cover._renumbered(adj, order)
-    assert cover._clique_partition_count(rows, (1 << len(order)) - 1) == theta_id
+    assert len(cover._greedy_clique_partition(rows, (1 << len(order)) - 1)) == theta_id
     assert theta_hat(adj, comp) == (theta_id, None)
     assert colour_side(g) and not certified_components(g)
     res = min_vertex_cover(g)
@@ -645,10 +645,14 @@ def test_clique_cover_matches_brute_partition_search():
 def test_clique_cover_cap():
     with pytest.raises(ValueError, match="clique cover recognition capped at 20"):
         clique_cover_number(complete(21))
-    with pytest.raises(ValueError, match="C-graph recognition capped at 20"):
-        is_c_graph(complete(25))
     with pytest.raises(ValueError, match="C1-graph recognition capped at 20"):
-        is_c1_graph(complete(25))
+        is_c1_graph(complete(25), frozenset({0}), DEFAULT_NODE_BUDGET)
+    # above the cap the greedy partition still decides; the exact search
+    # does not run, so None there means "not shown"
+    assert len(c_graph_partition(complete(25), frozenset({0}), DEFAULT_NODE_BUDGET).parts) == 1
+    assert c_graph_partition(cycle(21), frozenset(range(0, 20, 2)), DEFAULT_NODE_BUDGET) is None
+    assert c_graph_partition(SHUFFLED_P4, frozenset({2, 3}), DEFAULT_NODE_BUDGET, cap=3) is None
+    assert c_graph_partition(SHUFFLED_P4, frozenset({2, 3}), DEFAULT_NODE_BUDGET, cap=4) is not None
 
 
 def test_clique_partition_validate_rejects_nonsense():
@@ -663,6 +667,19 @@ def test_clique_partition_validate_rejects_nonsense():
 # -- C-graph / C1-graph recognition ---------------------------------------------------
 
 
+# P4 as 2-0-1-3: the greedy partition {0, 1}, {2}, {3} has three cliques,
+# but {0, 2}, {1, 3} has beta = 2
+SHUFFLED_P4 = make_graph(4, [(0, 2), (0, 1), (1, 3)])
+
+
+def is_c_graph(g):
+    return c_graph_partition(g, max_independent_set(g), DEFAULT_NODE_BUDGET) is not None
+
+
+def is_c1(g):
+    return is_c1_graph(g, max_independent_set(g), DEFAULT_NODE_BUDGET)
+
+
 def test_c_graph_families():
     for n in range(2, 7):
         assert is_c_graph(complete(n))
@@ -674,28 +691,58 @@ def test_c_graph_families():
 
 
 def test_c_graph_greedy_partition_decides_first():
-    # a greedy partition with beta cliques proves a C-graph without the exact
-    # search; otherwise the search decides, either way
+    # the id-order greedy partition decides when it has beta cliques, and is
+    # then the partition returned; otherwise the exact search decides
     def decided(g):
         with patch.object(cover, "_clique_partition", wraps=cover._clique_partition) as search:
-            answer = is_c_graph(g)
-        return answer, search.called
+            partition = c_graph_partition(g, max_independent_set(g), DEFAULT_NODE_BUDGET)
+        if partition is not None and not search.called:
+            greedy = cover._greedy_clique_partition(g.adj, (1 << g.n) - 1)
+            assert [sum(1 << v for v in part) for part in partition.parts] == greedy
+        return partition is not None, search.called
 
     for g in [path(n) for n in range(2, 9)] + [complete(n) for n in range(2, 7)] + [
             grid(2, 3), grid(3, 4), grid(4, 4), cycle(6)]:
         assert decided(g) == (True, False)
     assert decided(cycle(5)) == (False, True)
-    # P4 as 2-0-1-3: the greedy partition {0, 1}, {2}, {3} has three cliques,
-    # but {0, 2}, {1, 3} has beta = 2
-    assert decided(make_graph(4, [(0, 2), (0, 1), (1, 3)])) == (True, True)
+    assert decided(SHUFFLED_P4) == (True, True)
+
+
+@given(random_graph_strategy(max_n=8))
+@settings(max_examples=150, deadline=None)
+def test_c_graph_partition_matches_brute_clique_cover(g):
+    # an oracle that shares no code with the predicate: the smallest clique
+    # partition by exhaustive search, against beta by subset enumeration
+    beta = g.n - brute_min_cover(g)
+    partition = c_graph_partition(g, max_independent_set(g), DEFAULT_NODE_BUDGET)
+    assert (partition is not None) == (brute_clique_cover(g) == beta)
+    if partition is not None:
+        partition.validate(g)
+        assert len(partition.parts) == beta
+
+
+def test_exact_partition_search_spends_its_node_budget():
+    # the greedy partition spends no node; the exact search raises once it
+    # places more vertices than its budget allows
+    assert c_graph_partition(path(6), frozenset({0, 2, 4}), 0) is not None
+    with pytest.raises(BudgetExhausted, match="clique partition search exhausted"):
+        c_graph_partition(cycle(5), frozenset({0, 2}), 0)
+    with pytest.raises(BudgetExhausted, match="clique partition search exhausted"):
+        is_c1_graph(cycle(5), frozenset({0, 2}), 0)
+    assert c_graph_partition(cycle(5), frozenset({0, 2}), DEFAULT_NODE_BUDGET) is None
+
+
+def test_c_graph_partition_refuses_a_dependent_set():
+    with pytest.raises(ValueError, match="needs an independent set"):
+        c_graph_partition(cycle(5), frozenset({0, 1}), DEFAULT_NODE_BUDGET)
 
 
 def test_c1_graph_families():
-    assert is_c1_graph(cycle(5))
-    assert is_c1_graph(cycle(7))
-    assert is_c1_graph(cycle(9))
-    assert not is_c1_graph(cycle(6))  # already a C-graph
-    assert not is_c1_graph(complete(4))
+    assert is_c1(cycle(5))
+    assert is_c1(cycle(7))
+    assert is_c1(cycle(9))
+    assert not is_c1(cycle(6))  # already a C-graph
+    assert not is_c1(complete(4))
 
 
 def _without(g, b):
@@ -735,7 +782,7 @@ def test_recognition_matches_definitions():
         c_graph = brute_clique_cover(g) == beta
         c1_graph = not c_graph and any(
             brute_clique_cover(_without(g, b)) <= beta for b in range(g.n))
-        assert (is_c_graph(g), is_c1_graph(g)) == (c_graph, c1_graph)
+        assert (is_c_graph(g), is_c1(g)) == (c_graph, c1_graph)
         seen.add((c_graph, c1_graph))
     assert seen == {(True, False), (False, True), (False, False)}
 

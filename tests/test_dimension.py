@@ -9,10 +9,10 @@ from strongdim import cover, dimension
 from strongdim.cover import (
     DEFAULT_NODE_BUDGET,
     BudgetExhausted,
-    CliquePartition,
     CoverResult,
-    is_c_graph,
+    c_graph_partition,
     max_clique,
+    max_independent_set,
     min_vertex_cover,
 )
 from strongdim.dimension import (
@@ -45,6 +45,7 @@ from strongdim.graph import (
     complete,
     cycle,
     disjoint_union,
+    from_graph6,
     make_graph,
     path,
     random_connected,
@@ -53,6 +54,7 @@ from strongdim.metrics import all_pairs_distances, is_connected
 from strongdim.products import PRODUCT_KINDS, product, strong_product_distances
 from strongdim.resolving import predicted_mmd_edges, strong_resolving_graph
 
+from test_cover import brute_clique_cover, brute_min_cover
 from test_graph import connected_graph_strategy, random_graph_strategy
 
 
@@ -333,9 +335,9 @@ def _covered_orders(g, h, node_budget=DEFAULT_NODE_BUDGET):
 @given(connected_graph_strategy(2, 6), connected_graph_strategy(2, 6))
 @settings(max_examples=120, deadline=None)
 def test_certified_route_matches_the_product_cover(g, h):
-    # the certificate: a greedy clique partition of SR(G) or SR(H) with beta
-    # cliques; the oracle: the exact cover of the whole predicted SR graph, and
-    # exact C-graph recognition of the factors' SR graphs
+    # the certificate: a partition of SR(G) or SR(H) into beta cliques; the
+    # oracles: the exact cover of the whole predicted SR graph, and the
+    # smallest clique partitions of the factors' SR graphs by exhaustive search
     res, orders = _covered_orders(g, h)
     certified = orders == [g.n, h.n]
     prod = product("strong", g, h)
@@ -344,10 +346,10 @@ def test_certified_route_matches_the_product_cover(g, h):
     searched = sr_cover_dimension(prod, pred.graph, dm, min_vertex_cover(pred.graph))
     assert res.dim == searched.dim
     assert is_strong_generator(prod, res.basis) and len(res.basis) == res.dim
-    c_graph = is_c_graph(pred.sr_g) or is_c_graph(pred.sr_h)
-    if certified:
-        assert c_graph
-    else:
+    c_graph = any(brute_clique_cover(sr) == sr.n - brute_min_cover(sr)
+                  for sr in (pred.sr_g, pred.sr_h))
+    assert certified == c_graph
+    if not certified:
         assert orders == [g.n, h.n, prod.n]
     if c_graph:
         dim_g = strong_metric_dimension(g).dim
@@ -377,11 +379,44 @@ def test_odd_odd_products_fall_back_to_the_product_cover(r, t, dim):
 def test_forged_factor_partition_raises(monkeypatch):
     # two "cliques" for SR(C5) = C5, as many as beta: the check refuses them
     # before the certificate could claim general_upper
-    forged = CliquePartition((frozenset({0, 1, 2}), frozenset({3, 4})))
-    monkeypatch.setattr(dimension, "greedy_clique_partition", lambda sr: forged)
+    greedy = cover._greedy_clique_partition
+    forged = [0b00111, 0b11000]
+    monkeypatch.setattr(cover, "_greedy_clique_partition",
+                        lambda adj, active: forged if active == 0b11111 else greedy(adj, active))
     g, h = cycle(5), cycle(7)
     with pytest.raises(AssertionError, match="is not a clique"):
         product_dimension("strong", g, h, prod=product("strong", g, h))
+    with pytest.raises(AssertionError, match="is not a clique"):
+        c_graph_partition(g, max_independent_set(g), DEFAULT_NODE_BUDGET)
+
+
+@pytest.mark.parametrize("g6, h, dim", [("Erug", cycle(5), 24), ("FqNMg", cycle(7), 40)])
+def test_exact_partition_certifies_where_greedy_falls_short(g6, h, dim):
+    # SR(Erug) is the path 0-3-5-1-2-4: beta = theta = 3, but the id-order
+    # greedy partition has 4 cliques; so has SR(FqNMg).  The exact partition
+    # search certifies both, and no product-sized cover runs
+    g = from_graph6(g6)
+    sr = strong_resolving_graph(g).sr
+    assert len(cover._greedy_clique_partition(sr.adj, (1 << sr.n) - 1)) == 4
+    with patch.object(cover, "_clique_partition", wraps=cover._clique_partition) as search:
+        partition = c_graph_partition(sr, max_independent_set(sr), DEFAULT_NODE_BUDGET)
+    assert search.called and len(partition.parts) == 3
+    partition.validate(sr)
+    res, orders = _covered_orders(g, h)
+    assert orders == [g.n, h.n]
+    prod = product("strong", g, h)
+    dim_g, dim_h = strong_metric_dimension(g).dim, strong_metric_dimension(h).dim
+    assert res.dim == dim == strong_metric_dimension(prod).dim == general_upper(
+        g.n, h.n, dim_g, dim_h)
+    assert is_strong_generator(prod, res.basis) and len(res.basis) == dim
+
+
+def test_factor_partition_search_spends_the_node_budget():
+    # SR(Erug)'s cover takes the one node of the budget and leaves none for
+    # the exact partition search its greedy partition calls for
+    g, h = from_graph6("Erug"), cycle(5)
+    with pytest.raises(BudgetExhausted, match="clique partition search exhausted"):
+        product_dimension("strong", g, h, 1, prod=product("strong", g, h))
 
 
 def test_factor_covers_spend_the_node_budget():

@@ -231,33 +231,46 @@ def test_env_never_reads_an_unproven_cover_as_a_number():
 
 def test_each_layer_built_once_per_run(monkeypatch):
     # Env memoises every layer a claim reads, so no layer is built twice for
-    # one graph.  Recognition solves its own independent set, and lemma-mmd
-    # builds the factors' SR graphs inside predicted_mmd_edges, so covers and
-    # SR graphs are counted with both left out; recognition is counted on its
-    # own claims in a second run.
+    # one graph: recognition takes its independent set from the run's cover,
+    # and the C1-graph test reads the run's C-graph answer.  lemma-mmd builds
+    # the factors' SR graphs inside predicted_mmd_edges and solves no cover,
+    # so it is left out.
     calls = []
+    nodes = []
     for fn in (cover.min_vertex_cover, resolving.strong_resolving_graph,
                dimension.sr_cover_dimension, products.product,
-               cover.is_c_graph, cover.is_c1_graph):
+               cover.c_graph_partition, cover._splits_less_a_vertex):
         def counted(*args, _fn=fn, **kwargs):
             # the graph a layer is built for; a product is its kind and factors
             graph = args[:3] if _fn.__name__ == "product" else args[0]
             calls.append((_fn.__name__, graph))
-            return _fn(*args, **kwargs)
+            result = _fn(*args, **kwargs)
+            if _fn.__name__ == "min_vertex_cover":
+                nodes.append(result.nodes_explored)
+            return result
 
         _patch_everywhere(monkeypatch, fn, counted)
     ids = [cid for cid in claim_ids() if cid != "lemma-mmd"]
-    run_suite(Corpus(replace(SMALL, recognition_cap=0)), ids)
+    reports = {rep.claim_id: rep for rep in run_suite(Corpus(CorpusSpec(seed=42)), ids)}
     assert {call[0] for call in calls} == {
-        "min_vertex_cover", "strong_resolving_graph", "sr_cover_dimension", "product"}
+        "min_vertex_cover", "strong_resolving_graph", "sr_cover_dimension", "product",
+        "c_graph_partition", "_splits_less_a_vertex"}
     assert [call for call, count in Counter(calls).items() if count > 1] == []
+    # the seed-42 counter: the covers' calls and search nodes are deterministic
+    assert (len(nodes), sum(nodes)) == (742, 19_007)
+    for cid in ("lemma-cgraph", "thm-cgraph-exact", "lemma-c1graph", "thm-c1-lower"):
+        assert reports[cid].instances_checked >= 1 and reports[cid].skipped >= 1
 
-    calls.clear()
-    run_suite(Corpus(SMALL), ["thm-bounds", "lemma-cgraph", "thm-cgraph-exact",
-                              "lemma-c1graph", "thm-c1-lower"])
-    recognition = Counter(call for call in calls if call[0] in ("is_c_graph", "is_c1_graph"))
-    assert {call[0] for call in recognition} == {"is_c_graph", "is_c1_graph"}
-    assert max(recognition.values()) == 1
+
+def test_recognition_spends_the_run_budget():
+    # recognition reads the run's cover, so it runs out with the run's node
+    # budget: every lemma-cgraph instance within the cap is inconclusive, and
+    # none is skipped as "G is not a C-graph"
+    rep = verify_claim("lemma-cgraph", Corpus(replace(SMALL, node_budget=0)))
+    assert rep.status == "inconclusive"
+    assert rep.inconclusive == len(rep.instances) >= 1
+    assert {rec["note"] for rec in rep.instances} == {
+        "cover search exhausted its node budget (1 nodes)"}
 
 
 class TreesOnlyCorpus(Corpus):

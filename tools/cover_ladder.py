@@ -129,7 +129,7 @@ def measure(name, cap):
         g = strong_resolving_graph(g).sr
     adj = list(g.adj)
     theta, order = max(
-        (cover._theta_hat(adj, c, cover._clique_partition_count(adj, c))[0], c.bit_count())
+        (cover._theta_hat(adj, c, len(cover._greedy_clique_partition(adj, c)))[0], c.bit_count())
         for c in component_masks(g))
     row = [name, str(g.n), str(g.num_edges), f"{theta} ({theta / order:.2f})"]
     sizes = set()
