@@ -49,7 +49,6 @@ from .metrics import (
     DistanceMatrix,
     all_pairs_distances,
     cut_vertices,
-    diameter,
     is_connected,
     is_generalized_tree,
     is_two_antipodal,

@@ -92,7 +92,7 @@ def _compute_one(what: str, g: Graph, budget: int) -> dict:
         out["value"] = len(members)
         out["witness"] = sorted(members)
     elif what == "theta":
-        theta, partition = cov.clique_cover_number(g)
+        theta, partition = cov.clique_cover_number(g, budget)
         out["value"] = theta
         out["parts"] = [sorted(p) for p in partition.parts]
     else:

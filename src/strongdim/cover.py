@@ -3,10 +3,12 @@
 ``min_vertex_cover`` solves each connected component with one of two exact
 engines, chosen from a bound the component itself shows:
 
-- The colour engine (``_CliqueSearch``) is a maximum-clique branch and bound
-  with a greedy colouring bound (MCQ; Tomita & Seki 2003).  Run on the
-  complement of a component, it finds a maximum independent set, and the
-  cover is the rest.  ``max_clique`` is the same engine on the graph itself.
+- The colour engine (``_ColourSearch``) is a maximum-independent-set branch
+  and bound with a greedy colouring bound (MCQ; Tomita & Seki 2003), run on
+  the component's own rows: its colour classes are the cliques of the greedy
+  clique partition, which an independent set meets once each.  The cover is
+  the rest of the component.  ``max_clique`` is the same engine on the
+  complement, the one place that builds one.
 - The branch-and-reduce engine (``_CoverSearch``; Akiba & Iwata, TCS 609,
   2016) branches on a max-degree vertex (it joins the cover, or its whole
   neighbourhood does).  At each node a worklist of the vertices whose degree
@@ -30,31 +32,29 @@ component, taken in id order or in min-width order, whichever is smaller.
 Every independent set meets each clique of a partition at most once, so
 alpha <= theta-hat.  A component with theta-hat <= ``COLOUR_ENGINE_MAX_SHARE``
 of its order and theta-hat <= ``COLOUR_ENGINE_MAX_THETA`` goes to the colour
-engine: it partitions into few large cliques, so the complement's colour
-bound is tight, and the recursion depth (at most alpha + 1) stays small.  Any
-other component, typically long and sparse with many small cliques that the
+engine: it partitions into few large cliques, so the colour bound is tight,
+and the recursion depth (at most alpha + 1) stays small.  Any other
+component, typically long and sparse with many small cliques that the
 reductions take apart, goes to branch and reduce.  Both engines count nodes,
 and the DP its states, into one budget; when it runs out the component keeps
 its greedy cover and the result says ``proven_optimal=False``.
 
-The root certificate settles most components before any engine input is
-built: when the id-order partition, counted on the original rows, has as many
-cliques as the greedy independent set has vertices, alpha <= theta-hat proves
-the greedy cover minimum.  If the rule sends the component to the colour
-engine, whose root would stop there, the greedy cover is taken for the one
-node that root costs (681 of the 1,224 components of ``verify all --seed
-42``).  Otherwise only the min-width order is renumbered to count its
-partition, and only a colour-side component builds the complement.
+An id-order component runs on the graph's rows as they are; only the
+min-width order is renumbered, to count its partition.  When the id-order
+count is no larger than the greedy independent set, alpha <= theta-hat
+proves the greedy cover minimum and no order can count fewer, so the
+min-width order is not built; on the colour side the engine's root then
+keeps no class to branch on and settles the component in one node (639 of
+the 1,064 components of ``verify all --seed 42``).
 
 The colour engine polishes its incumbent once per search.  When the search
 reaches ``POLISH_AT`` nodes, an iterated local search (Andrade, Resende &
-Werneck, J. Heuristics 2012) starts from the best clique so far, taken as an
-independent set of the complement of the engine's graph (for a cover, of the
-component itself): free insertions and (1,2)-swaps to a local optimum, then
-one forced insertion a round, until ``POLISH_STALE`` rounds pass without a
-new best.  A larger set it finds is checked to be a clique and
-becomes the incumbent, and the same search goes on.  The colour bound prunes
-against any clique the search holds, so the search still proves optimality,
+Werneck, J. Heuristics 2012) starts from the best independent set so far:
+free insertions and (1,2)-swaps to a local optimum, then one forced
+insertion a round, until ``POLISH_STALE`` rounds pass without a new best.  A
+larger set it finds is checked to be independent and becomes the incumbent,
+and the same search goes on.  The colour bound prunes against any
+independent set the search holds, so the search still proves optimality,
 and the budget still ends it unproven.  A search that ends under the
 checkpoint is untouched.  Most of a long search goes to finding the optimum,
 not to proving it: beta(C9xC9) = 18 took 47,398 nodes without the polish,
@@ -62,11 +62,11 @@ which lifts the greedy 16 to 18 at the checkpoint, and 9,570 with it;
 beta(C9xC11) = 22 went from 214,881 to 40,529.  The local search costs about
 10 ms there, and as much on C7xC9, whose incumbent is already optimal.
 
-The two engines are each other's oracle: the tests run both on the same
-components, and both against subset enumeration; with the frontier gate shut
-or forced open, both check the DP too.  Everything is deterministic: every
-tie breaks on vertex ids, and the local search draws from a generator of its
-own with a fixed seed.
+The two engines share only the greedy clique partition, so subset
+enumeration referees them: the tests run both on the same components, and
+both against it; with the frontier gate shut or forced open, both check the
+DP too.  Everything is deterministic: every tie breaks on vertex ids, and
+the local search draws from a generator of its own with a fixed seed.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .graph import Graph, bits, component_masks
+from .graph import Graph, bits, complement, component_masks
 
 __all__ = [
     "CoverResult",
@@ -487,15 +487,17 @@ def _iterated_local_search(nbr: dict[int, int], start: int) -> int:
     return best
 
 
-class _CliqueSearch:
-    """Maximum clique by branch and bound with a greedy colouring bound (MCQ).
+class _ColourSearch:
+    """Maximum independent set by branch and bound with a greedy colouring
+    bound (MCQ; Tomita & Seki 2003), on the graph's own rows.
 
-    At each node the candidate set is coloured greedily, lowest id first, into
-    independent classes; a clique takes at most one vertex per class, so the
-    colour of a vertex bounds the clique it can still grow into.  The search
-    branches from the highest colour down and stops at the first class that
-    cannot beat the best clique found.  Recursion depth is at most the clique
-    number plus one.
+    At each node the candidate set is split into the cliques of its greedy
+    partition (``_greedy_clique_partition``: the colour classes of the
+    complement); an independent set takes at most one vertex per clique, so
+    the index of a vertex's clique bounds the set it can still grow into.
+    The search branches from the last clique down and stops at the first
+    that cannot beat the best set found.  Recursion depth is at most the
+    independence number plus one.
     """
 
     __slots__ = ("adj", "nodes", "budget", "best_size", "best_mask", "cand")
@@ -509,7 +511,7 @@ class _CliqueSearch:
         self.cand = 0
 
     def run(self, cand: int, start: int) -> int:
-        """Maximum clique within ``cand``; ``start`` is a clique to beat."""
+        """Maximum independent set within ``cand``; ``start`` is one to beat."""
         self.best_mask = start
         self.best_size = start.bit_count()
         self.cand = cand
@@ -517,14 +519,13 @@ class _CliqueSearch:
         return self.best_mask
 
     def _polish(self) -> None:
-        """Raise the incumbent to the best clique an iterated local search finds."""
-        cand = self.cand
-        mask = _iterated_local_search(
-            {v: cand & ~self.adj[v] ^ (1 << v) for v in bits(cand)}, self.best_mask)
+        """Raise the incumbent to the best set an iterated local search finds."""
+        cand, adj = self.cand, self.adj
+        mask = _iterated_local_search({v: cand & adj[v] for v in bits(cand)}, self.best_mask)
         size = mask.bit_count()
         if size > self.best_size:
-            if mask & ~cand or any(mask & ~self.adj[v] ^ (1 << v) for v in bits(mask)):
-                raise AssertionError("polished incumbent is not a clique")
+            if mask & ~cand or any(mask & adj[v] for v in bits(mask)):
+                raise AssertionError("polished incumbent is not independent")
             self.best_size, self.best_mask = size, mask
 
     def _expand(self, r_mask: int, r_size: int, p: int) -> None:
@@ -534,24 +535,10 @@ class _CliqueSearch:
         if self.nodes == POLISH_AT:
             self._polish()
         adj = self.adj
-        # colour classes, keeping only colours above kmin: a vertex of colour
-        # k <= kmin = best - |R| cannot lead to a clique larger than the best
+        # drop the first kmin = best - |R| cliques: a vertex in clique
+        # k <= kmin cannot lead to a set larger than the best
         kmin = max(self.best_size - r_size, 0)
-        classes = []
-        colour = 0
-        rem = p
-        while rem:
-            colour += 1
-            avail = rem
-            cls = 0
-            while avail:
-                low = avail & -avail
-                cls |= low
-                avail &= ~adj[low.bit_length() - 1]
-                avail ^= low
-            rem ^= cls
-            if colour > kmin:
-                classes.append(cls)
+        classes = _greedy_clique_partition(adj, p)[kmin:]
         while classes:
             bound = kmin + len(classes)  # the colour of the last class
             cls = classes.pop()
@@ -561,7 +548,7 @@ class _CliqueSearch:
                 v = cls.bit_length() - 1
                 bit = 1 << v
                 cls ^= bit
-                nxt = p & adj[v]
+                nxt = p & ~adj[v] ^ bit
                 if nxt:
                     self._expand(r_mask | bit, r_size + 1, nxt)
                 elif r_size + 1 > self.best_size:
@@ -585,16 +572,16 @@ def _renumbered(adj: list[int], order: list[int]) -> list[int]:
 
 
 def _min_width_order(adj: list[int], comp: int) -> list[int]:
-    """Min-width order of ``comp`` for a clique search on the complement
-    (Tomita & Kameda 2007): repeatedly take out the vertex of least complement
-    degree among those left, the highest id on ties; the last one taken out
-    comes first.  Colouring then starts in the densest core of the complement
-    and branching from its sparsest vertices."""
+    """Min-width order of ``comp`` for the colour engine (Tomita & Kameda
+    2007, on the complement): repeatedly take out the vertex with the most
+    neighbours among those left, the highest id on ties; the last one taken
+    out comes first.  The greedy clique partition then starts in the
+    sparsest core of the component, and branching from its densest vertices."""
     left = list(bits(comp))[::-1]
     deg = {u: (adj[u] & comp).bit_count() for u in left}
     taken = []
     while left:
-        u = max(left, key=deg.__getitem__)  # most neighbours, least complement degree
+        u = max(left, key=deg.__getitem__)
         left.remove(u)
         taken.append(u)
         comp ^= 1 << u
@@ -622,31 +609,16 @@ def _theta_hat(adj: list[int], comp: int,
     return (theta, (order, rows)) if theta < theta_id else (theta_id, None)
 
 
-def _colour_input(adj: list[int], comp: int,
-                  renumbered: tuple[list[int], list[int]] | None) -> tuple[list[int], list[int]]:
-    """The colour engine's input for a component: the order of ``_theta_hat``
-    (id order when ``renumbered`` is None) and the complement's adjacency in
-    its new ids.  The id-order rows are ``adj`` itself for the whole graph."""
-    if renumbered is None:
-        order = list(bits(comp))
-        rows = adj if len(order) == len(adj) else _renumbered(adj, order)
-    else:
-        order, rows = renumbered
-    full = (1 << len(order)) - 1
-    return order, [full ^ a ^ (1 << i) for i, a in enumerate(rows)]
-
-
 def min_vertex_cover(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverResult:
     """Exact minimum vertex cover (disconnected and edgeless inputs allowed).
 
-    A component goes to the colour engine on its complement when its greedy
-    clique partition has theta-hat <= ``COLOUR_ENGINE_MAX_SHARE`` of its order
-    and <= ``COLOUR_ENGINE_MAX_THETA`` cliques, and to branch and reduce
-    otherwise, whose root kernel goes to the frontier DP when it passes the
-    frontier gate, unless the root certificate settles it first.  When the
-    node budget runs out the component keeps its greedy cover and the result
-    has ``proven_optimal=False``; callers that need exactness read it through
-    ``CoverResult.exact``.
+    A component goes to the colour engine when its greedy clique partition
+    has theta-hat <= ``COLOUR_ENGINE_MAX_SHARE`` of its order and <=
+    ``COLOUR_ENGINE_MAX_THETA`` cliques, and to branch and reduce otherwise,
+    whose root kernel goes to the frontier DP when it passes the frontier
+    gate.  When the node budget runs out the component keeps its greedy cover
+    and the result has ``proven_optimal=False``; callers that need exactness
+    read it through ``CoverResult.exact``.
     """
     adj = list(g.adj)
     nodes = 0
@@ -656,36 +628,26 @@ def min_vertex_cover(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverR
         if comp & (comp - 1) == 0:
             continue  # an isolated vertex needs no cover
         greedy = _greedy_cover(adj, comp)
-        size = comp.bit_count()
-        budget = node_budget - nodes
+        start = comp & ~greedy
         theta = len(_greedy_clique_partition(adj, comp))
-        if theta <= size - greedy.bit_count() and _colour_side(theta, size):
-            # alpha <= theta-hat: the greedy cover is minimum, as the colour
-            # engine's root would find, at its one node
-            nodes += 1
-            proven &= budget >= 1
-            cover_mask |= greedy
-            continue
-        theta, renumbered = _theta_hat(adj, comp, theta)
-        colour = _colour_side(theta, size)
-        if colour:
-            order, cadj = _colour_input(adj, comp, renumbered)
-            engine = _CliqueSearch(cadj, budget)
-        else:
-            engine = _CoverSearch(adj, budget)
+        renumbered = None
+        # alpha <= theta-hat in any order, so when the greedy independent set
+        # reaches the id-order count, min-width order cannot beat it
+        if theta > start.bit_count():
+            theta, renumbered = _theta_hat(adj, comp, theta)
+        budget = node_budget - nodes
+        colour = _colour_side(theta, comp.bit_count())
+        order, rows = renumbered or (None, adj)
+        engine = _ColourSearch(rows, budget) if colour else _CoverSearch(adj, budget)
         try:
-            if colour:
-                # a maximum clique of the complement is a maximum independent set
-                start = 0
-                for i, u in enumerate(order):
-                    if not greedy >> u & 1:
-                        start |= 1 << i
-                indep = engine.run((1 << len(order)) - 1, start)
-                cover_mask |= comp
-                for i in bits(indep):
-                    cover_mask ^= 1 << order[i]
-            else:
+            if not colour:
                 cover_mask |= engine.cover(comp, greedy)
+            elif order is None:
+                cover_mask |= comp & ~engine.run(comp, start)
+            else:
+                indep = engine.run((1 << len(order)) - 1,
+                                   sum(1 << i for i, u in enumerate(order) if start >> u & 1))
+                cover_mask |= comp & ~sum(1 << order[i] for i in bits(indep))
         except _Budget:
             proven = False
             cover_mask |= greedy
@@ -714,14 +676,12 @@ def max_independent_set(
 
 
 def max_clique(g: Graph) -> frozenset[int]:
-    """Exact maximum clique: the colour engine on the whole vertex set.
-
-    It shares no code with the branch-and-reduce engine, so the two
-    cross-check each other through complement identities.
-    """
+    """Exact maximum clique: the colour engine on the complement of g, with
+    no budget.  It is an oracle for the tests and the only caller that builds
+    a complement."""
     if g.n == 0:
         return frozenset()
-    search = _CliqueSearch(list(g.adj), math.inf)
+    search = _ColourSearch(complement(g).adj, math.inf)
     return frozenset(bits(search.run((1 << g.n) - 1, 1)))
 
 
@@ -800,18 +760,22 @@ def _checked_partition(g: Graph, cliques: list[int]) -> CliquePartition:
 
 
 def clique_cover_number(
-    g: Graph, cap: int = DEFAULT_RECOGNITION_CAP
+    g: Graph, node_budget: int, cap: int = DEFAULT_RECOGNITION_CAP
 ) -> tuple[int, CliquePartition]:
-    """Minimum number of cliques partitioning V(g), with a witness partition.
+    """Minimum number of cliques partitioning V(g), with a witness partition;
+    ``BudgetExhausted`` when the cover, or a partition search given the nodes
+    that the cover left, runs out of ``node_budget``.
 
     Counts k up from beta(g), which every clique partition reaches: the
     cliques hold the vertices of an independent set one each."""
     if g.n > cap:
         raise ValueError(f"clique cover recognition capped at {cap} vertices")
-    seeds = sum(1 << v for v in max_independent_set(g))
-    k = seeds.bit_count()
+    res = min_vertex_cover(g, node_budget).exact()
     full = (1 << g.n) - 1
-    while (cliques := _clique_partition(g.adj, full, k, seeds, DEFAULT_NODE_BUDGET)) is None:
+    seeds = full & ~sum(1 << v for v in res.witness)
+    left = node_budget - res.nodes_explored
+    k = seeds.bit_count()
+    while (cliques := _clique_partition(g.adj, full, k, seeds, left)) is None:
         k += 1
     return k, _checked_partition(g, cliques)
 

@@ -18,7 +18,6 @@ __all__ = [
     "DistanceMatrix",
     "all_pairs_distances",
     "is_connected",
-    "diameter",
     "is_two_antipodal",
     "cut_vertices",
     "is_generalized_tree",
@@ -101,11 +100,6 @@ def is_connected(g: Graph) -> bool:
 def _require_connected(g: Graph) -> None:
     if not is_connected(g):
         raise ValueError("graph must be connected")
-
-
-def diameter(g: Graph) -> int:
-    _require_connected(g)
-    return all_pairs_distances(g).finite_diameter()
 
 
 def is_two_antipodal(g: Graph) -> bool:

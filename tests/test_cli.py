@@ -14,6 +14,7 @@ from strongdim.graph import (
     from_graph6,
     generate,
     graphs_isomorphic,
+    random_connected,
     to_graph6,
 )
 from strongdim.products import ProductSpec, coordinate_labels, product
@@ -275,9 +276,11 @@ def test_product_dot_ignores_sr(capsys):
 @pytest.mark.parametrize("g", [
     product("strong", cycle(9), cycle(9)),  # SR graph on the colour-engine side
     product("strong", cycle(5), generate("path:12")),  # on the branch-and-reduce side
+    random_connected(18, 0.3, 1),  # within theta's cap of 20 vertices
 ])
 def test_compute_dim_s_budget_exhausted_exits_3(capsys, g):
-    for what in ("dim-s", "alpha"):
+    small = g.n <= cover.DEFAULT_RECOGNITION_CAP
+    for what in ("dim-s", "alpha", "theta") if small else ("dim-s", "alpha"):
         code, out, err = run_cli(capsys, "compute", what, to_graph6(g), "--node-budget", "5")
         assert code == 3, what
         assert out == ""

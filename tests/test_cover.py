@@ -182,6 +182,21 @@ def test_renumbered_matches_dict_loop():
             assert cover._renumbered(adj, o) == _renumbered_by_dict(adj, o)
 
 
+def test_greedy_clique_partition_splits_its_mask_into_cliques():
+    # the one greedy partition behind the colour classes, the branch-and-reduce
+    # bound, the engine rule and the C-graph test: on any mask its parts are
+    # nonempty, disjoint cliques that cover the mask and nothing else, so with
+    # each vertex outside the mask as a part of its own they partition V(g)
+    rng = random.Random(20)
+    for g in seeded_graphs(200, 1, 24, seed=20):
+        for mask in ((1 << g.n) - 1, *(rng.getrandbits(g.n) for _ in range(4))):
+            cliques = cover._greedy_clique_partition(g.adj, mask)
+            assert all(cliques)
+            outside = [frozenset({v}) for v in range(g.n) if not mask >> v & 1]
+            CliquePartition(tuple(frozenset(bits(c)) for c in cliques)
+                            + tuple(outside)).validate(g)
+
+
 def sr_of(a, b):
     return strong_resolving_graph(product("strong", a, b)).sr
 
@@ -189,6 +204,16 @@ def sr_of(a, b):
 def theta_hat(adj, comp):
     """theta-hat of a component and its renumbering, as ``min_vertex_cover`` reads them."""
     return cover._theta_hat(adj, comp, len(cover._greedy_clique_partition(adj, comp)))
+
+
+def colour_rows(adj, comp, renumbered):
+    """The order (new id -> old id) and the rows of a component for the colour
+    engine: those of ``_theta_hat`` when min-width order won, else id order,
+    renumbered here although ``min_vertex_cover`` runs it on ``adj`` itself."""
+    if renumbered is not None:
+        return renumbered
+    order = list(bits(comp))
+    return order, cover._renumbered(adj, order)
 
 
 def colour_side(g):
@@ -257,10 +282,10 @@ def test_budget_exhaustion_is_flagged_not_wrong():
 
 
 def uncertified_cover(g, node_budget):
-    """(size, witness, nodes, proven) of ``min_vertex_cover`` with no root
-    certificate: each component runs on the engine the rule picks, the colour
-    engine on its input from the greedy start, and keeps its greedy cover
-    when the budget runs out."""
+    """(size, witness, nodes, proven) of ``min_vertex_cover`` with ``_theta_hat``
+    run on every component: each runs on the engine the rule picks, the colour
+    engine on its renumbered rows from the greedy start, and keeps its greedy
+    cover when the budget runs out."""
     adj = list(g.adj)
     nodes, witness, proven = 0, 0, True
     for comp in component_masks(g):
@@ -271,8 +296,8 @@ def uncertified_cover(g, node_budget):
         colour = cover._colour_side(theta, comp.bit_count())
         budget = node_budget - nodes
         if colour:
-            order, cadj = cover._colour_input(adj, comp, renumbered)
-            engine = cover._CliqueSearch(cadj, budget)
+            order, rows = colour_rows(adj, comp, renumbered)
+            engine = cover._ColourSearch(rows, budget)
             start = sum(1 << i for i, u in enumerate(order) if not greedy >> u & 1)
         else:
             engine = cover._CoverSearch(adj, budget)
@@ -290,9 +315,10 @@ def uncertified_cover(g, node_budget):
 
 
 def certified_components(g):
-    """The components ``min_vertex_cover`` takes by the root certificate: the
+    """The components whose greedy cover the colour engine's root proves: the
     rule sends them to the colour engine, and their id-order clique partition
-    is no larger than the greedy independent set."""
+    is no larger than the greedy independent set, so ``min_vertex_cover``
+    skips ``_theta_hat`` for them."""
     adj = list(g.adj)
     return [comp for comp in component_masks(g)
             if comp & (comp - 1)
@@ -303,15 +329,15 @@ def certified_components(g):
 
 def test_root_certificate_on_a_union_of_cliques():
     # K2 goes to branch and reduce (theta-hat 1 is above 0.42 of 2 vertices);
-    # K3, K4 and K5 go to the colour engine, whose root each one's certificate
-    # stands for: one node per component, and each keeps its lowest vertex
+    # K3, K4 and K5 go to the colour engine, whose root proves each one's
+    # greedy cover: one node per component, and each keeps its lowest vertex
     g = disjoint_union([complete(k) for k in range(2, 6)])
     assert len(certified_components(g)) == 3
     res = min_vertex_cover(g)
     assert res.proven_optimal and res.nodes_explored == 4
     assert res.witness == frozenset(range(14)) - {0, 2, 5, 9}
     assert uncertified_cover(g, DEFAULT_NODE_BUDGET) == (10, res.witness, 4, True)
-    # three nodes pay for K2, K3 and K4; K5's certificate finds none left
+    # three nodes pay for K2, K3 and K4; K5's root finds none left
     res = min_vertex_cover(g, node_budget=3)
     assert not res.proven_optimal and res.nodes_explored == 4
     assert res.witness == frozenset(range(14)) - {0, 2, 5, 9}
@@ -361,10 +387,9 @@ def test_engine_rule_keeps_id_order_on_ties(name, build, nodes, size):
     res = min_vertex_cover(g)
     assert res.proven_optimal and (res.nodes_explored, res.size) == (nodes, size)
     # the colour engine in id order, from the greedy start, gives this witness
-    cadj = [((1 << g.n) - 1) ^ a ^ (1 << i) for i, a in enumerate(adj)]
     greedy = cover._greedy_cover(adj, comp)
-    engine = cover._CliqueSearch(cadj, DEFAULT_NODE_BUDGET)
-    indep = engine.run((1 << g.n) - 1, comp & ~greedy)
+    engine = cover._ColourSearch(adj, DEFAULT_NODE_BUDGET)
+    indep = engine.run(comp, comp & ~greedy)
     assert frozenset(bits(comp & ~indep)) == res.witness and engine.nodes == nodes
 
 
@@ -380,13 +405,13 @@ def test_colour_side_never_exceeds_its_recursion_depth():
     adj, full = list(g.adj), (1 << g.n) - 1
     theta, renumbered = theta_hat(adj, full)
     assert theta == k
-    _, cadj = cover._colour_input(adj, full, renumbered)
+    _, rows = colour_rows(adj, full, renumbered)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + k + 20)
     try:
         res = min_vertex_cover(g)
-        engine = cover._CliqueSearch(cadj, DEFAULT_NODE_BUDGET)
-        indep = engine.run((1 << g.n) - 1, 0)
+        engine = cover._ColourSearch(rows, DEFAULT_NODE_BUDGET)
+        indep = engine.run(full, 0)
     finally:
         sys.setrecursionlimit(limit)
     assert res.proven_optimal and res.size == 2 * k
@@ -556,10 +581,10 @@ def test_independent_witness_spans_no_edge():
 
 def engine_cover_sizes(g):
     """Minimum cover size of g from each engine alone, component by component:
-    branch and reduce on the component, and the colour engine on its
-    complement started from a single vertex.  Both witnesses are checked.
-    The frontier gate is shut, so branch and reduce never hands its kernel
-    to the frontier DP and stays an oracle for it."""
+    branch and reduce on the component, and the colour engine on its rows in
+    the order theta-hat picks, started from a single vertex.  Both witnesses
+    are checked.  The frontier gate is shut, so branch and reduce never hands
+    its kernel to the frontier DP and stays an oracle for it."""
     adj = list(g.adj)
     reduce_size = colour_size = 0
     for comp in component_masks(g):
@@ -569,8 +594,8 @@ def engine_cover_sizes(g):
             mask = search.cover(comp, cover._greedy_cover(adj, comp))
         assert all(mask >> u & 1 or not adj[u] & comp & ~mask for u in bits(comp))
         reduce_size += mask.bit_count()
-        order, cadj = cover._colour_input(adj, comp, theta_hat(adj, comp)[1])
-        indep = cover._CliqueSearch(cadj, DEFAULT_NODE_BUDGET).run((1 << len(order)) - 1, 1)
+        order, rows = colour_rows(adj, comp, theta_hat(adj, comp)[1])
+        indep = cover._ColourSearch(rows, DEFAULT_NODE_BUDGET).run((1 << len(order)) - 1, 1)
         members = [order[i] for i in bits(indep)]
         assert not any(g.has_edge(u, v) for u, v in combinations(members, 2))
         colour_size += comp.bit_count() - len(members)
@@ -578,8 +603,8 @@ def engine_cover_sizes(g):
 
 
 def test_beta_cross_checks_with_max_clique_engine():
-    # the two exact engines share no search code; both must match subset
-    # enumeration, component by component, up to n = 14
+    # the two exact engines share only the greedy clique partition, so subset
+    # enumeration referees both, component by component, up to n = 14
     graphs = seeded_graphs(60, 2, 9, seed=77) + seeded_graphs(8, 13, 14, seed=404)
     graphs += [disjoint_union([cycle(5), complete(3), path(4)])]
     for g in graphs:
@@ -615,21 +640,23 @@ def test_max_clique_known_values():
 
 
 def test_clique_cover_known_values():
-    assert clique_cover_number(complete(5))[0] == 1
-    theta_c6, part = clique_cover_number(cycle(6))
+    assert clique_cover_number(complete(5), DEFAULT_NODE_BUDGET)[0] == 1
+    theta_c6, part = clique_cover_number(cycle(6), DEFAULT_NODE_BUDGET)
     assert theta_c6 == 3 == len(max_independent_set(cycle(6)))
     part.validate(cycle(6))
-    assert clique_cover_number(cycle(5))[0] == 3 > len(max_independent_set(cycle(5)))
+    theta_c5 = clique_cover_number(cycle(5), DEFAULT_NODE_BUDGET)[0]
+    assert theta_c5 == 3 > len(max_independent_set(cycle(5)))
 
 
 def test_chromatic_known_values():
     """chi(G) = theta(complement of G): a clique partition of the complement
     is a proper colouring of G."""
-    assert clique_cover_number(complement(complete(5)))[0] == 5
-    assert clique_cover_number(complement(cycle(6)))[0] == 2
-    assert clique_cover_number(complement(cycle(7)))[0] == 3
-    assert clique_cover_number(complement(complete_multipartite([2, 2, 2])))[0] == 3
-    k, part = clique_cover_number(complement(cycle(5)))
+    assert clique_cover_number(complement(complete(5)), DEFAULT_NODE_BUDGET)[0] == 5
+    assert clique_cover_number(complement(cycle(6)), DEFAULT_NODE_BUDGET)[0] == 2
+    assert clique_cover_number(complement(cycle(7)), DEFAULT_NODE_BUDGET)[0] == 3
+    k33 = complement(complete_multipartite([2, 2, 2]))
+    assert clique_cover_number(k33, DEFAULT_NODE_BUDGET)[0] == 3
+    k, part = clique_cover_number(complement(cycle(5)), DEFAULT_NODE_BUDGET)
     assert k == 3
     part.validate(complement(cycle(5)))
     colour = {v: i for i, p in enumerate(part.parts) for v in p}
@@ -639,12 +666,21 @@ def test_chromatic_known_values():
 
 def test_clique_cover_matches_brute_partition_search():
     for g in seeded_graphs(40, 1, 7, seed=5):
-        assert clique_cover_number(g)[0] == brute_clique_cover(g)
+        assert clique_cover_number(g, DEFAULT_NODE_BUDGET)[0] == brute_clique_cover(g)
+
+
+def test_clique_cover_spends_its_node_budget():
+    # C5's cover takes one node, and its partition searches need three more
+    with pytest.raises(BudgetExhausted):
+        clique_cover_number(cycle(5), 0)
+    with pytest.raises(BudgetExhausted):
+        clique_cover_number(cycle(5), 3)
+    assert clique_cover_number(cycle(5), 4)[0] == 3
 
 
 def test_clique_cover_cap():
     with pytest.raises(ValueError, match="clique cover recognition capped at 20"):
-        clique_cover_number(complete(21))
+        clique_cover_number(complete(21), DEFAULT_NODE_BUDGET)
     with pytest.raises(ValueError, match="C1-graph recognition capped at 20"):
         is_c1_graph(complete(25), frozenset({0}), DEFAULT_NODE_BUDGET)
     # above the cap the greedy partition still decides; the exact search

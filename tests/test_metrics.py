@@ -18,7 +18,6 @@ from strongdim.graph import (
 from strongdim.metrics import (
     all_pairs_distances,
     cut_vertices,
-    diameter,
     is_connected,
     is_generalized_tree,
     is_two_antipodal,
@@ -151,10 +150,14 @@ def test_is_connected_cases():
 
 
 def test_diameter_requires_connected():
-    with pytest.raises(ValueError):
-        diameter(disjoint_union([complete(2), complete(2)]))
-    assert diameter(cycle(6)) == 3
-    assert diameter(grid(3, 4)) == 5
+    # diam(G) is read from the distance balls; a classifier that reads it
+    # refuses a disconnected graph
+    two_edges = disjoint_union([complete(2), complete(2)])
+    assert not all_pairs_distances(two_edges).connected()
+    with pytest.raises(ValueError, match="graph must be connected"):
+        is_two_antipodal(two_edges)
+    assert all_pairs_distances(cycle(6)).finite_diameter() == 3
+    assert all_pairs_distances(grid(3, 4)).finite_diameter() == 5
 
 
 def test_two_antipodal_classification():
