@@ -14,7 +14,7 @@ from itertools import combinations
 from .cover import DEFAULT_NODE_BUDGET, CoverResult, c_graph_partition, min_vertex_cover
 from .graph import Graph, bits
 from .metrics import DistanceMatrix, all_pairs_distances, is_connected
-from .products import _stride, strong_product_distances
+from .products import _StrongBalls, _stride, strong_product_distances
 from .resolving import PredictedSR, predicted_mmd_edges, strong_resolving_graph
 
 __all__ = [
@@ -74,6 +74,41 @@ def _difference_classes(adj) -> list[tuple[int, int, int]]:
     return [(d, a, a << d) for d, a in classes.items()]
 
 
+def _dilate(x: int, classes) -> int:
+    """x and its neighbours across every class (s, A, A << s): x | N(x)."""
+    out = x
+    for s, a, ad in classes:
+        out |= (x & a) << s | (x & ad) >> s
+    return out
+
+
+def _product_stages(adj, n1: int, n2: int) -> tuple[list, list]:
+    """The strong product's closed neighbourhoods as two stages of classes.
+
+    With p = u*n2 + v, N[(u,v)] = N_G[u] x N_H[v].  The first stage holds
+    H's edge-difference classes, tiled over every row; the second holds G's,
+    as shifts of d*n2 over whole rows.  Both factors are read from ``adj``:
+    row 0 gives H's rows and column 0 G's.  Every vertex's closure through
+    the two stages must be its own row of ``adj`` plus itself, or this
+    raises ``AssertionError``.
+    """
+    if len(adj) != n1 * n2:
+        raise AssertionError(f"a graph on {len(adj)} vertices is not a {n1} x {n2} product")
+    full_h = (1 << n2) - 1
+    col = _stride((1 << n1) - 1, n2)  # column 0: bit u*n2 for every row u
+    h_rows = [adj[v] & full_h for v in range(n2)]
+    g_rows = [sum(1 << (x // n2) for x in bits(adj[u * n2] & col)) for u in range(n1)]
+    stages = (
+        [(d, col * a, col * ad) for d, a, ad in _difference_classes(h_rows)],
+        [(d * n2, _stride(a, n2) * full_h, _stride(ad, n2) * full_h)
+         for d, a, ad in _difference_classes(g_rows)],
+    )
+    for p, row in enumerate(adj):
+        if _dilate(_dilate(1 << p, stages[0]), stages[1]) != row | 1 << p:
+            raise AssertionError(f"the factors read from the product miss row {p}")
+    return stages
+
+
 def is_strong_generator(
     g: Graph, members, dm: DistanceMatrix | None = None
 ) -> bool:
@@ -85,10 +120,15 @@ def is_strong_generator(
     where H_u is the union of the intervals I[u, w] over w in S.  One reverse
     sweep over u's distance layers finds H_u: a vertex at distance k from u
     is in H_u iff it is in S or has a neighbour in H_u at distance k + 1.
-    Only ``dm.balls`` is read.
+    Only ``dm.balls`` is read, once per vertex u, in id order.
 
     Each layer's step needs N(reach), the neighbours of H_u on the layer
-    above.  It is dilated in one of two ways, chosen per step: bit by bit,
+    above; a layer with an empty ``reach`` is just S on that layer.  Given
+    ``strong_product_distances`` balls, ``g`` must be that strong product:
+    N[reach] is dilated in two stages, first by H's edge-difference classes
+    within each row, then by G's as whole-row shifts (``_product_stages``,
+    which checks once that the stages give every row of ``g.adj``).
+    Otherwise it is dilated in one of two ways, chosen per step: bit by bit,
     one adjacency row per vertex of ``reach``; or by edge-difference classes,
     N(X) = the union over d of ((X & A_d) << d) | ((X & (A_d << d)) >> d),
     where A_d is the set of x adjacent to x + d, read from ``g.adj``.  A step uses the classes
@@ -110,6 +150,7 @@ def is_strong_generator(
             raise ValueError("member id outside the vertex range")
         smask |= 1 << w
     outside = ((1 << g.n) - 1) & ~smask
+    stages = _product_stages(adj, *balls.shape) if isinstance(balls, _StrongBalls) else None
     n_classes = classes = None
     hulls = [0] * g.n
     rest = outside
@@ -120,21 +161,24 @@ def is_strong_generator(
         levels = balls[u]
         hull = reach = 0  # reach: H_u on the layer above the current one
         for k in range(len(levels) - 1, 0, -1):
-            nbrs = 0
-            count = reach.bit_count()
-            if n_classes is None and count > _CLASS_MIN_REACH:
-                n_classes = _difference_count(adj)
-            if n_classes is not None and count > n_classes:
-                if classes is None:
-                    classes = _difference_classes(adj)
-                for d, a, ad in classes:
-                    nbrs |= (reach & a) << d | (reach & ad) >> d
+            if stages:
+                nbrs = reach and _dilate(_dilate(reach, stages[0]), stages[1])
             else:
-                m = reach
-                while m:
-                    b = m & -m
-                    nbrs |= adj[b.bit_length() - 1]
-                    m ^= b
+                nbrs = 0
+                count = reach.bit_count()
+                if n_classes is None and count > _CLASS_MIN_REACH:
+                    n_classes = _difference_count(adj)
+                if n_classes is not None and count > n_classes:
+                    if classes is None:
+                        classes = _difference_classes(adj)
+                    for d, a, ad in classes:
+                        nbrs |= (reach & a) << d | (reach & ad) >> d
+                else:
+                    m = reach
+                    while m:
+                        b = m & -m
+                        nbrs |= adj[b.bit_length() - 1]
+                        m ^= b
             reach = levels[k] & ~levels[k - 1] & (smask | nbrs)
             hull |= reach
         hulls[u] = hull
@@ -213,15 +257,19 @@ def product_dimension(
     """dim_s of the ``kind`` product of g and h, from the factors where they allow it.
 
     On the factor route the SR graph comes from the MMD lemma and the
-    product's distance balls from the factors' balls, so no all-pairs BFS and
-    no direct SR build runs on the product.  Its minimum cover is certified
-    from the factors when ``c_graph_partition`` splits either factor's SR
-    graph into beta cliques (the C-graph theorem; see ``general_upper``):
+    product's distance balls from the factors' balls, one product vertex at
+    a time as the generator check reads them, so no all-pairs BFS and no
+    direct SR build runs on the product, and its balls are never all held.
+    Its minimum cover is certified from the factors when
+    ``c_graph_partition`` splits either factor's SR graph into beta
+    cliques (the C-graph theorem; see ``general_upper``):
     with I_G and I_H maximum independent sets of the factors' SR graphs, the
     cover is the complement of I_G x I_H.  Otherwise the cover is searched on
     the whole SR graph, with the node budget the factor covers left, which
     also bounds each factor's partition search.  Either way the witness is
-    checked definitionally against ``prod``, the product graph itself.
+    checked definitionally against ``prod``, the product graph itself: the
+    check dilates by the factors' edge-difference classes, read from
+    ``prod``'s own rows and confirmed against every one of them.
     """
     pred = _factor_prediction(kind, g, h)
     if pred is None:

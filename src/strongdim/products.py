@@ -3,6 +3,8 @@
 A product vertex (u, v) gets id ``u * n2 + v`` (row-major).  Adjacency rows
 are assembled with shifted-bitmask arithmetic, so building a product costs
 O(n1 * n2) big-int operations rather than a Python loop over vertex pairs.
+The strong product's distance balls are read from the factors' balls, one
+product vertex at a time, and never held for every vertex at once.
 """
 
 from __future__ import annotations
@@ -103,24 +105,49 @@ def product(kind: str, g: Graph, h: Graph) -> Graph:
     return Graph(n1 * n2, adj)
 
 
+class _StrongBalls:
+    """``DistanceMatrix.balls`` of a strong product, each vertex's built when read.
+
+    Ball k of (u, v) is B_G(u, k) x B_H(v, k), the shorter of the two lists
+    padded with its last ball.  Only the strided G-levels of the last row u
+    read are kept, so a read in id order strides each G-ball once.
+    """
+
+    __slots__ = ("dm_g", "dm_h", "shape", "_row", "_g_levels")
+
+    def __init__(self, dm_g: DistanceMatrix, dm_h: DistanceMatrix):
+        self.dm_g, self.dm_h = dm_g, dm_h
+        self.shape = (dm_g.n, dm_h.n)
+        self._row, self._g_levels = -1, []
+
+    def __len__(self) -> int:
+        return self.shape[0] * self.shape[1]
+
+    def __getitem__(self, p: int) -> list[int]:
+        if not 0 <= p < len(self):
+            raise IndexError(f"product id {p} out of range")
+        u, v = divmod(p, self.shape[1])
+        if u != self._row:
+            self._row = u
+            self._g_levels = [_stride(ball, self.shape[1]) for ball in self.dm_g.balls[u]]
+        gl, hl = self._g_levels, self.dm_h.balls[v]
+        pad = len(gl) - len(hl)
+        gl = gl + [gl[-1]] * -pad
+        hl = hl + [hl[-1]] * pad
+        return [a * b for a, b in zip(gl, hl)]
+
+
 def strong_product_distances(dm_g: DistanceMatrix, dm_h: DistanceMatrix) -> DistanceMatrix:
     """Distance balls of the strong product from the factors' balls.
 
     d((u,v),(x,y)) = max(d_G(u,x), d_H(v,y)), so ball k of (u,v) is
     B_G(u,k) x B_H(v,k): one stride multiply per ball and no BFS on the
-    product.
+    product.  The balls of a product vertex are built each time they are
+    read, so memory stays at the factors' balls and one row's strided
+    G-balls, not n^2 x diameter bits; ``is_strong_generator`` also takes the
+    factor shape (n1, n2) from them.
     """
-    n1, n2 = dm_g.n, dm_h.n
-    balls = []
-    for u in range(n1):
-        g_levels = [_stride(ball, n2) for ball in dm_g.balls[u]]
-        for v in range(n2):
-            h_levels = dm_h.balls[v]
-            pad = len(g_levels) - len(h_levels)
-            gl = g_levels + [g_levels[-1]] * -pad
-            hl = h_levels + [h_levels[-1]] * pad
-            balls.append([a * b for a, b in zip(gl, hl)])
-    return DistanceMatrix(n1 * n2, balls)
+    return DistanceMatrix(dm_g.n * dm_h.n, _StrongBalls(dm_g, dm_h))
 
 
 def coordinate_labels(spec: ProductSpec) -> dict[int, str]:

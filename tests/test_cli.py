@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -166,6 +169,29 @@ def test_product_strong_trivial_factor_dim(capsys):
                            "--dim-s", "--format", "json")
     assert code == 0
     assert json.loads(out)["dim_s"] == 1
+
+
+# run by a fresh interpreter, which prints its own peak RSS (kilobytes on Linux)
+_PEAK_RSS_SNIPPET = """\
+import resource, sys
+from strongdim import cli
+rc = cli.main(["product", "strong", "cycle:5", "path:400", "--dim-s", "--format", "json"])
+print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_product_strong_peak_memory_stays_small():
+    # C5xP400 has 2,000 vertices; holding every product vertex's distance
+    # balls at once peaked at about 200 MB, reading them from the factors'
+    # balls one vertex at a time stays near 30 MB
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_SNIPPET], capture_output=True,
+                          text=True, env=env, timeout=300)
+    rc, peak_kb = proc.stderr.split()[-2:]
+    assert rc == "0"
+    assert json.loads(proc.stdout)["dim_s"] == 1202
+    assert int(peak_kb) < 100 * 1024
 
 
 @pytest.mark.parametrize("first_trivial", [False, True])

@@ -286,6 +286,93 @@ def test_generator_check_product_basis_minus_one():
     assert not _generates_by_definition(g, short)
 
 
+# -- the check on strong_product_distances: two stages of factor classes ------
+
+
+def _factor_distances(g, h):
+    pred = predicted_mmd_edges(g, h)
+    return strong_product_distances(pred.dm_g, pred.dm_h)
+
+
+_connected_factors = st.one_of(
+    st.integers(2, 7).map(path),
+    st.integers(3, 7).map(cycle),
+    st.integers(2, 4).map(complete),
+    connected_graph_strategy(2, 6),
+)
+
+
+@given(_connected_factors, _connected_factors, st.data())
+@settings(max_examples=150, deadline=None)
+def test_product_stages_dilate_as_the_product_rows(g, h, data):
+    # oracle: N[X] as the union of the built product's rows over X
+    prod = product("strong", g, h)
+    stages = dimension._product_stages(prod.adj, g.n, h.n)
+    for _ in range(5):
+        x = data.draw(st.integers(0, (1 << prod.n) - 1))
+        by_rows = x
+        for v in range(prod.n):
+            if x >> v & 1:
+                by_rows |= prod.adj[v]
+        assert dimension._dilate(dimension._dilate(x, stages[0]), stages[1]) == by_rows
+    members = data.draw(st.sets(st.integers(0, prod.n - 1)))
+    assert is_strong_generator(prod, members, _factor_distances(g, h)) == is_strong_generator(
+        prod, members, all_pairs_distances(prod)
+    )
+
+
+@pytest.mark.parametrize(
+    "g, h",
+    [
+        pytest.param(path(6), path(6), id="P6xP6"),
+        pytest.param(cycle(6), path(8), id="C6xP8"),
+        pytest.param(complete(4), path(9), id="K4xP9"),
+        pytest.param(cycle(7), path(4), id="C7xP4"),
+    ],
+)
+def test_product_check_matches_definition_and_generic_check(g, h):
+    prod = product("strong", g, h)
+    basis = sorted(product_dimension("strong", g, h, prod=prod).basis)
+    lazy, flat = _factor_distances(g, h), all_pairs_distances(prod)
+    sets = [basis] + [basis[:i] + basis[i + 1 :] for i in range(len(basis))]
+    answers = [is_strong_generator(prod, s, lazy) for s in sets]
+    assert answers == [is_strong_generator(prod, s, flat) for s in sets]
+    assert answers == [_generates_by_definition(prod, s) for s in sets]
+    assert answers[0]
+
+
+@pytest.mark.parametrize("stage", [0, 1], ids=["H-stage", "G-stage"])
+def test_wrong_product_stage_raises(monkeypatch, stage):
+    # the stages are checked against every row of the product: a stage that
+    # lost a class must raise, from the check and from the product route
+    g, h = cycle(5), path(4)
+    prod = product("strong", g, h)
+    basis = product_dimension("strong", g, h, prod=prod).basis
+    real = dimension._difference_classes
+
+    def forged(rows):  # H's rows are h.n long, G's g.n
+        classes = real(rows)
+        return classes[:-1] if len(rows) == (h.n, g.n)[stage] else classes
+
+    monkeypatch.setattr(dimension, "_difference_classes", forged)
+    with pytest.raises(AssertionError, match="the factors read from the product miss row"):
+        is_strong_generator(prod, basis, _factor_distances(g, h))
+    with pytest.raises(AssertionError, match="the factors read from the product miss row"):
+        product_dimension("strong", g, h, prod=prod)
+
+
+def test_product_check_refuses_a_graph_that_is_not_the_product():
+    # the factor balls give only the shape; the graph itself is checked
+    g, h = cycle(5), path(4)
+    prod = product("strong", g, h)
+    basis = product_dimension("strong", g, h, prod=prod).basis
+    not_prod = make_graph(prod.n, [*prod.edges(), (6, 12)])  # (1,2) ~ (3,0): distance 2
+    with pytest.raises(AssertionError, match="the factors read from the product miss row 6"):
+        is_strong_generator(not_prod, basis, _factor_distances(g, h))
+    with pytest.raises(AssertionError, match="a graph on 20 vertices is not a 4 x 4 product"):
+        is_strong_generator(prod, basis, _factor_distances(path(4), path(4)))
+
+
 def test_generator_check_rejects_bad_input():
     for parts in ([complete(2)] * 2, [complete(1), path(3)], [path(3), complete(1)]):
         with pytest.raises(ValueError, match="strong generators are defined for connected graphs"):

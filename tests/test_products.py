@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,21 +110,31 @@ def test_strong_distance_law(g, h):
                     assert dm_p.dist(p, q) == max(dm_g.dist(u, x), dm_h.dist(v, y))
 
 
-@given(random_graph_strategy(max_n=6, min_n=1), random_graph_strategy(max_n=6, min_n=1))
-@settings(max_examples=150, deadline=None)
-def test_factor_balls_equal_bfs_balls(g, h):
-    # K1 and disconnected factors included: the ball law holds per component
+def assert_balls_equal_bfs(g, h, seed):
+    """The lazy factor balls equal the product's BFS balls, read once in id
+    order and once shuffled, so that no read depends on the one before it."""
     bfs = all_pairs_distances(product("strong", g, h))
     derived = strong_product_distances(all_pairs_distances(g), all_pairs_distances(h))
-    assert derived.n == bfs.n
-    assert derived.balls == bfs.balls
+    assert derived.n == bfs.n == len(derived.balls)
+    shuffled = list(range(bfs.n))
+    random.Random(seed).shuffle(shuffled)
+    for p in [*range(bfs.n), *shuffled]:
+        assert derived.balls[p] == bfs.balls[p]
+    with pytest.raises(IndexError):
+        derived.balls[bfs.n]
+
+
+@given(random_graph_strategy(max_n=6, min_n=1), random_graph_strategy(max_n=6, min_n=1),
+       st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_factor_balls_equal_bfs_balls(g, h, seed):
+    # K1 and disconnected factors included: the ball law holds per component
+    assert_balls_equal_bfs(g, h, seed)
 
 
 def test_factor_balls_with_k1_and_large_factors():
     for g, h in ((complete(1), path(7)), (cycle(9), complete(1)), (path(20), cycle(15))):
-        bfs = all_pairs_distances(product("strong", g, h))
-        derived = strong_product_distances(all_pairs_distances(g), all_pairs_distances(h))
-        assert derived.balls == bfs.balls
+        assert_balls_equal_bfs(g, h, g.n * h.n)
 
 
 @given(random_graph_strategy(max_n=5, min_n=1), random_graph_strategy(max_n=5, min_n=1))
