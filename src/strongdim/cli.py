@@ -35,6 +35,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse leaves an optional positional empty when an option follows the one
+        # before it: take a graph source left over after the options, if any
+        ns, extra = super().parse_known_args(args, namespace)
+        if extra and getattr(ns, "graph", "") is None:
+            if extra[0] == "-" or not extra[0].startswith("-"):  # "-" is stdin
+                ns.graph = extra.pop(0)
+        return ns, extra
+
 
 def _graph6_lines(text: str, empty: str) -> list[Graph]:
     """One graph per nonblank line of ``text``; ``empty`` is the error for none."""
@@ -193,6 +202,8 @@ def cmd_product(args) -> int:
 def cmd_verify(args) -> int:
     if (args.r is None) != (args.t is None):
         raise CliError("--r and --t must be given together")
+    if args.r is not None and min(args.r, args.t) < 1:
+        raise CliError("--r and --t must be at least 1")
     spec = vf.CorpusSpec(
         seed=args.seed,
         exhaustive_n=args.exhaustive_n,

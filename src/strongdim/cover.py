@@ -790,6 +790,8 @@ def c_graph_partition(g: Graph, independent: frozenset[int], node_budget: int,
     nodes, and only up to ``cap`` vertices (above it None means "not
     shown").  A partition into beta cliques puts the vertices of any maximum
     independent set in distinct cliques, so the seeds change no answer."""
+    if not all(0 <= v < g.n for v in independent):
+        raise ValueError(f"independent-set vertex outside the vertex range 0..{g.n - 1}")
     seeds = sum(1 << v for v in independent)
     if any(g.adj[v] & seeds for v in independent):
         raise ValueError("C-graph recognition needs an independent set")

@@ -48,11 +48,6 @@ def strongly_resolves(dm: DistanceMatrix, w: int, u: int, v: int) -> bool:
     return dwu == dwv + duv or dwv == dwu + duv
 
 
-# is_strong_generator counts the edge-difference classes once ``reach`` holds
-# more vertices than this; up to it, every step dilates bit by bit
-_CLASS_MIN_REACH = 16
-
-
 def _difference_count(adj) -> int:
     """The number of distinct id differences d over the edges {x, x + d}."""
     diffs = 0
@@ -74,12 +69,14 @@ def _difference_classes(adj) -> list[tuple[int, int, int]]:
     return [(d, a, a << d) for d, a in classes.items()]
 
 
-def _dilate(x: int, classes) -> int:
-    """x and its neighbours across every class (s, A, A << s): x | N(x)."""
-    out = x
-    for s, a, ad in classes:
-        out |= (x & a) << s | (x & ad) >> s
-    return out
+def _dilate(x: int, stages) -> int:
+    """x dilated by each stage in turn, to x | N(x) across its classes (s, A, A << s)."""
+    for classes in stages:
+        out = x
+        for s, a, ad in classes:
+            out |= (x & a) << s | (x & ad) >> s
+        x = out
+    return x
 
 
 def _product_stages(adj, n1: int, n2: int) -> tuple[list, list]:
@@ -104,7 +101,7 @@ def _product_stages(adj, n1: int, n2: int) -> tuple[list, list]:
          for d, a, ad in _difference_classes(g_rows)],
     )
     for p, row in enumerate(adj):
-        if _dilate(_dilate(1 << p, stages[0]), stages[1]) != row | 1 << p:
+        if _dilate(1 << p, stages) != row | 1 << p:
             raise AssertionError(f"the factors read from the product miss row {p}")
     return stages
 
@@ -123,21 +120,17 @@ def is_strong_generator(
     Only ``dm.balls`` is read, once per vertex u, in id order.
 
     Each layer's step needs N(reach), the neighbours of H_u on the layer
-    above; a layer with an empty ``reach`` is just S on that layer.  Given
-    ``strong_product_distances`` balls, ``g`` must be that strong product:
-    N[reach] is dilated in two stages, first by H's edge-difference classes
-    within each row, then by G's as whole-row shifts (``_product_stages``,
-    which checks once that the stages give every row of ``g.adj``).
-    Otherwise it is dilated in one of two ways, chosen per step: bit by bit,
-    one adjacency row per vertex of ``reach``; or by edge-difference classes,
-    N(X) = the union over d of ((X & A_d) << d) | ((X & (A_d << d)) >> d),
-    where A_d is the set of x adjacent to x + d, read from ``g.adj``.  A step uses the classes
-    when ``reach`` has more vertices than there are classes.  They are
-    counted, in one shift per vertex, the first time ``reach`` holds more
-    than ``_CLASS_MIN_REACH`` vertices, and built, in one pass over the
-    edges, the first time a step uses them.  Products of paths and cycles in
-    row-major ids have a handful of classes; a random graph has about n, and
-    so stays bit by bit without building them.
+    above: from adjacency rows, one per vertex of ``reach``, or from a list
+    of stages of edge-difference classes that ``_dilate`` applies in turn,
+    N[X] = X | ((X & A_d) << d) | ((X & (A_d << d)) >> d) over each d, with
+    A_d the set of x adjacent to x + d.  On ``strong_product_distances``
+    balls, ``g`` must be that product, and the stages are H's classes within
+    each row, then G's as whole-row shifts (``_product_stages`` checks that
+    they give every row of ``g.adj``).  Any other graph starts on rows, its
+    classes counted up front; the first ``reach`` with more vertices than
+    classes builds them, in one pass over the edges, as the one stage of
+    every later step.  Products of paths and cycles in row-major ids have a
+    handful of classes; a random graph has about n, and stays on rows.
     """
     dm = dm or all_pairs_distances(g)
     if not dm.connected():
@@ -151,7 +144,7 @@ def is_strong_generator(
         smask |= 1 << w
     outside = ((1 << g.n) - 1) & ~smask
     stages = _product_stages(adj, *balls.shape) if isinstance(balls, _StrongBalls) else None
-    n_classes = classes = None
+    n_classes = _difference_count(adj) if stages is None else None
     hulls = [0] * g.n
     rest = outside
     while rest:
@@ -161,24 +154,17 @@ def is_strong_generator(
         levels = balls[u]
         hull = reach = 0  # reach: H_u on the layer above the current one
         for k in range(len(levels) - 1, 0, -1):
-            if stages:
-                nbrs = reach and _dilate(_dilate(reach, stages[0]), stages[1])
-            else:
+            if stages is None and reach.bit_count() > n_classes:
+                stages = [_difference_classes(adj)]
+            if stages is None:
                 nbrs = 0
-                count = reach.bit_count()
-                if n_classes is None and count > _CLASS_MIN_REACH:
-                    n_classes = _difference_count(adj)
-                if n_classes is not None and count > n_classes:
-                    if classes is None:
-                        classes = _difference_classes(adj)
-                    for d, a, ad in classes:
-                        nbrs |= (reach & a) << d | (reach & ad) >> d
-                else:
-                    m = reach
-                    while m:
-                        b = m & -m
-                        nbrs |= adj[b.bit_length() - 1]
-                        m ^= b
+                m = reach
+                while m:
+                    b = m & -m
+                    nbrs |= adj[b.bit_length() - 1]
+                    m ^= b
+            else:
+                nbrs = reach and _dilate(reach, stages)
             reach = levels[k] & ~levels[k - 1] & (smask | nbrs)
             hull |= reach
         hulls[u] = hull

@@ -97,6 +97,24 @@ def test_compute_multiple_graphs_from_stdin(capsys, monkeypatch):
     assert [d["value"] for d in docs] == [3, 4]
 
 
+@pytest.mark.parametrize("options", [
+    ["--format", "json"],
+    ["--format", "json", "--node-budget", "100"],
+])
+@pytest.mark.parametrize("source", ["cycle:5", "-"])
+def test_compute_source_may_follow_options(capsys, monkeypatch, options, source):
+    import io
+
+    outs = []
+    for argv in (["dim-s", source, *options], ["dim-s", *options, source]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(cycle(5)) + "\n"))
+        code, out, err = run_cli(capsys, "compute", *argv)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["witness"] == [2, 3, 4]
+
+
 def test_compute_from_file(capsys, tmp_path):
     f = tmp_path / "graphs.g6"
     f.write_text(to_graph6(cycle(6)) + "\n")
@@ -445,10 +463,24 @@ def test_mismatched_r_t_flags(capsys):
     assert "together" in err
 
 
+@pytest.mark.parametrize("r, t", [("0", "1"), ("1", "0"), ("-1", "2")])
+def test_verify_r_t_below_one_is_a_usage_error(capsys, monkeypatch, r, t):
+    def no_corpus(spec):
+        raise AssertionError("no corpus is built for a refused --r/--t")
+
+    monkeypatch.setattr(verify, "Corpus", no_corpus)
+    code, out, err = run_cli(capsys, "verify", "all", "--r", r, "--t", t)
+    assert (code, out) == (1, "")
+    assert err == "error: --r and --t must be at least 1\n"
+
+
 @pytest.mark.parametrize("argv, names", [
     (["verify", "all", "--seed", "abc"], "--seed"),
     (["verify"], "claim"),
     (["compute", "nope"], "nope"),
+    # a source after the options is taken once, and never an unknown option
+    (["compute", "dim-s", "--format", "json", "cycle:5", "cycle:7"], "cycle:7"),
+    (["compute", "dim-s", "--bogus", "cycle:5"], "--bogus cycle:5"),
 ])
 def test_usage_error_exits_1_not_the_counterexample_code(capsys, argv, names):
     code, out, err = run_cli(capsys, *argv)

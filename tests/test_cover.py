@@ -773,6 +773,13 @@ def test_c_graph_partition_refuses_a_dependent_set():
         c_graph_partition(cycle(5), frozenset({0, 1}), DEFAULT_NODE_BUDGET)
 
 
+@pytest.mark.parametrize("independent", [{7}, {5}, {-1}, {0, 7}])
+@pytest.mark.parametrize("recognise", [c_graph_partition, is_c1_graph])
+def test_c_graph_recognition_refuses_out_of_range_ids(recognise, independent):
+    with pytest.raises(ValueError, match=r"outside the vertex range 0\.\.4"):
+        recognise(cycle(5), frozenset(independent), DEFAULT_NODE_BUDGET)
+
+
 def test_c1_graph_families():
     assert is_c1(cycle(5))
     assert is_c1(cycle(7))

@@ -189,11 +189,11 @@ _small_strong_products = st.builds(
 @given(st.one_of(connected_graph_strategy(1, 9), _small_strong_products), st.data())
 @settings(max_examples=150, deadline=None)
 def test_generator_check_matches_definition_with_classes(g, data):
-    # threshold 0: the classes are counted at the first nonempty reach, so
-    # every step whose reach outnumbers them dilates by classes; strong
-    # products of paths, cycles and cliques, whose row-major ids give few
-    # classes, are drawn as well
-    with patch.object(dimension, "_CLASS_MIN_REACH", 0):
+    # a class count of 0: the classes are built at the first nonempty reach
+    # and every later step dilates by them; strong products of paths,
+    # cycles and cliques, whose row-major ids give few classes, are drawn
+    # as well
+    with patch.object(dimension, "_difference_count", lambda adj: 0):
         _check_against_definition(g, data)
 
 
@@ -207,9 +207,10 @@ class _CountedClasses(list):
         return super().__iter__()
 
 
-def _record_classes(monkeypatch, threshold):
-    """Set the class threshold; the returned list collects each class list
-    the check builds, whose ``steps`` count the steps that used it."""
+def _record_classes(monkeypatch, count=None):
+    """Set the class count the check sees (the real one for None); the
+    returned list collects each class list the check builds, whose
+    ``steps`` count the steps that used it."""
     built = []
     real = dimension._difference_classes
 
@@ -218,7 +219,8 @@ def _record_classes(monkeypatch, threshold):
         built.append(classes)
         return classes
 
-    monkeypatch.setattr(dimension, "_CLASS_MIN_REACH", threshold)
+    if count is not None:
+        monkeypatch.setattr(dimension, "_difference_count", lambda adj: count)
     monkeypatch.setattr(dimension, "_difference_classes", counted)
     return built
 
@@ -230,16 +232,21 @@ def _record_classes(monkeypatch, threshold):
         pytest.param(complete(4), path(12), False, id="K4xP12"),
     ],
 )
-@pytest.mark.parametrize("threshold", [0, dimension._CLASS_MIN_REACH])
+@pytest.mark.parametrize("count", [None, 0, "n+1"], ids=["real", "0", "n+1"])
 def test_generator_check_mixed_modes_match_definition(
-    monkeypatch, g, h, class_steps, threshold
+    monkeypatch, g, h, class_steps, count
 ):
     # P10xP10 has 4 classes and layers of up to 19 vertices, so its checks
-    # switch between the two modes; K4xP12 has 10 classes and layers of at
-    # most 8 vertices, so it stays bit by bit
+    # switch from rows to classes; K4xP12 has 10 classes and layers of at
+    # most 8 vertices, so it stays on rows.  A count of 0 takes the classes
+    # from the first nonempty reach, and one of n + 1 never takes them
     prod = product("strong", g, h)
     basis = sorted(product_dimension("strong", g, h, prod=prod).basis)
-    built = _record_classes(monkeypatch, threshold)
+    if count == "n+1":
+        count, class_steps = prod.n + 1, False
+    elif count == 0:
+        class_steps = True
+    built = _record_classes(monkeypatch, count)
     assert is_strong_generator(prod, basis) and _generates_by_definition(prod, basis)
     for i in range(len(basis)):
         short = basis[:i] + basis[i + 1 :]
@@ -248,33 +255,33 @@ def test_generator_check_mixed_modes_match_definition(
 
 
 def test_generator_check_modes_agree_on_k6_p60(monkeypatch):
-    # K6xP60 has 16 classes and layers of at most 12 vertices: under any
-    # threshold the classes may be counted, but no step builds or uses them
+    # K6xP60 has 16 classes and layers of at most 12 vertices: on its real
+    # count no step builds or uses them; forced classes (count 0) and forced
+    # rows (count n + 1) give the same answers
     g, h = complete(6), path(60)
     prod = product("strong", g, h)
     basis = sorted(product_dimension("strong", g, h, prod=prod).basis)
     sets = [basis] + [basis[:i] + basis[i + 1 :] for i in range(0, len(basis), 7)]
     dm = all_pairs_distances(prod)
     answers = {}
-    for threshold in (0, prod.n + 1):
-        built = _record_classes(monkeypatch, threshold)
-        answers[threshold] = [is_strong_generator(prod, s, dm) for s in sets]
-        assert built == []
-    assert answers[0] == answers[prod.n + 1] == [True] + [False] * (len(sets) - 1)
+    for count in (None, 0, prod.n + 1):
+        built = _record_classes(monkeypatch, count)
+        answers[count] = [is_strong_generator(prod, s, dm) for s in sets]
+        assert (built != []) == (count == 0)
+    assert answers[None] == answers[0] == answers[prod.n + 1]
+    assert answers[None] == [True] + [False] * (len(sets) - 1)
+    monkeypatch.undo()
     # the 16 classes themselves dilate as the adjacency rows do
     classes = dimension._difference_classes(prod.adj)
     assert len(classes) == dimension._difference_count(prod.adj) == 16
     rng = random.Random(13)
     for _ in range(40):
         x = rng.getrandbits(prod.n)
-        by_rows = 0
+        by_rows = x
         for v in range(prod.n):
             if x >> v & 1:
                 by_rows |= prod.adj[v]
-        by_classes = 0
-        for d, a, ad in classes:
-            by_classes |= (x & a) << d | (x & ad) >> d
-        assert by_classes == by_rows
+        assert dimension._dilate(x, [classes]) == by_rows
 
 
 def test_generator_check_product_basis_minus_one():
@@ -314,7 +321,7 @@ def test_product_stages_dilate_as_the_product_rows(g, h, data):
         for v in range(prod.n):
             if x >> v & 1:
                 by_rows |= prod.adj[v]
-        assert dimension._dilate(dimension._dilate(x, stages[0]), stages[1]) == by_rows
+        assert dimension._dilate(x, stages) == by_rows
     members = data.draw(st.sets(st.integers(0, prod.n - 1)))
     assert is_strong_generator(prod, members, _factor_distances(g, h)) == is_strong_generator(
         prod, members, all_pairs_distances(prod)
@@ -371,6 +378,25 @@ def test_product_check_refuses_a_graph_that_is_not_the_product():
         is_strong_generator(not_prod, basis, _factor_distances(g, h))
     with pytest.raises(AssertionError, match="a graph on 20 vertices is not a 4 x 4 product"):
         is_strong_generator(prod, basis, _factor_distances(path(4), path(4)))
+
+
+def test_factor_route_reads_classes_from_factor_rows_only(monkeypatch):
+    # the strong factor route's check sets its stages from the factors: the
+    # product's own rows never reach the class count or the class build
+    g, h = path(10), path(10)
+    prod = product("strong", g, h)
+    lengths = []
+    for name in ("_difference_count", "_difference_classes"):
+        real = getattr(dimension, name)
+
+        def recorded(adj, real=real):
+            lengths.append(len(adj))
+            return real(adj)
+
+        monkeypatch.setattr(dimension, name, recorded)
+    res = product_dimension("strong", g, h, prod=prod)
+    assert res.dim == 19 and _generates_by_definition(prod, res.basis)
+    assert lengths and set(lengths) <= {g.n, h.n}
 
 
 def test_generator_check_rejects_bad_input():
