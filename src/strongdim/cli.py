@@ -125,6 +125,8 @@ def _emit_compute(args, results: list[dict]) -> None:
 def cmd_compute(args) -> int:
     if args.format == "dot" and args.what != "sr-graph":
         raise CliError("dot output is only available for sr-graph")
+    if args.gen is not None and args.graph is not None:
+        raise CliError(f"two graph sources, {args.graph!r} and --gen {args.gen!r}; give one")
     graphs = _load_graphs(args.gen or args.graph or "-")
     if args.format == "dot":
         srgs = [rs.strong_resolving_graph(g) for g in graphs]
@@ -204,6 +206,8 @@ def cmd_verify(args) -> int:
         raise CliError("--r and --t must be given together")
     if args.r is not None and min(args.r, args.t) < 1:
         raise CliError("--r and --t must be at least 1")
+    if args.r is not None and args.r > args.t:
+        raise CliError(f"--r {args.r} is above --t {args.t}; the odd-odd claims need r <= t")
     spec = vf.CorpusSpec(
         seed=args.seed,
         exhaustive_n=args.exhaustive_n,

@@ -47,32 +47,28 @@ min-width order is not built; on the colour side the engine's root then
 keeps no class to branch on and settles the component in one node (639 of
 the 1,064 components of ``verify all --seed 42``).
 
-The colour engine polishes its incumbent once per search.  When the search
-reaches ``POLISH_AT`` nodes, an iterated local search (Andrade, Resende &
-Werneck, J. Heuristics 2012) starts from the best independent set so far:
-free insertions and (1,2)-swaps to a local optimum, then one forced
-insertion a round, until ``POLISH_STALE`` rounds pass without a new best.  A
-larger set it finds is checked to be independent and becomes the incumbent,
-and the same search goes on.  The colour bound prunes against any
-independent set the search holds, so the search still proves optimality,
-and the budget still ends it unproven.  A search that ends under the
-checkpoint is untouched.  Most of a long search goes to finding the optimum,
-not to proving it: beta(C9xC9) = 18 took 47,398 nodes without the polish,
-which lifts the greedy 16 to 18 at the checkpoint, and 9,570 with it;
-beta(C9xC11) = 22 went from 214,881 to 40,529.  The local search costs about
-10 ms there, and as much on C7xC9, whose incumbent is already optimal.
+The colour engine keeps the bounds it proves.  When a node with candidate
+set P and current set R returns, every set that could beat the incumbent
+was found or pruned against it, so alpha(P) <= best - |R|: the incumbent
+only grows, and a budget stop raises before the store.  A memo maps P to
+that bound (the smaller one when P is proven twice), and a child whose
+candidate set P' has |R| + 1 + memo[P'] <= best is skipped.  A skipped child
+could not raise the incumbent, so the witness is the one the plain search
+finds.  The memo keeps at most ``MEMO_MAX`` sets and is cleared when it
+overflows.  The search repeats candidate sets on odd-odd products:
+beta(C9xC9) = 18 takes 4,680 nodes with the memo and 47,398 without it,
+beta(C9xC11) = 22 21,752 against 214,881, and beta(C11xC11) = 27 144,020,
+where the plain search runs past 2,000,000.
 
 The two engines share only the greedy clique partition, so subset
 enumeration referees them: the tests run both on the same components, and
 both against it; with the frontier gate shut or forced open, both check the
-DP too.  Everything is deterministic: every tie breaks on vertex ids, and
-the local search draws from a generator of its own with a fixed seed.
+DP too.  Everything is deterministic: every tie breaks on vertex ids.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Callable
 from dataclasses import dataclass
 from operator import itemgetter
@@ -103,10 +99,9 @@ COLOUR_ENGINE_MAX_THETA = 300
 FRONTIER_MAX_WIDTH = 20
 FRONTIER_MIN_STRETCH = 7
 FRONTIER_MIN_GAP = 1
-# The incumbent polish (see the module docstring): the colour engine's node
-# count that triggers it, and the rounds without a new best that end it.
-POLISH_AT = 4096
-POLISH_STALE = 400
+# The colour engine's memo (see the module docstring): the most candidate
+# sets one search keeps proofs for, about 6 MB; a full memo is cleared.
+MEMO_MAX = 1 << 16
 
 
 class BudgetExhausted(RuntimeError):
@@ -407,86 +402,6 @@ class _CoverSearch:
                 adj[idx] = old
 
 
-def _iterated_local_search(nbr: dict[int, int], start: int) -> int:
-    """A large independent set of the graph ``nbr`` (vertex -> neighbours),
-    by iterated local search from the independent set ``start`` (after
-    Andrade, Resende & Werneck, J. Heuristics 2012).
-
-    The local search adds free vertices (no neighbour in the set) and takes
-    (1,2)-swaps (out one vertex x, in two non-adjacent vertices whose only
-    neighbour in the set is x) until neither is left.  Each round forces one
-    vertex outside the set into it, now and then a few, drops their
-    neighbours and runs the local search again.  A smaller result replaces
-    the current set with probability 1/(1 + d*d'), d and d' its deficits to
-    the current and the best set.  The search stops after ``POLISH_STALE``
-    rounds without a new best.  A fixed seed makes it deterministic.
-    """
-    rng = random.Random(0)
-    vertices = list(nbr)
-    everyone = sum(1 << v for v in vertices)
-
-    def local_optimum(s: int) -> int:
-        while True:
-            once = twice = 0  # vertices with at least one, two neighbours in s
-            m = s
-            while m:
-                low = m & -m
-                m ^= low
-                row = nbr[low.bit_length() - 1]
-                twice |= once & row
-                once |= row
-            free = everyone & ~(once | s)
-            if free:
-                while free:
-                    v = rng.choice(list(bits(free)))
-                    s |= 1 << v
-                    free &= ~nbr[v] ^ (1 << v)
-                continue
-            one = once & ~twice
-            m = s
-            while m:
-                low = m & -m
-                m ^= low
-                x = low.bit_length() - 1
-                tight = nbr[x] & one
-                if tight & (tight - 1):
-                    for u in bits(tight):
-                        pair = tight & ~nbr[u] ^ (1 << u)
-                        if pair:
-                            s ^= 1 << x | 1 << u | pair & -pair
-                            break
-                    else:
-                        continue
-                    break
-            else:
-                return s
-
-    cur = best = local_optimum(start)
-    if cur == everyone:
-        return cur  # no vertex is left to force in
-    stale = 0
-    while stale < POLISH_STALE:
-        s = cur
-        k = 1
-        if rng.random() * 2 * s.bit_count() < 1:
-            while rng.random() < 0.5:
-                k += 1
-        for _ in range(k):
-            v = rng.choice(vertices)
-            while s >> v & 1:
-                v = rng.choice(vertices)
-            s = s & ~nbr[v] | 1 << v
-        s = local_optimum(s)
-        size, cur_size, best_size = s.bit_count(), cur.bit_count(), best.bit_count()
-        if size >= cur_size or rng.random() * (1 + (cur_size - size) * (best_size - size)) < 1:
-            cur = s
-        if size > best_size:
-            best, stale = s, 0
-        else:
-            stale += 1
-    return best
-
-
 class _ColourSearch:
     """Maximum independent set by branch and bound with a greedy colouring
     bound (MCQ; Tomita & Seki 2003), on the graph's own rows.
@@ -496,11 +411,12 @@ class _ColourSearch:
     complement); an independent set takes at most one vertex per clique, so
     the index of a vertex's clique bounds the set it can still grow into.
     The search branches from the last clique down and stops at the first
-    that cannot beat the best set found.  Recursion depth is at most the
-    independence number plus one.
+    that cannot beat the best set found, and skips a child whose candidate
+    set the memo has proven too small (see the module docstring).  Recursion
+    depth is at most the independence number plus one.
     """
 
-    __slots__ = ("adj", "nodes", "budget", "best_size", "best_mask", "cand")
+    __slots__ = ("adj", "nodes", "budget", "best_size", "best_mask", "memo")
 
     def __init__(self, adj: list[int], budget: float):
         self.adj = adj
@@ -508,52 +424,47 @@ class _ColourSearch:
         self.budget = budget
         self.best_size = 0
         self.best_mask = 0
-        self.cand = 0
+        self.memo: dict[int, int] = {}  # candidate set -> proven bound on its alpha
 
     def run(self, cand: int, start: int) -> int:
         """Maximum independent set within ``cand``; ``start`` is one to beat."""
         self.best_mask = start
         self.best_size = start.bit_count()
-        self.cand = cand
         self._expand(0, 0, cand)
         return self.best_mask
-
-    def _polish(self) -> None:
-        """Raise the incumbent to the best set an iterated local search finds."""
-        cand, adj = self.cand, self.adj
-        mask = _iterated_local_search({v: cand & adj[v] for v in bits(cand)}, self.best_mask)
-        size = mask.bit_count()
-        if size > self.best_size:
-            if mask & ~cand or any(mask & adj[v] for v in bits(mask)):
-                raise AssertionError("polished incumbent is not independent")
-            self.best_size, self.best_mask = size, mask
 
     def _expand(self, r_mask: int, r_size: int, p: int) -> None:
         self.nodes += 1
         if self.nodes > self.budget:
             raise _Budget
-        if self.nodes == POLISH_AT:
-            self._polish()
-        adj = self.adj
+        adj, memo, cand = self.adj, self.memo, p
         # drop the first kmin = best - |R| cliques: a vertex in clique
         # k <= kmin cannot lead to a set larger than the best
         kmin = max(self.best_size - r_size, 0)
         classes = _greedy_clique_partition(adj, p)[kmin:]
-        while classes:
+        while classes and r_size + kmin + len(classes) > self.best_size:
             bound = kmin + len(classes)  # the colour of the last class
             cls = classes.pop()
-            while cls:
-                if r_size + bound <= self.best_size:
-                    return
+            while cls and r_size + bound > self.best_size:
                 v = cls.bit_length() - 1
                 bit = 1 << v
                 cls ^= bit
                 nxt = p & ~adj[v] ^ bit
-                if nxt:
+                # nxt lies in the first bound - 1 cliques, so alpha(nxt) <
+                # bound, and a set with no proof yet is always searched
+                if not nxt:
+                    if r_size + 1 > self.best_size:
+                        self.best_size, self.best_mask = r_size + 1, r_mask | bit
+                elif r_size + 1 + memo.get(nxt, bound) > self.best_size:
                     self._expand(r_mask | bit, r_size + 1, nxt)
-                elif r_size + 1 > self.best_size:
-                    self.best_size, self.best_mask = r_size + 1, r_mask | bit
                 p ^= bit
+        # every set in cand that could beat the incumbent was searched or
+        # pruned against it, and the incumbent only grows
+        proved = self.best_size - r_size
+        if proved < memo.get(cand, proved + 1):
+            memo[cand] = proved
+            if len(memo) > MEMO_MAX:
+                memo.clear()
 
 
 def _renumbered(adj: list[int], order: list[int]) -> list[int]:

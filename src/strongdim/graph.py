@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import binascii
 import random
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -407,10 +408,9 @@ def to_graph6(g: Graph) -> str:
     return head + b64[:sextets].translate(_G6_FROM_B64).decode("ascii")
 
 
-_G6_FROM_B64 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
-    bytes(range(63, 127)),
-)
+_G6_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6_FROM_B64 = bytes.maketrans(_G6_B64, bytes(range(63, 127)))
+_G6_TO_B64 = bytes.maketrans(bytes(range(63, 127)), _G6_B64)
 
 
 def from_graph6(text: str) -> Graph:
@@ -420,9 +420,9 @@ def from_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise ValueError("empty graph6 string")
-    for ch in s:
-        if not 63 <= ord(ch) <= 126:
-            raise ValueError(f"invalid graph6 byte {ch!r}")
+    if min(s) < "?" or max(s) > "~":
+        ch = next(ch for ch in s if not "?" <= ch <= "~")
+        raise ValueError(f"invalid graph6 byte {ch!r}")
     if s[0] != "~":
         n = ord(s[0]) - 63
         body = s[1:]
@@ -443,19 +443,34 @@ def from_graph6(text: str) -> Graph:
         raise ValueError("truncated graph6 bit stream")
     if len(body) > need:
         raise ValueError("trailing garbage after graph6 bit stream")
-    # the inverse of to_graph6: one bit string, then one slice per column v
-    stream = "".join([f"{ord(ch) - 63:06b}" for ch in body])
-    if "1" in stream[npairs:]:
+    # the inverse of to_graph6: base64 reads the sextets as one integer (padded
+    # with zero sextets to whole 4-character groups), whose low bits past the
+    # pair bits must be zero
+    b64 = body.encode("ascii").translate(_G6_TO_B64) + b"A" * (-len(body) % 4)
+    data = binascii.a2b_base64(b64)
+    spare = 8 * len(data) - npairs
+    stream = int.from_bytes(data, "big")
+    if stream & ((1 << spare) - 1):
         raise ValueError("nonzero padding bits in graph6 stream")
-    adj = [0] * n
-    start = 0
+    # the pair bits backwards: column v, the bits of u = v-1 down to 0, is a
+    # slice that int() reads with bit u at place u
+    rev = format(stream >> spare, f"0{npairs}b")[::-1]
+    upper = [0] * n
+    end = npairs
     for v in range(1, n):
-        col = int(stream[start:start + v][::-1], 2)
-        start += v
-        adj[v] = col
-        for u in bits(col):
-            adj[u] |= 1 << v
-    return Graph(n, adj)
+        upper[v] = int(rev[end - v:end], 2)
+        end -= v
+    return Graph(n, list(map(or_, upper, _transpose(upper, n))))
+
+
+def _transpose(rows: list[int], n: int) -> list[int]:
+    """Bit-matrix transpose of n rows of n bits: bit v of row u of the result
+    is bit u of rows[v].  Each row becomes an n-digit bit string, ``zip``
+    reads off the columns and one ``int(..., 2)`` parses each, all in C."""
+    width = f"0{n}b"
+    cols = [int("".join(col), 2) for col in zip(*[format(r, width) for r in reversed(rows)])]
+    cols.reverse()
+    return cols
 
 
 # ---------------------------------------------------------------------------

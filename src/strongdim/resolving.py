@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, and_, xor
 
-from .graph import Graph, bits, to_dot
+from .graph import Graph, _transpose, bits, to_dot
 from .metrics import DistanceMatrix, all_pairs_distances, is_connected
 from .products import ProductSpec, _stride, coordinate_labels
 
@@ -88,16 +88,6 @@ def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> SRGrap
             layers[:len(iw)] = map(and_, layers, iw)  # the map is read out before the store
         far.append(sum(layers))  # the layers are disjoint, so sum is union
     return SRGraph(Graph(n, list(map(and_, far, _transpose(far, n)))))
-
-
-def _transpose(rows: list[int], n: int) -> list[int]:
-    """Bit-matrix transpose of n rows of n bits: bit v of row u of the result
-    is bit u of rows[v].  Each row becomes an n-digit bit string, ``zip``
-    reads off the columns and one ``int(..., 2)`` parses each, all in C."""
-    width = f"0{n}b"
-    cols = [int("".join(col), 2) for col in zip(*[format(r, width) for r in reversed(rows)])]
-    cols.reverse()
-    return cols
 
 
 def boundary(g: Graph) -> frozenset[int]:

@@ -474,6 +474,27 @@ def test_verify_r_t_below_one_is_a_usage_error(capsys, monkeypatch, r, t):
     assert err == "error: --r and --t must be at least 1\n"
 
 
+def test_verify_r_above_t_is_a_usage_error(capsys, monkeypatch):
+    # the odd-odd claims need r <= t, so r > t would check nothing and pass
+    def no_corpus(spec):
+        raise AssertionError("no corpus is built for a refused --r/--t")
+
+    monkeypatch.setattr(verify, "Corpus", no_corpus)
+    code, out, err = run_cli(capsys, "verify", "thm-odd-odd-beta", "--r", "3", "--t", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: --r 3 is above --t 2; the odd-odd claims need r <= t\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "dim-s", "cycle:7", "--gen", "cycle:5"],
+    ["compute", "dim-s", "--gen", "cycle:5", "cycle:7"],
+])
+def test_two_graph_sources_are_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == ("error: two graph sources, 'cycle:7' and --gen 'cycle:5'; give one\n")
+
+
 @pytest.mark.parametrize("argv, names", [
     (["verify", "all", "--seed", "abc"], "--seed"),
     (["verify"], "claim"),

@@ -248,9 +248,9 @@ RULE_SIDES = [
     ("SR(C5xP60)", lambda: sr_of(cycle(5), path(60)), False, 73767, 182),
     # width 8, but the clique bound already proves the greedy cover minimum
     ("SR(C4xP60)", lambda: sr_of(cycle(4), path(60)), False, 7, 122),
-    # the product itself, beta = 18: the search passes POLISH_AT, and the
-    # polish lifts the greedy 16 to 18 there (47,398 nodes without it)
-    ("C9xC9", lambda: product("strong", cycle(9), cycle(9)), True, 9570, 63),
+    # the product itself, beta = 18: the memo of finished candidate sets
+    # skips repeated subtrees (47,398 nodes with MEMO_MAX = 0)
+    ("C9xC9", lambda: product("strong", cycle(9), cycle(9)), True, 4680, 63),
 ]
 FRONTIER_SOLVED = {"SR(C5xP60)"}  # the rows whose root kernel passes the gate
 
@@ -366,11 +366,11 @@ def test_root_certificate_matches_the_colour_engine():
 
 # components whose id-order and min-width partitions tie, with the node count
 # and witness of the colour engine run in id order; min-width order would take
-# 5, 13 and 73 nodes
+# 4, 3 and 67 nodes
 TIED_ORDERS = [
-    ("P3xC5", lambda: product("strong", path(3), cycle(5)), 14, 11),
-    ("SR(C3xC7)", lambda: sr_of(cycle(3), cycle(7)), 4, 18),
-    ("C5xC7", lambda: product("strong", cycle(5), cycle(7)), 44, 28),
+    ("P3xC5", lambda: product("strong", path(3), cycle(5)), 6, 11),
+    ("SR(C3xC7)", lambda: sr_of(cycle(3), cycle(7)), 2, 18),
+    ("C5xC7", lambda: product("strong", cycle(5), cycle(7)), 35, 28),
 ]
 
 
@@ -427,50 +427,44 @@ def test_deterministic_witness(monkeypatch):
     assert len(runs) == 2  # SR(C5xP60) is solved by the frontier DP
 
 
-def polish_results(monkeypatch):
-    """Wrap the colour engine's local search; each run appends the sizes of
-    its start and of what it returned."""
-    runs = []
-    search = cover._iterated_local_search
-
-    def traced(nbr, start):
-        found = search(nbr, start)
-        runs.append((start.bit_count(), found.bit_count()))
-        return found
-
-    monkeypatch.setattr(cover, "_iterated_local_search", traced)
-    return runs
-
-
-def test_budget_spent_just_after_the_polish_is_flagged(monkeypatch):
+def test_colour_budget_ends_proven_or_flagged():
+    # every budget either proves beta(C9xC9) = 18 or ends with a valid cover
+    # flagged unproven; a search stopped by its budget stores no bound
     g = product("strong", cycle(9), cycle(9))
-    runs = polish_results(monkeypatch)
-    res = min_vertex_cover(g, node_budget=20_000)
-    assert res.proven_optimal and res.size == 81 - 18
-    # the optimum is in hand at the checkpoint, but not yet proven
-    res = min_vertex_cover(g, node_budget=cover.POLISH_AT + 1)
-    assert runs == [(16, 18), (16, 18)]
-    assert not res.proven_optimal
-    for u, v in g.edges():
-        assert u in res.witness or v in res.witness
-    assert len(res.witness) == res.size >= 81 - 18
-    with pytest.raises(BudgetExhausted):
-        max_independent_set(g, node_budget=cover.POLISH_AT + 1)
+    for budget in range(51):
+        res = min_vertex_cover(g, node_budget=budget)
+        for u, v in g.edges():
+            assert u in res.witness or v in res.witness
+        assert len(res.witness) == res.size
+        assert res.size == 81 - 18 if res.proven_optimal else res.size >= 81 - 18
 
 
-def test_colour_engine_polished_at_its_root_stays_exact(monkeypatch):
-    # every colour search polishes its start before the first branch and
-    # goes on from whatever the local search found
-    monkeypatch.setattr(cover, "POLISH_AT", 1)
-    runs = polish_results(monkeypatch)
-    graphs = seeded_graphs(60, 2, 9, seed=77) + seeded_graphs(8, 13, 14, seed=404)
-    for g in graphs:
-        want = brute_min_cover(g)
-        assert engine_cover_sizes(g) == (want, want)
-        res = min_vertex_cover(g)
-        assert res.proven_optimal and res.size == want
-        assert len(max_clique(complement(g))) == g.n - want
-    assert sum(found > start for start, found in runs) >= 100
+def test_memo_never_holds_more_than_its_cap(monkeypatch):
+    # a memo of one or eight entries is cleared over and over; every bound it
+    # keeps in between is still a proof, so both engines agree with subset
+    # enumeration and the memo never grows past the cap
+    sizes = []
+    expand = cover._ColourSearch._expand
+
+    def watched(self, *args):
+        expand(self, *args)
+        sizes.append(len(self.memo))
+
+    monkeypatch.setattr(cover._ColourSearch, "_expand", watched)
+    graphs = seeded_graphs(40, 2, 9, seed=77) + seeded_graphs(6, 13, 14, seed=404)
+    for cap in (1, 8):
+        monkeypatch.setattr(cover, "MEMO_MAX", cap)
+        sizes.clear()
+        for g in graphs:
+            want = brute_min_cover(g)
+            assert engine_cover_sizes(g) == (want, want)
+        assert max(sizes) == cap
+
+
+def test_memo_proves_beta_c11_strong_c11():
+    # with MEMO_MAX = 0 the search runs past 2,000,000 nodes
+    res = min_vertex_cover(product("strong", cycle(11), cycle(11)), node_budget=200_000)
+    assert res.proven_optimal and res.size == 121 - 27
 
 
 # -- frontier DP --------------------------------------------------------------------

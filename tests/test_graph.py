@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from strongdim.graph import (
     Graph,
+    bits,
     complement,
     complete,
     component_masks,
@@ -300,6 +301,82 @@ def _graph6_bitwise(g):
 @settings(max_examples=80)
 def test_graph6_matches_bitwise_reference(g):
     assert to_graph6(g) == _graph6_bitwise(g)
+
+
+def _from_graph6_by_columns(text):
+    """Reference decoder: the bit stream as one string of characters, one
+    slice per column, and the lower triangle filled edge by edge."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise ValueError("empty graph6 string")
+    for ch in s:
+        if not 63 <= ord(ch) <= 126:
+            raise ValueError(f"invalid graph6 byte {ch!r}")
+    if s[0] != "~":
+        n = ord(s[0]) - 63
+        body = s[1:]
+    else:
+        if len(s) >= 2 and s[1] == "~":
+            raise ValueError("graph6 order >= 2^18 not supported")
+        if len(s) < 4:
+            raise ValueError("truncated graph6 header")
+        n = 0
+        for ch in s[1:4]:
+            n = (n << 6) | (ord(ch) - 63)
+        if n <= 62:
+            raise ValueError("non-canonical graph6 header (small order in long form)")
+        body = s[4:]
+    npairs = n * (n - 1) // 2
+    need = (npairs + 5) // 6
+    if len(body) < need:
+        raise ValueError("truncated graph6 bit stream")
+    if len(body) > need:
+        raise ValueError("trailing garbage after graph6 bit stream")
+    stream = "".join([f"{ord(ch) - 63:06b}" for ch in body])
+    if "1" in stream[npairs:]:
+        raise ValueError("nonzero padding bits in graph6 stream")
+    adj = [0] * n
+    start = 0
+    for v in range(1, n):
+        col = int(stream[start:start + v][::-1], 2)
+        start += v
+        adj[v] = col
+        for u in bits(col):
+            adj[u] |= 1 << v
+    return Graph(n, adj)
+
+
+def _decoded_or_error(decode, text):
+    try:
+        return decode(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(random_graph_strategy(max_n=80))
+@settings(max_examples=80)
+def test_graph6_decoder_matches_column_reference(g):
+    text = to_graph6(g)
+    assert from_graph6(text) == _from_graph6_by_columns(text) == g
+    assert from_graph6(">>graph6<<" + text + "\n") == g
+
+
+@st.composite
+def _graph6_with_last_byte_replaced(draw):
+    text = to_graph6(draw(random_graph_strategy(max_n=30)))
+    return text[:-1] + draw(st.characters(min_codepoint=63, max_codepoint=126))
+
+
+@given(st.text(max_size=14)
+       | st.text(st.characters(min_codepoint=63, max_codepoint=126), max_size=14)
+       | _graph6_with_last_byte_replaced())
+@settings(max_examples=300)
+def test_graph6_decoder_errors_match_column_reference(text):
+    # the same graph or the same ValueError message on any text, non-ASCII too
+    assert (_decoded_or_error(from_graph6, text)
+            == _decoded_or_error(_from_graph6_by_columns, text))
 
 
 def test_graph6_round_trip_large_header():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from strongdim.graph import (
+    _transpose,
     complete,
     complete_multipartite,
     cycle,
@@ -22,7 +23,6 @@ from strongdim.resolving import (
     mutually_maximally_distant,
     predicted_mmd_edges,
     strong_resolving_graph,
-    _transpose,
 )
 
 from test_graph import connected_graph_strategy

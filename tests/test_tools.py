@@ -20,7 +20,7 @@ def test_cover_ladder_forces_each_engine_and_restores_the_gate():
     # the node counts differ only if _solve really reaches each route through
     # the gate constants; a renamed constant would time the portfolio twice
     ladder = _load_cover_ladder()
-    assert set(ladder.GATES) == {"POLISH_AT"} | {
+    assert set(ladder.GATES) == {"MEMO_MAX"} | {
         name for name in vars(cover) if name.startswith(("COLOUR_ENGINE_", "FRONTIER_"))}
     gate = [getattr(cover, name) for name in ladder.GATES]
     dp = cover._frontier_mis
@@ -36,10 +36,10 @@ def test_cover_ladder_forces_each_engine_and_restores_the_gate():
     size, frontier_nodes, _, width, peak = ladder._solve(sr, "frontier", 50_000)
     assert (size, frontier_nodes, width, peak) == (74, 32583, 17, 1152)
     assert cover.min_vertex_cover(sr).nodes_explored == frontier_nodes
-    # beta(C9xC9) is found at the polish checkpoint, and proven well before
-    # the 47,398 nodes its colour search takes with the polish shut
+    # the memo proves beta(C9xC9) in under a fifth of the 47,398 nodes its
+    # colour search takes when MEMO_MAX = 0 keeps nothing
     g = product("strong", cycle(9), cycle(9))
-    assert ladder._solve(g, "colour", 20_000)[:2] == (63, 9570)
-    assert ladder._solve(g, "unpolished", 20_000)[0] is None
+    assert ladder._solve(g, "colour", 20_000)[:2] == (63, 4680)
+    assert ladder._solve(g, "no memo", 50_000)[:2] == (63, 47398)
     assert [getattr(cover, name) for name in ladder.GATES] == gate
     assert cover._frontier_mis is dp

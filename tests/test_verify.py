@@ -257,7 +257,7 @@ def test_each_layer_built_once_per_run(monkeypatch):
         "c_graph_partition", "_splits_less_a_vertex"}
     assert [call for call, count in Counter(calls).items() if count > 1] == []
     # the seed-42 counter: the covers' calls and search nodes are deterministic
-    assert (len(nodes), sum(nodes)) == (742, 19_007)
+    assert (len(nodes), sum(nodes)) == (742, 10_580)
     for cid in ("lemma-cgraph", "thm-cgraph-exact", "lemma-c1graph", "thm-c1-lower"):
         assert reports[cid].instances_checked >= 1 and reports[cid].skipped >= 1
 

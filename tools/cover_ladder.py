@@ -6,10 +6,10 @@ An instance named ``beta:X`` is the graph X itself, solved as given (its
 cover is n - beta(X)); every other instance is the strong resolving graph of
 the graph its name gives.  The script solves each with ``min_vertex_cover``
 four times, each under a node cap: with every component sent to the colour
-engine, once with its incumbent polish at ``POLISH_AT`` and once with the
-polish shut; with every component sent to branch and reduce with the
-frontier gate shut; and with every root kernel sent to the frontier DP (the
-gate forced open).  It prints theta-hat
+engine, once with its memo of finished candidate sets and once with
+``MEMO_MAX = 0``, which keeps nothing; with every component sent to branch
+and reduce with the frontier gate shut; and with every root kernel sent to
+the frontier DP (the gate forced open).  It prints theta-hat
 (the largest greedy clique-partition count over the components, with its
 share of that component's order), the cover size, each route's nodes and
 seconds, and for the frontier route the width of its order and the most
@@ -17,7 +17,7 @@ states it held after one step; ``>cap`` marks a route that ran out of nodes,
 and ``-`` a width where the reductions left no kernel.  The engine rule
 (``COLOUR_ENGINE_MAX_SHARE``, ``COLOUR_ENGINE_MAX_THETA``) and the frontier
 gate (``FRONTIER_MAX_WIDTH``, ``FRONTIER_MIN_STRETCH``, ``FRONTIER_MIN_GAP``)
-in ``strongdim.cover`` are fitted on this table, and so is ``POLISH_AT``.
+in ``strongdim.cover`` are fitted on this table.
 """
 
 from __future__ import annotations
@@ -70,16 +70,17 @@ LADDER = {
     "G120/.12/s1": _gnp(120, 0.12, 1),
     **{f"G150/.1/s{s}": _gnp(150, 0.1, s) for s in (1, 2)},
     **{f"G200/.05/s{s}": _gnp(200, 0.05, s) for s in (1, 2)},
-    # beta of odd-odd products: long colour searches, where the polish fires
+    # beta of odd-odd products: long colour searches, where the memo pays
     "beta:C7xC9": _strong(_cyc(7), _cyc(9)),
     "beta:C9xC9": _strong(_cyc(9), _cyc(9)),
     "beta:C9xC11": _strong(_cyc(9), _cyc(11)),
+    "beta:C11xC11": _strong(_cyc(11), _cyc(11)),
 }
 
 
 GATES = ("COLOUR_ENGINE_MAX_SHARE", "COLOUR_ENGINE_MAX_THETA",
-         "FRONTIER_MAX_WIDTH", "FRONTIER_MIN_STRETCH", "FRONTIER_MIN_GAP", "POLISH_AT")
-ROUTES = ("colour", "unpolished", "reduce", "frontier")
+         "FRONTIER_MAX_WIDTH", "FRONTIER_MIN_STRETCH", "FRONTIER_MIN_GAP", "MEMO_MAX")
+ROUTES = ("colour", "no memo", "reduce", "frontier")
 
 
 def _solve(g, route, cap):
@@ -87,11 +88,10 @@ def _solve(g, route, cap):
     component sent to ``route``; width and peak are 0 unless the frontier DP
     ran, and the largest over its runs if it ran more than once."""
     saved = [getattr(cover, name) for name in GATES]
-    polish = saved[GATES.index("POLISH_AT")]
-    # a search counts its nodes from 1, so POLISH_AT = 0 never fires
-    settings = {"colour": (1, g.n, 0, 1, 1, polish), "unpolished": (1, g.n, 0, 1, 1, 0),
-                "reduce": (0, -1, 0, 1, 1, polish),
-                "frontier": (0, -1, g.n, 1, 0, polish)}[route]
+    memo = saved[GATES.index("MEMO_MAX")]
+    settings = {"colour": (1, g.n, 0, 1, 1, memo), "no memo": (1, g.n, 0, 1, 1, 0),
+                "reduce": (0, -1, 0, 1, 1, memo),
+                "frontier": (0, -1, g.n, 1, 0, memo)}[route]
     dp = cover._frontier_mis
     width = peak = 0
 
@@ -153,7 +153,7 @@ def main(argv=None):
     parser.add_argument("--only", nargs="+", choices=list(LADDER), help="instances to run")
     args = parser.parse_args(argv)
     print("| instance | n | m | theta-hat (/order) | cover | colour nodes | colour s "
-          "| unpolished nodes | unpolished s | reduce nodes | reduce s "
+          "| no-memo nodes | no-memo s | reduce nodes | reduce s "
           "| frontier nodes | frontier s | width | peak states |")
     print("|---" * 15 + "|")
     for name in args.only or LADDER:
