@@ -45,6 +45,14 @@ class _Parser(argparse.ArgumentParser):
         return ns, extra
 
 
+def _node_budget(text: str) -> int:
+    """The ``--node-budget`` type: a count of search nodes, 0 or more."""
+    budget = int(text)
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"{budget} is below 0")
+    return budget
+
+
 def _graph6_lines(text: str, empty: str) -> list[Graph]:
     """One graph per nonblank line of ``text``; ``empty`` is the error for none."""
     graphs = [gr.from_graph6(ln) for ln in map(str.strip, text.splitlines()) if ln]
@@ -261,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("graph", nargs="?", help="graph6, @file, '-' or family:params")
     p_compute.add_argument("--gen", help="generator spec, e.g. cycle:7")
     p_compute.add_argument("--format", choices=["text", "json", "dot"], default="text")
-    p_compute.add_argument("--node-budget", type=int, default=cov.DEFAULT_NODE_BUDGET)
+    p_compute.add_argument("--node-budget", type=_node_budget, default=cov.DEFAULT_NODE_BUDGET)
     p_compute.set_defaults(fn=cmd_compute)
 
     p_product = sub.add_parser("product", help="build a product of two graphs")
@@ -271,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_product.add_argument("--sr", action="store_true", help="also compute the SR graph")
     p_product.add_argument("--dim-s", action="store_true", help="also compute dim_s")
     p_product.add_argument("--format", choices=["text", "json", "dot"], default="text")
-    p_product.add_argument("--node-budget", type=int, default=cov.DEFAULT_NODE_BUDGET)
+    p_product.add_argument("--node-budget", type=_node_budget, default=cov.DEFAULT_NODE_BUDGET)
     p_product.set_defaults(fn=cmd_product)
 
     p_verify = sub.add_parser("verify", help="run claim verification")
@@ -285,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--odd-odd-max", type=int, default=vf.CorpusSpec.odd_odd_max)
     p_verify.add_argument("--r", type=int, help="restrict odd-odd claims to one r")
     p_verify.add_argument("--t", type=int, help="restrict odd-odd claims to one t")
-    p_verify.add_argument("--node-budget", type=int, default=cov.DEFAULT_NODE_BUDGET)
+    p_verify.add_argument("--node-budget", type=_node_budget, default=cov.DEFAULT_NODE_BUDGET)
     p_verify.add_argument("--timings", action="store_true",
                           help="include elapsed_ms in the JSON report")
     p_verify.add_argument("--out", help="write the JSON report to a file")

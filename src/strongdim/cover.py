@@ -14,18 +14,18 @@ engines, chosen from a bound the component itself shows:
   neighbourhood does).  At each node a worklist of the vertices whose degree
   changed drives degree-0/1 eliminations and both degree-2 reductions
   (triangle rule and vertex folding) to a fixpoint; one lower bound prunes:
-  the vertices left minus the cliques of their greedy partition.
-- At the root of branch and reduce, a long, thin kernel goes to a frontier
-  DP instead of the branch (after Bodlaender's path-decomposition DP for
-  independent set).  It places the kernel in reverse Cuthill–McKee order
-  (Cuthill & McKee 1969) and keeps, per set of chosen vertices on the
-  frontier, the best independent set that leaves it: at most 2^width states
-  a step, with width the order's vertex separation.  The kernel's cover then
-  goes through the folds' undo like any other.  The gate: the clique bound
-  leaves a gap of at least ``FRONTIER_MIN_GAP`` below the greedy cover (a
-  kernel it already proves needs only its witness found), and the width is
-  at most ``FRONTIER_MAX_WIDTH`` and at most 1/``FRONTIER_MIN_STRETCH`` of
-  the kernel's order, since on short kernels the branch is cheaper.
+  the vertices left minus the cliques of their greedy partition.  It looks
+  only below the greedy cover, and keeps it, proven, if it finds nothing.
+- At the root of branch and reduce, a long, thin kernel that the bound does
+  not settle goes to a frontier DP instead of the branch (after Bodlaender's
+  path-decomposition DP for independent set).  It places the kernel in
+  reverse Cuthill–McKee order (Cuthill & McKee 1969) and keeps, per set of
+  chosen vertices on the frontier, the best independent set that leaves it:
+  at most 2^width states a step, with width the order's vertex separation.
+  Its cover, which may tie the greedy cover, goes through the folds' undo.
+  The gate: the width is at most ``FRONTIER_MAX_WIDTH`` and at most
+  1/``FRONTIER_MIN_STRETCH`` of the kernel's order; on short kernels the
+  branch is cheaper.
 
 The rule reads theta-hat, the size of a greedy clique partition of the
 component, taken in id order or in min-width order, whichever is smaller.
@@ -98,7 +98,6 @@ COLOUR_ENGINE_MAX_THETA = 300
 # The frontier gate (see the module docstring), fitted on the same ladder.
 FRONTIER_MAX_WIDTH = 20
 FRONTIER_MIN_STRETCH = 7
-FRONTIER_MIN_GAP = 1
 # The colour engine's memo (see the module docstring): the most candidate
 # sets one search keeps proofs for, about 6 MB; a full memo is cleared.
 MEMO_MAX = 1 << 16
@@ -247,10 +246,10 @@ class _CoverSearch:
         self.budget = budget
 
     def cover(self, comp: int, greedy: int) -> int:
-        """Minimum cover of ``comp``; ``greedy`` is a cover to beat."""
-        size, mask = self.solve(comp, greedy.bit_count() + 1, comp, root=True)
-        assert mask is not None and mask.bit_count() == size
-        return mask
+        """Minimum cover of ``comp``: the search looks only below the cover
+        ``greedy``, and ``greedy`` itself when it finds none."""
+        mask = self.solve(comp, greedy.bit_count(), comp, root=True)[1]
+        return greedy if mask is None else mask
 
     def charge(self, count: int) -> None:
         """Count frontier states into the node budget."""
@@ -265,8 +264,8 @@ class _CoverSearch:
         ``dirty`` holds the vertices whose degree may have changed since the
         parent's reduction fixpoint: every other active vertex had degree at
         least 3 there and still has it, so no reduction can fire on it.  At
-        the ``root`` a kernel that passes the frontier gate is solved by the
-        frontier DP instead of the branch.
+        the ``root`` a kernel that passes the frontier gate goes to the
+        frontier DP, whose cover is returned even if it reaches ``limit``.
         """
         self.nodes += 1
         if self.nodes > self.budget:
@@ -354,8 +353,7 @@ class _CoverSearch:
             lower = fixed + kernel - len(_greedy_clique_partition(adj, active))
             if lower >= limit:
                 return limit, None
-            # the root's limit is one above a cover, so the DP's optimum is below it
-            if root and limit - 1 - lower >= FRONTIER_MIN_GAP:
+            if root:
                 path = _frontier_order(
                     adj, active, min(FRONTIER_MAX_WIDTH, kernel // FRONTIER_MIN_STRETCH))
                 if path is not None:

@@ -162,18 +162,11 @@ def complete_multipartite(parts: Sequence[int]) -> Graph:
         raise ValueError("complete_multipartite needs at least 2 parts")
     if any(p < 1 for p in parts):
         raise ValueError("part sizes must be positive")
-    n = sum(parts)
-    masks = []
-    start = 0
+    full = (1 << sum(parts)) - 1
+    adj: list[int] = []
     for p in parts:
-        masks.append(((1 << p) - 1) << start)
-        start += p
-    full = (1 << n) - 1
-    adj = []
-    for mask in masks:
-        row = full ^ mask
-        adj.extend(row for _ in range(mask.bit_count()))
-    return Graph(n, adj)
+        adj += [full ^ (((1 << p) - 1) << len(adj))] * p
+    return Graph(len(adj), adj)
 
 
 def grid(rows: int, cols: int) -> Graph:
@@ -298,13 +291,11 @@ def _parse_spec(family: str, arg: str):
 
 def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     """Disjoint union; vertex blocks are relabeled by cumulative offset."""
-    n = sum(g.n for g in graphs)
-    adj = []
-    offset = 0
+    adj: list[int] = []
     for g in graphs:
-        adj.extend(mask << offset for mask in g.adj)
-        offset += g.n
-    return Graph(n, adj)
+        offset = len(adj)
+        adj += [mask << offset for mask in g.adj]
+    return Graph(len(adj), adj)
 
 
 def complement(g: Graph) -> Graph:

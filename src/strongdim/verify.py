@@ -71,6 +71,12 @@ class CorpusSpec:
         if self.exhaustive_n > EXHAUSTIVE_N_CAP:
             raise ValueError(f"exhaustive_n {self.exhaustive_n} exceeds the cap of "
                              f"{EXHAUSTIVE_N_CAP}")
+        # below these a corpus checks nothing: the smallest product is K2xK2
+        for name, low in (("exhaustive_n", 2), ("max_product", 4), ("t_max", 1),
+                          ("odd_odd_max", 1), ("odd_odd_dim_max", 1), ("samples_per_n", 0),
+                          ("pair_samples", 0), ("node_budget", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} {getattr(self, name)} is below {low}")
 
 
 @functools.cache
@@ -860,15 +866,10 @@ def suite_to_json(
 def suite_to_csv(reports: list[ClaimReport]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["claim_id", "status", "instances_checked", "skipped",
-         "inconclusive", "counterexamples"]
-    )
-    for rep in reports:
-        writer.writerow(
-            [rep.claim_id, rep.status, rep.instances_checked, rep.skipped,
-             rep.inconclusive, rep.counterexamples]
-        )
+    fields = ["claim_id", "status", "instances_checked", "skipped", "inconclusive",
+              "counterexamples"]
+    writer.writerow(fields)
+    writer.writerows([getattr(rep, name) for name in fields] for rep in reports)
     return buf.getvalue()
 
 

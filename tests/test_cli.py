@@ -485,6 +485,39 @@ def test_verify_r_above_t_is_a_usage_error(capsys, monkeypatch):
     assert err == "error: --r 3 is above --t 2; the odd-odd claims need r <= t\n"
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["remark-c3", "--t-max", "0"], "t_max 0"),
+    (["thm-odd-odd-beta", "--odd-odd-max", "0"], "odd_odd_max 0"),
+    (["lemma-mmd", "--max-product", "3"], "max_product 3"),
+    (["lemma-mmd", "--exhaustive-n", "1"], "exhaustive_n 1"),
+    (["all", "--exhaustive-n", "-1"], "exhaustive_n -1"),
+    (["all", "--samples", "-1"], "samples_per_n -1"),
+    (["all", "--pair-samples", "-3"], "pair_samples -3"),
+])
+def test_verify_corpus_that_checks_nothing_is_a_usage_error(capsys, monkeypatch, argv, named):
+    def no_corpus(spec):
+        raise AssertionError("no corpus is built for a refused corpus spec")
+
+    monkeypatch.setattr(verify, "Corpus", no_corpus)
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {named} is below ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "dim-s", "cycle:5"],
+    ["product", "strong", "cycle:3", "cycle:5", "--dim-s"],
+    ["verify", "remark-c3"],
+])
+def test_negative_node_budget_is_a_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr(verify, "Corpus", None)  # refused before any corpus
+    code, out, err = run_cli(capsys, *argv, "--node-budget", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: argument --node-budget: -1 is below 0\n"
+    if argv[0] == "compute":  # a budget of 0 is a budget that runs out
+        assert run_cli(capsys, *argv, "--node-budget", "0")[0] == 3
+
+
 @pytest.mark.parametrize("argv", [
     ["compute", "dim-s", "cycle:7", "--gen", "cycle:5"],
     ["compute", "dim-s", "--gen", "cycle:5", "cycle:7"],

@@ -244,10 +244,10 @@ def counting_frontier(monkeypatch):
 RULE_SIDES = [
     ("SR(C9xC9)", lambda: sr_of(cycle(9), cycle(9)), True, 23, 65),
     ("SR(C5xP12)", lambda: sr_of(cycle(5), path(12)), False, 117, 38),
-    ("SR(C9xP20)", lambda: sr_of(cycle(9), path(20)), False, 955, 104),
+    ("SR(C9xP20)", lambda: sr_of(cycle(9), path(20)), False, 935, 104),
     ("SR(C5xP60)", lambda: sr_of(cycle(5), path(60)), False, 73767, 182),
-    # width 8, but the clique bound already proves the greedy cover minimum
-    ("SR(C4xP60)", lambda: sr_of(cycle(4), path(60)), False, 7, 122),
+    # width 8, but the clique bound proves the greedy cover at the root: one node
+    ("SR(C4xP60)", lambda: sr_of(cycle(4), path(60)), False, 1, 122),
     # the product itself, beta = 18: the memo of finished candidate sets
     # skips repeated subtrees (47,398 nodes with MEMO_MAX = 0)
     ("C9xC9", lambda: product("strong", cycle(9), cycle(9)), True, 4680, 63),
@@ -268,10 +268,13 @@ def test_node_counts_pinned_per_engine(name, build, colour, nodes, size, monkeyp
 
 def test_budget_exhaustion_is_flagged_not_wrong():
     # graphs on both sides of the rule, and one the frontier DP solves
-    for _, build, colour, _, size in RULE_SIDES:
+    for name, build, colour, _, size in RULE_SIDES:
         g = build()
         assert colour_side(g) is colour
         res = min_vertex_cover(g, node_budget=5)
+        if name == "SR(C4xP60)":  # settled at the root, well inside the budget
+            assert res.proven_optimal and (res.size, res.nodes_explored) == (size, 1)
+            continue
         assert not res.proven_optimal
         # the fallback witness is still a valid cover
         for u, v in g.edges():
@@ -279,6 +282,21 @@ def test_budget_exhaustion_is_flagged_not_wrong():
         assert len(res.witness) == res.size >= size
         with pytest.raises(BudgetExhausted):
             max_independent_set(g, node_budget=5)
+
+
+def test_reduce_root_bound_meeting_the_greedy_cover_keeps_it():
+    # the cube C4 x K2 is 3-regular, so no reduction fires, and its greedy
+    # clique partition is 4 edges: the bound 8 - 4 meets the greedy cover at
+    # the root, so branch and reduce returns that cover without branching
+    for g in (product("cartesian", cycle(4), path(2)), sr_of(cycle(4), path(60))):
+        adj, (comp,) = list(g.adj), [c for c in component_masks(g) if c & (c - 1)]
+        assert not colour_side(g)
+        greedy = cover._greedy_cover(adj, comp)
+        lower = comp.bit_count() - len(cover._greedy_clique_partition(adj, comp))
+        assert lower == greedy.bit_count()
+        res = min_vertex_cover(g)
+        assert res.proven_optimal and res.nodes_explored == 1
+        assert res.witness == frozenset(bits(greedy))
 
 
 def uncertified_cover(g, node_budget):
@@ -474,7 +492,6 @@ def open_frontier_gate(monkeypatch, n):
     """Send every root kernel of an n-vertex graph to the frontier DP."""
     monkeypatch.setattr(cover, "FRONTIER_MIN_STRETCH", 1)
     monkeypatch.setattr(cover, "FRONTIER_MAX_WIDTH", n)
-    monkeypatch.setattr(cover, "FRONTIER_MIN_GAP", 0)
     monkeypatch.setattr(cover, "COLOUR_ENGINE_MAX_THETA", -1)
 
 
@@ -495,11 +512,30 @@ def pieces(adj, active):
     return count
 
 
-def core_with_attachments(rng, core, p, chains, pendants):
-    """A G(core, p) core with degree-2 chains between core vertices and
-    pendant paths hung off it: the reductions fold the chains and take the
-    pendants, and taking a pendant's anchor can split the kernel."""
-    edges = [(u, v) for u in range(core) for v in range(u + 1, core) if rng.random() < p]
+def gnp_core(p):
+    """Core edges of G(core, p)."""
+    return lambda rng, core: [(u, v) for u in range(core) for v in range(u + 1, core)
+                              if rng.random() < p]
+
+
+def ring_core(rings):
+    """Core edges of the union of ``rings`` random Hamiltonian cycles: degree
+    up to 2 * rings and few triangles, so the clique bound rarely reaches the
+    greedy cover."""
+    def edges(rng, core):
+        out = set()
+        for _ in range(rings):
+            ring = rng.sample(range(core), core)
+            out.update((min(e), max(e)) for e in zip(ring, ring[1:] + ring[:1]))
+        return sorted(out)
+    return edges
+
+
+def core_with_attachments(rng, core, core_edges, chains, pendants):
+    """A core on ``core`` vertices with degree-2 chains between core vertices
+    and pendant paths hung off it: the reductions fold the chains and take
+    the pendants, and taking a pendant's anchor can split the kernel."""
+    edges = core_edges(rng, core)
     n = core
     for _ in range(chains):
         a, b = rng.sample(range(core), 2)
@@ -518,16 +554,23 @@ def core_with_attachments(rng, core, p, chains, pendants):
 def frontier_corpus():
     rng = random.Random(8)
     graphs = seeded_graphs(120, 1, 10, seed=2024) + seeded_graphs(8, 13, 14, seed=404)
-    graphs += [core_with_attachments(rng, rng.randrange(5, 10), rng.choice([0.5, 0.7, 0.9]),
+    graphs += [core_with_attachments(rng, rng.randrange(5, 10),
+                                     gnp_core(rng.choice([0.5, 0.7, 0.9])),
                                      rng.randrange(0, 3), rng.randrange(0, 3))
                for _ in range(100)]
-    # two dense cores joined only through a hub that a pendant forces into
+    # the clique bound proves most kernels above at the root; these reach the DP
+    graphs += [core_with_attachments(rng, rng.randrange(7, 10), ring_core(3),
+                                     rng.randrange(0, 2), rng.randrange(0, 2))
+               for _ in range(200)]
+    # two cores that the clique bound leaves open, the 5-wheel and the
+    # complement of C7, joined only through a hub that a pendant forces into
     # the cover: the root kernel is the two cores, in two pieces
-    for a, b in ((4, 4), (4, 5), (5, 6)):
+    wheel = (6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)])
+    c7bar = (7, [(u, v) for u in range(7) for v in range(u + 2, min(u + 6, 7))])
+    for (a, first), (b, second) in ((wheel, wheel), (wheel, c7bar), (c7bar, c7bar)):
         hub = a + b
-        edges = [(u, v) for u in range(a) for v in range(u + 1, a)]
-        edges += [(u, v) for u in range(a, hub) for v in range(u + 1, hub)]
-        edges += [(0, hub), (a, hub), (hub, hub + 1)]
+        edges = first + [(u + a, v + a) for u, v in second]
+        edges += [(1, hub), (a + 1, hub), (hub, hub + 1)]
         graphs.append(make_graph(hub + 2, edges))
     return graphs
 

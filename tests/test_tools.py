@@ -28,7 +28,7 @@ def test_cover_ladder_forces_each_engine_and_restores_the_gate():
     size, colour_nodes, *_ = ladder._solve(sr, "colour", 20_000)
     assert (size, colour_nodes) == (65, 23)
     size, reduce_nodes, *_ = ladder._solve(sr, "reduce", 20_000)
-    assert (size, reduce_nodes) == (65, 127)
+    assert (size, reduce_nodes) == (65, 111)
     # SR(C5xP24) passes the frontier gate as it stands, so only a shut gate
     # keeps the reduce route on branch and reduce
     sr = strong_resolving_graph(product("strong", cycle(5), path(24))).sr

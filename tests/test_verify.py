@@ -122,6 +122,17 @@ def test_seed_change_keeps_verdicts():
     assert a == b
 
 
+@pytest.mark.parametrize("field,low", [
+    ("exhaustive_n", 2), ("max_product", 4), ("t_max", 1), ("odd_odd_max", 1),
+    ("odd_odd_dim_max", 1), ("samples_per_n", 0), ("pair_samples", 0), ("node_budget", 0),
+])
+def test_corpus_spec_refuses_a_corpus_that_checks_nothing(field, low):
+    # the smallest value is kept; one below it names the field and the value
+    assert getattr(CorpusSpec(**{field: low}), field) == low
+    with pytest.raises(ValueError, match=f"^{field} {low - 1} is below {low}$"):
+        CorpusSpec(**{field: low - 1})
+
+
 def test_budget_exhaustion_reports_inconclusive():
     spec = CorpusSpec(
         seed=7, exhaustive_n=3, samples_per_n=0, pair_samples=4,
@@ -257,7 +268,7 @@ def test_each_layer_built_once_per_run(monkeypatch):
         "c_graph_partition", "_splits_less_a_vertex"}
     assert [call for call, count in Counter(calls).items() if count > 1] == []
     # the seed-42 counter: the covers' calls and search nodes are deterministic
-    assert (len(nodes), sum(nodes)) == (742, 10_580)
+    assert (len(nodes), sum(nodes)) == (742, 10_414)
     for cid in ("lemma-cgraph", "thm-cgraph-exact", "lemma-c1graph", "thm-c1-lower"):
         assert reports[cid].instances_checked >= 1 and reports[cid].skipped >= 1
 

@@ -8,16 +8,17 @@ the graph its name gives.  The script solves each with ``min_vertex_cover``
 four times, each under a node cap: with every component sent to the colour
 engine, once with its memo of finished candidate sets and once with
 ``MEMO_MAX = 0``, which keeps nothing; with every component sent to branch
-and reduce with the frontier gate shut; and with every root kernel sent to
-the frontier DP (the gate forced open).  It prints theta-hat
-(the largest greedy clique-partition count over the components, with its
-share of that component's order), the cover size, each route's nodes and
-seconds, and for the frontier route the width of its order and the most
-states it held after one step; ``>cap`` marks a route that ran out of nodes,
-and ``-`` a width where the reductions left no kernel.  The engine rule
+and reduce with the frontier gate shut; and with every root kernel that the
+clique bound leaves below the greedy cover sent to the frontier DP (the gate
+forced open).  It prints theta-hat (the largest greedy clique-partition
+count over the components, with its share of that component's order), the
+cover size, each route's nodes and seconds, and for the frontier route the
+width of its order and the most states it held after one step; ``>cap``
+marks a route that ran out of nodes, and ``-`` a width where no kernel
+reached the DP (the reductions or the bound settled the root).  The engine rule
 (``COLOUR_ENGINE_MAX_SHARE``, ``COLOUR_ENGINE_MAX_THETA``) and the frontier
-gate (``FRONTIER_MAX_WIDTH``, ``FRONTIER_MIN_STRETCH``, ``FRONTIER_MIN_GAP``)
-in ``strongdim.cover`` are fitted on this table.
+gate (``FRONTIER_MAX_WIDTH``, ``FRONTIER_MIN_STRETCH``) in
+``strongdim.cover`` are fitted on this table.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ LADDER = {
 
 
 GATES = ("COLOUR_ENGINE_MAX_SHARE", "COLOUR_ENGINE_MAX_THETA",
-         "FRONTIER_MAX_WIDTH", "FRONTIER_MIN_STRETCH", "FRONTIER_MIN_GAP", "MEMO_MAX")
+         "FRONTIER_MAX_WIDTH", "FRONTIER_MIN_STRETCH", "MEMO_MAX")
 ROUTES = ("colour", "no memo", "reduce", "frontier")
 
 
@@ -89,9 +90,8 @@ def _solve(g, route, cap):
     ran, and the largest over its runs if it ran more than once."""
     saved = [getattr(cover, name) for name in GATES]
     memo = saved[GATES.index("MEMO_MAX")]
-    settings = {"colour": (1, g.n, 0, 1, 1, memo), "no memo": (1, g.n, 0, 1, 1, 0),
-                "reduce": (0, -1, 0, 1, 1, memo),
-                "frontier": (0, -1, g.n, 1, 0, memo)}[route]
+    settings = {"colour": (1, g.n, 0, 1, memo), "no memo": (1, g.n, 0, 1, 0),
+                "reduce": (0, -1, 0, 1, memo), "frontier": (0, -1, g.n, 1, memo)}[route]
     dp = cover._frontier_mis
     width = peak = 0
 
