@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import cover as cov
@@ -120,7 +119,7 @@ def _compute_one(what: str, g: Graph, budget: int) -> dict:
 def _emit_compute(args, results: list[dict]) -> None:
     if args.format == "json":
         payload = results[0] if len(results) == 1 else results
-        print(json.dumps(payload, indent=2))
+        print(vf.to_json(payload))
     else:
         for res in results:
             value = res["value"]
@@ -192,7 +191,7 @@ def cmd_product(args) -> int:
         out["dim_s"] = res.dim
         out["basis"] = [labels[v] for v in sorted(res.basis)]
     if args.format == "json":
-        print(json.dumps(out, indent=2))
+        print(vf.to_json(out))
     elif args.format == "dot":
         sys.stdout.write(gr.to_dot(prod, labels=labels))
     else:
@@ -216,17 +215,16 @@ def cmd_verify(args) -> int:
         raise CliError("--r and --t must be at least 1")
     if args.r is not None and args.r > args.t:
         raise CliError(f"--r {args.r} is above --t {args.t}; the odd-odd claims need r <= t")
-    spec = vf.CorpusSpec(
-        seed=args.seed,
-        exhaustive_n=args.exhaustive_n,
-        samples_per_n=args.samples,
-        pair_samples=args.pair_samples,
-        max_product=args.max_product,
-        t_max=args.t_max,
-        odd_odd_max=args.odd_odd_max,
-        odd_odd_fixed=(args.r, args.t) if args.r is not None else None,
-        node_budget=args.node_budget,
-    )
+    try:
+        spec = vf.CorpusSpec(
+            **{field: getattr(args, field) for field in args.corpus_options},
+            odd_odd_fixed=(args.r, args.t) if args.r is not None else None,
+        )
+    except ValueError as exc:  # the spec names its field; the user typed the option
+        field, _, rest = str(exc).partition(" ")
+        if field not in args.corpus_options:
+            raise
+        raise CliError(f"{args.corpus_options[field]} {rest}") from exc
     corpus = vf.Corpus(spec)
     ids = None if args.claim == "all" else [args.claim]
     reports = vf.run_suite(corpus, ids)
@@ -284,21 +282,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run claim verification")
     p_verify.add_argument("claim", help="claim id or 'all'")
-    p_verify.add_argument("--seed", type=int, default=vf.CorpusSpec.seed)
-    p_verify.add_argument("--exhaustive-n", type=int, default=vf.CorpusSpec.exhaustive_n)
-    p_verify.add_argument("--samples", type=int, default=vf.CorpusSpec.samples_per_n)
-    p_verify.add_argument("--pair-samples", type=int, default=vf.CorpusSpec.pair_samples)
-    p_verify.add_argument("--max-product", type=int, default=vf.CorpusSpec.max_product)
-    p_verify.add_argument("--t-max", type=int, default=vf.CorpusSpec.t_max)
-    p_verify.add_argument("--odd-odd-max", type=int, default=vf.CorpusSpec.odd_odd_max)
+    # each corpus option's dest is its CorpusSpec field
+    corpus = [
+        p_verify.add_argument("--seed", type=int, default=vf.CorpusSpec.seed),
+        p_verify.add_argument("--exhaustive-n", type=int, default=vf.CorpusSpec.exhaustive_n),
+        p_verify.add_argument("--samples", type=int, default=vf.CorpusSpec.samples_per_n,
+                              dest="samples_per_n", metavar="SAMPLES"),
+        p_verify.add_argument("--pair-samples", type=int, default=vf.CorpusSpec.pair_samples),
+        p_verify.add_argument("--max-product", type=int, default=vf.CorpusSpec.max_product),
+        p_verify.add_argument("--t-max", type=int, default=vf.CorpusSpec.t_max),
+        p_verify.add_argument("--odd-odd-max", type=int, default=vf.CorpusSpec.odd_odd_max),
+    ]
     p_verify.add_argument("--r", type=int, help="restrict odd-odd claims to one r")
     p_verify.add_argument("--t", type=int, help="restrict odd-odd claims to one t")
-    p_verify.add_argument("--node-budget", type=_node_budget, default=cov.DEFAULT_NODE_BUDGET)
+    corpus.append(p_verify.add_argument(
+        "--node-budget", type=_node_budget, default=cov.DEFAULT_NODE_BUDGET))
     p_verify.add_argument("--timings", action="store_true",
                           help="include elapsed_ms in the JSON report")
     p_verify.add_argument("--out", help="write the JSON report to a file")
     p_verify.add_argument("--csv", help="write a one-row-per-claim CSV summary")
-    p_verify.set_defaults(fn=cmd_verify)
+    p_verify.set_defaults(fn=cmd_verify, corpus_options={
+        action.dest: action.option_strings[0] for action in corpus})
     return parser
 
 

@@ -119,6 +119,15 @@ def is_strong_generator(
     is in H_u iff it is in S or has a neighbour in H_u at distance k + 1.
     Only ``dm.balls`` is read, once per vertex u, in id order.
 
+    Every hull is built before any pair is checked, so a set that fails
+    returns False only after all sweeps.  Then each pair {u, v} outside S is
+    checked once, at whichever of the two comes later in ascending order of
+    (|H|, id): all of them at once by a mask, v in H_u, and one bit of H_v
+    looked up only for a v outside H_u.  A later vertex's hull is the larger
+    and tends to hold the vertices before it: with ``product_dimension``'s
+    bases on P30 x P30, P18 x P48 and C12 x P50 no bit is looked up at all,
+    where id order looked up 54,810, 30,600 and 1,356.
+
     Each layer's step needs N(reach), the neighbours of H_u on the layer
     above: from adjacency rows, one per vertex of ``reach``, or from a list
     of stages of edge-difference classes that ``_dilate`` applies in turn,
@@ -168,13 +177,17 @@ def is_strong_generator(
             reach = levels[k] & ~levels[k - 1] & (smask | nbrs)
             hull |= reach
         hulls[u] = hull
-        # pairs {v, u} with v < u, both outside S: v in H_u or u in H_v
-        missed = outside & (low - 1) & ~hull
+    # each pair {v, u} outside S once, at the later of the two in (|H|, id)
+    # order: v in H_u, or else u in H_v
+    seen = 0
+    for u in sorted(bits(outside), key=lambda x: hulls[x].bit_count()):
+        missed = seen & ~hulls[u]
         while missed:
             b = missed & -missed
             if not hulls[b.bit_length() - 1] >> u & 1:
                 return False
             missed ^= b
+        seen |= 1 << u
     return True
 
 

@@ -66,11 +66,16 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u] >> v) & 1 == 1
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """All edges as ordered pairs (u, v) with u < v."""
-        for u in range(self.n):
-            for v in bits(self.adj[u] >> (u + 1)):
-                yield (u, u + 1 + v)
+    def edges(self) -> list[tuple[int, int]]:
+        """All edges as ordered pairs (u, v) with u < v, in order of u, then v."""
+        out = []
+        for u, row in enumerate(self.adj):
+            m = row >> (u + 1)
+            while m:
+                low = m & -m
+                out.append((u, u + low.bit_length()))
+                m ^= low
+        return out
 
     @property
     def num_edges(self) -> int:
@@ -385,20 +390,33 @@ def to_graph6(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    # upper triangle, column-major: column v lists the bits of u = 0..v-1
+    # the pair stream read backwards is one integer: column v, the bits of
+    # u = 0..v-1, sits at place v(v-1)/2.  Adjacent runs of columns merge
+    # pairwise, a run into the one below it once it is at least as wide, so
+    # each bit is copied about log2(n) times, not once per later column
     adj = g.adj
-    body = "".join([f"{adj[v] & ((1 << v) - 1):0{v}b}"[::-1] for v in range(1, n)])
-    if not body:
+    runs: list[tuple[int, int]] = []  # (bits, width), narrower up the stack
+    for v in range(1, n):
+        run, width = adj[v] & ((1 << v) - 1), v
+        while runs and runs[-1][1] <= width:
+            low, low_width = runs.pop()
+            run, width = low | run << low_width, low_width + width
+        runs.append((run, width))
+    if not runs:
         return head
+    stream = 0
+    for low, low_width in reversed(runs):
+        stream = low | stream << low_width
+    nbits = n * (n - 1) // 2
     # base64 turns each 6 bits into one character: pad to whole 3-byte groups,
-    # keep the characters the body needs, and map base64's alphabet onto 63..126
-    pad = -len(body) % 24
-    data = int(body + "0" * pad, 2).to_bytes((len(body) + pad) // 8, "big")
-    sextets = -(-len(body) // 6)
+    # bit-reverse every little-endian byte into stream order, keep the
+    # characters the stream needs, and map base64's alphabet onto 63..126
+    data = stream.to_bytes(-(-nbits // 24) * 3, "little").translate(_BIT_REVERSED)
     b64 = binascii.b2a_base64(data, newline=False)
-    return head + b64[:sextets].translate(_G6_FROM_B64).decode("ascii")
+    return head + b64[:-(-nbits // 6)].translate(_G6_FROM_B64).decode("ascii")
 
 
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 _G6_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _G6_FROM_B64 = bytes.maketrans(_G6_B64, bytes(range(63, 127)))
 _G6_TO_B64 = bytes.maketrans(bytes(range(63, 127)), _G6_B64)

@@ -152,4 +152,5 @@ def strong_product_distances(dm_g: DistanceMatrix, dm_h: DistanceMatrix) -> Dist
 
 def coordinate_labels(spec: ProductSpec) -> dict[int, str]:
     """DOT-friendly labels 'u,v' for every product vertex id."""
-    return {p: f"{u},{v}" for p in range(spec.size) for u, v in [spec.decode(p)]}
+    cols = [str(v) for v in range(spec.n2)]
+    return dict(enumerate([f"{u},{v}" for u in range(spec.n1) for v in cols]))

@@ -17,6 +17,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, asdict
+from itertools import chain
 from typing import Callable, Iterable
 
 from . import cover as cov
@@ -37,6 +38,7 @@ __all__ = [
     "run_suite",
     "replay_instance",
     "suite_to_json",
+    "to_json",
     "suite_to_csv",
     "suite_exit_code",
 ]
@@ -204,6 +206,10 @@ class Env:
             value = self._memo[key] = build()
             return value
 
+    def graph6(self, g: Graph) -> str:
+        """The instance records' graph6 string of ``g``, encoded once per run."""
+        return self._cached(("graph6", g), lambda: gr.to_graph6(g))
+
     def product(self, kind: str, g: Graph, h: Graph) -> Graph:
         return self._cached(("product", kind, g, h), lambda: pr.product(kind, g, h))
 
@@ -266,10 +272,11 @@ class Claim:
     check: Callable[[Env, Graph, Graph | None], dict]
 
 
-def _record(g: Graph, h: Graph | None, outcome: str, expected, actual, **extra) -> dict:
+def _record(env: Env, g: Graph, h: Graph | None, outcome: str, expected, actual,
+            **extra) -> dict:
     rec = {
-        "g6_g": gr.to_graph6(g),
-        "g6_h": gr.to_graph6(h) if h is not None else None,
+        "g6_g": env.graph6(g),
+        "g6_h": env.graph6(h) if h is not None else None,
         "outcome": outcome,
         "expected": expected,
         "actual": actual,
@@ -278,8 +285,8 @@ def _record(g: Graph, h: Graph | None, outcome: str, expected, actual, **extra) 
     return rec
 
 
-def _skip(g: Graph, h: Graph | None, why: str) -> dict:
-    return _record(g, h, "skip", None, None, note=why)
+def _skip(env: Env, g: Graph, h: Graph | None, why: str) -> dict:
+    return _record(env, g, h, "skip", None, None, note=why)
 
 
 def _connected_nontrivial(g: Graph) -> bool:
@@ -347,7 +354,7 @@ def _odd_cycle_instances(corpus: Corpus):
 )
 def _check_lemma_mmd(env: Env, g: Graph, h: Graph) -> dict:
     if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
-        return _skip(g, h, "factors must be connected and nontrivial")
+        return _skip(env, g, h, "factors must be connected and nontrivial")
     prod = env.product("strong", g, h)
     actual = env.sr(prod).sr
     predicted = rs.predicted_mmd_edges(g, h)
@@ -358,7 +365,7 @@ def _check_lemma_mmd(env: Env, g: Graph, h: Graph) -> dict:
         predicted_edges = set(predicted.graph.edges())
         diff = [list(e) for e in sorted(actual_edges ^ predicted_edges)[:20]]
     return _record(
-        g, h, "pass" if ok else "fail",
+        env, g, h, "pass" if ok else "fail",
         actual.num_edges, predicted.graph.num_edges,
         condition_tags={str(k): v for k, v in predicted.histogram.items()},
         **({"differing_pairs": diff} if diff else {}),
@@ -372,7 +379,7 @@ def _check_lemma_mmd(env: Env, g: Graph, h: Graph) -> dict:
 )
 def _check_thm_boundary(env: Env, g: Graph, h: Graph) -> dict:
     if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
-        return _skip(g, h, "factors must be connected and nontrivial")
+        return _skip(env, g, h, "factors must be connected and nontrivial")
     prod = env.product("strong", g, h)
     spec = pr.ProductSpec("strong", g.n, h.n)
     actual = env.sr(prod).boundary
@@ -385,7 +392,7 @@ def _check_thm_boundary(env: Env, g: Graph, h: Graph) -> dict:
         if u in bd_g or v in bd_h
     )
     ok = actual == expected
-    return _record(g, h, "pass" if ok else "fail", len(expected), len(actual))
+    return _record(env, g, h, "pass" if ok else "fail", len(expected), len(actual))
 
 
 @_claim(
@@ -395,7 +402,7 @@ def _check_thm_boundary(env: Env, g: Graph, h: Graph) -> dict:
 )
 def _check_thm_sandwich(env: Env, g: Graph, h: Graph) -> dict:
     if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
-        return _skip(g, h, "factors must be connected and nontrivial")
+        return _skip(env, g, h, "factors must be connected and nontrivial")
     prod_sr = env.sr(env.product("strong", g, h)).sr
     sr_g, sr_h = env.sr(g).sr, env.sr(h).sr
     lower = env.product("strong", sr_g, sr_h)
@@ -403,7 +410,7 @@ def _check_thm_sandwich(env: Env, g: Graph, h: Graph) -> dict:
     ok_low = all(lower.adj[p] & ~prod_sr.adj[p] == 0 for p in range(prod_sr.n))
     ok_up = all(prod_sr.adj[p] & ~upper.adj[p] == 0 for p in range(prod_sr.n))
     return _record(
-        g, h, "pass" if (ok_low and ok_up) else "fail",
+        env, g, h, "pass" if (ok_low and ok_up) else "fail",
         [lower.num_edges, upper.num_edges], prod_sr.num_edges,
     )
 
@@ -415,13 +422,13 @@ def _check_thm_sandwich(env: Env, g: Graph, h: Graph) -> dict:
 )
 def _check_cor_beta_chain(env: Env, g: Graph, h: Graph) -> dict:
     if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
-        return _skip(g, h, "factors must be connected and nontrivial")
+        return _skip(env, g, h, "factors must be connected and nontrivial")
     sr_g, sr_h = env.sr(g).sr, env.sr(h).sr
     b_strong = env.beta(env.product("strong", sr_g, sr_h))
     b_mid = env.beta(env.sr(env.product("strong", g, h)).sr)
     b_sum = env.beta(env.product("cartesian_sum", sr_g, sr_h))
     ok = b_strong >= b_mid >= b_sum
-    return _record(g, h, "pass" if ok else "fail",
+    return _record(env, g, h, "pass" if ok else "fail",
                    "non-increasing chain", [b_strong, b_mid, b_sum])
 
 
@@ -435,7 +442,7 @@ def _check_thm_ind_sandwich(env: Env, g: Graph, h: Graph) -> dict:
     mid = env.beta(env.product("strong", g, h))
     hi = env.beta(env.product("cartesian", g, h))
     ok = lo <= mid <= hi
-    return _record(g, h, "pass" if ok else "fail", "bracketed", [lo, mid, hi])
+    return _record(env, g, h, "pass" if ok else "fail", "bracketed", [lo, mid, hi])
 
 
 @_claim(
@@ -447,7 +454,7 @@ def _check_thm_vizing(env: Env, g: Graph, h: Graph) -> dict:
     actual = env.beta(env.product("cartesian", g, h))
     bound = min(env.beta(g) * h.n, env.beta(h) * g.n)
     ok = actual <= bound
-    return _record(g, h, "pass" if ok else "fail", f"<= {bound}", actual)
+    return _record(env, g, h, "pass" if ok else "fail", f"<= {bound}", actual)
 
 
 @_claim(
@@ -458,7 +465,7 @@ def _check_thm_vizing(env: Env, g: Graph, h: Graph) -> dict:
 def _check_thm_lex(env: Env, g: Graph, h: Graph) -> dict:
     expected = env.beta(g) * env.beta(h)
     actual = env.beta(env.product("lexicographic", g, h))
-    return _record(g, h, "pass" if actual == expected else "fail", expected, actual)
+    return _record(env, g, h, "pass" if actual == expected else "fail", expected, actual)
 
 
 @_claim(
@@ -469,7 +476,7 @@ def _check_thm_lex(env: Env, g: Graph, h: Graph) -> dict:
 def _check_lemma_cartesian_sum(env: Env, g: Graph, h: Graph) -> dict:
     expected = env.beta(g) * env.beta(h)
     actual = env.beta(env.product("cartesian_sum", g, h))
-    return _record(g, h, "pass" if actual == expected else "fail", expected, actual)
+    return _record(env, g, h, "pass" if actual == expected else "fail", expected, actual)
 
 
 @_claim(
@@ -481,7 +488,7 @@ def _check_lemma_cartesian_sum(env: Env, g: Graph, h: Graph) -> dict:
 )
 def _check_thm_bounds(env: Env, g: Graph, h: Graph) -> dict:
     if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
-        return _skip(g, h, "factors must be connected and nontrivial")
+        return _skip(env, g, h, "factors must be connected and nontrivial")
     dg, dh = env.dim_s(g), env.dim_s(h)
     actual = env.dim_s(env.product("strong", g, h))
     lo = dim.general_lower(g.n, h.n, dg, dh)
@@ -496,7 +503,7 @@ def _check_thm_bounds(env: Env, g: Graph, h: Graph) -> dict:
     elif sr_h.n <= cap and env.c_graph(sr_h):
         ok = ok and actual == hi
         note = "upper bound must be attained (SR(H) is a C-graph)"
-    return _record(g, h, "pass" if ok else "fail", [lo, hi], actual,
+    return _record(env, g, h, "pass" if ok else "fail", [lo, hi], actual,
                    **({"note": note} if note else {}))
 
 
@@ -507,12 +514,12 @@ def _check_thm_bounds(env: Env, g: Graph, h: Graph) -> dict:
 )
 def _check_lemma_cgraph(env: Env, g: Graph, h: Graph) -> dict:
     if g.n > env.spec.recognition_cap:
-        return _skip(g, h, "factor exceeds the recognition cap")
+        return _skip(env, g, h, "factor exceeds the recognition cap")
     if not env.c_graph(g):
-        return _skip(g, h, "G is not a C-graph")
+        return _skip(env, g, h, "G is not a C-graph")
     expected = env.beta(g) * env.beta(h)
     actual = env.beta(env.product("strong", g, h))
-    return _record(g, h, "pass" if actual == expected else "fail", expected, actual)
+    return _record(env, g, h, "pass" if actual == expected else "fail", expected, actual)
 
 
 @_claim(
@@ -522,15 +529,15 @@ def _check_lemma_cgraph(env: Env, g: Graph, h: Graph) -> dict:
 )
 def _check_thm_cgraph(env: Env, g: Graph, h: Graph) -> dict:
     if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
-        return _skip(g, h, "factors must be connected and nontrivial")
+        return _skip(env, g, h, "factors must be connected and nontrivial")
     sr_g = env.sr(g).sr
     if sr_g.n > env.spec.recognition_cap:
-        return _skip(g, h, "SR graph exceeds the recognition cap")
+        return _skip(env, g, h, "SR graph exceeds the recognition cap")
     if not env.c_graph(sr_g):
-        return _skip(g, h, "SR(G) is not a C-graph")
+        return _skip(env, g, h, "SR(G) is not a C-graph")
     expected = dim.general_upper(g.n, h.n, env.dim_s(g), env.dim_s(h))
     actual = env.dim_s(env.product("strong", g, h))
-    return _record(g, h, "pass" if actual == expected else "fail", expected, actual)
+    return _record(env, g, h, "pass" if actual == expected else "fail", expected, actual)
 
 
 @_claim(
@@ -541,12 +548,12 @@ def _check_thm_cgraph(env: Env, g: Graph, h: Graph) -> dict:
 )
 def _check_lemma_c1graph(env: Env, g: Graph, h: Graph) -> dict:
     if g.n > env.spec.recognition_cap:
-        return _skip(g, h, "factor exceeds the recognition cap")
+        return _skip(env, g, h, "factor exceeds the recognition cap")
     if not env.c1_graph(g):
-        return _skip(g, h, "G is not a C1-graph")
+        return _skip(env, g, h, "G is not a C1-graph")
     bound = env.beta(g) * (env.beta(h) + 1)
     actual = env.beta(env.product("strong", g, h))
-    return _record(g, h, "pass" if actual <= bound else "fail", f"<= {bound}", actual)
+    return _record(env, g, h, "pass" if actual <= bound else "fail", f"<= {bound}", actual)
 
 
 @_claim(
@@ -557,15 +564,15 @@ def _check_lemma_c1graph(env: Env, g: Graph, h: Graph) -> dict:
 )
 def _check_thm_c1_lower(env: Env, g: Graph, h: Graph) -> dict:
     if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
-        return _skip(g, h, "factors must be connected and nontrivial")
+        return _skip(env, g, h, "factors must be connected and nontrivial")
     sr_g = env.sr(g).sr
     if sr_g.n > env.spec.recognition_cap:
-        return _skip(g, h, "SR graph exceeds the recognition cap")
+        return _skip(env, g, h, "SR graph exceeds the recognition cap")
     if not env.c1_graph(sr_g):
-        return _skip(g, h, "SR(G) is not a C1-graph")
+        return _skip(env, g, h, "SR(G) is not a C1-graph")
     bound = dim.c1_lower(g.n, h.n, env.dim_s(g), env.dim_s(h))
     actual = env.dim_s(env.product("strong", g, h))
-    return _record(g, h, "pass" if actual >= bound else "fail", f">= {bound}", actual)
+    return _record(env, g, h, "pass" if actual >= bound else "fail", f">= {bound}", actual)
 
 
 # -- corollary families -------------------------------------------------------
@@ -579,8 +586,8 @@ def _family_check(env, g, h, expected_shape, formula_value):
     value_ok = actual == formula_value
     outcome = "pass" if (shape_ok and value_ok) else "fail"
     return _record(
-        g, h, outcome, formula_value, actual,
-        sr_shape_ok=shape_ok, sr_shape_g6=gr.to_graph6(expected_shape),
+        env, g, h, outcome, formula_value, actual,
+        sr_shape_ok=shape_ok, sr_shape_g6=env.graph6(expected_shape),
     )
 
 
@@ -614,9 +621,9 @@ def _kpartite_factors(corpus: Corpus) -> list[Graph]:
 def _check_cor_ii(env: Env, g: Graph, h: Graph) -> dict:
     parts = _multipartite_parts(g)
     if parts is None:
-        return _skip(g, h, "factor is not complete multipartite")
+        return _skip(env, g, h, "factor is not complete multipartite")
     if sum(1 for p in parts if p == 1) > 1:
-        return _skip(g, h, "more than one singleton part")
+        return _skip(env, g, h, "more than one singleton part")
     shape = gr.disjoint_union([gr.complete(p) for p in parts])
     expected = dim.kpartite_factor(g.n, h.n, len(parts), env.dim_s(h))
     return _family_check(env, g, h, shape, expected)
@@ -650,7 +657,7 @@ def _gtree_factors(corpus: Corpus) -> list[Graph]:
 )
 def _check_cor_iii(env: Env, g: Graph, h: Graph) -> dict:
     if not mt.is_generalized_tree(g):
-        return _skip(g, h, "factor is not a generalized tree")
+        return _skip(env, g, h, "factor is not a generalized tree")
     c = len(mt.cut_vertices(g))
     shape = gr.disjoint_union([gr.complete(g.n - c)] + [gr.complete(1)] * c)
     expected = dim.generalized_tree_factor(g.n, h.n, c, env.dim_s(h))
@@ -677,7 +684,7 @@ def _antipodal_factors(corpus: Corpus) -> list[Graph]:
 )
 def _check_cor_iv(env: Env, g: Graph, h: Graph) -> dict:
     if not mt.is_two_antipodal(g):
-        return _skip(g, h, "factor is not 2-antipodal")
+        return _skip(env, g, h, "factor is not 2-antipodal")
     shape = gr.disjoint_union([gr.complete(2)] * (g.n // 2))
     expected = dim.antipodal_factor(g.n, h.n, env.dim_s(h))
     return _family_check(env, g, h, shape, expected)
@@ -695,7 +702,7 @@ def _grid_factors(corpus: Corpus) -> list[Graph]:
 )
 def _check_cor_v(env: Env, g: Graph, h: Graph) -> dict:
     if g.n <= 4:
-        return _skip(g, h, "the 2x2 grid is 2-antipodal, not a K4-shape grid")
+        return _skip(env, g, h, "the 2x2 grid is 2-antipodal, not a K4-shape grid")
     shape = gr.disjoint_union([gr.complete(4)] + [gr.complete(1)] * (g.n - 4))
     expected = dim.grid_factor(g.n, h.n, env.dim_s(h))
     return _family_check(env, g, h, shape, expected)
@@ -711,14 +718,14 @@ def _check_cor_v(env: Env, g: Graph, h: Graph) -> dict:
 )
 def _check_oddcycle_bounds(env: Env, g: Graph, h: Graph) -> dict:
     if not _is_odd_cycle(g):
-        return _skip(g, h, "factor is not an odd cycle")
+        return _skip(env, g, h, "factor is not an odd cycle")
     r = (g.n - 1) // 2
     dh = env.dim_s(h)
     lo = dim.odd_cycle_lower(r, h.n, dh)
     hi = dim.odd_cycle_upper(r, h.n, dh)
     actual = env.dim_s(env.product("strong", g, h))
     ok = lo <= actual <= hi
-    return _record(g, h, "pass" if ok else "fail", [lo, hi], actual)
+    return _record(env, g, h, "pass" if ok else "fail", [lo, hi], actual)
 
 
 @_claim(
@@ -729,10 +736,10 @@ def _check_oddcycle_bounds(env: Env, g: Graph, h: Graph) -> dict:
 def _check_odd_odd_beta(env: Env, g: Graph, h: Graph) -> dict:
     r, t = (g.n - 1) // 2, (h.n - 1) // 2
     if not (_is_odd_cycle(g) and _is_odd_cycle(h)) or r > t:
-        return _skip(g, h, "needs odd cycles with r <= t")
+        return _skip(env, g, h, "needs odd cycles with r <= t")
     expected = r * t + r // 2
     actual = env.beta(env.product("strong", g, h))
-    return _record(g, h, "pass" if actual == expected else "fail", expected, actual)
+    return _record(env, g, h, "pass" if actual == expected else "fail", expected, actual)
 
 
 @_claim(
@@ -743,11 +750,11 @@ def _check_odd_odd_beta(env: Env, g: Graph, h: Graph) -> dict:
 def _check_odd_odd_bounds(env: Env, g: Graph, h: Graph) -> dict:
     r, t = (g.n - 1) // 2, (h.n - 1) // 2
     if not (_is_odd_cycle(g) and _is_odd_cycle(h)) or r > t:
-        return _skip(g, h, "needs odd cycles with r <= t")
+        return _skip(env, g, h, "needs odd cycles with r <= t")
     lo, hi = dim.odd_odd_lower(r, t), dim.odd_odd_upper(r, t)
     actual = env.dim_s(env.product("strong", g, h))
     ok = lo <= actual <= hi
-    return _record(g, h, "pass" if ok else "fail", [lo, hi], actual)
+    return _record(env, g, h, "pass" if ok else "fail", [lo, hi], actual)
 
 
 @_claim(
@@ -758,10 +765,10 @@ def _check_odd_odd_bounds(env: Env, g: Graph, h: Graph) -> dict:
 def _check_remark_c3(env: Env, g: Graph, h: Graph) -> dict:
     t = (h.n - 1) // 2
     if g != gr.cycle(3) or not _is_odd_cycle(h):
-        return _skip(g, h, "needs C_3 and an odd cycle")
+        return _skip(env, g, h, "needs C_3 and an odd cycle")
     expected = dim.c3_exact(t)
     actual = env.dim_s(env.product("strong", g, h))
-    return _record(g, h, "pass" if actual == expected else "fail", expected, actual)
+    return _record(env, g, h, "pass" if actual == expected else "fail", expected, actual)
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +789,7 @@ def verify_claim(
         try:
             records.append(claim.check(env, g, h))
         except cov.BudgetExhausted as exc:
-            records.append(_record(g, h, "inconclusive", None, None, note=str(exc)))
+            records.append(_record(env, g, h, "inconclusive", None, None, note=str(exc)))
     tally = Counter(rec["outcome"] for rec in records)
     failures, inconclusive = tally["fail"], tally["inconclusive"]
     checked = tally["pass"] + failures
@@ -860,7 +867,73 @@ def suite_to_json(
             "inconclusive": statuses.count("inconclusive"),
         },
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return to_json(doc) + "\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def to_json(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for every JSON the package prints.
+
+    ``obj`` is built of dicts with str keys (any other key is a TypeError),
+    lists, tuples, str, int, float, bool and None.  CPython's C encoder
+    serves only ``indent=None``, so with an indent every value would go
+    through the pure-Python one.  Here a flat list of str or of int, and a
+    list of equal-length lists of either (edge lists), are joined with
+    ``map`` and ``str.join``; everything else follows ``json.dumps``'s rules
+    one value at a time.
+    """
+    return _json_value(obj, "\n")
+
+
+def _flat_encoder(items):
+    """``str.join``-ready encoder when every item is a str, or every one an int."""
+    kinds = set(map(type, items))
+    if kinds == {str}:
+        return _encode_str
+    if kinds == {int}:
+        return int.__repr__
+    return None
+
+
+def _json_value(obj, nl: str) -> str:
+    """One value, ``nl`` being a newline and the indent of the line it starts on."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return json.dumps(obj)
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_encode_str(k) + ": " + _json_value(v, inner) for k, v in obj.items()]
+        ) + nl + "}"
+    if not isinstance(obj, (list, tuple)):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not obj:
+        return "[]"
+    encode = _flat_encoder(obj)
+    if encode is not None:
+        return "[" + inner + ("," + inner).join(map(encode, obj)) + nl + "]"
+    width = set(map(len, obj)) if set(map(type, obj)) <= {list, tuple} else ()
+    encode = _flat_encoder(chain.from_iterable(obj)) if len(width) == 1 and 0 not in width else None
+    if encode is not None:  # rows of one width: the cells in one C-level join per row
+        cell = inner + "  "
+        cells = map(encode, chain.from_iterable(obj))
+        rows = map(("," + cell).join, zip(*[cells] * width.pop()))
+        between = inner + "]," + inner + "[" + cell
+        return "[" + inner + "[" + cell + between.join(rows) + inner + "]" + nl + "]"
+    return "[" + inner + ("," + inner).join([_json_value(v, inner) for v in obj]) + nl + "]"
 
 
 def suite_to_csv(reports: list[ClaimReport]) -> str:

@@ -70,6 +70,48 @@ def test_compute_theta(capsys):
     assert sorted(len(p) for p in doc["parts"]) == [2, 2, 2]
 
 
+@pytest.fixture
+def json_texts(monkeypatch):
+    """Each JSON text the CLI writes, checked against json.dumps(obj, indent=2)."""
+    texts = []
+    real = verify.to_json
+
+    def checked(obj):
+        text = real(obj)
+        assert text == json.dumps(obj, indent=2)
+        texts.append(text)
+        return text
+
+    monkeypatch.setattr(verify, "to_json", checked)
+    return texts
+
+
+@pytest.mark.parametrize("what", ["dim-s", "sr-graph", "alpha", "beta", "boundary", "theta"])
+def test_compute_json_is_json_dumps_output(capsys, monkeypatch, json_texts, what):
+    import io
+
+    code, out, _ = run_cli(capsys, "compute", what, "--gen", "grid:3x4", "--format", "json")
+    assert (code, out) == (0, json_texts[-1] + "\n")
+    text = to_graph6(cycle(5)) + "\n" + to_graph6(random_connected(7, 0.4, 3)) + "\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = run_cli(capsys, "compute", what, "-", "--format", "json")
+    assert (code, out) == (0, json_texts[-1] + "\n")
+    assert isinstance(json.loads(out), list) and len(json_texts) == 2
+
+
+@pytest.mark.parametrize("flags", [[], ["--sr"], ["--dim-s"], ["--sr", "--dim-s"]],
+                         ids=["plain", "sr", "dim-s", "sr+dim-s"])
+@pytest.mark.parametrize("kind, g, h", [
+    ("strong", "path:30", "path:30"), ("strong", "cycle:5", "path:6"),
+    ("lex", "cycle:4", "path:3"),
+])
+def test_product_json_is_json_dumps_output(capsys, json_texts, flags, kind, g, h):
+    code, out, _ = run_cli(capsys, "product", kind, g, h, *flags, "--format", "json")
+    assert (code, out) == (0, json_texts[-1] + "\n")
+    doc = json.loads(out)
+    assert ("sr_edges" in doc) == bool(flags) and ("dim_s" in doc) == ("--dim-s" in flags)
+
+
 def test_compute_from_graph6_argument(capsys):
     code, out, _ = run_cli(capsys, "compute", "sr-graph", to_graph6(cycle(4)),
                            "--format", "json")
@@ -495,13 +537,27 @@ def test_verify_r_above_t_is_a_usage_error(capsys, monkeypatch):
     (["all", "--pair-samples", "-3"], "pair_samples -3"),
 ])
 def test_verify_corpus_that_checks_nothing_is_a_usage_error(capsys, monkeypatch, argv, named):
+    # the CLI names the option the user typed; CorpusSpec itself, for library
+    # callers, keeps naming its field
     def no_corpus(spec):
         raise AssertionError("no corpus is built for a refused corpus spec")
 
     monkeypatch.setattr(verify, "Corpus", no_corpus)
     code, out, err = run_cli(capsys, "verify", *argv)
+    option, value = argv[1:]
     assert (code, out) == (1, "")
-    assert err.startswith(f"error: {named} is below ") and err.count("\n") == 1
+    assert err.startswith(f"error: {option} {value} is below ") and err.count("\n") == 1
+    field = named.split()[0]
+    with pytest.raises(ValueError, match=f"^{named} is below "):
+        verify.CorpusSpec(**{field: int(value)})
+
+
+def test_verify_exhaustive_n_cap_names_the_option(capsys):
+    code, out, err = run_cli(capsys, "verify", "all", "--exhaustive-n", "9")
+    assert (code, out) == (1, "")
+    assert err == "error: --exhaustive-n 9 exceeds the cap of 7\n"
+    with pytest.raises(ValueError, match="^exhaustive_n 9 exceeds the cap of 7$"):
+        verify.CorpusSpec(exhaustive_n=9)
 
 
 @pytest.mark.parametrize("argv", [

@@ -323,9 +323,9 @@ def test_product_stages_dilate_as_the_product_rows(g, h, data):
                 by_rows |= prod.adj[v]
         assert dimension._dilate(x, stages) == by_rows
     members = data.draw(st.sets(st.integers(0, prod.n - 1)))
-    assert is_strong_generator(prod, members, _factor_distances(g, h)) == is_strong_generator(
-        prod, members, all_pairs_distances(prod)
-    )
+    want = _generates_by_definition(prod, members)
+    assert is_strong_generator(prod, members, _factor_distances(g, h)) == want
+    assert is_strong_generator(prod, members, all_pairs_distances(prod)) == want
 
 
 @pytest.mark.parametrize(
@@ -397,6 +397,45 @@ def test_factor_route_reads_classes_from_factor_rows_only(monkeypatch):
     res = product_dimension("strong", g, h, prod=prod)
     assert res.dim == 19 and _generates_by_definition(prod, res.basis)
     assert lengths and set(lengths) <= {g.n, h.n}
+
+
+# -- the pair pass: each pair once, in (|H|, id) order ---------------------------
+
+
+def _unresolved_pairs(g, members):
+    dm = all_pairs_distances(g)
+    return [
+        (u, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if not any(strongly_resolves(dm, w, u, v) for w in members)
+    ]
+
+
+@pytest.mark.parametrize(
+    "g, h",
+    [
+        pytest.param(path(5), path(6), id="P5xP6"),
+        pytest.param(cycle(6), path(5), id="C6xP5"),
+        pytest.param(cycle(5), path(4), id="C5xP4"),
+        pytest.param(complete(3), path(6), id="K3xP6"),
+    ],
+)
+def test_pair_pass_finds_a_lone_unresolved_pair(g, h):
+    # every unresolved pair is found by the fallback lookup (v outside H_u,
+    # then u outside H_v); sets missing exactly one pair are the hardest case
+    prod = product("strong", g, h)
+    basis = sorted(product_dimension("strong", g, h, prod=prod).basis)
+    rng = random.Random(f"{g.n}x{h.n}")
+    sets = [basis[:i] + basis[i + 1 :] for i in range(len(basis))]
+    sets += [rng.sample(range(prod.n), rng.randrange(1, prod.n)) for _ in range(40)]
+    lone = 0
+    for members in sets:
+        missing = _unresolved_pairs(prod, members)
+        lone += len(missing) == 1
+        for dm in (all_pairs_distances(prod), _factor_distances(g, h)):
+            assert is_strong_generator(prod, members, dm) == (not missing)
+    assert lone
 
 
 def test_generator_check_rejects_bad_input():

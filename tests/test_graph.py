@@ -1,3 +1,6 @@
+import binascii
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +33,7 @@ from strongdim.metrics import (
     is_generalized_tree,
 )
 from strongdim.products import product
+from strongdim.resolving import strong_resolving_graph
 
 
 def random_graph_strategy(max_n=10, min_n=0):
@@ -101,6 +105,13 @@ def test_adjacency_symmetric_irreflexive(g):
         assert not (g.adj[u] >> u) & 1
         for v in g.neighbors(u):
             assert g.has_edge(v, u)
+
+
+@given(random_graph_strategy(max_n=40))
+def test_edges_lists_each_edge_once_in_order(g):
+    assert g.edges() == [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                         if g.has_edge(u, v)]
+    assert len(g.edges()) == g.num_edges
 
 
 # -- generators -------------------------------------------------------------
@@ -301,6 +312,45 @@ def _graph6_bitwise(g):
 @settings(max_examples=80)
 def test_graph6_matches_bitwise_reference(g):
     assert to_graph6(g) == _graph6_bitwise(g)
+
+
+def _graph6_by_bit_string(g):
+    """The encoder the merged-column one replaced: the upper triangle as one
+    bit string, read by int() and written out through base64."""
+    n = g.n
+    head = chr(n + 63) if n <= 62 else "~" + "".join(
+        chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
+    body = "".join([f"{g.adj[v] & ((1 << v) - 1):0{v}b}"[::-1] for v in range(1, n)])
+    if not body:
+        return head
+    pad = -len(body) % 24
+    data = int(body + "0" * pad, 2).to_bytes((len(body) + pad) // 8, "big")
+    b64 = binascii.b2a_base64(data, newline=False)[:-(-len(body) // 6)]
+    alphabet = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    return head + b64.translate(bytes.maketrans(alphabet, bytes(range(63, 127)))).decode()
+
+
+def test_graph6_matches_bit_string_encoder_for_every_order_to_70():
+    rng = random.Random(70)
+    for n in range(71):
+        for p in (0.0, 0.1, 0.5, 1.0):
+            g = make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                               if rng.random() < p])
+            text = to_graph6(g)
+            assert text == _graph6_by_bit_string(g)
+            assert from_graph6(text) == g
+
+
+@pytest.mark.parametrize("g, h", [
+    (path(30), path(30)), (path(18), path(48)), (cycle(12), path(50)),
+    (complete(6), path(60)), (cycle(21), path(8)),
+], ids=["P30xP30", "P18xP48", "C12xP50", "K6xP60", "C21xP8"])
+def test_graph6_matches_bit_string_encoder_on_large_products(g, h):
+    prod = product("strong", g, h)
+    for graph in (prod, strong_resolving_graph(prod).sr):
+        text = to_graph6(graph)
+        assert text == _graph6_by_bit_string(graph)
+        assert from_graph6(text) == graph
 
 
 def _from_graph6_by_columns(text):

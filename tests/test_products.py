@@ -190,3 +190,6 @@ def test_coordinate_labels():
     labels = coordinate_labels(spec)
     assert labels[0] == "0,0"
     assert labels[5] == "1,2"
+    for spec in (ProductSpec("strong", 1, 1), ProductSpec("strong", 12, 11)):
+        assert coordinate_labels(spec) == {
+            p: "{},{}".format(*spec.decode(p)) for p in range(spec.size)}

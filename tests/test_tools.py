@@ -1,19 +1,24 @@
 import importlib.util
+import json
 import os
 
-from strongdim import cover
+from strongdim import cover, dimension, graph, verify
 from strongdim.graph import cycle, path
 from strongdim.products import product
 from strongdim.resolving import strong_resolving_graph
 
-LADDER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "cover_ladder.py")
+TOOLS = os.path.join(os.path.dirname(__file__), os.pardir, "tools")
 
 
-def _load_cover_ladder():
-    spec = importlib.util.spec_from_file_location("cover_ladder", LADDER_PATH)
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(TOOLS, name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_cover_ladder():
+    return _load_tool("cover_ladder")
 
 
 def test_cover_ladder_forces_each_engine_and_restores_the_gate():
@@ -43,3 +48,24 @@ def test_cover_ladder_forces_each_engine_and_restores_the_gate():
     assert ladder._solve(g, "no memo", 50_000)[:2] == (63, 47398)
     assert [getattr(cover, name) for name in ladder.GATES] == gate
     assert cover._frontier_mis is dp
+
+
+def test_product_ladder_times_each_function_and_restores_it(capsys):
+    ladder = _load_tool("product_ladder")
+    originals = [getattr(module, name) for module, name in ladder.TIMED]
+    total, spent, out = ladder._timed_request(
+        ["product", "strong", *ladder.LADDER["C21xP8"], "--dim-s", "--format", "json"])
+    # every wrapped function ran inside the request: one product_dimension,
+    # one check, the product's and the SR graph's graph6, one JSON text
+    assert set(spent) == {"product_dimension", "is_strong_generator", "to_graph6", "to_json"}
+    assert all(0 < secs < total for secs in spent.values())
+    doc = json.loads(out)
+    assert (doc["n"], doc["dim_s"], len(doc["basis"])) == (168, 98, 98)
+    ladder.main(["--repeats", "1", "--only", "C21xP8", "K6xP60"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and lines[0].startswith("| rung | request ms |")
+    assert [line.split(" | ")[0] for line in lines[2:]] == ["| C21xP8", "| K6xP60"]
+    assert all(line.count("|") == 8 for line in lines)
+    assert [getattr(module, name) for module, name in ladder.TIMED] == originals
+    assert (dimension.is_strong_generator, graph.to_graph6, verify.to_json) == tuple(
+        originals[1:])

@@ -4,8 +4,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strongdim import cover, dimension, products, resolving
+from strongdim import cover, dimension, graph, products, resolving
 from strongdim.graph import complete, cycle, path, to_graph6
 from strongdim.verify import (
     CLAIMS,
@@ -18,6 +20,7 @@ from strongdim.verify import (
     suite_exit_code,
     suite_to_csv,
     suite_to_json,
+    to_json,
     verify_claim,
 )
 
@@ -214,8 +217,29 @@ def test_golden_report_seed42():
     # an intended change replaces the file and says why in CHANGES.md
     spec = CorpusSpec(seed=42)
     reports = run_suite(Corpus(spec))
-    assert suite_to_json(reports, spec) == GOLDEN_REPORT.read_text(encoding="ascii")
+    text = suite_to_json(reports, spec)
+    assert text == GOLDEN_REPORT.read_text(encoding="ascii")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
     assert suite_exit_code(reports) == 2
+
+
+def test_records_encode_each_graph_once_per_run(monkeypatch):
+    # Env holds the graph6 string of every instance graph for the run: each
+    # graph is encoded once, however many records name it
+    spec = CorpusSpec(seed=42)
+    Corpus(spec).exhaustive_small()  # its process-wide cache sorts by graph6
+    encoded = []
+    real = graph.to_graph6
+
+    def counted(g):
+        encoded.append(g)
+        return real(g)
+
+    monkeypatch.setattr(graph, "to_graph6", counted)
+    reports = run_suite(Corpus(spec))
+    assert [g for g, count in Counter(encoded).items() if count > 1] == []
+    names = sum(2 - (rec["g6_h"] is None) for rep in reports for rec in rep.instances)
+    assert 0 < len(encoded) < names // 10
 
 
 def test_env_cache_consistency(small_corpus):
@@ -313,3 +337,44 @@ def test_max_product_knob_filters_pairs():
     tight = CorpusSpec(seed=7, exhaustive_n=4, samples_per_n=2, max_product=50)
     for g, h in Corpus(tight).product_pairs():
         assert g.n * h.n <= 50
+
+
+# -- the JSON writer: json.dumps(obj, indent=2), byte for byte -----------------
+
+
+def _rows(cells):
+    """Lists (or tuples) of one length, the shape of an edge list."""
+    return st.integers(0, 3).flatmap(lambda k: st.lists(
+        st.lists(cells, min_size=k, max_size=k)
+        | st.tuples(*[cells] * k).map(list)
+        | st.tuples(*[cells] * k)))
+
+
+_json_leaves = (st.none() | st.booleans() | st.integers() | st.text()
+                | st.lists(st.text()) | st.lists(st.integers()) | st.lists(st.booleans())
+                | _rows(st.text()) | _rows(st.integers()))
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_json_values)
+@settings(max_examples=400, deadline=None)
+def test_to_json_matches_json_dumps_indent_2(obj):
+    assert to_json(obj) == json.dumps(obj, indent=2)
+
+
+def test_to_json_matches_json_dumps_on_edge_cases():
+    cases = [
+        {}, [], "", [[]], [[], []], [{}], {"a": []}, [[1, 2], [3]], [["a"], [1]],
+        [1, True], [1.5, float("inf")],
+        "\u00e9\n\"\\\x00", (), ((1, 2), (3, 4)), [("a", "b"), ["c", "d"]],
+    ]
+    for obj in cases:
+        assert to_json(obj) == json.dumps(obj, indent=2), obj
+    for bad in ({1, 2}, object(), [{1: 0}], {"a": {"b": 1, 2: 0}}):
+        with pytest.raises(TypeError):
+            to_json(bad)
