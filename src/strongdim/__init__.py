@@ -64,8 +64,6 @@ from .resolving import (
     PredictedSR,
     SRGraph,
     boundary,
-    is_maximally_distant,
-    mutually_maximally_distant,
     predicted_mmd_edges,
     strong_resolving_graph,
 )

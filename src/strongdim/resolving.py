@@ -18,28 +18,11 @@ from .products import ProductSpec, _stride, coordinate_labels
 __all__ = [
     "SRGraph",
     "PredictedSR",
-    "is_maximally_distant",
-    "mutually_maximally_distant",
     "strong_resolving_graph",
     "boundary",
     "predicted_mmd_edges",
     "sr_to_dot",
 ]
-
-
-def is_maximally_distant(dm: DistanceMatrix, g: Graph, u: int, v: int) -> bool:
-    """True iff no neighbor of u is strictly farther from v than u is.
-
-    Not symmetric in (u, v).
-    """
-    d = dm.dist(u, v)
-    if d is None:
-        raise ValueError("maximal distance is undefined for unreachable pairs")
-    return g.adj[u] & ~dm.ball(v, d) == 0
-
-
-def mutually_maximally_distant(dm: DistanceMatrix, g: Graph, u: int, v: int) -> bool:
-    return is_maximally_distant(dm, g, u, v) and is_maximally_distant(dm, g, v, u)
 
 
 class SRGraph:

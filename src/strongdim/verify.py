@@ -738,8 +738,27 @@ def _check_odd_odd_beta(env: Env, g: Graph, h: Graph) -> dict:
     if not (_is_odd_cycle(g) and _is_odd_cycle(h)) or r > t:
         return _skip(env, g, h, "needs odd cycles with r <= t")
     expected = r * t + r // 2
-    actual = env.beta(env.product("strong", g, h))
+    actual = 1 + env.beta(_vertex_residue(env.product("strong", g, h), h.n))
     return _record(env, g, h, "pass" if actual == expected else "fail", expected, actual)
+
+
+def _vertex_residue(g: Graph, n2: int) -> Graph:
+    """g - N[0] in new ids, for g = C_n1 x C_n2 numbered u * n2 + v.
+
+    Both rotations, (u, v) -> (u + 1, v) and (u, v) -> (u, v + 1), are checked
+    to map every row to the row of its image.  Together they act transitively,
+    so some maximum independent set holds 0 and beta(g) = 1 + beta(g - N[0])."""
+    n, full, adj = g.n, (1 << g.n) - 1, list(g.adj)
+    last = pr._stride(full >> (n - n // n2), n2) << (n2 - 1)  # the column v = n2 - 1
+    # the rows of (u + 1, v) and of (u, v + 1), in the order of (u, v)
+    next_u = adj[n2:] + adj[:n2]
+    next_v = [a for b in range(0, n, n2) for a in adj[b + 1:b + n2] + adj[b:b + 1]]
+    if (next_u != [((a << n2) | (a >> (n - n2))) & full for a in adj]
+            or next_v != [((a & ~last) << 1) | ((a & last) >> (n2 - 1)) for a in adj]):
+        raise AssertionError(f"the rotations of C_{n // n2} x C_{n2} do not map its rows")
+    keep = full & ~(adj[0] | 1)
+    order = list(gr.bits(keep))
+    return Graph(len(order), cov._renumbered([a & keep for a in adj], order) if order else [])
 
 
 @_claim(

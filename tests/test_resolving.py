@@ -19,12 +19,11 @@ from strongdim.metrics import all_pairs_distances
 from strongdim.products import ProductSpec, product
 from strongdim.resolving import (
     boundary,
-    is_maximally_distant,
-    mutually_maximally_distant,
     predicted_mmd_edges,
     strong_resolving_graph,
 )
 
+from mmd_oracle import is_maximally_distant, mutually_maximally_distant
 from test_graph import connected_graph_strategy
 
 

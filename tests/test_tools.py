@@ -46,6 +46,11 @@ def test_cover_ladder_forces_each_engine_and_restores_the_gate():
     g = product("strong", cycle(9), cycle(9))
     assert ladder._solve(g, "colour", 20_000)[:2] == (63, 4680)
     assert ladder._solve(g, "no memo", 50_000)[:2] == (63, 47398)
+    # a beta0 rung is C9xC11 - N[0] solved as given: beta(C9xC11) = 1 + (90 - 69),
+    # in 2,512 colour nodes where the whole product takes 21,752
+    row = ladder.measure("beta0:C9xC11", 3_000)
+    assert row[:6] == ["beta0:C9xC11", "90", "344", "26 (0.29)", "69", "2512"]
+    assert row[7] == ">3000"  # the no-memo route
     assert [getattr(cover, name) for name in ladder.GATES] == gate
     assert cover._frontier_mis is dp
 

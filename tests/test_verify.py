@@ -14,6 +14,7 @@ from strongdim.verify import (
     Corpus,
     CorpusSpec,
     Env,
+    _vertex_residue,
     claim_ids,
     replay_instance,
     run_suite,
@@ -144,6 +145,49 @@ def test_budget_exhaustion_reports_inconclusive():
     rep = verify_claim("thm-odd-odd-beta", Corpus(spec))
     assert rep.status == "inconclusive"
     assert suite_exit_code([rep]) == 3
+
+
+# -- thm-odd-odd-beta: beta(C x C) = 1 + beta(C x C - N[0]) ---------------------
+
+
+def test_odd_odd_residue_matches_the_product_cover():
+    # the claim searches one vertex's residue; the plain search covers the
+    # whole product, so the two routes share only min_vertex_cover
+    env = Env(CorpusSpec())
+    check = CLAIMS["thm-odd-odd-beta"].check
+    for r in range(1, 5):
+        for t in range(r, 5):
+            g, h = cycle(2 * r + 1), cycle(2 * t + 1)
+            prod = products.product("strong", g, h)
+            expected = prod.n - cover.min_vertex_cover(prod).size
+            assert check(env, g, h)["actual"] == expected, (r, t)
+
+
+def test_odd_odd_residue_of_c3_strong_c3_is_empty():
+    # C3 x C3 is K9: N[0] is every vertex, and beta = 1 + beta(empty graph)
+    k9 = products.product("strong", cycle(3), cycle(3))
+    assert k9 == complete(9) and _vertex_residue(k9, 3) == graph.Graph(0, [])
+    rec = CLAIMS["thm-odd-odd-beta"].check(Env(CorpusSpec()), cycle(3), cycle(3))
+    assert (rec["outcome"], rec["actual"]) == ("pass", 1)
+
+
+def test_odd_odd_residue_checks_the_rotations():
+    prod = products.product("strong", cycle(5), cycle(7))
+    assert _vertex_residue(prod, 7).n == 35 - 9
+    edges = prod.edges()
+    one_less = graph.make_graph(35, edges[1:])
+    swap = {3: 17, 17: 3}
+    # a relabelling of prod, so still vertex-transitive, but not in the rotations' ids
+    swapped = graph.make_graph(35, [(swap.get(u, u), swap.get(v, v)) for u, v in edges])
+    for bad in (one_less, swapped):
+        with pytest.raises(AssertionError, match="the rotations of C_5 x C_7 do not map its rows"):
+            _vertex_residue(bad, 7)
+
+
+def test_odd_odd_beta_up_to_c11_strong_c11():
+    # every 1 <= r <= t <= 5, C11 x C11 included (24,025 residue nodes)
+    rep = verify_claim("thm-odd-odd-beta", Corpus(CorpusSpec(odd_odd_max=5)))
+    assert (rep.status, rep.instances_checked) == ("all_passed", 15)
 
 
 def test_exit_codes(small_reports):
@@ -291,8 +335,10 @@ def test_each_layer_built_once_per_run(monkeypatch):
         "min_vertex_cover", "strong_resolving_graph", "sr_cover_dimension", "product",
         "c_graph_partition", "_splits_less_a_vertex"}
     assert [call for call, count in Counter(calls).items() if count > 1] == []
-    # the seed-42 counter: the covers' calls and search nodes are deterministic
-    assert (len(nodes), sum(nodes)) == (742, 10_414)
+    # the seed-42 counter: the covers' calls and search nodes are deterministic.
+    # thm-odd-odd-beta covers the residues C x C - N[0] of its 10 products; the
+    # C3xC3 and C3xC5 product covers stay, as other claims read them
+    assert (len(nodes), sum(nodes)) == (744, 3_048)
     for cid in ("lemma-cgraph", "thm-cgraph-exact", "lemma-c1graph", "thm-c1-lower"):
         assert reports[cid].instances_checked >= 1 and reports[cid].skipped >= 1
 

@@ -3,8 +3,10 @@
     PYTHONPATH=src python3 tools/cover_ladder.py [--cap NODES] [--only NAME ...]
 
 An instance named ``beta:X`` is the graph X itself, solved as given (its
-cover is n - beta(X)); every other instance is the strong resolving graph of
-the graph its name gives.  The script solves each with ``min_vertex_cover``
+cover is n - beta(X)); one named ``beta0:X``, for X = C_m x C_n, is X - N[0],
+the residue whose beta the ``thm-odd-odd-beta`` claim searches (beta(X) is
+one more); every other instance is the strong resolving graph of the graph
+its name gives.  The script solves each with ``min_vertex_cover``
 four times, each under a node cap: with every component sent to the colour
 engine, once with its memo of finished candidate sets and once with
 ``MEMO_MAX = 0``, which keeps nothing; with every component sent to branch
@@ -26,7 +28,7 @@ from __future__ import annotations
 import argparse
 import time
 
-from strongdim import cover
+from strongdim import cover, verify
 from strongdim.graph import component_masks, cycle, path, random_connected
 from strongdim.products import product
 from strongdim.resolving import strong_resolving_graph
@@ -46,6 +48,10 @@ def _path(n):
 
 def _gnp(n, p, seed):
     return lambda: random_connected(n, p, seed)
+
+
+def _residue(m, n):
+    return lambda: verify._vertex_residue(product("strong", cycle(m), cycle(n)), n)
 
 
 LADDER = {
@@ -76,6 +82,9 @@ LADDER = {
     "beta:C9xC9": _strong(_cyc(9), _cyc(9)),
     "beta:C9xC11": _strong(_cyc(9), _cyc(11)),
     "beta:C11xC11": _strong(_cyc(11), _cyc(11)),
+    # the residues X - N[0] that thm-odd-odd-beta searches in their place
+    "beta0:C9xC11": _residue(9, 11),
+    "beta0:C11xC11": _residue(11, 11),
 }
 
 
@@ -125,7 +134,7 @@ def _solve(g, route, cap):
 
 def measure(name, cap):
     g = LADDER[name]()
-    if not name.startswith("beta:"):
+    if not name.startswith(("beta:", "beta0:")):
         g = strong_resolving_graph(g).sr
     adj = list(g.adj)
     theta, order = max(
