@@ -12,7 +12,6 @@ from .cover import (
     CoverResult,
     c_graph_partition,
     clique_cover_number,
-    is_c1_graph,
     max_clique,
     max_independent_set,
     min_vertex_cover,
@@ -24,7 +23,6 @@ from .dimension import (
     product_dimension,
     product_sr_graph,
     strong_metric_dimension,
-    strongly_resolves,
 )
 from .graph import (
     Graph,

@@ -19,7 +19,6 @@ from .resolving import PredictedSR, predicted_mmd_edges, strong_resolving_graph
 
 __all__ = [
     "DimensionResult",
-    "strongly_resolves",
     "is_strong_generator",
     "sr_cover_dimension",
     "strong_metric_dimension",
@@ -36,16 +35,6 @@ class DimensionResult:
     dim: int
     basis: frozenset[int]
     sr: Graph | None  # the SR graph the basis covers; None from brute force
-
-
-def strongly_resolves(dm: DistanceMatrix, w: int, u: int, v: int) -> bool:
-    """True iff some shortest w-u path passes v or some shortest w-v path passes u."""
-    if u == v:
-        raise ValueError("strong resolution is defined for distinct vertices")
-    dwu, dwv, duv = dm.dist(w, u), dm.dist(w, v), dm.dist(u, v)
-    if dwu is None or dwv is None or duv is None:
-        raise ValueError("strong resolution needs a connected graph")
-    return dwu == dwv + duv or dwv == dwu + duv
 
 
 def _difference_count(adj) -> int:

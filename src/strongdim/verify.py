@@ -756,9 +756,8 @@ def _vertex_residue(g: Graph, n2: int) -> Graph:
     if (next_u != [((a << n2) | (a >> (n - n2))) & full for a in adj]
             or next_v != [((a & ~last) << 1) | ((a & last) >> (n2 - 1)) for a in adj]):
         raise AssertionError(f"the rotations of C_{n // n2} x C_{n2} do not map its rows")
-    keep = full & ~(adj[0] | 1)
-    order = list(gr.bits(keep))
-    return Graph(len(order), cov._renumbered([a & keep for a in adj], order) if order else [])
+    order = list(gr.bits(full & ~(adj[0] | 1)))
+    return Graph(len(order), cov._renumbered(adj, order))
 
 
 @_claim(

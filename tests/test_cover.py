@@ -6,6 +6,7 @@ from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strongdim import cover
 from strongdim.cover import (
@@ -15,7 +16,6 @@ from strongdim.cover import (
     CliquePartition,
     c_graph_partition,
     clique_cover_number,
-    is_c1_graph,
     max_clique,
     max_independent_set,
     min_vertex_cover,
@@ -37,6 +37,7 @@ from strongdim.graph import (
 from strongdim.products import product
 from strongdim.resolving import strong_resolving_graph
 
+from oracles import is_c1_graph
 from test_graph import random_graph_strategy
 
 
@@ -162,8 +163,9 @@ def test_cover_witness_and_gallai(g):
 
 
 def _renumbered_by_dict(adj, order):
+    """The subgraph on ``order`` in new ids, one neighbour at a time."""
     pos = {u: i for i, u in enumerate(order)}
-    return [sum(1 << pos[w] for w in bits(adj[u])) for u in order]
+    return [sum(1 << pos[w] for w in bits(adj[u]) if w in pos) for u in order]
 
 
 def test_renumbered_matches_dict_loop():
@@ -180,6 +182,72 @@ def test_renumbered_matches_dict_loop():
         rng.shuffle(order)
         for o in (list(bits(comp)), order, cover._min_width_order(adj, comp)):
             assert cover._renumbered(adj, o) == _renumbered_by_dict(adj, o)
+
+
+def test_renumbered_cuts_rows_that_leave_order():
+    # both branches drop a neighbour outside ``order``, and an empty order
+    # has no rows
+    assert cover._renumbered([2, 1], [0]) == [0]
+    assert cover._renumbered([0, 0], []) == []
+    rng = random.Random(4)
+    dense = set()
+    for g in (complete(12), cycle(9), random_connected(140, 0.05, 11),
+              random_connected(60, 0.5, 2)):
+        adj = list(g.adj)
+        for _ in range(6):
+            order = rng.sample(range(g.n), rng.randint(1, g.n - 1))
+            keep = sum(1 << u for u in order)
+            dense |= {7 * (adj[u] & keep).bit_count() > len(order) for u in order}
+            assert any(adj[u] & ~keep for u in order)
+            assert cover._renumbered(adj, order) == _renumbered_by_dict(adj, order)
+    assert dense == {False, True}
+
+
+def _min_width_order_by_max(adj, comp):
+    """The min-width order by its definition: the max of a dict of degrees at
+    each step, updated one edge at a time."""
+    left = list(bits(comp))[::-1]
+    deg = {u: (adj[u] & comp).bit_count() for u in left}
+    taken = []
+    while left:
+        u = max(left, key=deg.__getitem__)  # the first of the highest ids
+        left.remove(u)
+        taken.append(u)
+        comp ^= 1 << u
+        for v in bits(adj[u] & comp):
+            deg[v] -= 1
+    return taken[::-1]
+
+
+@st.composite
+def graph_and_mask(draw):
+    g = draw(random_graph_strategy(max_n=16))
+    return g, draw(st.integers(min_value=0, max_value=(1 << g.n) - 1))
+
+
+@given(graph_and_mask())
+@settings(max_examples=200, deadline=None)
+def test_min_width_order_matches_max_over_degrees(case):
+    g, mask = case
+    adj = list(g.adj)
+    assert cover._min_width_order(adj, mask) == _min_width_order_by_max(adj, mask)
+
+
+def test_min_width_order_breaks_ties_like_max_over_degrees():
+    # every step is a tie on an edgeless, complete or cycle graph, and the
+    # SR graphs of G(100, .08) are the colour engine's usual input
+    assert cover._min_width_order(list(complete(3).adj), 0) == []
+    assert cover._min_width_order(list(complete(3).adj), 0b100) == [2]
+    cases = [make_graph(n, []) for n in (1, 2, 9)] + [complete(n) for n in (2, 5, 11)]
+    cases += [cycle(n) for n in (3, 8, 13)]
+    cases += [strong_resolving_graph(random_connected(100, 0.08, seed)).sr for seed in (1, 2, 3)]
+    rng = random.Random(27)
+    for g in cases:
+        adj = list(g.adj)
+        for mask in ((1 << g.n) - 1, rng.getrandbits(g.n), *component_masks(g)):
+            assert cover._min_width_order(adj, mask) == _min_width_order_by_max(adj, mask)
+    # C5 takes out 4 (a tie of five), 2 (of 1, 2), 1 (of 0, 1), then 3 and 0
+    assert cover._min_width_order(list(cycle(5).adj), 0b11111) == [0, 3, 1, 2, 4]
 
 
 def test_greedy_clique_partition_splits_its_mask_into_cliques():

@@ -37,7 +37,6 @@ from strongdim.dimension import (
     product_sr_graph,
     sr_cover_dimension,
     strong_metric_dimension,
-    strongly_resolves,
     tree_factor,
 )
 from strongdim.graph import (
@@ -54,6 +53,7 @@ from strongdim.metrics import all_pairs_distances, is_connected
 from strongdim.products import PRODUCT_KINDS, product, strong_product_distances
 from strongdim.resolving import predicted_mmd_edges, strong_resolving_graph
 
+from oracles import strongly_resolves
 from test_cover import brute_clique_cover, brute_min_cover
 from test_graph import connected_graph_strategy, random_graph_strategy
 

@@ -21,7 +21,7 @@ def _load_cover_ladder():
     return _load_tool("cover_ladder")
 
 
-def test_cover_ladder_forces_each_engine_and_restores_the_gate():
+def test_cover_ladder_forces_each_engine_and_restores_the_gate(capsys):
     # the node counts differ only if _solve really reaches each route through
     # the gate constants; a renamed constant would time the portfolio twice
     ladder = _load_cover_ladder()
@@ -51,6 +51,10 @@ def test_cover_ladder_forces_each_engine_and_restores_the_gate():
     row = ladder.measure("beta0:C9xC11", 3_000)
     assert row[:6] == ["beta0:C9xC11", "90", "344", "26 (0.29)", "69", "2512"]
     assert row[7] == ">3000"  # the no-memo route
+    # the last column is the seconds _theta_hat spends on the largest component
+    ladder.main(["--only", "C5xP12", "--cap", "100"])
+    header, _, line = capsys.readouterr().out.splitlines()
+    assert header.endswith("| peak states | theta-hat s |") and float(line.split("|")[-2]) > 0
     assert [getattr(cover, name) for name in ladder.GATES] == gate
     assert cover._frontier_mis is dp
 

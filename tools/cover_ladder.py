@@ -14,13 +14,16 @@ and reduce with the frontier gate shut; and with every root kernel that the
 clique bound leaves below the greedy cover sent to the frontier DP (the gate
 forced open).  It prints theta-hat (the largest greedy clique-partition
 count over the components, with its share of that component's order), the
-cover size, each route's nodes and seconds, and for the frontier route the
-width of its order and the most states it held after one step; ``>cap``
-marks a route that ran out of nodes, and ``-`` a width where no kernel
-reached the DP (the reductions or the bound settled the root).  The engine rule
-(``COLOUR_ENGINE_MAX_SHARE``, ``COLOUR_ENGINE_MAX_THETA``) and the frontier
-gate (``FRONTIER_MAX_WIDTH``, ``FRONTIER_MIN_STRETCH``) in
-``strongdim.cover`` are fitted on this table.
+cover size, each route's nodes and seconds, for the frontier route the
+width of its order and the most states it held after one step, and the
+seconds one ``_theta_hat`` call takes on the largest component (the
+min-width order, its renumbering and their partition count: the preamble a
+route pays before it searches, unless the greedy set settles the component
+first); ``>cap`` marks a route that ran out of nodes, and ``-`` a width
+where no kernel reached the DP (the reductions or the bound settled the
+root).  The engine rule (``COLOUR_ENGINE_MAX_SHARE``,
+``COLOUR_ENGINE_MAX_THETA``) and the frontier gate (``FRONTIER_MAX_WIDTH``,
+``FRONTIER_MIN_STRETCH``) in ``strongdim.cover`` are fitted on this table.
 """
 
 from __future__ import annotations
@@ -137,9 +140,14 @@ def measure(name, cap):
     if not name.startswith(("beta:", "beta0:")):
         g = strong_resolving_graph(g).sr
     adj = list(g.adj)
-    theta, order = max(
-        (cover._theta_hat(adj, c, len(cover._greedy_clique_partition(adj, c)))[0], c.bit_count())
-        for c in component_masks(g))
+    hats = []  # (theta-hat, order, seconds of _theta_hat) per component
+    for c in component_masks(g):
+        theta_id = len(cover._greedy_clique_partition(adj, c))
+        t0 = time.perf_counter()
+        theta = cover._theta_hat(adj, c, theta_id)[0]
+        hats.append((theta, c.bit_count(), time.perf_counter() - t0))
+    theta, order, _ = max(hats)
+    hat_s = max(hats, key=lambda hat: hat[1])[2]
     row = [name, str(g.n), str(g.num_edges), f"{theta} ({theta / order:.2f})"]
     sizes = set()
     for route in ROUTES:
@@ -150,6 +158,7 @@ def measure(name, cap):
             sizes.add(size)
             row += [str(nodes), f"{secs:.3f}"]
     row += [str(width) if width else "-", str(peak)]  # of the frontier route, run last
+    row.append(f"{hat_s:.4f}")
     if len(sizes) > 1:
         raise AssertionError(f"{name}: the routes disagree, {sorted(sizes)}")
     row.insert(4, str(sizes.pop()) if sizes else "?")
@@ -163,8 +172,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     print("| instance | n | m | theta-hat (/order) | cover | colour nodes | colour s "
           "| no-memo nodes | no-memo s | reduce nodes | reduce s "
-          "| frontier nodes | frontier s | width | peak states |")
-    print("|---" * 15 + "|")
+          "| frontier nodes | frontier s | width | peak states | theta-hat s |")
+    print("|---" * 16 + "|")
     for name in args.only or LADDER:
         print("| " + " | ".join(measure(name, args.cap)) + " |", flush=True)
 
