@@ -18,7 +18,6 @@ from .cover import (
 )
 from .dimension import (
     DimensionResult,
-    brute_force_dimension,
     is_strong_generator,
     product_dimension,
     product_sr_graph,

@@ -31,13 +31,16 @@ The rule reads theta-hat, the size of a greedy clique partition of the
 component, taken in id order or in min-width order, whichever is smaller.
 Every independent set meets each clique of a partition at most once, so
 alpha <= theta-hat.  A component with theta-hat <= ``COLOUR_ENGINE_MAX_SHARE``
-of its order and theta-hat <= ``COLOUR_ENGINE_MAX_THETA`` goes to the colour
-engine: it partitions into few large cliques, so the colour bound is tight,
-and the recursion depth (at most alpha + 1) stays small.  Any other
-component, typically long and sparse with many small cliques that the
-reductions take apart, goes to branch and reduce.  Both engines count nodes,
-and the DP its states, into one budget; when it runs out the component keeps
-its greedy cover and the result says ``proven_optimal=False``.
+of its order goes to the colour engine: it partitions into few large
+cliques, so the colour bound is tight.  The engine recurses at most
+alpha + 1 <= theta-hat + 1 levels, so it also needs that many frames left
+below ``sys.getrecursionlimit()``; ``min_vertex_cover`` counts the frames
+on the stack once per call.  Any other component, typically long and sparse
+with many small cliques that the reductions take apart, goes to branch and
+reduce, whose depth has no bound known up front: a search that outgrows the
+stack raises ``BudgetExhausted``.  Both engines count nodes, and the DP its
+states, into one budget; when it runs out the component keeps its greedy
+cover and the result says ``proven_optimal=False``.
 
 An id-order component runs on the graph's rows as they are; only the
 min-width order is renumbered, to count its partition.  When the id-order
@@ -69,6 +72,7 @@ DP too.  Everything is deterministic: every tie breaks on vertex ids.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from operator import itemgetter
@@ -90,10 +94,8 @@ __all__ = [
 DEFAULT_NODE_BUDGET = 50_000_000
 DEFAULT_RECOGNITION_CAP = 20
 # The engine rule (see the module docstring), fitted on the SR-graph ladder of
-# tools/cover_ladder.py; the cap on theta-hat bounds the colour engine's
-# recursion depth well inside Python's default limit of 1000 frames.
+# tools/cover_ladder.py.
 COLOUR_ENGINE_MAX_SHARE = 0.42
-COLOUR_ENGINE_MAX_THETA = 300
 # The frontier gate (see the module docstring), fitted on the same ladder.
 FRONTIER_MAX_WIDTH = 20
 FRONTIER_MIN_STRETCH = 7
@@ -524,10 +526,11 @@ def _min_width_order(adj: list[int], comp: int) -> list[int]:
     return taken[::-1]
 
 
-def _colour_side(theta: int, size: int) -> bool:
+def _colour_side(theta: int, size: int, room: int) -> bool:
     """The engine rule: True sends a component of ``size`` vertices whose
-    greedy clique partition has ``theta`` cliques to the colour engine."""
-    return theta <= min(COLOUR_ENGINE_MAX_SHARE * size, COLOUR_ENGINE_MAX_THETA)
+    greedy clique partition has ``theta`` cliques to the colour engine;
+    ``room`` is the frames the stack has left for its theta + 1 levels."""
+    return theta <= COLOUR_ENGINE_MAX_SHARE * size and theta < room
 
 
 def _theta_hat(adj: list[int], comp: int,
@@ -547,13 +550,23 @@ def min_vertex_cover(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverR
     """Exact minimum vertex cover (disconnected and edgeless inputs allowed).
 
     A component goes to the colour engine when its greedy clique partition
-    has theta-hat <= ``COLOUR_ENGINE_MAX_SHARE`` of its order and <=
-    ``COLOUR_ENGINE_MAX_THETA`` cliques, and to branch and reduce otherwise,
-    whose root kernel goes to the frontier DP when it passes the frontier
-    gate.  When the node budget runs out the component keeps its greedy cover
-    and the result has ``proven_optimal=False``; callers that need exactness
-    read it through ``CoverResult.exact``.
+    has theta-hat <= ``COLOUR_ENGINE_MAX_SHARE`` of its order and the stack
+    has room for theta-hat + 1 more levels of recursion, and to branch and
+    reduce otherwise, whose root kernel goes to the frontier DP when it
+    passes the frontier gate.  When the node budget runs out the component
+    keeps its greedy cover and the result has ``proven_optimal=False``;
+    callers that need exactness read it through ``CoverResult.exact``.  A
+    search that outgrows ``sys.getrecursionlimit()`` raises
+    ``BudgetExhausted``.
     """
+    # frames left for the colour engine's levels: the limit, less the frames
+    # on the stack (this one included) and 12 for ``run``, the partition the
+    # deepest level calls, and calls made through C, which count towards the
+    # limit but hold no frame
+    depth, frame = 0, sys._getframe()
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    room = sys.getrecursionlimit() - depth - 12
     adj = list(g.adj)
     nodes = 0
     cover_mask = 0
@@ -570,7 +583,7 @@ def min_vertex_cover(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverR
         if theta > start.bit_count():
             theta, renumbered = _theta_hat(adj, comp, theta)
         budget = node_budget - nodes
-        colour = _colour_side(theta, comp.bit_count())
+        colour = _colour_side(theta, comp.bit_count(), room)
         order, rows = renumbered or (None, adj)
         engine = _ColourSearch(rows, budget) if colour else _CoverSearch(adj, budget)
         try:
@@ -585,10 +598,13 @@ def min_vertex_cover(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverR
         except _Budget:
             proven = False
             cover_mask |= greedy
+        except RecursionError:
+            raise BudgetExhausted("cover search outgrew the recursion limit of "
+                                  f"{sys.getrecursionlimit()} frames") from None
         nodes += engine.nodes
     outside = ((1 << g.n) - 1) & ~cover_mask
     for u in bits(outside):
-        if adj[u] & outside:
+        if g.adj[u] & outside:
             raise AssertionError("cover witness misses an edge")
     witness = frozenset(bits(cover_mask))
     return CoverResult(len(witness), witness, nodes, proven)

@@ -1,5 +1,5 @@
-"""Strong metric dimension: definitional checks, the SR-cover pipeline, a
-subset-enumeration oracle, and the closed-form evaluators.
+"""Strong metric dimension: definitional checks, the SR-cover pipeline and
+the closed-form evaluators.
 
 The closed forms are pure integer arithmetic kept apart from graph code, so
 the claim verifier can compare formula values against computed truth without
@@ -9,11 +9,10 @@ circularity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .cover import DEFAULT_NODE_BUDGET, CoverResult, c_graph_partition, min_vertex_cover
 from .graph import Graph, bits
-from .metrics import DistanceMatrix, all_pairs_distances, is_connected
+from .metrics import DistanceMatrix, all_pairs_distances
 from .products import _StrongBalls, _stride, strong_product_distances
 from .resolving import PredictedSR, predicted_mmd_edges, strong_resolving_graph
 
@@ -24,17 +23,14 @@ __all__ = [
     "strong_metric_dimension",
     "product_dimension",
     "product_sr_graph",
-    "brute_force_dimension",
 ]
-
-BRUTE_FORCE_SIZE_CAP = 15
 
 
 @dataclass
 class DimensionResult:
     dim: int
     basis: frozenset[int]
-    sr: Graph | None  # the SR graph the basis covers; None from brute force
+    sr: Graph  # the SR graph the basis covers
 
 
 def _difference_count(adj) -> int:
@@ -280,40 +276,6 @@ def product_sr_graph(kind: str, g: Graph, h: Graph, *, prod: Graph) -> Graph:
     if pred is not None:
         return pred.graph
     return strong_resolving_graph(prod).sr
-
-
-def brute_force_dimension(
-    g: Graph, size_cap: int = BRUTE_FORCE_SIZE_CAP
-) -> DimensionResult:
-    """Independent oracle: smallest strong generator by subset enumeration,
-    increasing size, lexicographic within a size class."""
-    if g.n > size_cap:
-        raise ValueError(f"brute force capped at {size_cap} vertices")
-    if g.n < 2:
-        raise ValueError("strong metric dimension needs n >= 2")
-    if not is_connected(g):
-        raise ValueError("strong metric dimension needs a connected graph")
-    dm = all_pairs_distances(g)
-    rows = [[dm.dist(u, v) for v in range(g.n)] for u in range(g.n)]
-    # resolver mask per vertex pair; a generator must hit every one
-    pair_masks = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            duv = rows[u][v]
-            mask = 0
-            for w in range(g.n):
-                if rows[w][u] == rows[w][v] + duv or rows[w][v] == rows[w][u] + duv:
-                    mask |= 1 << w
-            pair_masks.append(mask)
-    pair_masks.sort(key=lambda m: m.bit_count())  # scarcest resolvers first
-    for k in range(1, g.n + 1):
-        for subset in combinations(range(g.n), k):
-            smask = 0
-            for w in subset:
-                smask |= 1 << w
-            if all(smask & m for m in pair_masks):
-                return DimensionResult(k, frozenset(subset), None)
-    raise AssertionError("the full vertex set must be a strong generator")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import inspect
 import random
 import sys
 from itertools import combinations
@@ -9,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongdim import cover
+from strongdim.cli import main as cli_main
 from strongdim.cover import (
-    COLOUR_ENGINE_MAX_THETA,
     DEFAULT_NODE_BUDGET,
     BudgetExhausted,
     CliquePartition,
@@ -33,6 +32,7 @@ from strongdim.graph import (
     path,
     random_connected,
     star,
+    to_graph6,
 )
 from strongdim.products import product
 from strongdim.resolving import strong_resolving_graph
@@ -284,10 +284,15 @@ def colour_rows(adj, comp, renumbered):
     return order, cover._renumbered(adj, order)
 
 
+# the stack room the engine rule is given here, as ``min_vertex_cover`` finds
+# it under the default recursion limit: more than any theta-hat in these tests
+ROOM = 900
+
+
 def colour_side(g):
     """True iff the engine rule sends every component of g to the colour engine."""
     adj = list(g.adj)
-    sides = {cover._colour_side(theta_hat(adj, comp)[0], comp.bit_count())
+    sides = {cover._colour_side(theta_hat(adj, comp)[0], comp.bit_count(), ROOM)
              for comp in component_masks(g)}
     assert len(sides) == 1
     return sides.pop()
@@ -379,7 +384,7 @@ def uncertified_cover(g, node_budget):
             continue
         greedy = cover._greedy_cover(adj, comp)
         theta, renumbered = theta_hat(adj, comp)
-        colour = cover._colour_side(theta, comp.bit_count())
+        colour = cover._colour_side(theta, comp.bit_count(), ROOM)
         budget = node_budget - nodes
         if colour:
             order, rows = colour_rows(adj, comp, renumbered)
@@ -409,7 +414,7 @@ def certified_components(g):
     return [comp for comp in component_masks(g)
             if comp & (comp - 1)
             and cover._colour_side(theta := len(cover._greedy_clique_partition(adj, comp)),
-                                   comp.bit_count())
+                                   comp.bit_count(), ROOM)
             and theta == (comp & ~cover._greedy_cover(adj, comp)).bit_count()]
 
 
@@ -441,7 +446,7 @@ def test_root_certificate_matches_the_colour_engine():
     for g in graphs:
         adj = list(g.adj)
         hits += len(certified_components(g))
-        colour += sum(cover._colour_side(theta_hat(adj, c)[0], c.bit_count())
+        colour += sum(cover._colour_side(theta_hat(adj, c)[0], c.bit_count(), ROOM)
                       for c in component_masks(g) if c & (c - 1))
         for budget in (*range(6), DEFAULT_NODE_BUDGET):
             res = min_vertex_cover(g, node_budget=budget)
@@ -480,28 +485,69 @@ def test_engine_rule_keeps_id_order_on_ties(name, build, nodes, size):
 
 
 
-def test_colour_side_never_exceeds_its_recursion_depth():
-    # a chain of triangles at the rule's cap: theta-hat = alpha = the cap, and
-    # the colour engine, started from an empty clique, dives to depth alpha
-    k = COLOUR_ENGINE_MAX_THETA
+def triangle_chain(k):
+    """k triangles in a row, each joined to the next by one edge:
+    theta-hat = alpha = k, and the triangle rule takes it apart."""
     edges = [(3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (0, 2), (1, 2))]
     edges += [(3 * i + 2, 3 * i + 3) for i in range(k - 1)]
-    g = make_graph(3 * k, edges)
-    assert colour_side(g)
-    adj, full = list(g.adj), (1 << g.n) - 1
-    theta, renumbered = theta_hat(adj, full)
-    assert theta == k
-    _, rows = colour_rows(adj, full, renumbered)
+    return make_graph(3 * k, edges)
+
+
+def two_cycles(n, seed):
+    """The cycle 0..n-1 and a shuffled cycle on the same vertices: 4-regular
+    but for shared edges, so no reduction fires and branch and reduce dives."""
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    return make_graph(n, [(i, (i + 1) % n) for i in range(n)]
+                      + [(order[i - 1], order[i]) for i in range(n)])
+
+
+def stack_depth():
+    """The frames on the stack, the caller's included."""
+    depth, frame = 0, sys._getframe(1)
+    while frame:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_colour_side_fits_the_stack_it_has(monkeypatch):
+    # from an empty start the colour engine dives to depth alpha = k on a
+    # chain of k triangles, one node a level.  Under a limit 150 frames above
+    # this one, every chain the rule leaves to the colour engine runs there
+    # in full, the longest within a few frames of the limit; one triangle
+    # more goes to branch and reduce, whose triangle rule solves it at the root
+    monkeypatch.setattr(cover, "_greedy_cover", lambda adj, comp: comp)
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack()) + k + 20)
+    sys.setrecursionlimit(stack_depth() + 150)
     try:
-        res = min_vertex_cover(g)
-        engine = cover._ColourSearch(rows, DEFAULT_NODE_BUDGET)
-        indep = engine.run(full, 0)
+        runs = {k: min_vertex_cover(triangle_chain(k)) for k in range(120, 150)}
     finally:
         sys.setrecursionlimit(limit)
-    assert res.proven_optimal and res.size == 2 * k
-    assert indep.bit_count() == k
+    assert all(res.proven_optimal and res.size == 2 * k for k, res in runs.items())
+    fits = [k for k, res in runs.items() if res.nodes_explored == k]
+    assert fits == list(range(120, fits[-1] + 1)) and 130 <= fits[-1] < 149
+    assert all(runs[k].nodes_explored == 1 for k in range(fits[-1] + 1, 150))
+
+
+def test_reduce_past_the_stack_ends_budget_exhausted(capsys):
+    # two_cycles(400, 1) takes branch and reduce 74 levels deep within 3,000
+    # nodes; under a limit 50 frames above this one the search outgrows the
+    # stack, and ends as a spent budget, in the library and through the CLI
+    g = two_cycles(400, 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 50)
+    try:
+        with pytest.raises(BudgetExhausted, match="recursion limit"):
+            min_vertex_cover(g, node_budget=3000)
+        code = cli_main(["compute", "alpha", to_graph6(g), "--node-budget", "3000"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: budget-exhausted: ") and "recursion limit" in err
+    assert err.count("\n") == 1
+    res = min_vertex_cover(g, node_budget=3000)
+    assert not res.proven_optimal and res.nodes_explored == 3001
 
 
 def test_deterministic_witness(monkeypatch):
@@ -560,7 +606,7 @@ def open_frontier_gate(monkeypatch, n):
     """Send every root kernel of an n-vertex graph to the frontier DP."""
     monkeypatch.setattr(cover, "FRONTIER_MIN_STRETCH", 1)
     monkeypatch.setattr(cover, "FRONTIER_MAX_WIDTH", n)
-    monkeypatch.setattr(cover, "COLOUR_ENGINE_MAX_THETA", -1)
+    monkeypatch.setattr(cover, "COLOUR_ENGINE_MAX_SHARE", 0)
 
 
 def pieces(adj, active):

@@ -16,10 +16,8 @@ from strongdim.cover import (
     min_vertex_cover,
 )
 from strongdim.dimension import (
-    BRUTE_FORCE_SIZE_CAP,
     DimensionResult,
     antipodal_factor,
-    brute_force_dimension,
     c1_lower,
     c3_exact,
     complete_factor,
@@ -53,7 +51,7 @@ from strongdim.metrics import all_pairs_distances, is_connected
 from strongdim.products import PRODUCT_KINDS, product, strong_product_distances
 from strongdim.resolving import predicted_mmd_edges, strong_resolving_graph
 
-from oracles import strongly_resolves
+from oracles import BRUTE_FORCE_SIZE_CAP, brute_force_dimension, strongly_resolves
 from test_cover import brute_clique_cover, brute_min_cover
 from test_graph import connected_graph_strategy, random_graph_strategy
 
@@ -526,6 +524,16 @@ def test_odd_odd_products_fall_back_to_the_product_cover(r, t, dim):
     assert orders == [g.n, h.n, g.n * h.n]
     assert res.dim == dim == strong_metric_dimension(product("strong", g, h)).dim
     assert odd_odd_lower(r, t) <= dim <= odd_odd_upper(r, t)
+
+
+def test_odd_odd_product_with_a_deep_colour_search():
+    # SR(C35 x C35) has theta-hat 323, a share of 0.26 of its 1,225 vertices:
+    # the stack holds the colour engine's 324 levels, and the engine proves
+    # the cover in about 150 nodes, where branch and reduce spends 200,000
+    # without a proof
+    g = cycle(35)
+    res = product_dimension("strong", g, g, 20_000, prod=product("strong", g, g))
+    assert res.dim == odd_odd_upper(17, 17) == 936
 
 
 def test_forged_factor_partition_raises(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -26,6 +27,7 @@ from strongdim.verify import (
 )
 
 from test_cli import _patch_everywhere
+from test_cover import stack_depth
 
 SMALL = CorpusSpec(
     seed=7,
@@ -144,6 +146,24 @@ def test_budget_exhaustion_reports_inconclusive():
     )
     rep = verify_claim("thm-odd-odd-beta", Corpus(spec))
     assert rep.status == "inconclusive"
+    assert suite_exit_code([rep]) == 3
+
+
+def test_search_past_the_stack_reports_inconclusive():
+    # under a limit 30 frames above this one the stack has no room for the
+    # colour engine on the larger residues, and branch and reduce outgrows it
+    # there: those instances end inconclusive, naming the limit, and the
+    # others still pass
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 30)
+    try:
+        rep = verify_claim("thm-odd-odd-beta", Corpus(CorpusSpec()))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rep.status == "inconclusive" and rep.counterexamples == 0
+    assert rep.instances_checked >= 5 and rep.instances_checked + rep.inconclusive == 10
+    notes = [rec["note"] for rec in rep.instances if rec["outcome"] == "inconclusive"]
+    assert all("recursion limit" in note for note in notes)
     assert suite_exit_code([rep]) == 3
 
 

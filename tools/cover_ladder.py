@@ -21,9 +21,12 @@ min-width order, its renumbering and their partition count: the preamble a
 route pays before it searches, unless the greedy set settles the component
 first); ``>cap`` marks a route that ran out of nodes, and ``-`` a width
 where no kernel reached the DP (the reductions or the bound settled the
-root).  The engine rule (``COLOUR_ENGINE_MAX_SHARE``,
-``COLOUR_ENGINE_MAX_THETA``) and the frontier gate (``FRONTIER_MAX_WIDTH``,
-``FRONTIER_MIN_STRETCH``) in ``strongdim.cover`` are fitted on this table.
+root).  The engine rule's share (``COLOUR_ENGINE_MAX_SHARE``) and the
+frontier gate (``FRONTIER_MAX_WIDTH``, ``FRONTIER_MIN_STRETCH``) in
+``strongdim.cover`` are fitted on this table; the rule's other half, the
+room left on the stack, is not.  The colour routes set the share to 1,
+which every component meets (each rung's theta-hat fits the stack), and the
+reduce and frontier routes set it to 0, which none does.
 """
 
 from __future__ import annotations
@@ -91,8 +94,7 @@ LADDER = {
 }
 
 
-GATES = ("COLOUR_ENGINE_MAX_SHARE", "COLOUR_ENGINE_MAX_THETA",
-         "FRONTIER_MAX_WIDTH", "FRONTIER_MIN_STRETCH", "MEMO_MAX")
+GATES = ("COLOUR_ENGINE_MAX_SHARE", "FRONTIER_MAX_WIDTH", "FRONTIER_MIN_STRETCH", "MEMO_MAX")
 ROUTES = ("colour", "no memo", "reduce", "frontier")
 
 
@@ -102,8 +104,8 @@ def _solve(g, route, cap):
     ran, and the largest over its runs if it ran more than once."""
     saved = [getattr(cover, name) for name in GATES]
     memo = saved[GATES.index("MEMO_MAX")]
-    settings = {"colour": (1, g.n, 0, 1, memo), "no memo": (1, g.n, 0, 1, 0),
-                "reduce": (0, -1, 0, 1, memo), "frontier": (0, -1, g.n, 1, memo)}[route]
+    settings = {"colour": (1, 0, 1, memo), "no memo": (1, 0, 1, 0),
+                "reduce": (0, 0, 1, memo), "frontier": (0, g.n, 1, memo)}[route]
     dp = cover._frontier_mis
     width = peak = 0
 
