@@ -12,7 +12,6 @@ from .cover import (
     CoverResult,
     c_graph_partition,
     clique_cover_number,
-    max_clique,
     max_independent_set,
     min_vertex_cover,
 )
@@ -53,7 +52,6 @@ from .metrics import (
 )
 from .products import (
     PRODUCT_KINDS,
-    ProductSpec,
     product,
     strong_product_distances,
 )

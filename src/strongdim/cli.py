@@ -170,8 +170,7 @@ def cmd_product(args) -> int:
     g = _load_one(args.g)
     h = _load_one(args.h)
     prod = pr.product(kind, g, h)
-    spec = pr.ProductSpec(kind, g.n, h.n)
-    labels = pr.coordinate_labels(spec)
+    labels = pr.coordinate_labels(g.n, h.n)
     out: dict = {
         "kind": kind,
         "n": prod.n,

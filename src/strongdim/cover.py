@@ -7,8 +7,7 @@ engines, chosen from a bound the component itself shows:
   and bound with a greedy colouring bound (MCQ; Tomita & Seki 2003), run on
   the component's own rows: its colour classes are the cliques of the greedy
   clique partition, which an independent set meets once each.  The cover is
-  the rest of the component.  ``max_clique`` is the same engine on the
-  complement, the one place that builds one.
+  the rest of the component.
 - The branch-and-reduce engine (``_CoverSearch``; Akiba & Iwata, TCS 609,
   2016) branches on a max-degree vertex (it joins the cover, or its whole
   neighbourhood does).  At each node a worklist of the vertices whose degree
@@ -71,13 +70,12 @@ DP too.  Everything is deterministic: every tie breaks on vertex ids.
 
 from __future__ import annotations
 
-import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .graph import Graph, bits, complement, component_masks
+from .graph import Graph, bits, component_masks
 
 __all__ = [
     "CoverResult",
@@ -86,7 +84,6 @@ __all__ = [
     "DEFAULT_NODE_BUDGET",
     "min_vertex_cover",
     "max_independent_set",
-    "max_clique",
     "clique_cover_number",
     "c_graph_partition",
 ]
@@ -121,10 +118,6 @@ class CoverResult:
             raise BudgetExhausted(
                 f"cover search exhausted its node budget ({self.nodes_explored} nodes)")
         return self
-
-
-class _Budget(Exception):
-    pass
 
 
 def _greedy_cover(adj: list[int], active: int) -> int:
@@ -256,7 +249,7 @@ class _CoverSearch:
         """Count frontier states into the node budget."""
         self.nodes += count
         if self.nodes > self.budget:
-            raise _Budget
+            raise BudgetExhausted
 
     def solve(self, active: int, limit: int, dirty: int,
               root: bool = False) -> tuple[int, int | None]:
@@ -270,7 +263,7 @@ class _CoverSearch:
         """
         self.nodes += 1
         if self.nodes > self.budget:
-            raise _Budget
+            raise BudgetExhausted
         if limit <= 0:
             return limit, None
         adj = self.adj
@@ -435,7 +428,7 @@ class _ColourSearch:
     def _expand(self, r_mask: int, r_size: int, p: int) -> None:
         self.nodes += 1
         if self.nodes > self.budget:
-            raise _Budget
+            raise BudgetExhausted
         adj, memo, cand = self.adj, self.memo, p
         # drop the first kmin = best - |R| cliques: a vertex in clique
         # k <= kmin cannot lead to a set larger than the best
@@ -595,7 +588,7 @@ def min_vertex_cover(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverR
                 indep = engine.run((1 << len(order)) - 1,
                                    sum(1 << i for i, u in enumerate(order) if start >> u & 1))
                 cover_mask |= comp & ~sum(1 << order[i] for i in bits(indep))
-        except _Budget:
+        except BudgetExhausted:
             proven = False
             cover_mask |= greedy
         except RecursionError:
@@ -623,16 +616,6 @@ def max_independent_set(
 # ---------------------------------------------------------------------------
 # cliques and clique partitions
 # ---------------------------------------------------------------------------
-
-
-def max_clique(g: Graph) -> frozenset[int]:
-    """Exact maximum clique: the colour engine on the complement of g, with
-    no budget.  It is an oracle for the tests and the only caller that builds
-    a complement."""
-    if g.n == 0:
-        return frozenset()
-    search = _ColourSearch(complement(g).adj, math.inf)
-    return frozenset(bits(search.run((1 << g.n) - 1, 1)))
 
 
 @dataclass
@@ -709,17 +692,15 @@ def _checked_partition(g: Graph, cliques: list[int]) -> CliquePartition:
     return partition
 
 
-def clique_cover_number(
-    g: Graph, node_budget: int, cap: int = DEFAULT_RECOGNITION_CAP
-) -> tuple[int, CliquePartition]:
+def clique_cover_number(g: Graph, node_budget: int) -> tuple[int, CliquePartition]:
     """Minimum number of cliques partitioning V(g), with a witness partition;
     ``BudgetExhausted`` when the cover, or a partition search given the nodes
     that the cover left, runs out of ``node_budget``.
 
     Counts k up from beta(g), which every clique partition reaches: the
     cliques hold the vertices of an independent set one each."""
-    if g.n > cap:
-        raise ValueError(f"clique cover recognition capped at {cap} vertices")
+    if g.n > DEFAULT_RECOGNITION_CAP:
+        raise ValueError(f"clique cover recognition capped at {DEFAULT_RECOGNITION_CAP} vertices")
     res = min_vertex_cover(g, node_budget).exact()
     full = (1 << g.n) - 1
     seeds = full & ~sum(1 << v for v in res.witness)

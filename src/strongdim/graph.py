@@ -329,16 +329,16 @@ def _refine_colors(g: Graph) -> list[int]:
     return colors
 
 
-def graphs_isomorphic(a: Graph, b: Graph, size_cap: int = ISOMORPHISM_SIZE_CAP) -> bool:
+def graphs_isomorphic(a: Graph, b: Graph) -> bool:
     """Exact isomorphism test by backtracking over refinement color classes.
 
     Intended for small graphs (SR shapes of factors); raises ValueError above
-    ``size_cap`` so callers fall back to shape summaries.
+    ``ISOMORPHISM_SIZE_CAP`` vertices so callers fall back to shape summaries.
     """
     if a.n != b.n or a.num_edges != b.num_edges:
         return False
-    if a.n > size_cap:
-        raise ValueError(f"isomorphism check capped at {size_cap} vertices")
+    if a.n > ISOMORPHISM_SIZE_CAP:
+        raise ValueError(f"isomorphism check capped at {ISOMORPHISM_SIZE_CAP} vertices")
     ca, cb = _refine_colors(a), _refine_colors(b)
     if sorted(ca) != sorted(cb):
         return False

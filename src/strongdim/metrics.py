@@ -53,13 +53,6 @@ class DistanceMatrix:
         levels = self.balls[v]
         return levels[radius] if radius < len(levels) else levels[-1]
 
-    def eccentricity(self, v: int) -> int:
-        """Largest finite distance from v."""
-        return len(self.balls[v]) - 1
-
-    def finite_diameter(self) -> int:
-        return max(self.eccentricity(v) for v in range(self.n))
-
     def connected(self) -> bool:
         """True iff the graph is connected: vertex 0 reaches every vertex."""
         return self.n > 0 and self.balls[0][-1] == (1 << self.n) - 1
@@ -106,7 +99,7 @@ def is_two_antipodal(g: Graph) -> bool:
     """True iff every vertex has exactly one vertex at distance diam(G)."""
     _require_connected(g)
     dm = all_pairs_distances(g)
-    d = dm.finite_diameter()
+    d = max(map(len, dm.balls)) - 1
     for v in range(g.n):
         levels = dm.balls[v]
         if len(levels) - 1 != d:

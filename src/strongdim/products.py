@@ -9,49 +9,17 @@ product vertex at a time, and never held for every vertex at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import Graph, bits
 from .metrics import DistanceMatrix
 
 __all__ = [
     "PRODUCT_KINDS",
-    "ProductSpec",
     "product",
     "strong_product_distances",
     "coordinate_labels",
 ]
 
 PRODUCT_KINDS = ("strong", "cartesian", "lexicographic", "cartesian_sum")
-
-
-@dataclass(frozen=True)
-class ProductSpec:
-    """Which product was taken and how (u, v) pairs map to product ids."""
-
-    kind: str
-    n1: int
-    n2: int
-
-    def __post_init__(self):
-        if self.kind not in PRODUCT_KINDS:
-            raise ValueError(f"unknown product kind {self.kind!r}")
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError("factors must be nonempty")
-
-    @property
-    def size(self) -> int:
-        return self.n1 * self.n2
-
-    def index(self, u: int, v: int) -> int:
-        if not (0 <= u < self.n1 and 0 <= v < self.n2):
-            raise ValueError(f"coordinate ({u},{v}) outside factor ranges")
-        return u * self.n2 + v
-
-    def decode(self, p: int) -> tuple[int, int]:
-        if not 0 <= p < self.size:
-            raise ValueError(f"product id {p} out of range")
-        return divmod(p, self.n2)
 
 
 def _stride(mask: int, n2: int) -> int:
@@ -150,7 +118,7 @@ def strong_product_distances(dm_g: DistanceMatrix, dm_h: DistanceMatrix) -> Dist
     return DistanceMatrix(dm_g.n * dm_h.n, _StrongBalls(dm_g, dm_h))
 
 
-def coordinate_labels(spec: ProductSpec) -> dict[int, str]:
-    """DOT-friendly labels 'u,v' for every product vertex id."""
-    cols = [str(v) for v in range(spec.n2)]
-    return dict(enumerate([f"{u},{v}" for u in range(spec.n1) for v in cols]))
+def coordinate_labels(n1: int, n2: int) -> dict[int, str]:
+    """DOT-friendly labels 'u,v' for every id of an n1 x n2 product."""
+    cols = [str(v) for v in range(n2)]
+    return dict(enumerate([f"{u},{v}" for u in range(n1) for v in cols]))

@@ -13,7 +13,7 @@ from operator import add, and_, xor
 
 from .graph import Graph, _transpose, bits, to_dot
 from .metrics import DistanceMatrix, all_pairs_distances, is_connected
-from .products import ProductSpec, _stride, coordinate_labels
+from .products import _stride
 
 __all__ = [
     "SRGraph",
@@ -158,6 +158,5 @@ def predicted_mmd_edges(g: Graph, h: Graph) -> PredictedSR:
 # ---------------------------------------------------------------------------
 
 
-def sr_to_dot(srg: SRGraph, spec: ProductSpec | None = None) -> str:
-    labels = coordinate_labels(spec) if spec is not None else None
-    return to_dot(srg.sr, labels=labels, name="SR")
+def sr_to_dot(srg: SRGraph) -> str:
+    return to_dot(srg.sr, name="SR")

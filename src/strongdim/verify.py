@@ -381,12 +381,11 @@ def _check_thm_boundary(env: Env, g: Graph, h: Graph) -> dict:
     if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
         return _skip(env, g, h, "factors must be connected and nontrivial")
     prod = env.product("strong", g, h)
-    spec = pr.ProductSpec("strong", g.n, h.n)
     actual = env.sr(prod).boundary
     bd_g = env.sr(g).boundary
     bd_h = env.sr(h).boundary
     expected = frozenset(
-        spec.index(u, v)
+        u * h.n + v
         for u in range(g.n)
         for v in range(h.n)
         if u in bd_g or v in bd_h

@@ -6,15 +6,17 @@ the package checks a whole basis at once from distance balls
 C1-graph test from the package's C-graph test and its split search, as
 ``strongdim.verify.Env.c1_graph`` does with the run's cached answers.
 ``brute_force_dimension`` finds dim_s by subset enumeration, apart from the
-SR-cover pipeline.
+SR-cover pipeline.  ``max_clique`` runs the package's colour engine on a
+complement, which the package itself never builds.
 """
 
+import math
 from itertools import combinations
 from typing import NamedTuple
 
 from strongdim import cover
 from strongdim.cover import DEFAULT_RECOGNITION_CAP, c_graph_partition
-from strongdim.graph import Graph
+from strongdim.graph import Graph, bits, complement
 from strongdim.metrics import DistanceMatrix, all_pairs_distances, is_connected
 
 BRUTE_FORCE_SIZE_CAP = 15
@@ -44,6 +46,15 @@ def is_c1_graph(g: Graph, independent: frozenset[int], node_budget: int,
         raise ValueError(f"C1-graph recognition capped at {cap} vertices")
     return (c_graph_partition(g, independent, node_budget, cap) is None
             and cover._splits_less_a_vertex(g, independent, node_budget))
+
+
+def max_clique(g: Graph) -> frozenset[int]:
+    """Exact maximum clique: the colour engine on the complement of g, with
+    no budget."""
+    if g.n == 0:
+        return frozenset()
+    search = cover._ColourSearch(complement(g).adj, math.inf)
+    return frozenset(bits(search.run((1 << g.n) - 1, 1)))
 
 
 def brute_force_dimension(

@@ -20,7 +20,7 @@ from strongdim.graph import (
     random_connected,
     to_graph6,
 )
-from strongdim.products import ProductSpec, coordinate_labels, product
+from strongdim.products import coordinate_labels, product
 from strongdim.resolving import strong_resolving_graph
 
 from test_dimension import assert_minimum_basis
@@ -215,7 +215,7 @@ def test_product_strong_factor_route_matches_generic(capsys, g_spec, h_spec, fla
     doc = json.loads(out)
     g, h = generate(g_spec), generate(h_spec)
     prod = product("strong", g, h)
-    labels = coordinate_labels(ProductSpec("strong", g.n, h.n))
+    labels = coordinate_labels(g.n, h.n)
     expected = _generic_product_payload(prod, labels, flag == "--dim-s")
     assert {key: doc.get(key) for key in expected} == expected
     assert ("dim_s" in doc) == ("basis" in doc) == (flag == "--dim-s")

@@ -15,7 +15,6 @@ from strongdim.cover import (
     CliquePartition,
     c_graph_partition,
     clique_cover_number,
-    max_clique,
     max_independent_set,
     min_vertex_cover,
 )
@@ -37,7 +36,7 @@ from strongdim.graph import (
 from strongdim.products import product
 from strongdim.resolving import strong_resolving_graph
 
-from oracles import is_c1_graph
+from oracles import is_c1_graph, max_clique
 from test_graph import random_graph_strategy
 
 
@@ -398,7 +397,7 @@ def uncertified_cover(g, node_budget):
                 witness |= comp & ~sum(1 << order[i] for i in bits(indep))
             else:
                 witness |= engine.cover(comp, greedy)
-        except cover._Budget:
+        except BudgetExhausted:
             witness |= greedy
             proven = False
         nodes += engine.nodes

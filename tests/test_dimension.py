@@ -2,7 +2,7 @@ import random
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from strongdim import cover, dimension
@@ -11,7 +11,6 @@ from strongdim.cover import (
     BudgetExhausted,
     CoverResult,
     c_graph_partition,
-    max_clique,
     max_independent_set,
     min_vertex_cover,
 )
@@ -51,9 +50,9 @@ from strongdim.metrics import all_pairs_distances, is_connected
 from strongdim.products import PRODUCT_KINDS, product, strong_product_distances
 from strongdim.resolving import predicted_mmd_edges, strong_resolving_graph
 
-from oracles import BRUTE_FORCE_SIZE_CAP, brute_force_dimension, strongly_resolves
+from oracles import BRUTE_FORCE_SIZE_CAP, brute_force_dimension, max_clique, strongly_resolves
 from test_cover import brute_clique_cover, brute_min_cover
-from test_graph import connected_graph_strategy, random_graph_strategy
+from test_graph import connected_graph_strategy
 
 
 # -- strongly_resolves -------------------------------------------------------
@@ -458,14 +457,20 @@ def assert_minimum_basis(g, dim, basis):
 
 @given(
     st.sampled_from(PRODUCT_KINDS),
-    random_graph_strategy(max_n=5),
-    random_graph_strategy(max_n=5),
+    connected_graph_strategy(1, 5),
+    connected_graph_strategy(1, 5),
 )
+# the lexicographic and Cartesian-sum products are connected also when one
+# factor is not
+@example("lexicographic", path(3), make_graph(3, [(0, 1)]))
+@example("lexicographic", cycle(4), make_graph(2, []))
+@example("cartesian_sum", make_graph(3, [(0, 1)]), path(3))
+@example("cartesian_sum", path(2), make_graph(3, []))
 @settings(max_examples=80, deadline=None)
 def test_factor_route_matches_generic_route(kind, g, h):
-    assume(g.n > 0 and h.n > 0)
+    assume(g.n * h.n >= 2)  # K1 x K1 has no dimension
     prod = product(kind, g, h)
-    assume(prod.n >= 2 and is_connected(prod))
+    assert is_connected(prod)
     res = product_dimension(kind, g, h, prod=prod)
     direct = strong_metric_dimension(prod)
     assert res.sr == direct.sr == strong_resolving_graph(prod).sr

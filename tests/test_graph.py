@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongdim.graph import (
+    ISOMORPHISM_SIZE_CAP,
     Graph,
     bits,
     complement,
@@ -237,10 +238,11 @@ def test_isomorphic_classics():
 
 
 def test_isomorphism_respects_size_cap():
-    with pytest.raises(ValueError):
-        graphs_isomorphic(complete(17), complete(17))
+    n = ISOMORPHISM_SIZE_CAP + 1
+    with pytest.raises(ValueError, match=f"capped at {ISOMORPHISM_SIZE_CAP} vertices"):
+        graphs_isomorphic(complete(n), complete(n))
     # different sizes short-circuit before the cap check
-    assert not graphs_isomorphic(complete(17), complete(18), size_cap=5)
+    assert not graphs_isomorphic(complete(n), complete(n + 1))
 
 
 def brute_isomorphic(a, b):

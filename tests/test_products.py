@@ -9,7 +9,6 @@ from strongdim.graph import complete, cycle, graphs_isomorphic, grid, path
 from strongdim.metrics import all_pairs_distances, is_connected
 from strongdim.products import (
     PRODUCT_KINDS,
-    ProductSpec,
     coordinate_labels,
     product,
     strong_product_distances,
@@ -99,14 +98,13 @@ def test_products_of_connected_are_connected(pair):
 )
 def test_strong_distance_law(g, h):
     prod = product("strong", g, h)
-    spec = ProductSpec("strong", g.n, h.n)
     dm_g, dm_h, dm_p = (all_pairs_distances(x) for x in (g, h, prod))
     for u in range(g.n):
         for v in range(h.n):
-            p = spec.index(u, v)
+            p = u * h.n + v
             for x in range(g.n):
                 for y in range(h.n):
-                    q = spec.index(x, y)
+                    q = x * h.n + y
                     assert dm_p.dist(p, q) == max(dm_g.dist(u, x), dm_h.dist(v, y))
 
 
@@ -141,34 +139,31 @@ def test_factor_balls_with_k1_and_large_factors():
 @settings(max_examples=60)
 def test_closed_neighborhood_law(g, h):
     prod = product("strong", g, h)
-    spec = ProductSpec("strong", g.n, h.n)
     for u in range(g.n):
         for v in range(h.n):
-            p = spec.index(u, v)
+            p = u * h.n + v
             expected = {
-                spec.index(x, y)
+                x * h.n + y
                 for x in list(g.neighbors(u)) + [u]
                 for y in list(h.neighbors(v)) + [v]
             } - {p}
             assert set(prod.neighbors(p)) == expected
 
 
-# -- spec / projections -----------------------------------------------------------
+# -- ids / projections ------------------------------------------------------------
 
 
 def test_index_decode_bijection():
-    spec = ProductSpec("strong", 4, 7)
+    # (u, v) has id u * n2 + v, and divmod(p, n2) reads it back
+    labels = coordinate_labels(4, 7)
     seen = set()
     for u in range(4):
         for v in range(7):
-            p = spec.index(u, v)
-            assert spec.decode(p) == (u, v)
+            p = u * 7 + v
+            assert divmod(p, 7) == (u, v)
+            assert labels[p] == f"{u},{v}"
             seen.add(p)
-    assert seen == set(range(28))
-    with pytest.raises(ValueError):
-        spec.index(4, 0)
-    with pytest.raises(ValueError):
-        spec.decode(28)
+    assert seen == set(range(28)) == set(labels)
 
 
 def test_clique_strip_projection_argument():
@@ -177,19 +172,17 @@ def test_clique_strip_projection_argument():
     # without collisions
     g = cycle(5)
     prod = product("strong", g, g)
-    spec = ProductSpec("strong", 5, 5)
     indep = max_independent_set(prod)
     assert len(indep) == 5
     for part in ({0, 1}, {2, 3}, {4}):
-        strip = [p for p in indep if spec.decode(p)[0] in part]
-        assert len({spec.decode(p)[1] for p in strip}) == len(strip)
+        strip = [p for p in indep if divmod(p, 5)[0] in part]
+        assert len({divmod(p, 5)[1] for p in strip}) == len(strip)
 
 
 def test_coordinate_labels():
-    spec = ProductSpec("cartesian", 2, 3)
-    labels = coordinate_labels(spec)
+    labels = coordinate_labels(2, 3)
     assert labels[0] == "0,0"
     assert labels[5] == "1,2"
-    for spec in (ProductSpec("strong", 1, 1), ProductSpec("strong", 12, 11)):
-        assert coordinate_labels(spec) == {
-            p: "{},{}".format(*spec.decode(p)) for p in range(spec.size)}
+    for n1, n2 in ((1, 1), (12, 11)):
+        assert coordinate_labels(n1, n2) == {
+            p: "{},{}".format(*divmod(p, n2)) for p in range(n1 * n2)}

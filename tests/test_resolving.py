@@ -16,7 +16,7 @@ from strongdim.graph import (
     star,
 )
 from strongdim.metrics import all_pairs_distances
-from strongdim.products import ProductSpec, product
+from strongdim.products import product
 from strongdim.resolving import (
     boundary,
     predicted_mmd_edges,
@@ -141,7 +141,7 @@ def test_sr_graph_where_a_neighbour_is_more_central(g):
     # some v has a neighbour w with ecc(w) < ecc(v): B(w, k) is clamped at
     # k = ecc(w), below v's last layer, which must still be intersected
     dm = all_pairs_distances(g)
-    ecc = [dm.eccentricity(v) for v in range(g.n)]
+    ecc = [len(levels) - 1 for levels in dm.balls]
     assert any(ecc[w] < ecc[v] for v in range(g.n) for w in g.neighbors(v))
     assert strong_resolving_graph(g, dm).sr == _mmd_graph(g)
 
@@ -175,7 +175,7 @@ def test_diametral_pairs_are_mmd(g):
     dm = all_pairs_distances(g)
     srg = strong_resolving_graph(g, dm)
     assert srg.sr.num_edges >= 1
-    diam = dm.finite_diameter()
+    diam = max(map(len, dm.balls)) - 1
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if dm.dist(u, v) == diam:
@@ -241,11 +241,10 @@ def test_prediction_matches_direct_sr_large():
 def test_boundary_product_law():
     for g, h in [(path(4), cycle(5)), (complete(3), path(3)), (grid(2, 3), complete(2))]:
         prod = product("strong", g, h)
-        spec = ProductSpec("strong", g.n, h.n)
         bd = boundary(prod)
         bd_g, bd_h = boundary(g), boundary(h)
         expected = frozenset(
-            spec.index(u, v)
+            u * h.n + v
             for u in range(g.n)
             for v in range(h.n)
             if u in bd_g or v in bd_h
@@ -270,15 +269,3 @@ def test_predicted_rejects_bad_factors():
         predicted_mmd_edges(complete(1), complete(2))
     with pytest.raises(ValueError):
         predicted_mmd_edges(disjoint_union([complete(2)] * 2), complete(2))
-
-
-def test_sr_dot_export_with_coordinates():
-    from strongdim.resolving import sr_to_dot
-
-    g, h = path(3), complete(2)
-    srg = strong_resolving_graph(product("strong", g, h))
-    spec = ProductSpec("strong", g.n, h.n)
-    text = sr_to_dot(srg, spec)
-    assert 'label="0,0"' in text
-    assert "graph SR {" in text
-
