@@ -22,9 +22,10 @@ engines, chosen from a bound the component itself shows:
   chosen vertices on the frontier, the best independent set that leaves it:
   at most 2^width states a step, with width the order's vertex separation.
   Its cover, which may tie the greedy cover, goes through the folds' undo.
-  The gate: the width is at most ``FRONTIER_MAX_WIDTH`` and at most
-  1/``FRONTIER_MIN_STRETCH`` of the kernel's order; on short kernels the
-  branch is cheaper.
+  The gate weighs the DP's 2^width states against the gap the branch would
+  have to close, the greedy cover less the clique bound: the width is at
+  most that gap and at most ``FRONTIER_MAX_WIDTH``, which bounds the live
+  states.
 
 The rule reads theta-hat, the size of a greedy clique partition of the
 component, taken in id order or in min-width order, whichever is smaller.
@@ -64,8 +65,9 @@ where the plain search runs past 2,000,000.
 
 The two engines share only the greedy clique partition, so subset
 enumeration referees them: the tests run both on the same components, and
-both against it; with the frontier gate shut or forced open, both check the
-DP too.  Everything is deterministic: every tie breaks on vertex ids.
+both against it; with the frontier gate shut, and with the DP run on every
+root kernel (its order built without a cap on width), both check the DP
+too.  Everything is deterministic: every tie breaks on vertex ids.
 """
 
 from __future__ import annotations
@@ -93,9 +95,8 @@ DEFAULT_RECOGNITION_CAP = 20
 # The engine rule (see the module docstring), fitted on the SR-graph ladder of
 # tools/cover_ladder.py.
 COLOUR_ENGINE_MAX_SHARE = 0.42
-# The frontier gate (see the module docstring), fitted on the same ladder.
+# The frontier gate's cap on the DP's width (see the module docstring).
 FRONTIER_MAX_WIDTH = 20
-FRONTIER_MIN_STRETCH = 7
 # The colour engine's memo (see the module docstring): the most candidate
 # sets one search keeps proofs for, about 6 MB; a full memo is cleared.
 MEMO_MAX = 1 << 16
@@ -348,8 +349,7 @@ class _CoverSearch:
             if lower >= limit:
                 return limit, None
             if root:
-                path = _frontier_order(
-                    adj, active, min(FRONTIER_MAX_WIDTH, kernel // FRONTIER_MIN_STRETCH))
+                path = _frontier_order(adj, active, min(FRONTIER_MAX_WIDTH, limit - lower))
                 if path is not None:
                     indep = _frontier_mis(adj, *path, self.charge)
                     return finish(kernel - indep.bit_count(), active ^ indep)

@@ -222,15 +222,9 @@ def _factor_certificate(sr: Graph, node_budget: int) -> tuple[int, int, bool]:
     independent set I, as a mask; the cover nodes spent; and whether
     ``c_graph_partition``, within the nodes the cover leaves, partitions
     ``sr`` into |I| cliques, so that theta(sr) = beta(sr).
-
-    The cover is solved on the id-reversed graph and mapped back, which leaves
-    I at high ids and the product basis, the complement of a product of such
-    sets, at low ones; the generator check's masks are shorter there.
     """
-    n = sr.n
-    rev = Graph(n, [int(format(a, f"0{n}b")[::-1], 2) for a in reversed(sr.adj)])
-    cover = min_vertex_cover(rev, node_budget).exact()
-    independent = frozenset(n - 1 - v for v in range(n) if v not in cover.witness)
+    cover = min_vertex_cover(sr, node_budget).exact()
+    independent = frozenset(range(sr.n)) - cover.witness
     certified = c_graph_partition(sr, independent, node_budget - cover.nodes_explored) is not None
     return sum(1 << v for v in independent), cover.nodes_explored, certified
 

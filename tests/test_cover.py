@@ -315,7 +315,11 @@ def counting_frontier(monkeypatch):
 # gate, with their exact node counts (frontier states count as nodes)
 RULE_SIDES = [
     ("SR(C9xC9)", lambda: sr_of(cycle(9), cycle(9)), True, 23, 65),
+    # the frontier gate reads the root's gap, greedy cover less clique bound,
+    # against the order's width 17: 11 keeps SR(C5xP12) on the branch, and
+    # 19 sends SR(C5xP20) to the DP
     ("SR(C5xP12)", lambda: sr_of(cycle(5), path(12)), False, 117, 38),
+    ("SR(C5xP20)", lambda: sr_of(cycle(5), path(20)), False, 28007, 62),
     ("SR(C9xP20)", lambda: sr_of(cycle(9), path(20)), False, 935, 104),
     ("SR(C5xP60)", lambda: sr_of(cycle(5), path(60)), False, 73767, 182),
     # width 8, but the clique bound proves the greedy cover at the root: one node
@@ -324,7 +328,7 @@ RULE_SIDES = [
     # skips repeated subtrees (47,398 nodes with MEMO_MAX = 0)
     ("C9xC9", lambda: product("strong", cycle(9), cycle(9)), True, 4680, 63),
 ]
-FRONTIER_SOLVED = {"SR(C5xP60)"}  # the rows whose root kernel passes the gate
+FRONTIER_SOLVED = {"SR(C5xP20)", "SR(C5xP60)"}  # the rows whose root kernel passes the gate
 
 
 @pytest.mark.parametrize("name,build,colour,nodes,size", RULE_SIDES)
@@ -601,10 +605,13 @@ def test_memo_proves_beta_c11_strong_c11():
 # -- frontier DP --------------------------------------------------------------------
 
 
-def open_frontier_gate(monkeypatch, n):
-    """Send every root kernel of an n-vertex graph to the frontier DP."""
-    monkeypatch.setattr(cover, "FRONTIER_MIN_STRETCH", 1)
-    monkeypatch.setattr(cover, "FRONTIER_MAX_WIDTH", n)
+def open_frontier_gate(monkeypatch):
+    """Send every root kernel that the clique bound leaves open to the
+    frontier DP: its order is built with cap n, the graph's order, which no
+    width exceeds."""
+    order = cover._frontier_order
+    monkeypatch.setattr(cover, "_frontier_order",
+                        lambda adj, active, cap: order(adj, active, len(adj)))
     monkeypatch.setattr(cover, "COLOUR_ENGINE_MAX_SHARE", 0)
 
 
@@ -690,9 +697,9 @@ def frontier_corpus():
 
 def test_frontier_dp_matches_brute_force(monkeypatch):
     runs = counting_frontier(monkeypatch)
+    open_frontier_gate(monkeypatch)
     split = folded = 0
     for g in frontier_corpus():
-        open_frontier_gate(monkeypatch, g.n)
         before = len(runs)
         res = min_vertex_cover(g)
         assert res.proven_optimal
@@ -705,6 +712,39 @@ def test_frontier_dp_matches_brute_force(monkeypatch):
             # a fold rewrites the rows of the kernel it leaves behind
             folded += any(adj[u] & active != g.adj[u] & active for u in order)
     assert len(runs) >= 60 and split >= 3 and folded >= 20
+
+
+def test_frontier_gate_keeps_a_wide_kernel_on_the_branch(monkeypatch):
+    # SR(C7xP45) reaches the gate with a gap of 44 above its order's width 39,
+    # so only FRONTIER_MAX_WIDTH keeps it on the branch, which proves it in
+    # 16,651 nodes where the DP spends 5,000,000 without a proof
+    g = sr_of(cycle(7), path(45))
+    adj = list(g.adj)
+    (comp,) = component_masks(g)
+    assert not colour_side(g)
+    gap = (cover._greedy_cover(adj, comp).bit_count()
+           - g.n + len(cover._greedy_clique_partition(adj, comp)))
+    order, leave = cover._frontier_order(adj, comp, g.n)
+    width = frontier = 0
+    for gone in leave:
+        frontier += 1 - gone.bit_count()
+        width = max(width, frontier)
+    assert (gap, width) == (44, 39)
+    caps = []
+    placed = cover._frontier_order
+
+    def traced(adj, active, cap):
+        caps.append(cap)
+        return placed(adj, active, cap)
+
+    monkeypatch.setattr(cover, "_frontier_order", traced)
+    runs = counting_frontier(monkeypatch)
+    res = min_vertex_cover(g, node_budget=50)
+    assert not res.proven_optimal and caps == [cover.FRONTIER_MAX_WIDTH] and not runs
+    # with the width cap lifted, the gap alone opens the gate
+    monkeypatch.setattr(cover, "FRONTIER_MAX_WIDTH", g.n)
+    assert not min_vertex_cover(g, node_budget=50).proven_optimal
+    assert caps[1:] == [gap] and len(runs) == 1
 
 
 # -- independence -----------------------------------------------------------------
@@ -770,7 +810,7 @@ def test_engines_agree_on_sr_graphs(monkeypatch):
         assert reduce_size == colour_size == min_vertex_cover(g).size
         assert not runs
         with monkeypatch.context() as mp:
-            open_frontier_gate(mp, g.n)
+            open_frontier_gate(mp)
             res = min_vertex_cover(g)
         assert len(runs) == 1
         runs.clear()

@@ -512,12 +512,18 @@ def test_certified_route_matches_the_product_cover(g, h):
         assert res.dim == general_upper(g.n, h.n, dim_g, dim_h)
 
 
-def test_certified_basis_sits_at_low_ids():
-    # the factor covers are solved on id-reversed SR graphs, so P30 x P30's
-    # basis is row 0 and column 0, where the generator check's masks are short
-    res, orders = _covered_orders(path(30), path(30))
-    assert orders == [30, 30]
-    assert res.basis == frozenset(range(30)) | frozenset(range(0, 900, 30))
+@pytest.mark.parametrize("g, h", [(path(30), path(30)), (cycle(12), path(5))])
+def test_certified_basis_is_the_complement_of_the_factor_sets(g, h):
+    # each factor cover is solved on the factor's SR graph as given, with
+    # I = V - cover, and the basis is the complement of I_G x I_H
+    res, orders = _covered_orders(g, h)
+    assert orders == [g.n, h.n]
+    ind_g, ind_h = (set(range(f.n)) - min_vertex_cover(strong_resolving_graph(f).sr).witness
+                    for f in (g, h))
+    assert res.basis == frozenset(u * h.n + v for u in range(g.n) for v in range(h.n)
+                                  if u not in ind_g or v not in ind_h)
+    if g.n == h.n == 30:  # SR(P30) is the edge {0, 29}, covered by 29
+        assert res.basis == frozenset(range(29, 900, 30)) | frozenset(range(870, 900))
 
 
 @pytest.mark.parametrize("r, t, dim", [(2, 3, 29), (3, 4, 51)])

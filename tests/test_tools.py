@@ -23,19 +23,25 @@ def _load_cover_ladder():
 
 def test_cover_ladder_forces_each_engine_and_restores_the_gate(capsys):
     # the node counts differ only if _solve really reaches each route through
-    # the gate constants; a renamed constant would time the portfolio twice
+    # the gate constants and the uncapped frontier order; a renamed constant
+    # would time the portfolio twice
     ladder = _load_cover_ladder()
     assert set(ladder.GATES) == {"MEMO_MAX"} | {
         name for name in vars(cover) if name.startswith(("COLOUR_ENGINE_", "FRONTIER_"))}
     gate = [getattr(cover, name) for name in ladder.GATES]
-    dp = cover._frontier_mis
+    dp, placed = cover._frontier_mis, cover._frontier_order
     sr = strong_resolving_graph(product("strong", cycle(9), cycle(9))).sr
     size, colour_nodes, *_ = ladder._solve(sr, "colour", 20_000)
     assert (size, colour_nodes) == (65, 23)
     size, reduce_nodes, *_ = ladder._solve(sr, "reduce", 20_000)
     assert (size, reduce_nodes) == (65, 111)
-    # SR(C5xP24) passes the frontier gate as it stands, so only a shut gate
-    # keeps the reduce route on branch and reduce
+    # SR(C5xP12)'s root gap of 11 is below its order's width 17, so the gate
+    # keeps it on the branch, and only the frontier route's uncapped order
+    # sends it to the DP
+    sr = strong_resolving_graph(product("strong", cycle(5), path(12))).sr
+    assert ladder._solve(sr, "frontier", 50_000)[:2] == (38, 18855)
+    # SR(C5xP24)'s gap of 23 passes the frontier gate as it stands, so only a
+    # shut gate keeps the reduce route on branch and reduce
     sr = strong_resolving_graph(product("strong", cycle(5), path(24))).sr
     assert ladder._solve(sr, "reduce", 20_000)[:2] == (74, 513)
     size, frontier_nodes, _, width, peak = ladder._solve(sr, "frontier", 50_000)
@@ -56,7 +62,7 @@ def test_cover_ladder_forces_each_engine_and_restores_the_gate(capsys):
     header, _, line = capsys.readouterr().out.splitlines()
     assert header.endswith("| peak states | theta-hat s |") and float(line.split("|")[-2]) > 0
     assert [getattr(cover, name) for name in ladder.GATES] == gate
-    assert cover._frontier_mis is dp
+    assert (cover._frontier_mis, cover._frontier_order) == (dp, placed)
 
 
 def test_product_ladder_times_each_function_and_restores_it(capsys):

@@ -10,23 +10,26 @@ its name gives.  The script solves each with ``min_vertex_cover``
 four times, each under a node cap: with every component sent to the colour
 engine, once with its memo of finished candidate sets and once with
 ``MEMO_MAX = 0``, which keeps nothing; with every component sent to branch
-and reduce with the frontier gate shut; and with every root kernel that the
-clique bound leaves below the greedy cover sent to the frontier DP (the gate
-forced open).  It prints theta-hat (the largest greedy clique-partition
-count over the components, with its share of that component's order), the
-cover size, each route's nodes and seconds, for the frontier route the
-width of its order and the most states it held after one step, and the
-seconds one ``_theta_hat`` call takes on the largest component (the
-min-width order, its renumbering and their partition count: the preamble a
-route pays before it searches, unless the greedy set settles the component
-first); ``>cap`` marks a route that ran out of nodes, and ``-`` a width
-where no kernel reached the DP (the reductions or the bound settled the
-root).  The engine rule's share (``COLOUR_ENGINE_MAX_SHARE``) and the
-frontier gate (``FRONTIER_MAX_WIDTH``, ``FRONTIER_MIN_STRETCH``) in
-``strongdim.cover`` are fitted on this table; the rule's other half, the
-room left on the stack, is not.  The colour routes set the share to 1,
-which every component meets (each rung's theta-hat fits the stack), and the
-reduce and frontier routes set it to 0, which none does.
+and reduce with the frontier gate shut (``FRONTIER_MAX_WIDTH = 0``); and
+with every root kernel that the clique bound leaves below the greedy cover
+sent to the frontier DP (the gate forced open: ``_frontier_order`` builds
+the order with cap n, which no width exceeds).  It prints theta-hat (the
+largest greedy clique-partition count over the components, with its share
+of that component's order), the cover size, each route's nodes and
+seconds, for the frontier route the width of its order and the most states
+it held after one step, and the seconds one ``_theta_hat`` call takes on
+the largest component (the min-width order, its renumbering and their
+partition count: the preamble a route pays before it searches, unless the
+greedy set settles the component first); ``>cap`` marks a route that ran
+out of nodes, and ``-`` a width where no kernel reached the DP (the
+reductions or the bound settled the root).  The engine rule's share
+(``COLOUR_ENGINE_MAX_SHARE``) and the frontier gate's width cap
+(``FRONTIER_MAX_WIDTH``) in ``strongdim.cover`` are fitted on this table;
+the rule's other half, the room left on the stack, is not, nor is the
+gate's other half, the root's own gap (the greedy cover less the clique
+bound).  The colour routes set the share to 1, which every component meets
+(each rung's theta-hat fits the stack), and the reduce and frontier routes
+set it to 0, which none does.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ LADDER = {
 }
 
 
-GATES = ("COLOUR_ENGINE_MAX_SHARE", "FRONTIER_MAX_WIDTH", "FRONTIER_MIN_STRETCH", "MEMO_MAX")
+GATES = ("COLOUR_ENGINE_MAX_SHARE", "FRONTIER_MAX_WIDTH", "MEMO_MAX")
 ROUTES = ("colour", "no memo", "reduce", "frontier")
 
 
@@ -103,11 +106,14 @@ def _solve(g, route, cap):
     component sent to ``route``; width and peak are 0 unless the frontier DP
     ran, and the largest over its runs if it ran more than once."""
     saved = [getattr(cover, name) for name in GATES]
-    memo = saved[GATES.index("MEMO_MAX")]
-    settings = {"colour": (1, 0, 1, memo), "no memo": (1, 0, 1, 0),
-                "reduce": (0, 0, 1, memo), "frontier": (0, g.n, 1, memo)}[route]
-    dp = cover._frontier_mis
+    memo, wide = saved[GATES.index("MEMO_MAX")], saved[GATES.index("FRONTIER_MAX_WIDTH")]
+    settings = {"colour": (1, 0, memo), "no memo": (1, 0, 0),
+                "reduce": (0, 0, memo), "frontier": (0, wide, memo)}[route]
+    dp, placed = cover._frontier_mis, cover._frontier_order
     width = peak = 0
+
+    def uncapped(adj, active, cap):
+        return placed(adj, active, g.n)
 
     def traced(adj, order, leave, charge):
         nonlocal width, peak
@@ -126,6 +132,8 @@ def _solve(g, route, cap):
     for name, value in zip(GATES, settings):
         setattr(cover, name, value)
     cover._frontier_mis = traced
+    if route == "frontier":
+        cover._frontier_order = uncapped
     try:
         t0 = time.perf_counter()
         res = cover.min_vertex_cover(g, cap)
@@ -133,7 +141,7 @@ def _solve(g, route, cap):
     finally:
         for name, value in zip(GATES, saved):
             setattr(cover, name, value)
-        cover._frontier_mis = dp
+        cover._frontier_mis, cover._frontier_order = dp, placed
     return (res.size if res.proven_optimal else None), res.nodes_explored, secs, width, peak
 
 
