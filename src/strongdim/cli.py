@@ -6,7 +6,8 @@ Graphs come from the ``family:params`` mini-language (``cycle:7``,
 
 Exit codes for ``verify``: 0 all claims passed, 2 a counterexample was found,
 3 a solver budget left a claim inconclusive.  Other errors, usage errors
-among them, exit 1 with a single-line ``error: ...`` message.
+among them, exit 1 with a single-line ``error: ...`` message; a run that
+exhausts memory prints ``error: out of memory``.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def cmd_compute(args) -> int:
     if args.format == "dot":
         srgs = [rs.strong_resolving_graph(g) for g in graphs]
         for srg in srgs:
-            sys.stdout.write(rs.sr_to_dot(srg))
+            sys.stdout.write(gr.to_dot(srg.sr, name="SR"))
         return 0
     results = [_compute_one(args.what, g, args.node_budget) for g in graphs]
     _emit_compute(args, results)
@@ -311,6 +312,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # the frames that held the memory are gone by now
+        print("error: out of memory", file=sys.stderr)
         return 1
     except cov.BudgetExhausted as exc:
         print(f"error: budget-exhausted: {exc}", file=sys.stderr)

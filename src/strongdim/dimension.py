@@ -33,14 +33,6 @@ class DimensionResult:
     sr: Graph  # the SR graph the basis covers
 
 
-def _difference_count(adj) -> int:
-    """The number of distinct id differences d over the edges {x, x + d}."""
-    diffs = 0
-    for x, row in enumerate(adj):
-        diffs |= row >> (x + 1)
-    return diffs.bit_count()
-
-
 def _difference_classes(adj) -> list[tuple[int, int, int]]:
     """(d, A_d, A_d << d) per id difference d of an edge, A_d = {x : x ~ x + d}."""
     classes: dict[int, int] = {}
@@ -114,17 +106,14 @@ def is_strong_generator(
     where id order looked up 54,810, 30,600 and 1,356.
 
     Each layer's step needs N(reach), the neighbours of H_u on the layer
-    above: from adjacency rows, one per vertex of ``reach``, or from a list
-    of stages of edge-difference classes that ``_dilate`` applies in turn,
-    N[X] = X | ((X & A_d) << d) | ((X & (A_d << d)) >> d) over each d, with
-    A_d the set of x adjacent to x + d.  On ``strong_product_distances``
-    balls, ``g`` must be that product, and the stages are H's classes within
+    above, and the step is picked once per call from the balls.  On
+    ``strong_product_distances`` balls, ``g`` must be that product, and the
+    step dilates by two stages of edge-difference classes that ``_dilate``
+    applies in turn, N[X] = X | ((X & A_d) << d) | ((X & (A_d << d)) >> d)
+    over each d, with A_d the set of x adjacent to x + d: H's classes within
     each row, then G's as whole-row shifts (``_product_stages`` checks that
-    they give every row of ``g.adj``).  Any other graph starts on rows, its
-    classes counted up front; the first ``reach`` with more vertices than
-    classes builds them, in one pass over the edges, as the one stage of
-    every later step.  Products of paths and cycles in row-major ids have a
-    handful of classes; a random graph has about n, and stays on rows.
+    they give every row of ``g.adj``).  On any other balls the step ORs the
+    adjacency rows, one per vertex of ``reach``.
     """
     dm = dm or all_pairs_distances(g)
     if not dm.connected():
@@ -138,7 +127,6 @@ def is_strong_generator(
         smask |= 1 << w
     outside = ((1 << g.n) - 1) & ~smask
     stages = _product_stages(adj, *balls.shape) if isinstance(balls, _StrongBalls) else None
-    n_classes = _difference_count(adj) if stages is None else None
     hulls = [0] * g.n
     rest = outside
     while rest:
@@ -148,8 +136,6 @@ def is_strong_generator(
         levels = balls[u]
         hull = reach = 0  # reach: H_u on the layer above the current one
         for k in range(len(levels) - 1, 0, -1):
-            if stages is None and reach.bit_count() > n_classes:
-                stages = [_difference_classes(adj)]
             if stages is None:
                 nbrs = 0
                 m = reach

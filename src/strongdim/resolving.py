@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, and_, xor
 
-from .graph import Graph, _transpose, bits, to_dot
+from .graph import Graph, _transpose, bits
 from .metrics import DistanceMatrix, all_pairs_distances, is_connected
 from .products import _stride
 
@@ -21,7 +21,6 @@ __all__ = [
     "strong_resolving_graph",
     "boundary",
     "predicted_mmd_edges",
-    "sr_to_dot",
 ]
 
 
@@ -152,11 +151,3 @@ def predicted_mmd_edges(g: Graph, h: Graph) -> PredictedSR:
     histogram = {i: c // 2 for i, c in enumerate(counts, 1)}
     return PredictedSR(Graph(n1 * n2, pred), histogram, dm_g, dm_h, *sr_graphs)
 
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-
-def sr_to_dot(srg: SRGraph) -> str:
-    return to_dot(srg.sr, name="SR")

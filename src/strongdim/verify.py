@@ -577,16 +577,26 @@ def _check_thm_c1_lower(env: Env, g: Graph, h: Graph) -> dict:
 # -- corollary families -------------------------------------------------------
 
 
-def _family_check(env, g, h, expected_shape, formula_value):
-    """Common body: SR shape isomorphism plus the dimension closed form."""
-    sr_g = env.sr(g).sr
-    shape_ok = gr.graphs_isomorphic(sr_g, expected_shape)
+def _clique_sizes(g: Graph) -> list[int] | None:
+    """The sorted orders of g's components if every one is a clique, else None."""
+    parts = gr.component_masks(g)
+    if any(g.adj[u] | 1 << u != part for part in parts for u in gr.bits(part)):
+        return None
+    return sorted(p.bit_count() for p in parts)
+
+
+def _family_check(env, g, h, shape_sizes, formula_value):
+    """Common body: SR(G) is a union of cliques of ``shape_sizes``, and the
+    dimension follows the closed form.  The report names the shape by the
+    graph6 of those cliques, joined in the order given."""
+    shape_ok = _clique_sizes(env.sr(g).sr) == sorted(shape_sizes)
     actual = env.dim_s(env.product("strong", g, h))
     value_ok = actual == formula_value
     outcome = "pass" if (shape_ok and value_ok) else "fail"
+    shape = gr.disjoint_union([gr.complete(size) for size in shape_sizes])
     return _record(
         env, g, h, outcome, formula_value, actual,
-        sr_shape_ok=shape_ok, sr_shape_g6=env.graph6(expected_shape),
+        sr_shape_ok=shape_ok, sr_shape_g6=env.graph6(shape),
     )
 
 
@@ -601,7 +611,7 @@ def _complete_factors(corpus: Corpus) -> list[Graph]:
 )
 def _check_cor_i(env: Env, g: Graph, h: Graph) -> dict:
     expected = dim.complete_factor(g.n, h.n, env.dim_s(h))
-    return _family_check(env, g, h, gr.complete(g.n), expected)
+    return _family_check(env, g, h, [g.n], expected)
 
 
 def _kpartite_factors(corpus: Corpus) -> list[Graph]:
@@ -623,19 +633,14 @@ def _check_cor_ii(env: Env, g: Graph, h: Graph) -> dict:
         return _skip(env, g, h, "factor is not complete multipartite")
     if sum(1 for p in parts if p == 1) > 1:
         return _skip(env, g, h, "more than one singleton part")
-    shape = gr.disjoint_union([gr.complete(p) for p in parts])
     expected = dim.kpartite_factor(g.n, h.n, len(parts), env.dim_s(h))
-    return _family_check(env, g, h, shape, expected)
+    return _family_check(env, g, h, parts, expected)
 
 
 def _multipartite_parts(g: Graph) -> list[int] | None:
     """Part sizes if g is complete multipartite (complement is a clique union)."""
-    comp = gr.complement(g)
-    parts = gr.component_masks(comp)
-    for part in parts:
-        if any(comp.adj[u] | (1 << u) != part for u in gr.bits(part)):
-            return None
-    return sorted(p.bit_count() for p in parts) if len(parts) >= 2 else None
+    parts = _clique_sizes(gr.complement(g))
+    return parts if parts and len(parts) >= 2 else None
 
 
 def _gtree_factors(corpus: Corpus) -> list[Graph]:
@@ -658,9 +663,8 @@ def _check_cor_iii(env: Env, g: Graph, h: Graph) -> dict:
     if not mt.is_generalized_tree(g):
         return _skip(env, g, h, "factor is not a generalized tree")
     c = len(mt.cut_vertices(g))
-    shape = gr.disjoint_union([gr.complete(g.n - c)] + [gr.complete(1)] * c)
     expected = dim.generalized_tree_factor(g.n, h.n, c, env.dim_s(h))
-    rec = _family_check(env, g, h, shape, expected)
+    rec = _family_check(env, g, h, [g.n - c] + [1] * c, expected)
     if g.num_edges == g.n - 1:  # tree: the leaf form must agree
         tree_value = dim.tree_factor(g.n, h.n, mt.leaf_count(g), env.dim_s(h))
         if tree_value != expected:
@@ -684,9 +688,8 @@ def _antipodal_factors(corpus: Corpus) -> list[Graph]:
 def _check_cor_iv(env: Env, g: Graph, h: Graph) -> dict:
     if not mt.is_two_antipodal(g):
         return _skip(env, g, h, "factor is not 2-antipodal")
-    shape = gr.disjoint_union([gr.complete(2)] * (g.n // 2))
     expected = dim.antipodal_factor(g.n, h.n, env.dim_s(h))
-    return _family_check(env, g, h, shape, expected)
+    return _family_check(env, g, h, [2] * (g.n // 2), expected)
 
 
 def _grid_factors(corpus: Corpus) -> list[Graph]:
@@ -702,9 +705,8 @@ def _grid_factors(corpus: Corpus) -> list[Graph]:
 def _check_cor_v(env: Env, g: Graph, h: Graph) -> dict:
     if g.n <= 4:
         return _skip(env, g, h, "the 2x2 grid is 2-antipodal, not a K4-shape grid")
-    shape = gr.disjoint_union([gr.complete(4)] + [gr.complete(1)] * (g.n - 4))
     expected = dim.grid_factor(g.n, h.n, env.dim_s(h))
-    return _family_check(env, g, h, shape, expected)
+    return _family_check(env, g, h, [4] + [1] * (g.n - 4), expected)
 
 
 # -- odd-cycle claims ---------------------------------------------------------

@@ -374,6 +374,20 @@ def test_compute_dim_s_budget_exhausted_exits_3(capsys, g):
         assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("compute", "dim-s", "path:30"),
+    ("product", "strong", "path:4", "path:5", "--dim-s"),
+])
+def test_out_of_memory_is_one_error_line(capsys, monkeypatch, argv):
+    # a layer that runs out of memory ends the run with one line and exit 1
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    _patch_everywhere(monkeypatch, metrics.all_pairs_distances, exhausted)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: out of memory\n")
+
+
 def test_consecutive_calls_share_no_flags_or_defaults(capsys):
     # one parser serves every call in a process; no call may see another's flags
     assert cli._build_parser() is cli._build_parser()

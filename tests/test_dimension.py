@@ -169,12 +169,6 @@ def _check_against_definition(g, data):
         assert is_strong_generator(g, members) == _generates_by_definition(g, members)
 
 
-@given(connected_graph_strategy(1, 9), st.data())
-@settings(max_examples=150, deadline=None)
-def test_generator_check_matches_definition(g, data):
-    _check_against_definition(g, data)
-
-
 _small_factors = st.one_of(
     st.integers(2, 7).map(path), st.integers(3, 7).map(cycle), st.integers(1, 4).map(complete)
 )
@@ -185,100 +179,23 @@ _small_strong_products = st.builds(
 
 @given(st.one_of(connected_graph_strategy(1, 9), _small_strong_products), st.data())
 @settings(max_examples=150, deadline=None)
-def test_generator_check_matches_definition_with_classes(g, data):
-    # a class count of 0: the classes are built at the first nonempty reach
-    # and every later step dilates by them; strong products of paths,
-    # cycles and cliques, whose row-major ids give few classes, are drawn
-    # as well
-    with patch.object(dimension, "_difference_count", lambda adj: 0):
-        _check_against_definition(g, data)
+def test_generator_check_matches_definition(g, data):
+    # strong products of paths, cycles and cliques, given as plain graphs,
+    # are drawn too: on BFS balls they are checked on rows like any graph
+    _check_against_definition(g, data)
 
 
-class _CountedClasses(list):
-    """The edge-difference classes, counting the steps that dilate by them."""
+def test_plain_balls_never_build_classes(monkeypatch):
+    # on BFS balls the check steps by adjacency rows, even on a product whose
+    # row-major ids give a handful of edge-difference classes
+    def refuse(adj):
+        raise AssertionError("edge-difference classes built on BFS balls")
 
-    steps = 0
-
-    def __iter__(self):
-        self.steps += 1
-        return super().__iter__()
-
-
-def _record_classes(monkeypatch, count=None):
-    """Set the class count the check sees (the real one for None); the
-    returned list collects each class list the check builds, whose
-    ``steps`` count the steps that used it."""
-    built = []
-    real = dimension._difference_classes
-
-    def counted(adj):
-        classes = _CountedClasses(real(adj))
-        built.append(classes)
-        return classes
-
-    if count is not None:
-        monkeypatch.setattr(dimension, "_difference_count", lambda adj: count)
-    monkeypatch.setattr(dimension, "_difference_classes", counted)
-    return built
-
-
-@pytest.mark.parametrize(
-    "g, h, class_steps",
-    [
-        pytest.param(path(10), path(10), True, id="P10xP10"),
-        pytest.param(complete(4), path(12), False, id="K4xP12"),
-    ],
-)
-@pytest.mark.parametrize("count", [None, 0, "n+1"], ids=["real", "0", "n+1"])
-def test_generator_check_mixed_modes_match_definition(
-    monkeypatch, g, h, class_steps, count
-):
-    # P10xP10 has 4 classes and layers of up to 19 vertices, so its checks
-    # switch from rows to classes; K4xP12 has 10 classes and layers of at
-    # most 8 vertices, so it stays on rows.  A count of 0 takes the classes
-    # from the first nonempty reach, and one of n + 1 never takes them
-    prod = product("strong", g, h)
-    basis = sorted(product_dimension("strong", g, h, prod=prod).basis)
-    if count == "n+1":
-        count, class_steps = prod.n + 1, False
-    elif count == 0:
-        class_steps = True
-    built = _record_classes(monkeypatch, count)
-    assert is_strong_generator(prod, basis) and _generates_by_definition(prod, basis)
-    for i in range(len(basis)):
-        short = basis[:i] + basis[i + 1 :]
-        assert is_strong_generator(prod, short) == _generates_by_definition(prod, short)
-    assert any(c.steps for c in built) == class_steps
-
-
-def test_generator_check_modes_agree_on_k6_p60(monkeypatch):
-    # K6xP60 has 16 classes and layers of at most 12 vertices: on its real
-    # count no step builds or uses them; forced classes (count 0) and forced
-    # rows (count n + 1) give the same answers
-    g, h = complete(6), path(60)
-    prod = product("strong", g, h)
-    basis = sorted(product_dimension("strong", g, h, prod=prod).basis)
-    sets = [basis] + [basis[:i] + basis[i + 1 :] for i in range(0, len(basis), 7)]
-    dm = all_pairs_distances(prod)
-    answers = {}
-    for count in (None, 0, prod.n + 1):
-        built = _record_classes(monkeypatch, count)
-        answers[count] = [is_strong_generator(prod, s, dm) for s in sets]
-        assert (built != []) == (count == 0)
-    assert answers[None] == answers[0] == answers[prod.n + 1]
-    assert answers[None] == [True] + [False] * (len(sets) - 1)
-    monkeypatch.undo()
-    # the 16 classes themselves dilate as the adjacency rows do
-    classes = dimension._difference_classes(prod.adj)
-    assert len(classes) == dimension._difference_count(prod.adj) == 16
-    rng = random.Random(13)
-    for _ in range(40):
-        x = rng.getrandbits(prod.n)
-        by_rows = x
-        for v in range(prod.n):
-            if x >> v & 1:
-                by_rows |= prod.adj[v]
-        assert dimension._dilate(x, [classes]) == by_rows
+    monkeypatch.setattr(dimension, "_difference_classes", refuse)
+    prod = product("strong", path(10), path(10))
+    basis = sorted(strong_metric_dimension(prod).basis)
+    assert is_strong_generator(prod, basis, all_pairs_distances(prod))
+    assert not is_strong_generator(prod, basis[1:])
 
 
 def test_generator_check_product_basis_minus_one():
@@ -323,6 +240,30 @@ def test_product_stages_dilate_as_the_product_rows(g, h, data):
     want = _generates_by_definition(prod, members)
     assert is_strong_generator(prod, members, _factor_distances(g, h)) == want
     assert is_strong_generator(prod, members, all_pairs_distances(prod)) == want
+
+
+def test_generator_check_modes_agree_on_k6_p60():
+    # K6xP60 checked on its BFS balls (rows) and on its factor balls (the
+    # factors' classes) gives the same answers
+    g, h = complete(6), path(60)
+    prod = product("strong", g, h)
+    basis = sorted(product_dimension("strong", g, h, prod=prod).basis)
+    sets = [basis] + [basis[:i] + basis[i + 1 :] for i in range(0, len(basis), 7)]
+    flat, lazy = all_pairs_distances(prod), _factor_distances(g, h)
+    on_rows = [is_strong_generator(prod, s, flat) for s in sets]
+    on_stages = [is_strong_generator(prod, s, lazy) for s in sets]
+    assert on_rows == on_stages == [True] + [False] * (len(sets) - 1)
+    # its 16 classes themselves dilate as the adjacency rows do
+    classes = dimension._difference_classes(prod.adj)
+    assert len(classes) == 16
+    rng = random.Random(13)
+    for _ in range(40):
+        x = rng.getrandbits(prod.n)
+        by_rows = x
+        for v in range(prod.n):
+            if x >> v & 1:
+                by_rows |= prod.adj[v]
+        assert dimension._dilate(x, [classes]) == by_rows
 
 
 @pytest.mark.parametrize(
@@ -379,18 +320,17 @@ def test_product_check_refuses_a_graph_that_is_not_the_product():
 
 def test_factor_route_reads_classes_from_factor_rows_only(monkeypatch):
     # the strong factor route's check sets its stages from the factors: the
-    # product's own rows never reach the class count or the class build
+    # product's own rows never reach the class build
     g, h = path(10), path(10)
     prod = product("strong", g, h)
     lengths = []
-    for name in ("_difference_count", "_difference_classes"):
-        real = getattr(dimension, name)
+    real = dimension._difference_classes
 
-        def recorded(adj, real=real):
-            lengths.append(len(adj))
-            return real(adj)
+    def recorded(adj):
+        lengths.append(len(adj))
+        return real(adj)
 
-        monkeypatch.setattr(dimension, name, recorded)
+    monkeypatch.setattr(dimension, "_difference_classes", recorded)
     res = product_dimension("strong", g, h, prod=prod)
     assert res.dim == 19 and _generates_by_definition(prod, res.basis)
     assert lengths and set(lengths) <= {g.n, h.n}

@@ -9,12 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongdim import cover, dimension, graph, products, resolving
-from strongdim.graph import complete, cycle, path, to_graph6
+from strongdim.graph import (
+    complete,
+    cycle,
+    disjoint_union,
+    graphs_isomorphic,
+    grid,
+    make_graph,
+    path,
+    to_graph6,
+)
 from strongdim.verify import (
     CLAIMS,
     Corpus,
     CorpusSpec,
     Env,
+    _clique_sizes,
     _vertex_residue,
     claim_ids,
     replay_instance,
@@ -253,6 +263,34 @@ def test_replay_flags_tampered_record():
 def test_replay_skips_factors_too_small_for_a_cycle(claim_id, g, h):
     record = {"g6_g": to_graph6(g), "g6_h": to_graph6(h)}
     assert replay_instance(claim_id, record)["outcome"] == "skip"
+
+
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_clique_sizes_match_isomorphism(sizes, data):
+    # oracle: a graph's components are cliques of these orders iff it is
+    # isomorphic to their disjoint union; one toggled pair may break that
+    n = sum(sizes)
+    perm = data.draw(st.permutations(range(n)))
+    base = disjoint_union([complete(s) for s in sizes])
+    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in base.edges()}
+    if n >= 2 and data.draw(st.booleans()):
+        u = data.draw(st.integers(0, n - 2))
+        edges ^= {(u, data.draw(st.integers(u + 1, n - 1)))}
+    g = make_graph(n, sorted(edges))
+    shape = disjoint_union([complete(s) for s in sorted(sizes)])
+    assert (_clique_sizes(g) == sorted(sizes)) == graphs_isomorphic(g, shape)
+
+
+@pytest.mark.parametrize("claim_id,g,shape_ok,outcome", [
+    ("cor-cgraphs-iv", cycle(18), True, "pass"),  # SR(C18): nine disjoint edges
+    ("cor-cgraphs-i", complete(17), True, "pass"),
+    ("cor-cgraphs-v", grid(3, 6), False, "fail"),  # two corner edges, not K4
+])
+def test_family_shape_above_sixteen_vertices(claim_id, g, shape_ok, outcome):
+    # the SR shape is read as clique components, so no order cap applies
+    rec = replay_instance(claim_id, {"g6_g": to_graph6(g), "g6_h": to_graph6(complete(2))})
+    assert (rec["sr_shape_ok"], rec["outcome"]) == (shape_ok, outcome)
 
 
 def test_json_shape(small_reports):
