@@ -1,11 +1,11 @@
 """Shortest-path metric and structural classifiers (antipodality, block graphs).
 
-Distances are exact hop counts, kept as distance balls.
-``all_pairs_distances`` grows them for all sources at once, one radius at a
-time, each ball the union of its neighbours' balls one radius smaller: about
-edges times diameter whole-mask unions, not one bit-by-bit search per source.
-Unreachable pairs carry ``None`` --- a dedicated sentinel that fails fast in
-arithmetic instead of corrupting max/min comparisons.
+Distances are exact hop counts, kept as distance balls grown for all sources
+at once, one radius at a time: each ball is the union of its neighbours'
+balls one radius smaller, and their intersection, taken in the same loop,
+gives the rows of the strong resolving graph.  Unreachable pairs carry
+``None`` --- a dedicated sentinel that fails fast in arithmetic instead of
+corrupting max/min comparisons.
 """
 
 from __future__ import annotations
@@ -30,14 +30,16 @@ class DistanceMatrix:
 
     ``balls[v][k]`` is the bitmask of vertices within distance k of v; the
     last entry is v's whole reachable set.  The balls power the O(1)
-    maximal-distance tests in the strong resolving machinery.
+    maximal-distance tests in the strong resolving machinery.  ``far[v]``, the
+    vertices from which v is maximally distant, is ``None`` unless recorded.
     """
 
-    __slots__ = ("n", "balls")
+    __slots__ = ("n", "balls", "far")
 
-    def __init__(self, n: int, balls: Sequence[Sequence[int]]):
+    def __init__(self, n: int, balls: Sequence[Sequence[int]], far: list[int] | None = None):
         self.n = n
         self.balls = balls
+        self.far = far
 
     def dist(self, u: int, v: int) -> int | None:
         """The first ball level of u that contains v; ``None`` if none does."""
@@ -58,32 +60,48 @@ class DistanceMatrix:
         return self.n > 0 and self.balls[0][-1] == (1 << self.n) - 1
 
 
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """Distance balls of every vertex: B(v, k + 1) = the union of B(w, k) over
-    the neighbours w of v, for k >= 1.  A source whose ball did not grow has
-    reached its whole component and keeps that ball from then on."""
+def _grow(g: Graph, keep: bool) -> tuple[list[list[int]] | None, list[int], list[int]]:
+    """(balls, F, reach): every vertex's distance balls if ``keep``, else
+    ``None``; F[v], the vertices from which v is maximally distant; and each
+    vertex's reachable set.  B(v, k + 1) = the union of B(w, k) over w in
+    N(v), k >= 1, and a source drops out once its ball stops growing.  v is
+    maximally distant from u at distance k iff N(v) lies within k of u, so
+    F[v] gains layer_k(v) & AND over w in N(v) of B(w, k).
+    """
     n = g.n
     # lists, not tuples: CPython keeps up to 2,000 freed tuples of each short
     # length on free lists, so tuples here leave memory held after the call
     nbrs = [list(bits(a)) for a in g.adj]
     last = [a | 1 << v for v, a in enumerate(g.adj)]  # B(v, 1)
-    balls = [[1 << v] for v in range(n)]
+    older = [1 << v for v in range(n)]  # B(v, 0)
+    balls = [[b] if a == b else [b, a] for a, b in zip(last, older)] if keep else None
+    far = [0] * n
     growing = [v for v in range(n) if g.adj[v]]
-    for v in growing:
-        balls[v].append(last[v])
     while growing:
         prev = last[:]
         still = []
         for v in growing:
             ball = 0
+            hit = prev[v] ^ older[v]  # layer_k(v)
             for w in nbrs[v]:
-                ball |= prev[w]
+                b = prev[w]
+                ball |= b
+                hit &= b
+            far[v] |= hit
             if ball != prev[v]:
                 last[v] = ball
-                balls[v].append(ball)
+                if keep:
+                    balls[v].append(ball)
                 still.append(v)
         growing = still
-    return DistanceMatrix(n, balls)
+        older = prev
+    return balls, far, last
+
+
+def all_pairs_distances(g: Graph) -> DistanceMatrix:
+    """Every distance ball of every vertex, with ``far`` recorded."""
+    balls, far, _ = _grow(g, keep=True)
+    return DistanceMatrix(g.n, balls, far)
 
 
 def is_connected(g: Graph) -> bool:
@@ -98,16 +116,10 @@ def _require_connected(g: Graph) -> None:
 def is_two_antipodal(g: Graph) -> bool:
     """True iff every vertex has exactly one vertex at distance diam(G)."""
     _require_connected(g)
-    dm = all_pairs_distances(g)
-    d = max(map(len, dm.balls)) - 1
-    for v in range(g.n):
-        levels = dm.balls[v]
-        if len(levels) - 1 != d:
-            return False
-        at_diam = levels[d] & ~levels[d - 1] if d > 0 else levels[0]
-        if at_diam.bit_count() != 1:
-            return False
-    return True
+    balls = all_pairs_distances(g).balls
+    d = max(map(len, balls)) - 1
+    return all(len(b) == d + 1 and (b[d] ^ b[d - 1] if d else b[0]).bit_count() == 1
+               for b in balls)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Mutually-maximally-distant machinery: boundary, strong resolving graph,
-and the factor-level prediction of MMD pairs in a strong product.
-
-``predicted_mmd_edges`` evaluates only factor distances and factor MMD
-relations --- no BFS on the product --- so comparing it against the directly
-computed strong resolving graph of the product is a genuine two-route check.
+"""Mutually-maximally-distant machinery: boundary, strong resolving graph
+(its rows taken from the distance-ball pass in ``metrics``), and the
+factor-level prediction of MMD pairs in a strong product, which evaluates
+only factor distances and factor MMD relations --- no BFS on the product ---
+so comparing it against the directly computed strong resolving graph of the
+product is a genuine two-route check.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, and_, xor
 
-from .graph import Graph, _transpose, bits
-from .metrics import DistanceMatrix, all_pairs_distances, is_connected
+from .graph import Graph, _transpose
+from .metrics import DistanceMatrix, _grow, all_pairs_distances, is_connected
 from .products import _stride
 
 __all__ = [
@@ -42,34 +42,22 @@ class SRGraph:
 
 
 def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> SRGraph:
-    """Graph on V(g) whose edges are exactly the MMD pairs of g.
+    """Graph on V(g) whose edges are exactly the MMD pairs of g: F & transpose(F),
+    with F[v] the set of vertices from which v is maximally distant.
 
-    v is maximally distant from u iff every neighbour w of v lies within
-    d(u, v) of u.  Read from v's side, that is
-
-        F[v] = union over k of  layer_k(v) & AND over w in N(v) of B(w, k),
-
-    the set of all u from which v is maximally distant, and the SR graph is
-    F & transpose(F).  B(w, k) is every vertex once k >= ecc(w), so those
-    balls are skipped; v's own last layer is intersected like the others.
+    F is ``dm.far`` where ``dm`` carries it, and otherwise comes from a pass
+    of ``metrics._grow`` over g that holds two radii of balls, not all.
     """
     if g.n < 2:
         raise ValueError("strong resolving graph needs n >= 2")
-    dm = dm or all_pairs_distances(g)
-    if not dm.connected():
+    if dm is not None and dm.far is not None:
+        connected, far = dm.connected(), dm.far
+    else:
+        _, far, reach = _grow(g, keep=False)
+        connected = reach[0] == (1 << g.n) - 1
+    if not connected:
         raise ValueError("strong resolving graph needs a connected graph")
-    n = g.n
-    balls = dm.balls
-    inner = [levels[1:-1] for levels in balls]  # B(w, k) for 1 <= k < ecc(w)
-    far = []
-    for v in range(n):
-        levels = balls[v]
-        layers = list(map(xor, levels[1:], levels))  # layer_k(v) for k >= 1
-        for w in bits(g.adj[v]):
-            iw = inner[w]
-            layers[:len(iw)] = map(and_, layers, iw)  # the map is read out before the store
-        far.append(sum(layers))  # the layers are disjoint, so sum is union
-    return SRGraph(Graph(n, list(map(and_, far, _transpose(far, n)))))
+    return SRGraph(Graph(g.n, list(map(and_, far, _transpose(far, g.n)))))
 
 
 def boundary(g: Graph) -> frozenset[int]:

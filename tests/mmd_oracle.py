@@ -1,8 +1,11 @@
 """The maximal-distance relation by its definition, one pair at a time.
 
-The package builds the strong resolving graph from distance balls for all
-pairs at once (``strongdim.resolving.strong_resolving_graph``); the tests
-compare it with this pairwise reading of the definition.
+The package builds the strong resolving graph for all pairs at once, in the
+loop that grows the distance balls (``strongdim.metrics._grow``): from a
+``DistanceMatrix``'s ``far`` sets, or from a pass that keeps two radii of
+balls (``strongdim.resolving.strong_resolving_graph`` with and without a
+matrix).  The tests compare both routes with this pairwise reading of the
+definition, which reads only ``dist`` and ``ball``, never ``far``.
 """
 
 from strongdim.graph import Graph

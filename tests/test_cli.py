@@ -323,8 +323,10 @@ LAYERS = (metrics.all_pairs_distances, resolving.strong_resolving_graph,
     (("product", "cartesian", "path:3", "path:4", "--dim-s"),
      {"all_pairs_distances": 1, "strong_resolving_graph": 1, "predicted_mmd_edges": 0,
       "product": 1}),
+    # an SR graph alone needs no stored balls: it comes from the pass that
+    # holds two radii, not from all_pairs_distances
     (("compute", "sr-graph", "--gen", "cycle:7", "--format", "dot"),
-     {"all_pairs_distances": 1, "strong_resolving_graph": 1, "predicted_mmd_edges": 0,
+     {"all_pairs_distances": 0, "strong_resolving_graph": 1, "predicted_mmd_edges": 0,
       "product": 0}),
     # DOT shows the product alone, so --sr builds no SR graph
     (("product", "strong", "path:3", "path:4", "--sr", "--format", "dot"),
@@ -335,7 +337,7 @@ LAYERS = (metrics.all_pairs_distances, resolving.strong_resolving_graph,
       "product": 1}),
     # G x K1 is G with its own ids, so it takes the direct route
     (("product", "strong", "complete:1", "path:5", "--sr"),
-     {"all_pairs_distances": 1, "strong_resolving_graph": 1, "predicted_mmd_edges": 0,
+     {"all_pairs_distances": 0, "strong_resolving_graph": 1, "predicted_mmd_edges": 0,
       "product": 1}),
 ])
 def test_each_layer_built_once_per_request(capsys, monkeypatch, argv, expected):

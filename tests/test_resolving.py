@@ -15,8 +15,9 @@ from strongdim.graph import (
     path,
     star,
 )
+from strongdim import metrics, resolving
 from strongdim.metrics import all_pairs_distances
-from strongdim.products import product
+from strongdim.products import product, strong_product_distances
 from strongdim.resolving import (
     boundary,
     predicted_mmd_edges,
@@ -126,7 +127,10 @@ def _mmd_graph(g):
 @given(connected_graph_strategy(2, 10))
 @settings(max_examples=200, deadline=None)
 def test_sr_graph_is_the_mmd_relation(g):
-    assert strong_resolving_graph(g).sr == _mmd_graph(g)
+    # from the stored matrix's far sets, and from the pass that holds two radii
+    want = _mmd_graph(g)
+    assert strong_resolving_graph(g, all_pairs_distances(g)).sr == want
+    assert strong_resolving_graph(g).sr == want
 
 
 @pytest.mark.parametrize("g", [
@@ -143,7 +147,32 @@ def test_sr_graph_where_a_neighbour_is_more_central(g):
     dm = all_pairs_distances(g)
     ecc = [len(levels) - 1 for levels in dm.balls]
     assert any(ecc[w] < ecc[v] for v in range(g.n) for w in g.neighbors(v))
-    assert strong_resolving_graph(g, dm).sr == _mmd_graph(g)
+    want = _mmd_graph(g)
+    assert strong_resolving_graph(g, dm).sr == want
+    assert strong_resolving_graph(g).sr == want
+
+
+@pytest.mark.parametrize("g,h", [(path(3), path(5)), (cycle(5), complete(2))],
+                         ids=["P3xP5", "C5xK2"])
+def test_sr_graph_given_product_balls(g, h):
+    # the factors' lazy balls carry no far sets, so the graph's own pass runs
+    prod = product("strong", g, h)
+    dm = strong_product_distances(all_pairs_distances(g), all_pairs_distances(h))
+    assert dm.far is None
+    assert strong_resolving_graph(prod, dm).sr == strong_resolving_graph(prod).sr
+    assert strong_resolving_graph(prod, dm).sr == _mmd_graph(prod)
+
+
+def test_sr_graph_alone_stores_no_balls(monkeypatch):
+    graphs = [path(7), cycle(6), grid(3, 4), product("strong", path(3), path(5))]
+    want = [_mmd_graph(g) for g in graphs]
+
+    def refuse(g):
+        raise AssertionError("all_pairs_distances ran")
+
+    monkeypatch.setattr(metrics, "all_pairs_distances", refuse)
+    monkeypatch.setattr(resolving, "all_pairs_distances", refuse)
+    assert [strong_resolving_graph(g).sr for g in graphs] == want
 
 
 def _transpose_by_bits(rows, n):

@@ -84,3 +84,23 @@ def test_product_ladder_times_each_function_and_restores_it(capsys):
     assert [getattr(module, name) for module, name in ladder.TIMED] == originals
     assert (dimension.is_strong_generator, graph.to_graph6, verify.to_json) == tuple(
         originals[1:])
+
+
+def test_memory_probe_reports_the_child_and_limits_it_alone(capfd):
+    probe = _load_tool("memory_probe")
+    assert probe.main(["--limit-mb", "1536", "compute", "sr-graph", "path:5"]) == 0
+    answer, report = capfd.readouterr().out.splitlines()
+    assert answer == "sr-graph = 1"
+    fields = dict(item.split("=") for item in report.split())
+    assert fields["exit"] == "0" and float(fields["wall_s"]) > 0
+    assert 0 < float(fields["maxrss_mb"]) < 1536
+    # a limit too small to load the interpreter fails the child, not the caller
+    code, _, _ = probe.probe(["compute", "sr-graph", "path:5"], limit_mb=1)
+    assert code != 0
+
+
+def test_sr_graph_of_a_long_path_needs_no_stored_balls():
+    # every ball of P1500 is about 350 MB; the SR graph alone holds two radii
+    code, _, rss = _load_tool("memory_probe").probe(
+        ["compute", "sr-graph", "path:1500"], limit_mb=100)
+    assert code == 0 and rss < 100
