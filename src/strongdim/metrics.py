@@ -3,9 +3,7 @@
 Distances are exact hop counts, kept as distance balls grown for all sources
 at once, one radius at a time: each ball is the union of its neighbours'
 balls one radius smaller, and their intersection, taken in the same loop,
-gives the rows of the strong resolving graph.  Unreachable pairs carry
-``None`` --- a dedicated sentinel that fails fast in arithmetic instead of
-corrupting max/min comparisons.
+gives the rows of the strong resolving graph.
 """
 
 from __future__ import annotations
@@ -40,13 +38,6 @@ class DistanceMatrix:
         self.n = n
         self.balls = balls
         self.far = far
-
-    def dist(self, u: int, v: int) -> int | None:
-        """The first ball level of u that contains v; ``None`` if none does."""
-        for d, ball in enumerate(self.balls[u]):
-            if ball >> v & 1:
-                return d
-        return None
 
     def ball(self, v: int, radius: int) -> int:
         """Bitmask of vertices within ``radius`` of v (clamped to reachability)."""

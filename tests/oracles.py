@@ -1,25 +1,35 @@
 """Definitional readings and oracles that the package no longer carries.
 
+Every distance here comes from ``bfs_balls``, one breadth-first search per
+source, never from the package's all-sources ball pass
+(``strongdim.metrics._grow``) that these oracles referee.  ``distance_rows``
+reads d(u, v) off any per-source distance balls: the oracle's own, or the
+package's ``DistanceMatrix.balls`` when a test puts those under check.
+
 ``strongly_resolves`` reads strong resolution off one triple of distances;
 the package checks a whole basis at once from distance balls
-(``strongdim.dimension.is_strong_generator``).  ``is_c1_graph`` composes the
-C1-graph test from the package's C-graph test and its split search, as
-``strongdim.verify.Env.c1_graph`` does with the run's cached answers.
-``brute_force_dimension`` finds dim_s by subset enumeration, apart from the
-SR-cover pipeline.  ``max_clique`` runs the package's colour engine on a
-complement, which the package itself never builds.
+(``strongdim.dimension.is_strong_generator``).  ``is_maximally_distant`` and
+``mutually_maximally_distant`` read the maximal-distance relation pair by
+pair, where the package builds the strong resolving graph for all pairs at
+once.  ``is_c1_graph`` composes the C1-graph test from the package's C-graph
+test and its split search, as ``strongdim.verify.Env.c1_graph`` does with the
+run's cached answers.  ``brute_force_dimension`` finds dim_s, and
+``brute_min_cover`` the vertex cover number, by subset enumeration, apart
+from the SR-cover pipeline.  ``max_clique`` runs the package's colour engine
+on a complement, which the package itself never builds.
 """
 
 import math
 from itertools import combinations
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from strongdim import cover
 from strongdim.cover import DEFAULT_RECOGNITION_CAP, c_graph_partition
 from strongdim.graph import Graph, bits, complement
-from strongdim.metrics import DistanceMatrix, all_pairs_distances, is_connected
 
 BRUTE_FORCE_SIZE_CAP = 15
+
+Rows = list[list[int | None]]
 
 
 class BruteForceResult(NamedTuple):
@@ -27,14 +37,68 @@ class BruteForceResult(NamedTuple):
     basis: frozenset[int]
 
 
-def strongly_resolves(dm: DistanceMatrix, w: int, u: int, v: int) -> bool:
+def bfs_balls(g: Graph, src: int) -> list[int]:
+    """Per-source BFS: the balls of src, one per radius, up to its reachable
+    set and with no repeat at the end."""
+    seen = frontier = 1 << src
+    levels = [seen]
+    while True:
+        nxt = 0
+        for u in range(g.n):
+            if frontier >> u & 1:
+                nxt |= g.adj[u]
+        frontier = nxt & ~seen
+        if not frontier:
+            return levels
+        seen |= frontier
+        levels.append(seen)
+
+
+def distance_rows(balls: Sequence[Sequence[int]]) -> Rows:
+    """d(u, v) for every pair, read off per-source distance balls: the first
+    k with ``balls[u][k] >> v & 1``, and ``None`` where v lies outside u's
+    last ball."""
+    n = len(balls)
+    rows = []
+    for u in range(n):
+        row: list[int | None] = [None] * n
+        inner = 0
+        for k, ball in enumerate(balls[u]):
+            for v in bits(ball & ~inner):
+                row[v] = k
+            inner = ball
+        rows.append(row)
+    return rows
+
+
+def bfs_rows(g: Graph) -> Rows:
+    """d(u, v) for every pair by one BFS per source; ``None`` if unreachable."""
+    return distance_rows([bfs_balls(g, u) for u in range(g.n)])
+
+
+def strongly_resolves(rows: Rows, w: int, u: int, v: int) -> bool:
     """True iff some shortest w-u path passes v or some shortest w-v path passes u."""
     if u == v:
         raise ValueError("strong resolution is defined for distinct vertices")
-    dwu, dwv, duv = dm.dist(w, u), dm.dist(w, v), dm.dist(u, v)
+    dwu, dwv, duv = rows[w][u], rows[w][v], rows[u][v]
     if dwu is None or dwv is None or duv is None:
         raise ValueError("strong resolution needs a connected graph")
     return dwu == dwv + duv or dwv == dwu + duv
+
+
+def is_maximally_distant(rows: Rows, g: Graph, u: int, v: int) -> bool:
+    """True iff no neighbor of u is strictly farther from v than u is.
+
+    Not symmetric in (u, v).
+    """
+    d = rows[v][u]
+    if d is None:
+        raise ValueError("maximal distance is undefined for unreachable pairs")
+    return all(rows[v][w] <= d for w in bits(g.adj[u]))
+
+
+def mutually_maximally_distant(rows: Rows, g: Graph, u: int, v: int) -> bool:
+    return is_maximally_distant(rows, g, u, v) and is_maximally_distant(rows, g, v, u)
 
 
 def is_c1_graph(g: Graph, independent: frozenset[int], node_budget: int,
@@ -57,6 +121,17 @@ def max_clique(g: Graph) -> frozenset[int]:
     return frozenset(bits(search.run((1 << g.n) - 1, 1)))
 
 
+def brute_min_cover(g: Graph) -> int:
+    """Vertex cover number by subset enumeration, increasing size."""
+    edges = list(g.edges())
+    for k in range(g.n + 1):
+        for subset in combinations(range(g.n), k):
+            s = set(subset)
+            if all(u in s or v in s for u, v in edges):
+                return k
+    raise AssertionError
+
+
 def brute_force_dimension(
     g: Graph, size_cap: int = BRUTE_FORCE_SIZE_CAP
 ) -> BruteForceResult:
@@ -66,10 +141,9 @@ def brute_force_dimension(
         raise ValueError(f"brute force capped at {size_cap} vertices")
     if g.n < 2:
         raise ValueError("strong metric dimension needs n >= 2")
-    if not is_connected(g):
+    rows = bfs_rows(g)
+    if None in rows[0]:
         raise ValueError("strong metric dimension needs a connected graph")
-    dm = all_pairs_distances(g)
-    rows = [[dm.dist(u, v) for v in range(g.n)] for u in range(g.n)]
     # resolver mask per vertex pair; a generator must hit every one
     pair_masks = []
     for u in range(g.n):

@@ -9,7 +9,6 @@ dimension 2).
 """
 
 import random
-from itertools import combinations
 
 import pytest
 
@@ -30,7 +29,7 @@ from strongdim.products import product
 from strongdim.resolving import predicted_mmd_edges, strong_resolving_graph
 from strongdim.verify import Corpus, CorpusSpec, Env, verify_claim
 
-from oracles import brute_force_dimension
+from oracles import brute_force_dimension, brute_min_cover
 
 
 DEFAULT = CorpusSpec()
@@ -232,16 +231,6 @@ def test_criterion_7_cartesian_sum_law(corpus, env):
 # -- criterion 8 --------------------------------------------------------------
 
 
-def brute_min_cover_size(g):
-    edges = list(g.edges())
-    for k in range(g.n + 1):
-        for subset in combinations(range(g.n), k):
-            s = set(subset)
-            if all(u in s or v in s for u, v in edges):
-                return k
-    raise AssertionError
-
-
 def test_criterion_8_solver_soundness():
     desc = "exact cover matches 2^n enumeration on 300 seeded graphs n <= 12; witnesses and Gallai hold"
     ok = False
@@ -259,7 +248,7 @@ def test_criterion_8_solver_soundness():
             g = make_graph(n, edges)
             res = min_vertex_cover(g)
             assert res.proven_optimal
-            assert res.size == brute_min_cover_size(g)
+            assert res.size == brute_min_cover(g)
             assert len(res.witness) == res.size
             for u, v in g.edges():
                 assert u in res.witness or v in res.witness

@@ -36,19 +36,8 @@ from strongdim.graph import (
 from strongdim.products import product
 from strongdim.resolving import strong_resolving_graph
 
-from oracles import is_c1_graph, max_clique
+from oracles import brute_min_cover, is_c1_graph, max_clique
 from test_graph import random_graph_strategy
-
-
-def brute_min_cover(g):
-    """Subset enumeration oracle, increasing size."""
-    edges = list(g.edges())
-    for k in range(g.n + 1):
-        for subset in combinations(range(g.n), k):
-            s = set(subset)
-            if all(u in s or v in s for u, v in edges):
-                return k
-    raise AssertionError
 
 
 def brute_clique_cover(g):

@@ -50,8 +50,15 @@ from strongdim.metrics import all_pairs_distances, is_connected
 from strongdim.products import PRODUCT_KINDS, product, strong_product_distances
 from strongdim.resolving import predicted_mmd_edges, strong_resolving_graph
 
-from oracles import BRUTE_FORCE_SIZE_CAP, brute_force_dimension, max_clique, strongly_resolves
-from test_cover import brute_clique_cover, brute_min_cover
+from oracles import (
+    BRUTE_FORCE_SIZE_CAP,
+    bfs_rows,
+    brute_force_dimension,
+    brute_min_cover,
+    max_clique,
+    strongly_resolves,
+)
+from test_cover import brute_clique_cover
 from test_graph import connected_graph_strategy
 
 
@@ -60,27 +67,27 @@ from test_graph import connected_graph_strategy
 
 def test_resolver_endpoint_always_works():
     g = cycle(6)
-    dm = all_pairs_distances(g)
+    rows = bfs_rows(g)
     for u in range(6):
         for v in range(6):
             if u != v:
-                assert strongly_resolves(dm, u, u, v)
+                assert strongly_resolves(rows, u, u, v)
 
 
 def test_path_geodesic_resolution():
-    dm = all_pairs_distances(path(4))
-    assert strongly_resolves(dm, 0, 1, 2)
+    rows = bfs_rows(path(4))
+    assert strongly_resolves(rows, 0, 1, 2)
 
 
 def test_c4_non_resolution():
-    dm = all_pairs_distances(cycle(4))
-    assert not strongly_resolves(dm, 0, 1, 3)
+    rows = bfs_rows(cycle(4))
+    assert not strongly_resolves(rows, 0, 1, 3)
 
 
 def test_resolver_rejects_equal_pair():
-    dm = all_pairs_distances(path(3))
+    rows = bfs_rows(path(3))
     with pytest.raises(ValueError):
-        strongly_resolves(dm, 0, 1, 1)
+        strongly_resolves(rows, 0, 1, 1)
 
 
 # -- generators ---------------------------------------------------------------
@@ -151,9 +158,9 @@ def test_sr_cover_dimension_checks_the_basis_definitionally():
 
 
 def _generates_by_definition(g, members):
-    dm = all_pairs_distances(g)
+    rows = bfs_rows(g)
     return all(
-        any(strongly_resolves(dm, w, u, v) for w in members)
+        any(strongly_resolves(rows, w, u, v) for w in members)
         for u in range(g.n)
         for v in range(u + 1, g.n)
     )
@@ -340,12 +347,12 @@ def test_factor_route_reads_classes_from_factor_rows_only(monkeypatch):
 
 
 def _unresolved_pairs(g, members):
-    dm = all_pairs_distances(g)
+    rows = bfs_rows(g)
     return [
         (u, v)
         for u in range(g.n)
         for v in range(u + 1, g.n)
-        if not any(strongly_resolves(dm, w, u, v) for w in members)
+        if not any(strongly_resolves(rows, w, u, v) for w in members)
     ]
 
 

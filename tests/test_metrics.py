@@ -25,6 +25,7 @@ from strongdim.metrics import (
 )
 from strongdim.products import product
 
+from oracles import bfs_balls, distance_rows
 from test_graph import connected_graph_strategy, random_graph_strategy
 
 
@@ -37,33 +38,31 @@ def hypercube_q3():
 
 
 def test_known_distances():
-    dm = all_pairs_distances(cycle(5))
-    assert dm.dist(0, 2) == 2
-    dm = all_pairs_distances(path(4))
-    assert dm.dist(0, 3) == 3
+    assert distance_rows(all_pairs_distances(cycle(5)).balls)[0][2] == 2
+    assert distance_rows(all_pairs_distances(path(4)).balls)[0][3] == 3
 
 
-def test_unreachable_sentinel_is_none():
+def test_unreachable_vertex_outside_last_ball():
     g = disjoint_union([complete(2), complete(1)])
-    dm = all_pairs_distances(g)
-    assert dm.dist(0, 2) is None
-    assert dm.dist(0, 1) == 1
+    balls = all_pairs_distances(g).balls
+    assert not balls[0][-1] >> 2 & 1
+    assert distance_rows(balls)[0] == [0, 1, None]
 
 
 @given(random_graph_strategy(max_n=9))
 @settings(max_examples=80)
 def test_distance_matrix_invariants(g):
-    dm = all_pairs_distances(g)
+    rows = distance_rows(all_pairs_distances(g).balls)
     for u in range(g.n):
-        assert dm.dist(u, u) == 0
+        assert rows[u][u] == 0
         for v in range(g.n):
-            assert dm.dist(u, v) == dm.dist(v, u)
+            assert rows[u][v] == rows[v][u]
             if u != v:
-                assert (dm.dist(u, v) == 1) == g.has_edge(u, v)
+                assert (rows[u][v] == 1) == g.has_edge(u, v)
     for u in range(g.n):
         for v in range(g.n):
             for w in range(g.n):
-                duv, dvw, duw = dm.dist(u, v), dm.dist(v, w), dm.dist(u, w)
+                duv, dvw, duw = rows[u][v], rows[v][w], rows[u][w]
                 if duv is not None and dvw is not None:
                     assert duw is not None and duw <= duv + dvw
 
@@ -78,14 +77,14 @@ def nx():
 def test_dist_matches_networkx(nx, g, h):
     # the disjoint union is disconnected whenever both parts are nonempty
     for graph in (g, disjoint_union([g, h])):
-        dm = all_pairs_distances(graph)
+        rows = distance_rows(all_pairs_distances(graph).balls)
         ref = nx.Graph()
         ref.add_nodes_from(range(graph.n))
         ref.add_edges_from(graph.edges())
         for u in range(graph.n):
             lengths = nx.single_source_shortest_path_length(ref, u)
             for v in range(graph.n):
-                assert dm.dist(u, v) == lengths.get(v)
+                assert rows[u][v] == lengths.get(v)
 
 
 def test_distance_balls():
@@ -95,23 +94,6 @@ def test_distance_balls():
     assert dm.ball(0, 5) == 0b1111
     assert dm.ball(0, -1) == 0
     assert len(dm.balls[0]) - 1 == 3  # the eccentricity of an end
-
-
-def bfs_balls(g, src):
-    """Per-source BFS oracle: the balls of src, one per radius, up to its
-    reachable set and with no repeat at the end."""
-    seen = frontier = 1 << src
-    levels = [seen]
-    while True:
-        nxt = 0
-        for u in range(g.n):
-            if frontier >> u & 1:
-                nxt |= g.adj[u]
-        frontier = nxt & ~seen
-        if not frontier:
-            return levels
-        seen |= frontier
-        levels.append(seen)
 
 
 def oracle_graphs():

@@ -14,6 +14,7 @@ from strongdim.products import (
     strong_product_distances,
 )
 
+from oracles import bfs_balls, distance_rows
 from test_graph import connected_graph_strategy, random_graph_strategy
 
 
@@ -98,28 +99,30 @@ def test_products_of_connected_are_connected(pair):
 )
 def test_strong_distance_law(g, h):
     prod = product("strong", g, h)
-    dm_g, dm_h, dm_p = (all_pairs_distances(x) for x in (g, h, prod))
+    rows_g, rows_h, rows_p = (
+        distance_rows(all_pairs_distances(x).balls) for x in (g, h, prod))
     for u in range(g.n):
         for v in range(h.n):
             p = u * h.n + v
             for x in range(g.n):
                 for y in range(h.n):
                     q = x * h.n + y
-                    assert dm_p.dist(p, q) == max(dm_g.dist(u, x), dm_h.dist(v, y))
+                    assert rows_p[p][q] == max(rows_g[u][x], rows_h[v][y])
 
 
 def assert_balls_equal_bfs(g, h, seed):
     """The lazy factor balls equal the product's BFS balls, read once in id
     order and once shuffled, so that no read depends on the one before it."""
-    bfs = all_pairs_distances(product("strong", g, h))
+    prod = product("strong", g, h)
+    bfs = [bfs_balls(prod, p) for p in range(prod.n)]
     derived = strong_product_distances(all_pairs_distances(g), all_pairs_distances(h))
-    assert derived.n == bfs.n == len(derived.balls)
-    shuffled = list(range(bfs.n))
+    assert derived.n == prod.n == len(derived.balls)
+    shuffled = list(range(prod.n))
     random.Random(seed).shuffle(shuffled)
-    for p in [*range(bfs.n), *shuffled]:
-        assert derived.balls[p] == bfs.balls[p]
+    for p in [*range(prod.n), *shuffled]:
+        assert derived.balls[p] == bfs[p]
     with pytest.raises(IndexError):
-        derived.balls[bfs.n]
+        derived.balls[prod.n]
 
 
 @given(random_graph_strategy(max_n=6, min_n=1), random_graph_strategy(max_n=6, min_n=1),

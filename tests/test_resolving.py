@@ -24,7 +24,7 @@ from strongdim.resolving import (
     strong_resolving_graph,
 )
 
-from mmd_oracle import is_maximally_distant, mutually_maximally_distant
+from oracles import bfs_rows, distance_rows, is_maximally_distant, mutually_maximally_distant
 from test_graph import connected_graph_strategy
 
 
@@ -33,33 +33,33 @@ from test_graph import connected_graph_strategy
 
 def test_path_endpoint_maximality():
     g = path(4)
-    dm = all_pairs_distances(g)
-    assert is_maximally_distant(dm, g, 0, 3)
-    assert not is_maximally_distant(dm, g, 1, 3)
+    rows = bfs_rows(g)
+    assert is_maximally_distant(rows, g, 0, 3)
+    assert not is_maximally_distant(rows, g, 1, 3)
 
 
 def test_complete_all_pairs_maximally_distant():
     g = complete(5)
-    dm = all_pairs_distances(g)
+    rows = bfs_rows(g)
     for u in range(5):
         for v in range(5):
             if u != v:
-                assert is_maximally_distant(dm, g, u, v)
+                assert is_maximally_distant(rows, g, u, v)
 
 
 def test_c5_asymmetry_free_case():
     g = cycle(5)
-    dm = all_pairs_distances(g)
-    assert is_maximally_distant(dm, g, 0, 2)
-    assert mutually_maximally_distant(dm, g, 0, 2)
+    rows = bfs_rows(g)
+    assert is_maximally_distant(rows, g, 0, 2)
+    assert mutually_maximally_distant(rows, g, 0, 2)
 
 
 def test_relation_not_symmetric():
     g = path(3)
-    dm = all_pairs_distances(g)
+    rows = bfs_rows(g)
     # the endpoint is maximally distant from the middle, not vice versa
-    assert is_maximally_distant(dm, g, 0, 1)
-    assert not is_maximally_distant(dm, g, 1, 0)
+    assert is_maximally_distant(rows, g, 0, 1)
+    assert not is_maximally_distant(rows, g, 1, 0)
 
 
 # -- strong resolving graphs -----------------------------------------------------
@@ -119,9 +119,9 @@ def test_sr_rejects_trivial_and_disconnected():
 
 def _mmd_graph(g):
     """The SR graph by its definition: every pair put to the MMD test."""
-    dm = all_pairs_distances(g)
+    rows = bfs_rows(g)
     return make_graph(g.n, [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                            if mutually_maximally_distant(dm, g, u, v)])
+                            if mutually_maximally_distant(rows, g, u, v)])
 
 
 @given(connected_graph_strategy(2, 10))
@@ -205,9 +205,10 @@ def test_diametral_pairs_are_mmd(g):
     srg = strong_resolving_graph(g, dm)
     assert srg.sr.num_edges >= 1
     diam = max(map(len, dm.balls)) - 1
+    rows = distance_rows(dm.balls)
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if dm.dist(u, v) == diam:
+            if rows[u][v] == diam:
                 assert srg.sr.has_edge(u, v)
 
 
@@ -240,11 +241,12 @@ def _condition_tally(g, h, edges):
     an edge that meets none goes under 0."""
     dm_g, dm_h = all_pairs_distances(g), all_pairs_distances(h)
     sr_g, sr_h = strong_resolving_graph(g, dm_g).sr, strong_resolving_graph(h, dm_h).sr
+    rows_g, rows_h = distance_rows(dm_g.balls), distance_rows(dm_h.balls)
     tally = dict.fromkeys(range(6), 0)
     for p, q in edges:
         (u, v), (x, y) = divmod(p, h.n), divmod(q, h.n)
         mmd_g, mmd_h = sr_g.has_edge(u, x), sr_h.has_edge(v, y)
-        dg, dh = dm_g.dist(u, x), dm_h.dist(v, y)
+        dg, dh = rows_g[u][x], rows_h[v][y]
         met = [mmd_g and mmd_h, mmd_g and v == y, mmd_h and u == x,
                mmd_g and dh < dg, mmd_h and dg < dh]
         tally[next((i for i, c in enumerate(met, 1) if c), 0)] += 1
