@@ -8,7 +8,6 @@ structural laws that make the pipeline work on reproducible corpora.
 
 from .cover import (
     BudgetExhausted,
-    CliquePartition,
     CoverResult,
     c_graph_partition,
     clique_cover_number,

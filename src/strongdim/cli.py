@@ -109,9 +109,9 @@ def _compute_one(what: str, g: Graph, budget: int) -> dict:
         out["value"] = len(members)
         out["witness"] = sorted(members)
     elif what == "theta":
-        theta, partition = cov.clique_cover_number(g, budget)
+        theta, parts = cov.clique_cover_number(g, budget)
         out["value"] = theta
-        out["parts"] = [sorted(p) for p in partition.parts]
+        out["parts"] = [list(gr.bits(p)) for p in parts]
     else:
         raise CliError(f"unknown compute target {what!r}")
     return out

@@ -81,7 +81,6 @@ from .graph import Graph, bits, component_masks
 
 __all__ = [
     "CoverResult",
-    "CliquePartition",
     "BudgetExhausted",
     "DEFAULT_NODE_BUDGET",
     "min_vertex_cover",
@@ -618,26 +617,6 @@ def max_independent_set(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CliquePartition:
-    """Partition of the vertex set into cliques."""
-
-    parts: tuple[frozenset[int], ...]
-
-    def validate(self, g: Graph) -> None:
-        seen: set[int] = set()
-        for part in self.parts:
-            if seen & part:
-                raise AssertionError("clique parts overlap")
-            seen |= part
-            for u in part:
-                for v in part:
-                    if u < v and not g.has_edge(u, v):
-                        raise AssertionError(f"part {sorted(part)} is not a clique")
-        if seen != set(range(g.n)):
-            raise AssertionError("clique parts do not cover the vertex set")
-
-
 def _clique_partition(adj: list[int], active: int, k: int, seeds: int,
                       node_budget: int) -> list[int] | None:
     """A partition of ``active`` into at most k cliques, as masks, or None;
@@ -684,18 +663,26 @@ def _clique_partition(adj: list[int], active: int, k: int, seeds: int,
     return cliques if place(active & ~seeds) else None
 
 
-def _checked_partition(g: Graph, cliques: list[int]) -> CliquePartition:
-    """``cliques`` as a partition of V(g), ordered by lowest vertex and checked."""
-    partition = CliquePartition(tuple(
-        frozenset(bits(c)) for c in sorted(cliques, key=lambda c: c & -c)))
-    partition.validate(g)
-    return partition
+def _checked_partition(g: Graph, cliques: list[int]) -> list[int]:
+    """``cliques``, masks partitioning V(g) into cliques, checked and ordered
+    by lowest vertex."""
+    seen = 0
+    for c in cliques:
+        if seen & c:
+            raise AssertionError("clique parts overlap")
+        seen |= c
+        if any(c & ~(g.adj[u] | 1 << u) for u in bits(c)):
+            raise AssertionError(f"part {list(bits(c))} is not a clique")
+    if seen != (1 << g.n) - 1:
+        raise AssertionError("clique parts do not cover the vertex set")
+    return sorted(cliques, key=lambda c: c & -c)
 
 
-def clique_cover_number(g: Graph, node_budget: int) -> tuple[int, CliquePartition]:
-    """Minimum number of cliques partitioning V(g), with a witness partition;
-    ``BudgetExhausted`` when the cover, or a partition search given the nodes
-    that the cover left, runs out of ``node_budget``.
+def clique_cover_number(g: Graph, node_budget: int) -> tuple[int, list[int]]:
+    """Minimum number of cliques partitioning V(g), with the witness cliques
+    as masks ordered by lowest vertex; ``BudgetExhausted`` when the cover, or
+    a partition search given the nodes that the cover left, runs out of
+    ``node_budget``.
 
     Counts k up from beta(g), which every clique partition reaches: the
     cliques hold the vertices of an independent set one each."""
@@ -712,9 +699,10 @@ def clique_cover_number(g: Graph, node_budget: int) -> tuple[int, CliquePartitio
 
 
 def c_graph_partition(g: Graph, independent: frozenset[int], node_budget: int,
-                      cap: int = DEFAULT_RECOGNITION_CAP) -> CliquePartition | None:
-    """A partition of V(g) into |independent| cliques, or None, for a maximum
-    independent set that the caller holds; a partition proves theta = beta.
+                      cap: int = DEFAULT_RECOGNITION_CAP) -> list[int] | None:
+    """A partition of V(g) into |independent| cliques, as checked masks
+    ordered by lowest vertex, or None, for a maximum independent set that the
+    caller holds; a partition proves theta = beta.
 
     The id-order greedy partition decides first; if it has more cliques, the
     exact search seeded with ``independent`` decides, within ``node_budget``

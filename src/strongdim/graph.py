@@ -313,24 +313,8 @@ def complement(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def _refine_colors(g: Graph) -> list[int]:
-    """Iterated neighbor-color refinement starting from degrees."""
-    colors = [g.degree(u) for u in range(g.n)]
-    for _ in range(g.n):
-        signature = [
-            (colors[u], tuple(sorted(colors[w] for w in g.neighbors(u))))
-            for u in range(g.n)
-        ]
-        palette = {sig: i for i, sig in enumerate(sorted(set(signature)))}
-        new = [palette[sig] for sig in signature]
-        if new == colors:
-            break
-        colors = new
-    return colors
-
-
 def graphs_isomorphic(a: Graph, b: Graph) -> bool:
-    """Exact isomorphism test by backtracking over refinement color classes.
+    """Exact isomorphism test by backtracking over degree classes.
 
     Intended for small graphs (SR shapes of factors); raises ValueError above
     ``ISOMORPHISM_SIZE_CAP`` vertices so callers fall back to shape summaries.
@@ -339,7 +323,8 @@ def graphs_isomorphic(a: Graph, b: Graph) -> bool:
         return False
     if a.n > ISOMORPHISM_SIZE_CAP:
         raise ValueError(f"isomorphism check capped at {ISOMORPHISM_SIZE_CAP} vertices")
-    ca, cb = _refine_colors(a), _refine_colors(b)
+    ca = [a.degree(u) for u in range(a.n)]
+    cb = [b.degree(x) for x in range(b.n)]
     if sorted(ca) != sorted(cb):
         return False
 

@@ -231,12 +231,15 @@ def test_product_strong_trivial_factor_dim(capsys):
     assert json.loads(out)["dim_s"] == 1
 
 
-# run by a fresh interpreter, which prints its own peak RSS (kilobytes on Linux)
+# run by a fresh interpreter, which prints its own peak RSS in kB: VmHWM, as
+# Linux carries the forking process's high-water mark into ru_maxrss
 _PEAK_RSS_SNIPPET = """\
-import resource, sys
+import sys
 from strongdim import cli
 rc = cli.main(["product", "strong", "cycle:5", "path:400", "--dim-s", "--format", "json"])
-print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+with open("/proc/self/status") as status:
+    peak_kb = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(rc, peak_kb, file=sys.stderr)
 """
 
 

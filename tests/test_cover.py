@@ -12,7 +12,6 @@ from strongdim.cli import main as cli_main
 from strongdim.cover import (
     DEFAULT_NODE_BUDGET,
     BudgetExhausted,
-    CliquePartition,
     c_graph_partition,
     clique_cover_number,
     max_independent_set,
@@ -248,9 +247,8 @@ def test_greedy_clique_partition_splits_its_mask_into_cliques():
         for mask in ((1 << g.n) - 1, *(rng.getrandbits(g.n) for _ in range(4))):
             cliques = cover._greedy_clique_partition(g.adj, mask)
             assert all(cliques)
-            outside = [frozenset({v}) for v in range(g.n) if not mask >> v & 1]
-            CliquePartition(tuple(frozenset(bits(c)) for c in cliques)
-                            + tuple(outside)).validate(g)
+            outside = [1 << v for v in range(g.n) if not mask >> v & 1]
+            cover._checked_partition(g, cliques + outside)
 
 
 def sr_of(a, b):
@@ -822,7 +820,7 @@ def test_clique_cover_known_values():
     assert clique_cover_number(complete(5), DEFAULT_NODE_BUDGET)[0] == 1
     theta_c6, part = clique_cover_number(cycle(6), DEFAULT_NODE_BUDGET)
     assert theta_c6 == 3 == len(max_independent_set(cycle(6)))
-    part.validate(cycle(6))
+    assert cover._checked_partition(cycle(6), part) == part
     theta_c5 = clique_cover_number(cycle(5), DEFAULT_NODE_BUDGET)[0]
     assert theta_c5 == 3 > len(max_independent_set(cycle(5)))
 
@@ -837,8 +835,8 @@ def test_chromatic_known_values():
     assert clique_cover_number(k33, DEFAULT_NODE_BUDGET)[0] == 3
     k, part = clique_cover_number(complement(cycle(5)), DEFAULT_NODE_BUDGET)
     assert k == 3
-    part.validate(complement(cycle(5)))
-    colour = {v: i for i, p in enumerate(part.parts) for v in p}
+    assert cover._checked_partition(complement(cycle(5)), part) == part
+    colour = {v: i for i, p in enumerate(part) for v in bits(p)}
     for u, v in cycle(5).edges():
         assert colour[u] != colour[v]
 
@@ -864,19 +862,21 @@ def test_clique_cover_cap():
         is_c1_graph(complete(25), frozenset({0}), DEFAULT_NODE_BUDGET)
     # above the cap the greedy partition still decides; the exact search
     # does not run, so None there means "not shown"
-    assert len(c_graph_partition(complete(25), frozenset({0}), DEFAULT_NODE_BUDGET).parts) == 1
+    assert c_graph_partition(complete(25), frozenset({0}), DEFAULT_NODE_BUDGET) == [(1 << 25) - 1]
     assert c_graph_partition(cycle(21), frozenset(range(0, 20, 2)), DEFAULT_NODE_BUDGET) is None
     assert c_graph_partition(SHUFFLED_P4, frozenset({2, 3}), DEFAULT_NODE_BUDGET, cap=3) is None
     assert c_graph_partition(SHUFFLED_P4, frozenset({2, 3}), DEFAULT_NODE_BUDGET, cap=4) is not None
 
 
-def test_clique_partition_validate_rejects_nonsense():
-    bad = CliquePartition((frozenset({0, 1}),))
-    with pytest.raises(AssertionError):
-        bad.validate(make_graph(2, []))  # not a clique
-    bad = CliquePartition((frozenset({0}),))
-    with pytest.raises(AssertionError):
-        bad.validate(make_graph(2, []))  # does not cover
+def test_checked_partition_rejects_nonsense():
+    with pytest.raises(AssertionError, match=r"part \[0, 1\] is not a clique"):
+        cover._checked_partition(make_graph(2, []), [0b11])
+    with pytest.raises(AssertionError, match="do not cover the vertex set"):
+        cover._checked_partition(make_graph(2, []), [0b01])
+    with pytest.raises(AssertionError, match="parts overlap"):
+        cover._checked_partition(complete(2), [0b11, 0b10])
+    # a partition passes whatever its order, and comes back by lowest vertex
+    assert cover._checked_partition(path(3), [0b100, 0b011]) == [0b011, 0b100]
 
 
 # -- C-graph / C1-graph recognition ---------------------------------------------------
@@ -913,7 +913,7 @@ def test_c_graph_greedy_partition_decides_first():
             partition = c_graph_partition(g, max_independent_set(g), DEFAULT_NODE_BUDGET)
         if partition is not None and not search.called:
             greedy = cover._greedy_clique_partition(g.adj, (1 << g.n) - 1)
-            assert [sum(1 << v for v in part) for part in partition.parts] == greedy
+            assert partition == greedy
         return partition is not None, search.called
 
     for g in [path(n) for n in range(2, 9)] + [complete(n) for n in range(2, 7)] + [
@@ -932,8 +932,8 @@ def test_c_graph_partition_matches_brute_clique_cover(g):
     partition = c_graph_partition(g, max_independent_set(g), DEFAULT_NODE_BUDGET)
     assert (partition is not None) == (brute_clique_cover(g) == beta)
     if partition is not None:
-        partition.validate(g)
-        assert len(partition.parts) == beta
+        assert cover._checked_partition(g, partition) == partition
+        assert len(partition) == beta
 
 
 def test_exact_partition_search_spends_its_node_budget():

@@ -518,8 +518,8 @@ def test_exact_partition_certifies_where_greedy_falls_short(g6, h, dim):
     assert len(cover._greedy_clique_partition(sr.adj, (1 << sr.n) - 1)) == 4
     with patch.object(cover, "_clique_partition", wraps=cover._clique_partition) as search:
         partition = c_graph_partition(sr, max_independent_set(sr), DEFAULT_NODE_BUDGET)
-    assert search.called and len(partition.parts) == 3
-    partition.validate(sr)
+    assert search.called and len(partition) == 3
+    assert cover._checked_partition(sr, partition) == partition
     res, orders = _covered_orders(g, h)
     assert orders == [g.n, h.n]
     prod = product("strong", g, h)

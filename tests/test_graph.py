@@ -235,6 +235,25 @@ def test_complement_is_involution(g):
 def test_isomorphic_classics():
     assert graphs_isomorphic(cycle(4), complete_multipartite([2, 2]))
     assert not graphs_isomorphic(path(4), star(4))
+    # regular graphs: equal degree classes prune nothing, so the backtracking alone
+    # decides: the triangular prism has triangles, K3,3 none
+    prism = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                           (0, 3), (1, 4), (2, 5)])
+    k33 = complete_multipartite([3, 3])
+    assert not graphs_isomorphic(prism, k33)
+    assert not brute_isomorphic(prism, k33)
+    assert graphs_isomorphic(prism, complement(cycle(6)))
+    # the Petersen graph has girth 5, the pentagonal prism 4-cycles
+    petersen = make_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                          + [(i, i + 5) for i in range(5)]
+                          + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    pentagonal_prism = make_graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                                  + [(i, i + 5) for i in range(5)]
+                                  + [(5 + i, 5 + (i + 1) % 5) for i in range(5)])
+    assert not graphs_isomorphic(petersen, pentagonal_prism)
+    perm = [3, 7, 0, 9, 4, 1, 8, 2, 6, 5]
+    relabelled = make_graph(10, [(perm[u], perm[v]) for u, v in petersen.edges()])
+    assert graphs_isomorphic(petersen, relabelled)
 
 
 def test_isomorphism_respects_size_cap():

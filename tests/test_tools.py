@@ -99,6 +99,16 @@ def test_memory_probe_reports_the_child_and_limits_it_alone(capfd):
     assert code != 0
 
 
+def test_memory_probe_reports_the_child_not_its_caller():
+    # Linux carries a forking process's high-water mark across fork and exec
+    # into the child's ru_maxrss; the probe reads the child's own VmHWM, so a
+    # caller holding 64 MB still sees the small child (about 18 MB)
+    ballast = b"x" * (64 << 20)
+    code, _, rss = _load_tool("memory_probe").probe(["compute", "alpha", "path:3"])
+    assert len(ballast) == 64 << 20
+    assert code == 0 and 0 < rss < 64
+
+
 def test_sr_graph_of_a_long_path_needs_no_stored_balls():
     # every ball of P1500 is about 350 MB; the SR graph alone holds two radii
     code, _, rss = _load_tool("memory_probe").probe(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 from collections import Counter
@@ -82,12 +83,20 @@ def test_unknown_claim_rejected(small_corpus):
         run_suite(small_corpus, ["thm-nonsense"])
 
 
+# SHA-256 of the space-joined graph6 strings of the connected graphs on 2..6
+# vertices, in enumeration order: it pins each class's representative and
+# the order, which the corpora and the golden report read
+CONNECTED_UPTO_6_SHA256 = "1750375a650658e471bded16050143c85231e92f97107f307fee42ccfc589139"
+
+
 def test_exhaustive_small_counts(small_corpus):
-    # connected graphs up to isomorphism: 1 on 2, 2 on 3, 6 on 4 vertices
-    sizes = [g.n for g in Corpus(CorpusSpec(exhaustive_n=4)).exhaustive_small()]
-    assert sizes.count(2) == 1
-    assert sizes.count(3) == 2
-    assert sizes.count(4) == 6
+    # connected graphs up to isomorphism (OEIS A001349): 1, 2, 6, 21 and 112
+    # on 2..6 vertices
+    graphs = Corpus(CorpusSpec(exhaustive_n=6)).exhaustive_small()
+    sizes = Counter(g.n for g in graphs)
+    assert [sizes[n] for n in range(2, 7)] == [1, 2, 6, 21, 112]
+    text = " ".join(map(graph.to_graph6, graphs))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == CONNECTED_UPTO_6_SHA256
 
 
 def test_statuses_of_small_suite(small_reports):
