@@ -56,22 +56,23 @@ def _dilate(x: int, stages) -> int:
     return x
 
 
-def _product_stages(adj, n1: int, n2: int) -> tuple[list, list]:
+def _product_stages(adj, balls: _StrongBalls) -> tuple[list, list]:
     """The strong product's closed neighbourhoods as two stages of classes.
 
     With p = u*n2 + v, N[(u,v)] = N_G[u] x N_H[v].  The first stage holds
     H's edge-difference classes, tiled over every row; the second holds G's,
-    as shifts of d*n2 over whole rows.  Both factors are read from ``adj``:
-    row 0 gives H's rows and column 0 G's.  Every vertex's closure through
-    the two stages must be its own row of ``adj`` plus itself, or this
-    raises ``AssertionError``.
+    as shifts of d*n2 over whole rows.  Both factors are read from the
+    radius-1 balls of ``balls.dm_h`` and ``balls.dm_g``; ``adj`` is only
+    confirmed: every vertex's closure through the two stages must be its
+    own row of ``adj`` plus itself, or this raises ``AssertionError``.
     """
+    n1, n2 = balls.shape
     if len(adj) != n1 * n2:
         raise AssertionError(f"a graph on {len(adj)} vertices is not a {n1} x {n2} product")
     full_h = (1 << n2) - 1
     col = _stride((1 << n1) - 1, n2)  # column 0: bit u*n2 for every row u
-    h_rows = [adj[v] & full_h for v in range(n2)]
-    g_rows = [sum(1 << (x // n2) for x in bits(adj[u * n2] & col)) for u in range(n1)]
+    h_rows = [balls.dm_h.ball(v, 1) ^ 1 << v for v in range(n2)]
+    g_rows = [balls.dm_g.ball(u, 1) ^ 1 << u for u in range(n1)]
     stages = (
         [(d, col * a, col * ad) for d, a, ad in _difference_classes(h_rows)],
         [(d * n2, _stride(a, n2) * full_h, _stride(ad, n2) * full_h)
@@ -79,7 +80,7 @@ def _product_stages(adj, n1: int, n2: int) -> tuple[list, list]:
     )
     for p, row in enumerate(adj):
         if _dilate(1 << p, stages) != row | 1 << p:
-            raise AssertionError(f"the factors read from the product miss row {p}")
+            raise AssertionError(f"the product of the balls' factors misses row {p}")
     return stages
 
 
@@ -106,27 +107,30 @@ def is_strong_generator(
     where id order looked up 54,810, 30,600 and 1,356.
 
     Each layer's step needs N(reach), the neighbours of H_u on the layer
-    above, and the step is picked once per call from the balls.  On
-    ``strong_product_distances`` balls, ``g`` must be that product, and the
-    step dilates by two stages of edge-difference classes that ``_dilate``
-    applies in turn, N[X] = X | ((X & A_d) << d) | ((X & (A_d << d)) >> d)
-    over each d, with A_d the set of x adjacent to x + d: H's classes within
-    each row, then G's as whole-row shifts (``_product_stages`` checks that
-    they give every row of ``g.adj``).  On any other balls the step ORs the
-    adjacency rows, one per vertex of ``reach``.
+    above.  On ``strong_product_distances`` balls, ``g`` must be the product
+    of their factors, and the step dilates by two stages of edge-difference
+    classes that ``_dilate`` applies in turn, N[X] = X | ((X & A_d) << d) |
+    ((X & (A_d << d)) >> d) over each d, with A_d the set of x adjacent to
+    x + d: H's within each row, then G's as whole-row shifts.  On any other
+    balls, which must be g's own, the step ORs the rows of ``reach``.  The
+    radius-1 balls (the factors' on a product) must give every row of
+    ``g.adj``, or this raises ``AssertionError``.
     """
     dm = dm or all_pairs_distances(g)
-    if not dm.connected():
-        raise ValueError("strong generators are defined for connected graphs")
     adj = g.adj
     balls = dm.balls
+    stages = _product_stages(adj, balls) if isinstance(balls, _StrongBalls) else None
+    if stages is None and (len(balls) != g.n or any(
+            dm.ball(v, 1) != a | 1 << v for v, a in enumerate(adj))):
+        raise AssertionError("the distance balls are not the graph's own")
+    if not dm.connected():
+        raise ValueError("strong generators are defined for connected graphs")
     smask = 0
     for w in members:
         if not 0 <= w < g.n:
             raise ValueError("member id outside the vertex range")
         smask |= 1 << w
     outside = ((1 << g.n) - 1) & ~smask
-    stages = _product_stages(adj, *balls.shape) if isinstance(balls, _StrongBalls) else None
     hulls = [0] * g.n
     rest = outside
     while rest:
@@ -231,9 +235,10 @@ def product_dimension(
     cover is the complement of I_G x I_H.  Otherwise the cover is searched on
     the whole SR graph, with the node budget the factor covers left, which
     also bounds each factor's partition search.  Either way the witness is
-    checked definitionally against ``prod``, the product graph itself: the
-    check dilates by the factors' edge-difference classes, read from
-    ``prod``'s own rows and confirmed against every one of them.
+    checked definitionally against ``prod``, which must be
+    ``product(kind, g, h)``: on the factor route the check reads the
+    factors' edge-difference classes from their balls and raises
+    ``AssertionError`` unless the classes give every row of ``prod``.
     """
     pred = _factor_prediction(kind, g, h)
     if pred is None:

@@ -112,8 +112,8 @@ def strong_product_distances(dm_g: DistanceMatrix, dm_h: DistanceMatrix) -> Dist
     B_G(u,k) x B_H(v,k): one stride multiply per ball and no BFS on the
     product.  The balls of a product vertex are built each time they are
     read, so memory stays at the factors' balls and one row's strided
-    G-balls, not n^2 x diameter bits; ``is_strong_generator`` also takes the
-    factor shape (n1, n2) from them.
+    G-balls, not n^2 x diameter bits; ``is_strong_generator`` also reads the
+    factors themselves from their radius-1 balls.
     """
     return DistanceMatrix(dm_g.n * dm_h.n, _StrongBalls(dm_g, dm_h))
 

@@ -16,7 +16,7 @@ import json
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable
 
@@ -259,9 +259,9 @@ class ClaimReport:
     skipped: int
     inconclusive: int
     counterexamples: int
-    instances: list[dict]
     seed: int
-    elapsed_ms: int = 0
+    instances: list[dict]
+    elapsed_ms: int = 0  # last: the report writes it only with timings
 
 
 @dataclass(frozen=True)
@@ -824,7 +824,7 @@ def verify_claim(
     elapsed = int((time.perf_counter() - t0) * 1000)
     return ClaimReport(
         claim_id, claim.description, status, checked, skipped, inconclusive,
-        failures, records, corpus.spec.seed, elapsed,
+        failures, corpus.spec.seed, records, elapsed,
     )
 
 
@@ -857,26 +857,12 @@ def replay_instance(claim_id: str, record: dict, spec: CorpusSpec | None = None)
 def suite_to_json(
     reports: list[ClaimReport], spec: CorpusSpec, include_timing: bool = False
 ) -> str:
-    claims = []
-    for rep in reports:
-        entry = {
-            "claim_id": rep.claim_id,
-            "description": rep.description,
-            "status": rep.status,
-            "instances_checked": rep.instances_checked,
-            "skipped": rep.skipped,
-            "inconclusive": rep.inconclusive,
-            "counterexamples": rep.counterexamples,
-            "seed": rep.seed,
-            "instances": rep.instances,
-        }
-        if include_timing:
-            entry["elapsed_ms"] = rep.elapsed_ms
-        claims.append(entry)
+    claims = [{k: v for k, v in vars(rep).items() if include_timing or k != "elapsed_ms"}
+              for rep in reports]
     statuses = [r.status for r in reports]
     doc = {
         "seed": spec.seed,
-        "corpus": asdict(spec),
+        "corpus": vars(spec),
         "claims": claims,
         "summary": {
             "claims": len(reports),

@@ -235,7 +235,7 @@ _connected_factors = st.one_of(
 def test_product_stages_dilate_as_the_product_rows(g, h, data):
     # oracle: N[X] as the union of the built product's rows over X
     prod = product("strong", g, h)
-    stages = dimension._product_stages(prod.adj, g.n, h.n)
+    stages = dimension._product_stages(prod.adj, _factor_distances(g, h).balls)
     for _ in range(5):
         x = data.draw(st.integers(0, (1 << prod.n) - 1))
         by_rows = x
@@ -307,22 +307,57 @@ def test_wrong_product_stage_raises(monkeypatch, stage):
         return classes[:-1] if len(rows) == (h.n, g.n)[stage] else classes
 
     monkeypatch.setattr(dimension, "_difference_classes", forged)
-    with pytest.raises(AssertionError, match="the factors read from the product miss row"):
+    with pytest.raises(AssertionError, match="the product of the balls' factors misses row"):
         is_strong_generator(prod, basis, _factor_distances(g, h))
-    with pytest.raises(AssertionError, match="the factors read from the product miss row"):
+    with pytest.raises(AssertionError, match="the product of the balls' factors misses row"):
         product_dimension("strong", g, h, prod=prod)
 
 
 def test_product_check_refuses_a_graph_that_is_not_the_product():
-    # the factor balls give only the shape; the graph itself is checked
+    # the factors come from the balls; the graph itself is only checked
     g, h = cycle(5), path(4)
     prod = product("strong", g, h)
     basis = product_dimension("strong", g, h, prod=prod).basis
     not_prod = make_graph(prod.n, [*prod.edges(), (6, 12)])  # (1,2) ~ (3,0): distance 2
-    with pytest.raises(AssertionError, match="the factors read from the product miss row 6"):
+    with pytest.raises(AssertionError, match="the product of the balls' factors misses row 6"):
         is_strong_generator(not_prod, basis, _factor_distances(g, h))
     with pytest.raises(AssertionError, match="a graph on 20 vertices is not a 4 x 4 product"):
         is_strong_generator(prod, basis, _factor_distances(path(4), path(4)))
+
+
+@pytest.mark.parametrize(
+    "prod",
+    [
+        pytest.param(complete(9), id="K9"),
+        pytest.param(product("strong", complete(3), path(3)), id="K3xP3"),
+    ],
+)
+def test_factor_route_refuses_a_prod_of_other_factors(prod):
+    # P3xP3 factor balls with a graph of the right order that is not P3xP3:
+    # the stages come from the balls' factors, so the graph's rows cannot
+    # stand in for them (dim_s(K9) = 8 and dim_s(K3xP3) = 7, not 5)
+    g = h = path(3)
+    with pytest.raises(AssertionError, match="the product of the balls' factors misses row 0"):
+        product_dimension("strong", g, h, prod=prod)
+    with pytest.raises(AssertionError, match="the product of the balls' factors misses row 0"):
+        is_strong_generator(prod, {2, 5, 6, 7, 8}, _factor_distances(g, h))
+
+
+@pytest.mark.parametrize(
+    "balls",
+    [
+        pytest.param(all_pairs_distances(path(5)), id="P5"),
+        pytest.param(all_pairs_distances(path(6)), id="P6"),
+        pytest.param(all_pairs_distances(cycle(4)), id="C4"),
+    ],
+)
+def test_generator_check_refuses_balls_of_another_graph(balls):
+    # {0} generates P5 but not C5 (dim_s(C5) = 3): the balls are checked
+    # against the graph's rows, and their count against its order
+    with pytest.raises(AssertionError, match="the distance balls are not the graph's own"):
+        is_strong_generator(cycle(5), {0}, balls)
+    with pytest.raises(AssertionError, match="the distance balls are not the graph's own"):
+        sr_cover_dimension(cycle(5), cycle(5), balls, CoverResult(1, frozenset({0}), 0, True))
 
 
 def test_factor_route_reads_classes_from_factor_rows_only(monkeypatch):

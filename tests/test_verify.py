@@ -2,7 +2,7 @@ import hashlib
 import json
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -22,6 +22,7 @@ from strongdim.graph import (
 )
 from strongdim.verify import (
     CLAIMS,
+    ClaimReport,
     Corpus,
     CorpusSpec,
     Env,
@@ -311,6 +312,18 @@ def test_json_shape(small_reports):
     assert doc["summary"]["claims"] == 22
     timed = json.loads(suite_to_json(small_reports, SMALL, include_timing=True))
     assert "elapsed_ms" in timed["claims"][0]
+
+
+def test_json_claim_keys_are_the_report_fields(small_reports):
+    # each claim entry is written from ClaimReport's own fields, in field
+    # order; elapsed_ms is the last field and is written only with timings
+    names = [f.name for f in fields(ClaimReport)]
+    assert names[-1] == "elapsed_ms"
+    plain = json.loads(suite_to_json(small_reports, SMALL))["claims"]
+    timed = json.loads(suite_to_json(small_reports, SMALL, include_timing=True))["claims"]
+    assert all(list(entry) == names[:-1] for entry in plain)
+    assert all(list(entry) == names for entry in timed)
+    assert [entry["elapsed_ms"] for entry in timed] == [r.elapsed_ms for r in small_reports]
 
 
 def test_csv_shape(small_reports):
