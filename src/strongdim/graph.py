@@ -60,9 +60,6 @@ class Graph:
     def degree(self, u: int) -> int:
         return self.adj[u].bit_count()
 
-    def neighbors(self, u: int) -> Iterator[int]:
-        return bits(self.adj[u])
-
     def has_edge(self, u: int, v: int) -> bool:
         return (self.adj[u] >> v) & 1 == 1
 

@@ -2,9 +2,9 @@
 
 Every claim in the registry states a law about strong resolving graphs,
 independence numbers, or strong metric dimension of product graphs, and is
-checked exactly on a reproducible instance corpus.  Hypothesis checking is
-explicit: instances that fail a claim's hypotheses count as skipped, never
-as passed, and no claim passes on zero checked instances.
+checked exactly on a reproducible instance corpus.  Each claim declares its
+hypotheses: instances that fail one count as skipped, never as passed, and
+no claim passes on zero checked instances.
 """
 
 from __future__ import annotations
@@ -264,12 +264,17 @@ class ClaimReport:
     elapsed_ms: int = 0  # last: the report writes it only with timings
 
 
+# a claim's hypothesis: a test on (env, g, h), and the skip note of an instance that fails it
+Hypothesis = tuple[Callable[[Env, Graph, Graph | None], bool], str]
+
+
 @dataclass(frozen=True)
 class Claim:
     claim_id: str
     description: str
     instances: Callable[[Corpus], Iterable[tuple[Graph, Graph | None]]]
     check: Callable[[Env, Graph, Graph | None], dict]
+    requires: tuple[Hypothesis, ...]
 
 
 def _record(env: Env, g: Graph, h: Graph | None, outcome: str, expected, actual,
@@ -285,24 +290,26 @@ def _record(env: Env, g: Graph, h: Graph | None, outcome: str, expected, actual,
     return rec
 
 
-def _skip(env: Env, g: Graph, h: Graph | None, why: str) -> dict:
-    return _record(env, g, h, "skip", None, None, note=why)
-
-
-def _connected_nontrivial(g: Graph) -> bool:
-    return g.n >= 2 and mt.is_connected(g)
-
-
 def _is_odd_cycle(g: Graph) -> bool:
     return g.n >= 3 and g.n % 2 == 1 and g == gr.cycle(g.n)
 
 
+CONNECTED: Hypothesis = (lambda env, g, h: min(g.n, h.n) >= 2 and mt.is_connected(g)
+                         and mt.is_connected(h), "factors must be connected and nontrivial")
+FACTOR_IN_CAP: Hypothesis = (lambda env, g, h: g.n <= env.spec.recognition_cap,
+                             "factor exceeds the recognition cap")
+SR_IN_CAP: Hypothesis = (lambda env, g, h: env.sr(g).sr.n <= env.spec.recognition_cap,
+                         "SR graph exceeds the recognition cap")
+ODD_ODD: Hypothesis = (lambda env, g, h: _is_odd_cycle(g) and _is_odd_cycle(h) and g.n <= h.n,
+                       "needs odd cycles with r <= t")
+
 CLAIMS: dict[str, Claim] = {}
 
 
-def _claim(claim_id: str, description: str, instances):
+def _claim(claim_id: str, description: str, instances, *requires: Hypothesis):
+    """Register a check, stated under ``requires``, tested in the order given."""
     def wrap(fn):
-        CLAIMS[claim_id] = Claim(claim_id, description, instances, fn)
+        CLAIMS[claim_id] = Claim(claim_id, description, instances, fn, requires)
         return fn
     return wrap
 
@@ -314,10 +321,10 @@ def claim_ids() -> list[str]:
 # -- instance iterators ------------------------------------------------------
 
 
-def _singleton_with_partners(factors: Callable[[Corpus], list[Graph]]):
+def _singleton_with_partners(factors: Callable[[], list[Graph]]):
     def gen(corpus: Corpus):
         partners = corpus.dimension_partners()
-        return [(g, partners[i % len(partners)]) for i, g in enumerate(factors(corpus))]
+        return [(g, partners[i % len(partners)]) for i, g in enumerate(factors())]
     return gen
 
 
@@ -351,10 +358,9 @@ def _odd_cycle_instances(corpus: Corpus):
     "lemma-mmd",
     "factor-level prediction of MMD pairs matches the strong product's SR graph",
     lambda corpus: corpus.product_pairs(),
+    CONNECTED,
 )
 def _check_lemma_mmd(env: Env, g: Graph, h: Graph) -> dict:
-    if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
-        return _skip(env, g, h, "factors must be connected and nontrivial")
     prod = env.product("strong", g, h)
     actual = env.sr(prod).sr
     predicted = rs.predicted_mmd_edges(g, h)
@@ -376,10 +382,9 @@ def _check_lemma_mmd(env: Env, g: Graph, h: Graph) -> dict:
     "thm-boundary",
     "boundary of a strong product is (bd(G) x V(H)) union (V(G) x bd(H))",
     lambda corpus: corpus.product_pairs(),
+    CONNECTED,
 )
 def _check_thm_boundary(env: Env, g: Graph, h: Graph) -> dict:
-    if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
-        return _skip(env, g, h, "factors must be connected and nontrivial")
     prod = env.product("strong", g, h)
     actual = env.sr(prod).boundary
     bd_g = env.sr(g).boundary
@@ -398,10 +403,9 @@ def _check_thm_boundary(env: Env, g: Graph, h: Graph) -> dict:
     "thm-sandwich",
     "SR(G) x SR(H) is a subgraph of SR(G x H), itself a subgraph of SR(G) (+) SR(H)",
     lambda corpus: corpus.product_pairs(),
+    CONNECTED,
 )
 def _check_thm_sandwich(env: Env, g: Graph, h: Graph) -> dict:
-    if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
-        return _skip(env, g, h, "factors must be connected and nontrivial")
     prod_sr = env.sr(env.product("strong", g, h)).sr
     sr_g, sr_h = env.sr(g).sr, env.sr(h).sr
     lower = env.product("strong", sr_g, sr_h)
@@ -418,10 +422,9 @@ def _check_thm_sandwich(env: Env, g: Graph, h: Graph) -> dict:
     "cor-beta-chain",
     "beta(SR(G) x SR(H)) >= beta(SR(G x H)) >= beta(SR(G) (+) SR(H))",
     lambda corpus: corpus.solver_pairs(),
+    CONNECTED,
 )
 def _check_cor_beta_chain(env: Env, g: Graph, h: Graph) -> dict:
-    if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
-        return _skip(env, g, h, "factors must be connected and nontrivial")
     sr_g, sr_h = env.sr(g).sr, env.sr(h).sr
     b_strong = env.beta(env.product("strong", sr_g, sr_h))
     b_mid = env.beta(env.sr(env.product("strong", g, h)).sr)
@@ -484,24 +487,21 @@ def _check_lemma_cartesian_sum(env: Env, g: Graph, h: Graph) -> dict:
     "n2 dim_s(G) + n1 dim_s(H) - dim_s(G) dim_s(H); equality at the top "
     "whenever a factor's SR graph partitions into beta cliques",
     lambda corpus: corpus.solver_pairs(),
+    CONNECTED,
 )
 def _check_thm_bounds(env: Env, g: Graph, h: Graph) -> dict:
-    if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
-        return _skip(env, g, h, "factors must be connected and nontrivial")
     dg, dh = env.dim_s(g), env.dim_s(h)
     actual = env.dim_s(env.product("strong", g, h))
     lo = dim.general_lower(g.n, h.n, dg, dh)
     hi = dim.general_upper(g.n, h.n, dg, dh)
     ok = lo <= actual <= hi
     note = ""
-    cap = env.spec.recognition_cap
-    sr_g, sr_h = env.sr(g).sr, env.sr(h).sr
-    if sr_g.n <= cap and env.c_graph(sr_g):
-        ok = ok and actual == hi
-        note = "upper bound must be attained (SR(G) is a C-graph)"
-    elif sr_h.n <= cap and env.c_graph(sr_h):
-        ok = ok and actual == hi
-        note = "upper bound must be attained (SR(H) is a C-graph)"
+    for name, factor in (("G", g), ("H", h)):
+        sr = env.sr(factor).sr
+        if sr.n <= env.spec.recognition_cap and env.c_graph(sr):
+            ok = ok and actual == hi
+            note = f"upper bound must be attained (SR({name}) is a C-graph)"
+            break
     return _record(env, g, h, "pass" if ok else "fail", [lo, hi], actual,
                    **({"note": note} if note else {}))
 
@@ -510,12 +510,10 @@ def _check_thm_bounds(env: Env, g: Graph, h: Graph) -> dict:
     "lemma-cgraph",
     "if V(G) partitions into beta(G) cliques then beta(G x H) = beta(G) beta(H)",
     lambda corpus: corpus.solver_pairs(),
+    FACTOR_IN_CAP,
+    (lambda env, g, h: env.c_graph(g), "G is not a C-graph"),
 )
 def _check_lemma_cgraph(env: Env, g: Graph, h: Graph) -> dict:
-    if g.n > env.spec.recognition_cap:
-        return _skip(env, g, h, "factor exceeds the recognition cap")
-    if not env.c_graph(g):
-        return _skip(env, g, h, "G is not a C-graph")
     expected = env.beta(g) * env.beta(h)
     actual = env.beta(env.product("strong", g, h))
     return _record(env, g, h, "pass" if actual == expected else "fail", expected, actual)
@@ -525,15 +523,11 @@ def _check_lemma_cgraph(env: Env, g: Graph, h: Graph) -> dict:
     "thm-cgraph-exact",
     "if SR(G) partitions into beta cliques then dim_s(G x H) equals the upper bound",
     lambda corpus: corpus.solver_pairs(),
+    CONNECTED,
+    SR_IN_CAP,
+    (lambda env, g, h: env.c_graph(env.sr(g).sr), "SR(G) is not a C-graph"),
 )
 def _check_thm_cgraph(env: Env, g: Graph, h: Graph) -> dict:
-    if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
-        return _skip(env, g, h, "factors must be connected and nontrivial")
-    sr_g = env.sr(g).sr
-    if sr_g.n > env.spec.recognition_cap:
-        return _skip(env, g, h, "SR graph exceeds the recognition cap")
-    if not env.c_graph(sr_g):
-        return _skip(env, g, h, "SR(G) is not a C-graph")
     expected = dim.general_upper(g.n, h.n, env.dim_s(g), env.dim_s(h))
     actual = env.dim_s(env.product("strong", g, h))
     return _record(env, g, h, "pass" if actual == expected else "fail", expected, actual)
@@ -544,12 +538,10 @@ def _check_thm_cgraph(env: Env, g: Graph, h: Graph) -> dict:
     "if V(G) partitions into beta(G) cliques plus one singleton then "
     "beta(G x H) <= beta(G) (beta(H) + 1)",
     lambda corpus: corpus.solver_pairs(),
+    FACTOR_IN_CAP,
+    (lambda env, g, h: env.c1_graph(g), "G is not a C1-graph"),
 )
 def _check_lemma_c1graph(env: Env, g: Graph, h: Graph) -> dict:
-    if g.n > env.spec.recognition_cap:
-        return _skip(env, g, h, "factor exceeds the recognition cap")
-    if not env.c1_graph(g):
-        return _skip(env, g, h, "G is not a C1-graph")
     bound = env.beta(g) * (env.beta(h) + 1)
     actual = env.beta(env.product("strong", g, h))
     return _record(env, g, h, "pass" if actual <= bound else "fail", f"<= {bound}", actual)
@@ -560,15 +552,11 @@ def _check_lemma_c1graph(env: Env, g: Graph, h: Graph) -> dict:
     "if SR(G) is a C1-graph then dim_s(G x H) >= "
     "n1 (dim_s(H) - 1) + dim_s(G) (n2 - dim_s(H) + 1)",
     lambda corpus: corpus.solver_pairs(),
+    CONNECTED,
+    SR_IN_CAP,
+    (lambda env, g, h: env.c1_graph(env.sr(g).sr), "SR(G) is not a C1-graph"),
 )
 def _check_thm_c1_lower(env: Env, g: Graph, h: Graph) -> dict:
-    if not (_connected_nontrivial(g) and _connected_nontrivial(h)):
-        return _skip(env, g, h, "factors must be connected and nontrivial")
-    sr_g = env.sr(g).sr
-    if sr_g.n > env.spec.recognition_cap:
-        return _skip(env, g, h, "SR graph exceeds the recognition cap")
-    if not env.c1_graph(sr_g):
-        return _skip(env, g, h, "SR(G) is not a C1-graph")
     bound = dim.c1_lower(g.n, h.n, env.dim_s(g), env.dim_s(h))
     actual = env.dim_s(env.product("strong", g, h))
     return _record(env, g, h, "pass" if actual >= bound else "fail", f">= {bound}", actual)
@@ -600,39 +588,27 @@ def _family_check(env, g, h, shape_sizes, formula_value):
     )
 
 
-def _complete_factors(corpus: Corpus) -> list[Graph]:
-    return [gr.complete(n) for n in (2, 3, 4, 5, 6)]
-
-
 @_claim(
     "cor-cgraphs-i",
     "complete factor: SR(K_n) is K_n and dim_s(K_n x H) follows the closed form",
-    _singleton_with_partners(_complete_factors),
+    _singleton_with_partners(lambda: [gr.complete(n) for n in (2, 3, 4, 5, 6)]),
 )
 def _check_cor_i(env: Env, g: Graph, h: Graph) -> dict:
     expected = dim.complete_factor(g.n, h.n, env.dim_s(h))
     return _family_check(env, g, h, [g.n], expected)
 
 
-def _kpartite_factors(corpus: Corpus) -> list[Graph]:
-    return [
-        gr.complete_multipartite(p)
-        for p in ([2, 2], [2, 3], [1, 3], [3, 3], [2, 2, 2])
-    ]
-
-
 @_claim(
     "cor-cgraphs-ii",
     "complete k-partite factor: SR is the union of the part cliques and "
     "dim_s follows the closed form",
-    _singleton_with_partners(_kpartite_factors),
+    _singleton_with_partners(lambda: [
+        gr.complete_multipartite(p) for p in ([2, 2], [2, 3], [1, 3], [3, 3], [2, 2, 2])]),
+    (lambda env, g, h: _multipartite_parts(g) is not None, "factor is not complete multipartite"),
+    (lambda env, g, h: _multipartite_parts(g).count(1) <= 1, "more than one singleton part"),
 )
 def _check_cor_ii(env: Env, g: Graph, h: Graph) -> dict:
     parts = _multipartite_parts(g)
-    if parts is None:
-        return _skip(env, g, h, "factor is not complete multipartite")
-    if sum(1 for p in parts if p == 1) > 1:
-        return _skip(env, g, h, "more than one singleton part")
     expected = dim.kpartite_factor(g.n, h.n, len(parts), env.dim_s(h))
     return _family_check(env, g, h, parts, expected)
 
@@ -643,25 +619,16 @@ def _multipartite_parts(g: Graph) -> list[int] | None:
     return parts if parts and len(parts) >= 2 else None
 
 
-def _gtree_factors(corpus: Corpus) -> list[Graph]:
-    return [
-        gr.generalized_tree([3, 3], 1),
-        gr.generalized_tree([4, 2, 3], 2),
-        gr.generalized_tree([2, 2, 2, 2], 3),
-        gr.path(5),
-        gr.star(6),
-    ]
-
-
 @_claim(
     "cor-cgraphs-iii",
     "generalized-tree factor with c cut vertices: SR is K_(n-c) plus c isolated "
     "vertices and dim_s follows the closed form (trees: l(G)-1 in place of n-c-1)",
-    _singleton_with_partners(_gtree_factors),
+    _singleton_with_partners(lambda: [
+        gr.generalized_tree([3, 3], 1), gr.generalized_tree([4, 2, 3], 2),
+        gr.generalized_tree([2, 2, 2, 2], 3), gr.path(5), gr.star(6)]),
+    (lambda env, g, h: mt.is_generalized_tree(g), "factor is not a generalized tree"),
 )
 def _check_cor_iii(env: Env, g: Graph, h: Graph) -> dict:
-    if not mt.is_generalized_tree(g):
-        return _skip(env, g, h, "factor is not a generalized tree")
     c = len(mt.cut_vertices(g))
     expected = dim.generalized_tree_factor(g.n, h.n, c, env.dim_s(h))
     rec = _family_check(env, g, h, [g.n - c] + [1] * c, expected)
@@ -673,38 +640,28 @@ def _check_cor_iii(env: Env, g: Graph, h: Graph) -> dict:
     return rec
 
 
-def _antipodal_factors(corpus: Corpus) -> list[Graph]:
-    k2 = gr.complete(2)
-    q3 = pr.product("cartesian", k2, pr.product("cartesian", k2, k2))
-    return [gr.cycle(4), gr.cycle(6), gr.cycle(8), gr.cycle(10), q3]
-
-
 @_claim(
     "cor-cgraphs-iv",
     "2-antipodal factor of order n: SR is n/2 disjoint edges and dim_s follows "
     "the closed form",
-    _singleton_with_partners(_antipodal_factors),
+    _singleton_with_partners(lambda: [gr.cycle(n) for n in (4, 6, 8, 10)] + [
+        pr.product("cartesian", gr.complete(2), gr.grid(2, 2))]),  # Q3 = K2 box (2x2 grid)
+    (lambda env, g, h: mt.is_two_antipodal(g), "factor is not 2-antipodal"),
 )
 def _check_cor_iv(env: Env, g: Graph, h: Graph) -> dict:
-    if not mt.is_two_antipodal(g):
-        return _skip(env, g, h, "factor is not 2-antipodal")
     expected = dim.antipodal_factor(g.n, h.n, env.dim_s(h))
     return _family_check(env, g, h, [2] * (g.n // 2), expected)
-
-
-def _grid_factors(corpus: Corpus) -> list[Graph]:
-    return [gr.grid(a, b) for a, b in ((2, 3), (2, 4), (3, 3), (3, 4), (4, 4))]
 
 
 @_claim(
     "cor-cgraphs-v",
     "grid factor (beyond the 2x2 grid): SR is K_4 plus isolated vertices and "
     "dim_s follows the closed form",
-    _singleton_with_partners(_grid_factors),
+    _singleton_with_partners(lambda: [
+        gr.grid(a, b) for a, b in ((2, 3), (2, 4), (3, 3), (3, 4), (4, 4))]),
+    (lambda env, g, h: g.n > 4, "the 2x2 grid is 2-antipodal, not a K4-shape grid"),
 )
 def _check_cor_v(env: Env, g: Graph, h: Graph) -> dict:
-    if g.n <= 4:
-        return _skip(env, g, h, "the 2x2 grid is 2-antipodal, not a K4-shape grid")
     expected = dim.grid_factor(g.n, h.n, env.dim_s(h))
     return _family_check(env, g, h, [4] + [1] * (g.n - 4), expected)
 
@@ -716,10 +673,9 @@ def _check_cor_v(env: Env, g: Graph, h: Graph) -> dict:
     "thm-oddcycle-bounds",
     "n(r+1) + r(dim_s(H)-1) <= dim_s(C_(2r+1) x H) <= n(r+1) + r dim_s(H)",
     _odd_cycle_instances,
+    (lambda env, g, h: _is_odd_cycle(g), "factor is not an odd cycle"),
 )
 def _check_oddcycle_bounds(env: Env, g: Graph, h: Graph) -> dict:
-    if not _is_odd_cycle(g):
-        return _skip(env, g, h, "factor is not an odd cycle")
     r = (g.n - 1) // 2
     dh = env.dim_s(h)
     lo = dim.odd_cycle_lower(r, h.n, dh)
@@ -733,11 +689,10 @@ def _check_oddcycle_bounds(env: Env, g: Graph, h: Graph) -> dict:
     "thm-odd-odd-beta",
     "beta(C_(2r+1) x C_(2t+1)) = r t + floor(r/2) for 1 <= r <= t",
     _odd_odd_instances("odd_odd_max"),
+    ODD_ODD,
 )
 def _check_odd_odd_beta(env: Env, g: Graph, h: Graph) -> dict:
     r, t = (g.n - 1) // 2, (h.n - 1) // 2
-    if not (_is_odd_cycle(g) and _is_odd_cycle(h)) or r > t:
-        return _skip(env, g, h, "needs odd cycles with r <= t")
     expected = r * t + r // 2
     actual = 1 + env.beta(_vertex_residue(env.product("strong", g, h), h.n))
     return _record(env, g, h, "pass" if actual == expected else "fail", expected, actual)
@@ -765,11 +720,10 @@ def _vertex_residue(g: Graph, n2: int) -> Graph:
     "thm-odd-odd-bounds",
     "3rt + 2r + 2t + 1 - floor(r/2) <= dim_s(C_(2r+1) x C_(2t+1)) <= 3rt + 2r + 2t + 1",
     _odd_odd_instances("odd_odd_dim_max"),
+    ODD_ODD,
 )
 def _check_odd_odd_bounds(env: Env, g: Graph, h: Graph) -> dict:
     r, t = (g.n - 1) // 2, (h.n - 1) // 2
-    if not (_is_odd_cycle(g) and _is_odd_cycle(h)) or r > t:
-        return _skip(env, g, h, "needs odd cycles with r <= t")
     lo, hi = dim.odd_odd_lower(r, t), dim.odd_odd_upper(r, t)
     actual = env.dim_s(env.product("strong", g, h))
     ok = lo <= actual <= hi
@@ -780,12 +734,10 @@ def _check_odd_odd_bounds(env: Env, g: Graph, h: Graph) -> dict:
     "remark-c3",
     "dim_s(C_3 x C_(2t+1)) = 5t + 3",
     _c3_instances,
+    (lambda env, g, h: g == gr.cycle(3) and _is_odd_cycle(h), "needs C_3 and an odd cycle"),
 )
 def _check_remark_c3(env: Env, g: Graph, h: Graph) -> dict:
-    t = (h.n - 1) // 2
-    if g != gr.cycle(3) or not _is_odd_cycle(h):
-        return _skip(env, g, h, "needs C_3 and an odd cycle")
-    expected = dim.c3_exact(t)
+    expected = dim.c3_exact((h.n - 1) // 2)
     actual = env.dim_s(env.product("strong", g, h))
     return _record(env, g, h, "pass" if actual == expected else "fail", expected, actual)
 
@@ -793,6 +745,18 @@ def _check_remark_c3(env: Env, g: Graph, h: Graph) -> dict:
 # ---------------------------------------------------------------------------
 # runners
 # ---------------------------------------------------------------------------
+
+
+def _outcome(claim: Claim, env: Env, g: Graph, h: Graph | None) -> dict:
+    """One instance's record.  The first hypothesis it fails is its skip note;
+    a budget spent by a hypothesis or by the check makes it inconclusive."""
+    try:
+        for holds, note in claim.requires:
+            if not holds(env, g, h):
+                return _record(env, g, h, "skip", None, None, note=note)
+        return claim.check(env, g, h)
+    except cov.BudgetExhausted as exc:
+        return _record(env, g, h, "inconclusive", None, None, note=str(exc))
 
 
 def verify_claim(
@@ -803,12 +767,7 @@ def verify_claim(
     claim = CLAIMS[claim_id]
     env = env or Env(corpus.spec)
     t0 = time.perf_counter()
-    records = []
-    for g, h in claim.instances(corpus):
-        try:
-            records.append(claim.check(env, g, h))
-        except cov.BudgetExhausted as exc:
-            records.append(_record(env, g, h, "inconclusive", None, None, note=str(exc)))
+    records = [_outcome(claim, env, g, h) for g, h in claim.instances(corpus)]
     tally = Counter(rec["outcome"] for rec in records)
     failures, inconclusive = tally["fail"], tally["inconclusive"]
     checked = tally["pass"] + failures
@@ -840,13 +799,12 @@ def run_suite(
 
 
 def replay_instance(claim_id: str, record: dict, spec: CorpusSpec | None = None) -> dict:
-    """Re-run a claim check on an instance decoded from its own report record."""
+    """Re-run a claim on an instance decoded from its own report record."""
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim id {claim_id!r}")
     g = gr.from_graph6(record["g6_g"])
     h = gr.from_graph6(record["g6_h"]) if record.get("g6_h") else None
-    env = Env(spec or CorpusSpec())
-    return CLAIMS[claim_id].check(env, g, h)
+    return _outcome(CLAIMS[claim_id], Env(spec or CorpusSpec()), g, h)
 
 
 # ---------------------------------------------------------------------------

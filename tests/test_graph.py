@@ -104,7 +104,7 @@ def test_make_graph_rejects_bad_edges():
 def test_adjacency_symmetric_irreflexive(g):
     for u in range(g.n):
         assert not (g.adj[u] >> u) & 1
-        for v in g.neighbors(u):
+        for v in bits(g.adj[u]):
             assert g.has_edge(v, u)
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongdim.cover import max_independent_set
-from strongdim.graph import complete, cycle, graphs_isomorphic, grid, path
+from strongdim.graph import bits, complete, cycle, graphs_isomorphic, grid, path
 from strongdim.metrics import all_pairs_distances, is_connected
 from strongdim.products import (
     PRODUCT_KINDS,
@@ -147,10 +147,10 @@ def test_closed_neighborhood_law(g, h):
             p = u * h.n + v
             expected = {
                 x * h.n + y
-                for x in list(g.neighbors(u)) + [u]
-                for y in list(h.neighbors(v)) + [v]
+                for x in list(bits(g.adj[u])) + [u]
+                for y in list(bits(h.adj[v])) + [v]
             } - {p}
-            assert set(prod.neighbors(p)) == expected
+            assert set(bits(prod.adj[p])) == expected
 
 
 # -- ids / projections ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import sys
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongdim import cover, dimension, graph, products, resolving
+from strongdim import cover, dimension, graph, products, resolving, verify
 from strongdim.graph import (
     complete,
     cycle,
@@ -275,6 +276,59 @@ def test_replay_skips_factors_too_small_for_a_cycle(claim_id, g, h):
     assert replay_instance(claim_id, record)["outcome"] == "skip"
 
 
+CONNECTED_NOTE = "factors must be connected and nontrivial"
+TWO_ISOLATED = make_graph(2, [])
+P21 = path(21)  # a factor, and an SR graph, of 21 vertices: one over the recognition cap
+
+
+@pytest.mark.parametrize("claim_id,g,h,note", [
+    ("lemma-mmd", complete(1), path(3), CONNECTED_NOTE),
+    ("thm-boundary", path(3), TWO_ISOLATED, CONNECTED_NOTE),
+    ("thm-sandwich", TWO_ISOLATED, path(3), CONNECTED_NOTE),
+    ("cor-beta-chain", path(3), complete(1), CONNECTED_NOTE),
+    ("thm-bounds", complete(1), complete(2), CONNECTED_NOTE),
+    ("thm-cgraph-exact", TWO_ISOLATED, complete(2), CONNECTED_NOTE),
+    ("thm-c1-lower", complete(2), TWO_ISOLATED, CONNECTED_NOTE),
+    ("lemma-cgraph", P21, complete(2), "factor exceeds the recognition cap"),
+    ("lemma-c1graph", P21, complete(2), "factor exceeds the recognition cap"),
+    ("thm-cgraph-exact", P21, complete(2), "SR graph exceeds the recognition cap"),
+    ("thm-c1-lower", P21, complete(2), "SR graph exceeds the recognition cap"),
+    ("lemma-cgraph", cycle(5), complete(2), "G is not a C-graph"),
+    ("lemma-c1graph", complete(3), complete(2), "G is not a C1-graph"),
+    ("thm-cgraph-exact", cycle(5), complete(2), "SR(G) is not a C-graph"),  # SR(C5) is C5
+    ("thm-c1-lower", path(3), complete(2), "SR(G) is not a C1-graph"),  # SR(P3) is K2 + K1
+    ("cor-cgraphs-ii", path(4), complete(2), "factor is not complete multipartite"),
+    ("cor-cgraphs-ii", graph.complete_multipartite([1, 1, 2]), complete(2),
+     "more than one singleton part"),
+    ("cor-cgraphs-iii", cycle(4), complete(2), "factor is not a generalized tree"),
+    ("cor-cgraphs-iv", path(3), complete(2), "factor is not 2-antipodal"),
+    ("cor-cgraphs-v", grid(2, 2), complete(2), "the 2x2 grid is 2-antipodal, not a K4-shape grid"),
+    ("thm-oddcycle-bounds", cycle(4), path(3), "factor is not an odd cycle"),
+    ("thm-odd-odd-beta", cycle(7), cycle(5), "needs odd cycles with r <= t"),
+    ("thm-odd-odd-bounds", cycle(7), cycle(5), "needs odd cycles with r <= t"),
+    ("remark-c3", cycle(5), cycle(5), "needs C_3 and an odd cycle"),
+])
+def test_replay_pins_each_skip_note(claim_id, g, h, note):
+    # one instance per hypothesis: the first one it fails names the skip
+    rec = replay_instance(claim_id, {"g6_g": to_graph6(g), "g6_h": to_graph6(h)})
+    assert (rec["outcome"], rec["note"]) == ("skip", note)
+    assert (rec["expected"], rec["actual"]) == (None, None)
+
+
+def test_only_the_runner_writes_a_skip():
+    # a claim states its hypotheses to _claim; no check may skip an instance
+    # itself, so every skip record comes from _outcome and its declared notes
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    runner = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_outcome")
+
+    def skips(root):
+        return {node for node in ast.walk(root)
+                if isinstance(node, ast.Constant) and node.value == "skip"}
+
+    assert skips(runner) and skips(tree) == skips(runner)
+
+
 @given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.data())
 @settings(max_examples=100, deadline=None)
 def test_clique_sizes_match_isomorphism(sizes, data):
@@ -432,6 +486,16 @@ def test_recognition_spends_the_run_budget():
     assert rep.inconclusive == len(rep.instances) >= 1
     assert {rec["note"] for rec in rep.instances} == {
         "cover search exhausted its node budget (1 nodes)"}
+
+
+def test_replay_reproduces_an_inconclusive_record():
+    # replay runs the hypotheses and the check under the run's budget, as
+    # verify_claim does: a spent budget is the same inconclusive record
+    spec = replace(SMALL, node_budget=0)
+    records = verify_claim("lemma-cgraph", Corpus(spec)).instances
+    assert records and all(rec["outcome"] == "inconclusive" for rec in records)
+    for rec in records:
+        assert replay_instance("lemma-cgraph", rec, spec) == rec
 
 
 class TreesOnlyCorpus(Corpus):
