@@ -84,6 +84,48 @@ def _product_stages(adj, balls: _StrongBalls) -> tuple[list, list]:
     return stages
 
 
+def _product_hulls(balls: _StrongBalls, outside: int, smask: int, stages) -> list[int]:
+    """H_p for every p = (u, v) outside S, from sweeps shared by columns and rows.
+
+    Above ecc_G(u), layer k of (u, v) is V(G) x L^H_k(v), alike down column v;
+    above ecc_H(v), it is L^G_k(u) x V(H), alike along row u.  So each column,
+    then each row, sweeps those layers once, and each source forks off at
+    e = min(ecc_G(u), ecc_H(v)) with the reach and hull so far for its own e..1.
+    """
+    n1, n2 = balls.shape
+    g_balls, h_balls = balls.dm_g.balls, balls.dm_h.balls
+    state = {}  # p -> (reach, hull) above p's next layer, at most 2n^2 bits
+
+    def sweep(forks, levels, reach=0, hull=0):
+        # down the layers of the balls ``levels``; fork (e, p) takes the state above e
+        top = len(levels) - 1
+        for e, p in sorted(forks, reverse=True):
+            for k in range(top, e, -1):
+                reach = (levels[k] ^ levels[k - 1]) & (smask | (reach and _dilate(reach, stages)))
+                hull |= reach
+            state[p], top = (reach, hull), e
+
+    full_h, hulls = (1 << n2) - 1, [0] * (n1 * n2)
+    rows = [outside >> u * n2 & full_h for u in range(n1)]  # row u's H-mask outside S
+    col = balls.row(0)[-1]  # V(G) strided: bit u*n2 of every row u
+    for v, hl in enumerate(h_balls):
+        forks = [(len(gl) - 1, u * n2 + v) for u, gl in enumerate(g_balls)
+                 if len(gl) < len(hl) and rows[u] >> v & 1]
+        if forks:
+            sweep(forks, [col * b for b in hl])
+    for u, gl in enumerate(g_balls):
+        sg = balls.row(u)
+        row = list(bits(rows[u]))
+        forks = [(len(h_balls[v]) - 1, u * n2 + v) for v in row if len(h_balls[v]) < len(gl)]
+        if forks:
+            sweep(forks, [s * full_h for s in sg])
+        for v in row:
+            p = u * n2 + v
+            sweep([(0, p)], [a * b for a, b in zip(sg, h_balls[v])], *state.pop(p, (0, 0)))
+            hulls[p] = state.pop(p)[1]
+    return hulls
+
+
 def is_strong_generator(
     g: Graph, members, dm: DistanceMatrix | None = None
 ) -> bool:
@@ -95,7 +137,7 @@ def is_strong_generator(
     where H_u is the union of the intervals I[u, w] over w in S.  One reverse
     sweep over u's distance layers finds H_u: a vertex at distance k from u
     is in H_u iff it is in S or has a neighbour in H_u at distance k + 1.
-    Only ``dm.balls`` is read, once per vertex u, in id order.
+    Product balls share the layers of a column or a row (``_product_hulls``).
 
     Every hull is built before any pair is checked, so a set that fails
     returns False only after all sweeps.  Then each pair {u, v} outside S is
@@ -131,27 +173,23 @@ def is_strong_generator(
             raise ValueError("member id outside the vertex range")
         smask |= 1 << w
     outside = ((1 << g.n) - 1) & ~smask
-    hulls = [0] * g.n
-    rest = outside
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        u = low.bit_length() - 1
-        levels = balls[u]
-        hull = reach = 0  # reach: H_u on the layer above the current one
-        for k in range(len(levels) - 1, 0, -1):
-            if stages is None:
+    if stages is not None:
+        hulls = _product_hulls(balls, outside, smask, stages)
+    else:
+        hulls = [0] * g.n
+        for u in bits(outside):
+            levels = balls[u]
+            hull = reach = 0  # reach: H_u on the layer above the current one
+            for k in range(len(levels) - 1, 0, -1):
                 nbrs = 0
                 m = reach
                 while m:
                     b = m & -m
                     nbrs |= adj[b.bit_length() - 1]
                     m ^= b
-            else:
-                nbrs = reach and _dilate(reach, stages)
-            reach = levels[k] & ~levels[k - 1] & (smask | nbrs)
-            hull |= reach
-        hulls[u] = hull
+                reach = levels[k] & ~levels[k - 1] & (smask | nbrs)
+                hull |= reach
+            hulls[u] = hull
     # each pair {v, u} outside S once, at the later of the two in (|H|, id)
     # order: v in H_u, or else u in H_v
     seen = 0

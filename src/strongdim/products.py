@@ -77,8 +77,8 @@ class _StrongBalls:
     """``DistanceMatrix.balls`` of a strong product, each vertex's built when read.
 
     Ball k of (u, v) is B_G(u, k) x B_H(v, k), the shorter of the two lists
-    padded with its last ball.  Only the strided G-levels of the last row u
-    read are kept, so a read in id order strides each G-ball once.
+    padded with its last ball.  ``row(u)`` strides only the last row read, layer
+    by layer, stride(B_k) = stride(B_{k-1}) | stride(B_k - B_{k-1}): n1 bits.
     """
 
     __slots__ = ("dm_g", "dm_h", "shape", "_row", "_g_levels")
@@ -91,14 +91,20 @@ class _StrongBalls:
     def __len__(self) -> int:
         return self.shape[0] * self.shape[1]
 
+    def row(self, u: int) -> list[int]:
+        """stride(B_G(u, k)) for each k: u's G-balls spread over the rows."""
+        if u != self._row:
+            gl, levels = self.dm_g.balls[u], [0]
+            for inner, ball in zip([0, *gl], gl):
+                levels.append(levels[-1] | _stride(ball ^ inner, self.shape[1]))
+            self._row, self._g_levels = u, levels[1:]
+        return self._g_levels
+
     def __getitem__(self, p: int) -> list[int]:
         if not 0 <= p < len(self):
             raise IndexError(f"product id {p} out of range")
         u, v = divmod(p, self.shape[1])
-        if u != self._row:
-            self._row = u
-            self._g_levels = [_stride(ball, self.shape[1]) for ball in self.dm_g.balls[u]]
-        gl, hl = self._g_levels, self.dm_h.balls[v]
+        gl, hl = self.row(u), self.dm_h.balls[v]
         pad = len(gl) - len(hl)
         gl = gl + [gl[-1]] * -pad
         hl = hl + [hl[-1]] * pad
@@ -112,8 +118,8 @@ def strong_product_distances(dm_g: DistanceMatrix, dm_h: DistanceMatrix) -> Dist
     B_G(u,k) x B_H(v,k): one stride multiply per ball and no BFS on the
     product.  The balls of a product vertex are built each time they are
     read, so memory stays at the factors' balls and one row's strided
-    G-balls, not n^2 x diameter bits; ``is_strong_generator`` also reads the
-    factors themselves from their radius-1 balls.
+    G-balls, not n^2 x diameter bits; ``is_strong_generator`` reads those
+    directly, and the factors themselves from their radius-1 balls.
     """
     return DistanceMatrix(dm_g.n * dm_h.n, _StrongBalls(dm_g, dm_h))
 

@@ -15,7 +15,10 @@ once.  ``is_c1_graph`` composes the C1-graph test from the package's C-graph
 test and its split search, as ``strongdim.verify.Env.c1_graph`` does with the
 run's cached answers.  ``brute_force_dimension`` finds dim_s, and
 ``brute_min_cover`` the vertex cover number, by subset enumeration, apart
-from the SR-cover pipeline.  ``max_clique`` runs the package's colour engine
+from the SR-cover pipeline.  ``per_source_hulls`` sweeps each source's
+full-width balls alone, stepping by the graph's rows, where the package's
+strong-product check shares the sweeps of a column or a row
+(``strongdim.dimension._product_hulls``).  ``max_clique`` runs the package's colour engine
 on a complement, which the package itself never builds.
 """
 
@@ -74,6 +77,27 @@ def distance_rows(balls: Sequence[Sequence[int]]) -> Rows:
 def bfs_rows(g: Graph) -> Rows:
     """d(u, v) for every pair by one BFS per source; ``None`` if unreachable."""
     return distance_rows([bfs_balls(g, u) for u in range(g.n)])
+
+
+def per_source_hulls(prod: Graph, dm, members) -> list[int]:
+    """H_u for every u outside ``members`` (0 for a member), each from its
+    own reverse sweep over the full-width layers of ``dm.balls[u]``: a vertex
+    at distance k from u is in H_u iff it is a member or has a neighbour, by
+    ``prod``'s rows, in H_u at distance k + 1."""
+    smask = sum(1 << w for w in set(members))
+    hulls = [0] * prod.n
+    for u in range(prod.n):
+        if smask >> u & 1:
+            continue
+        levels = dm.balls[u]
+        reach = 0
+        for k in range(len(levels) - 1, 0, -1):
+            nbrs = 0
+            for w in bits(reach):
+                nbrs |= prod.adj[w]
+            reach = levels[k] & ~levels[k - 1] & (smask | nbrs)
+            hulls[u] |= reach
+    return hulls
 
 
 def strongly_resolves(rows: Rows, w: int, u: int, v: int) -> bool:

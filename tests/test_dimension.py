@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from strongdim import cover, dimension
+from strongdim import cover, dimension, products
 from strongdim.cover import (
     DEFAULT_NODE_BUDGET,
     BudgetExhausted,
@@ -37,6 +37,7 @@ from strongdim.dimension import (
     tree_factor,
 )
 from strongdim.graph import (
+    bits,
     complement,
     complete,
     cycle,
@@ -45,6 +46,7 @@ from strongdim.graph import (
     make_graph,
     path,
     random_connected,
+    star,
 )
 from strongdim.metrics import all_pairs_distances, is_connected
 from strongdim.products import PRODUCT_KINDS, product, strong_product_distances
@@ -52,10 +54,12 @@ from strongdim.resolving import predicted_mmd_edges, strong_resolving_graph
 
 from oracles import (
     BRUTE_FORCE_SIZE_CAP,
+    bfs_balls,
     bfs_rows,
     brute_force_dimension,
     brute_min_cover,
     max_clique,
+    per_source_hulls,
     strongly_resolves,
 )
 from test_cover import brute_clique_cover
@@ -376,6 +380,98 @@ def test_factor_route_reads_classes_from_factor_rows_only(monkeypatch):
     res = product_dimension("strong", g, h, prod=prod)
     assert res.dim == 19 and _generates_by_definition(prod, res.basis)
     assert lengths and set(lengths) <= {g.n, h.n}
+
+
+# -- the factor route's hulls: shared column and row sweeps -------------------
+
+
+def _assert_hulls_match(g, h, members):
+    # oracle: every source's own sweep over its full-width product balls
+    prod = product("strong", g, h)
+    dm = strong_product_distances(all_pairs_distances(g), all_pairs_distances(h))
+    stages = dimension._product_stages(prod.adj, dm.balls)
+    smask = sum(1 << w for w in members)
+    outside = ((1 << prod.n) - 1) & ~smask
+    got = dimension._product_hulls(dm.balls, outside, smask, stages)
+    assert got == per_source_hulls(prod, dm, members)
+
+
+def _fork_layers(g, h, p):
+    """The product vertices at distance e and e + 1 from p = (u, v), with
+    e = min(ecc_G(u), ecc_H(v)): where p's own sweep meets the shared one."""
+    u, v = divmod(p, h.n)
+    e = min(len(bfs_balls(g, u)), len(bfs_balls(h, v))) - 1
+    levels = bfs_balls(product("strong", g, h), p)
+    return {x for k in (e, e + 1) if 0 < k < len(levels) for x in bits(levels[k] & ~levels[k - 1])}
+
+
+def _member_sets(g, h, p, drawn):
+    n = g.n * h.n
+    return [set(), set(range(n)) - {p}, _fork_layers(g, h, p), drawn]
+
+
+_hull_factors = st.one_of(
+    st.sampled_from([complete(1), complete(2)]),
+    st.integers(2, 8).map(path),
+    st.integers(3, 7).map(cycle),
+    st.integers(3, 6).map(star),
+    connected_graph_strategy(1, 6),
+)
+
+
+@given(_hull_factors, _hull_factors, st.data())
+@settings(max_examples=200, deadline=None)
+def test_shared_sweeps_give_the_per_source_hulls(g, h, data):
+    n = g.n * h.n
+    p = data.draw(st.integers(0, n - 1))
+    drawn = data.draw(st.sets(st.integers(0, n - 1)))
+    for members in _member_sets(g, h, p, drawn):
+        _assert_hulls_match(g, h, members)
+
+
+@pytest.mark.parametrize(
+    "g, h",
+    [
+        pytest.param(complete(1), path(6), id="K1xP6"),
+        pytest.param(path(6), complete(1), id="P6xK1"),
+        pytest.param(complete(2), path(7), id="K2xP7"),
+        pytest.param(path(3), path(9), id="P3xP9"),
+        pytest.param(path(9), path(3), id="P9xP3"),
+        pytest.param(cycle(6), cycle(6), id="C6xC6"),
+        pytest.param(path(6), path(6), id="P6xP6"),
+        pytest.param(star(5), path(7), id="S5xP7"),
+        pytest.param(path(7), random_connected(6, 0.4, 3), id="P7xR6"),
+    ],
+)
+def test_shared_sweeps_match_every_source_of_fixed_products(g, h):
+    rng = random.Random(f"{g.n}x{h.n}")
+    for p in range(g.n * h.n):
+        drawn = set(rng.sample(range(g.n * h.n), rng.randrange(g.n * h.n)))
+        for members in _member_sets(g, h, p, drawn):
+            _assert_hulls_match(g, h, members)
+
+
+def test_factor_route_strides_each_row_once(monkeypatch):
+    # a row's G-balls are strided layer by layer, n1 bits a row; striding
+    # each ball whole would cost the sum of |B_G(u, k)| over k
+    g, h = path(60), cycle(5)
+    prod = product("strong", g, h)
+    basis = product_dimension("strong", g, h, prod=prod).basis
+    stage_dm, check_dm = _factor_distances(g, h), _factor_distances(g, h)
+    strided = []
+    real = products._stride
+
+    def counted(mask, n2):
+        strided.append(mask.bit_count())
+        return real(mask, n2)
+
+    monkeypatch.setattr(products, "_stride", counted)
+    monkeypatch.setattr(dimension, "_stride", counted)
+    dimension._product_stages(prod.adj, stage_dm.balls)
+    stage_bits = sum(strided)
+    strided.clear()
+    assert is_strong_generator(prod, basis, check_dm)
+    assert sum(strided) <= g.n * g.n + stage_bits
 
 
 # -- the pair pass: each pair once, in (|H|, id) order ---------------------------
