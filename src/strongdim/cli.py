@@ -23,6 +23,7 @@ from . import products as pr
 from . import resolving as rs
 from . import verify as vf
 from .graph import Graph
+from .metrics import is_connected
 
 
 class CliError(Exception):
@@ -88,7 +89,12 @@ def _load_one(source: str) -> Graph:
 def _compute_one(what: str, g: Graph, budget: int) -> dict:
     out: dict = {"what": what, "n": g.n, "m": g.num_edges}
     if what == "dim-s":
-        res = dim.strong_metric_dimension(g, budget)
+        # a row-major strong product of connected factors takes the factor route
+        factors = pr.strong_factors(g)
+        if factors and all(map(is_connected, factors)):
+            res = dim.product_dimension("strong", *factors, budget, prod=g)
+        else:
+            res = dim.strong_metric_dimension(g, budget)
         out["value"] = res.dim
         out["witness"] = sorted(res.basis)
     elif what == "sr-graph":

@@ -456,12 +456,12 @@ def from_graph6(text: str) -> Graph:
 
 def _transpose(rows: list[int], n: int) -> list[int]:
     """Bit-matrix transpose of n rows of n bits: bit v of row u of the result
-    is bit u of rows[v].  Each row becomes an n-digit bit string, ``zip``
-    reads off the columns and one ``int(..., 2)`` parses each, all in C."""
+    is bit u of rows[v].  The rows, last first, become one string of n-digit
+    bit strings; a slice with step n reads off a column and one
+    ``int(..., 2)`` parses it, all in C."""
     width = f"0{n}b"
-    cols = [int("".join(col), 2) for col in zip(*[format(r, width) for r in reversed(rows)])]
-    cols.reverse()
-    return cols
+    text = "".join([format(r, width) for r in reversed(rows)])
+    return [int(text[i::n], 2) for i in range(n - 1, -1, -1)]
 
 
 # ---------------------------------------------------------------------------

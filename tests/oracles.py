@@ -47,9 +47,8 @@ def bfs_balls(g: Graph, src: int) -> list[int]:
     levels = [seen]
     while True:
         nxt = 0
-        for u in range(g.n):
-            if frontier >> u & 1:
-                nxt |= g.adj[u]
+        for u in bits(frontier):
+            nxt |= g.adj[u]
         frontier = nxt & ~seen
         if not frontier:
             return levels

@@ -4,10 +4,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from strongdim import cli, cover, metrics, products, resolving, verify
+from strongdim import cli, cover, dimension, metrics, products, resolving, verify
 from strongdim.cli import main
 from strongdim.dimension import strong_metric_dimension
 from strongdim.graph import (
@@ -17,13 +18,18 @@ from strongdim.graph import (
     from_graph6,
     generate,
     graphs_isomorphic,
+    make_graph,
+    path,
     random_connected,
     to_graph6,
 )
-from strongdim.products import coordinate_labels, product
+from strongdim.products import coordinate_labels, product, strong_factors
 from strongdim.resolving import strong_resolving_graph
+from strongdim.verify import _all_connected_upto
 
+from oracles import bfs_balls, per_source_hulls
 from test_dimension import assert_minimum_basis
+from test_products import LARGE_PRODUCTS, _relabelled
 
 
 def run_cli(capsys, *argv):
@@ -364,9 +370,14 @@ def test_product_dot_ignores_sr(capsys):
     assert with_sr[1] == plain[1]
 
 
+# In row-major ids, C5 x P12's factors certify its cover within 5 nodes (see
+# below), so the budget case takes it in shuffled ids, on the plain route
+RELABELLED_C5_P12 = _relabelled(product("strong", cycle(5), path(12)), 0)
+
+
 @pytest.mark.parametrize("g", [
     product("strong", cycle(9), cycle(9)),  # SR graph on the colour-engine side
-    product("strong", cycle(5), generate("path:12")),  # on the branch-and-reduce side
+    RELABELLED_C5_P12,  # on the branch-and-reduce side (checked below)
     random_connected(18, 0.3, 1),  # within theta's cap of 20 vertices
 ])
 def test_compute_dim_s_budget_exhausted_exits_3(capsys, g):
@@ -377,6 +388,88 @@ def test_compute_dim_s_budget_exhausted_exits_3(capsys, g):
         assert out == ""
         assert err.startswith("error: budget-exhausted")
         assert len(err.strip().splitlines()) == 1
+
+
+def test_relabelled_c5_p12_lands_on_branch_and_reduce(capsys, monkeypatch):
+    # the budget case above: not recognised as a product, and its SR graph's
+    # one component goes to branch and reduce, not the colour engine
+    assert strong_factors(RELABELLED_C5_P12) is None
+    sides = []
+    rule = cover._colour_side
+    monkeypatch.setattr(cover, "_colour_side", lambda *a: sides.append(rule(*a)) or sides[-1])
+    code, _, _ = run_cli(capsys, "compute", "dim-s", to_graph6(RELABELLED_C5_P12),
+                         "--node-budget", "5")
+    assert code == 3 and sides == [False]
+
+
+def test_row_major_c5_p12_answers_within_the_budget(capsys):
+    # the same product in row-major ids is certified from its factors in 5 nodes
+    g = product("strong", cycle(5), path(12))
+    code, out, _ = run_cli(capsys, "compute", "dim-s", to_graph6(g), "--node-budget", "5",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)["value"] == strong_metric_dimension(g).dim == 38
+
+
+def _dim_s_routes(capsys, monkeypatch, g):
+    """(value, witness, product_dimension calls) of ``compute dim-s`` on g's graph6."""
+    calls = []
+    route = dimension.product_dimension
+    with monkeypatch.context() as patched:
+        patched.setattr(dimension, "product_dimension",
+                        lambda *a, **k: calls.append(a[:3]) or route(*a, **k))
+        code, out, _ = run_cli(capsys, "compute", "dim-s", to_graph6(g), "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    return doc["value"], doc["witness"], calls
+
+
+def test_compute_dim_s_takes_the_factor_route_on_small_products(capsys, monkeypatch):
+    # every ordered pair of connected graphs on 2-4 vertices, given as graph6
+    small = _all_connected_upto(4)
+    for g in small:
+        for h in small:
+            prod = product("strong", g, h)
+            value, witness, calls = _dim_s_routes(capsys, monkeypatch, prod)
+            assert len(calls) == 1 and product("strong", *calls[0][1:]) == prod
+            assert value == strong_metric_dimension(prod).dim
+            assert_minimum_basis(prod, value, witness)
+
+
+@pytest.mark.parametrize("name", LARGE_PRODUCTS)
+def test_compute_dim_s_takes_the_factor_route_on_large_products(capsys, monkeypatch, name):
+    prod = product("strong", *LARGE_PRODUCTS[name])
+    value, witness, calls = _dim_s_routes(capsys, monkeypatch, prod)
+    assert len(calls) == 1
+    assert value == len(witness) == strong_metric_dimension(prod).dim
+    # the definitional check: each pair outside the witness lies in the hull
+    # of one of its ends, every hull swept on the ends' own BFS balls
+    balls = SimpleNamespace(balls=[bfs_balls(prod, u) for u in range(prod.n)])
+    hulls = per_source_hulls(prod, balls, witness)
+    outside = sorted(set(range(prod.n)) - set(witness))
+    assert all(hulls[u] >> v & 1 or hulls[v] >> u & 1
+               for i, u in enumerate(outside) for v in outside[i + 1:])
+
+
+@pytest.mark.parametrize("g, h", [(cycle(5), path(12)), (complete(3), cycle(11)),
+                                  (path(6), path(7))])
+def test_compute_dim_s_of_relabelled_products_takes_the_plain_route(capsys, monkeypatch, g, h):
+    prod = product("strong", g, h)
+    want = strong_metric_dimension(prod).dim
+    for seed in range(2):
+        value, witness, calls = _dim_s_routes(capsys, monkeypatch, _relabelled(prod, seed))
+        assert calls == [] and value == len(witness) == want
+
+
+@pytest.mark.parametrize("g, h", [(make_graph(2, []), path(3)), (path(3), make_graph(2, []))])
+def test_compute_dim_s_of_a_disconnected_product_keeps_its_error(capsys, g, h):
+    # the input reads as a product, with an edgeless factor; it still gets the
+    # plain route's one error line, not the factor route's
+    prod = product("strong", g, h)
+    factors = strong_factors(prod)
+    assert factors is not None and not all(map(metrics.is_connected, factors))
+    code, out, err = run_cli(capsys, "compute", "dim-s", to_graph6(prod))
+    assert (code, out, err) == (1, "", "error: strong metric dimension needs a connected graph\n")
 
 
 @pytest.mark.parametrize("argv", [

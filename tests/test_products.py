@@ -5,14 +5,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongdim.cover import max_independent_set
-from strongdim.graph import bits, complete, cycle, graphs_isomorphic, grid, path
+from strongdim.graph import (
+    Graph,
+    bits,
+    complete,
+    cycle,
+    graphs_isomorphic,
+    grid,
+    make_graph,
+    path,
+    random_connected,
+)
 from strongdim.metrics import all_pairs_distances, is_connected
 from strongdim.products import (
     PRODUCT_KINDS,
     coordinate_labels,
     product,
+    strong_factors,
     strong_product_distances,
 )
+from strongdim.verify import _all_connected_upto
 
 from oracles import bfs_balls, distance_rows
 from test_graph import connected_graph_strategy, random_graph_strategy
@@ -151,6 +163,103 @@ def test_closed_neighborhood_law(g, h):
                 for y in list(bits(h.adj[v])) + [v]
             } - {p}
             assert set(bits(prod.adj[p])) == expected
+
+
+# -- recognising row-major strong products ---------------------------------------
+
+
+def _strong_by_definition(g, h):
+    """(u,v) ~ (x,y) iff u, x are equal or adjacent, and so are v, y, and (u,v) != (x,y)."""
+    def near(f, a, b):
+        return a == b or f.has_edge(a, b)
+    ids = [(u, v) for u in range(g.n) for v in range(h.n)]
+    return make_graph(len(ids), [
+        (p, q) for p, (u, v) in enumerate(ids) for q, (x, y) in enumerate(ids)
+        if p < q and near(g, u, x) and near(h, v, y)])
+
+
+def _is_row_major_product(g):
+    """True iff for some divisor n2 of n, 1 < n2 < n, g is G x H with H the
+    graph on ids below n2 and G the graph on the multiples of n2."""
+    for n2 in range(2, g.n):
+        if g.n % n2 == 0:
+            h = make_graph(n2, [e for e in g.edges() if e[1] < n2])
+            f = make_graph(g.n // n2, [(u // n2, v // n2) for u, v in g.edges()
+                                       if u % n2 == v % n2 == 0])
+            if _strong_by_definition(f, h) == g:
+                return True
+    return False
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+LARGE_PRODUCTS = {
+    "P30xP30": (path(30), path(30)),
+    "C5xP60": (cycle(5), path(60)),
+    "K3xC41": (complete(3), cycle(41)),
+    "K6xP60": (complete(6), path(60)),
+}
+
+
+def test_strong_factors_rebuild_every_small_product():
+    # every ordered pair of connected graphs on 2-4 vertices: 9 x 9 products
+    small = _all_connected_upto(4)
+    assert len(small) == 9
+    for g in small:
+        for h in small:
+            prod = _strong_by_definition(g, h)
+            factors = strong_factors(prod)
+            assert factors is not None, (g, h)
+            assert all(f.n > 1 for f in factors)
+            assert _strong_by_definition(*factors) == prod
+
+
+@pytest.mark.parametrize("name", LARGE_PRODUCTS)
+def test_strong_factors_rebuild_large_products(name):
+    prod = product("strong", *LARGE_PRODUCTS[name])
+    factors = strong_factors(prod)
+    assert factors is not None
+    assert product("strong", *factors) == prod
+
+
+@pytest.mark.parametrize("g, h", [(path(3), path(4)), (cycle(4), complete(2)),
+                                  (complete(3), path(3)), (complete(2), cycle(5))])
+def test_strong_factors_refuse_single_edge_toggles(g, h):
+    # a toggled product is recognised exactly when it is itself a row-major
+    # product, checked against the definition; a recognised one rebuilds
+    prod = product("strong", g, h)
+    for u in range(prod.n):
+        for v in range(u + 1, prod.n):
+            adj = list(prod.adj)
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            toggled = Graph(prod.n, adj)
+            factors = strong_factors(toggled)
+            assert (factors is not None) == _is_row_major_product(toggled), (u, v)
+            if factors is not None:
+                assert _strong_by_definition(*factors) == toggled
+
+
+@pytest.mark.parametrize("name", LARGE_PRODUCTS)
+def test_strong_factors_refuse_relabelled_products(name):
+    # stage 1 reads row-major ids only: a shuffled product is not recognised
+    prod = product("strong", *LARGE_PRODUCTS[name])
+    for seed in range(3):
+        assert strong_factors(_relabelled(prod, seed)) is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 13, 41])
+def test_strong_factors_of_prime_orders_are_none(n):
+    graphs = [make_graph(n, []), complete(n), path(n), random_connected(n, 0.5, n)]
+    if n >= 3:
+        graphs.append(cycle(n))
+    assert all(strong_factors(g) is None for g in graphs)
+    # orders 0 and 1 have no divisor to try either
+    assert strong_factors(make_graph(0, [])) is strong_factors(complete(1)) is None
 
 
 # -- ids / projections ------------------------------------------------------------

@@ -79,8 +79,15 @@ def test_product_ladder_times_each_function_and_restores_it(capsys):
     ladder.main(["--repeats", "1", "--only", "C21xP8", "K6xP60"])
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4 and lines[0].startswith("| rung | request ms |")
+    assert lines[0].endswith("| other ms | compute dim-s ms |")
     assert [line.split(" | ")[0] for line in lines[2:]] == ["| C21xP8", "| K6xP60"]
-    assert all(line.count("|") == 8 for line in lines)
+    assert all(line.count("|") == 9 for line in lines)
+    # the last column times the product's graph6 through compute dim-s, which
+    # takes the factor route: product_dimension runs inside it
+    assert all(float(line.split(" | ")[-1].rstrip(" |")) > 0 for line in lines[2:])
+    g6 = graph.to_graph6(product("strong", *map(graph.generate, ladder.LADDER["C21xP8"])))
+    total, spent, out = ladder._timed_request(["compute", "dim-s", g6, "--format", "json"])
+    assert 0 < spent["product_dimension"] < total and json.loads(out)["value"] == 98
     assert [getattr(module, name) for module, name in ladder.TIMED] == originals
     assert (dimension.is_strong_generator, graph.to_graph6, verify.to_json) == tuple(
         originals[1:])

@@ -11,7 +11,9 @@ inside it), ``graph.to_graph6`` (the product's and its SR graph's strings)
 and ``verify.to_json`` (the JSON text).  Per rung it prints the median over
 the repeats of the request's wall time and of each function's time within
 it, all in milliseconds, and the rest of the request (parsing, the product
-build, labels and edge lists) as ``other``.
+build, labels and edge lists) as ``other``.  The last column is the same
+product given as one graph6 string, ``strongdim compute dim-s <graph6>
+--format json``, timed whole; each repeat runs the two requests in turn.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import io
 import statistics
 import time
 
-from strongdim import cli, dimension, graph, verify
+from strongdim import cli, dimension, graph, products, verify
 
 LADDER = {
     "P30xP30": ("path:30", "path:30"),
@@ -74,17 +76,21 @@ def _timed_request(argv):
 def measure(name, repeats):
     g, h = LADDER[name]
     argv = ["product", "strong", g, h, "--dim-s", "--format", "json"]
-    totals, parts = [], {fn: [] for _, fn in TIMED}
+    prod = products.product("strong", graph.generate(g), graph.generate(h))
+    compute_argv = ["compute", "dim-s", graph.to_graph6(prod), "--format", "json"]
+    totals, computes, parts = [], [], {fn: [] for _, fn in TIMED}
     for _ in range(repeats):
         total, spent, _ = _timed_request(argv)
         totals.append(total)
         for fn, secs in spent.items():
             parts[fn].append(secs)
+        computes.append(_timed_request(compute_argv)[0])
     ms = {fn: statistics.median(values) * 1000 for fn, values in parts.items()}
     total = statistics.median(totals) * 1000
     # is_strong_generator runs inside product_dimension, so it is not subtracted twice
     other = total - ms["product_dimension"] - ms["to_graph6"] - ms["to_json"]
-    return [name, f"{total:.1f}", *(f"{ms[fn]:.1f}" for _, fn in TIMED), f"{other:.1f}"]
+    return [name, f"{total:.1f}", *(f"{ms[fn]:.1f}" for _, fn in TIMED), f"{other:.1f}",
+            f"{statistics.median(computes) * 1000:.1f}"]
 
 
 def main(argv=None):
@@ -94,7 +100,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    columns = ["rung", "request ms", *(fn + " ms" for _, fn in TIMED), "other ms"]
+    columns = ["rung", "request ms", *(fn + " ms" for _, fn in TIMED), "other ms",
+               "compute dim-s ms"]
     print("| " + " | ".join(columns) + " |")
     print("|---" * len(columns) + "|")
     for name in args.only or LADDER:
