@@ -90,22 +90,32 @@ def _product_hulls(balls: _StrongBalls, outside: int, smask: int, stages) -> lis
     Above ecc_G(u), layer k of (u, v) is V(G) x L^H_k(v), alike down column v;
     above ecc_H(v), it is L^G_k(u) x V(H), alike along row u.  So each column,
     then each row, sweeps those layers once, and each source forks off at
-    e = min(ecc_G(u), ecc_H(v)) with the reach and hull so far for its own e..1.
+    e = min(ecc_G(u), ecc_H(v)) with the reach and hull so far (at most 2n^2
+    bits).  Then each column v sweeps its sources' layers e..1 in one int:
+    source j, in descending ecc_G(u_j), holds the block of W = 8*ceil(n/8)
+    bits at jW, its ball k is that block of P_k * B_H(v, k), with
+    P_k = sum_j stride(B_G(u_j, k)) << jW, and S and the stages are tiled
+    over the blocks.  A block takes its fork's reach on its layer e; above
+    an e < ecc_H(v) its layers are the column tail's, and the reach it
+    sweeps there from nothing stays inside that tail's, so it needs no mask.
+    P is built for the last column's rows only, up to the smaller diameter,
+    from the rows' strided balls kept as bytes: each takes at most n*W bits.
     """
     n1, n2 = balls.shape
     g_balls, h_balls = balls.dm_g.balls, balls.dm_h.balls
-    state = {}  # p -> (reach, hull) above p's next layer, at most 2n^2 bits
+    full_h, hulls = (1 << n2) - 1, [0] * (n1 * n2)
+    state = {}  # p -> the reach above p's layer e; p's hull so far is in hulls
 
-    def sweep(forks, levels, reach=0, hull=0):
+    def sweep(forks, levels):
         # down the layers of the balls ``levels``; fork (e, p) takes the state above e
+        reach = hull = 0
         top = len(levels) - 1
         for e, p in sorted(forks, reverse=True):
             for k in range(top, e, -1):
                 reach = (levels[k] ^ levels[k - 1]) & (smask | (reach and _dilate(reach, stages)))
                 hull |= reach
-            state[p], top = (reach, hull), e
+            state[p], hulls[p], top = reach, hull, e
 
-    full_h, hulls = (1 << n2) - 1, [0] * (n1 * n2)
     rows = [outside >> u * n2 & full_h for u in range(n1)]  # row u's H-mask outside S
     col = balls.row(0)[-1]  # V(G) strided: bit u*n2 of every row u
     for v, hl in enumerate(h_balls):
@@ -113,16 +123,44 @@ def _product_hulls(balls: _StrongBalls, outside: int, smask: int, stages) -> lis
                  if len(gl) < len(hl) and rows[u] >> v & 1]
         if forks:
             sweep(forks, [col * b for b in hl])
+    size, top = (n1 * n2 + 7) // 8, min(max(map(len, g_balls)), max(map(len, h_balls))) - 1
+    heads = {}  # row u -> stride(B_G(u, k)) for k = 0..top, as blocks of bytes
     for u, gl in enumerate(g_balls):
-        sg = balls.row(u)
-        row = list(bits(rows[u]))
-        forks = [(len(h_balls[v]) - 1, u * n2 + v) for v in row if len(h_balls[v]) < len(gl)]
-        if forks:
-            sweep(forks, [s * full_h for s in sg])
-        for v in row:
-            p = u * n2 + v
-            sweep([(0, p)], [a * b for a, b in zip(sg, h_balls[v])], *state.pop(p, (0, 0)))
-            hulls[p] = state.pop(p)[1]
+        if rows[u]:
+            sg = balls.row(u)
+            forks = [(len(h_balls[v]) - 1, u * n2 + v) for v in bits(rows[u])
+                     if len(h_balls[v]) < len(gl)]
+            if forks:
+                sweep(forks, [s * full_h for s in sg])
+            heads[u] = [s.to_bytes(size, "little") for s in (sg + sg[-1:] * top)[:top + 1]]
+
+    def tile(x):  # x in each of the blocks
+        return int.from_bytes(x.to_bytes(size, "little") * len(heads), "little")
+    s_t, tiled = tile(smask), [[(s, tile(a), tile(ad)) for s, a, ad in c] for c in stages]
+    last, width = None, 8 * size
+    for v, hl in enumerate(h_balls):
+        if not (key := outside >> v & col):
+            continue
+        if key != last:
+            last, us = key, sorted((p // n2 for p in bits(key)), key=lambda u: -len(g_balls[u]))
+            levels = [int.from_bytes(b"".join([heads[u][k] for u in us]), "little")
+                      for k in range(top + 1)]
+            forked = [sum(len(g_balls[u]) > k for u in us) for k in range(top + 1)]
+        reach = hull = j = 0
+        e = min(len(g_balls[us[0]]), len(hl)) - 1
+        ball = levels[e] * hl[e]
+        for k in range(e, 0, -1):
+            if (m := forked[k]) > j:  # blocks j..m-1 fork here, with the reach above layer k
+                reach |= int.from_bytes(b"".join([state.pop(u * n2 + v, 0).to_bytes(
+                    size, "little") for u in us[j:m]]), "little") << j * width
+                j = m
+            inner = levels[k - 1] * hl[k - 1]
+            reach = (ball ^ inner) & (s_t | (reach and _dilate(reach, tiled)))
+            hull |= reach
+            ball = inner
+        hull = hull.to_bytes(len(us) * size, "little")
+        for j, u in enumerate(us):
+            hulls[u * n2 + v] |= int.from_bytes(hull[j * size:(j + 1) * size], "little")
     return hulls
 
 
@@ -137,7 +175,9 @@ def is_strong_generator(
     where H_u is the union of the intervals I[u, w] over w in S.  One reverse
     sweep over u's distance layers finds H_u: a vertex at distance k from u
     is in H_u iff it is in S or has a neighbour in H_u at distance k + 1.
-    Product balls share the layers of a column or a row (``_product_hulls``).
+    Product balls share a column's or a row's tail layers and a column's
+    head layers, packed in one int (``_product_hulls``): fork states take at
+    most 2n^2 bits and a packed column n*W, W = 8*ceil(n/8).
 
     Every hull is built before any pair is checked, so a set that fails
     returns False only after all sweeps.  Then each pair {u, v} outside S is

@@ -441,14 +441,42 @@ def test_shared_sweeps_give_the_per_source_hulls(g, h, data):
         pytest.param(path(6), path(6), id="P6xP6"),
         pytest.param(star(5), path(7), id="S5xP7"),
         pytest.param(path(7), random_connected(6, 0.4, 3), id="P7xR6"),
+        # one source in each column on the basis: its 8 packed columns hold one block each
+        pytest.param(complete(6), path(9), id="K6xP9"),
+        # n = 35 is no multiple of 8, and column 3 packs blocks that fork on
+        # layers 2 and 3, from a column tail, a row tail and no tail at all
+        pytest.param(path(5), path(7), id="P5xP7"),
+        # n = 63: every block forks from a row tail, on layer ecc(C7) = 3
+        pytest.param(path(9), cycle(7), id="P9xC7"),
     ],
 )
 def test_shared_sweeps_match_every_source_of_fixed_products(g, h):
     rng = random.Random(f"{g.n}x{h.n}")
+    prod = product("strong", g, h)
+    _assert_hulls_match(g, h, product_dimension("strong", g, h, prod=prod).basis)
     for p in range(g.n * h.n):
         drawn = set(rng.sample(range(g.n * h.n), rng.randrange(g.n * h.n)))
         for members in _member_sets(g, h, p, drawn):
             _assert_hulls_match(g, h, members)
+
+
+def test_packed_columns_dilate_a_few_times_per_vertex(monkeypatch):
+    # each column sweeps its sources' head layers at once: P20xP20's check
+    # dilates about twice per vertex, where one sweep per source and layer
+    # took more than ten times per vertex
+    g, h = path(20), path(20)
+    prod = product("strong", g, h)
+    basis = product_dimension("strong", g, h, prod=prod).basis
+    calls = []
+    real = dimension._dilate
+
+    def counted(x, stages):
+        calls.append(1)
+        return real(x, stages)
+
+    monkeypatch.setattr(dimension, "_dilate", counted)
+    assert is_strong_generator(prod, basis, _factor_distances(g, h))
+    assert len(calls) <= 3 * prod.n
 
 
 def test_factor_route_strides_each_row_once(monkeypatch):

@@ -68,6 +68,7 @@ def test_cover_ladder_forces_each_engine_and_restores_the_gate(capsys):
 def test_product_ladder_times_each_function_and_restores_it(capsys):
     ladder = _load_tool("product_ladder")
     originals = [getattr(module, name) for module, name in ladder.TIMED]
+    real_dilate = dimension._dilate
     total, spent, out = ladder._timed_request(
         ["product", "strong", *ladder.LADDER["C21xP8"], "--dim-s", "--format", "json"])
     # every wrapped function ran inside the request: one product_dimension,
@@ -79,12 +80,16 @@ def test_product_ladder_times_each_function_and_restores_it(capsys):
     ladder.main(["--repeats", "1", "--only", "C21xP8", "K6xP60"])
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4 and lines[0].startswith("| rung | request ms |")
-    assert lines[0].endswith("| other ms | compute dim-s ms |")
+    assert lines[0].endswith("| other ms | compute dim-s ms | _dilate calls |")
     assert [line.split(" | ")[0] for line in lines[2:]] == ["| C21xP8", "| K6xP60"]
-    assert all(line.count("|") == 9 for line in lines)
-    # the last column times the product's graph6 through compute dim-s, which
-    # takes the factor route: product_dimension runs inside it
-    assert all(float(line.split(" | ")[-1].rstrip(" |")) > 0 for line in lines[2:])
+    assert all(line.count("|") == 10 for line in lines)
+    # the next to last column times the product's graph6 through compute
+    # dim-s, which takes the factor route: product_dimension runs inside it
+    assert all(float(line.split(" | ")[-2]) > 0 for line in lines[2:])
+    # the last counts the check's layer steps, the same on every host: one
+    # per vertex for the stages (168 and 360), then the shared sweeps'
+    assert [int(line.split(" | ")[-1].rstrip(" |")) for line in lines[2:]] == [255, 2912]
+    assert dimension._dilate is real_dilate
     g6 = graph.to_graph6(product("strong", *map(graph.generate, ladder.LADDER["C21xP8"])))
     total, spent, out = ladder._timed_request(["compute", "dim-s", g6, "--format", "json"])
     assert 0 < spent["product_dimension"] < total and json.loads(out)["value"] == 98

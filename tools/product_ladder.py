@@ -11,9 +11,12 @@ inside it), ``graph.to_graph6`` (the product's and its SR graph's strings)
 and ``verify.to_json`` (the JSON text).  Per rung it prints the median over
 the repeats of the request's wall time and of each function's time within
 it, all in milliseconds, and the rest of the request (parsing, the product
-build, labels and edge lists) as ``other``.  The last column is the same
+build, labels and edge lists) as ``other``.  The next column is the same
 product given as one graph6 string, ``strongdim compute dim-s <graph6>
 --format json``, timed whole; each repeat runs the two requests in turn.
+The last, ``_dilate calls``, counts in one more ``product`` request, not
+timed, the calls to ``dimension._dilate``, the generator check's layer step:
+a count that does not depend on the host.
 """
 
 from __future__ import annotations
@@ -73,6 +76,25 @@ def _timed_request(argv):
     return total, spent, out.getvalue()
 
 
+def _dilate_calls(argv):
+    """How many times one request calls ``dimension._dilate``, wrapped from outside."""
+    calls = 0
+    real = dimension._dilate
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    dimension._dilate = counted
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+    finally:
+        dimension._dilate = real
+    return calls
+
+
 def measure(name, repeats):
     g, h = LADDER[name]
     argv = ["product", "strong", g, h, "--dim-s", "--format", "json"]
@@ -90,7 +112,7 @@ def measure(name, repeats):
     # is_strong_generator runs inside product_dimension, so it is not subtracted twice
     other = total - ms["product_dimension"] - ms["to_graph6"] - ms["to_json"]
     return [name, f"{total:.1f}", *(f"{ms[fn]:.1f}" for _, fn in TIMED), f"{other:.1f}",
-            f"{statistics.median(computes) * 1000:.1f}"]
+            f"{statistics.median(computes) * 1000:.1f}", str(_dilate_calls(argv))]
 
 
 def main(argv=None):
@@ -101,7 +123,7 @@ def main(argv=None):
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     columns = ["rung", "request ms", *(fn + " ms" for _, fn in TIMED), "other ms",
-               "compute dim-s ms"]
+               "compute dim-s ms", "_dilate calls"]
     print("| " + " | ".join(columns) + " |")
     print("|---" * len(columns) + "|")
     for name in args.only or LADDER:
