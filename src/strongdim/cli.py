@@ -62,9 +62,9 @@ def _graph6_lines(text: str, empty: str) -> list[Graph]:
     return graphs
 
 
-def _load_graphs(source: str) -> list[Graph]:
-    """Resolve a graph source argument to one or more graphs."""
-    if source == "-":
+def _load_graphs(source: str | None) -> list[Graph]:
+    """Resolve a graph source argument to one or more graphs; stdin for none or "-"."""
+    if source is None or source == "-":
         return _graph6_lines(sys.stdin.read(), "no graph6 input on stdin")
     if source.startswith("@"):
         with open(source[1:], "r", encoding="ascii") as fh:
@@ -141,7 +141,7 @@ def cmd_compute(args) -> int:
         raise CliError("dot output is only available for sr-graph")
     if args.gen is not None and args.graph is not None:
         raise CliError(f"two graph sources, {args.graph!r} and --gen {args.gen!r}; give one")
-    graphs = _load_graphs(args.gen or args.graph or "-")
+    graphs = _load_graphs(args.graph if args.gen is None else args.gen)
     if args.format == "dot":
         srgs = [rs.strong_resolving_graph(g) for g in graphs]
         for srg in srgs:

@@ -17,8 +17,9 @@ run's cached answers.  ``brute_force_dimension`` finds dim_s, and
 ``brute_min_cover`` the vertex cover number, by subset enumeration, apart
 from the SR-cover pipeline.  ``per_source_hulls`` sweeps each source's
 full-width balls alone, stepping by the graph's rows, where the package's
-strong-product check shares the tail sweeps of a column or a row and sweeps
-a column's head layers as blocks of one integer
+strong-product check sweeps all of a column's sources as blocks of one
+integer, each block entering on the column's top layer with the reach of a
+narrow sweep of the column's tail or of its own row's tail
 (``strongdim.dimension._product_hulls``).  ``max_clique`` runs the package's colour engine
 on a complement, which the package itself never builds.
 """

@@ -703,8 +703,14 @@ def test_two_graph_sources_are_a_usage_error(capsys, argv):
     # a source after the options is taken once, and never an unknown option
     (["compute", "dim-s", "--format", "json", "cycle:5", "cycle:7"], "cycle:7"),
     (["compute", "dim-s", "--bogus", "cycle:5"], "--bogus cycle:5"),
+    # an empty source is refused, not read as stdin, which holds a graph here
+    (["compute", "dim-s", ""], "empty graph6 string"),
+    (["compute", "dim-s", "--gen", ""], "empty graph6 string"),
 ])
-def test_usage_error_exits_1_not_the_counterexample_code(capsys, argv, names):
+def test_usage_error_exits_1_not_the_counterexample_code(capsys, monkeypatch, argv, names):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(cycle(5)) + "\n"))
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -443,10 +443,11 @@ def test_shared_sweeps_give_the_per_source_hulls(g, h, data):
         pytest.param(path(7), random_connected(6, 0.4, 3), id="P7xR6"),
         # one source in each column on the basis: its 8 packed columns hold one block each
         pytest.param(complete(6), path(9), id="K6xP9"),
-        # n = 35 is no multiple of 8, and column 3 packs blocks that fork on
-        # layers 2 and 3, from a column tail, a row tail and no tail at all
+        # n = 35 is no multiple of 8.  Column 3 (ecc 3) enters rows 0 and 4
+        # from their row tails and rows 1 to 3 with no reach above layer 3;
+        # columns 0, 1, 5 and 6 enter every block from the column's tail
         pytest.param(path(5), path(7), id="P5xP7"),
-        # n = 63: every block forks from a row tail, on layer ecc(C7) = 3
+        # n = 63: every block enters on layer ecc(C7) = 3 from its row tail
         pytest.param(path(9), cycle(7), id="P9xC7"),
     ],
 )

@@ -77,18 +77,19 @@ def test_product_ladder_times_each_function_and_restores_it(capsys):
     assert all(0 < secs < total for secs in spent.values())
     doc = json.loads(out)
     assert (doc["n"], doc["dim_s"], len(doc["basis"])) == (168, 98, 98)
-    ladder.main(["--repeats", "1", "--only", "C21xP8", "K6xP60"])
+    ladder.main(["--repeats", "1", "--only", "C21xP8", "K6xP60", "P18xP48"])
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 4 and lines[0].startswith("| rung | request ms |")
+    assert len(lines) == 5 and lines[0].startswith("| rung | request ms |")
     assert lines[0].endswith("| other ms | compute dim-s ms | _dilate calls |")
-    assert [line.split(" | ")[0] for line in lines[2:]] == ["| C21xP8", "| K6xP60"]
+    assert [line.split(" | ")[0] for line in lines[2:]] == ["| C21xP8", "| K6xP60", "| P18xP48"]
     assert all(line.count("|") == 10 for line in lines)
     # the next to last column times the product's graph6 through compute
     # dim-s, which takes the factor route: product_dimension runs inside it
     assert all(float(line.split(" | ")[-2]) > 0 for line in lines[2:])
     # the last counts the check's layer steps, the same on every host: one
-    # per vertex for the stages (168 and 360), then the shared sweeps'
-    assert [int(line.split(" | ")[-1].rstrip(" |")) for line in lines[2:]] == [255, 2912]
+    # per vertex for the stages (168, 360 and 864), then the shared sweeps';
+    # P18xP48's: a column's tail stops at its sources' largest ecc_G
+    assert [int(line.split(" | ")[-1].rstrip(" |")) for line in lines[2:]] == [255, 2912, 2474]
     assert dimension._dilate is real_dilate
     g6 = graph.to_graph6(product("strong", *map(graph.generate, ladder.LADDER["C21xP8"])))
     total, spent, out = ladder._timed_request(["compute", "dim-s", g6, "--format", "json"])
