@@ -141,7 +141,7 @@ def cmd_compute(args) -> int:
         raise CliError("dot output is only available for sr-graph")
     if args.gen is not None and args.graph is not None:
         raise CliError(f"two graph sources, {args.graph!r} and --gen {args.gen!r}; give one")
-    graphs = _load_graphs(args.graph if args.gen is None else args.gen)
+    graphs = _load_graphs(args.graph) if args.gen is None else [gr.generate(args.gen)]
     if args.format == "dot":
         srgs = [rs.strong_resolving_graph(g) for g in graphs]
         for srg in srgs:

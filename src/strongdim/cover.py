@@ -6,8 +6,9 @@ engines, chosen from a bound the component itself shows:
 - The colour engine (``_ColourSearch``) is a maximum-independent-set branch
   and bound with a greedy colouring bound (MCQ; Tomita & Seki 2003), run on
   the component's own rows: its colour classes are the cliques of the greedy
-  clique partition, which an independent set meets once each.  The cover is
-  the rest of the component.
+  clique partition, which an independent set meets once each; the cover is
+  the rest.  A node builds only the cliques it branches on, and settles leaf
+  children in its own loop.
 - The branch-and-reduce engine (``_CoverSearch``; Akiba & Iwata, TCS 609,
   2016) branches on a max-degree vertex (it joins the cover, or its whole
   neighbourhood does).  At each node a worklist of the vertices whose degree
@@ -43,25 +44,26 @@ states, into one budget; when it runs out the component keeps its greedy
 cover and the result says ``proven_optimal=False``.
 
 An id-order component runs on the graph's rows as they are; only the
-min-width order is renumbered, to count its partition.  When the id-order
-count is no larger than the greedy independent set, alpha <= theta-hat
-proves the greedy cover minimum and no order can count fewer, so the
-min-width order is not built; on the colour side the engine's root then
-keeps no class to branch on and settles the component in one node (642 of
-the 1,065 components of ``verify all --seed 42``, over its 744 cover calls).
+min-width order is renumbered, to count its partition: a dense component by
+one bit-matrix transpose, a sparse one bit by bit.  When the id-order count
+is no larger than the greedy independent set, alpha <= theta-hat proves the
+greedy cover minimum and no order can count fewer, so the min-width order
+is not built; on the colour side the engine's root then keeps no class to
+branch on and settles the component in one node (642 of the 1,065
+components of ``verify all --seed 42``, over its 744 cover calls).
 
 The colour engine keeps the bounds it proves.  When a node with candidate
-set P and current set R returns, every set that could beat the incumbent
-was found or pruned against it, so alpha(P) <= best - |R|: the incumbent
-only grows, and a budget stop raises before the store.  A memo maps P to
-that bound (the smaller one when P is proven twice), and a child whose
-candidate set P' has |R| + 1 + memo[P'] <= best is skipped.  A skipped child
-could not raise the incumbent, so the witness is the one the plain search
-finds.  The memo keeps at most ``MEMO_MAX`` sets and is cleared when it
-overflows.  The search repeats candidate sets on odd-odd products:
-beta(C9xC9) = 18 takes 4,680 nodes with the memo and 47,398 without it,
-beta(C9xC11) = 22 21,752 against 214,881, and beta(C11xC11) = 27 144,020,
-where the plain search runs past 2,000,000.
+set P and current set R returns, or is settled in its parent's loop, every
+set that could beat the incumbent was found or pruned against it, so
+alpha(P) <= best - |R|: the incumbent only grows, and a budget stop raises
+before the store.  A memo maps P to that bound (the smaller one when P is
+proven twice), and a child whose candidate set P' has |R| + 1 + memo[P'] <=
+best is skipped.  A skipped child could not raise the incumbent, so the
+witness is the one the plain search finds.  The memo keeps at most
+``MEMO_MAX`` sets and is cleared when it overflows.  The search repeats
+candidate sets on odd-odd products: beta(C9xC9) = 18 takes 4,680 nodes with
+the memo and 47,398 without it, beta(C9xC11) = 22 21,752 against 214,881,
+and beta(C11xC11) = 27 144,020, where the plain search runs past 2,000,000.
 
 The two engines share only the greedy clique partition, so subset
 enumeration referees them: the tests run both on the same components, and
@@ -75,7 +77,6 @@ from __future__ import annotations
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .graph import Graph, bits, component_masks
 
@@ -142,10 +143,11 @@ def _greedy_cover(adj: list[int], active: int) -> int:
     return active & ~independent
 
 
-def _greedy_clique_partition(adj: list[int], active: int) -> list[int]:
+def _greedy_clique_partition(adj: list[int], active: int, skip: int = 0) -> list[int]:
     """The greedy clique partition of ``active`` that theta-hat counts, as
     masks: each clique grown from its lowest vertex left by adding the lowest
-    common neighbour.  Its size bounds beta from above."""
+    common neighbour.  Its size bounds beta from above.  The first ``skip``
+    cliques (none if ``skip`` <= 0) are taken out but not returned."""
     rem = active
     cliques = []
     while rem:
@@ -156,8 +158,11 @@ def _greedy_clique_partition(adj: list[int], active: int) -> list[int]:
             tlow = cand & -cand
             clique |= tlow
             cand &= adj[tlow.bit_length() - 1]
-        rem &= ~clique
-        cliques.append(clique)
+        rem ^= clique
+        if skip > 0:
+            skip -= 1
+        else:
+            cliques.append(clique)
     return cliques
 
 
@@ -403,8 +408,11 @@ class _ColourSearch:
     the index of a vertex's clique bounds the set it can still grow into.
     The search branches from the last clique down and stops at the first
     that cannot beat the best set found, and skips a child whose candidate
-    set the memo has proven too small (see the module docstring).  Recursion
-    depth is at most the independence number plus one.
+    set the memo has proven too small (see the module docstring).  Each
+    node's cliques past kmin = best - |R|, the only ones it branches on, are
+    built in its parent's loop (``run``'s, at the root).  A child P' with
+    none is settled there, charged one node, with memo[P'] = best - |R| - 1;
+    only a child with cliques gets a frame.  Depth is at most alpha + 1.
     """
 
     __slots__ = ("adj", "nodes", "budget", "best_size", "best_mask", "memo")
@@ -421,18 +429,16 @@ class _ColourSearch:
         """Maximum independent set within ``cand``; ``start`` is one to beat."""
         self.best_mask = start
         self.best_size = start.bit_count()
-        self._expand(0, 0, cand)
-        return self.best_mask
-
-    def _expand(self, r_mask: int, r_size: int, p: int) -> None:
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExhausted
+        if classes := _greedy_clique_partition(self.adj, cand, self.best_size):
+            self._expand(0, 0, cand, classes)
+        return self.best_mask
+
+    def _expand(self, r_mask: int, r_size: int, p: int, classes: list[int]) -> None:
         adj, memo, cand = self.adj, self.memo, p
-        # drop the first kmin = best - |R| cliques: a vertex in clique
-        # k <= kmin cannot lead to a set larger than the best
-        kmin = max(self.best_size - r_size, 0)
-        classes = _greedy_clique_partition(adj, p)[kmin:]
+        kmin = max(self.best_size - r_size, 0)  # clique k <= kmin cannot beat best
         while classes and r_size + kmin + len(classes) > self.best_size:
             bound = kmin + len(classes)  # the colour of the last class
             cls = classes.pop()
@@ -447,7 +453,15 @@ class _ColourSearch:
                     if r_size + 1 > self.best_size:
                         self.best_size, self.best_mask = r_size + 1, r_mask | bit
                 elif r_size + 1 + memo.get(nxt, bound) > self.best_size:
-                    self._expand(r_mask | bit, r_size + 1, nxt)
+                    self.nodes += 1
+                    if self.nodes > self.budget:
+                        raise BudgetExhausted
+                    if kids := _greedy_clique_partition(adj, nxt, self.best_size - r_size - 1):
+                        self._expand(r_mask | bit, r_size + 1, nxt, kids)
+                    else:  # settled here: alpha(nxt) <= its kmin
+                        memo[nxt] = self.best_size - r_size - 1
+                        if len(memo) > MEMO_MAX:
+                            memo.clear()
                 p ^= bit
         # every set in cand that could beat the incumbent was searched or
         # pruned against it, and the incumbent only grows
@@ -461,19 +475,19 @@ class _ColourSearch:
 def _renumbered(adj: list[int], order: list[int]) -> list[int]:
     """Adjacency of the subgraph on ``order`` in new ids (i for order[i]).
 
-    Rows are cut to ``order``; one with more than a seventh of it as
-    neighbours is read by a C-level gather over its bit string, a sparser one
-    bit by bit: stepping over a bit costs about as much as gathering seven."""
-    if not order:
-        return []
-    top = len(adj) - 1  # bit u of a row is digit top - u of its bit string
-    gather = itemgetter(*[top - u for u in reversed(order)])  # new ids, high to low
-    width = f"0{len(adj)}b"
-    new_bit = {u: 1 << i for i, u in enumerate(order)}
+    Rows are cut to ``order``.  If they hold over a seventh of it as
+    neighbours on average, the new row of order[j] is its old column (the
+    rows are symmetric), one ``int(..., 2)`` of the rows' bit string over the
+    ids ``order`` spans; sparser rows are read bit by bit, and so build no
+    string of len(order) times that span."""
     keep = sum(1 << u for u in order)
-    return [int("".join(gather(format(a, width))), 2) if 7 * a.bit_count() > len(order)
-            else sum(map(new_bit.__getitem__, bits(a)))
-            for a in (adj[u] & keep for u in order)]
+    rows = [adj[u] & keep for u in order]
+    if 7 * sum(a.bit_count() for a in rows) <= len(order) ** 2:
+        new_bit = {u: 1 << i for i, u in enumerate(order)}
+        return [sum(map(new_bit.__getitem__, bits(a))) for a in rows]
+    lo, hi = min(order), max(order)  # new ids high to low, old ids hi down to lo
+    matrix = "".join(format(a >> lo, f"0{hi - lo + 1}b") for a in reversed(rows))
+    return [int(matrix[hi - u::hi - lo + 1], 2) for u in order]
 
 
 def _min_width_order(adj: list[int], comp: int) -> list[int]:
@@ -552,9 +566,9 @@ def min_vertex_cover(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverR
     ``BudgetExhausted``.
     """
     # frames left for the colour engine's levels: the limit, less the frames
-    # on the stack (this one included) and 12 for ``run``, the partition the
-    # deepest level calls, and calls made through C, which count towards the
-    # limit but hold no frame
+    # on the stack (this one included) and 12 for the partition that the
+    # deepest level calls from its loop, for its children, and calls made
+    # through C, which count towards the limit but hold no frame
     depth, frame = 0, sys._getframe()
     while frame:
         depth, frame = depth + 1, frame.f_back

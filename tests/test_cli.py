@@ -705,7 +705,11 @@ def test_two_graph_sources_are_a_usage_error(capsys, argv):
     (["compute", "dim-s", "--bogus", "cycle:5"], "--bogus cycle:5"),
     # an empty source is refused, not read as stdin, which holds a graph here
     (["compute", "dim-s", ""], "empty graph6 string"),
-    (["compute", "dim-s", "--gen", ""], "empty graph6 string"),
+    # --gen takes only a generator spec: not graph6, stdin or a file
+    (["compute", "dim-s", "--gen", ""], "missing ':'"),
+    (["compute", "dim-s", "--gen", "Bw"], "generator spec 'Bw' is missing ':'"),
+    (["compute", "dim-s", "--gen", "-"], "generator spec '-' is missing ':'"),
+    (["compute", "dim-s", "--gen", "@graphs.txt"], "generator spec '@graphs.txt' is missing ':'"),
 ])
 def test_usage_error_exits_1_not_the_counterexample_code(capsys, monkeypatch, argv, names):
     import io

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongdim import cover
+from strongdim import cover, verify
 from strongdim.cli import main as cli_main
 from strongdim.cover import (
     DEFAULT_NODE_BUDGET,
@@ -163,7 +163,7 @@ def test_renumbered_matches_dict_loop():
     comps = component_masks(g)
     assert [comp.bit_count() for comp in comps] == [1, 7, 140, 5, 1]
     # every component but the first lies off the prefix of the ids; the rows of
-    # C7 and P5 are dense enough for the gather, those of the G(140, .05) not
+    # C7 and P5 are dense enough for the transpose, those of the G(140, .05) not
     for comp in comps:
         order = list(bits(comp))
         rng.shuffle(order)
@@ -184,10 +184,34 @@ def test_renumbered_cuts_rows_that_leave_order():
         for _ in range(6):
             order = rng.sample(range(g.n), rng.randint(1, g.n - 1))
             keep = sum(1 << u for u in order)
-            dense |= {7 * (adj[u] & keep).bit_count() > len(order) for u in order}
+            dense.add(7 * sum((adj[u] & keep).bit_count() for u in order) > len(order) ** 2)
             assert any(adj[u] & ~keep for u in order)
             assert cover._renumbered(adj, order) == _renumbered_by_dict(adj, order)
     assert dense == {False, True}
+
+
+def test_renumbered_transposes_a_dense_component_far_from_id_0():
+    # the transpose reads columns over the span of ``order``: here ids
+    # 3000..3059 of a 3,060-vertex graph, whose sparse cycle keeps the bit loop
+    g = disjoint_union([cycle(3000), random_connected(60, 0.5, 2)])
+    adj = list(g.adj)
+    rng = random.Random(5)
+    for comp in component_masks(g):
+        order = list(bits(comp))
+        rng.shuffle(order)
+        for o in (list(bits(comp)), order, order[: len(order) // 2]):
+            rows = [adj[u] & sum(1 << w for w in o) for u in o]
+            dense = 7 * sum(a.bit_count() for a in rows) > len(o) ** 2
+            assert dense == (min(o) >= 3000)
+            assert cover._renumbered(adj, o) == _renumbered_by_dict(adj, o)
+
+
+def test_vertex_residue_rows_match_the_dict_loop():
+    prod = product("strong", cycle(9), cycle(11))
+    order = list(bits(((1 << 99) - 1) & ~(prod.adj[0] | 1)))
+    residue = verify._vertex_residue(prod, 11)
+    assert residue.n == 99 - 9
+    assert list(residue.adj) == _renumbered_by_dict(list(prod.adj), order)
 
 
 def _min_width_order_by_max(adj, comp):
@@ -249,6 +273,15 @@ def test_greedy_clique_partition_splits_its_mask_into_cliques():
             assert all(cliques)
             outside = [1 << v for v in range(g.n) if not mask >> v & 1]
             cover._checked_partition(g, cliques + outside)
+
+
+@given(random_graph_strategy(max_n=12), st.integers(0, 1 << 12), st.integers(-1, 13))
+@settings(max_examples=150, deadline=None)
+def test_greedy_clique_partition_skips_its_first_cliques(g, mask, skip):
+    mask &= (1 << g.n) - 1
+    full = cover._greedy_clique_partition(g.adj, mask)
+    assert cover._greedy_clique_partition(g.adj, mask, skip) == full[max(skip, 0):]
+    assert cover._greedy_clique_partition(g.adj, mask, len(full) + skip % 3) == []
 
 
 def sr_of(a, b):
@@ -547,6 +580,43 @@ def test_deterministic_witness(monkeypatch):
         b = min_vertex_cover(g)
         assert a.witness == b.witness
     assert len(runs) == 2  # SR(C5xP60) is solved by the frontier DP
+
+
+# SR(G(100, .08)) for seeds 1-4, the cover-search workload's kind of graph:
+# nodes and maximum independent set (the witness is the rest of the 100)
+RANDOM_SR_COVERS = [
+    (1, 341, [1, 27, 29, 31, 46, 52, 54, 57, 58, 59, 60, 64, 78, 84, 89, 95, 97, 99]),
+    (2, 123, [12, 15, 17, 21, 26, 28, 33, 34, 40, 42, 57, 67, 69, 72, 74, 75, 80, 82, 86, 95]),
+    (3, 498, [0, 5, 18, 28, 29, 34, 38, 46, 49, 66, 68, 74, 77, 88, 93, 95]),
+    (4, 312, [2, 10, 19, 21, 25, 27, 29, 42, 45, 48, 51, 56, 69, 70, 75, 77, 82, 83]),
+]
+
+
+@pytest.mark.parametrize("seed, nodes, independent", RANDOM_SR_COVERS)
+def test_random_sr_covers_are_pinned(seed, nodes, independent):
+    sr = strong_resolving_graph(random_connected(100, 0.08, seed)).sr
+    res = min_vertex_cover(sr)
+    assert res.proven_optimal and res.nodes_explored == nodes
+    assert sorted(res.witness) == [u for u in range(100) if u not in independent]
+
+
+def test_colour_budget_on_a_random_sr_graph():
+    # SR(G(100, .08), seed 1), a 99-vertex component on the colour side and an
+    # isolated vertex, is covered by 82 vertices in 341 nodes: a budget proves
+    # it exactly from 341 on, and a smaller one is spent to the node
+    sr = strong_resolving_graph(random_connected(100, 0.08, 1)).sr
+    comp = max(component_masks(sr), key=int.bit_count)
+    assert comp.bit_count() == 99
+    assert cover._colour_side(theta_hat(list(sr.adj), comp)[0], 99, ROOM)
+    for budget in [*range(0, 341, 7), 340, 341]:
+        res = min_vertex_cover(sr, node_budget=budget)
+        assert res.proven_optimal == (budget >= 341)
+        if res.proven_optimal:
+            assert (res.size, res.nodes_explored) == (82, 341)
+        else:
+            assert res.nodes_explored == budget + 1
+            assert res.size >= 82 and all(u in res.witness or v in res.witness
+                                           for u, v in sr.edges())
 
 
 def test_colour_budget_ends_proven_or_flagged():

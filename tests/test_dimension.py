@@ -660,7 +660,8 @@ def test_forged_factor_partition_raises(monkeypatch):
     greedy = cover._greedy_clique_partition
     forged = [0b00111, 0b11000]
     monkeypatch.setattr(cover, "_greedy_clique_partition",
-                        lambda adj, active: forged if active == 0b11111 else greedy(adj, active))
+                        lambda adj, active, skip=0: (forged[max(skip, 0):] if active == 0b11111
+                                                     else greedy(adj, active, skip)))
     g, h = cycle(5), cycle(7)
     with pytest.raises(AssertionError, match="is not a clique"):
         product_dimension("strong", g, h, prod=product("strong", g, h))
