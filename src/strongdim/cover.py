@@ -4,11 +4,10 @@
 engines, chosen from a bound the component itself shows:
 
 - The colour engine (``_ColourSearch``) is a maximum-independent-set branch
-  and bound with a greedy colouring bound (MCQ; Tomita & Seki 2003), run on
-  the component's own rows: its colour classes are the cliques of the greedy
-  clique partition, which an independent set meets once each; the cover is
-  the rest.  A node builds only the cliques it branches on, and settles leaf
-  children in its own loop.
+  and bound with a greedy colouring bound (MCQ; Tomita & Seki 2003): its
+  colour classes are the cliques of the greedy clique partition, which an
+  independent set meets once each; the cover is the rest.  A node builds
+  only the cliques it branches on, and settles leaf children in its loop.
 - The branch-and-reduce engine (``_CoverSearch``; Akiba & Iwata, TCS 609,
   2016) branches on a max-degree vertex (it joins the cover, or its whole
   neighbourhood does).  At each node a worklist of the vertices whose degree
@@ -43,14 +42,16 @@ stack raises ``BudgetExhausted``.  Both engines count nodes, and the DP its
 states, into one budget; when it runs out the component keeps its greedy
 cover and the result says ``proven_optimal=False``.
 
-An id-order component runs on the graph's rows as they are; only the
-min-width order is renumbered, to count its partition: a dense component by
-one bit-matrix transpose, a sparse one bit by bit.  When the id-order count
-is no larger than the greedy independent set, alpha <= theta-hat proves the
-greedy cover minimum and no order can count fewer, so the min-width order
-is not built; on the colour side the engine's root then keeps no class to
-branch on and settles the component in one node (642 of the 1,065
-components of ``verify all --seed 42``, over its 744 cover calls).
+A component settles first, in one node as the colour engine's root would,
+when a greedy clique partition of the graph's own rows has no more cliques
+than the min-degree greedy independent set (851 of the 1,065 components of
+the 744 covers of ``verify all --seed 42``).  Any other is numbered from
+the top (``_top_rows``: one bit-matrix transpose if dense, else bit by bit),
+its rows and single bits in lists indexed by bit length.  Every scan runs
+from the top bit, one ``bit_length()`` a step, and the colour engine
+branches from each class's lowest bit: each search is the lowest-first one
+in mirror image, node for node.  The min-width order is built only when id
+order counts more cliques than the greedy independent set.
 
 The colour engine keeps the bounds it proves.  When a node with candidate
 set P and current set R returns, or is settled in its parent's loop, every
@@ -143,27 +144,46 @@ def _greedy_cover(adj: list[int], active: int) -> int:
     return active & ~independent
 
 
-def _greedy_clique_partition(adj: list[int], active: int, skip: int = 0) -> list[int]:
-    """The greedy clique partition of ``active`` that theta-hat counts, as
-    masks: each clique grown from its lowest vertex left by adding the lowest
-    common neighbour.  Its size bounds beta from above.  The first ``skip``
+def _bit_table(n: int) -> list[int]:
+    """The single bits of ids 0..n-1, indexed by bit length (entry 0 is 0)."""
+    return [0, *(1 << i for i in range(n))]
+
+
+def _greedy_clique_partition(rows: list[int], bit: list[int], active: int,
+                             skip: int = 0) -> list[int]:
+    """The greedy clique partition of ``active``, as masks: each clique grown
+    from its highest vertex left by adding the highest common neighbour.  Its
+    size bounds beta.  rows[t] is the row of vertex bit[t], t its bit length
+    (entries 0 are 0, so a step on no vertex is void).  The first ``skip``
     cliques (none if ``skip`` <= 0) are taken out but not returned."""
     rem = active
+    for _ in range(skip):
+        t = rem.bit_length()
+        rem ^= bit[t]
+        cand = rows[t] & rem
+        while cand:
+            t = cand.bit_length()
+            rem ^= bit[t]
+            cand &= rows[t]
     cliques = []
     while rem:
-        low = rem & -rem
-        clique = low
-        cand = adj[low.bit_length() - 1] & rem
+        t = rem.bit_length()
+        clique = bit[t]
+        cand = rows[t] & rem
         while cand:
-            tlow = cand & -cand
-            clique |= tlow
-            cand &= adj[tlow.bit_length() - 1]
+            t = cand.bit_length()
+            clique |= bit[t]
+            cand &= rows[t]
         rem ^= clique
-        if skip > 0:
-            skip -= 1
-        else:
-            cliques.append(clique)
+        cliques.append(clique)
     return cliques
+
+
+def _top_rows(adj: list[int], order: list[int]) -> tuple[list[int], list[int]]:
+    """``order`` numbered from the top, so a top-first scan meets it in order:
+    (ids, rows), ids[i] the old id of new id i, rows indexed by bit length."""
+    ids = order[::-1]
+    return ids, [0, *_renumbered(adj, ids)]
 
 
 def _frontier_order(adj: list[int], active: int, cap: int) -> tuple[list[int], list[int]] | None:
@@ -171,7 +191,7 @@ def _frontier_order(adj: list[int], active: int, cap: int) -> tuple[list[int], l
     once its vertex separation exceeds ``cap``.
 
     Each breadth-first search starts from a vertex of least degree and takes
-    new neighbours by (degree, id); it restarts on each piece of ``active``.
+    new neighbours by (degree, -id); it restarts on each piece of ``active``.
     Read backwards, the search's queue is the frontier: after the vertices
     behind position i in Cuthill–McKee order are placed, the placed vertices
     with a neighbour still to come are those queued when i is dequeued.  So
@@ -180,8 +200,8 @@ def _frontier_order(adj: list[int], active: int, cap: int) -> tuple[list[int], l
     none queued, when it is placed itself).  Returns the order and, for each
     position, the mask of vertices that leave the frontier there.
     """
-    deg = {u: (adj[u] & active).bit_count() for u in bits(active)}
-    key = deg.__getitem__  # min and sort keep id order on ties
+    deg = {u: ((adj[u] & active).bit_count(), -u) for u in bits(active)}
+    key = deg.__getitem__  # ties: the higher id first
     order: list[int] = []
     leave: list[int] = []
     unseen = active
@@ -235,12 +255,13 @@ def _frontier_mis(adj: list[int], order: list[int], leave: list[int],
 
 
 class _CoverSearch:
-    """Branch and reduce on one connected component (adjacency as bitmasks)."""
+    """Branch and reduce on one connected component; vertices go by bit length."""
 
-    __slots__ = ("adj", "nodes", "budget")
+    __slots__ = ("adj", "bit", "nodes", "budget")
 
-    def __init__(self, adj: list[int], budget: int):
+    def __init__(self, adj: list[int], bit: list[int], budget: int):
         self.adj = adj
+        self.bit = bit
         self.nodes = 0
         self.budget = budget
 
@@ -271,7 +292,7 @@ class _CoverSearch:
             raise BudgetExhausted
         if limit <= 0:
             return limit, None
-        adj = self.adj
+        adj, bit = self.adj, self.bit
         fixed = 0          # cover size committed by reductions at this node
         chosen = 0         # vertices committed by reductions
         folds: list[tuple[int, int, int]] = []
@@ -279,19 +300,19 @@ class _CoverSearch:
 
         try:
             # Reduction fixpoint over a worklist.  A pass visits its vertices
-            # in increasing id; a vertex whose degree a reduction changed is
-            # visited later in the same pass if it lies ahead of the cursor,
+            # from the top down; a vertex whose degree a reduction changed is
+            # visited later in the same pass if it lies below the cursor,
             # else in the next pass.  This fires the same reductions in the
             # same order as rescanning every active vertex until none fires.
             queue = dirty & active
             while queue:
                 todo, queue = queue, 0
                 while todo:
-                    low = todo & -todo
+                    u = todo.bit_length()
+                    low = bit[u]
                     todo ^= low
                     if not active & low:
                         continue
-                    u = low.bit_length() - 1
                     au = adj[u] & active
                     d = au.bit_count()
                     if d == 0:
@@ -301,12 +322,11 @@ class _CoverSearch:
                         chosen |= au
                         fixed += 1
                         active &= ~(au | low)
-                        touched = adj[au.bit_length() - 1] & active
+                        touched = adj[au.bit_length()] & active
                     elif d == 2:
-                        vlow = au & -au
-                        v = vlow.bit_length() - 1
-                        w = (au ^ vlow).bit_length() - 1
-                        if (adj[v] >> w) & 1:
+                        v = au.bit_length()
+                        w = (au ^ bit[v]).bit_length()
+                        if adj[v] & bit[w]:
                             chosen |= au
                             fixed += 2
                             active &= ~(au | low)
@@ -318,9 +338,8 @@ class _CoverSearch:
                             adj[u] = merged
                             m = merged
                             while m:
-                                tlow = m & -m
-                                m ^= tlow
-                                t = tlow.bit_length() - 1
+                                t = m.bit_length()
+                                m ^= bit[t]
                                 if not adj[t] & low:
                                     undo.append((t, adj[t]))
                                     adj[t] |= low
@@ -330,17 +349,17 @@ class _CoverSearch:
                             touched = merged | low
                     else:
                         continue
-                    ahead = touched & -(low << 1)
-                    todo |= ahead
-                    queue |= touched ^ ahead
+                    below = touched & (low - 1)
+                    todo |= below
+                    queue |= touched ^ below
 
             def finish(sub_size: int, sub_mask: int) -> tuple[int, int]:
                 mask = chosen | sub_mask
                 for z, v, w in reversed(folds):
-                    if (mask >> z) & 1:
-                        mask = (mask ^ (1 << z)) | (1 << v) | (1 << w)
+                    if mask & bit[z]:
+                        mask = (mask ^ bit[z]) | bit[v] | bit[w]
                     else:
-                        mask |= 1 << z
+                        mask |= bit[z]
                 return fixed + sub_size, mask
 
             if fixed >= limit:
@@ -349,24 +368,24 @@ class _CoverSearch:
                 return finish(0, 0)
             # a clique on q vertices forces q - 1 of them into the cover
             kernel = active.bit_count()
-            lower = fixed + kernel - len(_greedy_clique_partition(adj, active))
+            lower = fixed + kernel - len(_greedy_clique_partition(adj, bit, active))
             if lower >= limit:
                 return limit, None
             if root:
-                path = _frontier_order(adj, active, min(FRONTIER_MAX_WIDTH, limit - lower))
+                rows = adj[1:]  # the DP reads rows by id
+                path = _frontier_order(rows, active, min(FRONTIER_MAX_WIDTH, limit - lower))
                 if path is not None:
-                    indep = _frontier_mis(adj, *path, self.charge)
+                    indep = _frontier_mis(rows, *path, self.charge)
                     return finish(kernel - indep.bit_count(), active ^ indep)
 
-            # branch on the max-degree vertex (ties: lowest id); the worklist
+            # branch on the max-degree vertex (ties: the highest); the worklist
             # left every active vertex at degree >= 3, so this is the only scan
             pivot = -1
             pivot_deg = -1
             m = active
             while m:
-                low = m & -m
-                u = low.bit_length() - 1
-                m ^= low
+                u = m.bit_length()
+                m ^= bit[u]
                 d = (adj[u] & active).bit_count()
                 if d > pivot_deg:
                     pivot, pivot_deg = u, d
@@ -374,19 +393,19 @@ class _CoverSearch:
 
             best_size, best_mask = limit, None
             # branch 1: pivot joins the cover
-            s, mk = self.solve(active & ~(1 << pivot), best_size - fixed - 1, pv)
+            s, mk = self.solve(active & ~bit[pivot], best_size - fixed - 1, pv)
             if mk is not None:
-                total, full = finish(1 + s, mk | (1 << pivot))
+                total, full = finish(1 + s, mk | bit[pivot])
                 if total < best_size:
                     best_size, best_mask = total, full
             # branch 2: the whole neighborhood joins the cover
-            rest = active & ~(pv | (1 << pivot))
+            rest = active & ~(pv | bit[pivot])
             touched = 0
             m = pv
             while m:
-                tlow = m & -m
-                m ^= tlow
-                touched |= adj[tlow.bit_length() - 1]
+                t = m.bit_length()
+                m ^= bit[t]
+                touched |= adj[t]
             s, mk = self.solve(rest, best_size - fixed - pivot_deg, touched & rest)
             if mk is not None:
                 total, full = finish(pivot_deg + s, mk | pv)
@@ -400,25 +419,27 @@ class _CoverSearch:
 
 class _ColourSearch:
     """Maximum independent set by branch and bound with a greedy colouring
-    bound (MCQ; Tomita & Seki 2003), on the graph's own rows.
+    bound (MCQ; Tomita & Seki 2003), on rows and bits indexed by bit length.
 
     At each node the candidate set is split into the cliques of its greedy
     partition (``_greedy_clique_partition``: the colour classes of the
     complement); an independent set takes at most one vertex per clique, so
     the index of a vertex's clique bounds the set it can still grow into.
-    The search branches from the last clique down and stops at the first
-    that cannot beat the best set found, and skips a child whose candidate
-    set the memo has proven too small (see the module docstring).  Each
-    node's cliques past kmin = best - |R|, the only ones it branches on, are
-    built in its parent's loop (``run``'s, at the root).  A child P' with
-    none is settled there, charged one node, with memo[P'] = best - |R| - 1;
-    only a child with cliques gets a frame.  Depth is at most alpha + 1.
+    The search branches from the last clique down, each from its lowest bit,
+    and stops at the first that cannot beat the best set found, and skips a
+    child whose candidate set the memo has proven too small (see the module
+    docstring).  Each node's cliques past kmin = best - |R|, the only ones
+    it branches on, are built in its parent's loop (``run``'s, at the root).
+    A child P' with none is settled there, charged one node, with memo[P'] =
+    best - |R| - 1; only a child with cliques gets a frame.  Depth is at
+    most alpha + 1.
     """
 
-    __slots__ = ("adj", "nodes", "budget", "best_size", "best_mask", "memo")
+    __slots__ = ("adj", "bit", "nodes", "budget", "best_size", "best_mask", "memo")
 
-    def __init__(self, adj: list[int], budget: float):
+    def __init__(self, adj: list[int], bit: list[int], budget: float):
         self.adj = adj
+        self.bit = bit
         self.nodes = 0
         self.budget = budget
         self.best_size = 0
@@ -432,37 +453,36 @@ class _ColourSearch:
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExhausted
-        if classes := _greedy_clique_partition(self.adj, cand, self.best_size):
+        if classes := _greedy_clique_partition(self.adj, self.bit, cand, self.best_size):
             self._expand(0, 0, cand, classes)
         return self.best_mask
 
     def _expand(self, r_mask: int, r_size: int, p: int, classes: list[int]) -> None:
-        adj, memo, cand = self.adj, self.memo, p
+        adj, bit, memo, cand = self.adj, self.bit, self.memo, p
         kmin = max(self.best_size - r_size, 0)  # clique k <= kmin cannot beat best
         while classes and r_size + kmin + len(classes) > self.best_size:
             bound = kmin + len(classes)  # the colour of the last class
             cls = classes.pop()
             while cls and r_size + bound > self.best_size:
-                v = cls.bit_length() - 1
-                bit = 1 << v
-                cls ^= bit
-                nxt = p & ~adj[v] ^ bit
+                low = cls & -cls
+                cls ^= low
+                nxt = p & ~adj[low.bit_length()] ^ low
                 # nxt lies in the first bound - 1 cliques, so alpha(nxt) <
                 # bound, and a set with no proof yet is always searched
                 if not nxt:
                     if r_size + 1 > self.best_size:
-                        self.best_size, self.best_mask = r_size + 1, r_mask | bit
+                        self.best_size, self.best_mask = r_size + 1, r_mask | low
                 elif r_size + 1 + memo.get(nxt, bound) > self.best_size:
                     self.nodes += 1
                     if self.nodes > self.budget:
                         raise BudgetExhausted
-                    if kids := _greedy_clique_partition(adj, nxt, self.best_size - r_size - 1):
-                        self._expand(r_mask | bit, r_size + 1, nxt, kids)
+                    if kids := _greedy_clique_partition(adj, bit, nxt, self.best_size - r_size - 1):
+                        self._expand(r_mask | low, r_size + 1, nxt, kids)
                     else:  # settled here: alpha(nxt) <= its kmin
                         memo[nxt] = self.best_size - r_size - 1
                         if len(memo) > MEMO_MAX:
                             memo.clear()
-                p ^= bit
+                p ^= low
         # every set in cand that could beat the incumbent was searched or
         # pruned against it, and the incumbent only grows
         proved = self.best_size - r_size
@@ -539,17 +559,21 @@ def _colour_side(theta: int, size: int, room: int) -> bool:
     return theta <= COLOUR_ENGINE_MAX_SHARE * size and theta < room
 
 
-def _theta_hat(adj: list[int], comp: int,
-               theta_id: int) -> tuple[int, tuple[list[int], list[int]] | None]:
-    """theta-hat of a component, given ``theta_id``, its greedy clique
-    partition in id order, which follows the structure of products; min-width
-    order suits graphs without it.  Returns the smaller count (ties: id order)
-    and, when min-width order wins, that order (new id -> old id) with the
-    component's rows in it; else None."""
-    order = _min_width_order(adj, comp)
-    rows = _renumbered(adj, order)
-    theta = len(_greedy_clique_partition(rows, (1 << len(order)) - 1))
-    return (theta, (order, rows)) if theta < theta_id else (theta_id, None)
+def _theta_hat(adj: list[int], bit: list[int], comp: int,
+               independent: int) -> tuple[int, tuple, tuple]:
+    """theta-hat of a component: its greedy clique partition counted in id
+    order, which follows the structure of products, and, past ``independent``
+    cliques, in min-width order, which suits graphs without it.  Returns the
+    smaller count (ties: id order), with ``_top_rows`` of both orders."""
+    full = (1 << comp.bit_count()) - 1
+    by_id = _top_rows(adj, list(bits(comp)))
+    theta = len(_greedy_clique_partition(by_id[1], bit, full))
+    if theta > independent:
+        by_width = _top_rows(adj, _min_width_order(adj, comp))
+        width = len(_greedy_clique_partition(by_width[1], bit, full))
+        if width < theta:
+            return width, by_id, by_width
+    return theta, by_id, by_id
 
 
 def min_vertex_cover(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverResult:
@@ -559,7 +583,8 @@ def min_vertex_cover(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverR
     has theta-hat <= ``COLOUR_ENGINE_MAX_SHARE`` of its order and the stack
     has room for theta-hat + 1 more levels of recursion, and to branch and
     reduce otherwise, whose root kernel goes to the frontier DP when it
-    passes the frontier gate.  When the node budget runs out the component
+    passes the frontier gate (see the module docstring for the components
+    that settle first).  When the node budget runs out the component
     keeps its greedy cover and the result has ``proven_optimal=False``;
     callers that need exactness read it through ``CoverResult.exact``.  A
     search that outgrows ``sys.getrecursionlimit()`` raises
@@ -574,6 +599,7 @@ def min_vertex_cover(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverR
         depth, frame = depth + 1, frame.f_back
     room = sys.getrecursionlimit() - depth - 12
     adj = list(g.adj)
+    own, bit = [0, *adj], _bit_table(g.n)  # the graph's own rows, by bit length
     nodes = 0
     cover_mask = 0
     proven = True
@@ -582,25 +608,21 @@ def min_vertex_cover(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverR
             continue  # an isolated vertex needs no cover
         greedy = _greedy_cover(adj, comp)
         start = comp & ~greedy
-        theta = len(_greedy_clique_partition(adj, comp))
-        renumbered = None
-        # alpha <= theta-hat in any order, so when the greedy independent set
-        # reaches the id-order count, min-width order cannot beat it
-        if theta > start.bit_count():
-            theta, renumbered = _theta_hat(adj, comp, theta)
-        budget = node_budget - nodes
-        colour = _colour_side(theta, comp.bit_count(), room)
-        order, rows = renumbered or (None, adj)
-        engine = _ColourSearch(rows, budget) if colour else _CoverSearch(adj, budget)
+        # alpha <= the size of any clique partition (see the module docstring)
+        if len(_greedy_clique_partition(own, bit, comp)) <= start.bit_count():
+            nodes += 1
+            proven = proven and nodes <= node_budget
+            cover_mask |= greedy
+            continue
+        theta, by_id, by_theta = _theta_hat(adj, bit, comp, start.bit_count())
+        colour = _colour_side(theta, len(by_id[0]), room)
+        ids, rows = by_theta if colour else by_id
+        full = (1 << len(ids)) - 1
+        indep = sum(1 << i for i, u in enumerate(ids) if start >> u & 1)
+        engine = (_ColourSearch if colour else _CoverSearch)(rows, bit, node_budget - nodes)
         try:
-            if not colour:
-                cover_mask |= engine.cover(comp, greedy)
-            elif order is None:
-                cover_mask |= comp & ~engine.run(comp, start)
-            else:
-                indep = engine.run((1 << len(order)) - 1,
-                                   sum(1 << i for i, u in enumerate(order) if start >> u & 1))
-                cover_mask |= comp & ~sum(1 << order[i] for i in bits(indep))
+            indep = engine.run(full, indep) if colour else full & ~engine.cover(full, full & ~indep)
+            cover_mask |= comp & ~sum(1 << ids[i] for i in bits(indep))
         except BudgetExhausted:
             proven = False
             cover_mask |= greedy
@@ -729,7 +751,9 @@ def c_graph_partition(g: Graph, independent: frozenset[int], node_budget: int,
     if any(g.adj[v] & seeds for v in independent):
         raise ValueError("C-graph recognition needs an independent set")
     full = (1 << g.n) - 1
-    cliques = _greedy_clique_partition(g.adj, full)
+    ids, rows = _top_rows(g.adj, list(range(g.n)))
+    cliques = [sum(1 << ids[i] for i in bits(c)) for c in _greedy_clique_partition(
+        rows, _bit_table(g.n), full)]
     if len(cliques) > len(independent):
         cliques = (_clique_partition(g.adj, full, len(independent), seeds, node_budget)
                    if g.n <= cap else None)

@@ -61,8 +61,14 @@ def _grow(g: Graph, keep: bool) -> tuple[list[list[int]] | None, list[int], list
     """
     n = g.n
     # lists, not tuples: CPython keeps up to 2,000 freed tuples of each short
-    # length on free lists, so tuples here leave memory held after the call
-    nbrs = [list(bits(a)) for a in g.adj]
+    # length on free lists, so tuples here leave memory held after the call.
+    # Each is read from the top bit down; the pass only ORs and ANDs its balls
+    nbrs = []
+    for a in g.adj:
+        nbrs.append(row := [])
+        while a:
+            row.append(w := a.bit_length() - 1)
+            a ^= 1 << w
     last = [a | 1 << v for v, a in enumerate(g.adj)]  # B(v, 1)
     older = [1 << v for v in range(n)]  # B(v, 0)
     balls = [[b] if a == b else [b, a] for a, b in zip(last, older)] if keep else None

@@ -142,7 +142,7 @@ def max_clique(g: Graph) -> frozenset[int]:
     no budget."""
     if g.n == 0:
         return frozenset()
-    search = cover._ColourSearch(complement(g).adj, math.inf)
+    search = cover._ColourSearch([0, *complement(g).adj], cover._bit_table(g.n), math.inf)
     return frozenset(bits(search.run((1 << g.n) - 1, 1)))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from itertools import combinations
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongdim import cover, verify
+from strongdim import cover, dimension, verify
 from strongdim.cli import main as cli_main
 from strongdim.cover import (
     DEFAULT_NODE_BUDGET,
@@ -261,6 +262,38 @@ def test_min_width_order_breaks_ties_like_max_over_degrees():
     assert cover._min_width_order(list(cycle(5).adj), 0b11111) == [0, 3, 1, 2, 4]
 
 
+def own_partition(g, mask, skip=0):
+    """The greedy clique partition of ``mask`` on the graph's own rows."""
+    return cover._greedy_clique_partition([0, *g.adj], cover._bit_table(g.n), mask, skip)
+
+
+def to_new(mask, ids):
+    """``mask`` in the new ids of ``ids`` (new id -> old id)."""
+    return sum(1 << i for i, u in enumerate(ids) if mask >> u & 1)
+
+
+def to_old(mask, ids):
+    """``mask``, in the new ids of ``ids``, read back in old ids."""
+    return sum(1 << ids[i] for i in bits(mask))
+
+
+def id_order_partition(adj, active, skip=0):
+    """The greedy clique partition in id order, by its definition: each clique
+    grown from its lowest vertex left by adding the lowest common neighbour;
+    the first ``skip`` cliques left out."""
+    rem, cliques = active, []
+    while rem:
+        clique = rem & -rem
+        cand = adj[clique.bit_length() - 1] & rem
+        while cand:
+            low = cand & -cand
+            clique |= low
+            cand &= adj[low.bit_length() - 1]
+        rem ^= clique
+        cliques.append(clique)
+    return cliques[max(skip, 0):]
+
+
 def test_greedy_clique_partition_splits_its_mask_into_cliques():
     # the one greedy partition behind the colour classes, the branch-and-reduce
     # bound, the engine rule and the C-graph test: on any mask its parts are
@@ -269,7 +302,7 @@ def test_greedy_clique_partition_splits_its_mask_into_cliques():
     rng = random.Random(20)
     for g in seeded_graphs(200, 1, 24, seed=20):
         for mask in ((1 << g.n) - 1, *(rng.getrandbits(g.n) for _ in range(4))):
-            cliques = cover._greedy_clique_partition(g.adj, mask)
+            cliques = own_partition(g, mask)
             assert all(cliques)
             outside = [1 << v for v in range(g.n) if not mask >> v & 1]
             cover._checked_partition(g, cliques + outside)
@@ -279,9 +312,35 @@ def test_greedy_clique_partition_splits_its_mask_into_cliques():
 @settings(max_examples=150, deadline=None)
 def test_greedy_clique_partition_skips_its_first_cliques(g, mask, skip):
     mask &= (1 << g.n) - 1
-    full = cover._greedy_clique_partition(g.adj, mask)
-    assert cover._greedy_clique_partition(g.adj, mask, skip) == full[max(skip, 0):]
-    assert cover._greedy_clique_partition(g.adj, mask, len(full) + skip % 3) == []
+    full = own_partition(g, mask)
+    assert own_partition(g, mask, skip) == full[max(skip, 0):]
+    assert own_partition(g, mask, len(full) + skip % 3) == []
+
+
+@given(random_graph_strategy(max_n=12), st.integers(0, 1 << 12), st.integers(-1, 13))
+@settings(max_examples=200, deadline=None)
+def test_partition_numbered_from_the_top_is_the_id_order_partition(g, mask, skip):
+    # the top-first scan of ``mask`` numbered from the top, read back, is the
+    # lowest-first partition in id order, skipped cliques included
+    mask &= (1 << g.n) - 1
+    ids, rows = cover._top_rows(list(g.adj), list(bits(mask)))
+    cliques = cover._greedy_clique_partition(rows, cover._bit_table(len(ids)),
+                                             (1 << len(ids)) - 1, skip)
+    assert [to_old(c, ids) for c in cliques] == id_order_partition(g.adj, mask, skip)
+
+
+def test_partition_edge_cases():
+    # no vertices, one, an edgeless graph, one edge, and rows past any fixed
+    # table: a 1,000-vertex path numbered from the top
+    assert own_partition(make_graph(0, []), 0) == []
+    assert own_partition(complete(1), 1) == [1]
+    assert own_partition(make_graph(3, []), 0b111, 1) == [0b010, 0b001]
+    assert own_partition(complete(2), 0b11) == [0b11]
+    assert cover._top_rows([], []) == ([], [0])
+    g = path(1000)
+    ids, rows = cover._top_rows(list(g.adj), list(range(1000)))
+    cliques = cover._greedy_clique_partition(rows, cover._bit_table(1000), (1 << 1000) - 1)
+    assert [to_old(c, ids) for c in cliques] == [3 << i for i in range(0, 1000, 2)]
 
 
 def sr_of(a, b):
@@ -289,18 +348,18 @@ def sr_of(a, b):
 
 
 def theta_hat(adj, comp):
-    """theta-hat of a component and its renumbering, as ``min_vertex_cover`` reads them."""
-    return cover._theta_hat(adj, comp, len(cover._greedy_clique_partition(adj, comp)))
+    """theta-hat of a component, both orders counted, and the component
+    numbered from the top in the order that counts it (new id -> old id, and
+    rows by bit length), as ``min_vertex_cover`` reads them."""
+    theta, _, (ids, rows) = cover._theta_hat(adj, cover._bit_table(len(adj)), comp, -1)
+    return theta, ids, rows
 
 
-def colour_rows(adj, comp, renumbered):
-    """The order (new id -> old id) and the rows of a component for the colour
-    engine: those of ``_theta_hat`` when min-width order won, else id order,
-    renumbered here although ``min_vertex_cover`` runs it on ``adj`` itself."""
-    if renumbered is not None:
-        return renumbered
-    order = list(bits(comp))
-    return order, cover._renumbered(adj, order)
+def id_order_rows(adj, comp):
+    """``comp`` numbered from the top in id order, as ``min_vertex_cover``
+    gives it to branch and reduce: (ids, rows, bit, the new ids' mask)."""
+    ids, rows = cover._top_rows(adj, list(bits(comp)))
+    return ids, rows, cover._bit_table(len(ids)), (1 << len(ids)) - 1
 
 
 # the stack room the engine rule is given here, as ``min_vertex_cover`` finds
@@ -319,14 +378,21 @@ def colour_side(g):
 
 def counting_frontier(monkeypatch):
     """Wrap the frontier DP; each run appends the kernel's adjacency, as it
-    stood when the DP ran, and the order."""
+    stood when the DP ran, the order, and the adjacency its branch-and-reduce
+    search started from (rows by id, in the component's new ids)."""
     runs = []
-    dp = cover._frontier_mis
+    started = []
+    dp, search = cover._frontier_mis, cover._CoverSearch.cover
+
+    def starting(self, *args):
+        started.append(self.adj[1:])
+        return search(self, *args)
 
     def counted(adj, order, *rest):
-        runs.append((list(adj), order))
+        runs.append((list(adj), order, started[-1]))
         return dp(adj, order, *rest)
 
+    monkeypatch.setattr(cover._CoverSearch, "cover", starting)
     monkeypatch.setattr(cover, "_frontier_mis", counted)
     return runs
 
@@ -384,67 +450,96 @@ def test_reduce_root_bound_meeting_the_greedy_cover_keeps_it():
     # the cube C4 x K2 is 3-regular, so no reduction fires, and its greedy
     # clique partition is 4 edges: the bound 8 - 4 meets the greedy cover at
     # the root, so branch and reduce returns that cover without branching
+    # (both also settle before the engines, by the partition of their own rows)
     for g in (product("cartesian", cycle(4), path(2)), sr_of(cycle(4), path(60))):
         adj, (comp,) = list(g.adj), [c for c in component_masks(g) if c & (c - 1)]
         assert not colour_side(g)
         greedy = cover._greedy_cover(adj, comp)
-        lower = comp.bit_count() - len(cover._greedy_clique_partition(adj, comp))
+        ids, rows, bit, full = id_order_rows(adj, comp)
+        lower = comp.bit_count() - len(cover._greedy_clique_partition(rows, bit, full))
         assert lower == greedy.bit_count()
+        search = cover._CoverSearch(rows, bit, DEFAULT_NODE_BUDGET)
+        assert search.cover(full, to_new(greedy, ids)) == to_new(greedy, ids)
+        assert search.nodes == 1
         res = min_vertex_cover(g)
         assert res.proven_optimal and res.nodes_explored == 1
         assert res.witness == frozenset(bits(greedy))
 
 
-def uncertified_cover(g, node_budget):
-    """(size, witness, nodes, proven) of ``min_vertex_cover`` with ``_theta_hat``
-    run on every component: each runs on the engine the rule picks, the colour
-    engine on its renumbered rows from the greedy start, and keeps its greedy
-    cover when the budget runs out."""
+def dispatched_cover(g, node_budget, settle=True, certify=True):
+    """``min_vertex_cover`` rebuilt from its parts: (size, witness, nodes,
+    proven), and the nodes spent on each component that the partition of the
+    graph's own rows settles.  With ``settle`` such a component keeps its
+    greedy cover in one node.  With ``certify`` an id-order count no larger
+    than the greedy independent set skips the min-width order; without it
+    ``_theta_hat`` counts both orders.  Every other component runs on the
+    engine the rule picks, numbered from the top, from the greedy start, and
+    keeps its greedy cover when the budget runs out."""
     adj = list(g.adj)
-    nodes, witness, proven = 0, 0, True
+    bit = cover._bit_table(g.n)
+    nodes, witness, proven, settled = 0, 0, True, []
     for comp in component_masks(g):
         if comp & (comp - 1) == 0:
             continue
         greedy = cover._greedy_cover(adj, comp)
-        theta, renumbered = theta_hat(adj, comp)
+        start = comp & ~greedy
+        settles = len(own_partition(g, comp)) <= start.bit_count()
+        if settle and settles:
+            nodes += 1
+            proven = proven and nodes <= node_budget
+            witness |= greedy
+            settled.append(1)
+            continue
+        theta, by_id, by_theta = cover._theta_hat(adj, bit, comp,
+                                                  start.bit_count() if certify else -1)
         colour = cover._colour_side(theta, comp.bit_count(), ROOM)
-        budget = node_budget - nodes
-        if colour:
-            order, rows = colour_rows(adj, comp, renumbered)
-            engine = cover._ColourSearch(rows, budget)
-            start = sum(1 << i for i, u in enumerate(order) if not greedy >> u & 1)
-        else:
-            engine = cover._CoverSearch(adj, budget)
+        ids, rows = by_theta if colour else by_id
+        full = (1 << len(ids)) - 1
+        engine = (cover._ColourSearch if colour else cover._CoverSearch)(
+            rows, bit, node_budget - nodes)
         try:
             if colour:
-                indep = engine.run((1 << len(order)) - 1, start)
-                witness |= comp & ~sum(1 << order[i] for i in bits(indep))
+                indep = engine.run(full, to_new(start, ids))
             else:
-                witness |= engine.cover(comp, greedy)
+                indep = full & ~engine.cover(full, to_new(greedy, ids))
+            witness |= comp & ~to_old(indep, ids)
         except BudgetExhausted:
             witness |= greedy
             proven = False
         nodes += engine.nodes
-    return witness.bit_count(), frozenset(bits(witness)), nodes, proven
+        if settles:
+            settled.append(engine.nodes)
+    return (witness.bit_count(), frozenset(bits(witness)), nodes, proven), settled
+
+
+def uncertified_cover(g, node_budget):
+    """(size, witness, nodes, proven) of ``min_vertex_cover`` with both orders
+    counted for every component that does not settle first."""
+    return dispatched_cover(g, node_budget, certify=False)[0]
 
 
 def certified_components(g):
     """The components whose greedy cover the colour engine's root proves: the
     rule sends them to the colour engine, and their id-order clique partition
-    is no larger than the greedy independent set, so ``min_vertex_cover``
-    skips ``_theta_hat`` for them."""
+    is no larger than the greedy independent set, so ``_theta_hat`` does not
+    build their min-width order."""
     adj = list(g.adj)
-    return [comp for comp in component_masks(g)
-            if comp & (comp - 1)
-            and cover._colour_side(theta := len(cover._greedy_clique_partition(adj, comp)),
-                                   comp.bit_count(), ROOM)
-            and theta == (comp & ~cover._greedy_cover(adj, comp)).bit_count()]
+    out = []
+    for comp in component_masks(g):
+        if comp & (comp - 1):
+            _, rows, bit, full = id_order_rows(adj, comp)
+            theta = len(cover._greedy_clique_partition(rows, bit, full))
+            if (cover._colour_side(theta, comp.bit_count(), ROOM)
+                    and theta == (comp & ~cover._greedy_cover(adj, comp)).bit_count()):
+                out.append(comp)
+    return out
 
 
 def test_root_certificate_on_a_union_of_cliques():
     # K2 goes to branch and reduce (theta-hat 1 is above 0.42 of 2 vertices);
     # K3, K4 and K5 go to the colour engine, whose root proves each one's
-    # greedy cover: one node per component, and each keeps its lowest vertex
+    # greedy cover: one node per component, and each keeps its lowest vertex.
+    # (Each clique now settles first, as one clique of its own rows.)
     g = disjoint_union([complete(k) for k in range(2, 6)])
     assert len(certified_components(g)) == 3
     res = min_vertex_cover(g)
@@ -492,19 +587,20 @@ TIED_ORDERS = [
 def test_engine_rule_keeps_id_order_on_ties(name, build, nodes, size):
     g = build()
     adj, (comp,) = list(g.adj), component_masks(g)
-    theta_id = len(cover._greedy_clique_partition(adj, comp))
-    order = cover._min_width_order(adj, comp)
-    rows = cover._renumbered(adj, order)
-    assert len(cover._greedy_clique_partition(rows, (1 << len(order)) - 1)) == theta_id
-    assert theta_hat(adj, comp) == (theta_id, None)
+    ids, rows, bit, full = id_order_rows(adj, comp)
+    theta_id = len(cover._greedy_clique_partition(rows, bit, full))
+    width_rows = cover._top_rows(adj, cover._min_width_order(adj, comp))[1]
+    assert len(cover._greedy_clique_partition(width_rows, bit, full)) == theta_id
+    theta, by_id, by_theta = cover._theta_hat(adj, bit, comp, -1)
+    assert theta == theta_id and by_theta is by_id
     assert colour_side(g) and not certified_components(g)
     res = min_vertex_cover(g)
     assert res.proven_optimal and (res.nodes_explored, res.size) == (nodes, size)
     # the colour engine in id order, from the greedy start, gives this witness
     greedy = cover._greedy_cover(adj, comp)
-    engine = cover._ColourSearch(adj, DEFAULT_NODE_BUDGET)
-    indep = engine.run(comp, comp & ~greedy)
-    assert frozenset(bits(comp & ~indep)) == res.witness and engine.nodes == nodes
+    engine = cover._ColourSearch(rows, bit, DEFAULT_NODE_BUDGET)
+    indep = engine.run(full, to_new(comp & ~greedy, ids))
+    assert frozenset(bits(comp & ~to_old(indep, ids))) == res.witness and engine.nodes == nodes
 
 
 
@@ -582,13 +678,18 @@ def test_deterministic_witness(monkeypatch):
     assert len(runs) == 2  # SR(C5xP60) is solved by the frontier DP
 
 
-# SR(G(100, .08)) for seeds 1-4, the cover-search workload's kind of graph:
-# nodes and maximum independent set (the witness is the rest of the 100)
+# SR(G(100, .08)) for seeds 1-8, the cover-search workload's kind of graph:
+# nodes and maximum independent set (the witness is the rest of the 100), as
+# the searches found them when they still scanned in id order, lowest first
 RANDOM_SR_COVERS = [
     (1, 341, [1, 27, 29, 31, 46, 52, 54, 57, 58, 59, 60, 64, 78, 84, 89, 95, 97, 99]),
     (2, 123, [12, 15, 17, 21, 26, 28, 33, 34, 40, 42, 57, 67, 69, 72, 74, 75, 80, 82, 86, 95]),
     (3, 498, [0, 5, 18, 28, 29, 34, 38, 46, 49, 66, 68, 74, 77, 88, 93, 95]),
     (4, 312, [2, 10, 19, 21, 25, 27, 29, 42, 45, 48, 51, 56, 69, 70, 75, 77, 82, 83]),
+    (5, 696, [5, 16, 17, 20, 26, 30, 33, 34, 38, 39, 42, 43, 58, 78, 80, 81]),
+    (6, 135, [2, 10, 11, 19, 35, 38, 40, 46, 52, 64, 66, 73, 76, 82, 84, 89, 93, 97, 99]),
+    (7, 1443, [3, 6, 8, 17, 21, 27, 31, 36, 40, 52, 58, 59, 64, 73, 76, 80, 98]),
+    (8, 199, [3, 8, 14, 22, 23, 29, 31, 33, 39, 40, 41, 46, 54, 60, 76, 80, 82, 91, 98]),
 ]
 
 
@@ -598,6 +699,78 @@ def test_random_sr_covers_are_pinned(seed, nodes, independent):
     res = min_vertex_cover(sr)
     assert res.proven_optimal and res.nodes_explored == nodes
     assert sorted(res.witness) == [u for u in range(100) if u not in independent]
+
+
+def records_digest(records):
+    """SHA-256 of a list of cover records, each a tuple of ints, bools and
+    tuples of ints."""
+    return hashlib.sha256(repr(records).encode()).hexdigest()
+
+
+# Every cover of one seed-42 Env pass over the claims that test_verify's
+# layer count runs, as the searches found them when they still scanned in id
+# order, lowest first: the number of calls, their nodes, and the digests of
+# [(size, sorted witness, nodes, proven)] and of the same without nodes
+ENV_PASS_COVERS = (
+    744, 3_048, "c295f468b8a25a5bcae54eceecc2f198785b0b99ac8e6f96004e87b1e6a6e5f2",
+    "c97c79feaf2bb5627871cec26e6495d2872d5e73fabcfaad8877f293760b6488")
+
+
+def test_env_pass_covers_match_the_search_in_id_order(monkeypatch):
+    # without the settle before renumbering, the covers numbered from the top
+    # are the id-order searches node for node; with it, sizes, witnesses and
+    # proofs stay, and only the components it settles count one node each
+    calls = []
+    real = cover.min_vertex_cover
+
+    def recorded(g, node_budget=DEFAULT_NODE_BUDGET):
+        calls.append((g, node_budget))
+        return real(g, node_budget)
+
+    for module in (cover, dimension):
+        monkeypatch.setattr(module, "min_vertex_cover", recorded)
+    verify.run_suite(verify.Corpus(verify.CorpusSpec(seed=42)),
+                     [cid for cid in verify.claim_ids() if cid != "lemma-mmd"])
+    results = [real(g, budget) for g, budget in calls]
+    unsettled = [dispatched_cover(g, budget, settle=False) for g, budget in calls]
+    count, nodes, digest, digest_without_nodes = ENV_PASS_COVERS
+    assert len(calls) == count
+    assert records_digest([(size, tuple(sorted(witness)), spent, proven)
+                           for (size, witness, spent, proven), _ in unsettled]) == digest
+    assert sum(res[2] for res, _ in unsettled) == nodes
+    assert records_digest([(res.size, tuple(sorted(res.witness)), res.proven_optimal)
+                           for res in results]) == digest_without_nodes
+    moved = 0
+    for res, (old, settled) in zip(results, unsettled):
+        assert res.nodes_explored == old[2] - sum(settled) + len(settled)
+        moved += sum(spent > 1 for spent in settled)
+    # three 20-vertex components that went to branch and reduce settle first
+    assert (moved, sum(res.nodes_explored for res in results)) == (3, 3_026)
+
+
+def test_settled_component_spends_one_node():
+    # SR(C4xP60)'s component settles before renumbering: a budget of 0 leaves
+    # its greedy cover unproven, and 1 proves it
+    g = sr_of(cycle(4), path(60))
+    adj, (comp,) = list(g.adj), [c for c in component_masks(g) if c & (c - 1)]
+    greedy = cover._greedy_cover(adj, comp)
+    assert len(own_partition(g, comp)) <= (comp & ~greedy).bit_count()
+    for budget in (0, 1):
+        res = min_vertex_cover(g, node_budget=budget)
+        assert (res.proven_optimal, res.nodes_explored) == (budget == 1, 1)
+        assert res.witness == frozenset(bits(greedy))
+
+
+def test_cover_edge_cases():
+    # no vertices, one, edgeless graphs, one edge, and a 1,000-vertex graph
+    for g, size in ((make_graph(0, []), 0), (complete(1), 0), (make_graph(5, []), 0),
+                    (complete(2), 1), (make_graph(4, [(1, 3)]), 1)):
+        res = min_vertex_cover(g)
+        assert res.proven_optimal and res.size == size
+        assert res.nodes_explored == (size > 0)
+    res = min_vertex_cover(two_cycles(1000, 2), node_budget=200)
+    assert res.nodes_explored == 201 and not res.proven_optimal
+    assert all(u in res.witness or v in res.witness for u, v in two_cycles(1000, 2).edges())
 
 
 def test_colour_budget_on_a_random_sr_graph():
@@ -752,6 +925,38 @@ def frontier_corpus():
     return graphs
 
 
+def cuthill_mckee_by_ids(adj, active):
+    """Reverse Cuthill–McKee order of ``active`` by its definition: each
+    search starts from a vertex of least degree and queues new neighbours by
+    (degree, id), the lower id first on ties."""
+    key = {u: ((adj[u] & active).bit_count(), u) for u in bits(active)}.__getitem__
+    order, unseen = [], active
+    while unseen:
+        root = min(bits(unseen), key=key)
+        unseen ^= 1 << root
+        order.append(root)
+        i = len(order) - 1
+        while i < len(order):
+            new = adj[order[i]] & unseen
+            unseen ^= new
+            order += sorted(bits(new), key=key)
+            i += 1
+    return order[::-1]
+
+
+def test_frontier_order_numbered_from_the_top_keeps_id_order_ties():
+    # on rows numbered from the top the frontier order takes the higher id
+    # on ties, so read back it is the order with the lower id first
+    graphs = [cycle(9), path(8), grid(4, 5), sr_of(cycle(5), path(12)),
+              disjoint_union([cycle(6), complete(4), path(5)])]
+    graphs += seeded_graphs(40, 4, 14, seed=9)
+    for g in graphs:
+        comp = (1 << g.n) - 1
+        ids, rows, _, full = id_order_rows(list(g.adj), comp)
+        order, _ = cover._frontier_order(rows[1:], full, g.n)
+        assert [ids[i] for i in order] == cuthill_mckee_by_ids(g.adj, comp)
+
+
 def test_frontier_dp_matches_brute_force(monkeypatch):
     runs = counting_frontier(monkeypatch)
     open_frontier_gate(monkeypatch)
@@ -763,11 +968,11 @@ def test_frontier_dp_matches_brute_force(monkeypatch):
         assert res.size == len(res.witness) == brute_min_cover(g)
         for u, v in g.edges():
             assert u in res.witness or v in res.witness
-        for adj, order in runs[before:]:
+        for adj, order, start in runs[before:]:
             active = sum(1 << u for u in order)
             split += pieces(adj, active) > 1
             # a fold rewrites the rows of the kernel it leaves behind
-            folded += any(adj[u] & active != g.adj[u] & active for u in order)
+            folded += any(adj[u] & active != start[u] & active for u in order)
     assert len(runs) >= 60 and split >= 3 and folded >= 20
 
 
@@ -779,9 +984,10 @@ def test_frontier_gate_keeps_a_wide_kernel_on_the_branch(monkeypatch):
     adj = list(g.adj)
     (comp,) = component_masks(g)
     assert not colour_side(g)
+    _, rows, bit, full = id_order_rows(adj, comp)
     gap = (cover._greedy_cover(adj, comp).bit_count()
-           - g.n + len(cover._greedy_clique_partition(adj, comp)))
-    order, leave = cover._frontier_order(adj, comp, g.n)
+           - g.n + len(cover._greedy_clique_partition(rows, bit, full)))
+    order, leave = cover._frontier_order(rows[1:], full, g.n)
     width = frontier = 0
     for gone in leave:
         frontier += 1 - gone.bit_count()
@@ -835,14 +1041,15 @@ def engine_cover_sizes(g):
     adj = list(g.adj)
     reduce_size = colour_size = 0
     for comp in component_masks(g):
-        search = cover._CoverSearch(adj, DEFAULT_NODE_BUDGET)
+        ids, rows, bit, full = id_order_rows(adj, comp)
+        search = cover._CoverSearch(rows, bit, DEFAULT_NODE_BUDGET)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cover, "FRONTIER_MAX_WIDTH", 0)
-            mask = search.cover(comp, cover._greedy_cover(adj, comp))
+            mask = to_old(search.cover(full, to_new(cover._greedy_cover(adj, comp), ids)), ids)
         assert all(mask >> u & 1 or not adj[u] & comp & ~mask for u in bits(comp))
         reduce_size += mask.bit_count()
-        order, rows = colour_rows(adj, comp, theta_hat(adj, comp)[1])
-        indep = cover._ColourSearch(rows, DEFAULT_NODE_BUDGET).run((1 << len(order)) - 1, 1)
+        _, order, rows = theta_hat(adj, comp)
+        indep = cover._ColourSearch(rows, bit, DEFAULT_NODE_BUDGET).run(full, 1)
         members = [order[i] for i in bits(indep)]
         assert not any(g.has_edge(u, v) for u, v in combinations(members, 2))
         colour_size += comp.bit_count() - len(members)
@@ -982,7 +1189,7 @@ def test_c_graph_greedy_partition_decides_first():
         with patch.object(cover, "_clique_partition", wraps=cover._clique_partition) as search:
             partition = c_graph_partition(g, max_independent_set(g), DEFAULT_NODE_BUDGET)
         if partition is not None and not search.called:
-            greedy = cover._greedy_clique_partition(g.adj, (1 << g.n) - 1)
+            greedy = id_order_partition(g.adj, (1 << g.n) - 1)
             assert partition == greedy
         return partition is not None, search.called
 

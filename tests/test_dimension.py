@@ -62,7 +62,7 @@ from oracles import (
     per_source_hulls,
     strongly_resolves,
 )
-from test_cover import brute_clique_cover
+from test_cover import brute_clique_cover, id_order_partition
 from test_graph import connected_graph_strategy
 
 
@@ -660,8 +660,9 @@ def test_forged_factor_partition_raises(monkeypatch):
     greedy = cover._greedy_clique_partition
     forged = [0b00111, 0b11000]
     monkeypatch.setattr(cover, "_greedy_clique_partition",
-                        lambda adj, active, skip=0: (forged[max(skip, 0):] if active == 0b11111
-                                                     else greedy(adj, active, skip)))
+                        lambda rows, bit, active, skip=0: (
+                            forged[max(skip, 0):] if active == 0b11111
+                            else greedy(rows, bit, active, skip)))
     g, h = cycle(5), cycle(7)
     with pytest.raises(AssertionError, match="is not a clique"):
         product_dimension("strong", g, h, prod=product("strong", g, h))
@@ -676,7 +677,7 @@ def test_exact_partition_certifies_where_greedy_falls_short(g6, h, dim):
     # search certifies both, and no product-sized cover runs
     g = from_graph6(g6)
     sr = strong_resolving_graph(g).sr
-    assert len(cover._greedy_clique_partition(sr.adj, (1 << sr.n) - 1)) == 4
+    assert len(id_order_partition(sr.adj, (1 << sr.n) - 1)) == 4
     with patch.object(cover, "_clique_partition", wraps=cover._clique_partition) as search:
         partition = c_graph_partition(sr, max_independent_set(sr), DEFAULT_NODE_BUDGET)
     assert search.called and len(partition) == 3

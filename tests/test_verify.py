@@ -471,8 +471,10 @@ def test_each_layer_built_once_per_run(monkeypatch):
     assert [call for call, count in Counter(calls).items() if count > 1] == []
     # the seed-42 counter: the covers' calls and search nodes are deterministic.
     # thm-odd-odd-beta covers the residues C x C - N[0] of its 10 products; the
-    # C3xC3 and C3xC5 product covers stay, as other claims read them
-    assert (len(nodes), sum(nodes)) == (744, 3_048)
+    # C3xC3 and C3xC5 product covers stay, as other claims read them.  Three
+    # components that took 3, 9 and 13 branch-and-reduce nodes now settle in
+    # one each before renumbering (3,048 before; see test_cover's ENV_PASS_COVERS)
+    assert (len(nodes), sum(nodes)) == (744, 3_026)
     for cid in ("lemma-cgraph", "thm-cgraph-exact", "lemma-c1graph", "thm-c1-lower"):
         assert reports[cid].instances_checked >= 1 and reports[cid].skipped >= 1
 

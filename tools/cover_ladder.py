@@ -18,8 +18,8 @@ largest greedy clique-partition count over the components, with its share
 of that component's order), the cover size, each route's nodes and
 seconds, for the frontier route the width of its order and the most states
 it held after one step, and the seconds one ``_theta_hat`` call takes on
-the largest component (the min-width order, its renumbering and their
-partition count: the preamble a route pays before it searches, unless the
+the largest component (both orders, each numbered from the top with its
+partition counted: the preamble a route pays before it searches, unless the
 greedy set settles the component first); ``>cap`` marks a route that ran
 out of nodes, and ``-`` a width where no kernel reached the DP (the
 reductions or the bound settled the root).  The engine rule's share
@@ -149,12 +149,11 @@ def measure(name, cap):
     g = LADDER[name]()
     if not name.startswith(("beta:", "beta0:")):
         g = strong_resolving_graph(g).sr
-    adj = list(g.adj)
+    adj, bit = list(g.adj), cover._bit_table(g.n)
     hats = []  # (theta-hat, order, seconds of _theta_hat) per component
     for c in component_masks(g):
-        theta_id = len(cover._greedy_clique_partition(adj, c))
         t0 = time.perf_counter()
-        theta = cover._theta_hat(adj, c, theta_id)[0]
+        theta = cover._theta_hat(adj, bit, c, -1)[0]  # -1: count min-width order too
         hats.append((theta, c.bit_count(), time.perf_counter() - t0))
     theta, order, _ = max(hats)
     hat_s = max(hats, key=lambda hat: hat[1])[2]
