@@ -61,14 +61,19 @@ from .resolving import (
     predicted_mmd_edges,
     strong_resolving_graph,
 )
-from .verify import (
-    ClaimReport,
-    Corpus,
-    CorpusSpec,
-    claim_ids,
-    replay_instance,
-    run_suite,
-    verify_claim,
-)
+
+# The claim verifier's names load on first use, so a command that does not
+# verify (``compute``, ``product``) never imports ``strongdim.verify``.
+_VERIFY_NAMES = frozenset({"ClaimReport", "Corpus", "CorpusSpec", "claim_ids",
+                           "replay_instance", "run_suite", "verify_claim"})
+
+
+def __getattr__(name):
+    if name in _VERIFY_NAMES:
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

@@ -8,6 +8,11 @@ Exit codes for ``verify``: 0 all claims passed, 2 a counterexample was found,
 3 a solver budget left a claim inconclusive.  Other errors, usage errors
 among them, exit 1 with a single-line ``error: ...`` message; a run that
 exhausts memory prints ``error: out of memory``.
+
+Each shell call is a fresh process, so the import is part of every request.
+``compute`` and ``product`` load only the code they run: the claim verifier
+(``strongdim.verify``, with ``dataclasses`` and ``csv``) is imported by
+``verify`` alone, and the parser holds no copy of its corpus defaults.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from . import dimension as dim
 from . import graph as gr
 from . import products as pr
 from . import resolving as rs
-from . import verify as vf
 from .graph import Graph
+from .jsonout import to_json
 from .metrics import is_connected
 
 
@@ -126,7 +131,7 @@ def _compute_one(what: str, g: Graph, budget: int) -> dict:
 def _emit_compute(args, results: list[dict]) -> None:
     if args.format == "json":
         payload = results[0] if len(results) == 1 else results
-        print(vf.to_json(payload))
+        print(to_json(payload))
     else:
         for res in results:
             value = res["value"]
@@ -197,7 +202,7 @@ def cmd_product(args) -> int:
         out["dim_s"] = res.dim
         out["basis"] = [labels[v] for v in sorted(res.basis)]
     if args.format == "json":
-        print(vf.to_json(out))
+        print(to_json(out))
     elif args.format == "dot":
         sys.stdout.write(gr.to_dot(prod, labels=labels))
     else:
@@ -215,6 +220,8 @@ def cmd_product(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as vf  # the claim verifier loads only for this command
+
     if (args.r is None) != (args.t is None):
         raise CliError("--r and --t must be given together")
     if args.r is not None and min(args.r, args.t) < 1:
@@ -223,7 +230,8 @@ def cmd_verify(args) -> int:
         raise CliError(f"--r {args.r} is above --t {args.t}; the odd-odd claims need r <= t")
     try:
         spec = vf.CorpusSpec(
-            **{field: getattr(args, field) for field in args.corpus_options},
+            **{field: getattr(args, field) for field in args.corpus_options
+               if hasattr(args, field)},
             odd_odd_fixed=(args.r, args.t) if args.r is not None else None,
         )
     except ValueError as exc:  # the spec names its field; the user typed the option
@@ -288,21 +296,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run claim verification")
     p_verify.add_argument("claim", help="claim id or 'all'")
-    # each corpus option's dest is its CorpusSpec field
+    # each corpus option's dest is its CorpusSpec field; one not given stays
+    # out of the namespace, so the spec's own field default applies
+    unset = argparse.SUPPRESS
     corpus = [
-        p_verify.add_argument("--seed", type=int, default=vf.CorpusSpec.seed),
-        p_verify.add_argument("--exhaustive-n", type=int, default=vf.CorpusSpec.exhaustive_n),
-        p_verify.add_argument("--samples", type=int, default=vf.CorpusSpec.samples_per_n,
+        p_verify.add_argument("--seed", type=int, default=unset),
+        p_verify.add_argument("--exhaustive-n", type=int, default=unset),
+        p_verify.add_argument("--samples", type=int, default=unset,
                               dest="samples_per_n", metavar="SAMPLES"),
-        p_verify.add_argument("--pair-samples", type=int, default=vf.CorpusSpec.pair_samples),
-        p_verify.add_argument("--max-product", type=int, default=vf.CorpusSpec.max_product),
-        p_verify.add_argument("--t-max", type=int, default=vf.CorpusSpec.t_max),
-        p_verify.add_argument("--odd-odd-max", type=int, default=vf.CorpusSpec.odd_odd_max),
+        p_verify.add_argument("--pair-samples", type=int, default=unset),
+        p_verify.add_argument("--max-product", type=int, default=unset),
+        p_verify.add_argument("--t-max", type=int, default=unset),
+        p_verify.add_argument("--odd-odd-max", type=int, default=unset),
     ]
     p_verify.add_argument("--r", type=int, help="restrict odd-odd claims to one r")
     p_verify.add_argument("--t", type=int, help="restrict odd-odd claims to one t")
     corpus.append(p_verify.add_argument(
-        "--node-budget", type=_node_budget, default=cov.DEFAULT_NODE_BUDGET))
+        "--node-budget", type=_node_budget, default=unset))
     p_verify.add_argument("--timings", action="store_true",
                           help="include elapsed_ms in the JSON report")
     p_verify.add_argument("--out", help="write the JSON report to a file")

@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, bits, component_masks
 
@@ -107,8 +107,7 @@ class BudgetExhausted(RuntimeError):
     """Search-node budget ran out before optimality was proven."""
 
 
-@dataclass
-class CoverResult:
+class CoverResult(NamedTuple):
     size: int
     witness: frozenset[int]
     nodes_explored: int

@@ -8,9 +8,9 @@ circularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from operator import mul
+from typing import NamedTuple
 
 from .cover import DEFAULT_NODE_BUDGET, CoverResult, c_graph_partition, min_vertex_cover
 from .graph import Graph, bits
@@ -28,8 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class DimensionResult:
+class DimensionResult(NamedTuple):
     dim: int
     basis: frozenset[int]
     sr: Graph  # the SR graph the basis covers

@@ -8,8 +8,8 @@ product is a genuine two-route check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, and_, xor
+from typing import NamedTuple
 
 from .graph import Graph, _transpose
 from .metrics import DistanceMatrix, _grow, all_pairs_distances, is_connected
@@ -69,8 +69,7 @@ def boundary(g: Graph) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class PredictedSR:
+class PredictedSR(NamedTuple):
     """Predicted strong resolving graph of a strong product.  ``histogram[i]``
     counts its edges whose first matching lemma condition is i (1..5);
     ``dm_g`` and ``dm_h`` are the factor distances it was built on, and

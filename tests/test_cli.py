@@ -80,7 +80,7 @@ def test_compute_theta(capsys):
 def json_texts(monkeypatch):
     """Each JSON text the CLI writes, checked against json.dumps(obj, indent=2)."""
     texts = []
-    real = verify.to_json
+    real = cli.to_json
 
     def checked(obj):
         text = real(obj)
@@ -88,7 +88,7 @@ def json_texts(monkeypatch):
         texts.append(text)
         return text
 
-    monkeypatch.setattr(verify, "to_json", checked)
+    monkeypatch.setattr(cli, "to_json", checked)
     return texts
 
 
@@ -261,6 +261,39 @@ def test_product_strong_peak_memory_stays_small():
     assert rc == "0"
     assert json.loads(proc.stdout)["dim_s"] == 1202
     assert int(peak_kb) < 100 * 1024
+
+
+# run by a fresh interpreter without site hooks, so each module it reports
+# loaded was imported by the program; prints the loaded set after each step
+_COLD_IMPORTS_SNIPPET = """\
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from strongdim import cli
+WATCHED = ("strongdim.verify", "dataclasses", "csv")
+steps = [["compute", "dim-s", "cycle:7", "--format", "json"],
+         ["product", "strong", "path:3", "cycle:5", "--dim-s", "--format", "json"],
+         ["verify", "lemma-mmd", "--exhaustive-n", "3", "--samples", "0",
+          "--pair-samples", "3", "--max-product", "16"]]
+report = [[None, [m for m in WATCHED if m in sys.modules]]]
+for argv in steps:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(argv)
+    report.append([rc, [m for m in WATCHED if m in sys.modules]])
+print(json.dumps(report))
+"""
+
+
+def test_compute_and_product_load_no_verifier():
+    # loading the claim verifier, dataclasses and csv took about 40 of the
+    # 90 ms of importing strongdim.cli from source; only verify needs them
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", _COLD_IMPORTS_SNIPPET, src],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    imported, compute, product_, verify_ = json.loads(proc.stdout)
+    assert imported == [None, []]
+    assert compute == product_ == [0, []]
+    assert verify_[0] == 0 and "strongdim.verify" in verify_[1]
 
 
 @pytest.mark.parametrize("first_trivial", [False, True])

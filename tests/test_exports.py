@@ -1,9 +1,12 @@
 """Every exported name resolves, the package imports only exported names,
-and the test oracles import none of the package's distance routes."""
+the verifier's names load on first use, and the test oracles import none of
+the package's distance routes."""
 
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,31 @@ def test_oracles_read_no_runtime_distances():
         elif isinstance(node, ast.Name):
             used.add(node.id)
     assert not used & RUNTIME_DISTANCES
+
+
+VERIFY_NAMES = ("ClaimReport", "Corpus", "CorpusSpec", "claim_ids", "replay_instance",
+                "run_suite", "verify_claim")
+
+
+@pytest.mark.parametrize("name", VERIFY_NAMES)
+def test_lazy_verify_names_are_verify_exports(name):
+    # the package resolves these on first use; each is verify's own object
+    # and one it exports, as test_package_imports_only_exported_names
+    # requires of the eager imports
+    verify = importlib.import_module("strongdim.verify")
+    assert getattr(strongdim, name) is getattr(verify, name)
+    assert name in verify.__all__
+
+
+def test_unknown_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'run_everything'"):
+        strongdim.run_everything
+
+
+def test_bare_package_import_leaves_verify_unloaded():
+    snippet = ("import sys; sys.path.insert(0, sys.argv[1]); import strongdim; "
+               "from strongdim import Graph; print('strongdim.verify' in sys.modules)")
+    src = str(Path(strongdim.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", snippet, src],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

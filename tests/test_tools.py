@@ -2,7 +2,7 @@ import importlib.util
 import json
 import os
 
-from strongdim import cover, dimension, graph, verify
+from strongdim import cli, cover, dimension, graph, verify
 from strongdim.graph import cycle, path
 from strongdim.products import product
 from strongdim.resolving import strong_resolving_graph
@@ -95,7 +95,7 @@ def test_product_ladder_times_each_function_and_restores_it(capsys):
     total, spent, out = ladder._timed_request(["compute", "dim-s", g6, "--format", "json"])
     assert 0 < spent["product_dimension"] < total and json.loads(out)["value"] == 98
     assert [getattr(module, name) for module, name in ladder.TIMED] == originals
-    assert (dimension.is_strong_generator, graph.to_graph6, verify.to_json) == tuple(
+    assert (dimension.is_strong_generator, graph.to_graph6, cli.to_json) == tuple(
         originals[1:])
 
 

@@ -8,7 +8,7 @@ with its standard output captured.  The script wraps, from outside, the
 functions the request goes through: ``dimension.product_dimension`` (the
 whole answer), ``dimension.is_strong_generator`` (the definitional check
 inside it), ``graph.to_graph6`` (the product's and its SR graph's strings)
-and ``verify.to_json`` (the JSON text).  Per rung it prints the median over
+and ``cli.to_json`` (the JSON text).  Per rung it prints the median over
 the repeats of the request's wall time and of each function's time within
 it, all in milliseconds, and the rest of the request (parsing, the product
 build, labels and edge lists) as ``other``.  The next column is the same
@@ -27,7 +27,7 @@ import io
 import statistics
 import time
 
-from strongdim import cli, dimension, graph, products, verify
+from strongdim import cli, dimension, graph, products
 
 LADDER = {
     "P30xP30": ("path:30", "path:30"),
@@ -42,7 +42,7 @@ TIMED = (
     (dimension, "product_dimension"),
     (dimension, "is_strong_generator"),
     (graph, "to_graph6"),
-    (verify, "to_json"),
+    (cli, "to_json"),
 )
 
 
