@@ -49,11 +49,7 @@ from .metrics import (
     is_two_antipodal,
     leaf_count,
 )
-from .products import (
-    PRODUCT_KINDS,
-    product,
-    strong_product_distances,
-)
+from .products import PRODUCT_KINDS, product
 from .resolving import (
     PredictedSR,
     SRGraph,

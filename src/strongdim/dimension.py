@@ -1,6 +1,10 @@
 """Strong metric dimension: definitional checks, the SR-cover pipeline and
 the closed-form evaluators.
 
+On a strong product G x H the definitional check runs on the factors' own
+distance matrices: d((u,v),(x,y)) = max(d_G(u,x), d_H(v,y)), so ball k of
+(u,v) is B_G(u,k) x B_H(v,k), and the product's balls are never built.
+
 The closed forms are pure integer arithmetic kept apart from graph code, so
 the claim verifier can compare formula values against computed truth without
 circularity.
@@ -15,7 +19,7 @@ from typing import NamedTuple
 from .cover import DEFAULT_NODE_BUDGET, CoverResult, c_graph_partition, min_vertex_cover
 from .graph import Graph, bits
 from .metrics import DistanceMatrix, all_pairs_distances
-from .products import _StrongBalls, _stride, strong_product_distances
+from .products import _stride
 from .resolving import PredictedSR, predicted_mmd_edges, strong_resolving_graph
 
 __all__ = [
@@ -57,23 +61,23 @@ def _dilate(x: int, stages) -> int:
     return x
 
 
-def _product_stages(adj, balls: _StrongBalls) -> tuple[list, list]:
+def _product_stages(adj, dm_g: DistanceMatrix, dm_h: DistanceMatrix) -> tuple[list, list]:
     """The strong product's closed neighbourhoods as two stages of classes.
 
     With p = u*n2 + v, N[(u,v)] = N_G[u] x N_H[v].  The first stage holds
     H's edge-difference classes, tiled over every row; the second holds G's,
     as shifts of d*n2 over whole rows.  Both factors are read from the
-    radius-1 balls of ``balls.dm_h`` and ``balls.dm_g``; ``adj`` is only
-    confirmed: every vertex's closure through the two stages must be its
-    own row of ``adj`` plus itself, or this raises ``AssertionError``.
+    radius-1 balls of ``dm_h`` and ``dm_g``; ``adj`` is only confirmed:
+    every vertex's closure through the two stages must be its own row of
+    ``adj`` plus itself, or this raises ``AssertionError``.
     """
-    n1, n2 = balls.shape
+    n1, n2 = dm_g.n, dm_h.n
     if len(adj) != n1 * n2:
         raise AssertionError(f"a graph on {len(adj)} vertices is not a {n1} x {n2} product")
     full_h = (1 << n2) - 1
     col = _stride((1 << n1) - 1, n2)  # column 0: bit u*n2 for every row u
-    h_rows = [balls.dm_h.ball(v, 1) ^ 1 << v for v in range(n2)]
-    g_rows = [balls.dm_g.ball(u, 1) ^ 1 << u for u in range(n1)]
+    h_rows = [dm_h.ball(v, 1) ^ 1 << v for v in range(n2)]
+    g_rows = [dm_g.ball(u, 1) ^ 1 << u for u in range(n1)]
     stages = (
         [(d, col * a, col * ad) for d, a, ad in _difference_classes(h_rows)],
         [(d * n2, _stride(a, n2) * full_h, _stride(ad, n2) * full_h)
@@ -98,7 +102,8 @@ def _sweep(balls, reach: int, hull: int, smask: int, stages) -> tuple[int, int]:
     return reach, hull
 
 
-def _product_hulls(balls: _StrongBalls, outside: int, smask: int, stages) -> list[int]:
+def _product_hulls(dm_g: DistanceMatrix, dm_h: DistanceMatrix, outside: int, smask: int,
+                   stages) -> list[int]:
     """H_p for every p = (u, v) outside S, from sweeps shared by columns and rows.
 
     Above ecc_G(u), layer k of (u, v) is V(G) x L^H_k(v), alike down column
@@ -113,10 +118,12 @@ def _product_hulls(balls: _StrongBalls, outside: int, smask: int, stages) -> lis
     with the reach (n bits; 0.20-0.34 n^2 in all on P1000 x C5, P400 x C5,
     P30 x P30 and C21 x P8) and hull so far.  P_k, up to the smaller
     diameter, is built again when a column's rows differ from the last one's,
-    from the rows' strided balls kept as bytes: at most n*W bits each.
+    from the rows' strided balls kept as bytes: at most n*W bits each.  A
+    row's balls are strided layer by layer, stride(B_k) = stride(B_{k-1}) |
+    stride(B_k - B_{k-1}): n1 bits a row.
     """
-    n1, n2 = balls.shape
-    g_balls, h_balls = balls.dm_g.balls, balls.dm_h.balls
+    n1, n2 = dm_g.n, dm_h.n
+    g_balls, h_balls = dm_g.balls, dm_h.balls
     full_h, hulls = (1 << n2) - 1, [0] * (n1 * n2)
     state = {}  # p -> its row tail's reach above layer ecc_H(v); its hull is in hulls
     rows = [outside >> u * n2 & full_h for u in range(n1)]  # row u's H-mask outside S
@@ -125,7 +132,10 @@ def _product_hulls(balls: _StrongBalls, outside: int, smask: int, stages) -> lis
     heads = {}  # row u -> stride(B_G(u, k)) for k = 0..top, as blocks of bytes
     for u, gl in enumerate(g_balls):
         if rows[u]:
-            sg, k, reach, hull = balls.row(u), len(gl) - 1, 0, 0
+            sg, s = [], 0  # stride(B_G(u, k)) for each k
+            for inner, ball in zip([0, *gl], gl):
+                sg.append(s := s | _stride(ball ^ inner, n2))
+            k, reach, hull = len(gl) - 1, 0, 0
             for e, v in sorted([(len(h_balls[v]) - 1, v) for v in bits(rows[u])
                                 if len(h_balls[v]) < len(gl)], reverse=True):
                 if e < k:
@@ -163,7 +173,7 @@ def _product_hulls(balls: _StrongBalls, outside: int, smask: int, stages) -> lis
 
 
 def is_strong_generator(
-    g: Graph, members, dm: DistanceMatrix | None = None
+    g: Graph, members, dm: DistanceMatrix | tuple[DistanceMatrix, DistanceMatrix] | None = None
 ) -> bool:
     """True iff every vertex pair is strongly resolved by some member.
 
@@ -173,9 +183,12 @@ def is_strong_generator(
     where H_u is the union of the intervals I[u, w] over w in S.  One reverse
     sweep over u's distance layers finds H_u: a vertex at distance k from u
     is in H_u iff it is in S or has a neighbour in H_u at distance k + 1.
-    Product balls share a row's or a column's tail layers and a column's head
-    layers, packed in one int (``_product_hulls``): row forks take at most
-    n^2 bits and a packed column n*W, W = 8*ceil(n/8).
+    ``dm`` is g's own distance matrix (built here if omitted), or the pair
+    (dm_G, dm_H) of the factors' matrices when g is G x H in row-major ids.
+    Then ball k of (u, v) is B_G(u, k) x B_H(v, k), and the product's balls
+    share a row's or a column's tail layers and a column's head layers,
+    packed in one int (``_product_hulls``): row forks take at most n^2 bits
+    and a packed column n*W, W = 8*ceil(n/8).
 
     Every hull is built before any pair is checked, so a set that fails
     returns False only after all sweeps.  Then each pair {u, v} outside S is
@@ -187,23 +200,24 @@ def is_strong_generator(
     where id order looked up 54,810, 30,600 and 1,356.
 
     Each layer's step needs N(reach), the neighbours of H_u on the layer
-    above.  On ``strong_product_distances`` balls, ``g`` must be the product
-    of their factors, and the step dilates by two stages of edge-difference
-    classes that ``_dilate`` applies in turn, N[X] = X | ((X & A_d) << d) |
+    above.  On a factor pair, ``g`` must be the product of the factors, and
+    the step dilates by two stages of edge-difference classes that
+    ``_dilate`` applies in turn, N[X] = X | ((X & A_d) << d) |
     ((X & (A_d << d)) >> d) over each d, with A_d the set of x adjacent to
-    x + d: H's within each row, then G's as whole-row shifts.  On any other
-    balls, which must be g's own, the step ORs the rows of ``reach``.  The
-    radius-1 balls (the factors' on a product) must give every row of
-    ``g.adj``, or this raises ``AssertionError``.
+    x + d: H's within each row, then G's as whole-row shifts.  On g's own
+    matrix the step ORs the rows of ``reach``.  The radius-1 balls (the
+    factors' on a product) must give every row of ``g.adj``, or this raises
+    ``AssertionError``.
     """
     dm = dm or all_pairs_distances(g)
     adj = g.adj
-    balls = dm.balls
-    stages = _product_stages(adj, balls) if isinstance(balls, _StrongBalls) else None
-    if stages is None and (len(balls) != g.n or any(
-            dm.ball(v, 1) != a | 1 << v for v, a in enumerate(adj))):
-        raise AssertionError("the distance balls are not the graph's own")
-    if not dm.connected():
+    if isinstance(dm, tuple):  # a strong product is connected iff its factors are
+        stages, connected = _product_stages(adj, *dm), dm[0].connected() and dm[1].connected()
+    else:
+        if len(dm.balls) != g.n or any(dm.ball(v, 1) != a | 1 << v for v, a in enumerate(adj)):
+            raise AssertionError("the distance balls are not the graph's own")
+        stages, connected = None, dm.connected()
+    if not connected:
         raise ValueError("strong generators are defined for connected graphs")
     smask = 0
     for w in members:
@@ -212,11 +226,11 @@ def is_strong_generator(
         smask |= 1 << w
     outside = ((1 << g.n) - 1) & ~smask
     if stages is not None:
-        hulls = _product_hulls(balls, outside, smask, stages)
+        hulls = _product_hulls(*dm, outside, smask, stages)
     else:
         hulls = [0] * g.n
         for u in bits(outside):
-            levels = balls[u]
+            levels = dm.balls[u]
             hull = reach = 0  # reach: H_u on the layer above the current one
             for k in range(len(levels) - 1, 0, -1):
                 nbrs = 0
@@ -243,13 +257,15 @@ def is_strong_generator(
 
 
 def sr_cover_dimension(
-    g: Graph, sr: Graph, dm: DistanceMatrix, cover: CoverResult
+    g: Graph, sr: Graph, dm: DistanceMatrix | tuple[DistanceMatrix, DistanceMatrix],
+    cover: CoverResult
 ) -> DimensionResult:
     """dim_s of g from ``cover``, a minimum vertex cover of g's SR graph ``sr``.
 
     The covering characterization becomes two runtime checks: an unproven
     cover raises ``BudgetExhausted``, and a cover that fails the definitional
-    generator check on ``dm``'s balls raises ``AssertionError``.  The result
+    generator check on ``dm`` (g's own matrix, or its factors' pair; see
+    ``is_strong_generator``) raises ``AssertionError``.  The result
     carries ``sr``, so callers that print it need not rebuild it.
     """
     basis = cover.exact().witness
@@ -300,10 +316,10 @@ def product_dimension(
 ) -> DimensionResult:
     """dim_s of the ``kind`` product of g and h, from the factors where they allow it.
 
-    On the factor route the SR graph comes from the MMD lemma and the
-    product's distance balls from the factors' balls, one product vertex at
-    a time as the generator check reads them, so no all-pairs BFS and no
-    direct SR build runs on the product, and its balls are never all held.
+    On the factor route the SR graph comes from the MMD lemma, and the
+    generator check runs on the factors' distance matrices, so no all-pairs
+    BFS and no direct SR build runs on the product, and its balls are never
+    built.
     Its minimum cover is certified from the factors when
     ``c_graph_partition`` splits either factor's SR graph into beta
     cliques (the C-graph theorem; see ``general_upper``):
@@ -319,7 +335,6 @@ def product_dimension(
     pred = _factor_prediction(kind, g, h)
     if pred is None:
         return strong_metric_dimension(prod, node_budget)
-    dm = strong_product_distances(pred.dm_g, pred.dm_h)
     ind_g, spent, cert_g = _factor_certificate(pred.sr_g, node_budget)
     ind_h, spent_h, cert_h = _factor_certificate(pred.sr_h, node_budget - spent)
     spent += spent_h
@@ -328,7 +343,7 @@ def product_dimension(
         cover = CoverResult(cover_mask.bit_count(), frozenset(bits(cover_mask)), spent, True)
     else:
         cover = min_vertex_cover(pred.graph, node_budget - spent)
-    return sr_cover_dimension(prod, pred.graph, dm, cover)
+    return sr_cover_dimension(prod, pred.graph, (pred.dm_g, pred.dm_h), cover)
 
 
 def product_sr_graph(kind: str, g: Graph, h: Graph, *, prod: Graph) -> Graph:

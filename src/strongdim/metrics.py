@@ -8,8 +8,6 @@ gives the rows of the strong resolving graph.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .graph import Graph, bits, component_masks
 
 __all__ = [
@@ -28,13 +26,13 @@ class DistanceMatrix:
 
     ``balls[v][k]`` is the bitmask of vertices within distance k of v; the
     last entry is v's whole reachable set.  The balls power the O(1)
-    maximal-distance tests in the strong resolving machinery.  ``far[v]``, the
-    vertices from which v is maximally distant, is ``None`` unless recorded.
+    maximal-distance tests in the strong resolving machinery.  ``far[v]`` is
+    the set of vertices from which v is maximally distant.
     """
 
     __slots__ = ("n", "balls", "far")
 
-    def __init__(self, n: int, balls: Sequence[Sequence[int]], far: list[int] | None = None):
+    def __init__(self, n: int, balls: list[list[int]], far: list[int]):
         self.n = n
         self.balls = balls
         self.far = far

@@ -3,8 +3,6 @@
 A product vertex (u, v) gets id ``u * n2 + v`` (row-major).  Adjacency rows
 are assembled with shifted-bitmask arithmetic, so building a product costs
 O(n1 * n2) big-int operations rather than a Python loop over vertex pairs.
-The strong product's distance balls are read from the factors' balls, one
-product vertex at a time, and never held for every vertex at once.
 """
 
 from __future__ import annotations
@@ -12,13 +10,11 @@ from __future__ import annotations
 from operator import eq
 
 from .graph import Graph, bits
-from .metrics import DistanceMatrix
 
 __all__ = [
     "PRODUCT_KINDS",
     "product",
     "strong_factors",
-    "strong_product_distances",
     "coordinate_labels",
 ]
 
@@ -101,57 +97,6 @@ def product(kind: str, g: Graph, h: Graph) -> Graph:
             for v in range(n2):
                 adj[base + v] = layer | (h.adj[v] * ones_all)
     return Graph(n1 * n2, adj)
-
-
-class _StrongBalls:
-    """``DistanceMatrix.balls`` of a strong product, each vertex's built when read.
-
-    Ball k of (u, v) is B_G(u, k) x B_H(v, k), the shorter of the two lists
-    padded with its last ball.  ``row(u)`` strides only the last row read, layer
-    by layer, stride(B_k) = stride(B_{k-1}) | stride(B_k - B_{k-1}): n1 bits.
-    """
-
-    __slots__ = ("dm_g", "dm_h", "shape", "_row", "_g_levels")
-
-    def __init__(self, dm_g: DistanceMatrix, dm_h: DistanceMatrix):
-        self.dm_g, self.dm_h = dm_g, dm_h
-        self.shape = (dm_g.n, dm_h.n)
-        self._row, self._g_levels = -1, []
-
-    def __len__(self) -> int:
-        return self.shape[0] * self.shape[1]
-
-    def row(self, u: int) -> list[int]:
-        """stride(B_G(u, k)) for each k: u's G-balls spread over the rows."""
-        if u != self._row:
-            gl, levels = self.dm_g.balls[u], [0]
-            for inner, ball in zip([0, *gl], gl):
-                levels.append(levels[-1] | _stride(ball ^ inner, self.shape[1]))
-            self._row, self._g_levels = u, levels[1:]
-        return self._g_levels
-
-    def __getitem__(self, p: int) -> list[int]:
-        if not 0 <= p < len(self):
-            raise IndexError(f"product id {p} out of range")
-        u, v = divmod(p, self.shape[1])
-        gl, hl = self.row(u), self.dm_h.balls[v]
-        pad = len(gl) - len(hl)
-        gl = gl + [gl[-1]] * -pad
-        hl = hl + [hl[-1]] * pad
-        return [a * b for a, b in zip(gl, hl)]
-
-
-def strong_product_distances(dm_g: DistanceMatrix, dm_h: DistanceMatrix) -> DistanceMatrix:
-    """Distance balls of the strong product from the factors' balls.
-
-    d((u,v),(x,y)) = max(d_G(u,x), d_H(v,y)), so ball k of (u,v) is
-    B_G(u,k) x B_H(v,k): one stride multiply per ball and no BFS on the
-    product.  The balls of a product vertex are built each time they are
-    read, so memory stays at the factors' balls and one row's strided
-    G-balls, not n^2 x diameter bits; ``is_strong_generator`` reads those
-    directly, and the factors themselves from their radius-1 balls.
-    """
-    return DistanceMatrix(dm_g.n * dm_h.n, _StrongBalls(dm_g, dm_h))
 
 
 def coordinate_labels(n1: int, n2: int) -> dict[int, str]:

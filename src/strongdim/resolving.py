@@ -12,7 +12,7 @@ from operator import add, and_, xor
 from typing import NamedTuple
 
 from .graph import Graph, _transpose
-from .metrics import DistanceMatrix, _grow, all_pairs_distances, is_connected
+from .metrics import DistanceMatrix, _grow, all_pairs_distances
 from .products import _stride
 
 __all__ = [
@@ -45,12 +45,12 @@ def strong_resolving_graph(g: Graph, dm: DistanceMatrix | None = None) -> SRGrap
     """Graph on V(g) whose edges are exactly the MMD pairs of g: F & transpose(F),
     with F[v] the set of vertices from which v is maximally distant.
 
-    F is ``dm.far`` where ``dm`` carries it, and otherwise comes from a pass
-    of ``metrics._grow`` over g that holds two radii of balls, not all.
+    F is ``dm.far`` when ``dm`` is given, and otherwise comes from a pass of
+    ``metrics._grow`` over g that holds two radii of balls, not all.
     """
     if g.n < 2:
         raise ValueError("strong resolving graph needs n >= 2")
-    if dm is not None and dm.far is not None:
+    if dm is not None:
         connected, far = dm.connected(), dm.far
     else:
         _, far, reach = _grow(g, keep=False)
@@ -102,13 +102,14 @@ def predicted_mmd_edges(g: Graph, h: Graph) -> PredictedSR:
     mask per condition over u*n2+v ids; ``_stride`` spreads a G-side mask to
     them, and times an H-side mask (below 2^n2) places it with no carries.
     """
+    dms = []
     for name, f in (("g", g), ("h", h)):
         if f.n < 2:
             raise ValueError(f"factor {name} must be nontrivial (n >= 2)")
-        if not is_connected(f):
+        dms.append(dm := all_pairs_distances(f))
+        if not dm.connected():
             raise ValueError(f"factor {name} must be connected")
-    dm_g = all_pairs_distances(g)
-    dm_h = all_pairs_distances(h)
+    dm_g, dm_h = dms
     sr_graphs = [strong_resolving_graph(f, dm).sr for f, dm in ((g, dm_g), (h, dm_h))]
     sr_g, sr_h = (sr.adj for sr in sr_graphs)
     n1, n2 = g.n, h.n

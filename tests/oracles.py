@@ -16,11 +16,12 @@ test and its split search, as ``strongdim.verify.Env.c1_graph`` does with the
 run's cached answers.  ``brute_force_dimension`` finds dim_s, and
 ``brute_min_cover`` the vertex cover number, by subset enumeration, apart
 from the SR-cover pipeline.  ``per_source_hulls`` sweeps each source's
-full-width balls alone, stepping by the graph's rows, where the package's
-strong-product check sweeps all of a column's sources as blocks of one
-integer, each block entering on the column's top layer with the reach of a
-narrow sweep of the column's tail or of its own row's tail
-(``strongdim.dimension._product_hulls``).  ``max_clique`` runs the package's colour engine
+full-width balls alone (the product's ``bfs_balls``, wherever it referees
+the strong-product check), stepping by the graph's rows, where the
+package's strong-product check reads only the factors' distance matrices
+and sweeps all of a column's sources as blocks of one integer, each block
+entering on the column's top layer with the reach of a narrow sweep of the
+column's tail or of its own row's tail (``strongdim.dimension._product_hulls``).  ``max_clique`` runs the package's colour engine
 on a complement, which the package itself never builds.
 """
 

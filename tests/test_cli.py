@@ -306,6 +306,15 @@ def test_product_strong_disconnected_factor_single_line_error(capsys, first_triv
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("g_arg, h_arg, name", [
+    ("A?", "path:3", "g"),
+    ("path:3", "A?", "h"),
+])
+def test_product_strong_names_the_disconnected_factor(capsys, g_arg, h_arg, name):
+    code, out, err = run_cli(capsys, "product", "strong", g_arg, h_arg, "--dim-s")
+    assert (code, out, err) == (1, "", f"error: factor {name} must be connected\n")
+
+
 def test_product_cartesian_p2_p2_is_c4(capsys):
     code, out, _ = run_cli(capsys, "product", "cartesian", "path:2", "path:2",
                            "--format", "json")

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -49,7 +50,7 @@ from strongdim.graph import (
     star,
 )
 from strongdim.metrics import all_pairs_distances, is_connected
-from strongdim.products import PRODUCT_KINDS, product, strong_product_distances
+from strongdim.products import PRODUCT_KINDS, product
 from strongdim.resolving import predicted_mmd_edges, strong_resolving_graph
 
 from oracles import (
@@ -218,12 +219,12 @@ def test_generator_check_product_basis_minus_one():
     assert not _generates_by_definition(g, short)
 
 
-# -- the check on strong_product_distances: two stages of factor classes ------
+# -- the check on the factors' matrices: two stages of factor classes ---------
 
 
 def _factor_distances(g, h):
     pred = predicted_mmd_edges(g, h)
-    return strong_product_distances(pred.dm_g, pred.dm_h)
+    return pred.dm_g, pred.dm_h
 
 
 _connected_factors = st.one_of(
@@ -239,7 +240,7 @@ _connected_factors = st.one_of(
 def test_product_stages_dilate_as_the_product_rows(g, h, data):
     # oracle: N[X] as the union of the built product's rows over X
     prod = product("strong", g, h)
-    stages = dimension._product_stages(prod.adj, _factor_distances(g, h).balls)
+    stages = dimension._product_stages(prod.adj, *_factor_distances(g, h))
     for _ in range(5):
         x = data.draw(st.integers(0, (1 << prod.n) - 1))
         by_rows = x
@@ -260,9 +261,9 @@ def test_generator_check_modes_agree_on_k6_p60():
     prod = product("strong", g, h)
     basis = sorted(product_dimension("strong", g, h, prod=prod).basis)
     sets = [basis] + [basis[:i] + basis[i + 1 :] for i in range(0, len(basis), 7)]
-    flat, lazy = all_pairs_distances(prod), _factor_distances(g, h)
+    flat, factors = all_pairs_distances(prod), _factor_distances(g, h)
     on_rows = [is_strong_generator(prod, s, flat) for s in sets]
-    on_stages = [is_strong_generator(prod, s, lazy) for s in sets]
+    on_stages = [is_strong_generator(prod, s, factors) for s in sets]
     assert on_rows == on_stages == [True] + [False] * (len(sets) - 1)
     # its 16 classes themselves dilate as the adjacency rows do
     classes = dimension._difference_classes(prod.adj)
@@ -289,9 +290,9 @@ def test_generator_check_modes_agree_on_k6_p60():
 def test_product_check_matches_definition_and_generic_check(g, h):
     prod = product("strong", g, h)
     basis = sorted(product_dimension("strong", g, h, prod=prod).basis)
-    lazy, flat = _factor_distances(g, h), all_pairs_distances(prod)
+    factors, flat = _factor_distances(g, h), all_pairs_distances(prod)
     sets = [basis] + [basis[:i] + basis[i + 1 :] for i in range(len(basis))]
-    answers = [is_strong_generator(prod, s, lazy) for s in sets]
+    answers = [is_strong_generator(prod, s, factors) for s in sets]
     assert answers == [is_strong_generator(prod, s, flat) for s in sets]
     assert answers == [_generates_by_definition(prod, s) for s in sets]
     assert answers[0]
@@ -386,14 +387,15 @@ def test_factor_route_reads_classes_from_factor_rows_only(monkeypatch):
 
 
 def _assert_hulls_match(g, h, members):
-    # oracle: every source's own sweep over its full-width product balls
+    # oracle: every source's own sweep over its full-width product balls, by BFS
     prod = product("strong", g, h)
-    dm = strong_product_distances(all_pairs_distances(g), all_pairs_distances(h))
-    stages = dimension._product_stages(prod.adj, dm.balls)
+    dms = all_pairs_distances(g), all_pairs_distances(h)
+    stages = dimension._product_stages(prod.adj, *dms)
     smask = sum(1 << w for w in members)
     outside = ((1 << prod.n) - 1) & ~smask
-    got = dimension._product_hulls(dm.balls, outside, smask, stages)
-    assert got == per_source_hulls(prod, dm, members)
+    got = dimension._product_hulls(*dms, outside, smask, stages)
+    bfs = SimpleNamespace(balls=[bfs_balls(prod, p) for p in range(prod.n)])
+    assert got == per_source_hulls(prod, bfs, members)
 
 
 def _fork_layers(g, h, p):
@@ -496,7 +498,7 @@ def test_factor_route_strides_each_row_once(monkeypatch):
 
     monkeypatch.setattr(products, "_stride", counted)
     monkeypatch.setattr(dimension, "_stride", counted)
-    dimension._product_stages(prod.adj, stage_dm.balls)
+    dimension._product_stages(prod.adj, *stage_dm)
     stage_bits = sum(strided)
     strided.clear()
     assert is_strong_generator(prod, basis, check_dm)
@@ -549,6 +551,20 @@ def test_generator_check_rejects_bad_input():
     for members in ([0, 4], [-1]):
         with pytest.raises(ValueError, match="member id outside the vertex range"):
             is_strong_generator(path(4), members)
+
+
+@pytest.mark.parametrize("g, h", [
+    pytest.param(disjoint_union([complete(2)] * 2), path(3), id="2K2xP3"),
+    pytest.param(path(3), make_graph(3, [(0, 1)]), id="P3x(K2+K1)"),
+    pytest.param(complete(1), make_graph(2, []), id="K1x2K1"),
+])
+def test_generator_check_on_factors_refuses_a_disconnected_factor(g, h):
+    # the product of nonempty factors is connected iff both factors are
+    prod = product("strong", g, h)
+    assert not is_connected(prod)
+    dms = all_pairs_distances(g), all_pairs_distances(h)
+    with pytest.raises(ValueError, match="strong generators are defined for connected graphs"):
+        is_strong_generator(prod, [0], dms)
 
 
 # -- the product route: factors for strong products, the product otherwise ------
@@ -604,8 +620,8 @@ def test_certified_route_matches_the_product_cover(g, h):
     certified = orders == [g.n, h.n]
     prod = product("strong", g, h)
     pred = predicted_mmd_edges(g, h)
-    dm = strong_product_distances(pred.dm_g, pred.dm_h)
-    searched = sr_cover_dimension(prod, pred.graph, dm, min_vertex_cover(pred.graph))
+    dms = pred.dm_g, pred.dm_h
+    searched = sr_cover_dimension(prod, pred.graph, dms, min_vertex_cover(pred.graph))
     assert res.dim == searched.dim
     assert is_strong_generator(prod, res.basis) and len(res.basis) == res.dim
     c_graph = any(brute_clique_cover(sr) == sr.n - brute_min_cover(sr)

@@ -38,8 +38,7 @@ def test_package_imports_only_exported_names():
         assert not stray, f"strongdim.{node.module} does not export {stray}"
 
 
-RUNTIME_DISTANCES = {"all_pairs_distances", "DistanceMatrix", "strong_resolving_graph",
-                     "strong_product_distances", "_grow"}
+RUNTIME_DISTANCES = {"all_pairs_distances", "DistanceMatrix", "strong_resolving_graph", "_grow"}
 
 
 def test_oracles_read_no_runtime_distances():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strongdim.cover import max_independent_set
@@ -22,11 +22,10 @@ from strongdim.products import (
     coordinate_labels,
     product,
     strong_factors,
-    strong_product_distances,
 )
 from strongdim.verify import _all_connected_upto
 
-from oracles import bfs_balls, distance_rows
+from oracles import distance_rows
 from test_graph import connected_graph_strategy, random_graph_strategy
 
 
@@ -122,32 +121,34 @@ def test_strong_distance_law(g, h):
                     assert rows_p[p][q] == max(rows_g[u][x], rows_h[v][y])
 
 
-def assert_balls_equal_bfs(g, h, seed):
-    """The lazy factor balls equal the product's BFS balls, read once in id
-    order and once shuffled, so that no read depends on the one before it."""
-    prod = product("strong", g, h)
-    bfs = [bfs_balls(prod, p) for p in range(prod.n)]
-    derived = strong_product_distances(all_pairs_distances(g), all_pairs_distances(h))
-    assert derived.n == prod.n == len(derived.balls)
-    shuffled = list(range(prod.n))
-    random.Random(seed).shuffle(shuffled)
-    for p in [*range(prod.n), *shuffled]:
-        assert derived.balls[p] == bfs[p]
-    with pytest.raises(IndexError):
-        derived.balls[prod.n]
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
 
 
-@given(random_graph_strategy(max_n=6, min_n=1), random_graph_strategy(max_n=6, min_n=1),
-       st.integers(0, 2**16))
-@settings(max_examples=150, deadline=None)
-def test_factor_balls_equal_bfs_balls(g, h, seed):
-    # K1 and disconnected factors included: the ball law holds per component
-    assert_balls_equal_bfs(g, h, seed)
+NX_PRODUCTS = {"strong": "strong_product", "cartesian": "cartesian_product",
+               "lexicographic": "lexicographic_product"}
 
 
-def test_factor_balls_with_k1_and_large_factors():
-    for g, h in ((complete(1), path(7)), (cycle(9), complete(1)), (path(20), cycle(15))):
-        assert_balls_equal_bfs(g, h, g.n * h.n)
+@given(st.sampled_from(sorted(NX_PRODUCTS)), random_graph_strategy(max_n=5, min_n=1),
+       random_graph_strategy(max_n=5, min_n=1))
+@example("strong", complete(1), path(3))
+@example("lexicographic", make_graph(3, [(0, 1)]), complete(1))
+@example("cartesian", complete(1), complete(1))
+@settings(max_examples=150)
+def test_products_match_networkx(nx, kind, g, h):
+    # an outside builder: networkx's product, with (u, v) mapped to u * n2 + v;
+    # K1 and disconnected factors included
+    def ref(f):
+        out = nx.Graph()
+        out.add_nodes_from(range(f.n))
+        out.add_edges_from(f.edges())
+        return out
+
+    built = getattr(nx, NX_PRODUCTS[kind])(ref(g), ref(h))
+    want = make_graph(g.n * h.n, [(u * h.n + v, x * h.n + y) for (u, v), (x, y) in built.edges()])
+    assert built.number_of_nodes() == g.n * h.n
+    assert product(kind, g, h) == want
 
 
 @given(random_graph_strategy(max_n=5, min_n=1), random_graph_strategy(max_n=5, min_n=1))

@@ -18,7 +18,7 @@ from strongdim.graph import (
 )
 from strongdim import metrics, resolving
 from strongdim.metrics import all_pairs_distances
-from strongdim.products import product, strong_product_distances
+from strongdim.products import product
 from strongdim.resolving import (
     boundary,
     predicted_mmd_edges,
@@ -151,17 +151,6 @@ def test_sr_graph_where_a_neighbour_is_more_central(g):
     want = _mmd_graph(g)
     assert strong_resolving_graph(g, dm).sr == want
     assert strong_resolving_graph(g).sr == want
-
-
-@pytest.mark.parametrize("g,h", [(path(3), path(5)), (cycle(5), complete(2))],
-                         ids=["P3xP5", "C5xK2"])
-def test_sr_graph_given_product_balls(g, h):
-    # the factors' lazy balls carry no far sets, so the graph's own pass runs
-    prod = product("strong", g, h)
-    dm = strong_product_distances(all_pairs_distances(g), all_pairs_distances(h))
-    assert dm.far is None
-    assert strong_resolving_graph(prod, dm).sr == strong_resolving_graph(prod).sr
-    assert strong_resolving_graph(prod, dm).sr == _mmd_graph(prod)
 
 
 def test_sr_graph_alone_stores_no_balls(monkeypatch):
@@ -297,7 +286,11 @@ def test_sandwich_subgraph_chain():
 
 
 def test_predicted_rejects_bad_factors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^factor g must be nontrivial \(n >= 2\)$"):
         predicted_mmd_edges(complete(1), complete(2))
-    with pytest.raises(ValueError):
-        predicted_mmd_edges(disjoint_union([complete(2)] * 2), complete(2))
+    # each disconnected factor is named, the first one first
+    for g, h, name in ((disjoint_union([complete(2)] * 2), complete(2), "g"),
+                       (path(3), make_graph(2, []), "h"),
+                       (make_graph(3, [(0, 1)]), make_graph(2, []), "g")):
+        with pytest.raises(ValueError, match=f"^factor {name} must be connected$"):
+            predicted_mmd_edges(g, h)
