@@ -89,14 +89,26 @@ def _product_stages(adj, dm_g: DistanceMatrix, dm_h: DistanceMatrix) -> tuple[li
     return stages
 
 
-def _sweep(balls, reach: int, hull: int, smask: int, stages) -> tuple[int, int]:
+def _union(x: int, rows) -> int:
+    """N(x) for ``rows`` = [0, *adj]: the union of rows[b] over x's bits' lengths b."""
+    out = 0
+    while x:
+        b = x.bit_length()
+        out |= rows[b]
+        x ^= 1 << b - 1
+    return out
+
+
+def _sweep(balls, reach: int, hull: int, smask: int, step, data) -> tuple[int, int]:
     """(reach, hull) after the layers between consecutive ``balls``, outermost
-    first, from ``reach`` above them.  Lazy ``balls`` are held two at a time,
-    and each layer is formed after the dilation, so it is not held during it."""
+    first, from ``reach`` above them: each layer's reach is the layer's part of
+    S | step(reach, data), the neighbours of the reach above.  Lazy ``balls``
+    are held two at a time, and each layer is formed after the step, so it is
+    not held during it."""
     balls = iter(balls)
     ball = next(balls)
     for inner in balls:
-        reach = (smask | (reach and _dilate(reach, stages))) & (ball ^ inner)
+        reach = (smask | (reach and step(reach, data))) & (ball ^ inner)
         hull |= reach
         ball = inner
     return reach, hull
@@ -140,7 +152,7 @@ def _product_hulls(dm_g: DistanceMatrix, dm_h: DistanceMatrix, outside: int, sma
                                 if len(h_balls[v]) < len(gl)], reverse=True):
                 if e < k:
                     reach, hull = _sweep([sg[i] * full_h for i in range(k, e - 1, -1)],
-                                         reach, hull, smask, stages)
+                                         reach, hull, smask, _dilate, stages)
                 state[u * n2 + v], hulls[u * n2 + v], k = reach, hull, e
             heads[u] = [s.to_bytes(size, "little") for s in (sg + sg[-1:] * top)[:top + 1]]
 
@@ -158,14 +170,14 @@ def _product_hulls(dm_g: DistanceMatrix, dm_h: DistanceMatrix, outside: int, sma
             top_g = max(len(g_balls[u]) for u in us) - 1
         e, c = min(top_g, len(hl) - 1), len(us)
         reach, hull = _sweep(map(mul, reversed(hl[e:]), repeat(col)),
-                             0, 0, smask, stages) if e < len(hl) - 1 else (0, 0)
+                             0, 0, smask, _dilate, stages) if e < len(hl) - 1 else (0, 0)
         # every block enters at e with the column tail's reach, or else its row tail's
         reach, hull = _sweep(
             map(mul, levels[e::-1], hl[e::-1]),
             int.from_bytes(b"".join([state.pop(u * n2 + v, 0).to_bytes(size, "little")
                                      for u in us]), "little")
             if e < top_g else reach and tile(reach, c),
-            hull and tile(hull, c), s_t, tiled)
+            hull and tile(hull, c), s_t, _dilate, tiled)
         hull = hull.to_bytes(c * size, "little")
         for j, u in enumerate(us):
             hulls[u * n2 + v] |= int.from_bytes(hull[j * size:(j + 1) * size], "little")
@@ -228,20 +240,9 @@ def is_strong_generator(
     if stages is not None:
         hulls = _product_hulls(*dm, outside, smask, stages)
     else:
-        hulls = [0] * g.n
+        hulls, rows = [0] * g.n, [0, *adj]
         for u in bits(outside):
-            levels = dm.balls[u]
-            hull = reach = 0  # reach: H_u on the layer above the current one
-            for k in range(len(levels) - 1, 0, -1):
-                nbrs = 0
-                m = reach
-                while m:
-                    b = m & -m
-                    nbrs |= adj[b.bit_length() - 1]
-                    m ^= b
-                reach = levels[k] & ~levels[k - 1] & (smask | nbrs)
-                hull |= reach
-            hulls[u] = hull
+            hulls[u] = _sweep(reversed(dm.balls[u]), 0, 0, smask, _union, rows)[1]
     # each pair {v, u} outside S once, at the later of the two in (|H|, id)
     # order: v in H_u, or else u in H_v
     seen = 0

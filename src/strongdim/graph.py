@@ -172,17 +172,11 @@ def complete_multipartite(parts: Sequence[int]) -> Graph:
 
 
 def grid(rows: int, cols: int) -> Graph:
-    """Grid graph: the Cartesian product of two paths, built directly row-major."""
+    """Grid graph: the Cartesian product P_rows x P_cols, in row-major ids."""
+    from .products import _rows  # products imports this module
     if rows < 1 or cols < 1:
         raise ValueError("grid needs positive dimensions")
-    edges = []
-    for i in range(rows):
-        for j in range(cols):
-            if j + 1 < cols:
-                edges.append((i * cols + j, i * cols + j + 1))
-            if i + 1 < rows:
-                edges.append((i * cols + j, (i + 1) * cols + j))
-    return make_graph(rows * cols, edges)
+    return Graph(rows * cols, _rows("cartesian", path(rows).adj, path(cols).adj, rows))
 
 
 def star(n: int) -> Graph:

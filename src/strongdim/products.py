@@ -1,8 +1,10 @@
-"""The four two-factor graph products, with one fixed coordinate convention.
+"""The four two-factor graph products, built by one row formula.
 
-A product vertex (u, v) gets id ``u * n2 + v`` (row-major).  Adjacency rows
-are assembled with shifted-bitmask arithmetic, so building a product costs
-O(n1 * n2) big-int operations rather than a Python loop over vertex pairs.
+A product vertex (u, v) gets id ``u * n2 + v`` (row-major).  Every kind's
+row is L(v) * stride(N_G(u)) | N_H(v) * T(u): L(v) is N_H[v], {v}, V(H), V(H)
+and T(u) is {u}, {u}, {u}, V(G) for the strong, Cartesian, lexicographic and
+Cartesian-sum products, so building one costs O(n1 * n2) big-int operations
+rather than a Python loop over vertex pairs.
 """
 
 from __future__ import annotations
@@ -29,14 +31,26 @@ def _stride(mask: int, n2: int) -> int:
     return out
 
 
-def _strong_rows(g_rows, h_rows):
-    """The strong product's rows in id order, N[(u,v)] = N_G[u] x N_H[v] less (u,v),
-    G's rows read only as they are reached."""
-    n2 = len(h_rows)
+def _rows(kind, g_rows, h_rows, n1):
+    """The ``kind`` product's rows in id order, row (u, v) = L(v) * stride(N_G(u))
+    | N_H(v) * T(u), G's rows read only as they are reached.  T(u) = {u} shifts
+    N_H(v) by u*n2; a layer V(H) * stride(N_G(u)) is formed once per u."""
+    n2 = at = len(h_rows)  # T(u) = {u}: N_H(v) shifted by u*at
+    if kind == "cartesian_sum":  # T(u) = V(G): N_H(v) * V(G) formed once, shifted by 0
+        every = ((1 << n1 * n2) - 1) // ((1 << n2) - 1)
+        h_rows, at = [row * every for row in h_rows], 0
     for u, g_row in enumerate(g_rows):
-        s, base = _stride(g_row | 1 << u, n2), u * n2
-        for v, row in enumerate(h_rows):
-            yield (row | 1 << v) * s & ~(1 << base + v)
+        s, base = _stride(g_row, n2), u * at
+        if kind == "strong":
+            for v, row in enumerate(h_rows):
+                yield (row | 1 << v) * s | row << base
+        elif kind == "cartesian":
+            for v, row in enumerate(h_rows):
+                yield s << v | row << base
+        else:
+            layer = ((1 << n2) - 1) * s
+            for row in h_rows:
+                yield layer | row << base
 
 
 def strong_factors(g: Graph) -> tuple[Graph, Graph] | None:
@@ -59,7 +73,7 @@ def strong_factors(g: Graph) -> tuple[Graph, Graph] | None:
 
         def g_rows():  # G's row u from the column-0 bits of (u, 0), read when reached
             return (sum(1 << x // n2 for x in bits(g.adj[p] & col)) for p in range(0, n, n2))
-        if all(map(eq, _strong_rows(g_rows(), h_rows), g.adj)):
+        if all(map(eq, _rows("strong", g_rows(), h_rows, n // n2), g.adj)):
             return Graph(n // n2, g_rows()), Graph(n2, h_rows)
     return None
 
@@ -70,33 +84,7 @@ def product(kind: str, g: Graph, h: Graph) -> Graph:
         raise ValueError("product factors must be nonempty")
     if kind not in PRODUCT_KINDS:
         raise ValueError(f"unknown product kind {kind!r}")
-    if kind == "strong":
-        return Graph(g.n * h.n, _strong_rows(g.adj, h.adj))
-    n1, n2 = g.n, h.n
-    full_h = (1 << n2) - 1
-    stride_open = [_stride(g.adj[u], n2) for u in range(n1)]
-    ones_all = _stride((1 << n1) - 1, n2)
-
-    adj = [0] * (n1 * n2)
-    if kind == "cartesian":
-        for u in range(n1):
-            base = u * n2
-            s = stride_open[u]
-            for v in range(n2):
-                adj[base + v] = (h.adj[v] << base) | ((1 << v) * s)
-    elif kind == "lexicographic":
-        for u in range(n1):
-            base = u * n2
-            layer = full_h * stride_open[u]
-            for v in range(n2):
-                adj[base + v] = layer | (h.adj[v] << base)
-    else:  # cartesian_sum
-        for u in range(n1):
-            base = u * n2
-            layer = full_h * stride_open[u]
-            for v in range(n2):
-                adj[base + v] = layer | (h.adj[v] * ones_all)
-    return Graph(n1 * n2, adj)
+    return Graph(g.n * h.n, _rows(kind, g.adj, h.adj, g.n))
 
 
 def coordinate_labels(n1: int, n2: int) -> dict[int, str]:

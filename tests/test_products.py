@@ -48,6 +48,35 @@ def test_cartesian_sum_k2_k2_is_k4():
     assert product("cartesian_sum", complete(2), complete(2)) == complete(4)
 
 
+def _by_definition(kind, g, h):
+    """The ``kind`` product by its definition, pair by pair, for (u,v) != (x,y):
+    strong: u, x equal or adjacent, and so are v, y; Cartesian: one coordinate
+    equal, the other adjacent; lexicographic: u ~ x, or u = x and v ~ y;
+    Cartesian sum: u ~ x or v ~ y."""
+    def adjacent(p, q):
+        (u, v), (x, y) = divmod(p, h.n), divmod(q, h.n)
+        ug, vh = g.has_edge(u, x), h.has_edge(v, y)
+        return {"strong": (u == x or ug) and (v == y or vh),
+                "cartesian": u == x and vh or v == y and ug,
+                "lexicographic": ug or u == x and vh,
+                "cartesian_sum": ug or vh}[kind]
+    n = g.n * h.n
+    return make_graph(n, [(p, q) for p in range(n) for q in range(p + 1, n) if adjacent(p, q)])
+
+
+@given(st.sampled_from(PRODUCT_KINDS), random_graph_strategy(max_n=5, min_n=1),
+       random_graph_strategy(max_n=5, min_n=1))
+@example("cartesian_sum", complete(1), path(3))
+@example("cartesian_sum", make_graph(3, [(0, 1)]), make_graph(2, []))
+@example("lexicographic", make_graph(3, [(0, 1)]), complete(1))
+@example("strong", complete(1), complete(1))
+@settings(max_examples=200)
+def test_every_kind_matches_its_definition(kind, g, h):
+    # every kind edge for edge against its definition, the Cartesian sum
+    # included, on K1 and disconnected factors too
+    assert product(kind, g, h) == _by_definition(kind, g, h)
+
+
 def test_grid_generator_matches_cartesian_product():
     assert grid(3, 4) == product("cartesian", path(3), path(4))
 
@@ -169,16 +198,6 @@ def test_closed_neighborhood_law(g, h):
 # -- recognising row-major strong products ---------------------------------------
 
 
-def _strong_by_definition(g, h):
-    """(u,v) ~ (x,y) iff u, x are equal or adjacent, and so are v, y, and (u,v) != (x,y)."""
-    def near(f, a, b):
-        return a == b or f.has_edge(a, b)
-    ids = [(u, v) for u in range(g.n) for v in range(h.n)]
-    return make_graph(len(ids), [
-        (p, q) for p, (u, v) in enumerate(ids) for q, (x, y) in enumerate(ids)
-        if p < q and near(g, u, x) and near(h, v, y)])
-
-
 def _is_row_major_product(g):
     """True iff for some divisor n2 of n, 1 < n2 < n, g is G x H with H the
     graph on ids below n2 and G the graph on the multiples of n2."""
@@ -187,7 +206,7 @@ def _is_row_major_product(g):
             h = make_graph(n2, [e for e in g.edges() if e[1] < n2])
             f = make_graph(g.n // n2, [(u // n2, v // n2) for u, v in g.edges()
                                        if u % n2 == v % n2 == 0])
-            if _strong_by_definition(f, h) == g:
+            if _by_definition("strong", f, h) == g:
                 return True
     return False
 
@@ -212,11 +231,11 @@ def test_strong_factors_rebuild_every_small_product():
     assert len(small) == 9
     for g in small:
         for h in small:
-            prod = _strong_by_definition(g, h)
+            prod = _by_definition("strong", g, h)
             factors = strong_factors(prod)
             assert factors is not None, (g, h)
             assert all(f.n > 1 for f in factors)
-            assert _strong_by_definition(*factors) == prod
+            assert _by_definition("strong", *factors) == prod
 
 
 @pytest.mark.parametrize("name", LARGE_PRODUCTS)
@@ -242,7 +261,7 @@ def test_strong_factors_refuse_single_edge_toggles(g, h):
             factors = strong_factors(toggled)
             assert (factors is not None) == _is_row_major_product(toggled), (u, v)
             if factors is not None:
-                assert _strong_by_definition(*factors) == toggled
+                assert _by_definition("strong", *factors) == toggled
 
 
 @pytest.mark.parametrize("name", LARGE_PRODUCTS)
