@@ -27,7 +27,7 @@ from . import graph as gr
 from . import products as pr
 from . import resolving as rs
 from .graph import Graph
-from .jsonout import to_json
+from .jsonout import EdgeList, to_json
 from .metrics import is_connected
 
 
@@ -106,7 +106,7 @@ def _compute_one(what: str, g: Graph, budget: int) -> dict:
         srg = rs.strong_resolving_graph(g)
         out["value"] = srg.sr.num_edges
         out["graph6"] = gr.to_graph6(srg.sr)
-        out["edges"] = [list(e) for e in srg.sr.edges()]
+        out["edges"] = EdgeList(srg.sr.adj, range(g.n))
     elif what == "alpha":
         witness = cov.min_vertex_cover(g, budget).exact().witness
         out["value"] = len(witness)
@@ -197,7 +197,7 @@ def cmd_product(args) -> int:
         sr = dim.product_sr_graph(kind, g, h, prod=prod)
     if sr is not None:
         out["sr_graph6"] = gr.to_graph6(sr)
-        out["sr_edges"] = [[labels[u], labels[v]] for u, v in sr.edges()]
+        out["sr_edges"] = EdgeList(sr.adj, labels)
     if args.dim_s:
         out["dim_s"] = res.dim
         out["basis"] = [labels[v] for v in sorted(res.basis)]
@@ -210,7 +210,7 @@ def cmd_product(args) -> int:
         if "dim_s" in out:
             print(f"dim_s = {out['dim_s']} basis = {'; '.join(out['basis'])}")
         elif "sr_graph6" in out:
-            print(f"sr graph6 = {out['sr_graph6']} ({len(out['sr_edges'])} edges)")
+            print(f"sr graph6 = {out['sr_graph6']} ({sr.num_edges} edges)")
     return 0
 
 

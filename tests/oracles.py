@@ -22,7 +22,10 @@ package's strong-product check reads only the factors' distance matrices
 and sweeps all of a column's sources as blocks of one integer, each block
 entering on the column's top layer with the reach of a narrow sweep of the
 column's tail or of its own row's tail (``strongdim.dimension._product_hulls``).  ``max_clique`` runs the package's colour engine
-on a complement, which the package itself never builds.
+on a complement, which the package itself never builds.  ``edge_list_form``
+is the plain list that a ``strongdim.jsonout.EdgeList`` stands for, read
+bit by bit off every pair of rows, where the JSON writer walks each row's
+set bits and writes the text directly.
 """
 
 import math
@@ -41,6 +44,13 @@ Rows = list[list[int | None]]
 class BruteForceResult(NamedTuple):
     dim: int
     basis: frozenset[int]
+
+
+def edge_list_form(edges) -> list[list]:
+    """[names[u], names[v]] for each pair u < v whose rows hold each other, in (u, v) order."""
+    rows, names = edges.rows, edges.names
+    return [[names[u], names[v]] for u, v in combinations(range(len(rows)), 2)
+            if rows[u] >> v & 1]
 
 
 def bfs_balls(g: Graph, src: int) -> list[int]:

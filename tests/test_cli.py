@@ -27,7 +27,7 @@ from strongdim.products import coordinate_labels, product, strong_factors
 from strongdim.resolving import strong_resolving_graph
 from strongdim.verify import _all_connected_upto
 
-from oracles import bfs_balls, per_source_hulls
+from oracles import bfs_balls, edge_list_form, per_source_hulls
 from test_dimension import assert_minimum_basis
 from test_products import LARGE_PRODUCTS, _relabelled
 
@@ -78,13 +78,14 @@ def test_compute_theta(capsys):
 
 @pytest.fixture
 def json_texts(monkeypatch):
-    """Each JSON text the CLI writes, checked against json.dumps(obj, indent=2)."""
+    """Each JSON text the CLI writes, checked against json.dumps(obj, indent=2)
+    of the plain structure, each EdgeList expanded to its list of pairs."""
     texts = []
     real = cli.to_json
 
     def checked(obj):
         text = real(obj)
-        assert text == json.dumps(obj, indent=2)
+        assert text == json.dumps(obj, indent=2, default=edge_list_form)
         texts.append(text)
         return text
 
@@ -109,13 +110,31 @@ def test_compute_json_is_json_dumps_output(capsys, monkeypatch, json_texts, what
                          ids=["plain", "sr", "dim-s", "sr+dim-s"])
 @pytest.mark.parametrize("kind, g, h", [
     ("strong", "path:30", "path:30"), ("strong", "cycle:5", "path:6"),
-    ("lex", "cycle:4", "path:3"),
+    ("lex", "cycle:4", "path:3"), ("cartesian", "path:4", "cycle:5"),
+    ("sum", "path:3", "cycle:4"),
 ])
 def test_product_json_is_json_dumps_output(capsys, json_texts, flags, kind, g, h):
     code, out, _ = run_cli(capsys, "product", kind, g, h, *flags, "--format", "json")
     assert (code, out) == (0, json_texts[-1] + "\n")
     doc = json.loads(out)
     assert ("sr_edges" in doc) == bool(flags) and ("dim_s" in doc) == ("--dim-s" in flags)
+
+
+def test_compute_sr_graph_json_of_a_product_is_json_dumps_output(capsys, json_texts):
+    g6 = to_graph6(product("strong", cycle(5), path(60)))
+    code, out, _ = run_cli(capsys, "compute", "sr-graph", g6, "--format", "json")
+    assert (code, out) == (0, json_texts[-1] + "\n")
+    doc = json.loads(out)
+    assert doc["value"] == len(doc["edges"]) > 0
+    assert doc["edges"] == [list(e) for e in from_graph6(doc["graph6"]).edges()]
+
+
+def test_product_text_counts_the_sr_edges_it_prints_in_json(capsys):
+    argv = ("product", "strong", "path:3", "path:4", "--sr")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    edges = json.loads(run_cli(capsys, *argv, "--format", "json")[1])["sr_edges"]
+    assert out.splitlines()[-1].endswith(f" ({len(edges)} edges)") and edges
 
 
 def test_compute_from_graph6_argument(capsys):
@@ -294,6 +313,28 @@ def test_compute_and_product_load_no_verifier():
     assert imported == [None, []]
     assert compute == product_ == [0, []]
     assert verify_[0] == 0 and "strongdim.verify" in verify_[1]
+
+
+# run like the snippet above; prints whether ``json`` was loaded after the
+# import and after a request that prints JSON, with repr, not json
+_NO_JSON_SNIPPET = """\
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from strongdim import cli
+loaded = ["json" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    rc = cli.main(["product", "strong", "path:3", "cycle:5", "--dim-s", "--format", "json"])
+print(repr([rc, out.getvalue().startswith("{"), *loaded, "json" in sys.modules]))
+"""
+
+
+def test_product_json_loads_no_json_package():
+    # the json package was 4.1 of the 5.8 ms that importing strongdim.jsonout cost
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", _NO_JSON_SNIPPET, src],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, True, False, False]\n"
 
 
 @pytest.mark.parametrize("first_trivial", [False, True])

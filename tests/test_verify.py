@@ -562,7 +562,7 @@ def test_to_json_matches_json_dumps_indent_2(obj):
 def test_to_json_matches_json_dumps_on_edge_cases():
     cases = [
         {}, [], "", [[]], [[], []], [{}], {"a": []}, [[1, 2], [3]], [["a"], [1]],
-        [1, True], [1.5, float("inf")],
+        [1, True], [1.5, float("inf")], [-0.0, 1e300, 5e-324, float("nan"), float("-inf")],
         "\u00e9\n\"\\\x00", (), ((1, 2), (3, 4)), [("a", "b"), ["c", "d"]],
     ]
     for obj in cases:

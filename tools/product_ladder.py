@@ -8,10 +8,11 @@ with its standard output captured.  The script wraps, from outside, the
 functions the request goes through: ``dimension.product_dimension`` (the
 whole answer), ``dimension.is_strong_generator`` (the definitional check
 inside it), ``graph.to_graph6`` (the product's and its SR graph's strings)
-and ``cli.to_json`` (the JSON text).  Per rung it prints the median over
-the repeats of the request's wall time and of each function's time within
-it, all in milliseconds, and the rest of the request (parsing, the product
-build, labels and edge lists) as ``other``.  The next column is the same
+and ``cli.to_json`` (the JSON text, the SR graph's edge list included: it
+is written there, straight from the graph's rows).  Per rung it prints the
+median over the repeats of the request's wall time and of each function's
+time within it, all in milliseconds, and the rest of the request (parsing,
+the product build and labels) as ``other``.  The next column is the same
 product given as one graph6 string, ``strongdim compute dim-s <graph6>
 --format json``, timed whole; each repeat runs the two requests in turn.
 The last, ``_dilate calls``, counts in one more ``product`` request, not
