@@ -32,15 +32,13 @@ component, taken in id order or in min-width order, whichever is smaller.
 Every independent set meets each clique of a partition at most once, so
 alpha <= theta-hat.  A component with theta-hat <= ``COLOUR_ENGINE_MAX_SHARE``
 of its order goes to the colour engine: it partitions into few large
-cliques, so the colour bound is tight.  The engine recurses at most
-alpha + 1 <= theta-hat + 1 levels, so it also needs that many frames left
-below ``sys.getrecursionlimit()``; ``min_vertex_cover`` counts the frames
-on the stack once per call.  Any other component, typically long and sparse
-with many small cliques that the reductions take apart, goes to branch and
-reduce, whose depth has no bound known up front: a search that outgrows the
-stack raises ``BudgetExhausted``.  Both engines count nodes, and the DP its
-states, into one budget; when it runs out the component keeps its greedy
-cover and the result says ``proven_optimal=False``.
+cliques, so the colour bound is tight.  Any other component, typically
+long and sparse with many small cliques that the reductions take apart, goes
+to branch and reduce.  Both engines count nodes, and the DP its states, into
+one budget; when it runs out the component keeps its greedy cover and the
+result says ``proven_optimal=False``.  Their search frames are generators
+that yield each child frame, run by ``_drive`` on one list, so the depth of
+a search is bounded by the budget, not by the interpreter's stack.
 
 A component settles first, in one node as the colour engine's root would,
 when a greedy clique partition of the graph's own rows has no more cliques
@@ -75,8 +73,7 @@ too.  Everything is deterministic: every tie breaks on vertex ids.
 
 from __future__ import annotations
 
-import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from typing import NamedTuple
 
 from .graph import Graph, bits, component_masks
@@ -253,10 +250,21 @@ def _frontier_mis(adj: list[int], order: list[int], leave: list[int],
     return states[0][1]
 
 
+def _drive(frame: Iterator) -> None:
+    """Run a search whose frames are generators that yield each child frame
+    to run before they resume: the frames live on one list, not the stack."""
+    stack = [frame]
+    while stack:
+        if (child := next(stack[-1], None)) is None:
+            stack.pop()
+        else:
+            stack.append(child)
+
+
 class _CoverSearch:
     """Branch and reduce on one connected component; vertices go by bit length."""
 
-    __slots__ = ("adj", "bit", "nodes", "budget")
+    __slots__ = ("adj", "bit", "nodes", "budget", "result")
 
     def __init__(self, adj: list[int], bit: list[int], budget: int):
         self.adj = adj
@@ -267,7 +275,8 @@ class _CoverSearch:
     def cover(self, comp: int, greedy: int) -> int:
         """Minimum cover of ``comp``: the search looks only below the cover
         ``greedy``, and ``greedy`` itself when it finds none."""
-        mask = self.solve(comp, greedy.bit_count(), comp, root=True)[1]
+        _drive(self.solve(comp, greedy.bit_count(), comp, root=True))
+        mask = self.result[1]
         return greedy if mask is None else mask
 
     def charge(self, count: int) -> None:
@@ -277,8 +286,9 @@ class _CoverSearch:
             raise BudgetExhausted
 
     def solve(self, active: int, limit: int, dirty: int,
-              root: bool = False) -> tuple[int, int | None]:
-        """Exact minimum cover of adj|active if below ``limit``, else (limit, None).
+              root: bool = False) -> Iterator[Iterator]:
+        """The frame that leaves in ``result`` the exact minimum cover of
+        adj|active, (size, mask), if below ``limit``, else (limit, None).
 
         ``dirty`` holds the vertices whose degree may have changed since the
         parent's reduction fixpoint: every other active vertex had degree at
@@ -289,8 +299,9 @@ class _CoverSearch:
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExhausted
+        self.result = limit, None
         if limit <= 0:
-            return limit, None
+            return
         adj, bit = self.adj, self.bit
         fixed = 0          # cover size committed by reductions at this node
         chosen = 0         # vertices committed by reductions
@@ -362,20 +373,22 @@ class _CoverSearch:
                 return fixed + sub_size, mask
 
             if fixed >= limit:
-                return limit, None
+                return
             if active == 0:
-                return finish(0, 0)
+                self.result = finish(0, 0)
+                return
             # a clique on q vertices forces q - 1 of them into the cover
             kernel = active.bit_count()
             lower = fixed + kernel - len(_greedy_clique_partition(adj, bit, active))
             if lower >= limit:
-                return limit, None
+                return
             if root:
                 rows = adj[1:]  # the DP reads rows by id
                 path = _frontier_order(rows, active, min(FRONTIER_MAX_WIDTH, limit - lower))
                 if path is not None:
                     indep = _frontier_mis(rows, *path, self.charge)
-                    return finish(kernel - indep.bit_count(), active ^ indep)
+                    self.result = finish(kernel - indep.bit_count(), active ^ indep)
+                    return
 
             # branch on the max-degree vertex (ties: the highest); the worklist
             # left every active vertex at degree >= 3, so this is the only scan
@@ -392,7 +405,8 @@ class _CoverSearch:
 
             best_size, best_mask = limit, None
             # branch 1: pivot joins the cover
-            s, mk = self.solve(active & ~bit[pivot], best_size - fixed - 1, pv)
+            yield self.solve(active & ~bit[pivot], best_size - fixed - 1, pv)
+            s, mk = self.result
             if mk is not None:
                 total, full = finish(1 + s, mk | bit[pivot])
                 if total < best_size:
@@ -405,12 +419,13 @@ class _CoverSearch:
                 t = m.bit_length()
                 m ^= bit[t]
                 touched |= adj[t]
-            s, mk = self.solve(rest, best_size - fixed - pivot_deg, touched & rest)
+            yield self.solve(rest, best_size - fixed - pivot_deg, touched & rest)
+            s, mk = self.result
             if mk is not None:
                 total, full = finish(pivot_deg + s, mk | pv)
                 if total < best_size:
                     best_size, best_mask = total, full
-            return best_size, best_mask
+            self.result = best_size, best_mask
         finally:
             for idx, old in reversed(undo):
                 adj[idx] = old
@@ -430,8 +445,7 @@ class _ColourSearch:
     docstring).  Each node's cliques past kmin = best - |R|, the only ones
     it branches on, are built in its parent's loop (``run``'s, at the root).
     A child P' with none is settled there, charged one node, with memo[P'] =
-    best - |R| - 1; only a child with cliques gets a frame.  Depth is at
-    most alpha + 1.
+    best - |R| - 1; only a child with cliques gets a frame.
     """
 
     __slots__ = ("adj", "bit", "nodes", "budget", "best_size", "best_mask", "memo")
@@ -453,10 +467,10 @@ class _ColourSearch:
         if self.nodes > self.budget:
             raise BudgetExhausted
         if classes := _greedy_clique_partition(self.adj, self.bit, cand, self.best_size):
-            self._expand(0, 0, cand, classes)
+            _drive(self._expand(0, 0, cand, classes))
         return self.best_mask
 
-    def _expand(self, r_mask: int, r_size: int, p: int, classes: list[int]) -> None:
+    def _expand(self, r_mask: int, r_size: int, p: int, classes: list[int]) -> Iterator[Iterator]:
         adj, bit, memo, cand = self.adj, self.bit, self.memo, p
         kmin = max(self.best_size - r_size, 0)  # clique k <= kmin cannot beat best
         while classes and r_size + kmin + len(classes) > self.best_size:
@@ -476,7 +490,7 @@ class _ColourSearch:
                     if self.nodes > self.budget:
                         raise BudgetExhausted
                     if kids := _greedy_clique_partition(adj, bit, nxt, self.best_size - r_size - 1):
-                        self._expand(r_mask | low, r_size + 1, nxt, kids)
+                        yield self._expand(r_mask | low, r_size + 1, nxt, kids)
                     else:  # settled here: alpha(nxt) <= its kmin
                         memo[nxt] = self.best_size - r_size - 1
                         if len(memo) > MEMO_MAX:
@@ -551,11 +565,10 @@ def _min_width_order(adj: list[int], comp: int) -> list[int]:
     return taken[::-1]
 
 
-def _colour_side(theta: int, size: int, room: int) -> bool:
+def _colour_side(theta: int, size: int) -> bool:
     """The engine rule: True sends a component of ``size`` vertices whose
-    greedy clique partition has ``theta`` cliques to the colour engine;
-    ``room`` is the frames the stack has left for its theta + 1 levels."""
-    return theta <= COLOUR_ENGINE_MAX_SHARE * size and theta < room
+    greedy clique partition has ``theta`` cliques to the colour engine."""
+    return theta <= COLOUR_ENGINE_MAX_SHARE * size
 
 
 def _theta_hat(adj: list[int], bit: list[int], comp: int,
@@ -579,24 +592,13 @@ def min_vertex_cover(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverR
     """Exact minimum vertex cover (disconnected and edgeless inputs allowed).
 
     A component goes to the colour engine when its greedy clique partition
-    has theta-hat <= ``COLOUR_ENGINE_MAX_SHARE`` of its order and the stack
-    has room for theta-hat + 1 more levels of recursion, and to branch and
-    reduce otherwise, whose root kernel goes to the frontier DP when it
+    has theta-hat <= ``COLOUR_ENGINE_MAX_SHARE`` of its order, and to branch
+    and reduce otherwise, whose root kernel goes to the frontier DP when it
     passes the frontier gate (see the module docstring for the components
-    that settle first).  When the node budget runs out the component
-    keeps its greedy cover and the result has ``proven_optimal=False``;
-    callers that need exactness read it through ``CoverResult.exact``.  A
-    search that outgrows ``sys.getrecursionlimit()`` raises
-    ``BudgetExhausted``.
+    that settle first).  When the node budget runs out the component keeps
+    its greedy cover and the result has ``proven_optimal=False``; callers
+    that need exactness read it through ``CoverResult.exact``.
     """
-    # frames left for the colour engine's levels: the limit, less the frames
-    # on the stack (this one included) and 12 for the partition that the
-    # deepest level calls from its loop, for its children, and calls made
-    # through C, which count towards the limit but hold no frame
-    depth, frame = 0, sys._getframe()
-    while frame:
-        depth, frame = depth + 1, frame.f_back
-    room = sys.getrecursionlimit() - depth - 12
     adj = list(g.adj)
     own, bit = [0, *adj], _bit_table(g.n)  # the graph's own rows, by bit length
     nodes = 0
@@ -614,7 +616,7 @@ def min_vertex_cover(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverR
             cover_mask |= greedy
             continue
         theta, by_id, by_theta = _theta_hat(adj, bit, comp, start.bit_count())
-        colour = _colour_side(theta, len(by_id[0]), room)
+        colour = _colour_side(theta, len(by_id[0]))
         ids, rows = by_theta if colour else by_id
         full = (1 << len(ids)) - 1
         indep = sum(1 << i for i, u in enumerate(ids) if start >> u & 1)
@@ -625,9 +627,6 @@ def min_vertex_cover(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> CoverR
         except BudgetExhausted:
             proven = False
             cover_mask |= greedy
-        except RecursionError:
-            raise BudgetExhausted("cover search outgrew the recursion limit of "
-                                  f"{sys.getrecursionlimit()} frames") from None
         nodes += engine.nodes
     outside = ((1 << g.n) - 1) & ~cover_mask
     for u in bits(outside):

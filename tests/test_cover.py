@@ -362,15 +362,10 @@ def id_order_rows(adj, comp):
     return ids, rows, cover._bit_table(len(ids)), (1 << len(ids)) - 1
 
 
-# the stack room the engine rule is given here, as ``min_vertex_cover`` finds
-# it under the default recursion limit: more than any theta-hat in these tests
-ROOM = 900
-
-
 def colour_side(g):
     """True iff the engine rule sends every component of g to the colour engine."""
     adj = list(g.adj)
-    sides = {cover._colour_side(theta_hat(adj, comp)[0], comp.bit_count(), ROOM)
+    sides = {cover._colour_side(theta_hat(adj, comp)[0], comp.bit_count())
              for comp in component_masks(g)}
     assert len(sides) == 1
     return sides.pop()
@@ -492,7 +487,7 @@ def dispatched_cover(g, node_budget, settle=True, certify=True):
             continue
         theta, by_id, by_theta = cover._theta_hat(adj, bit, comp,
                                                   start.bit_count() if certify else -1)
-        colour = cover._colour_side(theta, comp.bit_count(), ROOM)
+        colour = cover._colour_side(theta, comp.bit_count())
         ids, rows = by_theta if colour else by_id
         full = (1 << len(ids)) - 1
         engine = (cover._ColourSearch if colour else cover._CoverSearch)(
@@ -529,7 +524,7 @@ def certified_components(g):
         if comp & (comp - 1):
             _, rows, bit, full = id_order_rows(adj, comp)
             theta = len(cover._greedy_clique_partition(rows, bit, full))
-            if (cover._colour_side(theta, comp.bit_count(), ROOM)
+            if (cover._colour_side(theta, comp.bit_count())
                     and theta == (comp & ~cover._greedy_cover(adj, comp)).bit_count()):
                 out.append(comp)
     return out
@@ -564,7 +559,7 @@ def test_root_certificate_matches_the_colour_engine():
     for g in graphs:
         adj = list(g.adj)
         hits += len(certified_components(g))
-        colour += sum(cover._colour_side(theta_hat(adj, c)[0], c.bit_count(), ROOM)
+        colour += sum(cover._colour_side(theta_hat(adj, c)[0], c.bit_count())
                       for c in component_masks(g) if c & (c - 1))
         for budget in (*range(6), DEFAULT_NODE_BUDGET):
             res = min_vertex_cover(g, node_budget=budget)
@@ -629,12 +624,11 @@ def stack_depth():
     return depth
 
 
-def test_colour_side_fits_the_stack_it_has(monkeypatch):
+def test_colour_engine_runs_past_the_recursion_limit(monkeypatch):
     # from an empty start the colour engine dives to depth alpha = k on a
-    # chain of k triangles, one node a level.  Under a limit 150 frames above
-    # this one, every chain the rule leaves to the colour engine runs there
-    # in full, the longest within a few frames of the limit; one triangle
-    # more goes to branch and reduce, whose triangle rule solves it at the root
+    # chain of k triangles, one node a level.  Its frames live on a list, not
+    # the stack, so under a limit 150 frames above this one every chain runs
+    # there in full, the longest 149 levels deep: the stack picks no engine
     monkeypatch.setattr(cover, "_greedy_cover", lambda adj, comp: comp)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 150)
@@ -642,31 +636,28 @@ def test_colour_side_fits_the_stack_it_has(monkeypatch):
         runs = {k: min_vertex_cover(triangle_chain(k)) for k in range(120, 150)}
     finally:
         sys.setrecursionlimit(limit)
-    assert all(res.proven_optimal and res.size == 2 * k for k, res in runs.items())
-    fits = [k for k, res in runs.items() if res.nodes_explored == k]
-    assert fits == list(range(120, fits[-1] + 1)) and 130 <= fits[-1] < 149
-    assert all(runs[k].nodes_explored == 1 for k in range(fits[-1] + 1, 150))
+    assert all(res.proven_optimal and (res.size, res.nodes_explored) == (2 * k, k)
+               for k, res in runs.items())
 
 
-def test_reduce_past_the_stack_ends_budget_exhausted(capsys):
+def test_reduce_past_the_recursion_limit_spends_its_budget(capsys):
     # two_cycles(400, 1) takes branch and reduce 74 levels deep within 3,000
-    # nodes; under a limit 50 frames above this one the search outgrows the
-    # stack, and ends as a spent budget, in the library and through the CLI
+    # nodes; under a limit 50 frames above this one the search still spends
+    # its whole budget, in the library and through the CLI, as it does under
+    # the default limit
     g = two_cycles(400, 1)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 50)
     try:
-        with pytest.raises(BudgetExhausted, match="recursion limit"):
-            min_vertex_cover(g, node_budget=3000)
+        res = min_vertex_cover(g, node_budget=3000)
         code = cli_main(["compute", "alpha", to_graph6(g), "--node-budget", "3000"])
     finally:
         sys.setrecursionlimit(limit)
+    assert (res.size, res.nodes_explored, res.proven_optimal) == (244, 3001, False)
+    assert res == min_vertex_cover(g, node_budget=3000)
     assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: budget-exhausted: ") and "recursion limit" in err
-    assert err.count("\n") == 1
-    res = min_vertex_cover(g, node_budget=3000)
-    assert not res.proven_optimal and res.nodes_explored == 3001
+    assert capsys.readouterr().err == (
+        "error: budget-exhausted: cover search exhausted its node budget (3001 nodes)\n")
 
 
 def test_deterministic_witness(monkeypatch):
@@ -780,7 +771,7 @@ def test_colour_budget_on_a_random_sr_graph():
     sr = strong_resolving_graph(random_connected(100, 0.08, 1)).sr
     comp = max(component_masks(sr), key=int.bit_count)
     assert comp.bit_count() == 99
-    assert cover._colour_side(theta_hat(list(sr.adj), comp)[0], 99, ROOM)
+    assert cover._colour_side(theta_hat(list(sr.adj), comp)[0], 99)
     for budget in [*range(0, 341, 7), 340, 341]:
         res = min_vertex_cover(sr, node_budget=budget)
         assert res.proven_optimal == (budget >= 341)
@@ -812,7 +803,7 @@ def test_memo_never_holds_more_than_its_cap(monkeypatch):
     expand = cover._ColourSearch._expand
 
     def watched(self, *args):
-        expand(self, *args)
+        yield from expand(self, *args)
         sizes.append(len(self.memo))
 
     monkeypatch.setattr(cover._ColourSearch, "_expand", watched)

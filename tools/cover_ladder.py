@@ -25,11 +25,10 @@ out of nodes, and ``-`` a width where no kernel reached the DP (the
 reductions or the bound settled the root).  The engine rule's share
 (``COLOUR_ENGINE_MAX_SHARE``) and the frontier gate's width cap
 (``FRONTIER_MAX_WIDTH``) in ``strongdim.cover`` are fitted on this table;
-the rule's other half, the room left on the stack, is not, nor is the
-gate's other half, the root's own gap (the greedy cover less the clique
-bound).  The colour routes set the share to 1, which every component meets
-(each rung's theta-hat fits the stack), and the reduce and frontier routes
-set it to 0, which none does.
+the gate's other half, the root's own gap (the greedy cover less the clique
+bound), is not.  The colour routes set the share to 1, which every
+component meets, and the reduce and frontier routes set it to 0, which none
+does.
 """
 
 from __future__ import annotations
