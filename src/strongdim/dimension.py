@@ -1,5 +1,5 @@
 """Strong metric dimension: definitional checks, the SR-cover pipeline and
-the closed-form evaluators.
+the closed forms of the strong product laws.
 
 On a strong product G x H the definitional check runs on the factors' own
 distance matrices: d((u,v),(x,y)) = max(d_G(u,x), d_H(v,y)), so ball k of
@@ -7,7 +7,8 @@ distance matrices: d((u,v),(x,y)) = max(d_G(u,x), d_H(v,y)), so ball k of
 
 The closed forms are pure integer arithmetic kept apart from graph code, so
 the claim verifier can compare formula values against computed truth without
-circularity.
+circularity.  The paper's family corollaries are ``general_upper`` (or
+``c1_lower``) at the dim_s each family states.
 """
 
 from __future__ import annotations
@@ -385,48 +386,8 @@ def general_upper(n1: int, n2: int, dim_g: int, dim_h: int) -> int:
     return n2 * dim_g + n1 * dim_h - dim_g * dim_h
 
 
-def complete_factor(n1: int, n2: int, dim_h: int) -> int:
-    _check(n1 >= 2, "complete factor needs n1 >= 2")
-    return n2 * (n1 - 1) + n1 * dim_h - (n1 - 1) * dim_h
-
-
-def kpartite_factor(n1: int, n2: int, k: int, dim_h: int) -> int:
-    _check(2 <= k <= n1, "part count must be in [2, n1]")
-    return n2 * (n1 - k) + n1 * dim_h - (n1 - k) * dim_h
-
-
-def generalized_tree_factor(n1: int, n2: int, c: int, dim_h: int) -> int:
-    _check(0 <= c < n1, "cut vertex count must be in [0, n1)")
-    return n2 * (n1 - c - 1) + n1 * dim_h - (n1 - c - 1) * dim_h
-
-
-def tree_factor(n1: int, n2: int, leaves: int, dim_h: int) -> int:
-    _check(leaves >= 2, "a nontrivial tree has at least 2 leaves")
-    return n2 * (leaves - 1) + n1 * dim_h - (leaves - 1) * dim_h
-
-
-def antipodal_factor(n1: int, n2: int, dim_h: int) -> int:
-    _check(n1 % 2 == 0, "2-antipodal factor has even order")
-    return n2 * n1 // 2 + n1 * dim_h - (n1 // 2) * dim_h
-
-
-def grid_factor(n1: int, n2: int, dim_h: int) -> int:
-    _check(n1 >= 4, "grid factor needs at least 4 vertices")
-    return 3 * n2 + n1 * dim_h - 3 * dim_h
-
-
 def c1_lower(n1: int, n2: int, dim_g: int, dim_h: int) -> int:
     return n1 * (dim_h - 1) + dim_g * (n2 - dim_h + 1)
-
-
-def odd_cycle_lower(r: int, n: int, dim_h: int) -> int:
-    _check(r >= 1, "odd cycle parameter r must be >= 1")
-    return n * (r + 1) + r * (dim_h - 1)
-
-
-def odd_cycle_upper(r: int, n: int, dim_h: int) -> int:
-    _check(r >= 1, "odd cycle parameter r must be >= 1")
-    return n * (r + 1) + r * dim_h
 
 
 def odd_odd_lower(r: int, t: int) -> int:
@@ -438,7 +399,3 @@ def odd_odd_upper(r: int, t: int) -> int:
     _check(1 <= r <= t, "odd-odd bounds need 1 <= r <= t")
     return 3 * r * t + 2 * r + 2 * t + 1
 
-
-def c3_exact(t: int) -> int:
-    _check(t >= 1, "c3_exact needs t >= 1")
-    return 5 * t + 3

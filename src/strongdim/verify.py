@@ -572,17 +572,18 @@ def _clique_sizes(g: Graph) -> list[int] | None:
     return sorted(p.bit_count() for p in parts)
 
 
-def _family_check(env, g, h, shape_sizes, formula_value):
+def _family_check(env, g, h, shape_sizes):
     """Common body: SR(G) is a union of cliques of ``shape_sizes``, and the
-    dimension follows the closed form.  The report names the shape by the
+    dimension is ``general_upper`` at the dim_s(G) that shape states: beta of a
+    union of cliques is their number.  The report names the shape by the
     graph6 of those cliques, joined in the order given."""
     shape_ok = _clique_sizes(env.sr(g).sr) == sorted(shape_sizes)
+    expected = dim.general_upper(g.n, h.n, g.n - len(shape_sizes), env.dim_s(h))
     actual = env.dim_s(env.product("strong", g, h))
-    value_ok = actual == formula_value
-    outcome = "pass" if (shape_ok and value_ok) else "fail"
+    outcome = "pass" if (shape_ok and actual == expected) else "fail"
     shape = gr.disjoint_union([gr.complete(size) for size in shape_sizes])
     return _record(
-        env, g, h, outcome, formula_value, actual,
+        env, g, h, outcome, expected, actual,
         sr_shape_ok=shape_ok, sr_shape_g6=env.graph6(shape),
     )
 
@@ -593,8 +594,7 @@ def _family_check(env, g, h, shape_sizes, formula_value):
     _singleton_with_partners(lambda: [gr.complete(n) for n in (2, 3, 4, 5, 6)]),
 )
 def _check_cor_i(env: Env, g: Graph, h: Graph) -> dict:
-    expected = dim.complete_factor(g.n, h.n, env.dim_s(h))
-    return _family_check(env, g, h, [g.n], expected)
+    return _family_check(env, g, h, [g.n])
 
 
 @_claim(
@@ -607,9 +607,7 @@ def _check_cor_i(env: Env, g: Graph, h: Graph) -> dict:
     (lambda env, g, h: _multipartite_parts(g).count(1) <= 1, "more than one singleton part"),
 )
 def _check_cor_ii(env: Env, g: Graph, h: Graph) -> dict:
-    parts = _multipartite_parts(g)
-    expected = dim.kpartite_factor(g.n, h.n, len(parts), env.dim_s(h))
-    return _family_check(env, g, h, parts, expected)
+    return _family_check(env, g, h, _multipartite_parts(g))
 
 
 def _multipartite_parts(g: Graph) -> list[int] | None:
@@ -629,13 +627,12 @@ def _multipartite_parts(g: Graph) -> list[int] | None:
 )
 def _check_cor_iii(env: Env, g: Graph, h: Graph) -> dict:
     c = len(mt.cut_vertices(g))
-    expected = dim.generalized_tree_factor(g.n, h.n, c, env.dim_s(h))
-    rec = _family_check(env, g, h, [g.n - c] + [1] * c, expected)
-    if g.num_edges == g.n - 1:  # tree: the leaf form must agree
-        tree_value = dim.tree_factor(g.n, h.n, mt.leaf_count(g), env.dim_s(h))
-        if tree_value != expected:
+    rec = _family_check(env, g, h, [g.n - c] + [1] * c)
+    if g.num_edges == g.n - 1:  # tree: the leaf form, dim_s = l(G) - 1, must agree
+        tree_value = dim.general_upper(g.n, h.n, mt.leaf_count(g) - 1, env.dim_s(h))
+        if tree_value != rec["expected"]:
             rec["outcome"] = "fail"
-            rec["note"] = f"tree leaf form disagrees: {tree_value} != {expected}"
+            rec["note"] = f"tree leaf form disagrees: {tree_value} != {rec['expected']}"
     return rec
 
 
@@ -648,8 +645,7 @@ def _check_cor_iii(env: Env, g: Graph, h: Graph) -> dict:
     (lambda env, g, h: mt.is_two_antipodal(g), "factor is not 2-antipodal"),
 )
 def _check_cor_iv(env: Env, g: Graph, h: Graph) -> dict:
-    expected = dim.antipodal_factor(g.n, h.n, env.dim_s(h))
-    return _family_check(env, g, h, [2] * (g.n // 2), expected)
+    return _family_check(env, g, h, [2] * (g.n // 2))
 
 
 @_claim(
@@ -661,8 +657,7 @@ def _check_cor_iv(env: Env, g: Graph, h: Graph) -> dict:
     (lambda env, g, h: g.n > 4, "the 2x2 grid is 2-antipodal, not a K4-shape grid"),
 )
 def _check_cor_v(env: Env, g: Graph, h: Graph) -> dict:
-    expected = dim.grid_factor(g.n, h.n, env.dim_s(h))
-    return _family_check(env, g, h, [4] + [1] * (g.n - 4), expected)
+    return _family_check(env, g, h, [4] + [1] * (g.n - 4))
 
 
 # -- odd-cycle claims ---------------------------------------------------------
@@ -675,10 +670,9 @@ def _check_cor_v(env: Env, g: Graph, h: Graph) -> dict:
     (lambda env, g, h: _is_odd_cycle(g), "factor is not an odd cycle"),
 )
 def _check_oddcycle_bounds(env: Env, g: Graph, h: Graph) -> dict:
-    r = (g.n - 1) // 2
-    dh = env.dim_s(h)
-    lo = dim.odd_cycle_lower(r, h.n, dh)
-    hi = dim.odd_cycle_upper(r, h.n, dh)
+    # SR(C_(2r+1)) is C_(2r+1), a C1-graph: r cliques and a singleton, dim_s r + 1
+    dg, dh = (g.n + 1) // 2, env.dim_s(h)
+    lo, hi = dim.c1_lower(g.n, h.n, dg, dh), dim.general_upper(g.n, h.n, dg, dh)
     actual = env.dim_s(env.product("strong", g, h))
     ok = lo <= actual <= hi
     return _record(env, g, h, "pass" if ok else "fail", [lo, hi], actual)
@@ -736,7 +730,7 @@ def _check_odd_odd_bounds(env: Env, g: Graph, h: Graph) -> dict:
     (lambda env, g, h: g == gr.cycle(3) and _is_odd_cycle(h), "needs C_3 and an odd cycle"),
 )
 def _check_remark_c3(env: Env, g: Graph, h: Graph) -> dict:
-    expected = dim.c3_exact((h.n - 1) // 2)
+    expected = dim.odd_odd_upper(1, (h.n - 1) // 2)  # the odd-odd bounds meet at r = 1
     actual = env.dim_s(env.product("strong", g, h))
     return _record(env, g, h, "pass" if actual == expected else "fail", expected, actual)
 

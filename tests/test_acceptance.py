@@ -14,7 +14,7 @@ import pytest
 
 from strongdim.cli import main as cli_main
 from strongdim.cover import min_vertex_cover
-from strongdim.dimension import strong_metric_dimension
+from strongdim.dimension import general_upper, strong_metric_dimension
 from strongdim.graph import (
     complete,
     cycle,
@@ -195,7 +195,8 @@ def test_finding_grid_family_corrected_law(env):
     For Cartesian grids with both sides >= 2 the SR graph is two diagonal
     corner edges plus isolated vertices (the four corners do not form a K4:
     a same-side corner has a perpendicular neighbor strictly farther away),
-    so dim_s(grid) = 2 and the product rule uses coefficient 2, not 3.
+    so dim_s(grid) = 2 and the product law ``general_upper`` holds at 2,
+    not at the stated 3.
     """
     partners = [complete(2), path(3), complete(3), path(4), cycle(5)]
     grids = [grid(a, b) for a, b in ((2, 3), (2, 4), (3, 3), (3, 4), (4, 4))]
@@ -205,11 +206,11 @@ def test_finding_grid_family_corrected_law(env):
         assert graphs_isomorphic(srg.sr, shape)
         assert strong_metric_dimension(g).dim == 2
         dim_h = env.dim_s(h)
-        corrected = 2 * h.n + g.n * dim_h - 2 * dim_h
+        corrected = general_upper(g.n, h.n, 2, dim_h)
         actual = env.dim_s(env.product("strong", g, h))
         assert actual == corrected
-        # the stated coefficient-3 form overshoots by (h.n - dim_h)
-        stated = 3 * h.n + g.n * dim_h - 3 * dim_h
+        # the stated form, at dim_s(grid) = 3, overshoots by (h.n - dim_h)
+        stated = general_upper(g.n, h.n, 3, dim_h)
         assert stated - actual == h.n - dim_h > 0
 
 

@@ -17,25 +17,16 @@ from strongdim.cover import (
 )
 from strongdim.dimension import (
     DimensionResult,
-    antipodal_factor,
     c1_lower,
-    c3_exact,
-    complete_factor,
     general_lower,
     general_upper,
-    generalized_tree_factor,
-    grid_factor,
     is_strong_generator,
-    kpartite_factor,
-    odd_cycle_lower,
-    odd_cycle_upper,
     odd_odd_lower,
     odd_odd_upper,
     product_dimension,
     product_sr_graph,
     sr_cover_dimension,
     strong_metric_dimension,
-    tree_factor,
 )
 from strongdim.graph import (
     bits,
@@ -736,14 +727,15 @@ def test_factor_route_rejects_bad_factors():
 
 
 def test_product_dimension_at_benchmark_scale():
-    # the benchmark's product ladder against the paper's closed forms; every
+    # the benchmark's product ladder against the paper's closed forms, at
+    # dim_s(P) = 1, dim_s(C12) = 6, dim_s(K6) = 5 and dim_s(C21) = 11; every
     # rung is certified from its factors, so no product-sized cover runs
     cases = [
-        (path(30), path(30), (tree_factor(30, 30, 2, 1),) * 2),
-        (path(18), path(48), (tree_factor(18, 48, 2, 1),) * 2),
-        (cycle(12), path(50), (antipodal_factor(12, 50, 1),) * 2),
-        (complete(6), path(60), (complete_factor(6, 60, 1),) * 2),
-        (cycle(21), path(8), (odd_cycle_lower(10, 8, 1), odd_cycle_upper(10, 8, 1))),
+        (path(30), path(30), (general_upper(30, 30, 1, 1),) * 2),
+        (path(18), path(48), (general_upper(18, 48, 1, 1),) * 2),
+        (cycle(12), path(50), (general_upper(12, 50, 6, 1),) * 2),
+        (complete(6), path(60), (general_upper(6, 60, 5, 1),) * 2),
+        (cycle(21), path(8), (c1_lower(21, 8, 11, 1), general_upper(21, 8, 11, 1))),
     ]
     for g, h, (lo, hi) in cases:
         res, orders = _covered_orders(g, h)
@@ -759,7 +751,7 @@ def test_product_dimension_of_a_long_odd_cycle_strip():
     g, h = cycle(5), path(200)
     res, orders = _covered_orders(g, h)
     assert orders == [5, 200]
-    assert res.dim == odd_cycle_upper(2, 200, 1) == 602
+    assert res.dim == general_upper(5, 200, 3, 1) == 602
     assert len(res.basis) == res.dim
     with patch.object(cover, "_frontier_mis", wraps=cover._frontier_mis) as dp:
         searched = min_vertex_cover(predicted_mmd_edges(g, h).graph)
@@ -825,21 +817,21 @@ def test_dimension_two_routes_agree():
 
 
 def test_formula_spot_values():
-    assert c3_exact(2) == 13
-    assert c3_exact(1) == 8
-    assert odd_odd_lower(1, 1) == odd_odd_upper(1, 1) == 8
+    # each family is the law at the dim_s the paper states for it
+    assert odd_odd_upper(1, 2) == 13  # C3 x C5
+    assert odd_odd_lower(1, 1) == odd_odd_upper(1, 1) == 8  # C3 x C3
     assert odd_odd_upper(2, 3) == 29
     assert general_upper(2, 3, 1, 1) == 4
     assert general_lower(3, 5, 2, 1) == 10
     assert general_upper(3, 5, 2, 1) == 11
-    assert tree_factor(4, 3, 2, 1) == 6
-    assert antipodal_factor(6, 3, 1) == 12
-    assert grid_factor(9, 2, 1) == 12
-    assert complete_factor(4, 3, 1) == 10
-    assert kpartite_factor(5, 3, 2, 1) == 11
-    assert generalized_tree_factor(5, 3, 1, 1) == 11
-    assert odd_cycle_lower(2, 4, 1) == 12
-    assert odd_cycle_upper(2, 4, 1) == 14
+    assert general_upper(4, 3, 1, 1) == 6  # tree with 2 leaves: l - 1
+    assert general_upper(6, 3, 3, 1) == 12  # 2-antipodal of order 6: n/2
+    assert general_upper(9, 2, 3, 1) == 12  # 3x3 grid as stated: 3
+    assert general_upper(4, 3, 3, 1) == 10  # K4: n - 1
+    # K_(p,q) on 5 vertices (n - 2); a generalized tree with one cut vertex (n - c - 1)
+    assert general_upper(5, 3, 3, 1) == 11
+    assert c1_lower(5, 4, 3, 1) == 12  # C5: r + 1
+    assert general_upper(5, 4, 3, 1) == 14
     assert c1_lower(5, 5, 3, 3) == 19
 
 
@@ -853,7 +845,3 @@ def test_formula_matches_computation():
 def test_formula_domain_errors():
     with pytest.raises(ValueError):
         odd_odd_lower(3, 2)
-    with pytest.raises(ValueError):
-        antipodal_factor(5, 3, 1)
-    with pytest.raises(ValueError):
-        c3_exact(0)

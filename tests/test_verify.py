@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from strongdim import cover, dimension, graph, products, resolving, verify
 from strongdim.graph import (
     complete,
+    complete_multipartite,
     cycle,
     disjoint_union,
     graphs_isomorphic,
@@ -342,15 +343,30 @@ def test_clique_sizes_match_isomorphism(sizes, data):
     assert (_clique_sizes(g) == sorted(sizes)) == graphs_isomorphic(g, shape)
 
 
-@pytest.mark.parametrize("claim_id,g,shape_ok,outcome", [
-    ("cor-cgraphs-iv", cycle(18), True, "pass"),  # SR(C18): nine disjoint edges
-    ("cor-cgraphs-i", complete(17), True, "pass"),
-    ("cor-cgraphs-v", grid(3, 6), False, "fail"),  # two corner edges, not K4
+@pytest.mark.parametrize("claim_id,g,shape_ok,outcome,expected", [
+    ("cor-cgraphs-iv", cycle(18), True, "pass", 27),  # SR(C18): nine disjoint edges
+    ("cor-cgraphs-i", complete(17), True, "pass", 33),
+    ("cor-cgraphs-v", grid(3, 6), False, "fail", 21),  # two corner edges, not K4; actual 20
 ])
-def test_family_shape_above_sixteen_vertices(claim_id, g, shape_ok, outcome):
+def test_family_shape_above_sixteen_vertices(claim_id, g, shape_ok, outcome, expected):
     # the SR shape is read as clique components, so no order cap applies
     rec = replay_instance(claim_id, {"g6_g": to_graph6(g), "g6_h": to_graph6(complete(2))})
-    assert (rec["sr_shape_ok"], rec["outcome"]) == (shape_ok, outcome)
+    assert (rec["sr_shape_ok"], rec["outcome"], rec["expected"]) == (shape_ok, outcome, expected)
+
+
+@pytest.mark.parametrize("claim_id,g,h,expected", [
+    ("cor-cgraphs-ii", complete_multipartite([3, 3, 3]), path(3), 21),
+    ("cor-cgraphs-iii", path(7), cycle(5), 23),
+    ("thm-oddcycle-bounds", cycle(7), cycle(8), [41, 44]),
+    ("thm-oddcycle-bounds", cycle(9), complete(5), [37, 41]),
+    ("remark-c3", cycle(3), cycle(13), 33),
+    ("thm-odd-odd-bounds", cycle(5), cycle(7), [28, 29]),
+])
+def test_stated_forms_outside_the_corpus(claim_id, g, h, expected):
+    # the paper's printed values on instances the seed-42 corpus does not hold;
+    # dim_s(H) > 1 separates the C1-graph lower bound from general_lower
+    rec = replay_instance(claim_id, {"g6_g": to_graph6(g), "g6_h": to_graph6(h)})
+    assert (rec["outcome"], rec["expected"]) == ("pass", expected)
 
 
 def test_json_shape(small_reports):
