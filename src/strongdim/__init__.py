@@ -31,7 +31,6 @@ from .graph import (
     from_graph6,
     generalized_tree,
     generate,
-    graphs_isomorphic,
     grid,
     make_graph,
     path,

@@ -53,7 +53,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _node_budget(text: str) -> int:
     """The ``--node-budget`` type: a count of search nodes, 0 or more."""
-    budget = int(text)
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number") from None
     if budget < 0:
         raise argparse.ArgumentTypeError(f"{budget} is below 0")
     return budget
@@ -123,8 +126,6 @@ def _compute_one(what: str, g: Graph, budget: int) -> dict:
         theta, parts = cov.clique_cover_number(g, budget)
         out["value"] = theta
         out["parts"] = [list(gr.bits(p)) for p in parts]
-    else:
-        raise CliError(f"unknown compute target {what!r}")
     return out
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "generate",
     "disjoint_union",
     "complement",
-    "graphs_isomorphic",
     "from_graph6",
     "to_graph6",
     "to_dot",
@@ -35,7 +34,6 @@ __all__ = [
 ]
 
 RANDOM_CONNECTED_RETRY_CAP = 10_000
-ISOMORPHISM_SIZE_CAP = 16
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -297,57 +295,6 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
     return Graph(g.n, [full ^ mask ^ (1 << u) for u, mask in enumerate(g.adj)])
-
-
-# ---------------------------------------------------------------------------
-# isomorphism (desk scale only)
-# ---------------------------------------------------------------------------
-
-
-def graphs_isomorphic(a: Graph, b: Graph) -> bool:
-    """Exact isomorphism test by backtracking over degree classes.
-
-    Intended for small graphs (SR shapes of factors); raises ValueError above
-    ``ISOMORPHISM_SIZE_CAP`` vertices so callers fall back to shape summaries.
-    """
-    if a.n != b.n or a.num_edges != b.num_edges:
-        return False
-    if a.n > ISOMORPHISM_SIZE_CAP:
-        raise ValueError(f"isomorphism check capped at {ISOMORPHISM_SIZE_CAP} vertices")
-    ca = [a.degree(u) for u in range(a.n)]
-    cb = [b.degree(x) for x in range(b.n)]
-    if sorted(ca) != sorted(cb):
-        return False
-
-    n = a.n
-    order = sorted(range(n), key=lambda u: (ca.count(ca[u]), ca[u], u))
-    mapping = [-1] * n
-    used = 0
-
-    def extend(pos: int) -> bool:
-        nonlocal used
-        if pos == n:
-            return True
-        u = order[pos]
-        for x in range(n):
-            if (used >> x) & 1 or cb[x] != ca[u]:
-                continue
-            ok = True
-            for q in range(pos):
-                v = order[q]
-                if a.has_edge(u, v) != b.has_edge(x, mapping[v]):
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = x
-                used |= 1 << x
-                if extend(pos + 1):
-                    return True
-                used ^= 1 << x
-                mapping[u] = -1
-        return False
-
-    return extend(0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Callable, Iterable
 
 from . import cover as cov
@@ -84,21 +85,28 @@ class CorpusSpec:
 def _all_connected_upto(n_max: int) -> tuple[Graph, ...]:
     """All connected graphs with 2 <= n <= n_max, one per isomorphism class.
 
-    Cached per process: it depends on n_max alone, not on the corpus seed."""
+    One sweep over the edge masks in increasing order: an unseen mask is the
+    least of its class, so every relabelling of it is marked seen, and it is
+    kept if connected, as every member of its class then is.  Cached per
+    process: it depends on n_max alone, not on the corpus seed."""
     out: list[Graph] = []
     for n in range(2, n_max + 1):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        reps: dict[tuple, list[Graph]] = {}
-        for mask in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-            g = gr.make_graph(n, edges)
-            if not mt.is_connected(g):
+        index = {pair: i for i, pair in enumerate(pairs)}
+        # per relabelling p, the image bit of each pair's bit
+        images = [[1 << index[min(p[u], p[v]), max(p[u], p[v])] for u, v in pairs]
+                  for p in permutations(range(n))]
+        seen = bytearray(1 << len(pairs))
+        found = []
+        for mask in range(len(seen)):
+            if seen[mask]:
                 continue
-            key = (g.num_edges, g.degree_sequence())
-            bucket = reps.setdefault(key, [])
-            if not any(gr.graphs_isomorphic(g, r) for r in bucket):
-                bucket.append(g)
-        found = [g for bucket in reps.values() for g in bucket]
+            edges = [i for i in range(len(pairs)) if mask >> i & 1]
+            for image in images:
+                seen[sum([image[i] for i in edges])] = 1
+            g = gr.make_graph(n, [pairs[i] for i in edges])
+            if mt.is_connected(g):
+                found.append(g)
         found.sort(key=gr.to_graph6)
         out.extend(found)
     return tuple(out)

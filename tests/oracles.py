@@ -25,7 +25,11 @@ column's tail or of its own row's tail (``strongdim.dimension._product_hulls``).
 on a complement, which the package itself never builds.  ``edge_list_form``
 is the plain list that a ``strongdim.jsonout.EdgeList`` stands for, read
 bit by bit off every pair of rows, where the JSON writer walks each row's
-set bits and writes the text directly.
+set bits and writes the text directly.  ``graphs_isomorphic`` backtracks
+over degree classes for the tests that compare graphs up to relabelling;
+the package's exhaustive corpus sweeps relabelling orbits of edge masks
+instead (``strongdim.verify._all_connected_upto``) and never tests
+isomorphism.
 """
 
 import math
@@ -155,6 +159,41 @@ def max_clique(g: Graph) -> frozenset[int]:
         return frozenset()
     search = cover._ColourSearch([0, *complement(g).adj], cover._bit_table(g.n), math.inf)
     return frozenset(bits(search.run((1 << g.n) - 1, 1)))
+
+
+def graphs_isomorphic(a: Graph, b: Graph) -> bool:
+    """Exact isomorphism test by backtracking over degree classes."""
+    if a.n != b.n or a.num_edges != b.num_edges:
+        return False
+    ca = [a.degree(u) for u in range(a.n)]
+    cb = [b.degree(x) for x in range(b.n)]
+    if sorted(ca) != sorted(cb):
+        return False
+
+    n = a.n
+    order = sorted(range(n), key=lambda u: (ca.count(ca[u]), ca[u], u))
+    mapping = [-1] * n
+    used = 0
+
+    def extend(pos: int) -> bool:
+        nonlocal used
+        if pos == n:
+            return True
+        u = order[pos]
+        for x in range(n):
+            if (used >> x) & 1 or cb[x] != ca[u]:
+                continue
+            if all(a.has_edge(u, order[q]) == b.has_edge(x, mapping[order[q]])
+                   for q in range(pos)):
+                mapping[u] = x
+                used |= 1 << x
+                if extend(pos + 1):
+                    return True
+                used ^= 1 << x
+                mapping[u] = -1
+        return False
+
+    return extend(0)
 
 
 def brute_min_cover(g: Graph) -> int:

@@ -19,7 +19,6 @@ from strongdim.graph import (
     complete,
     cycle,
     disjoint_union,
-    graphs_isomorphic,
     grid,
     make_graph,
     path,
@@ -29,7 +28,7 @@ from strongdim.products import product
 from strongdim.resolving import predicted_mmd_edges, strong_resolving_graph
 from strongdim.verify import Corpus, CorpusSpec, Env, verify_claim
 
-from oracles import brute_force_dimension, brute_min_cover
+from oracles import brute_force_dimension, brute_min_cover, graphs_isomorphic
 
 
 DEFAULT = CorpusSpec()

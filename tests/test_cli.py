@@ -17,7 +17,6 @@ from strongdim.graph import (
     disjoint_union,
     from_graph6,
     generate,
-    graphs_isomorphic,
     make_graph,
     path,
     random_connected,
@@ -27,7 +26,7 @@ from strongdim.products import coordinate_labels, product, strong_factors
 from strongdim.resolving import strong_resolving_graph
 from strongdim.verify import _all_connected_upto
 
-from oracles import bfs_balls, edge_list_form, per_source_hulls
+from oracles import bfs_balls, edge_list_form, graphs_isomorphic, per_source_hulls
 from test_dimension import assert_minimum_basis
 from test_products import LARGE_PRODUCTS, _relabelled
 
@@ -762,9 +761,10 @@ def test_verify_exhaustive_n_cap_names_the_option(capsys):
 ])
 def test_negative_node_budget_is_a_usage_error(capsys, monkeypatch, argv):
     monkeypatch.setattr(verify, "Corpus", None)  # refused before any corpus
-    code, out, err = run_cli(capsys, *argv, "--node-budget", "-1")
-    assert (code, out) == (1, "")
-    assert err == "error: argument --node-budget: -1 is below 0\n"
+    for value, message in (("-1", "-1 is below 0"), ("abc", "'abc' is not a whole number")):
+        code, out, err = run_cli(capsys, *argv, "--node-budget", value)
+        assert (code, out) == (1, "")
+        assert err == f"error: argument --node-budget: {message}\n"
     if argv[0] == "compute":  # a budget of 0 is a budget that runs out
         assert run_cli(capsys, *argv, "--node-budget", "0")[0] == 3
 
@@ -793,11 +793,18 @@ def test_two_graph_sources_are_a_usage_error(capsys, argv):
     (["compute", "dim-s", "--gen", "Bw"], "generator spec 'Bw' is missing ':'"),
     (["compute", "dim-s", "--gen", "-"], "generator spec '-' is missing ':'"),
     (["compute", "dim-s", "--gen", "@graphs.txt"], "generator spec '@graphs.txt' is missing ':'"),
+    (["product", "foo", "path:3", "path:3"], "unknown product kind 'foo'"),
+    (["product", "strong", "@two.txt", "path:3"], "expected exactly one graph for this command"),
+    (["compute", "dim-s", "@empty.txt"], "no graph6 lines in empty.txt"),
 ])
-def test_usage_error_exits_1_not_the_counterexample_code(capsys, monkeypatch, argv, names):
+def test_usage_error_exits_1_not_the_counterexample_code(capsys, monkeypatch, tmp_path, argv,
+                                                         names):
     import io
 
     monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(cycle(5)) + "\n"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two.txt").write_text("Bw\nBw\n", encoding="ascii")
+    (tmp_path / "empty.txt").write_text("", encoding="ascii")
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongdim.graph import (
-    ISOMORPHISM_SIZE_CAP,
     Graph,
     bits,
     complement,
@@ -18,7 +17,6 @@ from strongdim.graph import (
     from_graph6,
     generalized_tree,
     generate,
-    graphs_isomorphic,
     grid,
     make_graph,
     path,
@@ -35,6 +33,8 @@ from strongdim.metrics import (
 )
 from strongdim.products import product
 from strongdim.resolving import strong_resolving_graph
+
+from oracles import graphs_isomorphic
 
 
 def random_graph_strategy(max_n=10, min_n=0):
@@ -142,6 +142,22 @@ def test_generalized_tree_two_triangles():
 def test_generalized_tree_rejects_small_blocks():
     with pytest.raises(ValueError):
         generalized_tree([3, 1], seed=0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: path(0), "path needs n >= 1"),
+    (lambda: complete(0), "complete needs n >= 1"),
+    (lambda: complete_multipartite([3]), "complete_multipartite needs at least 2 parts"),
+    (lambda: complete_multipartite([2, 0]), "part sizes must be positive"),
+    (lambda: grid(0, 3), "grid needs positive dimensions"),
+    (lambda: star(1), "star needs n >= 2"),
+    (lambda: random_connected(0, 0.5, 1), "random_connected needs n >= 1"),
+    (lambda: random_connected(5, 0.0, 1), r"edge probability must be in \(0, 1\]"),
+    (lambda: generalized_tree([], 0), "generalized_tree needs at least one block"),
+])
+def test_family_constructors_refuse_bad_parameters(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_random_connected_is_connected_and_reproducible():
@@ -254,14 +270,6 @@ def test_isomorphic_classics():
     perm = [3, 7, 0, 9, 4, 1, 8, 2, 6, 5]
     relabelled = make_graph(10, [(perm[u], perm[v]) for u, v in petersen.edges()])
     assert graphs_isomorphic(petersen, relabelled)
-
-
-def test_isomorphism_respects_size_cap():
-    n = ISOMORPHISM_SIZE_CAP + 1
-    with pytest.raises(ValueError, match=f"capped at {ISOMORPHISM_SIZE_CAP} vertices"):
-        graphs_isomorphic(complete(n), complete(n))
-    # different sizes short-circuit before the cap check
-    assert not graphs_isomorphic(complete(n), complete(n + 1))
 
 
 def brute_isomorphic(a, b):
@@ -474,6 +482,8 @@ def test_graph6_error_cases():
         from_graph6("~~~~~~~~")  # >= 2^18 vertices
     with pytest.raises(ValueError):
         from_graph6("~??@")      # small order written in the long form
+    with pytest.raises(ValueError, match="graph6 encoding supported for n < 262144"):
+        to_graph6(Graph(1 << 18, [0] * (1 << 18)))
 
 
 def test_graph6_nonzero_padding_rejected():

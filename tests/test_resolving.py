@@ -10,7 +10,6 @@ from strongdim.graph import (
     complete_multipartite,
     cycle,
     disjoint_union,
-    graphs_isomorphic,
     grid,
     make_graph,
     path,
@@ -25,7 +24,13 @@ from strongdim.resolving import (
     strong_resolving_graph,
 )
 
-from oracles import bfs_rows, distance_rows, is_maximally_distant, mutually_maximally_distant
+from oracles import (
+    bfs_rows,
+    distance_rows,
+    graphs_isomorphic,
+    is_maximally_distant,
+    mutually_maximally_distant,
+)
 from test_graph import connected_graph_strategy
 
 

@@ -16,7 +16,6 @@ from strongdim.graph import (
     complete_multipartite,
     cycle,
     disjoint_union,
-    graphs_isomorphic,
     grid,
     make_graph,
     path,
@@ -40,6 +39,7 @@ from strongdim.verify import (
     verify_claim,
 )
 
+from oracles import graphs_isomorphic
 from test_cli import _patch_everywhere
 from test_cover import stack_depth
 
@@ -258,6 +258,8 @@ def test_replay_flags_tampered_record():
     assert replayed["expected"] == 13
     assert replayed["actual"] == 13
     assert replayed != record
+    with pytest.raises(ValueError, match="unknown claim id 'nope'"):
+        replay_instance("nope", record)
 
 
 @pytest.mark.parametrize("claim_id,g,h", [
@@ -500,6 +502,33 @@ def test_recognition_spends_the_run_budget():
     assert rep.inconclusive == len(rep.instances) >= 1
     assert {rec["note"] for rec in rep.instances} == {
         "cover search exhausted its node budget (1 nodes)"}
+
+
+def test_lemma_mmd_reports_a_dropped_edge(monkeypatch):
+    # a prediction one edge short is a counterexample whose record names the
+    # pair: the first pair is K2 x K2, whose SR graph is K4
+    original = resolving.predicted_mmd_edges
+
+    def drop_first_edge(g, h):
+        predicted = original(g, h)
+        u, v = predicted.graph.edges()[0]
+        adj = list(predicted.graph.adj)
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+        return predicted._replace(graph=graph.Graph(len(adj), adj))
+
+    _patch_everywhere(monkeypatch, original, drop_first_edge)
+    rep = verify_claim("lemma-mmd", Corpus(SMALL))
+    assert rep.status == "counterexample"
+    first = rep.instances[0]
+    assert first["outcome"] == "fail"
+    assert first["differing_pairs"] == [[0, 1]]
+
+
+def test_lemma_cgraph_skips_every_factor_over_the_recognition_cap():
+    rep = verify_claim("lemma-cgraph", Corpus(replace(SMALL, recognition_cap=1)))
+    assert (rep.status, rep.instances_checked, rep.skipped) == ("skipped_precondition", 0, 17)
+    assert {rec["note"] for rec in rep.instances} == {"factor exceeds the recognition cap"}
 
 
 def test_replay_reproduces_an_inconclusive_record():
