@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .cover import DEFAULT_NODE_BUDGET, CoverResult, c_graph_partition, min_vertex_cover
 from .graph import Graph, bits
 from .metrics import DistanceMatrix, all_pairs_distances
-from .products import _stride
+from .products import PRODUCT_KINDS, _rows, _stride
 from .resolving import PredictedSR, predicted_mmd_edges, strong_resolving_graph
 
 __all__ = [
@@ -301,6 +301,13 @@ def _factor_prediction(kind: str, g: Graph, h: Graph) -> PredictedSR | None:
     return None
 
 
+def _plain_product(kind: str, g: Graph, h: Graph, prod: Graph) -> Graph:
+    """``prod``, confirmed row by row to be ``product(kind, g, h)``, or ValueError."""
+    _check(kind in PRODUCT_KINDS and prod.adj == tuple(_rows(kind, g.adj, h.adj, g.n)),
+           f"prod is not the {kind} product of g and h")
+    return prod
+
+
 def _factor_certificate(sr: Graph, node_budget: int) -> tuple[int, int, bool]:
     """(I, nodes, certified) for a factor's SR graph ``sr``: a maximum
     independent set I, as a mask; the cover nodes spent; and whether
@@ -330,13 +337,13 @@ def product_dimension(
     the whole SR graph, with the node budget the factor covers left, which
     also bounds each factor's partition search.  Either way the witness is
     checked definitionally against ``prod``, which must be
-    ``product(kind, g, h)``: on the factor route the check reads the
-    factors' edge-difference classes from their balls and raises
-    ``AssertionError`` unless the classes give every row of ``prod``.
+    ``product(kind, g, h)``: the plain route raises ValueError otherwise, and
+    the factor route reads the factors' edge-difference classes from their
+    balls and raises ``AssertionError`` unless they give every row of ``prod``.
     """
     pred = _factor_prediction(kind, g, h)
     if pred is None:
-        return strong_metric_dimension(prod, node_budget)
+        return strong_metric_dimension(_plain_product(kind, g, h, prod), node_budget)
     ind_g, spent, cert_g = _factor_certificate(pred.sr_g, node_budget)
     ind_h, spent_h, cert_h = _factor_certificate(pred.sr_h, node_budget - spent)
     spent += spent_h
@@ -351,9 +358,7 @@ def product_dimension(
 def product_sr_graph(kind: str, g: Graph, h: Graph, *, prod: Graph) -> Graph:
     """SR graph of the ``kind`` product of g and h, on ``product_dimension``'s route."""
     pred = _factor_prediction(kind, g, h)
-    if pred is not None:
-        return pred.graph
-    return strong_resolving_graph(prod).sr
+    return pred.graph if pred else strong_resolving_graph(_plain_product(kind, g, h, prod)).sr
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,13 @@
 """Mutually-maximally-distant machinery: boundary, strong resolving graph
-(its rows taken from the distance-ball pass in ``metrics``), and the
-factor-level prediction of MMD pairs in a strong product, which evaluates
-only factor distances and factor MMD relations --- no BFS on the product ---
-so comparing it against the directly computed strong resolving graph of the
-product is a genuine two-route check.
+(its rows taken from the distance-ball pass in ``metrics``), and the MMD
+pairs of a strong product predicted from factor distances and factor MMD
+relations alone, with no BFS on the product: a genuine second route to the
+product's directly computed strong resolving graph.
 """
 
 from __future__ import annotations
 
-from operator import add, and_, xor
+from operator import and_, xor
 from typing import NamedTuple
 
 from .graph import Graph, _transpose
@@ -93,49 +92,45 @@ def _partners_at(dm: DistanceMatrix, sr: list[int]) -> dict[int, list[int]]:
     return out
 
 
-def predicted_mmd_edges(g: Graph, h: Graph) -> PredictedSR:
-    """Predicted MMD edge set of the strong product, from factor data alone.
+def _tagged(at: dict[int, list[int]], dm: DistanceMatrix, sr: list[int]) -> int:
+    """Sum over d of one factor's SR edges at distance d, read from ``at``, times
+    the other's ordered pairs (w, z) with 0 < d(w, z) < d that are not MMD."""
+    return sum(sum(map(int.bit_count, ws)) // 2 * sum(
+        (dm.ball(w, d - 1) & ~(p | 1 << w)).bit_count() for w, p in enumerate(sr))
+        for d, ws in at.items())
 
-    The lemma's conditions on (u,v), (x,y), in order: 1. u,x and v,y MMD;
-    2. u,x MMD, v = y; 3. v,y MMD, u = x; 4. u,x MMD, d_H(v,y) < d_G(u,x);
-    5. v,y MMD, d_G(u,x) < d_H(v,y).  Row (u,v) is the union of one disjoint
-    mask per condition over u*n2+v ids; ``_stride`` spreads a G-side mask to
-    them, and times an H-side mask (below 2^n2) places it with no carries.
+
+def predicted_mmd_edges(g: Graph, h: Graph) -> PredictedSR:
+    """Predicted MMD edge set of the strong product, from factor data alone:
+    with D = max(d_G(u,x), d_H(v,y)), (u,v) and (x,y) are MMD iff every
+    coordinate at distance D is MMD in its factor.  With P_F(w,d) w's partners
+    at distance d, row (u,v) sums over d stride(P_G(u,d)) * (P_H(v,d) |
+    B_H(v,d-1)), G's coordinate at D = d, and stride(B_G(u,d-1)) * P_H(v,d),
+    H's alone at D = d: disjoint masks over u*n2+v ids.  The lemma's five
+    conditions, by which ``histogram`` counts the edges from the factors, are
+    the rule's cases: 1. u,x and v,y MMD; 2. u,x MMD, v = y; 3. v,y MMD, u = x;
+    4. u,x MMD, d_H(v,y) < d_G(u,x); 5. v,y MMD, d_G(u,x) < d_H(v,y).
     """
-    dms = []
+    dms, sr_graphs = [], []
     for name, f in (("g", g), ("h", h)):
         if f.n < 2:
             raise ValueError(f"factor {name} must be nontrivial (n >= 2)")
         dms.append(dm := all_pairs_distances(f))
         if not dm.connected():
             raise ValueError(f"factor {name} must be connected")
-    dm_g, dm_h = dms
-    sr_graphs = [strong_resolving_graph(f, dm).sr for f, dm in ((g, dm_g), (h, dm_h))]
-    sr_g, sr_h = (sr.adj for sr in sr_graphs)
+        sr_graphs.append(strong_resolving_graph(f, dm).sr)
+    (dm_g, dm_h), (sr_g, sr_h) = dms, (sr.adj for sr in sr_graphs)
     n1, n2 = g.n, h.n
-    g_at = _partners_at(dm_g, sr_g)
-    h_at = _partners_at(dm_h, sr_h)
-    # d -> for each v, the vertices within d - 1 of v that are neither v nor its partners
-    h_near = {d: [dm_h.ball(v, d - 1) & ~(p | 1 << v) for v, p in enumerate(sr_h)]
-              for d in g_at}
-    counts = [0] * 5
+    g_at, h_at = _partners_at(dm_g, sr_g), _partners_at(dm_h, sr_h)
+    # (G side by u, H side by v) of each term of the rule's two sums
+    terms = [(xs, [dm_h.ball(v, d - 1) | p & dm_h.ball(v, d) for v, p in enumerate(sr_h)])
+             for d, xs in g_at.items()]
+    terms += [([dm_g.ball(u, d - 1) for u in range(n1)], ys) for d, ys in h_at.items()]
     pred = []
-    for u in range(n1):  # the rows (u, v) for every v, one list per condition
-        s_u = _stride(sr_g[u], n2)
-        g_rest = ~(sr_g[u] | 1 << u)
-        c4 = c5 = [0] * n2
-        for d, xs in g_at.items():  # x a partner of u at distance d, y nearer v than d
-            c4 = list(map(add, c4, map(_stride(xs[u], n2).__mul__, h_near[d])))
-        for d, ys in h_at.items():  # y a partner of v at distance d, x nearer u than d
-            x_near = _stride(dm_g.ball(u, d - 1) & g_rest, n2)
-            c5 = list(map(add, c5, map(x_near.__mul__, ys)))
-        c1 = [s_u * ys for ys in sr_h]
-        c2 = [s_u << v for v in range(n2)]
-        c3 = [ys << u * n2 for ys in sr_h]
-        block = (c1, c2, c3, c4, c5)
-        pred.extend(map(sum, zip(*block)))  # the masks are disjoint, so sum is union
-        counts = [c + sum(map(int.bit_count, col)) for c, col in zip(counts, block)]
-    # an edge lies in two rows, under the same condition in both
-    histogram = {i: c // 2 for i, c in enumerate(counts, 1)}
+    for u in range(n1):
+        strided = [(_stride(xs[u], n2), ys) for xs, ys in terms if xs[u]]
+        pred.extend(sum(s * ys[v] for s, ys in strided) for v in range(n2))
+    e_g, e_h = (sr.num_edges for sr in sr_graphs)
+    histogram = {1: 2 * e_g * e_h, 2: e_g * n2, 3: n1 * e_h,
+                 4: _tagged(g_at, dm_h, sr_h), 5: _tagged(h_at, dm_g, sr_g)}
     return PredictedSR(Graph(n1 * n2, pred), histogram, dm_g, dm_h, *sr_graphs)
-

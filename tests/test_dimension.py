@@ -724,6 +724,13 @@ def test_factor_route_rejects_bad_factors():
     prod = product("strong", two_edges, path(3))
     with pytest.raises(ValueError):
         product_sr_graph("strong", two_edges, path(3), prod=prod)
+    # the plain route refuses a prod that is not product(kind, g, h): K9 for
+    # P3 x P3 in the three other kinds, and for K1 x P9 in all four
+    for kind, g, h in [*((kind, path(3), path(3)) for kind in PRODUCT_KINDS[1:]),
+                       *((kind, complete(1), path(9)) for kind in PRODUCT_KINDS)]:
+        for route in (product_dimension, product_sr_graph):
+            with pytest.raises(ValueError, match=f"^prod is not the {kind} product of g and h$"):
+                route(kind, g, h, prod=complete(9))
 
 
 def test_product_dimension_at_benchmark_scale():

@@ -216,13 +216,14 @@ def test_predicted_k2_k2_complete():
 
 
 def test_predicted_condition_tags():
-    # between them the three products meet every one of the five conditions
+    # between them the three products meet every one of the five conditions;
+    # the keys come in order 1..5, as the report's condition_tags print them
     for g, h, hist in [
         (path(3), complete(2), {1: 2, 2: 2, 3: 3, 4: 0, 5: 0}),
         (path(4), path(3), {1: 2, 2: 3, 3: 4, 4: 4, 5: 6}),
         (cycle(5), path(4), {1: 10, 2: 20, 3: 5, 4: 30, 5: 10}),
     ]:
-        assert predicted_mmd_edges(g, h).histogram == hist
+        assert list(predicted_mmd_edges(g, h).histogram.items()) == list(hist.items())
 
 
 def test_predicted_histogram_counts_every_edge():
@@ -259,9 +260,14 @@ def test_prediction_matches_direct_sr(g, h):
 
 
 def test_prediction_matches_direct_sr_large():
-    for g, h in [(cycle(9), cycle(9)), (grid(3, 3), path(7)), (path(20), path(20))]:
+    # the last five are the benchmark's product ladder
+    for g, h in [(cycle(9), cycle(9)), (grid(3, 3), path(7)), (path(20), path(20)),
+                 (path(30), path(30)), (path(18), path(48)), (cycle(12), path(50)),
+                 (complete(6), path(60)), (cycle(21), path(8))]:
         direct = strong_resolving_graph(product("strong", g, h)).sr
-        assert predicted_mmd_edges(g, h).graph == direct
+        pred = predicted_mmd_edges(g, h)
+        assert pred.graph == direct
+        assert _condition_tally(g, h, direct.edges()) == {0: 0, **pred.histogram}
 
 
 def test_boundary_product_law():

@@ -72,8 +72,10 @@ def test_product_ladder_times_each_function_and_restores_it(capsys):
     total, spent, out = ladder._timed_request(
         ["product", "strong", *ladder.LADDER["C21xP8"], "--dim-s", "--format", "json"])
     # every wrapped function ran inside the request: one product_dimension,
-    # one check, the product's and the SR graph's graph6, one JSON text
-    assert set(spent) == {"product_dimension", "is_strong_generator", "to_graph6", "to_json"}
+    # one prediction, one check, the product's and the SR graph's graph6, one
+    # JSON text
+    assert set(spent) == {"product_dimension", "predicted_mmd_edges", "is_strong_generator",
+                          "to_graph6", "to_json"}
     assert all(0 < secs < total for secs in spent.values())
     doc = json.loads(out)
     assert (doc["n"], doc["dim_s"], len(doc["basis"])) == (168, 98, 98)
@@ -82,7 +84,7 @@ def test_product_ladder_times_each_function_and_restores_it(capsys):
     assert len(lines) == 5 and lines[0].startswith("| rung | request ms |")
     assert lines[0].endswith("| other ms | compute dim-s ms | _dilate calls |")
     assert [line.split(" | ")[0] for line in lines[2:]] == ["| C21xP8", "| K6xP60", "| P18xP48"]
-    assert all(line.count("|") == 10 for line in lines)
+    assert all(line.count("|") == 11 for line in lines)
     # the next to last column times the product's graph6 through compute
     # dim-s, which takes the factor route: product_dimension runs inside it
     assert all(float(line.split(" | ")[-2]) > 0 for line in lines[2:])
@@ -95,8 +97,8 @@ def test_product_ladder_times_each_function_and_restores_it(capsys):
     total, spent, out = ladder._timed_request(["compute", "dim-s", g6, "--format", "json"])
     assert 0 < spent["product_dimension"] < total and json.loads(out)["value"] == 98
     assert [getattr(module, name) for module, name in ladder.TIMED] == originals
-    assert (dimension.is_strong_generator, graph.to_graph6, cli.to_json) == tuple(
-        originals[1:])
+    assert (dimension.predicted_mmd_edges, dimension.is_strong_generator, graph.to_graph6,
+            cli.to_json) == tuple(originals[1:])
 
 
 def test_memory_probe_reports_the_child_and_limits_it_alone(capfd):

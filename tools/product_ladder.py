@@ -6,10 +6,12 @@ Each rung is one strong product of the benchmark's ``product-large`` ladder,
 run in this process as ``strongdim product strong G H --dim-s --format json``
 with its standard output captured.  The script wraps, from outside, the
 functions the request goes through: ``dimension.product_dimension`` (the
-whole answer), ``dimension.is_strong_generator`` (the definitional check
-inside it), ``graph.to_graph6`` (the product's and its SR graph's strings)
-and ``cli.to_json`` (the JSON text, the SR graph's edge list included: it
-is written there, straight from the graph's rows).  Per rung it prints the
+whole answer); inside it, ``predicted_mmd_edges`` (the SR graph predicted
+from the factors, wrapped in ``dimension``'s namespace, which imports it by
+name) and ``dimension.is_strong_generator`` (the definitional check);
+``graph.to_graph6`` (the product's and its SR graph's strings) and
+``cli.to_json`` (the JSON text, the SR graph's edge list included: it is
+written there, straight from the graph's rows).  Per rung it prints the
 median over the repeats of the request's wall time and of each function's
 time within it, all in milliseconds, and the rest of the request (parsing,
 the product build and labels) as ``other``.  The next column is the same
@@ -41,6 +43,7 @@ LADDER = {
 # (module, function) wrapped during a request; the column is the function name
 TIMED = (
     (dimension, "product_dimension"),
+    (dimension, "predicted_mmd_edges"),
     (dimension, "is_strong_generator"),
     (graph, "to_graph6"),
     (cli, "to_json"),
@@ -110,7 +113,8 @@ def measure(name, repeats):
         computes.append(_timed_request(compute_argv)[0])
     ms = {fn: statistics.median(values) * 1000 for fn, values in parts.items()}
     total = statistics.median(totals) * 1000
-    # is_strong_generator runs inside product_dimension, so it is not subtracted twice
+    # predicted_mmd_edges and is_strong_generator run inside product_dimension,
+    # so they are not subtracted twice
     other = total - ms["product_dimension"] - ms["to_graph6"] - ms["to_json"]
     return [name, f"{total:.1f}", *(f"{ms[fn]:.1f}" for _, fn in TIMED), f"{other:.1f}",
             f"{statistics.median(computes) * 1000:.1f}", str(_dilate_calls(argv))]
