@@ -36,9 +36,9 @@ cliques, so the colour bound is tight.  Any other component, typically
 long and sparse with many small cliques that the reductions take apart, goes
 to branch and reduce.  Both engines count nodes, and the DP its states, into
 one budget; when it runs out the component keeps its greedy cover and the
-result says ``proven_optimal=False``.  Their search frames are generators
-that yield each child frame, run by ``_drive`` on one list, so the depth of
-a search is bounded by the budget, not by the interpreter's stack.
+result says ``proven_optimal=False``.  Their search frames, and the clique
+partition's, are generators that yield each child frame, run by ``_drive``
+on one list, so a search's depth is bounded by its budget, not the stack.
 
 A component settles first, in one node as the colour engine's root would,
 when a greedy clique partition of the graph's own rows has no more cliques
@@ -89,7 +89,6 @@ __all__ = [
 ]
 
 DEFAULT_NODE_BUDGET = 50_000_000
-DEFAULT_RECOGNITION_CAP = 20
 # The engine rule (see the module docstring), fitted on the SR-graph ladder of
 # tools/cover_ladder.py.
 COLOUR_ENGINE_MAX_SHARE = 0.42
@@ -652,23 +651,26 @@ def max_independent_set(
 
 
 def _clique_partition(adj: list[int], active: int, k: int, seeds: int,
-                      node_budget: int) -> list[int] | None:
-    """A partition of ``active`` into at most k cliques, as masks, or None;
-    ``BudgetExhausted`` once it would place more than ``node_budget`` vertices.
+                      node_budget: int) -> tuple[list[int] | None, int]:
+    """(A partition of ``active`` into at most k cliques, as masks, or None;
+    the vertices placed), or ``BudgetExhausted`` past ``node_budget`` of them.
 
     ``seeds`` is an independent set of at most k vertices, so each seed opens
     its own clique.  The search places the most constrained vertex first
     (fewest cliques it can join, plus one if a clique may still open; lowest
     id on ties), and opens at most one new clique per step, so no two
-    branches differ only in the order of their cliques.
+    branches differ only in the order of their cliques.  Each placement is
+    a frame run by ``_drive``, so only the budget bounds the search's depth.
     """
     cliques = [1 << s for s in bits(seeds)]
     nodes = 0
+    found = False
 
-    def place(rem: int) -> bool:
-        nonlocal nodes
+    def place(rem: int) -> Iterator[Iterator]:
+        nonlocal nodes, found
         if not rem:
-            return True
+            found = True
+            return
         nodes += 1
         if nodes > node_budget:
             raise BudgetExhausted("clique partition search exhausted its node budget")
@@ -678,23 +680,25 @@ def _clique_partition(adj: list[int], active: int, k: int, seeds: int,
             opts = [i for i, c in enumerate(cliques) if not c & out]
             count = len(opts) + (len(cliques) < k)
             if count == 0:
-                return False
+                return
             if count < fewest:
                 pick, pick_opts, fewest = u, opts, count
         bit = 1 << pick
         for i in pick_opts:
             cliques[i] |= bit
-            if place(rem ^ bit):
-                return True
+            yield place(rem ^ bit)
+            if found:
+                return
             cliques[i] ^= bit
         if len(cliques) < k:
             cliques.append(bit)
-            if place(rem ^ bit):
-                return True
+            yield place(rem ^ bit)
+            if found:
+                return
             cliques.pop()
-        return False
 
-    return cliques if place(active & ~seeds) else None
+    _drive(place(active & ~seeds))
+    return cliques if found else None, nodes
 
 
 def _checked_partition(g: Graph, cliques: list[int]) -> list[int]:
@@ -714,34 +718,29 @@ def _checked_partition(g: Graph, cliques: list[int]) -> list[int]:
 
 def clique_cover_number(g: Graph, node_budget: int) -> tuple[int, list[int]]:
     """Minimum number of cliques partitioning V(g), with the witness cliques
-    as masks ordered by lowest vertex; ``BudgetExhausted`` when the cover, or
-    a partition search given the nodes that the cover left, runs out of
-    ``node_budget``.
+    as masks ordered by lowest vertex; ``BudgetExhausted`` once the cover and
+    the partition searches together spend more than ``node_budget`` nodes.
 
     Counts k up from beta(g), which every clique partition reaches: the
     cliques hold the vertices of an independent set one each."""
-    if g.n > DEFAULT_RECOGNITION_CAP:
-        raise ValueError(f"clique cover recognition capped at {DEFAULT_RECOGNITION_CAP} vertices")
     res = min_vertex_cover(g, node_budget).exact()
     full = (1 << g.n) - 1
     seeds = full & ~sum(1 << v for v in res.witness)
-    left = node_budget - res.nodes_explored
-    k = seeds.bit_count()
-    while (cliques := _clique_partition(g.adj, full, k, seeds, left)) is None:
-        k += 1
-    return k, _checked_partition(g, cliques)
+    k, left = seeds.bit_count(), node_budget - res.nodes_explored
+    while (found := _clique_partition(g.adj, full, k, seeds, left))[0] is None:
+        k, left = k + 1, left - found[1]
+    return k, _checked_partition(g, found[0])
 
 
-def c_graph_partition(g: Graph, independent: frozenset[int], node_budget: int,
-                      cap: int = DEFAULT_RECOGNITION_CAP) -> list[int] | None:
+def c_graph_partition(g: Graph, independent: frozenset[int],
+                      node_budget: int) -> list[int] | None:
     """A partition of V(g) into |independent| cliques, as checked masks
     ordered by lowest vertex, or None, for a maximum independent set that the
-    caller holds; a partition proves theta = beta.
+    caller holds; a partition proves theta = beta, and None that theta > beta.
 
     The id-order greedy partition decides first; if it has more cliques, the
     exact search seeded with ``independent`` decides, within ``node_budget``
-    nodes, and only up to ``cap`` vertices (above it None means "not
-    shown").  A partition into beta cliques puts the vertices of any maximum
+    nodes.  A partition into beta cliques puts the vertices of any maximum
     independent set in distinct cliques, so the seeds change no answer."""
     if not all(0 <= v < g.n for v in independent):
         raise ValueError(f"independent-set vertex outside the vertex range 0..{g.n - 1}")
@@ -753,8 +752,7 @@ def c_graph_partition(g: Graph, independent: frozenset[int], node_budget: int,
     cliques = [sum(1 << ids[i] for i in bits(c)) for c in _greedy_clique_partition(
         rows, _bit_table(g.n), full)]
     if len(cliques) > len(independent):
-        cliques = (_clique_partition(g.adj, full, len(independent), seeds, node_budget)
-                   if g.n <= cap else None)
+        cliques = _clique_partition(g.adj, full, len(independent), seeds, node_budget)[0]
     return None if cliques is None else _checked_partition(g, cliques)
 
 
@@ -765,4 +763,4 @@ def _splits_less_a_vertex(g: Graph, independent: frozenset[int], node_budget: in
     seeds = sum(1 << v for v in independent)
     full = (1 << g.n) - 1
     return any(_clique_partition(g.adj, full ^ (1 << b), len(independent), seeds & ~(1 << b),
-                                 node_budget) is not None for b in range(g.n))
+                                 node_budget)[0] is not None for b in range(g.n))

@@ -308,18 +308,6 @@ def _plain_product(kind: str, g: Graph, h: Graph, prod: Graph) -> Graph:
     return prod
 
 
-def _factor_certificate(sr: Graph, node_budget: int) -> tuple[int, int, bool]:
-    """(I, nodes, certified) for a factor's SR graph ``sr``: a maximum
-    independent set I, as a mask; the cover nodes spent; and whether
-    ``c_graph_partition``, within the nodes the cover leaves, partitions
-    ``sr`` into |I| cliques, so that theta(sr) = beta(sr).
-    """
-    cover = min_vertex_cover(sr, node_budget).exact()
-    independent = frozenset(range(sr.n)) - cover.witness
-    certified = c_graph_partition(sr, independent, node_budget - cover.nodes_explored) is not None
-    return sum(1 << v for v in independent), cover.nodes_explored, certified
-
-
 def product_dimension(
     kind: str, g: Graph, h: Graph, node_budget: int = DEFAULT_NODE_BUDGET, *, prod: Graph
 ) -> DimensionResult:
@@ -333,10 +321,11 @@ def product_dimension(
     ``c_graph_partition`` splits either factor's SR graph into beta
     cliques (the C-graph theorem; see ``general_upper``):
     with I_G and I_H maximum independent sets of the factors' SR graphs, the
-    cover is the complement of I_G x I_H.  Otherwise the cover is searched on
-    the whole SR graph, with the node budget the factor covers left, which
-    also bounds each factor's partition search.  Either way the witness is
-    checked definitionally against ``prod``, which must be
+    cover is the complement of I_G x I_H; H's partition is tested only when
+    G's fails.  Otherwise the cover is searched on the whole SR graph, with
+    the node budget the factor covers left, which also bounds each factor's
+    partition search, and its node count includes theirs.  Either way the
+    witness is checked definitionally against ``prod``, which must be
     ``product(kind, g, h)``: the plain route raises ValueError otherwise, and
     the factor route reads the factors' edge-difference classes from their
     balls and raises ``AssertionError`` unless they give every row of ``prod``.
@@ -344,14 +333,19 @@ def product_dimension(
     pred = _factor_prediction(kind, g, h)
     if pred is None:
         return strong_metric_dimension(_plain_product(kind, g, h, prod), node_budget)
-    ind_g, spent, cert_g = _factor_certificate(pred.sr_g, node_budget)
-    ind_h, spent_h, cert_h = _factor_certificate(pred.sr_h, node_budget - spent)
-    spent += spent_h
-    if cert_g or cert_h:
-        cover_mask = ((1 << prod.n) - 1) & ~(_stride(ind_g, h.n) * ind_h)
+    spent, masks, certified = 0, [], False
+    for sr in (pred.sr_g, pred.sr_h):
+        cover = min_vertex_cover(sr, node_budget - spent).exact()
+        spent += cover.nodes_explored
+        independent = frozenset(range(sr.n)) - cover.witness
+        certified = certified or c_graph_partition(sr, independent, node_budget - spent) is not None
+        masks.append(sum(1 << v for v in independent))
+    if certified:
+        cover_mask = ((1 << prod.n) - 1) & ~(_stride(masks[0], h.n) * masks[1])
         cover = CoverResult(cover_mask.bit_count(), frozenset(bits(cover_mask)), spent, True)
     else:
         cover = min_vertex_cover(pred.graph, node_budget - spent)
+        cover = cover._replace(nodes_explored=cover.nodes_explored + spent)
     return sr_cover_dimension(prod, pred.graph, (pred.dm_g, pred.dm_h), cover)
 
 

@@ -65,7 +65,7 @@ class CorpusSpec:
     odd_odd_max: int = 4         # thm-odd-odd-beta checks 1 <= r <= t <= odd_odd_max
     odd_odd_dim_max: int = 3     # thm-odd-odd-bounds range
     odd_odd_fixed: tuple[int, int] | None = None  # restrict odd-odd claims to one (r, t)
-    recognition_cap: int = cov.DEFAULT_RECOGNITION_CAP  # C-graph / C1-graph recognition cap
+    recognition_cap: int = 20    # largest order the C-graph / C1-graph claims test
     node_budget: int = cov.DEFAULT_NODE_BUDGET
 
     def __post_init__(self):
@@ -245,7 +245,7 @@ class Env:
 
     def c_graph(self, g: Graph) -> bool:
         return self._cached(("c_graph", g), lambda: cov.c_graph_partition(
-            g, self._independent(g), self.spec.node_budget, self.spec.recognition_cap) is not None)
+            g, self._independent(g), self.spec.node_budget) is not None)
 
     def c1_graph(self, g: Graph) -> bool:
         return self._cached(("c1_graph", g), lambda: not self.c_graph(g) and (

@@ -37,7 +37,7 @@ from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from strongdim import cover
-from strongdim.cover import DEFAULT_RECOGNITION_CAP, c_graph_partition
+from strongdim.cover import c_graph_partition
 from strongdim.graph import Graph, bits, complement
 
 BRUTE_FORCE_SIZE_CAP = 15
@@ -141,14 +141,11 @@ def mutually_maximally_distant(rows: Rows, g: Graph, u: int, v: int) -> bool:
     return is_maximally_distant(rows, g, u, v) and is_maximally_distant(rows, g, v, u)
 
 
-def is_c1_graph(g: Graph, independent: frozenset[int], node_budget: int,
-                cap: int = DEFAULT_RECOGNITION_CAP) -> bool:
+def is_c1_graph(g: Graph, independent: frozenset[int], node_budget: int) -> bool:
     """True iff g is not a C-graph but V(g) minus one vertex b partitions into
     beta(g) cliques, for a maximum independent set that the caller holds and
     ``node_budget`` nodes per exact search."""
-    if g.n > cap:
-        raise ValueError(f"C1-graph recognition capped at {cap} vertices")
-    return (c_graph_partition(g, independent, node_budget, cap) is None
+    return (c_graph_partition(g, independent, node_budget) is None
             and cover._splits_less_a_vertex(g, independent, node_budget))
 
 

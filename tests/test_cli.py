@@ -73,6 +73,9 @@ def test_compute_theta(capsys):
     doc = json.loads(out)
     assert doc["value"] == 3
     assert sorted(len(p) for p in doc["parts"]) == [2, 2, 2]
+    # no order is refused: theta(C21) = 11 > beta = 10
+    code, out, _ = run_cli(capsys, "compute", "theta", "--gen", "cycle:21")
+    assert (code, out) == (0, "theta = 11\n")
 
 
 @pytest.fixture
@@ -460,16 +463,25 @@ RELABELLED_C5_P12 = _relabelled(product("strong", cycle(5), path(12)), 0)
 @pytest.mark.parametrize("g", [
     product("strong", cycle(9), cycle(9)),  # SR graph on the colour-engine side
     RELABELLED_C5_P12,  # on the branch-and-reduce side (checked below)
-    random_connected(18, 0.3, 1),  # within theta's cap of 20 vertices
+    random_connected(18, 0.3, 1),
 ])
 def test_compute_dim_s_budget_exhausted_exits_3(capsys, g):
-    small = g.n <= cover.DEFAULT_RECOGNITION_CAP
-    for what in ("dim-s", "alpha", "theta") if small else ("dim-s", "alpha"):
+    for what in ("dim-s", "alpha", "theta"):
         code, out, err = run_cli(capsys, "compute", what, to_graph6(g), "--node-budget", "5")
         assert code == 3, what
         assert out == ""
         assert err.startswith("error: budget-exhausted")
         assert len(err.strip().splitlines()) == 1
+
+
+def test_searched_product_budget_error_counts_every_node(capsys):
+    # neither SR(C5) nor SR(C41) certifies, and each factor cover takes one
+    # node, so the product cover runs out of the 998 nodes they leave after
+    # 999 of its own: the error counts all 1,001 spent
+    code, out, err = run_cli(capsys, "product", "strong", "cycle:5", "cycle:41", "--dim-s",
+                             "--node-budget", "1000")
+    assert (code, out) == (3, "")
+    assert err == "error: budget-exhausted: cover search exhausted its node budget (1001 nodes)\n"
 
 
 def test_relabelled_c5_p12_lands_on_branch_and_reduce(capsys, monkeypatch):

@@ -1115,25 +1115,50 @@ def test_clique_cover_matches_brute_partition_search():
 
 
 def test_clique_cover_spends_its_node_budget():
-    # C5's cover takes one node, and its partition searches need three more
-    with pytest.raises(BudgetExhausted):
-        clique_cover_number(cycle(5), 0)
-    with pytest.raises(BudgetExhausted):
-        clique_cover_number(cycle(5), 3)
-    assert clique_cover_number(cycle(5), 4)[0] == 3
+    # theta(C5) = 3 > beta = 2.  Its cover takes one node, the k = 2 search
+    # that fails three and the k = 3 search that succeeds three more, all from
+    # one budget: 6 runs out, though each search alone would fit in what the
+    # cover leaves
+    for budget in (0, 3, 6):
+        with pytest.raises(BudgetExhausted):
+            clique_cover_number(cycle(5), budget)
+    assert clique_cover_number(cycle(5), 7)[0] == 3
 
 
-def test_clique_cover_cap():
-    with pytest.raises(ValueError, match="clique cover recognition capped at 20"):
-        clique_cover_number(complete(21), DEFAULT_NODE_BUDGET)
-    with pytest.raises(ValueError, match="C1-graph recognition capped at 20"):
-        is_c1_graph(complete(25), frozenset({0}), DEFAULT_NODE_BUDGET)
-    # above the cap the greedy partition still decides; the exact search
-    # does not run, so None there means "not shown"
+def test_clique_cover_beyond_20_vertices():
+    # no order is refused: the node budget is the only bound, and the exact
+    # search's None is a proof that theta > beta
+    assert clique_cover_number(complete(21), DEFAULT_NODE_BUDGET) == (1, [(1 << 21) - 1])
+    assert clique_cover_number(cycle(21), DEFAULT_NODE_BUDGET)[0] == 11
     assert c_graph_partition(complete(25), frozenset({0}), DEFAULT_NODE_BUDGET) == [(1 << 25) - 1]
-    assert c_graph_partition(cycle(21), frozenset(range(0, 20, 2)), DEFAULT_NODE_BUDGET) is None
-    assert c_graph_partition(SHUFFLED_P4, frozenset({2, 3}), DEFAULT_NODE_BUDGET, cap=3) is None
-    assert c_graph_partition(SHUFFLED_P4, frozenset({2, 3}), DEFAULT_NODE_BUDGET, cap=4) is not None
+    with patch.object(cover, "_clique_partition", wraps=cover._clique_partition) as search:
+        assert c_graph_partition(cycle(21), frozenset(range(0, 20, 2)), DEFAULT_NODE_BUDGET) is None
+    assert search.called
+    assert is_c1_graph(cycle(21), frozenset(range(0, 20, 2)), DEFAULT_NODE_BUDGET)
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_c_graph_partition_refutes_sr_c401_with_a_shallow_stack():
+    # SR(C401) is a 401-cycle: beta = 200 < theta = 201.  The refuting search
+    # stacks 201 placements, each a frame on _drive's list, not on the
+    # interpreter's stack, so it runs under a recursion limit 100 frames above
+    # this test's own depth
+    sr = strong_resolving_graph(cycle(401)).sr
+    independent = max_independent_set(sr)
+    limit = sys.getrecursionlimit()
+    with patch.object(cover, "_clique_partition", wraps=cover._clique_partition) as search:
+        sys.setrecursionlimit(_stack_depth() + 100)
+        try:
+            partition = c_graph_partition(sr, independent, DEFAULT_NODE_BUDGET)
+        finally:
+            sys.setrecursionlimit(limit)
+    assert partition is None and search.called
 
 
 def test_checked_partition_rejects_nonsense():

@@ -709,11 +709,66 @@ def test_factor_partition_search_spends_the_node_budget():
 def test_factor_covers_spend_the_node_budget():
     # C5 x C7 takes one node per factor cover and 22 for the product cover,
     # all from one budget: a budget short of any of them ends as
-    # BudgetExhausted, never as a number
-    for budget in (0, 1, 23):
+    # BudgetExhausted, never as a number.  The product cover's error counts
+    # every node spent, the factor covers' included
+    for budget in (0, 1):
         with pytest.raises(BudgetExhausted):
             _covered_orders(cycle(5), cycle(7), budget)
+    with pytest.raises(BudgetExhausted, match=r"\(24 nodes\)"):
+        _covered_orders(cycle(5), cycle(7), 23)
     assert _covered_orders(cycle(5), cycle(7), 24)[0].dim == 29
+
+
+def test_second_factor_partition_runs_only_when_the_first_fails():
+    # SR(K3) = K3 certifies, so SR(C41), a 41-cycle with theta > beta, is
+    # never refuted when K3 comes first; when C41 comes first it is, and K3's
+    # partition certifies after it.  Both factor covers run either way.
+    def calls(g, h):
+        with patch.object(dimension, "c_graph_partition", wraps=c_graph_partition) as test:
+            res, orders = _covered_orders(g, h)
+        assert orders == [g.n, h.n]
+        assert res.dim == 103  # general_upper at dim_s(K3) = 2, dim_s(C41) = 21
+        return [call.args[0].n for call in test.call_args_list]
+
+    assert calls(complete(3), cycle(41)) == [3]
+    assert calls(cycle(41), complete(3)) == [41, 3]
+
+
+# Factors drawn as random_connected(n, p, seed * 7919 + n) for n >= 21, given
+# by their graph6: (21, 0.15, 3) x (21, 0.15, 4), (30, 0.1, 1) x (30, 0.15, 1)
+# and (35, 0.1, 1) x (40, 0.15, 5).  Each G's SR graph partitions into beta
+# cliques, which only the exact search finds; the greedy partition has more.
+RANDOM_CERTIFIED = [
+    ("TE?@GD?IAC??c??Cs@CoCQ?G?\\Oc_?`A?_@_", "TG@CSD??@EB??_?K`P_?bD??A?g@??O_?OQB",
+     360, 19),
+    ("]C??O????AGA@G????``??_??@?C??AGOOO_??G?A???GG?_??A?OC?H?AO?AG??C???_@?OPO",
+     "]@i@?A?_?O?t??P`?AoGK[O?G??a_I?B?I?G@OA???sGH@?O??Gs_?G?O@??gB??aI??@?W?Cg",
+     732, 27),
+    ("b?_???a?OO?????AB??????C???_?A?G???@??@?r?G?GA?SCH??C????C?G@???P??`???C?????L?_C?H??"
+     "@G????AG???G?CC?",
+     "g?@_?_GGA????_?`GQ?G?`@O_?O?A@sQ?E@@DSGO??CCC?LTAC@a@@g@?t@bG????O???_?cA?CW_G???AGG?"
+     "AA?O??@?@?_C?CKO?G?@_?[?W?@E??C?GO?CQ?XOOU?G_?",
+     1162, 30),
+]
+
+
+@pytest.mark.parametrize("g6, h6, dim, budget", RANDOM_CERTIFIED, ids=["21x21", "30x30", "35x40"])
+def test_exact_partition_certifies_factors_of_any_order(g6, h6, dim, budget):
+    # G's cover and the exact partition of SR(G) fit in ``budget`` nodes, and
+    # H's cover in what they leave; one node less runs out.  The searched
+    # route would need the whole product's cover
+    g, h = from_graph6(g6), from_graph6(h6)
+    prod = product("strong", g, h)
+    sr = strong_resolving_graph(g).sr
+    assert len(id_order_partition(sr.adj, (1 << sr.n) - 1)) > sr.n - min_vertex_cover(sr).size
+    with pytest.raises(BudgetExhausted):
+        product_dimension("strong", g, h, budget - 1, prod=prod)
+    res = product_dimension("strong", g, h, budget, prod=prod)
+    dim_g, dim_h = strong_metric_dimension(g).dim, strong_metric_dimension(h).dim
+    assert res.dim == dim == general_upper(g.n, h.n, dim_g, dim_h)
+    assert len(res.basis) == dim
+    if g.n == h.n == 21:  # the whole product's cover, about 2 s
+        assert strong_metric_dimension(prod).dim == dim
 
 
 def test_factor_route_rejects_bad_factors():

@@ -3,8 +3,11 @@
     PYTHONPATH=src python3 tools/product_ladder.py [--repeats R] [--only NAME ...]
 
 Each rung is one strong product of the benchmark's ``product-large`` ladder,
-run in this process as ``strongdim product strong G H --dim-s --format json``
-with its standard output captured.  The script wraps, from outside, the
+or, last, R21xR21: random_connected(21, 0.15, s) for s = 23778 and 31697,
+given as graph6, whose first factor's SR graph the exact clique-partition
+search certifies (the greedy partition does not).  A rung runs in this
+process as ``strongdim product strong G H --dim-s --format json`` with its
+standard output captured.  The script wraps, from outside, the
 functions the request goes through: ``dimension.product_dimension`` (the
 whole answer); inside it, ``predicted_mmd_edges`` (the SR graph predicted
 from the factors, wrapped in ``dimension``'s namespace, which imports it by
@@ -38,6 +41,7 @@ LADDER = {
     "C12xP50": ("cycle:12", "path:50"),
     "K6xP60": ("complete:6", "path:60"),
     "C21xP8": ("cycle:21", "path:8"),
+    "R21xR21": ("TE?@GD?IAC??c??Cs@CoCQ?G?\\Oc_?`A?_@_", "TG@CSD??@EB??_?K`P_?bD??A?g@??O_?OQB"),
 }
 
 # (module, function) wrapped during a request; the column is the function name
@@ -102,7 +106,7 @@ def _dilate_calls(argv):
 def measure(name, repeats):
     g, h = LADDER[name]
     argv = ["product", "strong", g, h, "--dim-s", "--format", "json"]
-    prod = products.product("strong", graph.generate(g), graph.generate(h))
+    prod = products.product("strong", cli._load_one(g), cli._load_one(h))
     compute_argv = ["compute", "dim-s", graph.to_graph6(prod), "--format", "json"]
     totals, computes, parts = [], [], {fn: [] for _, fn in TIMED}
     for _ in range(repeats):
