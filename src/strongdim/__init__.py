@@ -39,15 +39,7 @@ from .graph import (
     to_dot,
     to_graph6,
 )
-from .metrics import (
-    DistanceMatrix,
-    all_pairs_distances,
-    cut_vertices,
-    is_connected,
-    is_generalized_tree,
-    is_two_antipodal,
-    leaf_count,
-)
+from .metrics import DistanceMatrix, all_pairs_distances, is_connected
 from .products import PRODUCT_KINDS, product
 from .resolving import (
     PredictedSR,
@@ -57,10 +49,12 @@ from .resolving import (
     strong_resolving_graph,
 )
 
-# The claim verifier's names load on first use, so a command that does not
-# verify (``compute``, ``product``) never imports ``strongdim.verify``.
+# The claim verifier's names, the corollary hypotheses among them, load on
+# first use, so a command that does not verify (``compute``, ``product``)
+# never imports ``strongdim.verify``.
 _VERIFY_NAMES = frozenset({"ClaimReport", "Corpus", "CorpusSpec", "claim_ids",
-                           "replay_instance", "run_suite", "verify_claim"})
+                           "replay_instance", "run_suite", "verify_claim", "cut_vertices",
+                           "is_generalized_tree", "is_two_antipodal", "leaf_count"})
 
 
 def __getattr__(name):

@@ -733,15 +733,17 @@ def clique_cover_number(g: Graph, node_budget: int) -> tuple[int, list[int]]:
 
 
 def c_graph_partition(g: Graph, independent: frozenset[int],
-                      node_budget: int) -> list[int] | None:
-    """A partition of V(g) into |independent| cliques, as checked masks
-    ordered by lowest vertex, or None, for a maximum independent set that the
-    caller holds; a partition proves theta = beta, and None that theta > beta.
+                      node_budget: int) -> tuple[list[int] | None, int]:
+    """(A partition of V(g) into |independent| cliques, as checked masks
+    ordered by lowest vertex, or None; the nodes the exact search spent),
+    for a maximum independent set that the caller holds; a partition proves
+    theta = beta, and None that theta > beta.
 
-    The id-order greedy partition decides first; if it has more cliques, the
-    exact search seeded with ``independent`` decides, within ``node_budget``
-    nodes.  A partition into beta cliques puts the vertices of any maximum
-    independent set in distinct cliques, so the seeds change no answer."""
+    The id-order greedy partition decides first, at no node; if it has more
+    cliques, the exact search seeded with ``independent`` decides, within
+    ``node_budget`` nodes.  A partition into beta cliques puts the vertices
+    of any maximum independent set in distinct cliques, so the seeds change
+    no answer."""
     if not all(0 <= v < g.n for v in independent):
         raise ValueError(f"independent-set vertex outside the vertex range 0..{g.n - 1}")
     seeds = sum(1 << v for v in independent)
@@ -751,16 +753,8 @@ def c_graph_partition(g: Graph, independent: frozenset[int],
     ids, rows = _top_rows(g.adj, list(range(g.n)))
     cliques = [sum(1 << ids[i] for i in bits(c)) for c in _greedy_clique_partition(
         rows, _bit_table(g.n), full)]
+    nodes = 0
     if len(cliques) > len(independent):
-        cliques = _clique_partition(g.adj, full, len(independent), seeds, node_budget)[0]
-    return None if cliques is None else _checked_partition(g, cliques)
+        cliques, nodes = _clique_partition(g.adj, full, len(independent), seeds, node_budget)
+    return None if cliques is None else _checked_partition(g, cliques), nodes
 
-
-def _splits_less_a_vertex(g: Graph, independent: frozenset[int], node_budget: int) -> bool:
-    """The C1-graph test once g is known not to be a C-graph: some V(g) - b
-    partitions into at most beta cliques, which then means exactly beta, as
-    theta(g - b) >= theta(g) - 1 >= beta(g)."""
-    seeds = sum(1 << v for v in independent)
-    full = (1 << g.n) - 1
-    return any(_clique_partition(g.adj, full ^ (1 << b), len(independent), seeds & ~(1 << b),
-                                 node_budget)[0] is not None for b in range(g.n))

@@ -322,13 +322,14 @@ def product_dimension(
     cliques (the C-graph theorem; see ``general_upper``):
     with I_G and I_H maximum independent sets of the factors' SR graphs, the
     cover is the complement of I_G x I_H; H's partition is tested only when
-    G's fails.  Otherwise the cover is searched on the whole SR graph, with
-    the node budget the factor covers left, which also bounds each factor's
-    partition search, and its node count includes theirs.  Either way the
-    witness is checked definitionally against ``prod``, which must be
-    ``product(kind, g, h)``: the plain route raises ValueError otherwise, and
-    the factor route reads the factors' edge-difference classes from their
-    balls and raises ``AssertionError`` unless they give every row of ``prod``.
+    G's fails.  Otherwise the cover is searched on the whole SR graph.  The
+    factor covers, the partition searches and that search spend one node
+    budget in turn, and the searched cover's node count includes them all.
+    Either way the witness is checked definitionally against ``prod``, which
+    must be ``product(kind, g, h)``: the plain route raises ValueError
+    otherwise, and the factor route reads the factors' edge-difference
+    classes from their balls and raises ``AssertionError`` unless they give
+    every row of ``prod``.
     """
     pred = _factor_prediction(kind, g, h)
     if pred is None:
@@ -338,7 +339,9 @@ def product_dimension(
         cover = min_vertex_cover(sr, node_budget - spent).exact()
         spent += cover.nodes_explored
         independent = frozenset(range(sr.n)) - cover.witness
-        certified = certified or c_graph_partition(sr, independent, node_budget - spent) is not None
+        if not certified:
+            partition, nodes = c_graph_partition(sr, independent, node_budget - spent)
+            certified, spent = partition is not None, spent + nodes
         masks.append(sum(1 << v for v in independent))
     if certified:
         cover_mask = ((1 << prod.n) - 1) & ~(_stride(masks[0], h.n) * masks[1])
@@ -350,9 +353,11 @@ def product_dimension(
 
 
 def product_sr_graph(kind: str, g: Graph, h: Graph, *, prod: Graph) -> Graph:
-    """SR graph of the ``kind`` product of g and h, on ``product_dimension``'s route."""
+    """SR graph of the ``kind`` product of g and h, on ``product_dimension``'s
+    route; ValueError unless ``prod`` is ``product(kind, g, h)``."""
+    prod = _plain_product(kind, g, h, prod)
     pred = _factor_prediction(kind, g, h)
-    return pred.graph if pred else strong_resolving_graph(_plain_product(kind, g, h, prod)).sr
+    return pred.graph if pred else strong_resolving_graph(prod).sr
 
 
 # ---------------------------------------------------------------------------

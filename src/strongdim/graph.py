@@ -58,9 +58,6 @@ class Graph:
     def degree(self, u: int) -> int:
         return self.adj[u].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (self.adj[u] >> v) & 1 == 1
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as ordered pairs (u, v) with u < v, in order of u, then v."""
         out = []
@@ -75,9 +72,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(m.bit_count() for m in self.adj))
 
     # -- dunder -----------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Shortest-path metric and structural classifiers (antipodality, block graphs).
+"""Shortest-path metric.
 
 Distances are exact hop counts, kept as distance balls grown for all sources
 at once, one radius at a time: each ball is the union of its neighbours'
@@ -8,16 +8,12 @@ gives the rows of the strong resolving graph.
 
 from __future__ import annotations
 
-from .graph import Graph, bits, component_masks
+from .graph import Graph, component_masks
 
 __all__ = [
     "DistanceMatrix",
     "all_pairs_distances",
     "is_connected",
-    "is_two_antipodal",
-    "cut_vertices",
-    "is_generalized_tree",
-    "leaf_count",
 ]
 
 
@@ -101,68 +97,3 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
 
 def is_connected(g: Graph) -> bool:
     return len(component_masks(g)) == 1
-
-
-def _require_connected(g: Graph) -> None:
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
-
-
-def is_two_antipodal(g: Graph) -> bool:
-    """True iff every vertex has exactly one vertex at distance diam(G)."""
-    _require_connected(g)
-    balls = all_pairs_distances(g).balls
-    d = max(map(len, balls)) - 1
-    return all(len(b) == d + 1 and (b[d] ^ b[d - 1] if d else b[0]).bit_count() == 1
-               for b in balls)
-
-
-# ---------------------------------------------------------------------------
-# cut vertices and block graphs
-# ---------------------------------------------------------------------------
-
-
-def cut_vertices(g: Graph) -> frozenset[int]:
-    """Articulation points of a connected graph: the vertices v that leave
-    more than two components (v alone and at least two others) once v's row
-    and bit are cleared."""
-    _require_connected(g)
-    cuts = []
-    for v in range(g.n):
-        keep = ~(1 << v)
-        rest = [a & keep for a in g.adj]
-        rest[v] = 0
-        if len(component_masks(Graph(g.n, rest))) > 2:
-            cuts.append(v)
-    return frozenset(cuts)
-
-
-def is_generalized_tree(g: Graph) -> bool:
-    """Block-graph test: every block induces a complete subgraph.
-
-    Block graphs are exactly the chordal, diamond-free graphs.  No diamond:
-    the common neighbourhood of every edge is a clique.  Chordal: simplicial
-    vertices (whose neighbourhood is a clique) peel off until none are left.
-    """
-    _require_connected(g)
-    adj = g.adj
-
-    def is_clique(mask: int) -> bool:
-        return all(mask & ~adj[w] == 1 << w for w in bits(mask))
-
-    for u in range(g.n):
-        for v in bits(adj[u] >> u << u):  # each edge once, as u < v
-            if not is_clique(adj[u] & adj[v]):
-                return False
-    left = (1 << g.n) - 1
-    while left:
-        simplicial = next((v for v in bits(left) if is_clique(adj[v] & left)), None)
-        if simplicial is None:
-            return False
-        left ^= 1 << simplicial
-    return True
-
-
-def leaf_count(g: Graph) -> int:
-    _require_connected(g)
-    return sum(1 for u in range(g.n) if g.degree(u) == 1)

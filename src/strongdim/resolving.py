@@ -69,13 +69,11 @@ def boundary(g: Graph) -> frozenset[int]:
 
 
 class PredictedSR(NamedTuple):
-    """Predicted strong resolving graph of a strong product.  ``histogram[i]``
-    counts its edges whose first matching lemma condition is i (1..5);
-    ``dm_g`` and ``dm_h`` are the factor distances it was built on, and
-    ``sr_g`` and ``sr_h`` the factors' SR graphs."""
+    """Predicted strong resolving graph of a strong product; ``dm_g`` and
+    ``dm_h`` are the factor distances it was built on, and ``sr_g`` and
+    ``sr_h`` the factors' SR graphs."""
 
     graph: Graph
-    histogram: dict[int, int]
     dm_g: DistanceMatrix
     dm_h: DistanceMatrix
     sr_g: Graph
@@ -92,14 +90,6 @@ def _partners_at(dm: DistanceMatrix, sr: list[int]) -> dict[int, list[int]]:
     return out
 
 
-def _tagged(at: dict[int, list[int]], dm: DistanceMatrix, sr: list[int]) -> int:
-    """Sum over d of one factor's SR edges at distance d, read from ``at``, times
-    the other's ordered pairs (w, z) with 0 < d(w, z) < d that are not MMD."""
-    return sum(sum(map(int.bit_count, ws)) // 2 * sum(
-        (dm.ball(w, d - 1) & ~(p | 1 << w)).bit_count() for w, p in enumerate(sr))
-        for d, ws in at.items())
-
-
 def predicted_mmd_edges(g: Graph, h: Graph) -> PredictedSR:
     """Predicted MMD edge set of the strong product, from factor data alone:
     with D = max(d_G(u,x), d_H(v,y)), (u,v) and (x,y) are MMD iff every
@@ -107,9 +97,9 @@ def predicted_mmd_edges(g: Graph, h: Graph) -> PredictedSR:
     at distance d, row (u,v) sums over d stride(P_G(u,d)) * (P_H(v,d) |
     B_H(v,d-1)), G's coordinate at D = d, and stride(B_G(u,d-1)) * P_H(v,d),
     H's alone at D = d: disjoint masks over u*n2+v ids.  The lemma's five
-    conditions, by which ``histogram`` counts the edges from the factors, are
-    the rule's cases: 1. u,x and v,y MMD; 2. u,x MMD, v = y; 3. v,y MMD, u = x;
-    4. u,x MMD, d_H(v,y) < d_G(u,x); 5. v,y MMD, d_G(u,x) < d_H(v,y).
+    conditions are the rule's cases: 1. u,x and v,y MMD; 2. u,x MMD, v = y;
+    3. v,y MMD, u = x; 4. u,x MMD, d_H(v,y) < d_G(u,x); 5. v,y MMD,
+    d_G(u,x) < d_H(v,y).
     """
     dms, sr_graphs = [], []
     for name, f in (("g", g), ("h", h)):
@@ -130,7 +120,4 @@ def predicted_mmd_edges(g: Graph, h: Graph) -> PredictedSR:
     for u in range(n1):
         strided = [(_stride(xs[u], n2), ys) for xs, ys in terms if xs[u]]
         pred.extend(sum(s * ys[v] for s, ys in strided) for v in range(n2))
-    e_g, e_h = (sr.num_edges for sr in sr_graphs)
-    histogram = {1: 2 * e_g * e_h, 2: e_g * n2, 3: n1 * e_h,
-                 4: _tagged(g_at, dm_h, sr_h), 5: _tagged(h_at, dm_g, sr_g)}
-    return PredictedSR(Graph(n1 * n2, pred), histogram, dm_g, dm_h, *sr_graphs)
+    return PredictedSR(Graph(n1 * n2, pred), dm_g, dm_h, *sr_graphs)

@@ -41,6 +41,10 @@ __all__ = [
     "to_json",
     "suite_to_csv",
     "suite_exit_code",
+    "is_two_antipodal",
+    "cut_vertices",
+    "is_generalized_tree",
+    "leaf_count",
 ]
 
 
@@ -245,11 +249,22 @@ class Env:
 
     def c_graph(self, g: Graph) -> bool:
         return self._cached(("c_graph", g), lambda: cov.c_graph_partition(
-            g, self._independent(g), self.spec.node_budget) is not None)
+            g, self._independent(g), self.spec.node_budget)[0] is not None)
 
     def c1_graph(self, g: Graph) -> bool:
         return self._cached(("c1_graph", g), lambda: not self.c_graph(g) and (
-            cov._splits_less_a_vertex(g, self._independent(g), self.spec.node_budget)))
+            _splits_less_a_vertex(g, self._independent(g), self.spec.node_budget)))
+
+
+def _splits_less_a_vertex(g: Graph, independent: frozenset[int], node_budget: int) -> bool:
+    """The C1-graph test once g is known not to be a C-graph: some V(g) - b
+    partitions into at most beta cliques, which then means exactly beta, as
+    theta(g - b) >= theta(g) - 1 >= beta(g)."""
+    seeds = sum(1 << v for v in independent)
+    full = (1 << g.n) - 1
+    return any(cov._clique_partition(g.adj, full ^ (1 << b), len(independent),
+                                     seeds & ~(1 << b), node_budget)[0] is not None
+               for b in range(g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +395,27 @@ def _check_lemma_mmd(env: Env, g: Graph, h: Graph) -> dict:
     return _record(
         env, g, h, "pass" if ok else "fail",
         actual.num_edges, predicted.graph.num_edges,
-        condition_tags={str(k): v for k, v in predicted.histogram.items()},
+        condition_tags=_condition_tags(predicted),
         **({"differing_pairs": diff} if diff else {}),
     )
+
+
+def _condition_tags(pred: rs.PredictedSR) -> dict[str, int]:
+    """The predicted edges counted by the first of the lemma's five conditions
+    they meet (see ``predicted_mmd_edges``), keyed "1".."5", in closed form
+    from the factors: with e_G, e_H their SR edge counts, 1 holds 2 e_G e_H
+    edges, 2 e_G n2 and 3 n1 e_H; 4 sums over d G's SR edges at distance d
+    times H's ordered pairs (w, z) with 0 < d(w, z) < d that are not MMD, and
+    5 is the same with G and H swapped."""
+    def tagged(dm, sr, dm_o, sr_o) -> int:
+        return sum(sum(map(int.bit_count, ws)) // 2 * sum(
+            (dm_o.ball(w, d - 1) & ~(p | 1 << w)).bit_count() for w, p in enumerate(sr_o.adj))
+            for d, ws in rs._partners_at(dm, sr.adj).items())
+
+    g, h = (pred.dm_g, pred.sr_g), (pred.dm_h, pred.sr_h)
+    e_g, e_h = pred.sr_g.num_edges, pred.sr_h.num_edges
+    tags = (2 * e_g * e_h, e_g * pred.dm_h.n, pred.dm_g.n * e_h, tagged(*g, *h), tagged(*h, *g))
+    return {str(i): count for i, count in enumerate(tags, 1)}
 
 
 @_claim(
@@ -624,6 +657,66 @@ def _multipartite_parts(g: Graph) -> list[int] | None:
     return parts if parts and len(parts) >= 2 else None
 
 
+def _require_connected(g: Graph) -> None:
+    if not mt.is_connected(g):
+        raise ValueError("graph must be connected")
+
+
+def is_two_antipodal(g: Graph) -> bool:
+    """True iff every vertex has exactly one vertex at distance diam(G)."""
+    _require_connected(g)
+    balls = mt.all_pairs_distances(g).balls
+    d = max(map(len, balls)) - 1
+    return all(len(b) == d + 1 and (b[d] ^ b[d - 1] if d else b[0]).bit_count() == 1
+               for b in balls)
+
+
+def cut_vertices(g: Graph) -> frozenset[int]:
+    """Articulation points of a connected graph: the vertices v that leave
+    more than two components (v alone and at least two others) once v's row
+    and bit are cleared."""
+    _require_connected(g)
+    cuts = []
+    for v in range(g.n):
+        keep = ~(1 << v)
+        rest = [a & keep for a in g.adj]
+        rest[v] = 0
+        if len(gr.component_masks(Graph(g.n, rest))) > 2:
+            cuts.append(v)
+    return frozenset(cuts)
+
+
+def is_generalized_tree(g: Graph) -> bool:
+    """Block-graph test: every block induces a complete subgraph.
+
+    Block graphs are exactly the chordal, diamond-free graphs.  No diamond:
+    the common neighbourhood of every edge is a clique.  Chordal: simplicial
+    vertices (whose neighbourhood is a clique) peel off until none are left.
+    """
+    _require_connected(g)
+    adj = g.adj
+
+    def is_clique(mask: int) -> bool:
+        return all(mask & ~adj[w] == 1 << w for w in gr.bits(mask))
+
+    for u in range(g.n):
+        for v in gr.bits(adj[u] >> u << u):  # each edge once, as u < v
+            if not is_clique(adj[u] & adj[v]):
+                return False
+    left = (1 << g.n) - 1
+    while left:
+        simplicial = next((v for v in gr.bits(left) if is_clique(adj[v] & left)), None)
+        if simplicial is None:
+            return False
+        left ^= 1 << simplicial
+    return True
+
+
+def leaf_count(g: Graph) -> int:
+    _require_connected(g)
+    return sum(1 for u in range(g.n) if g.degree(u) == 1)
+
+
 @_claim(
     "cor-cgraphs-iii",
     "generalized-tree factor with c cut vertices: SR is K_(n-c) plus c isolated "
@@ -631,13 +724,13 @@ def _multipartite_parts(g: Graph) -> list[int] | None:
     _singleton_with_partners(lambda: [
         gr.generalized_tree([3, 3], 1), gr.generalized_tree([4, 2, 3], 2),
         gr.generalized_tree([2, 2, 2, 2], 3), gr.path(5), gr.star(6)]),
-    (lambda env, g, h: mt.is_generalized_tree(g), "factor is not a generalized tree"),
+    (lambda env, g, h: is_generalized_tree(g), "factor is not a generalized tree"),
 )
 def _check_cor_iii(env: Env, g: Graph, h: Graph) -> dict:
-    c = len(mt.cut_vertices(g))
+    c = len(cut_vertices(g))
     rec = _family_check(env, g, h, [g.n - c] + [1] * c)
     if g.num_edges == g.n - 1:  # tree: the leaf form, dim_s = l(G) - 1, must agree
-        tree_value = dim.general_upper(g.n, h.n, mt.leaf_count(g) - 1, env.dim_s(h))
+        tree_value = dim.general_upper(g.n, h.n, leaf_count(g) - 1, env.dim_s(h))
         if tree_value != rec["expected"]:
             rec["outcome"] = "fail"
             rec["note"] = f"tree leaf form disagrees: {tree_value} != {rec['expected']}"
@@ -650,7 +743,7 @@ def _check_cor_iii(env: Env, g: Graph, h: Graph) -> dict:
     "the closed form",
     _singleton_with_partners(lambda: [gr.cycle(n) for n in (4, 6, 8, 10)] + [
         pr.product("cartesian", gr.complete(2), gr.grid(2, 2))]),  # Q3 = K2 box (2x2 grid)
-    (lambda env, g, h: mt.is_two_antipodal(g), "factor is not 2-antipodal"),
+    (lambda env, g, h: is_two_antipodal(g), "factor is not 2-antipodal"),
 )
 def _check_cor_iv(env: Env, g: Graph, h: Graph) -> dict:
     return _family_check(env, g, h, [2] * (g.n // 2))

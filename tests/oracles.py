@@ -12,8 +12,8 @@ the package checks a whole basis at once from distance balls
 ``mutually_maximally_distant`` read the maximal-distance relation pair by
 pair, where the package builds the strong resolving graph for all pairs at
 once.  ``is_c1_graph`` composes the C1-graph test from the package's C-graph
-test and its split search, as ``strongdim.verify.Env.c1_graph`` does with the
-run's cached answers.  ``brute_force_dimension`` finds dim_s, and
+test and the verifier's split search, as ``strongdim.verify.Env.c1_graph``
+does with the run's cached answers.  ``brute_force_dimension`` finds dim_s, and
 ``brute_min_cover`` the vertex cover number, by subset enumeration, apart
 from the SR-cover pipeline.  ``per_source_hulls`` sweeps each source's
 full-width balls alone (the product's ``bfs_balls``, wherever it referees
@@ -36,7 +36,7 @@ import math
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from strongdim import cover
+from strongdim import cover, verify
 from strongdim.cover import c_graph_partition
 from strongdim.graph import Graph, bits, complement
 
@@ -145,8 +145,8 @@ def is_c1_graph(g: Graph, independent: frozenset[int], node_budget: int) -> bool
     """True iff g is not a C-graph but V(g) minus one vertex b partitions into
     beta(g) cliques, for a maximum independent set that the caller holds and
     ``node_budget`` nodes per exact search."""
-    return (c_graph_partition(g, independent, node_budget) is None
-            and cover._splits_less_a_vertex(g, independent, node_budget))
+    return (c_graph_partition(g, independent, node_budget)[0] is None
+            and verify._splits_less_a_vertex(g, independent, node_budget))
 
 
 def max_clique(g: Graph) -> frozenset[int]:
@@ -180,7 +180,7 @@ def graphs_isomorphic(a: Graph, b: Graph) -> bool:
         for x in range(n):
             if (used >> x) & 1 or cb[x] != ca[u]:
                 continue
-            if all(a.has_edge(u, order[q]) == b.has_edge(x, mapping[order[q]])
+            if all(a.adj[u] >> order[q] & 1 == b.adj[x] >> mapping[order[q]] & 1
                    for q in range(pos)):
                 mapping[u] = x
                 used |= 1 << x

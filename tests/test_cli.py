@@ -475,9 +475,10 @@ def test_compute_dim_s_budget_exhausted_exits_3(capsys, g):
 
 
 def test_searched_product_budget_error_counts_every_node(capsys):
-    # neither SR(C5) nor SR(C41) certifies, and each factor cover takes one
-    # node, so the product cover runs out of the 998 nodes they leave after
-    # 999 of its own: the error counts all 1,001 spent
+    # neither SR(C5) nor SR(C41) certifies: the factor covers take one node
+    # each and the partition searches that refute them 3 and 21, so the
+    # product cover runs out of the 974 nodes they leave after 975 of its
+    # own: the error counts all 1,001 spent
     code, out, err = run_cli(capsys, "product", "strong", "cycle:5", "cycle:41", "--dim-s",
                              "--node-budget", "1000")
     assert (code, out) == (3, "")

@@ -43,7 +43,7 @@ from test_graph import random_graph_strategy
 def brute_clique_cover(g):
     """Exhaustive search for the smallest partition of V into cliques."""
     def is_clique(part):
-        return all(g.has_edge(a, b) for a in part for b in part if a < b)
+        return all(g.adj[a] >> b & 1 for a in part for b in part if a < b)
 
     best = [g.n]
 
@@ -1020,7 +1020,7 @@ def test_independent_witness_spans_no_edge():
     for u in s:
         for v in s:
             if u != v:
-                assert not g.has_edge(u, v)
+                assert not g.adj[u] >> v & 1
 
 
 def engine_cover_sizes(g):
@@ -1042,7 +1042,7 @@ def engine_cover_sizes(g):
         _, order, rows = theta_hat(adj, comp)
         indep = cover._ColourSearch(rows, bit, DEFAULT_NODE_BUDGET).run(full, 1)
         members = [order[i] for i in bits(indep)]
-        assert not any(g.has_edge(u, v) for u, v in combinations(members, 2))
+        assert not any(g.adj[u] >> v & 1 for u, v in combinations(members, 2))
         colour_size += comp.bit_count() - len(members)
     return reduce_size, colour_size
 
@@ -1130,9 +1130,9 @@ def test_clique_cover_beyond_20_vertices():
     # search's None is a proof that theta > beta
     assert clique_cover_number(complete(21), DEFAULT_NODE_BUDGET) == (1, [(1 << 21) - 1])
     assert clique_cover_number(cycle(21), DEFAULT_NODE_BUDGET)[0] == 11
-    assert c_graph_partition(complete(25), frozenset({0}), DEFAULT_NODE_BUDGET) == [(1 << 25) - 1]
+    assert c_graph_partition(complete(25), frozenset({0}), DEFAULT_NODE_BUDGET) == ([(1 << 25) - 1], 0)
     with patch.object(cover, "_clique_partition", wraps=cover._clique_partition) as search:
-        assert c_graph_partition(cycle(21), frozenset(range(0, 20, 2)), DEFAULT_NODE_BUDGET) is None
+        assert c_graph_partition(cycle(21), frozenset(range(0, 20, 2)), DEFAULT_NODE_BUDGET)[0] is None
     assert search.called
     assert is_c1_graph(cycle(21), frozenset(range(0, 20, 2)), DEFAULT_NODE_BUDGET)
 
@@ -1155,10 +1155,10 @@ def test_c_graph_partition_refutes_sr_c401_with_a_shallow_stack():
     with patch.object(cover, "_clique_partition", wraps=cover._clique_partition) as search:
         sys.setrecursionlimit(_stack_depth() + 100)
         try:
-            partition = c_graph_partition(sr, independent, DEFAULT_NODE_BUDGET)
+            partition, nodes = c_graph_partition(sr, independent, DEFAULT_NODE_BUDGET)
         finally:
             sys.setrecursionlimit(limit)
-    assert partition is None and search.called
+    assert partition is None and search.called and nodes == 201
 
 
 def test_checked_partition_rejects_nonsense():
@@ -1181,7 +1181,7 @@ SHUFFLED_P4 = make_graph(4, [(0, 2), (0, 1), (1, 3)])
 
 
 def is_c_graph(g):
-    return c_graph_partition(g, max_independent_set(g), DEFAULT_NODE_BUDGET) is not None
+    return c_graph_partition(g, max_independent_set(g), DEFAULT_NODE_BUDGET)[0] is not None
 
 
 def is_c1(g):
@@ -1203,7 +1203,8 @@ def test_c_graph_greedy_partition_decides_first():
     # then the partition returned; otherwise the exact search decides
     def decided(g):
         with patch.object(cover, "_clique_partition", wraps=cover._clique_partition) as search:
-            partition = c_graph_partition(g, max_independent_set(g), DEFAULT_NODE_BUDGET)
+            partition, nodes = c_graph_partition(g, max_independent_set(g), DEFAULT_NODE_BUDGET)
+        assert (nodes > 0) == search.called  # the greedy partition spends no node
         if partition is not None and not search.called:
             greedy = id_order_partition(g.adj, (1 << g.n) - 1)
             assert partition == greedy
@@ -1222,7 +1223,7 @@ def test_c_graph_partition_matches_brute_clique_cover(g):
     # an oracle that shares no code with the predicate: the smallest clique
     # partition by exhaustive search, against beta by subset enumeration
     beta = g.n - brute_min_cover(g)
-    partition = c_graph_partition(g, max_independent_set(g), DEFAULT_NODE_BUDGET)
+    partition = c_graph_partition(g, max_independent_set(g), DEFAULT_NODE_BUDGET)[0]
     assert (partition is not None) == (brute_clique_cover(g) == beta)
     if partition is not None:
         assert cover._checked_partition(g, partition) == partition
@@ -1231,13 +1232,13 @@ def test_c_graph_partition_matches_brute_clique_cover(g):
 
 def test_exact_partition_search_spends_its_node_budget():
     # the greedy partition spends no node; the exact search raises once it
-    # places more vertices than its budget allows
-    assert c_graph_partition(path(6), frozenset({0, 2, 4}), 0) is not None
+    # places more vertices than its budget allows, and reports what it placed
+    assert c_graph_partition(path(6), frozenset({0, 2, 4}), 0) == ([0b11, 0b1100, 0b110000], 0)
     with pytest.raises(BudgetExhausted, match="clique partition search exhausted"):
         c_graph_partition(cycle(5), frozenset({0, 2}), 0)
     with pytest.raises(BudgetExhausted, match="clique partition search exhausted"):
         is_c1_graph(cycle(5), frozenset({0, 2}), 0)
-    assert c_graph_partition(cycle(5), frozenset({0, 2}), DEFAULT_NODE_BUDGET) is None
+    assert c_graph_partition(cycle(5), frozenset({0, 2}), DEFAULT_NODE_BUDGET) == (None, 3)
 
 
 def test_c_graph_partition_refuses_a_dependent_set():

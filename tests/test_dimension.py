@@ -686,7 +686,7 @@ def test_exact_partition_certifies_where_greedy_falls_short(g6, h, dim):
     sr = strong_resolving_graph(g).sr
     assert len(id_order_partition(sr.adj, (1 << sr.n) - 1)) == 4
     with patch.object(cover, "_clique_partition", wraps=cover._clique_partition) as search:
-        partition = c_graph_partition(sr, max_independent_set(sr), DEFAULT_NODE_BUDGET)
+        partition = c_graph_partition(sr, max_independent_set(sr), DEFAULT_NODE_BUDGET)[0]
     assert search.called and len(partition) == 3
     assert cover._checked_partition(sr, partition) == partition
     res, orders = _covered_orders(g, h)
@@ -707,16 +707,21 @@ def test_factor_partition_search_spends_the_node_budget():
 
 
 def test_factor_covers_spend_the_node_budget():
-    # C5 x C7 takes one node per factor cover and 22 for the product cover,
+    # C5 x C7 takes one node per factor cover, 3 and 4 for the partition
+    # searches that refute SR(C5) and SR(C7), and 22 for the product cover,
     # all from one budget: a budget short of any of them ends as
     # BudgetExhausted, never as a number.  The product cover's error counts
-    # every node spent, the factor covers' included
-    for budget in (0, 1):
+    # every node spent, the factors' included
+    for budget in (0, 1, 4, 8):
         with pytest.raises(BudgetExhausted):
             _covered_orders(cycle(5), cycle(7), budget)
-    with pytest.raises(BudgetExhausted, match=r"\(24 nodes\)"):
-        _covered_orders(cycle(5), cycle(7), 23)
-    assert _covered_orders(cycle(5), cycle(7), 24)[0].dim == 29
+    with pytest.raises(BudgetExhausted, match=r"\(31 nodes\)"):
+        _covered_orders(cycle(5), cycle(7), 30)
+    assert _covered_orders(cycle(5), cycle(7), 31)[0].dim == 29
+    # C5 x C41's factors spend 1 + 3 + 1 + 21 nodes, so a budget of 25 runs
+    # out in the second partition search, before any product cover
+    with pytest.raises(BudgetExhausted, match="clique partition search exhausted"):
+        _covered_orders(cycle(5), cycle(41), 25)
 
 
 def test_second_factor_partition_runs_only_when_the_first_fails():
@@ -740,23 +745,23 @@ def test_second_factor_partition_runs_only_when_the_first_fails():
 # cliques, which only the exact search finds; the greedy partition has more.
 RANDOM_CERTIFIED = [
     ("TE?@GD?IAC??c??Cs@CoCQ?G?\\Oc_?`A?_@_", "TG@CSD??@EB??_?K`P_?bD??A?g@??O_?OQB",
-     360, 19),
+     360, 22),
     ("]C??O????AGA@G????``??_??@?C??AGOOO_??G?A???GG?_??A?OC?H?AO?AG??C???_@?OPO",
      "]@i@?A?_?O?t??P`?AoGK[O?G??a_I?B?I?G@OA???sGH@?O??Gs_?G?O@??gB??aI??@?W?Cg",
-     732, 27),
+     732, 38),
     ("b?_???a?OO?????AB??????C???_?A?G???@??@?r?G?GA?SCH??C????C?G@???P??`???C?????L?_C?H??"
      "@G????AG???G?CC?",
      "g?@_?_GGA????_?`GQ?G?`@O_?O?A@sQ?E@@DSGO??CCC?LTAC@a@@g@?t@bG????O???_?cA?CW_G???AGG?"
      "AA?O??@?@?_C?CKO?G?@_?[?W?@E??C?GO?CQ?XOOU?G_?",
-     1162, 30),
+     1162, 33),
 ]
 
 
 @pytest.mark.parametrize("g6, h6, dim, budget", RANDOM_CERTIFIED, ids=["21x21", "30x30", "35x40"])
 def test_exact_partition_certifies_factors_of_any_order(g6, h6, dim, budget):
-    # G's cover and the exact partition of SR(G) fit in ``budget`` nodes, and
-    # H's cover in what they leave; one node less runs out.  The searched
-    # route would need the whole product's cover
+    # G's cover, the exact partition of SR(G) and H's cover spend ``budget``
+    # nodes in all (7 + 12 + 3, 5 + 22 + 11 and 12 + 18 + 3); one node less
+    # runs out.  The searched route would need the whole product's cover
     g, h = from_graph6(g6), from_graph6(h6)
     prod = product("strong", g, h)
     sr = strong_resolving_graph(g).sr
@@ -786,6 +791,12 @@ def test_factor_route_rejects_bad_factors():
         for route in (product_dimension, product_sr_graph):
             with pytest.raises(ValueError, match=f"^prod is not the {kind} product of g and h$"):
                 route(kind, g, h, prod=complete(9))
+    # so does the strong SR graph from the factors, which never reads prod's rows
+    for wrong in (complete(9), path(4), product("cartesian", path(3), path(3))):
+        with pytest.raises(ValueError, match="^prod is not the strong product of g and h$"):
+            product_sr_graph("strong", path(3), path(3), prod=wrong)
+    assert product_sr_graph("strong", path(3), path(3), prod=product("strong", path(3), path(3))
+                            ).num_edges == 16
 
 
 def test_product_dimension_at_benchmark_scale():

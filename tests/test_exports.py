@@ -57,7 +57,8 @@ def test_oracles_read_no_runtime_distances():
 
 
 VERIFY_NAMES = ("ClaimReport", "Corpus", "CorpusSpec", "claim_ids", "replay_instance",
-                "run_suite", "verify_claim")
+                "run_suite", "verify_claim", "cut_vertices", "is_generalized_tree",
+                "is_two_antipodal", "leaf_count")
 
 
 @pytest.mark.parametrize("name", VERIFY_NAMES)
@@ -73,6 +74,17 @@ def test_lazy_verify_names_are_verify_exports(name):
 def test_unknown_package_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'run_everything'"):
         strongdim.run_everything
+
+
+def test_runtime_holds_no_code_only_the_verifier_reads():
+    # the lemma's condition tally, the corollary hypotheses and the C1 split
+    # search live in strongdim.verify; Graph keeps no method nothing calls
+    from strongdim import cover, graph, metrics, resolving
+
+    assert resolving.PredictedSR._fields == ("graph", "dm_g", "dm_h", "sr_g", "sr_h")
+    assert metrics.__all__ == ["DistanceMatrix", "all_pairs_distances", "is_connected"]
+    assert not hasattr(cover, "_splits_less_a_vertex")
+    assert not {"degree_sequence", "has_edge"} & set(dir(graph.Graph))
 
 
 def test_bare_package_import_leaves_verify_unloaded():

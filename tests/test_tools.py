@@ -133,3 +133,38 @@ def test_sr_graph_of_a_long_path_needs_no_stored_balls():
     code, _, rss = _load_tool("memory_probe").probe(
         ["compute", "sr-graph", "path:1500"], limit_mb=100)
     assert code == 0 and rss < 100
+
+
+def _junit(tmp_path, name, cases):
+    """A JUnit report in pytest's layout: one testcase per (classname, name,
+    outcome), the outcome "pass", "failure", "error" or "skipped"."""
+    body = "".join(
+        f'<testcase classname="{cls}" name="{test}" time="0.01">'
+        + ("" if outcome == "pass" else f'<{outcome} message="m">text</{outcome}>')
+        + "</testcase>" for cls, test, outcome in cases)
+    path = tmp_path / name
+    path.write_text(f'<?xml version="1.0" encoding="utf-8"?><testsuites><testsuite name="pytest" '
+                    f'tests="{len(cases)}">{body}</testsuite></testsuites>', encoding="utf-8")
+    return path
+
+
+def test_tier1_gate_accepts_exactly_the_expected_failures(tmp_path):
+    gate = _load_tool("tier1_gate")
+    criterion_6 = ("tests.test_acceptance", "test_criterion_6_corollary_families", "failure")
+    passing = [("tests.test_graph", "test_family_edge_counts", "pass"),
+               ("tests.test_cover", "test_c1_graph_families", "skipped")]
+
+    def verdict(name, *cases):
+        return gate.differences(gate.failed_ids(_junit(tmp_path, name, [*passing, *cases])))
+
+    assert gate.EXPECTED_FAILURES == {
+        "tests/test_acceptance.py::test_criterion_6_corollary_families"}
+    assert verdict("same.xml", criterion_6) == []
+    assert verdict("new.xml", criterion_6, ("tests.test_cli", "test_x[a-b]", "failure")) == [
+        "unexpected failure: tests/test_cli.py::test_x[a-b]"]
+    assert verdict("error.xml", criterion_6, ("tests.test_cli", "test_y", "error")) == [
+        "unexpected failure: tests/test_cli.py::test_y"]
+    assert verdict("collect.xml", criterion_6, ("", "tests.test_gone", "error")) == [
+        "unexpected failure: tests.test_gone"]
+    assert verdict("fixed.xml", criterion_6[:2] + ("pass",)) == [
+        "expected failure passed: tests/test_acceptance.py::test_criterion_6_corollary_families"]

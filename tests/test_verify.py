@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongdim import cover, dimension, graph, products, resolving, verify
+from strongdim import cover, dimension, graph, metrics, products, resolving, verify
 from strongdim.graph import (
     complete,
     complete_multipartite,
@@ -28,6 +28,7 @@ from strongdim.verify import (
     CorpusSpec,
     Env,
     _clique_sizes,
+    _condition_tags,
     _vertex_residue,
     claim_ids,
     replay_instance,
@@ -39,9 +40,10 @@ from strongdim.verify import (
     verify_claim,
 )
 
-from oracles import graphs_isomorphic
+from oracles import distance_rows, graphs_isomorphic
 from test_cli import _patch_everywhere
 from test_cover import stack_depth
+from test_graph import connected_graph_strategy
 
 SMALL = CorpusSpec(
     seed=7,
@@ -466,7 +468,7 @@ def test_each_layer_built_once_per_run(monkeypatch):
     nodes = []
     for fn in (cover.min_vertex_cover, resolving.strong_resolving_graph,
                dimension.sr_cover_dimension, products.product,
-               cover.c_graph_partition, cover._splits_less_a_vertex):
+               cover.c_graph_partition, verify._splits_less_a_vertex):
         def counted(*args, _fn=fn, **kwargs):
             # the graph a layer is built for; a product is its kind and factors
             graph = args[:3] if _fn.__name__ == "product" else args[0]
@@ -523,6 +525,47 @@ def test_lemma_mmd_reports_a_dropped_edge(monkeypatch):
     first = rep.instances[0]
     assert first["outcome"] == "fail"
     assert first["differing_pairs"] == [[0, 1]]
+
+
+# -- lemma-mmd's condition tally ----------------------------------------------
+
+
+def _condition_tally(g, h, edges):
+    """Edges (p, q) of G x H tallied by the first lemma condition they meet,
+    read pair by pair off the factors' BFS distances and direct SR graphs;
+    an edge that meets none goes under "0"."""
+    sr_g, sr_h = resolving.strong_resolving_graph(g).sr, resolving.strong_resolving_graph(h).sr
+    rows_g = distance_rows(metrics.all_pairs_distances(g).balls)
+    rows_h = distance_rows(metrics.all_pairs_distances(h).balls)
+    tally = dict.fromkeys("012345", 0)
+    for p, q in edges:
+        (u, v), (x, y) = divmod(p, h.n), divmod(q, h.n)
+        mmd_g, mmd_h = sr_g.adj[u] >> x & 1, sr_h.adj[v] >> y & 1
+        dg, dh = rows_g[u][x], rows_h[v][y]
+        met = [mmd_g and mmd_h, mmd_g and v == y, mmd_h and u == x,
+               mmd_g and dh < dg, mmd_h and dg < dh]
+        tally[next((str(i) for i, c in enumerate(met, 1) if c), "0")] += 1
+    return tally
+
+
+def _tags_match_tally(g, h):
+    direct = resolving.strong_resolving_graph(products.product("strong", g, h)).sr
+    tags = _condition_tags(resolving.predicted_mmd_edges(g, h))
+    assert _condition_tally(g, h, direct.edges()) == {"0": 0, **tags}
+
+
+@given(connected_graph_strategy(2, 6), connected_graph_strategy(2, 6))
+@settings(max_examples=60, deadline=None)
+def test_condition_tags_match_the_definitional_tally(g, h):
+    _tags_match_tally(g, h)
+
+
+def test_condition_tags_match_the_definitional_tally_large():
+    # the last five are the benchmark's product ladder
+    for g, h in [(cycle(9), cycle(9)), (grid(3, 3), path(7)), (path(20), path(20)),
+                 (path(30), path(30)), (path(18), path(48)), (cycle(12), path(50)),
+                 (complete(6), path(60)), (cycle(21), path(8))]:
+        _tags_match_tally(g, h)
 
 
 def test_lemma_cgraph_skips_every_factor_over_the_recognition_cap():
