@@ -100,7 +100,7 @@ def _compute_one(what: str, g: Graph, budget: int) -> dict:
         # a row-major strong product of connected factors takes the factor route
         factors = pr.strong_factors(g)
         if factors and all(map(is_connected, factors)):
-            res = dim.product_dimension("strong", *factors, budget, prod=g)
+            res = dim.product_dimension("strong", *factors, budget)
         else:
             res = dim.strong_metric_dimension(g, budget)
         out["value"] = res.dim
@@ -182,7 +182,14 @@ def cmd_product(args) -> int:
         raise CliError("dot output is not available with --dim-s")
     g = _load_one(args.g)
     h = _load_one(args.h)
-    prod = pr.product(kind, g, h)
+    sr = None
+    if args.dim_s:  # the result carries the product its basis is on
+        res = dim.product_dimension(kind, g, h, args.node_budget)
+        prod, sr = res.graph, res.sr
+    else:
+        prod = pr.product(kind, g, h)
+        if args.sr and args.format != "dot":  # DOT output shows the product alone
+            sr = dim.product_sr_graph(kind, g, h)
     labels = pr.coordinate_labels(g.n, h.n)
     out: dict = {
         "kind": kind,
@@ -190,12 +197,6 @@ def cmd_product(args) -> int:
         "m": prod.num_edges,
         "graph6": gr.to_graph6(prod),
     }
-    sr = None
-    if args.dim_s:
-        res = dim.product_dimension(kind, g, h, args.node_budget, prod=prod)
-        sr = res.sr
-    elif args.sr and args.format != "dot":  # DOT output shows the product alone
-        sr = dim.product_sr_graph(kind, g, h, prod=prod)
     if sr is not None:
         out["sr_graph6"] = gr.to_graph6(sr)
         out["sr_edges"] = EdgeList(sr.adj, labels)

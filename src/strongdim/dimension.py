@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .cover import DEFAULT_NODE_BUDGET, CoverResult, c_graph_partition, min_vertex_cover
 from .graph import Graph, bits
 from .metrics import DistanceMatrix, all_pairs_distances
-from .products import PRODUCT_KINDS, _rows, _stride
+from .products import _stride, product
 from .resolving import PredictedSR, predicted_mmd_edges, strong_resolving_graph
 
 __all__ = [
@@ -37,6 +37,7 @@ class DimensionResult(NamedTuple):
     dim: int
     basis: frozenset[int]
     sr: Graph  # the SR graph the basis covers
+    graph: Graph  # the graph that the basis and ``sr`` are on
 
 
 def _difference_classes(adj) -> list[tuple[int, int, int]]:
@@ -268,12 +269,12 @@ def sr_cover_dimension(
     cover raises ``BudgetExhausted``, and a cover that fails the definitional
     generator check on ``dm`` (g's own matrix, or its factors' pair; see
     ``is_strong_generator``) raises ``AssertionError``.  The result
-    carries ``sr``, so callers that print it need not rebuild it.
+    carries ``sr`` and g, so callers that print them need not rebuild them.
     """
     basis = cover.exact().witness
     if not is_strong_generator(g, basis, dm):
         raise AssertionError("SR cover failed the definitional generator check")
-    return DimensionResult(cover.size, basis, sr)
+    return DimensionResult(cover.size, basis, sr, g)
 
 
 def strong_metric_dimension(
@@ -301,15 +302,8 @@ def _factor_prediction(kind: str, g: Graph, h: Graph) -> PredictedSR | None:
     return None
 
 
-def _plain_product(kind: str, g: Graph, h: Graph, prod: Graph) -> Graph:
-    """``prod``, confirmed row by row to be ``product(kind, g, h)``, or ValueError."""
-    _check(kind in PRODUCT_KINDS and prod.adj == tuple(_rows(kind, g.adj, h.adj, g.n)),
-           f"prod is not the {kind} product of g and h")
-    return prod
-
-
 def product_dimension(
-    kind: str, g: Graph, h: Graph, node_budget: int = DEFAULT_NODE_BUDGET, *, prod: Graph
+    kind: str, g: Graph, h: Graph, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> DimensionResult:
     """dim_s of the ``kind`` product of g and h, from the factors where they allow it.
 
@@ -325,15 +319,13 @@ def product_dimension(
     G's fails.  Otherwise the cover is searched on the whole SR graph.  The
     factor covers, the partition searches and that search spend one node
     budget in turn, and the searched cover's node count includes them all.
-    Either way the witness is checked definitionally against ``prod``, which
-    must be ``product(kind, g, h)``: the plain route raises ValueError
-    otherwise, and the factor route reads the factors' edge-difference
-    classes from their balls and raises ``AssertionError`` unless they give
-    every row of ``prod``.
+    Either way the witness is checked definitionally against
+    ``product(kind, g, h)``, built here: on the factor route the stages read
+    from the factors' balls must give every row of it.
     """
     pred = _factor_prediction(kind, g, h)
     if pred is None:
-        return strong_metric_dimension(_plain_product(kind, g, h, prod), node_budget)
+        return strong_metric_dimension(product(kind, g, h), node_budget)
     spent, masks, certified = 0, [], False
     for sr in (pred.sr_g, pred.sr_h):
         cover = min_vertex_cover(sr, node_budget - spent).exact()
@@ -344,20 +336,18 @@ def product_dimension(
             certified, spent = partition is not None, spent + nodes
         masks.append(sum(1 << v for v in independent))
     if certified:
-        cover_mask = ((1 << prod.n) - 1) & ~(_stride(masks[0], h.n) * masks[1])
+        cover_mask = ((1 << g.n * h.n) - 1) & ~(_stride(masks[0], h.n) * masks[1])
         cover = CoverResult(cover_mask.bit_count(), frozenset(bits(cover_mask)), spent, True)
     else:
         cover = min_vertex_cover(pred.graph, node_budget - spent)
         cover = cover._replace(nodes_explored=cover.nodes_explored + spent)
-    return sr_cover_dimension(prod, pred.graph, (pred.dm_g, pred.dm_h), cover)
+    return sr_cover_dimension(product(kind, g, h), pred.graph, (pred.dm_g, pred.dm_h), cover)
 
 
-def product_sr_graph(kind: str, g: Graph, h: Graph, *, prod: Graph) -> Graph:
-    """SR graph of the ``kind`` product of g and h, on ``product_dimension``'s
-    route; ValueError unless ``prod`` is ``product(kind, g, h)``."""
-    prod = _plain_product(kind, g, h, prod)
+def product_sr_graph(kind: str, g: Graph, h: Graph) -> Graph:
+    """SR graph of the ``kind`` product of g and h, on ``product_dimension``'s route."""
     pred = _factor_prediction(kind, g, h)
-    return pred.graph if pred else strong_resolving_graph(prod).sr
+    return pred.graph if pred else strong_resolving_graph(product(kind, g, h)).sr
 
 
 # ---------------------------------------------------------------------------

@@ -259,12 +259,17 @@ class Env:
 def _splits_less_a_vertex(g: Graph, independent: frozenset[int], node_budget: int) -> bool:
     """The C1-graph test once g is known not to be a C-graph: some V(g) - b
     partitions into at most beta cliques, which then means exactly beta, as
-    theta(g - b) >= theta(g) - 1 >= beta(g)."""
+    theta(g - b) >= theta(g) - 1 >= beta(g).  The searches on each V(g) - b
+    spend one ``node_budget`` in turn."""
     seeds = sum(1 << v for v in independent)
     full = (1 << g.n) - 1
-    return any(cov._clique_partition(g.adj, full ^ (1 << b), len(independent),
-                                     seeds & ~(1 << b), node_budget)[0] is not None
-               for b in range(g.n))
+    for b in range(g.n):
+        parts, nodes = cov._clique_partition(g.adj, full ^ (1 << b), len(independent),
+                                             seeds & ~(1 << b), node_budget)
+        if parts is not None:
+            return True
+        node_budget -= nodes
+    return False
 
 
 # ---------------------------------------------------------------------------

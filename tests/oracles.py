@@ -143,8 +143,9 @@ def mutually_maximally_distant(rows: Rows, g: Graph, u: int, v: int) -> bool:
 
 def is_c1_graph(g: Graph, independent: frozenset[int], node_budget: int) -> bool:
     """True iff g is not a C-graph but V(g) minus one vertex b partitions into
-    beta(g) cliques, for a maximum independent set that the caller holds and
-    ``node_budget`` nodes per exact search."""
+    beta(g) cliques, for a maximum independent set that the caller holds;
+    ``node_budget`` nodes for the C-graph test, and as many for the searches
+    on every V(g) - b together."""
     return (c_graph_partition(g, independent, node_budget)[0] is None
             and verify._splits_less_a_vertex(g, independent, node_budget))
 

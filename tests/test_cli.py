@@ -429,10 +429,11 @@ LAYERS = (metrics.all_pairs_distances, resolving.strong_resolving_graph,
     (("product", "lex", "cycle:4", "path:3", "--dim-s"),
      {"all_pairs_distances": 1, "strong_resolving_graph": 1, "predicted_mmd_edges": 0,
       "product": 1}),
-    # G x K1 is G with its own ids, so it takes the direct route
+    # G x K1 is G with its own ids, so it takes the direct route; the CLI's
+    # product is for printing, and product_sr_graph builds its own
     (("product", "strong", "complete:1", "path:5", "--sr"),
      {"all_pairs_distances": 0, "strong_resolving_graph": 1, "predicted_mmd_edges": 0,
-      "product": 1}),
+      "product": 2}),
 ])
 def test_each_layer_built_once_per_request(capsys, monkeypatch, argv, expected):
     calls = dict.fromkeys(expected, 0)
@@ -445,6 +446,29 @@ def test_each_layer_built_once_per_request(capsys, monkeypatch, argv, expected):
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert calls == expected
+
+
+C5_P60_G6 = to_graph6(product("strong", cycle(5), path(60)))
+
+
+@pytest.mark.parametrize("argv, passes", [
+    # the factor routes: --dim-s prints the product its result is on, and
+    # the strong SR graph comes from the factors, so one pass each
+    (("product", "strong", "path:30", "path:30", "--dim-s"), 1),
+    (("product", "strong", "path:30", "path:30", "--sr"), 1),
+    (("product", "cartesian", "path:3", "path:4", "--dim-s"), 1),
+    # the plain SR route builds its own product beside the printed one
+    (("product", "cartesian", "path:3", "path:4", "--sr"), 2),
+    (("product", "strong", "complete:1", "path:5", "--sr"), 2),
+    # recognition tries the divisors of 300, then the route builds the product
+    (("compute", "dim-s", C5_P60_G6), 12),
+])
+def test_row_formula_passes_per_request(capsys, monkeypatch, argv, passes):
+    calls = []
+    rows = products._rows
+    _patch_everywhere(monkeypatch, rows, lambda *args: calls.append(args) or rows(*args))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(calls) == passes
 
 
 def test_product_dot_ignores_sr(capsys):
@@ -475,14 +499,26 @@ def test_compute_dim_s_budget_exhausted_exits_3(capsys, g):
 
 
 def test_searched_product_budget_error_counts_every_node(capsys):
-    # neither SR(C5) nor SR(C41) certifies: the factor covers take one node
-    # each and the partition searches that refute them 3 and 21, so the
-    # product cover runs out of the 974 nodes they leave after 975 of its
-    # own: the error counts all 1,001 spent
+    # neither SR(C5) nor SR(C41) certifies, so the product cover searches
+    # with what the factor covers and partition searches left.  A spent
+    # cover search reports one node past its budget, so the count reads
+    # 1,001 whatever the factor searches took; the next test shows their
+    # charge at the CLI
     code, out, err = run_cli(capsys, "product", "strong", "cycle:5", "cycle:41", "--dim-s",
                              "--node-budget", "1000")
     assert (code, out) == (3, "")
     assert err == "error: budget-exhausted: cover search exhausted its node budget (1001 nodes)\n"
+
+
+def test_factor_searches_spend_the_cli_node_budget(capsys):
+    # C5 x C41's factor covers take one node each and the partition searches
+    # that refute SR(C5) and SR(C41) 3 and 21: at 25 the second partition
+    # search runs out, before any product cover
+    code, out, err = run_cli(capsys, "product", "strong", "cycle:5", "cycle:41", "--dim-s",
+                             "--node-budget", "25")
+    assert (code, out) == (3, "")
+    assert err == ("error: budget-exhausted: clique partition search exhausted its node "
+                   "budget\n")
 
 
 def test_relabelled_c5_p12_lands_on_branch_and_reduce(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from inspect import signature
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -250,7 +251,7 @@ def test_generator_check_modes_agree_on_k6_p60():
     # factors' classes) gives the same answers
     g, h = complete(6), path(60)
     prod = product("strong", g, h)
-    basis = sorted(product_dimension("strong", g, h, prod=prod).basis)
+    basis = sorted(product_dimension("strong", g, h).basis)
     sets = [basis] + [basis[:i] + basis[i + 1 :] for i in range(0, len(basis), 7)]
     flat, factors = all_pairs_distances(prod), _factor_distances(g, h)
     on_rows = [is_strong_generator(prod, s, flat) for s in sets]
@@ -280,7 +281,7 @@ def test_generator_check_modes_agree_on_k6_p60():
 )
 def test_product_check_matches_definition_and_generic_check(g, h):
     prod = product("strong", g, h)
-    basis = sorted(product_dimension("strong", g, h, prod=prod).basis)
+    basis = sorted(product_dimension("strong", g, h).basis)
     factors, flat = _factor_distances(g, h), all_pairs_distances(prod)
     sets = [basis] + [basis[:i] + basis[i + 1 :] for i in range(len(basis))]
     answers = [is_strong_generator(prod, s, factors) for s in sets]
@@ -295,7 +296,7 @@ def test_wrong_product_stage_raises(monkeypatch, stage):
     # lost a class must raise, from the check and from the product route
     g, h = cycle(5), path(4)
     prod = product("strong", g, h)
-    basis = product_dimension("strong", g, h, prod=prod).basis
+    basis = product_dimension("strong", g, h).basis
     real = dimension._difference_classes
 
     def forged(rows):  # H's rows are h.n long, G's g.n
@@ -306,14 +307,14 @@ def test_wrong_product_stage_raises(monkeypatch, stage):
     with pytest.raises(AssertionError, match="the product of the balls' factors misses row"):
         is_strong_generator(prod, basis, _factor_distances(g, h))
     with pytest.raises(AssertionError, match="the product of the balls' factors misses row"):
-        product_dimension("strong", g, h, prod=prod)
+        product_dimension("strong", g, h)
 
 
 def test_product_check_refuses_a_graph_that_is_not_the_product():
     # the factors come from the balls; the graph itself is only checked
     g, h = cycle(5), path(4)
     prod = product("strong", g, h)
-    basis = product_dimension("strong", g, h, prod=prod).basis
+    basis = product_dimension("strong", g, h).basis
     not_prod = make_graph(prod.n, [*prod.edges(), (6, 12)])  # (1,2) ~ (3,0): distance 2
     with pytest.raises(AssertionError, match="the product of the balls' factors misses row 6"):
         is_strong_generator(not_prod, basis, _factor_distances(g, h))
@@ -333,8 +334,6 @@ def test_factor_route_refuses_a_prod_of_other_factors(prod):
     # the stages come from the balls' factors, so the graph's rows cannot
     # stand in for them (dim_s(K9) = 8 and dim_s(K3xP3) = 7, not 5)
     g = h = path(3)
-    with pytest.raises(AssertionError, match="the product of the balls' factors misses row 0"):
-        product_dimension("strong", g, h, prod=prod)
     with pytest.raises(AssertionError, match="the product of the balls' factors misses row 0"):
         is_strong_generator(prod, {2, 5, 6, 7, 8}, _factor_distances(g, h))
 
@@ -369,7 +368,7 @@ def test_factor_route_reads_classes_from_factor_rows_only(monkeypatch):
         return real(adj)
 
     monkeypatch.setattr(dimension, "_difference_classes", recorded)
-    res = product_dimension("strong", g, h, prod=prod)
+    res = product_dimension("strong", g, h)
     assert res.dim == 19 and _generates_by_definition(prod, res.basis)
     assert lengths and set(lengths) <= {g.n, h.n}
 
@@ -446,8 +445,7 @@ def test_shared_sweeps_give_the_per_source_hulls(g, h, data):
 )
 def test_shared_sweeps_match_every_source_of_fixed_products(g, h):
     rng = random.Random(f"{g.n}x{h.n}")
-    prod = product("strong", g, h)
-    _assert_hulls_match(g, h, product_dimension("strong", g, h, prod=prod).basis)
+    _assert_hulls_match(g, h, product_dimension("strong", g, h).basis)
     for p in range(g.n * h.n):
         drawn = set(rng.sample(range(g.n * h.n), rng.randrange(g.n * h.n)))
         for members in _member_sets(g, h, p, drawn):
@@ -460,7 +458,7 @@ def test_packed_columns_dilate_a_few_times_per_vertex(monkeypatch):
     # took more than ten times per vertex
     g, h = path(20), path(20)
     prod = product("strong", g, h)
-    basis = product_dimension("strong", g, h, prod=prod).basis
+    basis = product_dimension("strong", g, h).basis
     calls = []
     real = dimension._dilate
 
@@ -478,7 +476,7 @@ def test_factor_route_strides_each_row_once(monkeypatch):
     # each ball whole would cost the sum of |B_G(u, k)| over k
     g, h = path(60), cycle(5)
     prod = product("strong", g, h)
-    basis = product_dimension("strong", g, h, prod=prod).basis
+    basis = product_dimension("strong", g, h).basis
     stage_dm, check_dm = _factor_distances(g, h), _factor_distances(g, h)
     strided = []
     real = products._stride
@@ -522,7 +520,7 @@ def test_pair_pass_finds_a_lone_unresolved_pair(g, h):
     # every unresolved pair is found by the fallback lookup (v outside H_u,
     # then u outside H_v); sets missing exactly one pair are the hardest case
     prod = product("strong", g, h)
-    basis = sorted(product_dimension("strong", g, h, prod=prod).basis)
+    basis = sorted(product_dimension("strong", g, h).basis)
     rng = random.Random(f"{g.n}x{h.n}")
     sets = [basis[:i] + basis[i + 1 :] for i in range(len(basis))]
     sets += [rng.sample(range(prod.n), rng.randrange(1, prod.n)) for _ in range(40)]
@@ -585,19 +583,20 @@ def test_factor_route_matches_generic_route(kind, g, h):
     assume(g.n * h.n >= 2)  # K1 x K1 has no dimension
     prod = product(kind, g, h)
     assert is_connected(prod)
-    res = product_dimension(kind, g, h, prod=prod)
+    res = product_dimension(kind, g, h)
     direct = strong_metric_dimension(prod)
+    assert res.graph == prod and direct.graph is prod
     assert res.sr == direct.sr == strong_resolving_graph(prod).sr
     assert res.dim == direct.dim
     assert_minimum_basis(prod, res.dim, res.basis)
-    assert product_sr_graph(kind, g, h, prod=prod) == res.sr
+    assert product_sr_graph(kind, g, h) == res.sr
 
 
 def _covered_orders(g, h, node_budget=DEFAULT_NODE_BUDGET):
     """product_dimension's strong result and the order of each graph it
     handed to ``min_vertex_cover``."""
     with patch.object(dimension, "min_vertex_cover", wraps=min_vertex_cover) as solve:
-        res = product_dimension("strong", g, h, node_budget, prod=product("strong", g, h))
+        res = product_dimension("strong", g, h, node_budget)
     return res, [call.args[0].n for call in solve.call_args_list]
 
 
@@ -657,7 +656,7 @@ def test_odd_odd_product_with_a_deep_colour_search():
     # the cover in about 150 nodes, where branch and reduce spends 200,000
     # without a proof
     g = cycle(35)
-    res = product_dimension("strong", g, g, 20_000, prod=product("strong", g, g))
+    res = product_dimension("strong", g, g, 20_000)
     assert res.dim == odd_odd_upper(17, 17) == 936
 
 
@@ -672,7 +671,7 @@ def test_forged_factor_partition_raises(monkeypatch):
                             else greedy(rows, bit, active, skip)))
     g, h = cycle(5), cycle(7)
     with pytest.raises(AssertionError, match="is not a clique"):
-        product_dimension("strong", g, h, prod=product("strong", g, h))
+        product_dimension("strong", g, h)
     with pytest.raises(AssertionError, match="is not a clique"):
         c_graph_partition(g, max_independent_set(g), DEFAULT_NODE_BUDGET)
 
@@ -703,7 +702,7 @@ def test_factor_partition_search_spends_the_node_budget():
     # the exact partition search its greedy partition calls for
     g, h = from_graph6("Erug"), cycle(5)
     with pytest.raises(BudgetExhausted, match="clique partition search exhausted"):
-        product_dimension("strong", g, h, 1, prod=product("strong", g, h))
+        product_dimension("strong", g, h, 1)
 
 
 def test_factor_covers_spend_the_node_budget():
@@ -767,8 +766,8 @@ def test_exact_partition_certifies_factors_of_any_order(g6, h6, dim, budget):
     sr = strong_resolving_graph(g).sr
     assert len(id_order_partition(sr.adj, (1 << sr.n) - 1)) > sr.n - min_vertex_cover(sr).size
     with pytest.raises(BudgetExhausted):
-        product_dimension("strong", g, h, budget - 1, prod=prod)
-    res = product_dimension("strong", g, h, budget, prod=prod)
+        product_dimension("strong", g, h, budget - 1)
+    res = product_dimension("strong", g, h, budget)
     dim_g, dim_h = strong_metric_dimension(g).dim, strong_metric_dimension(h).dim
     assert res.dim == dim == general_upper(g.n, h.n, dim_g, dim_h)
     assert len(res.basis) == dim
@@ -780,23 +779,16 @@ def test_factor_route_rejects_bad_factors():
     two_edges = disjoint_union([complete(2)] * 2)
     for g, h in [(complete(1), complete(1)), (two_edges, path(3)), (complete(1), two_edges)]:
         with pytest.raises(ValueError):
-            product_dimension("strong", g, h, prod=product("strong", g, h))
-    prod = product("strong", two_edges, path(3))
+            product_dimension("strong", g, h)
     with pytest.raises(ValueError):
-        product_sr_graph("strong", two_edges, path(3), prod=prod)
-    # the plain route refuses a prod that is not product(kind, g, h): K9 for
-    # P3 x P3 in the three other kinds, and for K1 x P9 in all four
-    for kind, g, h in [*((kind, path(3), path(3)) for kind in PRODUCT_KINDS[1:]),
-                       *((kind, complete(1), path(9)) for kind in PRODUCT_KINDS)]:
-        for route in (product_dimension, product_sr_graph):
-            with pytest.raises(ValueError, match=f"^prod is not the {kind} product of g and h$"):
-                route(kind, g, h, prod=complete(9))
-    # so does the strong SR graph from the factors, which never reads prod's rows
-    for wrong in (complete(9), path(4), product("cartesian", path(3), path(3))):
-        with pytest.raises(ValueError, match="^prod is not the strong product of g and h$"):
-            product_sr_graph("strong", path(3), path(3), prod=wrong)
-    assert product_sr_graph("strong", path(3), path(3), prod=product("strong", path(3), path(3))
-                            ).num_edges == 16
+        product_sr_graph("strong", two_edges, path(3))
+    assert product_sr_graph("strong", path(3), path(3)).num_edges == 16
+
+
+def test_product_routes_take_the_factors_alone():
+    # each route builds the product that it reads rows of; none is handed in
+    assert list(signature(product_dimension).parameters) == ["kind", "g", "h", "node_budget"]
+    assert list(signature(product_sr_graph).parameters) == ["kind", "g", "h"]
 
 
 def test_product_dimension_at_benchmark_scale():

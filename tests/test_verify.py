@@ -417,6 +417,21 @@ def test_golden_report_seed42():
     assert suite_exit_code(reports) == 2
 
 
+# SHA-256 of the ``verify all`` report on two more corpus seeds, pinned like
+# the seed-42 golden report: an intended change updates them and says why
+REPORT_SHA256 = {
+    7: "ce7ba17db10fa7c5d3a36d0ac0f724108f619b00c74a7322c465944f86bb559f",
+    123: "c4fa12da5f83301ee576ced54b6fb57b3df74d8fe976f6d8ca9c435e77cfd5cd",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REPORT_SHA256))
+def test_report_digest_pinned(seed):
+    spec = CorpusSpec(seed=seed)
+    text = suite_to_json(run_suite(Corpus(spec)), spec)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == REPORT_SHA256[seed]
+
+
 def test_records_encode_each_graph_once_per_run(monkeypatch):
     # Env holds the graph6 string of every instance graph for the run: each
     # graph is encoded once, however many records name it
@@ -493,6 +508,20 @@ def test_each_layer_built_once_per_run(monkeypatch):
     assert (len(nodes), sum(nodes)) == (744, 3_026)
     for cid in ("lemma-cgraph", "thm-cgraph-exact", "lemma-c1graph", "thm-c1-lower"):
         assert reports[cid].instances_checked >= 1 and reports[cid].skipped >= 1
+
+
+def test_c1_split_searches_share_one_node_budget():
+    # SR(random_connected(6, 0.4, 163)) is not a C-graph and has beta = 2.
+    # The searches on V - 0 and V - 1 fail after 4 and 3 nodes, and the one
+    # on V - 2 splits it into two cliques after 4 more: 11 from one budget
+    sr = resolving.strong_resolving_graph(graph.random_connected(6, 0.4, 163)).sr
+    assert to_graph6(sr) == "Eewo"
+    independent = cover.max_independent_set(sr)
+    assert len(independent) == 2
+    assert cover.c_graph_partition(sr, independent, cover.DEFAULT_NODE_BUDGET)[0] is None
+    with pytest.raises(cover.BudgetExhausted, match="clique partition search exhausted"):
+        verify._splits_less_a_vertex(sr, independent, 10)
+    assert verify._splits_less_a_vertex(sr, independent, 11)
 
 
 def test_recognition_spends_the_run_budget():

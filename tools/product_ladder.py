@@ -9,15 +9,15 @@ search certifies (the greedy partition does not).  A rung runs in this
 process as ``strongdim product strong G H --dim-s --format json`` with its
 standard output captured.  The script wraps, from outside, the
 functions the request goes through: ``dimension.product_dimension`` (the
-whole answer); inside it, ``predicted_mmd_edges`` (the SR graph predicted
+whole answer, the product build included); inside it, ``predicted_mmd_edges`` (the SR graph predicted
 from the factors, wrapped in ``dimension``'s namespace, which imports it by
 name) and ``dimension.is_strong_generator`` (the definitional check);
 ``graph.to_graph6`` (the product's and its SR graph's strings) and
 ``cli.to_json`` (the JSON text, the SR graph's edge list included: it is
 written there, straight from the graph's rows).  Per rung it prints the
 median over the repeats of the request's wall time and of each function's
-time within it, all in milliseconds, and the rest of the request (parsing,
-the product build and labels) as ``other``.  The next column is the same
+time within it, all in milliseconds, and the rest of the request (parsing
+and labels) as ``other``.  The next column is the same
 product given as one graph6 string, ``strongdim compute dim-s <graph6>
 --format json``, timed whole; each repeat runs the two requests in turn.
 The last, ``_dilate calls``, counts in one more ``product`` request, not
